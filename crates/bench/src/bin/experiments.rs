@@ -1992,6 +1992,8 @@ fn join_bench(
         "build ms",
         "assign ms",
         "join ms",
+        "tasks",
+        "imbalance",
         "pairs",
         "Kpairs/s",
         "allocs/pair",
@@ -2015,6 +2017,9 @@ fn join_bench(
             f1(s.build_ms),
             f1(s.assign_ms),
             f1(s.join_ms),
+            s.join_tasks.to_string(),
+            // Only the engine cuts its join into tasks.
+            if s.join_tasks > 0 { format!("{:.2}", s.join_imbalance) } else { "-".to_string() },
             s.results.to_string(),
             f1(pairs_per_sec / 1e3),
             format!("{allocs_per_pair:.4}"),

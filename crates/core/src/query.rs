@@ -804,7 +804,10 @@ impl<'a> TouchingQuery<'a> {
         self
     }
 
-    /// Keep only the first `n` pairs (join emission order).
+    /// Keep only the first `n` pairs (join emission order). The limit is
+    /// not pushed down: the whole join runs and the pairs after the
+    /// `n`-th are dropped, which [`explain`](Self::explain) reports as
+    /// `pushdown_limit: None`.
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = Some(n);
         self
@@ -823,20 +826,25 @@ impl<'a> TouchingQuery<'a> {
         Ok((left, self.db.population_position(self.other)?))
     }
 
+    /// With a filter: the positions in `a` that pass it and the segments
+    /// at those positions, so that the join runs on the survivors and
+    /// pair indices map back to unfiltered positions through `keep`.
+    fn left_side(&self, a: &[NeuronSegment]) -> Option<(Vec<u32>, Vec<NeuronSegment>)> {
+        let pred = self.filter?;
+        let keep: Vec<u32> = (0..a.len() as u32).filter(|&i| pred(&a[i as usize])).collect();
+        let filtered = keep.iter().map(|&i| a[i as usize]).collect();
+        Some((keep, filtered))
+    }
+
     /// Run the join. Without a filter or limit this is byte-identical
     /// (pairs and counters) to the legacy [`NeuroDb::join_between`].
     pub fn collect(&self) -> Result<JoinResult, NeuroError> {
         let (li, ri) = self.sides()?;
         let a = &self.db.populations()[li].segments;
         let b = &self.db.populations()[ri].segments;
-        let mut result = match self.filter {
+        let mut result = match self.left_side(a) {
             None => self.db.join_config().join(a, b, self.epsilon),
-            Some(pred) => {
-                // Pre-filter the left side, then remap pair indices back
-                // to unfiltered positions.
-                let keep: Vec<u32> =
-                    (0..a.len() as u32).filter(|&i| pred(&a[i as usize])).collect();
-                let filtered: Vec<NeuronSegment> = keep.iter().map(|&i| a[i as usize]).collect();
+            Some((keep, filtered)) => {
                 let mut r = self.db.join_config().join(&filtered, b, self.epsilon);
                 for pair in &mut r.pairs {
                     pair.0 = keep[pair.0 as usize];
@@ -853,14 +861,31 @@ impl<'a> TouchingQuery<'a> {
         Ok(result)
     }
 
-    /// Deliver each `(left index, right index)` pair to `sink` and
-    /// return the join statistics.
+    /// Deliver each `(left index, right index)` pair to `sink`, in
+    /// [`collect`](Self::collect)'s order and straight from the join
+    /// workers' buffers (the pairs are never gathered into one vector),
+    /// and return the join statistics.
     pub fn stream(&self, mut sink: impl FnMut(u32, u32)) -> Result<JoinStats, NeuroError> {
-        let result = self.collect()?;
-        for &(i, j) in &result.pairs {
-            sink(i, j);
-        }
-        Ok(result.stats)
+        let (li, ri) = self.sides()?;
+        let a = &self.db.populations()[li].segments;
+        let b = &self.db.populations()[ri].segments;
+        let limit = self.limit.unwrap_or(usize::MAX);
+        let mut delivered = 0usize;
+        let mut deliver = |i: u32, j: u32| {
+            if delivered < limit {
+                delivered += 1;
+                sink(i, j);
+            }
+        };
+        let join = self.db.join_config();
+        let mut stats = match self.left_side(a) {
+            None => join.join_each(a, b, self.epsilon, deliver),
+            Some((keep, filtered)) => {
+                join.join_each(&filtered, b, self.epsilon, |i, j| deliver(keep[i as usize], j))
+            }
+        };
+        stats.results = delivered as u64;
+        Ok(stats)
     }
 
     /// The execution plan. `estimated_reads` counts the objects fed to
@@ -879,7 +904,9 @@ impl<'a> TouchingQuery<'a> {
             shards_probed: 1,
             estimated_reads: (left_len + right_len) as u64,
             pushdown_filter: self.filter.is_some(),
-            pushdown_limit: self.limit,
+            // `collect` and `stream` run the whole join and drop what
+            // lies beyond the limit.
+            pushdown_limit: None,
             population: Some(
                 self.population
                     .unwrap_or_else(|| {
@@ -1380,6 +1407,32 @@ mod tests {
         let capped = db.query().touching("dendrites", 2.0).limit(2).collect().expect("ok");
         assert!(capped.pairs.len() <= 2);
         assert_eq!(capped.stats.results as usize, capped.pairs.len());
+        // ... and is not pushed into the join, which the plan says.
+        let limited = db.query().touching("dendrites", 2.0).limit(2);
+        assert_eq!(limited.explain().pushdown_limit, None);
+    }
+
+    #[test]
+    fn touching_stream_delivers_the_collect_sequence() {
+        let (db, _) = db();
+        let touching = || db.query().touching("dendrites", 12.0).in_population("axons");
+        let streamed = |q: TouchingQuery<'_>| {
+            let mut pairs = Vec::new();
+            let stats = q.stream(|i, j| pairs.push((i, j))).expect("ok");
+            assert_eq!(stats.results as usize, pairs.len());
+            pairs
+        };
+        let all = touching().collect().expect("ok");
+        assert!(all.pairs.len() >= 4, "the fixture has touching pairs: {}", all.pairs.len());
+        assert_eq!(streamed(touching()), all.pairs);
+        let cap = all.pairs.len() / 2;
+        assert_eq!(streamed(touching().limit(cap)), all.pairs[..cap]);
+        let axons = db.population("axons").expect("known");
+        let parity = axons[all.pairs[0].0 as usize].id % 2;
+        let pred = |s: &NeuronSegment| s.id % 2 == parity;
+        let filtered = touching().filter(&pred).collect().expect("ok");
+        assert!(!filtered.pairs.is_empty() && filtered.pairs.len() < all.pairs.len());
+        assert_eq!(streamed(touching().filter(&pred)), filtered.pairs);
     }
 
     #[test]

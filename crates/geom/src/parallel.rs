@@ -1,18 +1,26 @@
 //! Scoped-thread data parallelism for offline workloads.
 //!
 //! Several subsystems fan independent work units out over a fixed number
-//! of worker threads: the TOUCH join probes each B-object independently,
-//! and the sharded query executor runs one backend index per space
-//! partition. Both need the same primitive — split `0..n` into contiguous
-//! chunks, run one scoped thread per chunk, collect results in chunk
-//! order — and the same semantics for the `threads` knob (clamped to at
-//! least 1, never more workers than items). [`Executor`] is that
-//! primitive, so chunk sizing and clamping live in exactly one place.
+//! of worker threads, and [`Executor`] is the one place where the
+//! `threads` knob is interpreted (clamped to at least 1, never more
+//! workers than work units). It offers two ways to hand out the work:
+//!
+//! * **Static chunks** ([`map_chunks`](Executor::map_chunks),
+//!   [`for_each_chunk`](Executor::for_each_chunk)): `0..n` is split into
+//!   one contiguous chunk per worker and results come back in chunk
+//!   order. Right when every index costs about the same — the TOUCH
+//!   assignment descent over B, one backend index per shard.
+//! * **Pulled tasks** ([`for_each_task`](Executor::for_each_task)):
+//!   workers take task indices from one shared counter until none are
+//!   left. Right when costs are skewed — the TOUCH join phase, where one
+//!   bucket can hold three quarters of the data — because a worker that
+//!   draws cheap tasks simply draws more of them. Which worker ran which
+//!   task is not deterministic, so callers that need a deterministic
+//!   result record it per task and merge in task order.
 //!
 //! `std::thread::scope` keeps the API dependency-free and lets workers
-//! borrow from the caller's stack; results are joined in spawn order, so
-//! output order (and therefore every merge built on it) is deterministic
-//! regardless of which worker finishes first.
+//! borrow from the caller's stack; a worker's panic is re-raised on the
+//! calling thread once every worker has stopped.
 //!
 //! ```
 //! use neurospatial_geom::Executor;
@@ -25,8 +33,10 @@
 //! ```
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A fixed-width scoped-thread worker pool over contiguous index chunks.
+/// A fixed-width scoped-thread worker pool over index chunks or pulled
+/// tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -159,6 +169,52 @@ impl Executor {
             }
         });
     }
+
+    /// Run `f(task, state)` once for every task index in `0..tasks`, the
+    /// workers pulling the next index from one shared counter, so a
+    /// worker that draws cheap tasks draws more of them. At most
+    /// `min(threads, tasks)` workers run, worker `w` with exclusive
+    /// mutable access to `states[w]` for as long as it lives; which tasks
+    /// a worker sees depends on timing, so per-task results that must
+    /// come out in a fixed order are recorded with their task index and
+    /// merged by the caller. With one worker the tasks run inline, in
+    /// index order, on `states[0]`, and nothing is allocated.
+    ///
+    /// # Panics
+    /// If `states` is shorter than the number of workers, or (after all
+    /// workers have stopped) if `f` panicked on one of them.
+    pub fn for_each_task<S, F>(&self, tasks: usize, states: &mut [S], f: F)
+    where
+        S: Send,
+        F: Fn(usize, &mut S) + Sync,
+    {
+        let (workers, _) = self.chunking(tasks);
+        if workers == 0 {
+            return;
+        }
+        assert!(states.len() >= workers, "need one state per worker: {} < {workers}", states.len());
+        if workers == 1 {
+            for task in 0..tasks {
+                f(task, &mut states[0]);
+            }
+            return;
+        }
+        // Relaxed: the counter only hands out indices; everything a task
+        // writes reaches the caller through the scope's join.
+        let next = AtomicUsize::new(0);
+        let (f, next) = (&f, &next);
+        std::thread::scope(|scope| {
+            for state in states[..workers].iter_mut() {
+                scope.spawn(move || loop {
+                    let task = next.fetch_add(1, Ordering::Relaxed);
+                    if task >= tasks {
+                        break;
+                    }
+                    f(task, state);
+                });
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -249,6 +305,57 @@ mod tests {
     fn for_each_chunk_rejects_short_state_slices() {
         let mut states = vec![0u32; 1];
         Executor { threads: 4 }.for_each_chunk(100, &mut states, |_, _| {});
+    }
+
+    #[test]
+    fn for_each_task_runs_every_task_exactly_once() {
+        for threads in [1usize, 2, 3, 8] {
+            for tasks in [1usize, 2, 7, 100] {
+                let e = Executor { threads };
+                let (workers, _) = e.chunking(tasks);
+                let mut states: Vec<Vec<usize>> = vec![Vec::new(); workers];
+                e.for_each_task(tasks, &mut states, |task, seen| seen.push(task));
+                let mut all: Vec<usize> = states.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..tasks).collect::<Vec<_>>(), "threads={threads} tasks={tasks}");
+                // Each worker sees its own tasks in increasing order.
+                assert!(states.iter().all(|seen| seen.windows(2).all(|w| w[0] < w[1])));
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_task_states_accumulate_across_calls() {
+        let e = Executor { threads: 3 };
+        let mut states = vec![0u64; 3];
+        for _ in 0..2 {
+            e.for_each_task(50, &mut states, |task, acc| *acc += task as u64);
+        }
+        assert_eq!(states.iter().sum::<u64>(), 2 * (0..50).sum::<u64>());
+    }
+
+    #[test]
+    fn for_each_task_without_tasks_is_a_noop() {
+        let mut states: Vec<u32> = Vec::new();
+        Executor { threads: 4 }.for_each_task(0, &mut states, |_, _| panic!("no tasks expected"));
+    }
+
+    #[test]
+    #[should_panic(expected = "one state per worker")]
+    fn for_each_task_rejects_short_state_slices() {
+        let mut states = vec![0u32; 1];
+        Executor { threads: 4 }.for_each_task(100, &mut states, |_, _| {});
+    }
+
+    #[test]
+    fn for_each_task_propagates_a_worker_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut states = vec![0u32; 2];
+            Executor { threads: 2 }.for_each_task(10, &mut states, |task, _| {
+                assert_ne!(task, 7, "task 7 fails");
+            });
+        });
+        assert!(caught.is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use query::{KnnResult, QueryStats};
 pub use rplus::RPlusTree;
 pub use soa::{EpochMarks, FrozenView, TraversalCounters, TraversalScratch};
 
-use neurospatial_geom::Aabb;
+use neurospatial_geom::{Aabb, Executor};
 use node::Node;
 use soa::SoaArena;
 
@@ -73,6 +73,26 @@ pub struct RTree<T: RTreeObject> {
     pub(crate) soa: Option<SoaArena>,
 }
 
+impl<T: RTreeObject + Send> RTree<T> {
+    /// Bulk load with Sort-Tile-Recursive packing. The fastest way to
+    /// build, and produces minimal-overlap trees for static data. Call
+    /// [`freeze`](Self::freeze) afterwards if the tree will serve scratch
+    /// queries — freezing is not automatic, so builds that only walk the
+    /// tree directly (e.g. the TOUCH join's partitioning tree) pay
+    /// neither the SoA construction time nor its memory.
+    pub fn bulk_load(objects: Vec<T>, params: RTreeParams) -> Self {
+        Self::bulk_load_on(objects, params, &Executor::default())
+    }
+
+    /// [`bulk_load`](Self::bulk_load) with the slabs of every level tiled
+    /// on `exec`'s workers. The tree is identical, node for node, at
+    /// every worker count.
+    pub fn bulk_load_on(objects: Vec<T>, params: RTreeParams, exec: &Executor) -> Self {
+        params.validate();
+        str_pack::bulk_load(objects, params, exec)
+    }
+}
+
 impl<T: RTreeObject> RTree<T> {
     /// An empty tree.
     pub fn new(params: RTreeParams) -> Self {
@@ -87,17 +107,6 @@ impl<T: RTreeObject> RTree<T> {
             free: Vec::new(),
             soa: None,
         }
-    }
-
-    /// Bulk load with Sort-Tile-Recursive packing. The fastest way to
-    /// build, and produces minimal-overlap trees for static data. Call
-    /// [`freeze`](Self::freeze) afterwards if the tree will serve scratch
-    /// queries — freezing is not automatic, so builds that only walk the
-    /// tree directly (e.g. the TOUCH join's partitioning tree) pay
-    /// neither the SoA construction time nor its memory.
-    pub fn bulk_load(objects: Vec<T>, params: RTreeParams) -> Self {
-        params.validate();
-        str_pack::bulk_load(objects, params)
     }
 
     /// (Re)build the structure-of-arrays traversal layout. Idempotent;

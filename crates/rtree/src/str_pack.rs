@@ -9,52 +9,55 @@
 
 use crate::node::{Node, NodeKind, RTreeObject};
 use crate::{NodeId, RTree, RTreeParams};
-use neurospatial_geom::{Aabb, Vec3};
+use neurospatial_geom::{Aabb, Executor, Vec3};
+use std::sync::Mutex;
 
 /// Build a tree by STR packing. Objects end up in leaves in tile order;
 /// leaf nodes are allocated contiguously in the arena, which gives
 /// sequential page ids to spatially adjacent leaves (the layout the disk
-/// simulator rewards, as a real bulk loader would).
-pub fn bulk_load<T: RTreeObject>(objects: Vec<T>, params: RTreeParams) -> RTree<T> {
+/// simulator rewards, as a real bulk loader would). The x slabs of every
+/// level are tiled on `exec`; the tree is the same at every worker count.
+pub fn bulk_load<T: RTreeObject + Send>(
+    objects: Vec<T>,
+    params: RTreeParams,
+    exec: &Executor,
+) -> RTree<T> {
     if objects.is_empty() {
         return RTree::new(params);
     }
     let cap = params.max_entries;
 
     // --- Pack leaves ----------------------------------------------------
-    let items: Vec<(Vec3, T)> = objects.into_iter().map(|o| (o.aabb().center(), o)).collect();
+    let mut items: Vec<(Vec3, T)> = objects.into_iter().map(|o| (o.aabb().center(), o)).collect();
     let mut nodes: Vec<Node<T>> = Vec::new();
     let mut level_ids: Vec<NodeId> = Vec::new();
-    {
-        let mut runs: Vec<Vec<(Vec3, T)>> = Vec::new();
-        str_tile(items, cap, 0, &mut runs);
-        for run in runs {
-            let mut mbr = Aabb::EMPTY;
-            let mut leaf_items = Vec::with_capacity(run.len());
-            for (_, o) in run {
-                mbr = mbr.union(&o.aabb());
-                leaf_items.push(o);
-            }
-            let id = nodes.len();
-            nodes.push(Node { mbr, parent: None, kind: NodeKind::Leaf(leaf_items) });
-            level_ids.push(id);
+    let runs = str_tile(&mut items, cap, exec);
+    let mut items = items.into_iter();
+    for len in runs {
+        let mut mbr = Aabb::EMPTY;
+        let mut leaf_items = Vec::with_capacity(len);
+        for (_, o) in items.by_ref().take(len) {
+            mbr = mbr.union(&o.aabb());
+            leaf_items.push(o);
         }
+        level_ids.push(nodes.len());
+        nodes.push(Node { mbr, parent: None, kind: NodeKind::Leaf(leaf_items) });
     }
 
     // --- Pack upper levels ----------------------------------------------
     let mut height = 1usize;
     while level_ids.len() > 1 {
         height += 1;
-        let entries: Vec<(Vec3, NodeId)> =
+        let mut entries: Vec<(Vec3, NodeId)> =
             level_ids.iter().map(|&id| (nodes[id].mbr.center(), id)).collect();
-        let mut runs: Vec<Vec<(Vec3, NodeId)>> = Vec::new();
-        str_tile(entries, cap, 0, &mut runs);
+        let runs = str_tile(&mut entries, cap, exec);
         let mut next_level = Vec::with_capacity(runs.len());
-        for run in runs {
+        let mut entries = entries.into_iter();
+        for len in runs {
             let id = nodes.len();
             let mut mbr = Aabb::EMPTY;
-            let mut children = Vec::with_capacity(run.len());
-            for (_, c) in run {
+            let mut children = Vec::with_capacity(len);
+            for (_, c) in entries.by_ref().take(len) {
                 mbr = mbr.union(&nodes[c].mbr);
                 nodes.push_parent(c, id);
                 children.push(c);
@@ -76,48 +79,77 @@ pub fn bulk_load<T: RTreeObject>(objects: Vec<T>, params: RTreeParams) -> RTree<
     RTree { nodes, root, params, len, height, free: Vec::new(), soa: None }
 }
 
-/// Recursively tile `items` (center, payload) into runs of at most `cap`
-/// elements, cutting along `axis`, then `axis+1`, then `axis+2`.
-fn str_tile<P>(mut items: Vec<(Vec3, P)>, cap: usize, axis: usize, out: &mut Vec<Vec<(Vec3, P)>>) {
-    let n = items.len();
-    if n == 0 {
+/// Reorder a level's `items` (center, payload; at least one) into STR
+/// tile order and return the lengths of the consecutive runs of at most
+/// `cap` elements that make up its nodes. The x sort is one pass over
+/// everything; each x slab is then tiled along y and z independently of
+/// the others, on `exec`'s workers.
+fn str_tile<P: Send>(items: &mut [(Vec3, P)], cap: usize, exec: &Executor) -> Vec<usize> {
+    if items.len() <= cap {
+        return vec![items.len()];
+    }
+    sort_along(items, 0);
+    // A slab and its run lengths, behind a lock that is never contended:
+    // task `i` is the only one that touches slab `i`.
+    let mut slabs = Vec::new();
+    let mut rest = items;
+    for size in cut_sizes(rest.len(), cap, 0) {
+        let (slab, tail) = rest.split_at_mut(size);
+        slabs.push(Mutex::new((slab, Vec::new())));
+        rest = tail;
+    }
+    let (workers, _) = exec.chunking(slabs.len());
+    exec.for_each_task(slabs.len(), &mut vec![(); workers], |i, ()| {
+        let mut slab = slabs[i].lock().expect("no other task holds this slab");
+        let (items, runs) = &mut *slab;
+        tile_slab(items, cap, 1, runs);
+    });
+    slabs
+        .into_iter()
+        .flat_map(|slab| slab.into_inner().expect("a panicking task has already propagated").1)
+        .collect()
+}
+
+/// Tile one slab along `axis` (1 = y, 2 = z), then the axes after it,
+/// appending its run lengths to `runs`.
+fn tile_slab<P>(items: &mut [(Vec3, P)], cap: usize, axis: usize, runs: &mut Vec<usize>) {
+    if items.len() <= cap {
+        runs.push(items.len());
         return;
     }
-    if n <= cap {
-        out.push(items);
-        return;
+    sort_along(items, axis);
+    let mut rest = items;
+    for size in cut_sizes(rest.len(), cap, axis) {
+        let (run, tail) = rest.split_at_mut(size);
+        if axis + 1 < 3 {
+            tile_slab(run, cap, axis + 1, runs);
+        } else {
+            runs.push(size);
+        }
+        rest = tail;
     }
-    // Number of leaves below this subdivision and slab count on this axis:
-    // S = ceil(P^(1/k)) with k = remaining axes.
+}
+
+fn sort_along<P>(items: &mut [(Vec3, P)], axis: usize) {
+    items.sort_by(|a, b| a.0.axis(axis).partial_cmp(&b.0.axis(axis)).expect("finite coordinates"));
+}
+
+/// Sizes of the pieces `n > cap` sorted elements are cut into along
+/// `axis`: `S = ceil(P^(1/k))` slabs for `P` pages and `k` remaining
+/// axes, and on the last axis the pages themselves. Sizes are balanced
+/// (they differ by at most one) so that no tail leaf underflows the
+/// minimum fill: the smallest piece holds at least ⌊n/k⌋ ≥ cap/2 ≥
+/// min_entries elements.
+fn cut_sizes(n: usize, cap: usize, axis: usize) -> impl Iterator<Item = usize> {
     let pages = n.div_ceil(cap);
     let remaining_axes = 3 - axis;
-    let slabs = if remaining_axes == 1 {
+    let pieces = if remaining_axes == 1 {
         pages
     } else {
-        (pages as f64).powf(1.0 / remaining_axes as f64).ceil() as usize
-    }
-    .max(1);
-    // On the last axis the runs are the leaves themselves. Chunk sizes are
-    // balanced (they differ by at most one) so that no tail leaf
-    // underflows the minimum fill: for n > cap the smallest chunk holds at
-    // least ⌊n/k⌋ ≥ cap/2 ≥ min_entries objects.
-    let k = if axis + 1 < 3 { slabs.min(n) } else { n.div_ceil(cap) };
-    let base = n / k;
-    let extra = n % k;
-
-    items.sort_by(|a, b| a.0.axis(axis).partial_cmp(&b.0.axis(axis)).expect("finite coordinates"));
-
-    let mut iter = items.into_iter();
-    for c in 0..k {
-        let size = base + usize::from(c < extra);
-        let run: Vec<(Vec3, P)> = iter.by_ref().take(size).collect();
-        debug_assert_eq!(run.len(), size);
-        if axis + 1 < 3 {
-            str_tile(run, cap, axis + 1, out);
-        } else {
-            out.push(run);
-        }
-    }
+        ((pages as f64).powf(1.0 / remaining_axes as f64).ceil() as usize).clamp(1, n)
+    };
+    let (base, extra) = (n / pieces, n % pieces);
+    (0..pieces).map(move |c| base + usize::from(c < extra))
 }
 
 /// Tiny extension trait to keep parent wiring readable above.
@@ -167,6 +199,27 @@ mod tests {
             let t = RTree::bulk_load(cubes(n), RTreeParams::with_max_entries(16));
             assert_eq!(t.len(), n, "n={n}");
             validate(&t).unwrap();
+        }
+    }
+
+    #[test]
+    fn executor_tiled_build_equals_sequential_node_for_node() {
+        for (n, cap) in [(15usize, 16usize), (700, 4), (5000, 16)] {
+            let params = RTreeParams::with_max_entries(cap);
+            let seq = RTree::bulk_load(cubes(n), params);
+            for workers in [2usize, 3, 8] {
+                let par = RTree::bulk_load_on(cubes(n), params, &Executor::io_bound(workers));
+                assert_eq!((par.root, par.len, par.height), (seq.root, seq.len, seq.height));
+                assert_eq!(par.nodes.len(), seq.nodes.len(), "n={n} workers={workers}");
+                for (id, (p, s)) in par.nodes.iter().zip(&seq.nodes).enumerate() {
+                    assert_eq!((p.mbr, p.parent), (s.mbr, s.parent), "node {id}");
+                    match (&p.kind, &s.kind) {
+                        (NodeKind::Leaf(p), NodeKind::Leaf(s)) => assert_eq!(p, s, "leaf {id}"),
+                        (NodeKind::Inner(p), NodeKind::Inner(s)) => assert_eq!(p, s, "node {id}"),
+                        _ => panic!("node {id} is a leaf in one tree only"),
+                    }
+                }
+            }
         }
     }
 

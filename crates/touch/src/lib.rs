@@ -53,7 +53,7 @@ pub use nested::NestedLoopJoin;
 pub use pbsm::PbsmJoin;
 pub use stats::{register_allocation_probe, JoinResult, JoinStats, PhaseTimer};
 pub use sweep::PlaneSweepJoin;
-pub use touch::{AssignmentReport, JoinScratch, TouchEngine, TouchJoin};
+pub use touch::{AssignmentReport, JoinScratch, TouchEngine, TouchJoin, JOIN_TASK_SLOTS};
 pub use tree2::S3Join;
 
 use neurospatial_geom::{Aabb, Segment};

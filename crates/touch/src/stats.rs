@@ -34,6 +34,15 @@ pub struct JoinStats {
     pub aux_memory_bytes: u64,
     /// Objects discarded by TOUCH's empty-space filtering (0 for others).
     pub filtered_out: u64,
+    /// Work units the join phase was cut into (TOUCH: runs of bucket
+    /// slots pulled by the workers; 0 for algorithms without a
+    /// task-parallel join phase).
+    pub join_tasks: u64,
+    /// The busiest join worker's time in tasks over the mean of all join
+    /// workers: 1.0 is a perfect split (and what a sequential join
+    /// reports), `threads` means one worker did everything. 0 for
+    /// algorithms without a task-parallel join phase.
+    pub join_imbalance: f64,
     /// Heap allocations performed during the join, as reported by the
     /// registered [`allocation probe`](register_allocation_probe);
     /// 0 when no probe is installed.

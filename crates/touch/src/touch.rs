@@ -31,9 +31,17 @@
 //!   stacks, epoch marks, CSR arrays, pair buffers) — steady-state joins
 //!   through a prebuilt [`TouchEngine`] perform **zero** heap
 //!   allocations at one thread;
-//! * both the assign and join phases fan out over
-//!   [`neurospatial_geom::Executor`] workers, one scratch per worker,
-//!   with a deterministic chunk-ordered merge;
+//! * both phases run on [`neurospatial_geom::Executor`] workers, one
+//!   scratch per worker. The assign phase gives every worker one
+//!   contiguous chunk of B (a descent costs about the same for every
+//!   object). The join phase cannot be split by bucket: in dense tissue
+//!   most probes are ambiguous at the root, so one bucket holds most of
+//!   the data. It is cut into **tasks** of at most [`JOIN_TASK_SLOTS`]
+//!   consecutive CSR slots of one bucket, which the workers pull from a
+//!   shared counter. The task list depends on the data only, never on the
+//!   worker count, and the pairs are delivered in task order, so the pair
+//!   sequence and the comparison counts are the same at every worker
+//!   count;
 //! * per bucket the engine picks a **hybrid strategy**: nested-loop lane
 //!   scans for small buckets, a bucket-local sort+sweep along x above
 //!   [`TouchJoin::sweep_min`]. The paper's critique of the *global*
@@ -45,6 +53,16 @@ use crate::{JoinObject, SpatialJoin};
 use neurospatial_geom::{Aabb, Executor};
 use neurospatial_rtree::{EpochMarks, FrozenView, RTree, RTreeObject, RTreeParams};
 use std::ops::Range;
+use std::time::{Duration, Instant};
+
+/// Most CSR slots (bucketed B objects) one join task covers. A constant
+/// of the algorithm and not a setting: the task list must be a function
+/// of the data alone for the pair sequence to be the same at every worker
+/// count. 2048 slots make a few hundred tasks out of a bucket of several
+/// hundred thousand objects, each long enough (milliseconds) that pulling
+/// it costs nothing, and short enough that the last one to finish holds
+/// no worker up for long.
+pub const JOIN_TASK_SLOTS: usize = 2048;
 
 /// The TOUCH join (cache-conscious engine).
 #[derive(Debug, Clone, Copy)]
@@ -90,18 +108,48 @@ impl TouchJoin {
         b: &[T],
         eps: f64,
     ) -> (JoinResult, AssignmentReport) {
+        let mut pairs = Vec::new();
+        let mut scratch = JoinScratch::new();
+        let stats = self.join_runs(a, b, eps, &mut scratch, |run| pairs.extend_from_slice(run));
+        (JoinResult { pairs, stats }, scratch.report)
+    }
+
+    /// Run the join and hand every qualifying `(a_index, b_index)` pair
+    /// to `sink`, in the order [`SpatialJoin::join`] would return them,
+    /// without first collecting them into one vector.
+    pub fn join_each<T: JoinObject>(
+        &self,
+        a: &[T],
+        b: &[T],
+        eps: f64,
+        mut sink: impl FnMut(u32, u32),
+    ) -> JoinStats {
+        self.join_runs(a, b, eps, &mut JoinScratch::new(), |run| {
+            for &(i, j) in run {
+                sink(i, j);
+            }
+        })
+    }
+
+    /// One cold join: build on `threads` workers, assign, join, deliver.
+    fn join_runs<T: JoinObject>(
+        &self,
+        a: &[T],
+        b: &[T],
+        eps: f64,
+        scratch: &mut JoinScratch,
+        sink: impl FnMut(&[(u32, u32)]),
+    ) -> JoinStats {
         let timer = PhaseTimer::start();
         if a.is_empty() || b.is_empty() {
-            return (JoinResult::default(), AssignmentReport::default());
+            return JoinStats::default();
         }
-        let engine = TouchEngine::build(a, self.fanout);
-        let mut scratch = JoinScratch::new();
-        let mut pairs = Vec::new();
-        let mut stats =
-            engine.join_into(b, eps, self.threads, self.sweep_min, &mut scratch, &mut pairs);
+        let exec = Executor::new(self.threads);
+        let engine = TouchEngine::build_on(a, self.fanout, &exec);
+        let mut stats = engine.join_runs_on(&exec, b, eps, self.sweep_min, scratch, sink);
         stats.build_ms = engine.build_ms();
         timer.finish(&mut stats);
-        (JoinResult { pairs, stats }, scratch.report.clone())
+        stats
     }
 }
 
@@ -141,10 +189,17 @@ impl<T: JoinObject> TouchEngine<T> {
     /// STR-pack dataset A with the given fan-out and freeze the tree into
     /// its structure-of-arrays traversal layout.
     pub fn build(a: &[T], fanout: usize) -> Self {
+        Self::build_on(a, fanout, &Executor::default())
+    }
+
+    /// [`build`](Self::build) with the STR slabs tiled on `exec`'s
+    /// workers; the tree is the same at every worker count.
+    fn build_on(a: &[T], fanout: usize, exec: &Executor) -> Self {
         let timer = PhaseTimer::start();
         let wrapped: Vec<Indexed<T>> =
             a.iter().enumerate().map(|(i, o)| Indexed { obj: o.clone(), idx: i as u32 }).collect();
-        let mut tree = RTree::bulk_load(wrapped, RTreeParams::with_max_entries(fanout.max(2)));
+        let params = RTreeParams::with_max_entries(fanout.max(2));
+        let mut tree = RTree::bulk_load_on(wrapped, params, exec);
         tree.freeze();
         TouchEngine { build_ms: timer.total_ms(), tree }
     }
@@ -165,11 +220,13 @@ impl<T: JoinObject> TouchEngine<T> {
 
     /// Execute the assign+join phases against `b`, writing qualifying
     /// `(a_index, b_index)` pairs into `out` (cleared first). `threads`
-    /// fans both phases out over [`Executor`] workers; `sweep_min` is the
-    /// hybrid bucket threshold. The returned stats cover only this call:
-    /// `build_ms` is 0 (the build is amortised across joins) and
-    /// `allocations` counts this call's heap traffic — 0 in steady state
-    /// at one thread.
+    /// workers (capped at the hardware, see [`Executor::new`]) run both
+    /// phases; `sweep_min` is the hybrid bucket threshold. The pair
+    /// sequence and the comparison counts do not depend on `threads`. The
+    /// returned stats cover only this call: `build_ms` is 0 (the build is
+    /// amortised across joins), `join_ms` includes copying the pairs into
+    /// `out`, and `allocations` counts this call's heap traffic — 0 in
+    /// steady state at one thread.
     pub fn join_into(
         &self,
         b: &[T],
@@ -179,10 +236,31 @@ impl<T: JoinObject> TouchEngine<T> {
         scratch: &mut JoinScratch,
         out: &mut Vec<(u32, u32)>,
     ) -> JoinStats {
+        out.clear();
+        self.join_runs_on(&Executor::new(threads), b, eps, sweep_min, scratch, |run| {
+            out.extend_from_slice(run)
+        })
+    }
+
+    /// [`join_into`](Self::join_into) on a given executor, with the pairs
+    /// handed to `sink` one task's run at a time, in task order, straight
+    /// from the workers' buffers (`join_ms` includes the time `sink`
+    /// takes). An [`Executor::io_bound`] executor runs more workers than
+    /// the machine has cores, which is how the equivalence suites put 3
+    /// and 8 workers on a 2-core CI machine.
+    pub fn join_runs_on(
+        &self,
+        exec: &Executor,
+        b: &[T],
+        eps: f64,
+        sweep_min: usize,
+        scratch: &mut JoinScratch,
+        mut sink: impl FnMut(&[(u32, u32)]),
+    ) -> JoinStats {
         let mut timer = PhaseTimer::start();
         let mut stats = JoinStats::default();
-        out.clear();
         scratch.reset_report();
+        scratch.tasks.clear();
         let Some(view) = self.tree.frozen() else {
             timer.finish(&mut stats);
             return stats; // empty A
@@ -192,7 +270,6 @@ impl<T: JoinObject> TouchEngine<T> {
             return stats;
         }
 
-        let exec = Executor::new(threads);
         let (assign_workers, _) = exec.chunking(b.len());
         if scratch.workers.len() < assign_workers {
             scratch.workers.resize_with(assign_workers, WorkerScratch::default);
@@ -207,6 +284,8 @@ impl<T: JoinObject> TouchEngine<T> {
             lanes_fb,
             active,
             marks,
+            tasks,
+            runs,
             report,
         } = scratch;
         for ws in workers[..assign_workers].iter_mut() {
@@ -225,6 +304,8 @@ impl<T: JoinObject> TouchEngine<T> {
         // below), so only touched nodes pay; `marks` makes first-touch
         // detection O(1) per item and the `active` list is sorted into
         // BFS id order so the join phase walks the arena sequentially.
+        // Workers are read in chunk order, so a bucket's slots hold its
+        // objects in B order at every worker count.
         let n_nodes = view.node_count();
         if counts.len() < n_nodes {
             counts.resize(n_nodes, 0);
@@ -263,42 +344,69 @@ impl<T: JoinObject> TouchEngine<T> {
                 lanes_fb.set(pos, &bb.inflate(eps));
             }
         }
+        // --- Tasks: every active bucket, cut into runs of slots ----------
         for &n in active.iter() {
             counts[n as usize] = 0; // restore the all-zero invariant
+            let (mut lo, end) = (starts[n as usize], starts[n as usize + 1]);
+            while lo < end {
+                let hi = end.min(lo + JOIN_TASK_SLOTS as u32);
+                tasks.push(JoinTask { node: n, lo, hi });
+                lo = hi;
+            }
         }
         stats.assign_ms = timer.lap();
 
-        // --- Join: one bucket at a time, hybrid per-bucket strategy ------
-        // The join fan-out reuses the assign phase's worker scratches:
-        // `chunking` caps workers at the item count and
-        // `active.len() <= b.len()`, so the join never needs more
-        // workers than the assign phase had (and `for_each_chunk`
-        // asserts that invariant loudly if the chunking policy ever
-        // changes). Merging below therefore covers every worker that
-        // ran either phase.
-        let buckets = BucketView { items, starts, lanes, lanes_fb };
-        let active_r: &[u32] = active;
-        exec.for_each_chunk(active_r.len(), &mut workers[..assign_workers], |range, ws| {
-            join_buckets(view, tree, b, &buckets, &active_r[range], eps, sweep_min, ws);
+        // --- Join: workers pull tasks, hybrid strategy per leaf ----------
+        // The join reuses the assign phase's worker scratches: a task
+        // holds at least one B-object, so there are never more join
+        // workers than assign workers (and `for_each_task` asserts that
+        // loudly if the policy ever changes).
+        let buckets = BucketView { items, lanes, lanes_fb };
+        let tasks_r: &[JoinTask] = tasks;
+        exec.for_each_task(tasks_r.len(), &mut workers[..assign_workers], |t, ws| {
+            let started = Instant::now();
+            let first = ws.pairs.len();
+            join_task(view, tree, b, &buckets, tasks_r[t], eps, sweep_min, ws);
+            ws.runs.push((t as u32, first..ws.pairs.len()));
+            ws.join_busy += started.elapsed();
         });
 
-        // --- Deterministic merge, in worker (= chunk) order --------------
-        for ws in workers[..assign_workers].iter_mut() {
+        // --- Deliver, in task order --------------------------------------
+        runs.clear();
+        runs.resize(tasks.len(), (0, 0..0));
+        let (join_workers, _) = exec.chunking(tasks.len());
+        let mut busiest = Duration::ZERO;
+        let mut busy = Duration::ZERO;
+        for (w, ws) in workers[..assign_workers].iter_mut().enumerate() {
             stats.filter_comparisons += ws.filter;
             stats.refine_comparisons += ws.refine;
             stats.filtered_out += ws.filtered_out;
+            stats.results += ws.pairs.len() as u64;
             report.merge_worker(ws);
-            out.extend_from_slice(&ws.pairs);
+            for (t, run) in ws.runs.drain(..) {
+                runs[t as usize] = (w as u32, run);
+            }
+            busiest = busiest.max(ws.join_busy);
+            busy += ws.join_busy;
+        }
+        for (w, run) in runs.iter() {
+            sink(&workers[*w as usize].pairs[run.clone()]);
         }
         stats.join_ms = timer.lap();
         stats.probe_ms = stats.assign_ms + stats.join_ms;
-        stats.results = out.len() as u64;
+        stats.join_tasks = tasks.len() as u64;
+        stats.join_imbalance = if join_workers > 1 && !busy.is_zero() {
+            busiest.as_secs_f64() * join_workers as f64 / busy.as_secs_f64()
+        } else {
+            1.0
+        };
         // Memory: the frozen tree on A plus the CSR bucket arrays — one
         // slot and one six-lane box per surviving B object, no
-        // replication.
+        // replication — and the task list.
         stats.aux_memory_bytes = self.tree.memory_bytes() as u64
             + (items.len() * 4 + survivors * 48) as u64
-            + ((counts.len() + starts.len() + cursor.len() + active.len()) * 4) as u64;
+            + ((counts.len() + starts.len() + cursor.len() + active.len()) * 4) as u64
+            + std::mem::size_of_val(tasks.as_slice()) as u64;
         timer.finish(&mut stats);
         stats
     }
@@ -332,7 +440,21 @@ pub struct JoinScratch {
     active: Vec<u32>,
     /// First-touch marks over SoA nodes (O(1) reset between joins).
     marks: EpochMarks,
+    /// The join phase's work list: every active bucket in `active` order,
+    /// cut into runs of at most [`JOIN_TASK_SLOTS`] slots.
+    tasks: Vec<JoinTask>,
+    /// Per task, the worker that ran it and its range of that worker's
+    /// `pairs`.
+    runs: Vec<(u32, Range<usize>)>,
     report: AssignmentReport,
+}
+
+/// CSR slots `lo..hi` of `node`'s bucket: what one worker joins at a time.
+#[derive(Debug, Clone, Copy)]
+struct JoinTask {
+    node: u32,
+    lo: u32,
+    hi: u32,
 }
 
 impl JoinScratch {
@@ -343,6 +465,12 @@ impl JoinScratch {
     /// The assignment-depth report of the most recent join.
     pub fn report(&self) -> &AssignmentReport {
         &self.report
+    }
+
+    /// B-objects in the largest task of the most recent join (at most
+    /// [`JOIN_TASK_SLOTS`]; 0 if nothing survived the assignment).
+    pub fn largest_task(&self) -> usize {
+        self.tasks.iter().map(|t| (t.hi - t.lo) as usize).max().unwrap_or(0)
     }
 
     fn reset_report(&mut self) {
@@ -437,8 +565,12 @@ struct WorkerScratch {
     fa_cache: Vec<Aabb>,
     /// CSR slots sorted by lo_x (bucket sweep).
     sort_b: Vec<u32>,
-    /// Emitted pairs, merged in worker order by the coordinator.
+    /// Emitted pairs, one contiguous run per task this worker ran.
     pairs: Vec<(u32, u32)>,
+    /// `(task, range of pairs)` for every task this worker ran.
+    runs: Vec<(u32, Range<usize>)>,
+    /// Time spent inside join tasks.
+    join_busy: Duration,
     filter: u64,
     refine: u64,
     filtered_out: u64,
@@ -451,6 +583,8 @@ impl WorkerScratch {
         self.assigned.clear();
         self.boxes.clear();
         self.pairs.clear();
+        self.runs.clear();
+        self.join_busy = Duration::ZERO;
         self.filter = 0;
         self.refine = 0;
         self.filtered_out = 0;
@@ -526,63 +660,58 @@ fn assign_range<T: JoinObject>(
     }
 }
 
-/// The CSR bucket arrays, bundled for the join workers: node `n`'s
-/// bucket occupies CSR slots `starts[n]..starts[n+1]`; `lanes` holds the
-/// raw B boxes, `lanes_fb` their ε-inflated filter boxes.
+/// The CSR bucket arrays, bundled for the join workers: slot `t` holds
+/// B-object `items[t]`; `lanes` holds the raw B boxes, `lanes_fb` their
+/// ε-inflated filter boxes.
 struct BucketView<'s> {
     items: &'s [u32],
-    starts: &'s [u32],
     lanes: &'s BoxLanes,
     lanes_fb: &'s BoxLanes,
 }
 
-/// Join a contiguous run of active buckets. Every bucket descends the
-/// assignment node's subtree as a whole ("radix" descent): at each inner
-/// node the sub-bucket is scanned once per child against that child's
-/// hoisted MBR — the exact (b, child) tests the classic per-object
-/// descent performs, but each tree node is visited once per bucket
-/// instead of once per object, and the scan streams the inflated-box
-/// lanes. Sub-buckets reaching a leaf join against the leaf's entry
-/// lanes: nested A-entry-major scans below `sweep_min`, a bucket-local
-/// sort+sweep at or above it.
+/// Join one task: a run of one bucket's slots descends the assignment
+/// node's subtree as a whole ("radix" descent). At each inner node the
+/// sub-bucket is scanned once per child against that child's hoisted MBR
+/// — the exact (b, child) tests the classic per-object descent performs,
+/// but each tree node is visited once per task instead of once per
+/// object, and the scan streams the inflated-box lanes. Sub-buckets
+/// reaching a leaf join against the leaf's entry lanes: nested
+/// A-entry-major scans below `sweep_min`, a bucket-local sort+sweep at or
+/// above it.
 #[allow(clippy::too_many_arguments)]
-fn join_buckets<T: JoinObject>(
+fn join_task<T: JoinObject>(
     view: FrozenView<'_>,
     tree: &RTree<Indexed<T>>,
     b: &[T],
     buckets: &BucketView<'_>,
-    active: &[u32],
+    task: JoinTask,
     eps: f64,
     sweep_min: usize,
     ws: &mut WorkerScratch,
 ) {
-    for &node in active {
-        let bs = buckets.starts[node as usize];
-        let be = buckets.starts[node as usize + 1];
-        ws.slots.clear();
-        ws.slots.extend(bs..be);
-        ws.frontier.clear();
-        ws.frontier.push((node, 0, be - bs));
-        while let Some((n, lo, hi)) = ws.frontier.pop() {
-            if view.is_leaf(n) {
-                join_leaf(view, tree, b, buckets, n, lo as usize..hi as usize, eps, sweep_min, ws);
-                continue;
+    ws.slots.clear();
+    ws.slots.extend(task.lo..task.hi);
+    ws.frontier.clear();
+    ws.frontier.push((task.node, 0, task.hi - task.lo));
+    while let Some((n, lo, hi)) = ws.frontier.pop() {
+        if view.is_leaf(n) {
+            join_leaf(view, tree, b, buckets, n, lo as usize..hi as usize, eps, sweep_min, ws);
+            continue;
+        }
+        let (s, e) = view.entries(n);
+        for i in s..e {
+            let child_mbr = view.entry_aabb(i);
+            let child = view.entry_ref(i);
+            let start = ws.slots.len() as u32;
+            for k in lo..hi {
+                let t = ws.slots[k as usize] as usize;
+                ws.filter += 1;
+                if buckets.lanes_fb.intersects(t, &child_mbr) {
+                    ws.slots.push(t as u32);
+                }
             }
-            let (s, e) = view.entries(n);
-            for i in s..e {
-                let child_mbr = view.entry_aabb(i);
-                let child = view.entry_ref(i);
-                let start = ws.slots.len() as u32;
-                for k in lo..hi {
-                    let t = ws.slots[k as usize] as usize;
-                    ws.filter += 1;
-                    if buckets.lanes_fb.intersects(t, &child_mbr) {
-                        ws.slots.push(t as u32);
-                    }
-                }
-                if ws.slots.len() as u32 > start {
-                    ws.frontier.push((child, start, ws.slots.len() as u32));
-                }
+            if ws.slots.len() as u32 > start {
+                ws.frontier.push((child, start, ws.slots.len() as u32));
             }
         }
     }
@@ -808,17 +937,38 @@ mod tests {
         assert_eq!(S3Join::default().join(&a, &b, eps).sorted_pairs(), reference);
     }
 
+    /// One join on exactly `workers` workers, however few cores the
+    /// machine has (`join_into` caps them at the hardware).
+    fn join_on_workers(
+        engine: &TouchEngine<Aabb>,
+        b: &[Aabb],
+        eps: f64,
+        workers: usize,
+        scratch: &mut JoinScratch,
+    ) -> (Vec<(u32, u32)>, JoinStats) {
+        let mut pairs = Vec::new();
+        let exec = Executor::io_bound(workers);
+        let stats =
+            engine.join_runs_on(&exec, b, eps, 32, scratch, |run| pairs.extend_from_slice(run));
+        (pairs, stats)
+    }
+
     #[test]
     fn parallel_equals_sequential() {
         let a = grid_boxes(400, 0.0);
         let b = grid_boxes(400, 0.6);
         let seq = TouchJoin::default().join(&a, &b, 0.3);
-        let par = TouchJoin::parallel(4).join(&a, &b, 0.3);
-        assert_eq!(seq.sorted_pairs(), par.sorted_pairs());
-        assert_eq!(seq.stats.results, par.stats.results);
+        assert_eq!(seq.stats.join_imbalance, 1.0);
+        let engine = TouchEngine::build(&a, TouchJoin::default().fanout);
+        let (pairs, stats) = join_on_workers(&engine, &b, 0.3, 4, &mut JoinScratch::new());
+        // The same pairs in the same order, from the same task list.
+        assert_eq!(pairs, seq.pairs);
+        assert_eq!(stats.results, seq.stats.results);
+        assert_eq!(stats.join_tasks, seq.stats.join_tasks);
+        assert!(stats.join_tasks > 1 && stats.join_imbalance >= 1.0);
         // Comparison counts are identical regardless of threading.
-        assert_eq!(seq.stats.filter_comparisons, par.stats.filter_comparisons);
-        assert_eq!(seq.stats.refine_comparisons, par.stats.refine_comparisons);
+        assert_eq!(seq.stats.filter_comparisons, stats.filter_comparisons);
+        assert_eq!(seq.stats.refine_comparisons, stats.refine_comparisons);
     }
 
     #[test]
@@ -873,13 +1023,9 @@ mod tests {
         let mut scratch = JoinScratch::new();
         let mut out = Vec::new();
         let seq = engine.join_into(&b, 0.6, 1, 32, &mut scratch, &mut out);
-        let mut want = out.clone();
-        want.sort_unstable();
-        for threads in [2, 3, 8] {
-            let stats = engine.join_into(&b, 0.6, threads, 32, &mut scratch, &mut out);
-            let mut got = out.clone();
-            got.sort_unstable();
-            assert_eq!(got, want, "threads={threads}");
+        for workers in [2, 3, 8] {
+            let (got, stats) = join_on_workers(&engine, &b, 0.6, workers, &mut scratch);
+            assert_eq!(got, out, "workers={workers}");
             assert_eq!(stats.filter_comparisons, seq.filter_comparisons);
             assert_eq!(stats.refine_comparisons, seq.refine_comparisons);
         }
