@@ -32,23 +32,31 @@ fn bench_walkthrough(c: &mut Criterion) {
 
 fn bench_skeleton_reconstruction(c: &mut Criterion) {
     // SCOUT's own overhead must stay far below think time; this measures
-    // the skeleton + pruning step in isolation.
+    // the skeleton + pruning step in isolation, on a result the size a
+    // walkthrough step hands it (the 15 µm view box of `explore_ooc`) and
+    // on a 25 µm one.
     use neurospatial::scout::{Skeleton, SkeletonParams};
-    let circuit = jagged_circuit(12, 9);
+    let circuit = jagged_circuit(64, 9);
     let db = NeuroDb::from_circuit(&circuit);
-    let q = Aabb::cube(circuit.bounds().center(), 25.0);
-    let out = db.range_query(&q);
-    let result: Vec<&NeuronSegment> = out.segments.iter().collect();
+    // Centred on a step of a real walkthrough: the middle of the
+    // circuit's bounds is hollow.
+    let path = &walkthrough_paths(&circuit, 1)[0];
+    let centre = path.queries[path.queries.len() / 2].center();
 
     let mut group = c.benchmark_group("e4_skeleton");
     group.sample_size(30);
-    group.bench_function(format!("reconstruct_{}_segments", result.len()), |b| {
-        b.iter(|| {
-            Skeleton::reconstruct(black_box(&result), &q, SkeletonParams::default())
-                .structures
-                .len()
-        })
-    });
+    for radius in [15.0, 25.0] {
+        let q = Aabb::cube(centre, radius);
+        let out = db.range_query(&q);
+        let result: Vec<&NeuronSegment> = out.segments.iter().collect();
+        group.bench_function(format!("reconstruct_{}_segments", result.len()), |b| {
+            b.iter(|| {
+                Skeleton::reconstruct(black_box(&result), &q, SkeletonParams::default())
+                    .structures
+                    .len()
+            })
+        });
+    }
     group.finish();
 }
 

@@ -23,17 +23,29 @@
 //!
 //! ## Real background prefetching
 //!
-//! With `prefetch_workers > 0`, the index runs a background dispatcher
-//! thread that fans page reads out over [`Executor::io_bound`] workers.
-//! Two producers feed it ahead of the demand stream:
+//! With `prefetch_workers > 0`, the index keeps that many background
+//! workers ([`Executor::io_bound`]), each taking one page at a time from
+//! a shared queue and loading it into the pool. Two producers feed the
+//! queue ahead of the demand stream:
 //!
 //! - the **crawl frontier**: pages newly admitted to the BFS queue are
 //!   enqueued the moment they are discovered, so their reads overlap
-//!   with scanning the pages ahead of them in the queue;
+//!   with scanning the pages ahead of them in the queue. A query is
+//!   waiting for these, so workers take them first;
 //! - the **exploration cursor** ([`OocCursor`]): after each
 //!   walkthrough step, the configured [`Prefetcher`] policy (SCOUT,
 //!   Hilbert, …) predicts the next regions and their pages are fetched
 //!   during the user's think time.
+//!
+//! A cursor's plan is one hand-off. The page ids are checked before they
+//! are queued: ids past the end of the file, ids the up-to-8 overlapping
+//! regions repeat and pages the step itself just read are dropped, and
+//! only then is the plan cut to its cap, so every queued id is a read
+//! worth issuing. And a new plan **replaces** whatever the workers have
+//! not yet taken of the previous one: those pages were predicted for a
+//! step that has already been answered, and a worker that manages six or
+//! seven reads per think time must not spend them on a stale prediction
+//! while the fresh one waits behind it.
 //!
 //! A demand read that catches an in-flight prefetch waits only for the
 //! remainder of that read — the pool's loading protocol — which is the
@@ -339,7 +351,10 @@ impl OocScratch {
 
 #[derive(Debug, Default)]
 struct PrefetchQueue {
-    pages: VecDeque<u32>,
+    /// Crawl-frontier pages: a running query is about to demand them.
+    frontier: VecDeque<u32>,
+    /// What is left of the latest think-time plan.
+    plan: VecDeque<u32>,
     shutdown: bool,
 }
 
@@ -348,12 +363,18 @@ struct PrefetchShared {
     ready: Condvar,
 }
 
-/// Cap on the dispatcher's backlog: beyond this, newly discovered pages
-/// are dropped rather than queued — a prefetcher that cannot keep up
-/// must not grow an unbounded queue of stale predictions.
+impl PrefetchShared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PrefetchQueue> {
+        // Every update leaves the queue valid, so a worker's panic does
+        // not poison it for the others.
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// Cap on the frontier backlog: beyond this, newly discovered pages are
+/// dropped rather than queued — a prefetcher that cannot keep up must
+/// not grow an unbounded queue of stale predictions.
 const PREFETCH_QUEUE_CAP: usize = 4096;
-/// Pages the dispatcher drains per batch before fanning out.
-const PREFETCH_BATCH: usize = 64;
 
 /// Process-wide prefetch dispatch counters (page-level load outcomes
 /// live under `storage_frame_*`; these count the hand-off itself).
@@ -372,7 +393,8 @@ fn scout_prefetch_obs() -> &'static ScoutPrefetchObs {
 
 struct PrefetchHandle {
     shared: Arc<PrefetchShared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    /// The thread the workers' scope lives on.
+    workers: Option<std::thread::JoinHandle<()>>,
 }
 
 impl PrefetchHandle {
@@ -382,84 +404,73 @@ impl PrefetchHandle {
             ready: Condvar::new(),
         });
         let shared2 = Arc::clone(&shared);
-        let dispatcher = std::thread::spawn(move || {
-            let exec = Executor::io_bound(workers);
-            let mut batch: Vec<u32> = Vec::with_capacity(PREFETCH_BATCH);
-            loop {
-                {
-                    let mut q = shared2.queue.lock().unwrap_or_else(|p| p.into_inner());
-                    while q.pages.is_empty() && !q.shutdown {
+        // Each worker takes one page at a time, so a page counts as
+        // issued only once a worker is reading it and everything still
+        // queued can be replaced.
+        let thread = std::thread::spawn(move || {
+            Executor::io_bound(workers).map_chunks(workers, |_| loop {
+                let page = {
+                    let mut q = shared2.lock();
+                    loop {
+                        if q.shutdown {
+                            return;
+                        }
+                        if let Some(p) = q.frontier.pop_front().or_else(|| q.plan.pop_front()) {
+                            break p;
+                        }
                         q = shared2.ready.wait(q).unwrap_or_else(|p| p.into_inner());
                     }
-                    if q.shutdown {
-                        return;
-                    }
-                    batch.clear();
-                    while batch.len() < PREFETCH_BATCH {
-                        match q.pages.pop_front() {
-                            Some(p) => batch.push(p),
-                            None => break,
-                        }
-                    }
-                }
-                // Real background page reads, fanned out over io-bound
-                // Executor workers. Best-effort: a corrupt or missing
+                };
+                // A real background page read. Best-effort: a corrupt
                 // page is simply not cached — the demand path will
                 // surface the typed error.
-                let file = &file;
-                let pool = &pool;
-                let batch_ref = &batch;
-                exec.map_chunks(batch.len(), |range| {
-                    for &page in &batch_ref[range] {
-                        let _ = pool.prefetch(u64::from(page), file.as_ref());
-                    }
-                });
-            }
+                let _ = pool.prefetch(u64::from(page), file.as_ref());
+            });
         });
-        PrefetchHandle { shared, dispatcher: Some(dispatcher) }
+        PrefetchHandle { shared, workers: Some(thread) }
     }
 
-    /// Queue pages for background loading; returns how many were
-    /// accepted (the backlog cap may drop the rest).
-    fn enqueue(&self, pages: &[u32]) -> u64 {
+    /// Queue crawl-frontier pages for background loading; returns how
+    /// many were accepted (the backlog cap may drop the rest).
+    fn enqueue_frontier(&self, pages: &[u32]) -> u64 {
         if pages.is_empty() {
             return 0;
         }
-        let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-        let mut accepted = 0;
-        for &p in pages {
-            if q.pages.len() >= PREFETCH_QUEUE_CAP {
-                break;
-            }
-            q.pages.push_back(p);
-            accepted += 1;
-        }
+        let mut q = self.shared.lock();
+        let room = PREFETCH_QUEUE_CAP.saturating_sub(q.frontier.len());
+        let accepted = pages.len().min(room);
+        q.frontier.extend(&pages[..accepted]);
         drop(q);
-        scout_prefetch_obs().enqueued.add(accepted);
-        scout_prefetch_obs().dropped.add(pages.len() as u64 - accepted);
+        self.hand_off(accepted, pages.len() - accepted)
+    }
+
+    /// Make `pages` the think-time plan, in place of whatever is left of
+    /// the previous one; returns how many were queued (all of them).
+    fn replace_plan(&self, pages: &[u32]) -> u64 {
+        let mut q = self.shared.lock();
+        q.plan.clear();
+        q.plan.extend(pages);
+        drop(q);
+        self.hand_off(pages.len(), 0)
+    }
+
+    fn hand_off(&self, accepted: usize, dropped: usize) -> u64 {
+        scout_prefetch_obs().enqueued.add(accepted as u64);
+        scout_prefetch_obs().dropped.add(dropped as u64);
         if accepted > 0 {
             self.shared.ready.notify_all();
         }
-        accepted
+        accepted as u64
     }
 }
 
 impl Drop for PrefetchHandle {
     fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            q.shutdown = true;
-        }
-        self.ready_all();
-        if let Some(h) = self.dispatcher.take() {
+        self.shared.lock().shutdown = true;
+        self.shared.ready.notify_all();
+        if let Some(h) = self.workers.take() {
             let _ = h.join();
         }
-    }
-}
-
-impl PrefetchHandle {
-    fn ready_all(&self) {
-        self.shared.ready.notify_all();
     }
 }
 
@@ -752,8 +763,22 @@ impl OocFlatIndex {
     /// page I/O). Prefetch policies use this to translate predicted
     /// regions into pages.
     pub fn pages_intersecting(&self, q: &Aabb) -> Vec<u32> {
-        let (entries, _) = self.seed_tree.range_query(q);
-        entries.into_iter().map(|e| e.page).collect()
+        let mut pages = Vec::new();
+        self.pages_intersecting_into(q, &mut TraversalScratch::default(), &mut pages);
+        pages
+    }
+
+    /// [`pages_intersecting`](Self::pages_intersecting) into `out`
+    /// (cleared first), the seed-tree traversal running on `scratch`:
+    /// with warm buffers nothing is allocated.
+    pub fn pages_intersecting_into(
+        &self,
+        q: &Aabb,
+        scratch: &mut TraversalScratch,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        self.seed_tree.range_query_scratch(q, scratch, |entry| out.push(entry.page));
     }
 
     /// Resident memory of the paged engine: frames + metadata + seed
@@ -769,15 +794,6 @@ impl OocFlatIndex {
         let a = self.neighbor_offsets[page as usize] as usize;
         let b = self.neighbor_offsets[page as usize + 1] as usize;
         &self.neighbor_ids[a..b]
-    }
-
-    /// Hand pages to the background prefetcher (no-op without workers).
-    /// Returns how many the backlog accepted.
-    pub fn prefetch_pages(&self, pages: &[u32]) -> u64 {
-        match &self.prefetch {
-            Some(h) => h.enqueue(pages),
-            None => 0,
-        }
     }
 
     /// Streaming seed-and-crawl over the page file — the paged
@@ -914,7 +930,7 @@ impl OocFlatIndex {
                 // BFS queue are read in the background while the queue
                 // ahead of them is scanned.
                 if let Some(h) = &self.prefetch {
-                    enqueued += h.enqueue(frontier);
+                    enqueued += h.enqueue_frontier(frontier);
                 }
             }
 
@@ -958,9 +974,10 @@ impl OocFlatIndex {
     /// A step-wise walkthrough cursor with the given prefetch policy.
     ///
     /// Policy predictions are translated to pages and fetched by the
-    /// background workers during think time; without workers the policy
-    /// still runs (its predictions are simply dropped), so traces stay
-    /// comparable.
+    /// background workers during think time, each step's plan replacing
+    /// what is left of the one before (see the [module docs](self));
+    /// without workers the policy still runs (its predictions are simply
+    /// dropped), so traces stay comparable.
     pub fn cursor(&self, prefetcher: Box<dyn Prefetcher>) -> OocCursor<'_> {
         OocCursor {
             index: self,
@@ -969,13 +986,14 @@ impl OocFlatIndex {
             scratch: OocScratch::default(),
             result: Vec::new(),
             pages_read: Vec::new(),
+            plan_pages: Vec::new(),
         }
     }
 }
 
 impl Drop for OocFlatIndex {
     fn drop(&mut self) {
-        // Stop the dispatcher before the file handle goes away.
+        // Stop the prefetch workers before the file handle goes away.
         self.prefetch = None;
         if self.delete_on_drop {
             let _ = std::fs::remove_file(&self.path);
@@ -994,10 +1012,12 @@ pub struct OocCursor<'a> {
     scratch: OocScratch,
     result: Vec<NeuronSegment>,
     pages_read: Vec<u32>,
+    plan_pages: Vec<u32>,
 }
 
-/// Cap on pages scheduled per think-time prefetch plan. Bounds wasted
-/// bandwidth when a policy predicts a huge region.
+/// Cap on pages scheduled per think-time prefetch plan, applied to the
+/// pages worth reading (in range, not repeated, not just read). Bounds
+/// wasted bandwidth when a policy predicts a huge region.
 const CURSOR_PREFETCH_CAP: usize = 256;
 
 impl OocCursor<'_> {
@@ -1021,27 +1041,40 @@ impl OocCursor<'_> {
 
         // Think-time prefetch: plan from the step's content, translate
         // regions to pages, hand them to the background workers.
-        let mut prefetched = 0u64;
-        {
-            let refs: Vec<&NeuronSegment> = self.result.iter().collect();
-            let ctx = PrefetchContext {
-                query: q,
-                result: &refs,
-                history: &self.history,
-                pages_read: &self.pages_read,
-            };
-            let plan = self.prefetcher.plan(&ctx);
-            if self.index.prefetch_enabled() && !plan.is_empty() {
-                let mut pages: Vec<u32> = plan.pages;
-                for region in &plan.regions {
-                    if pages.len() >= CURSOR_PREFETCH_CAP {
-                        break;
+        let refs: Vec<&NeuronSegment> = self.result.iter().collect();
+        let plan = self.prefetcher.plan(&PrefetchContext {
+            query: q,
+            result: &refs,
+            history: &self.history,
+            pages_read: &self.pages_read,
+        });
+        let mut prefetched = 0;
+        if let Some(handle) = &self.index.prefetch {
+            let page_count = self.index.page_count();
+            // `visited` still holds the marks of the pages this step
+            // read, so marking a planned page tells both whether the
+            // step read it and whether the plan already has it.
+            let OocScratch { visited, seed, frontier, .. } = &mut self.scratch;
+            let pages = &mut self.plan_pages;
+            pages.clear();
+            let mut accept = |candidates: &[u32]| {
+                for &p in candidates {
+                    if (p as usize) < page_count && visited.mark(p as usize) {
+                        pages.push(p);
                     }
-                    pages.extend(self.index.pages_intersecting(region));
                 }
-                pages.truncate(CURSOR_PREFETCH_CAP);
-                prefetched = self.index.prefetch_pages(&pages);
+                pages.len() < CURSOR_PREFETCH_CAP
+            };
+            let mut room = accept(&plan.pages);
+            for region in &plan.regions {
+                if !room {
+                    break;
+                }
+                self.index.pages_intersecting_into(region, seed, frontier);
+                room = accept(frontier);
             }
+            pages.truncate(CURSOR_PREFETCH_CAP);
+            prefetched = handle.replace_plan(pages);
         }
 
         Ok(QueryTrace {
@@ -1185,22 +1218,24 @@ mod tests {
         let t = TempFile(temp_path("prefetch"));
         write_flat_index(&mem, &t.0).expect("write");
         let budget = frame_budget_for(mem.page_count(), 10);
-        let ooc = OocFlatIndex::open(
-            &t.0,
-            OocConfig::default().with_frame_budget(budget).with_prefetch_workers(2),
-        )
-        .expect("open");
-        let mut scratch = OocScratch::default();
-        let mut got = Vec::new();
-        for step in 0..12 {
-            let c = mem.bounds().center();
-            let q = Aabb::cube(Vec3::new(c.x + step as f64 * 3.0, c.y, c.z), 25.0);
-            let (want, want_stats) = mem.range_query(&q);
-            let stats = ooc.range_query_into(&q, &mut scratch, &mut got).expect("query");
-            assert_eq!(got.len(), want.len(), "step {step}");
-            assert!(got.iter().zip(&want).all(|(a, b)| a == *b), "step {step}");
-            assert_eq!(stats.flat.results, want_stats.results);
-            assert_eq!(stats.flat.pages_read, want_stats.pages_read);
+        for workers in [1, 2] {
+            let ooc = OocFlatIndex::open(
+                &t.0,
+                OocConfig::default().with_frame_budget(budget).with_prefetch_workers(workers),
+            )
+            .expect("open");
+            let mut scratch = OocScratch::default();
+            let mut got = Vec::new();
+            for step in 0..12 {
+                let c = mem.bounds().center();
+                let q = Aabb::cube(Vec3::new(c.x + step as f64 * 3.0, c.y, c.z), 25.0);
+                let (want, want_stats) = mem.range_query(&q);
+                let stats = ooc.range_query_into(&q, &mut scratch, &mut got).expect("query");
+                assert_eq!(got.len(), want.len(), "step {step}");
+                assert!(got.iter().zip(&want).all(|(a, b)| a == *b), "step {step}");
+                assert_eq!(stats.flat.results, want_stats.results);
+                assert_eq!(stats.flat.pages_read, want_stats.pages_read);
+            }
         }
     }
 
@@ -1210,25 +1245,241 @@ mod tests {
         let mem = build(segs, 16);
         let t = TempFile(temp_path("cursor"));
         write_flat_index(&mem, &t.0).expect("write");
-        let ooc = OocFlatIndex::open(
-            &t.0,
-            OocConfig::default()
-                .with_frame_budget(frame_budget_for(mem.page_count(), 50))
-                .with_prefetch_workers(2),
-        )
-        .expect("open");
-        let mut cur = ooc.cursor(Box::new(crate::prefetch::ScoutPrefetcher::default()));
-        // Anchor the walkthrough on real data: the first object of page 0.
-        let c = mem.page_objects(0)[0].aabb().center();
-        let mut total_results = 0u64;
-        for step in 0..8 {
-            let q = Aabb::cube(Vec3::new(c.x, c.y + step as f64 * 4.0, c.z), 20.0);
-            let trace = cur.step(&q).expect("step");
-            assert_eq!(trace.demand_hits + trace.demand_misses, trace.pages_demanded);
-            assert_eq!(trace.results as usize, cur.last_result().len());
-            total_results += trace.results;
+        for workers in [1, 2] {
+            let ooc = OocFlatIndex::open(
+                &t.0,
+                OocConfig::default()
+                    .with_frame_budget(frame_budget_for(mem.page_count(), 50))
+                    .with_prefetch_workers(workers),
+            )
+            .expect("open");
+            let mut cur = ooc.cursor(Box::new(crate::prefetch::ScoutPrefetcher::default()));
+            // Anchor the walkthrough on real data: the first object of page 0.
+            let c = mem.page_objects(0)[0].aabb().center();
+            let mut total_results = 0u64;
+            for step in 0..8 {
+                let q = Aabb::cube(Vec3::new(c.x, c.y + step as f64 * 4.0, c.z), 20.0);
+                let trace = cur.step(&q).expect("step");
+                assert_eq!(trace.demand_hits + trace.demand_misses, trace.pages_demanded);
+                assert_eq!(trace.results as usize, cur.last_result().len());
+                assert!(
+                    cur.last_result().iter().eq(mem.range_query(&q).0),
+                    "step {step} with {workers} workers differs from the in-memory index"
+                );
+                total_results += trace.results;
+            }
+            assert!(total_results > 0, "walkthrough crossed data");
         }
-        assert!(total_results > 0, "walkthrough crossed data");
+    }
+
+    /// Page I/O that records every read made off the thread that opened
+    /// it (the prefetch workers' reads; demand reads and the open-time
+    /// sweep run on the test's thread) and makes reads of `held` pages
+    /// wait until the gate opens, so a test can look at the prefetch
+    /// queue while the workers are stuck mid-read.
+    struct GateIo {
+        file: PageFile,
+        owner: std::thread::ThreadId,
+        held: Vec<u32>,
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        /// (gate open, pages read off the owner thread, in order).
+        state: Mutex<(bool, Vec<u64>)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            self.state.lock().expect("gate").0 = true;
+            self.changed.notify_all();
+        }
+
+        /// The worker reads of pages in `of` so far, once there are at
+        /// least `n` of them (a worker may also read a crawl-frontier
+        /// page before the query gets to it).
+        fn reads(&self, n: usize, of: &[u32]) -> Vec<u32> {
+            let among = |log: &[u64]| -> Vec<u32> {
+                log.iter()
+                    .filter_map(|&p| of.iter().copied().find(|&o| u64::from(o) == p))
+                    .collect()
+            };
+            let (state, timeout) = self
+                .changed
+                .wait_timeout_while(
+                    self.state.lock().expect("gate"),
+                    std::time::Duration::from_secs(20),
+                    |s| among(&s.1).len() < n,
+                )
+                .expect("gate");
+            assert!(!timeout.timed_out(), "workers read {:?}, expected {n} of {of:?}", state.1);
+            among(&state.1)
+        }
+    }
+
+    impl PageIo for GateIo {
+        fn read_page_into(&self, page: u64, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+            if std::thread::current().id() != self.owner {
+                let mut state = self.gate.state.lock().expect("gate");
+                state.1.push(page);
+                self.gate.changed.notify_all();
+                if self.held.iter().any(|&h| u64::from(h) == page) {
+                    drop(self.gate.changed.wait_while(state, |s| !s.0).expect("gate"));
+                }
+            }
+            self.file.read_page_into(page, buf)
+        }
+
+        fn page_count(&self) -> u64 {
+            self.file.page_count()
+        }
+
+        fn page_size(&self) -> usize {
+            self.file.page_size()
+        }
+
+        fn meta(&self) -> &[u8] {
+            self.file.meta()
+        }
+    }
+
+    fn open_gated(path: &Path, config: OocConfig, held: &[u32]) -> (OocFlatIndex, Arc<Gate>) {
+        let gate = Arc::new(Gate::default());
+        let io_gate = Arc::clone(&gate);
+        let owner = std::thread::current().id();
+        let held = held.to_vec();
+        let ooc = OocFlatIndex::open_with(path, config, move |file| {
+            Arc::new(GateIo { file, owner, held, gate: io_gate })
+        })
+        .expect("open");
+        (ooc, gate)
+    }
+
+    /// A policy that plans the page lists it was given, one per step.
+    struct Scripted(VecDeque<Vec<u32>>);
+
+    impl Prefetcher for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn plan(&mut self, _ctx: &PrefetchContext<'_>) -> crate::prefetch::PrefetchPlan {
+            crate::prefetch::PrefetchPlan {
+                regions: Vec::new(),
+                pages: self.0.pop_front().unwrap_or_default(),
+            }
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    fn queued_plan(ooc: &OocFlatIndex) -> Vec<u32> {
+        let handle = ooc.prefetch.as_ref().expect("prefetch workers are running");
+        let plan = handle.shared.lock().plan.iter().copied().collect();
+        plan
+    }
+
+    /// A box that is small next to a page, around page `page`'s first
+    /// object, and the pages a query on it reads.
+    fn probe(mem: &FlatIndex<NeuronSegment>, page: u32) -> (Aabb, Vec<u32>) {
+        let q = Aabb::cube(mem.page_objects(page)[0].aabb().center(), 1.0);
+        let mut pages = Vec::new();
+        let mut scratch = neurospatial_flat::FlatScratch::default();
+        mem.range_query_scratch(&q, &mut scratch, |p| pages.push(p), |_| {});
+        (q, pages)
+    }
+
+    #[test]
+    fn a_new_plan_replaces_the_unissued_rest_of_the_last_one() {
+        let mem = build(circuit(10), 8);
+        let t = TempFile(temp_path("handoff"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let pages = mem.page_count() as u32;
+        let (q1, read1) = probe(&mem, 0);
+        let (q2, read2) = probe(&mem, pages / 2);
+        // Pages neither step reads: only a plan can ask for them.
+        let spare: Vec<u32> =
+            (0..pages).filter(|p| !read1.contains(p) && !read2.contains(p)).collect();
+        assert!(spare.len() >= 9, "the file is much larger than two probes");
+        let (first, second) = (&spare[..6], &spare[6..9]);
+
+        for workers in [1, 2] {
+            let config = OocConfig::default().with_prefetch_workers(workers);
+            let (ooc, gate) = open_gated(&t.0, config, &spare);
+            // Each plan also names a page its step reads, a page twice
+            // and pages past the end of the file.
+            let mut plan1 = vec![read1[0], first[0], first[0], pages, u32::MAX];
+            plan1.extend(&first[1..]);
+            let mut plan2 = vec![second[0], read2[0], second[1], second[0], pages + 7, second[2]];
+            plan2.extend(&second[..2]);
+            let mut cur = ooc.cursor(Box::new(Scripted(VecDeque::from([plan1, plan2]))));
+
+            let trace = cur.step(&q1).expect("step 1");
+            assert_eq!(trace.prefetched, 6, "unread, unrepeated, in-range pages of plan 1");
+            assert!(cur.last_result().iter().eq(mem.range_query(&q1).0));
+            // Every worker is stuck reading one page of plan 1; the rest
+            // is still queued.
+            let mut issued = gate.reads(workers, &spare);
+            issued.sort_unstable();
+            assert_eq!(issued, first[..workers]);
+            assert_eq!(queued_plan(&ooc), first[workers..]);
+
+            let trace = cur.step(&q2).expect("step 2");
+            assert_eq!(trace.prefetched, 3);
+            assert!(cur.last_result().iter().eq(mem.range_query(&q2).0));
+            assert_eq!(queued_plan(&ooc), second, "plan 2 in place of the rest of plan 1");
+
+            // Let the workers go: they read plan 2 and nothing else.
+            gate.open();
+            let mut after = gate.reads(workers + 3, &spare).split_off(workers);
+            after.sort_unstable();
+            assert_eq!(after, second);
+            assert!(queued_plan(&ooc).is_empty());
+        }
+    }
+
+    #[test]
+    fn plans_past_the_end_of_the_file_never_reach_the_pool() {
+        let mem = build(circuit(10), 8);
+        let t = TempFile(temp_path("lastpages"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let pages = mem.page_count() as u32;
+        let config = OocConfig::default().with_frame_budget(4).with_prefetch_workers(1);
+        let (ooc, gate) = open_gated(&t.0, config, &[]);
+
+        // Walk up to the last page with the storage-order policy, whose
+        // window reaches two ids past it.
+        let mut cur = ooc.cursor(Box::new(crate::prefetch::HilbertPrefetcher { window: 2 }));
+        let mut planned = 0;
+        for page in pages - 6..pages {
+            planned += cur.step(&probe(&mem, page).0).expect("step").prefetched;
+        }
+        assert!(planned > 0, "the policy planned something");
+        // The last plan is taken whole once the queue is empty, and a
+        // worker reads what it takes before it looks at the queue again.
+        while !queued_plan(&ooc).is_empty() {
+            std::thread::yield_now();
+        }
+
+        // On a full pool, a plan of nothing but ids past the end costs
+        // no frame.
+        let last = probe(&mem, pages - 1).0;
+        cur = ooc.cursor(Box::new(Scripted(VecDeque::from([vec![pages, pages + 1, u32::MAX]]))));
+        cur.step(&last).expect("warm the last page");
+        let before = ooc.pool().stats();
+        assert_eq!(ooc.pool().resident(), 4, "the pool is full");
+        assert_eq!(cur.step(&last).expect("step").prefetched, 0);
+        assert!(queued_plan(&ooc).is_empty());
+        assert_eq!(ooc.pool().stats().evictions, before.evictions);
+
+        drop(cur);
+        let pool = Arc::clone(&ooc.pool);
+        drop(ooc); // joins the worker
+        let reads = gate.state.lock().expect("gate").1.clone();
+        assert!(reads.iter().all(|&p| p < u64::from(pages)), "read past the end: {reads:?}");
+        assert_eq!(pool.stats().prefetched, reads.len() as u64, "a prefetch read failed");
     }
 
     #[test]

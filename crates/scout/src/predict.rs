@@ -3,7 +3,7 @@
 //! queries are then executed at the predicted locations to prefetch data
 //! into memory." (§3.1)
 
-use crate::skeleton::Structure;
+use crate::skeleton::ExitEdge;
 use neurospatial_geom::Aabb;
 
 /// Extrapolation parameters.
@@ -26,43 +26,33 @@ impl Default for PredictParams {
 }
 
 /// Predict the next query regions from the exit edges of the candidate
-/// structures.
-pub fn extrapolate_exits<'a, I>(candidates: I, params: PredictParams) -> Vec<Aabb>
+/// structures: one box per edge, in the order given, up to
+/// [`PredictParams::max_predictions`].
+pub fn extrapolate_exits<'a, I>(exits: I, params: PredictParams) -> Vec<Aabb>
 where
-    I: IntoIterator<Item = &'a Structure>,
+    I: IntoIterator<Item = &'a ExitEdge>,
 {
-    let mut out = Vec::new();
-    for s in candidates {
-        for e in &s.exits {
-            if out.len() >= params.max_predictions {
-                return out;
-            }
-            let centre = e.exit_point + e.direction * params.lookahead;
-            out.push(Aabb::cube(centre, params.prefetch_radius));
-        }
-    }
-    out
+    exits
+        .into_iter()
+        .take(params.max_predictions)
+        .map(|e| Aabb::cube(e.exit_point + e.direction * params.lookahead, params.prefetch_radius))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeleton::ExitEdge;
     use neurospatial_geom::Vec3;
 
-    fn structure_with_exits(exits: Vec<ExitEdge>) -> Structure {
-        Structure { segment_ids: vec![0], exits }
+    fn exit(segment_id: u64, exit_point: Vec3, direction: Vec3) -> ExitEdge {
+        ExitEdge { segment_id, exit_point, direction }
     }
 
     #[test]
     fn boxes_centred_ahead_of_exit() {
-        let s = structure_with_exits(vec![ExitEdge {
-            segment_id: 0,
-            exit_point: Vec3::new(10.0, 0.0, 0.0),
-            direction: Vec3::new(1.0, 0.0, 0.0),
-        }]);
+        let e = exit(0, Vec3::new(10.0, 0.0, 0.0), Vec3::new(1.0, 0.0, 0.0));
         let boxes = extrapolate_exits(
-            [&s],
+            [&e],
             PredictParams { lookahead: 5.0, prefetch_radius: 2.0, max_predictions: 8 },
         );
         assert_eq!(boxes.len(), 1);
@@ -73,32 +63,21 @@ mod tests {
     #[test]
     fn cap_respected() {
         let exits: Vec<ExitEdge> = (0..20)
-            .map(|i| ExitEdge {
-                segment_id: i,
-                exit_point: Vec3::new(i as f64, 0.0, 0.0),
-                direction: Vec3::new(0.0, 1.0, 0.0),
-            })
+            .map(|i| exit(i, Vec3::new(i as f64, 0.0, 0.0), Vec3::new(0.0, 1.0, 0.0)))
             .collect();
-        let s = structure_with_exits(exits);
         let boxes = extrapolate_exits(
-            [&s],
+            &exits,
             PredictParams { lookahead: 1.0, prefetch_radius: 1.0, max_predictions: 4 },
         );
         assert_eq!(boxes.len(), 4);
+        // The first four, in the order given.
+        assert_eq!(boxes[3].center(), Vec3::new(3.0, 1.0, 0.0));
     }
 
     #[test]
     fn multiple_candidates_all_extrapolated() {
-        let a = structure_with_exits(vec![ExitEdge {
-            segment_id: 0,
-            exit_point: Vec3::ZERO,
-            direction: Vec3::new(1.0, 0.0, 0.0),
-        }]);
-        let b = structure_with_exits(vec![ExitEdge {
-            segment_id: 1,
-            exit_point: Vec3::ZERO,
-            direction: Vec3::new(0.0, 1.0, 0.0),
-        }]);
+        let a = exit(0, Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0));
+        let b = exit(1, Vec3::ZERO, Vec3::new(0.0, 1.0, 0.0));
         let boxes = extrapolate_exits([&a, &b], PredictParams::default());
         assert_eq!(boxes.len(), 2);
         assert_ne!(boxes[0].center(), boxes[1].center());
@@ -106,7 +85,6 @@ mod tests {
 
     #[test]
     fn no_exits_no_predictions() {
-        let s = structure_with_exits(vec![]);
-        assert!(extrapolate_exits([&s], PredictParams::default()).is_empty());
+        assert!(extrapolate_exits([], PredictParams::default()).is_empty());
     }
 }

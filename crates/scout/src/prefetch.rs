@@ -3,7 +3,7 @@
 
 use crate::candidate::CandidateTracker;
 use crate::predict::{extrapolate_exits, PredictParams};
-use crate::skeleton::{Skeleton, SkeletonParams, Structure};
+use crate::skeleton::{Skeleton, SkeletonParams};
 use neurospatial_geom::{Aabb, Vec3};
 use neurospatial_model::NeuronSegment;
 
@@ -205,23 +205,11 @@ impl Prefetcher for ScoutPrefetcher {
         // Keep only exits consistent with the direction of travel: the
         // user follows the structure onward, and the region behind the
         // current box was just visited (resident in the pool anyway).
-        let forward: Vec<Structure> = survivors
+        let forward = survivors
             .iter()
-            .map(|&i| &skeleton.structures[i])
-            .map(|s| Structure {
-                segment_ids: s.segment_ids.clone(),
-                exits: s
-                    .exits
-                    .iter()
-                    .filter(|e| match motion {
-                        Some(m) => e.direction.dot(m) >= 0.0,
-                        None => true,
-                    })
-                    .copied()
-                    .collect(),
-            })
-            .collect();
-        let regions = extrapolate_exits(forward.iter(), params);
+            .flat_map(|&i| &skeleton.structures[i].exits)
+            .filter(|e| motion.is_none_or(|m| e.direction.dot(m) >= 0.0));
+        let regions = extrapolate_exits(forward, params);
         PrefetchPlan { regions, pages: Vec::new() }
     }
 

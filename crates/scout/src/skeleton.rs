@@ -4,15 +4,20 @@
 //! starts to reconstruct the dominating structures/the topological
 //! skeleton in q and approximates them with a graph" (§3.1).
 //!
-//! The reconstruction uses geometry only — segment endpoints that
-//! (nearly) coincide are fused into skeleton vertices via a union-find
-//! over a quantised spatial hash. The ground-truth neuron/section ids on
-//! [`NeuronSegment`] are deliberately ignored; tests use them to measure
-//! reconstruction quality.
+//! The reconstruction uses geometry only: two segments belong to the
+//! same structure when an endpoint of one lies within
+//! [`SkeletonParams::connect_tolerance`] (Euclidean, inclusive) of an
+//! endpoint of the other, and structures are the connected components of
+//! that relation. The pairs are found by sorting the 2n endpoints along
+//! x and sweeping a tolerance-wide window over them — a pair closer than
+//! the tolerance is closer than it along x too — and fused in a
+//! union-find. The prediction runs inside every walkthrough step, so it
+//! has to cost what the crawl costs: two sorts and no hashing. The
+//! ground-truth neuron/section ids on [`NeuronSegment`] are deliberately
+//! ignored; tests use them to measure reconstruction quality.
 
 use neurospatial_geom::{Aabb, Vec3};
 use neurospatial_model::NeuronSegment;
-use std::collections::HashMap;
 
 /// Skeleton reconstruction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -81,64 +86,39 @@ impl Skeleton {
     pub fn reconstruct(result: &[&NeuronSegment], query: &Aabb, params: SkeletonParams) -> Self {
         let n = result.len();
         let mut uf = UnionFind::new(n);
-
-        // Spatial hash of quantised endpoints → segment indices.
         let tol = params.connect_tolerance.max(1e-9);
-        let quant = |p: Vec3| -> (i64, i64, i64) {
-            ((p.x / tol).round() as i64, (p.y / tol).round() as i64, (p.z / tol).round() as i64)
-        };
-        let mut buckets: HashMap<(i64, i64, i64), Vec<u32>> = HashMap::new();
+
+        // Sweep: every endpoint against the endpoints after it in x
+        // order, until x alone puts them out of reach (a distance is
+        // never less than its x part, as computed in floating point too).
+        let mut ends: Vec<(Vec3, u32)> = Vec::with_capacity(2 * n);
         for (i, s) in result.iter().enumerate() {
-            for p in [s.geom.p0, s.geom.p1] {
-                let c = quant(p);
-                // Register in the containing cell and the 26 neighbours to
-                // catch pairs straddling a cell boundary.
-                for dx in -1..=1i64 {
-                    for dy in -1..=1i64 {
-                        for dz in -1..=1i64 {
-                            buckets
-                                .entry((c.0 + dx, c.1 + dy, c.2 + dz))
-                                .or_default()
-                                .push(i as u32);
-                        }
-                    }
-                }
-            }
+            ends.push((s.geom.p0, i as u32));
+            ends.push((s.geom.p1, i as u32));
         }
-        for (i, s) in result.iter().enumerate() {
-            for p in [s.geom.p0, s.geom.p1] {
-                if let Some(cands) = buckets.get(&quant(p)) {
-                    for &j in cands {
-                        let j = j as usize;
-                        if j == i {
-                            continue;
-                        }
-                        let o = result[j];
-                        if p.distance(o.geom.p0) <= tol || p.distance(o.geom.p1) <= tol {
-                            uf.union(i, j);
-                        }
-                    }
+        ends.sort_unstable_by(|a, b| a.0.x.total_cmp(&b.0.x));
+        for (k, &(p, i)) in ends.iter().enumerate() {
+            for &(o, j) in &ends[k + 1..] {
+                if o.x - p.x > tol {
+                    break;
+                }
+                if j != i && p.distance(o) <= tol {
+                    uf.union(i as usize, j as usize);
                 }
             }
         }
 
-        // Group segments by union-find root.
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            groups.entry(uf.find(i)).or_default().push(i);
-        }
-
-        let mut structures: Vec<Structure> = groups
-            .into_values()
+        // Group by root: sorted (root, index) pairs put each structure's
+        // members side by side, in result order.
+        let mut by_root: Vec<(u32, u32)> = (0..n).map(|i| (uf.find(i) as u32, i as u32)).collect();
+        by_root.sort_unstable();
+        let mut structures: Vec<Structure> = by_root
+            .chunk_by(|a, b| a.0 == b.0)
             .map(|members| {
-                let mut segment_ids: Vec<u64> = members.iter().map(|&i| result[i].id).collect();
+                let members = members.iter().map(|&(_, i)| result[i as usize]);
+                let mut segment_ids: Vec<u64> = members.clone().map(|s| s.id).collect();
                 segment_ids.sort_unstable();
-                let mut exits = Vec::new();
-                for &i in &members {
-                    if let Some(e) = exit_edge(result[i], query) {
-                        exits.push(e);
-                    }
-                }
+                let exits = members.filter_map(|s| exit_edge(s, query)).collect();
                 Structure { segment_ids, exits }
             })
             .collect();
