@@ -4,6 +4,7 @@
 //! (non-virtual) FLAT lane to expose any abstraction overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use neurospatial::flat::FlatScratch;
 use neurospatial::prelude::*;
 use neurospatial_bench::{dense_circuit, standard_workload};
 use std::hint::black_box;
@@ -51,6 +52,45 @@ fn bench_range_queries(c: &mut Criterion) {
                 })
             });
         }
+    }
+
+    // The FLAT page kernel outside the reference benchmark, on tissue
+    // dense enough for pages to fall wholly inside a query: 5 µm boxes
+    // are all mask scans, 30 µm boxes take many pages untested. The
+    // frozen STR tree answers the same boxes beside it.
+    let circuit = dense_circuit(1000, 1);
+    let n = circuit.segments().len();
+    let flat = FlatIndex::build(
+        circuit.segments().to_vec(),
+        FlatBuildParams::default().with_page_capacity(64),
+    );
+    let packed = IndexBackend::StrPacked.build(circuit.segments().to_vec(), &params);
+    for half in [5.0, 30.0] {
+        let w = standard_workload(&circuit, 64, half);
+        group.bench_with_input(BenchmarkId::new(format!("flat_stream_{half}um"), n), &w, |b, w| {
+            let mut scratch = FlatScratch::new();
+            b.iter(|| {
+                let mut total = 0u64;
+                for q in &w.queries {
+                    let stats =
+                        flat.range_query_stream(black_box(q), &mut scratch, |_| {}, |_| Flow::Emit);
+                    total += stats.results;
+                }
+                total
+            })
+        });
+        group.bench_with_input(BenchmarkId::new(format!("str-packed_{half}um"), n), &w, |b, w| {
+            let mut scratch = QueryScratch::new();
+            b.iter(|| {
+                let mut total = 0u64;
+                for q in &w.queries {
+                    total += packed
+                        .for_each_in_range(black_box(q), &mut scratch, &mut |_| Flow::Emit)
+                        .results;
+                }
+                total
+            })
+        });
     }
     group.finish();
 }

@@ -449,7 +449,7 @@ fn e2_crawl_and_levels() {
 
     let w = standard_workload(&circuit, 30, 25.0);
     let n = w.queries.len() as f64;
-    let mut flat_agg = (0u64, 0u64, 0u64, 0u64); // pages, rejected links, reseeds, seed nodes
+    let mut flat_agg = (0u64, 0u64, 0u64, 0u64); // pages, rejected pages, reseeds, seed nodes
     let mut packed_levels: Vec<f64> = Vec::new();
     let mut dynamic_levels: Vec<f64> = Vec::new();
     for q in &w.queries {
@@ -475,7 +475,7 @@ fn e2_crawl_and_levels() {
     }
 
     println!(
-        "FLAT  (avg/query): {} data pages, {} links examined-but-rejected,",
+        "FLAT  (avg/query): {} data pages, {} distinct pages examined via a link and rejected,",
         f1(flat_agg.0 as f64 / n),
         f1(flat_agg.1 as f64 / n)
     );
@@ -1047,6 +1047,10 @@ fn hotpath(
     // The 0-alloc half is deterministic; the speedup half is held at the
     // issue's floor (>= 1.3x on at least two configurations), which is
     // far below the measured margin, so timing noise cannot flake it.
+    // FLAT's two paths run one crawl and differ by the result vector and
+    // the per-call crawl state, so monolithic FLAT sits near the floor
+    // (1.2x to 1.7x at n=2000); the bar is carried by the R-tree family
+    // and the sharded executors (1.7x to 2.2x on five configurations).
     if strict && (zero_alloc < configs.len() || fast_enough < 2) {
         eprintln!(
             "hotpath --strict: acceptance bar FAILED \

@@ -452,6 +452,14 @@ impl NeuroDbBuilder {
         // pays no first-use allocation.
         crate::metrics::warm_metrics();
         let segments = self.segments.ok_or(NeuroError::MissingSegments)?;
+        // The same rule as the write path: a non-finite box matches no
+        // query, so it must not get into an index.
+        if let Some(bad) = segments.iter().find(|s| !s.geom.is_valid()) {
+            return Err(NeuroError::InvalidConfig(format!(
+                "segment {} has non-finite or negative geometry",
+                bad.id
+            )));
+        }
         let mut config = self.config;
         let (backend, name_requests_sharding) = match &self.backend_name {
             Some(name) => match name.strip_prefix("sharded:") {
@@ -1056,12 +1064,7 @@ impl NeuroDb {
                             reason: format!("insert of duplicate id {id}"),
                         });
                     }
-                    let finite = [s.geom.p0, s.geom.p1]
-                        .iter()
-                        .all(|v| v.x.is_finite() && v.y.is_finite() && v.z.is_finite())
-                        && s.geom.radius.is_finite()
-                        && s.geom.radius >= 0.0;
-                    if !finite {
+                    if !s.geom.is_valid() {
                         return Err(NeuroError::WriteRejected {
                             reason: format!("segment {id} has non-finite or negative geometry"),
                         });
@@ -1545,6 +1548,33 @@ mod tests {
                 .build(),
             Err(NeuroError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn builder_rejects_what_the_write_path_rejects() {
+        let c = CircuitBuilder::new(5).neurons(2).build();
+        let spoil: [fn(&mut NeuronSegment); 4] = [
+            |s| s.geom.p0.x = f64::NAN,
+            |s| s.geom.p1.z = f64::INFINITY,
+            |s| s.geom.radius = f64::NAN,
+            |s| s.geom.radius = -1.0,
+        ];
+        for (k, spoil) in spoil.into_iter().enumerate() {
+            let mut segments = c.segments().to_vec();
+            let victim = 3 + 7 * k;
+            spoil(&mut segments[victim]);
+            // The first offender is the one named.
+            spoil(&mut segments[victim + 20]);
+            let id = segments[victim].id;
+            for backend in IndexBackend::ALL {
+                let err = NeuroDb::builder().segments(segments.clone()).backend(backend).build();
+                assert!(
+                    matches!(&err, Err(NeuroError::InvalidConfig(msg))
+                        if msg.contains(&format!("segment {id} "))),
+                    "case {k} on {backend}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! FLAT indexing phase: Hilbert packing + neighborhood computation.
 
+use crate::lanes::write_box;
 use crate::stats::FlatBuildStats;
 use crate::{FlatIndex, FlatPage, PageEntry};
 use neurospatial_geom::{morton_encode3, Aabb, GridIndexer, HilbertSorter};
@@ -123,13 +124,23 @@ impl<T: RTreeObject> FlatIndex<T> {
         let sort_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // --- 2. Pack pages ----------------------------------------------
+        // One pass over each page's boxes gives its MBR, its lanes and its
+        // flag.
         let t1 = Instant::now();
         let mut pages = Vec::with_capacity(objects.len().div_ceil(params.page_capacity.max(1)));
+        let mut lanes = vec![0f32; 6 * objects.len()];
         let mut start = 0usize;
         while start < objects.len() {
             let end = (start + params.page_capacity).min(objects.len());
-            let mbr = objects[start..end].iter().fold(Aabb::EMPTY, |a, o| a.union(&o.aabb()));
-            pages.push(FlatPage { mbr, start: start as u32, end: end as u32 });
+            let block = &mut lanes[6 * start..6 * end];
+            let (mut mbr, mut all_valid) = (Aabb::EMPTY, true);
+            for (i, o) in objects[start..end].iter().enumerate() {
+                let b = o.aabb();
+                mbr = mbr.union(&b);
+                all_valid &= b.is_valid();
+                write_box(block, end - start, i, &b);
+            }
+            pages.push(FlatPage { mbr, start: start as u32, end: end as u32, all_valid });
             start = end;
         }
         let pack_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -164,7 +175,16 @@ impl<T: RTreeObject> FlatIndex<T> {
             neighbor_links: neighbor_ids.len() as u64,
         };
 
-        FlatIndex { objects, pages, neighbor_offsets, neighbor_ids, seed_tree, params, build_stats }
+        FlatIndex {
+            objects,
+            lanes,
+            pages,
+            neighbor_offsets,
+            neighbor_ids,
+            seed_tree,
+            params,
+            build_stats,
+        }
     }
 }
 
@@ -432,5 +452,22 @@ mod tests {
         let idx = FlatIndex::build(line_boxes(500), FlatBuildParams::default());
         assert!(idx.memory_bytes() > 500 * std::mem::size_of::<Aabb>());
         assert!(idx.seed_tree_height() >= 1);
+    }
+
+    #[test]
+    fn lanes_cost_24_bytes_per_object_and_a_flag_per_page() {
+        use std::mem::size_of;
+        let idx =
+            FlatIndex::build(line_boxes(1000), FlatBuildParams::default().with_page_capacity(64));
+        // Everything the index held before the lanes, priced as before.
+        let page_before = size_of::<Aabb>() + 2 * size_of::<u32>();
+        let before = idx.objects.capacity() * size_of::<Aabb>()
+            + idx.pages.capacity() * page_before
+            + (idx.neighbor_ids.capacity() + idx.neighbor_offsets.capacity()) * 4
+            + idx.seed_tree.memory_bytes();
+        // The flag is one byte, padded to the page record's alignment.
+        let flag = size_of::<FlatPage>() - page_before;
+        assert!(flag <= std::mem::align_of::<FlatPage>());
+        assert_eq!(idx.memory_bytes() - before, 24 * idx.len() + flag * idx.page_count());
     }
 }

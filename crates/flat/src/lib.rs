@@ -10,7 +10,10 @@
 //! packed into fixed-capacity *pages*. For every page FLAT records its
 //! *neighborhood*: the pages whose (ε-inflated) MBR intersects its own.
 //! A small STR-packed R-Tree is built over the page MBRs only — orders of
-//! magnitude fewer entries than an object-level R-Tree.
+//! magnitude fewer entries than an object-level R-Tree. Beside the
+//! objects, in the same page order, the build keeps every object's box as
+//! six `f32` *lanes* (24 B per object), and one flag per page saying
+//! that every box on it is finite and non-empty.
 //!
 //! **Query phase.** A range query `q` is answered in two steps:
 //!
@@ -24,7 +27,41 @@
 //! Both steps are independent of how dense the dataset is, which is the
 //! paper's headline property.
 //!
+//! One loop (in [`query`]) runs every crawl, and it decides each thing
+//! once:
+//!
+//! - **A page wholly inside `q`** (`q` contains its MBR, and its flag is
+//!   set) is emitted without testing any object.
+//! - **Any other page** is scanned 64 objects at a time over the lanes
+//!   into two branch-free bitmasks: `maybe` (the lane box meets `q`
+//!   rounded outward to `f32`) and `sure` (the lane box meets `q` shrunk
+//!   inward by one `f32` step per face). Objects outside `maybe` are
+//!   misses, objects in `sure` are hits, and only `maybe & !sure` —
+//!   boxes with a face within two `f32` steps of a face of `q`, about
+//!   one object in 10⁴ on neuron tissue — is decided by the exact
+//!   `aabb().intersects(q)`.
+//! - **A neighbor page** has its MBR tested the first time any link
+//!   reaches it, and the verdict is remembered for the rest of the query
+//!   whichever way it went: an accepted page joins the crawl front, a
+//!   rejected one is marked and never examined again, however many
+//!   visited pages link to it.
+//!
 //! ## Exactness
+//!
+//! The answer is the closed-interval `f64` answer of
+//! `aabb().intersects(q)` on every object, in page-then-slot order. The
+//! lanes only sort objects into certain misses, certain hits and the
+//! sliver that the exact test decides. The lanes hold each face rounded
+//! to the nearest `f32` and the query carries the slack (outward for
+//! `maybe`, inward for `sure`); rounding is monotone, which makes the
+//! first two verdicts safe for every input, including coordinates `f32`
+//! cannot represent, magnitudes beyond `f32::MAX` (which round to
+//! `±∞`, or to `±f32::MAX` where the query rounds inward) and infinite
+//! query faces. A NaN face fails every
+//! comparison, in the lanes as in the exact test. Whole-page acceptance
+//! is sound because a box with `lo ≤ hi` inside an MBR inside `q` meets
+//! `q`; the page flag keeps empty and non-finite boxes, which an MBR
+//! does not bound, on the tested path.
 //!
 //! The pages intersecting `q` are not guaranteed to form a connected
 //! subgraph of the neighborhood graph (sparse datasets can leave gaps),
@@ -32,7 +69,9 @@
 //! not-yet-visited page intersecting `q`. Re-seeding generalises the seed
 //! step and makes FLAT exact on arbitrary data; on the dense datasets
 //! FLAT targets it almost never triggers (the statistic is reported per
-//! query as [`FlatQueryStats::reseeds`]).
+//! query as [`FlatQueryStats::reseeds`]). Marking rejected pages does not
+//! disturb it: the re-seed check only ever asks about pages the seed
+//! tree returns for `q`, and a rejected page's MBR misses `q`.
 //!
 //! ```
 //! use neurospatial_flat::{FlatBuildParams, FlatIndex};
@@ -51,6 +90,7 @@
 //! ```
 
 mod build;
+mod lanes;
 pub mod query;
 pub mod stats;
 
@@ -81,12 +121,18 @@ pub(crate) struct FlatPage {
     /// Index range into `FlatIndex::objects`.
     pub start: u32,
     pub end: u32,
+    /// Every box on the page is finite and non-empty, so a query that
+    /// contains `mbr` contains them all.
+    pub all_valid: bool,
 }
 
 /// The FLAT index over objects of type `T`.
 #[derive(Debug)]
 pub struct FlatIndex<T: RTreeObject> {
     pub(crate) objects: Vec<T>,
+    /// The objects' boxes in `f32`, rounded to nearest and blocked by page
+    /// (layout in `lanes.rs`).
+    pub(crate) lanes: Vec<f32>,
     pub(crate) pages: Vec<FlatPage>,
     /// Adjacency lists of the page neighborhood graph (CSR layout).
     pub(crate) neighbor_offsets: Vec<u32>,
@@ -178,10 +224,11 @@ impl<T: RTreeObject> FlatIndex<T> {
         entries.into_iter().map(|e| e.page).collect()
     }
 
-    /// Rough memory footprint (bytes): objects + page table + adjacency +
-    /// seed tree.
+    /// Rough memory footprint (bytes): objects + their lanes + page table
+    /// (MBR, range and flag per page) + adjacency + seed tree.
     pub fn memory_bytes(&self) -> usize {
         self.objects.capacity() * std::mem::size_of::<T>()
+            + self.lanes.capacity() * std::mem::size_of::<f32>()
             + self.pages.capacity() * std::mem::size_of::<FlatPage>()
             + self.neighbor_ids.capacity() * 4
             + self.neighbor_offsets.capacity() * 4

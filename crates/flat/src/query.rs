@@ -1,7 +1,33 @@
 //! FLAT query phase: seed, then crawl the neighborhood graph.
+//!
+//! Every entry point — the instrumented [`FlatIndex::range_query_sink`]
+//! and its wrappers, the streaming [`FlatIndex::range_query_stream`] and
+//! its — runs one private crawl. They differ in how they reach the seed
+//! tree (its hooked queries, or its allocation-free ones on the scratch)
+//! and in nothing else, so page visits, emission order and every counter
+//! agree by construction.
+//!
+//! A visited page is scanned by the page kernel: if the query contains
+//! the page's MBR (and the page's flag says every box on it is finite and
+//! non-empty) all its objects are emitted untested; otherwise the page's
+//! `f32` lanes are cut, 64 objects at a time, into a `maybe` and a `sure`
+//! bitmask, and only the objects in `maybe` but not in `sure` meet the
+//! exact `aabb().intersects(q)`. Objects reach the sink in slot order
+//! either way. Pages of more than 64 objects are scanned in 64-object
+//! chunks.
+//!
+//! Then the page's links are examined, and each neighbor is *decided
+//! once*: the first link to reach a page tests its MBR and marks the page
+//! whatever the verdict, so a page that misses `q` is not tested again
+//! from every other visited page that links to it (on dense tissue a page
+//! has some 45 neighbors, and most links lead to a page already seen).
+//! Marking a rejected page cannot hide a result: the crawl only follows,
+//! and the re-seed check only admits, pages whose MBR intersects `q`, and
+//! the rejected page's does not.
 
+use crate::lanes::{page_lanes, QueryLanes};
 use crate::stats::{FlatQueryStats, PageAccess};
-use crate::FlatIndex;
+use crate::{FlatIndex, FlatPage};
 use neurospatial_geom::{Aabb, Flow};
 use neurospatial_rtree::{EpochMarks, RTreeObject, TraversalScratch};
 use std::collections::VecDeque;
@@ -53,85 +79,21 @@ impl<T: RTreeObject> FlatIndex<T> {
         (out, stats)
     }
 
-    /// Range query delivering matches straight into `sink` — the
-    /// zero-intermediate form the facade's `SpatialIndex` impl uses to
-    /// collect owned copies in a single pass.
+    /// Range query delivering matches straight into `sink` — the fully
+    /// instrumented form: `on_access` sees every seed-tree node and every
+    /// data page, and the statistics carry the crawl order. The crawl
+    /// state is allocated per call; batches use
+    /// [`range_query_stream`](Self::range_query_stream).
     pub fn range_query_sink<'a, F: FnMut(PageAccess), S: FnMut(&'a T)>(
         &'a self,
         q: &Aabb,
-        mut on_access: F,
+        on_access: F,
         mut sink: S,
     ) -> FlatQueryStats {
-        let mut stats = FlatQueryStats::default();
-        if self.pages.is_empty() {
-            return stats;
-        }
-
-        let mut visited = vec![false; self.pages.len()];
-        let mut queue: VecDeque<u32> = VecDeque::new();
-
-        // --- Seed ---------------------------------------------------------
-        let (seed, seed_stats) = self.seed_tree.first_hit_with(q, |node, level| {
-            on_access(PageAccess::SeedNode(node, level));
-        });
-        stats.seed_nodes_read += seed_stats.nodes_visited();
-        let Some(first) = seed else {
-            // No page MBR intersects q: empty result, proven by the seed
-            // descent alone.
-            return stats;
-        };
-        visited[first.page as usize] = true;
-        queue.push_back(first.page);
-
-        // --- Crawl (with exactness-preserving re-seeding) ------------------
-        loop {
-            while let Some(page) = queue.pop_front() {
-                stats.pages_read += 1;
-                stats.crawl_order.push(page);
-                on_access(PageAccess::Data(page));
-
-                for o in self.page_objects(page) {
-                    stats.objects_tested += 1;
-                    if o.aabb().intersects(q) {
-                        stats.results += 1;
-                        sink(o);
-                    }
-                }
-                for &n in self.neighbors_of(page) {
-                    if visited[n as usize] {
-                        continue;
-                    }
-                    if self.pages[n as usize].mbr.intersects(q) {
-                        visited[n as usize] = true;
-                        queue.push_back(n);
-                    } else {
-                        stats.links_rejected += 1;
-                    }
-                }
-            }
-
-            // Crawl front empty: check for unreached pages intersecting q.
-            // This is the exactness fallback — rare on dense data.
-            let mut reseeded = false;
-            let (candidates, reseed_stats) = self.seed_tree.range_query_with(q, |node, level| {
-                on_access(PageAccess::SeedNode(node, level));
-            });
-            stats.seed_nodes_read += reseed_stats.nodes_visited();
-            for entry in candidates {
-                if !visited[entry.page as usize] {
-                    visited[entry.page as usize] = true;
-                    queue.push_back(entry.page);
-                    reseeded = true;
-                }
-            }
-            if reseeded {
-                stats.reseeds += 1;
-            } else {
-                break;
-            }
-        }
-
-        stats
+        self.crawl(q, &mut FlatScratch::default(), true, on_access, |o| {
+            sink(o);
+            Flow::Emit
+        })
     }
 
     /// Allocation-free seed-and-crawl: the crawl front, visited marks and
@@ -169,6 +131,26 @@ impl<T: RTreeObject> FlatIndex<T> {
         q: &Aabb,
         scratch: &mut FlatScratch,
         mut on_page: F,
+        sink: S,
+    ) -> FlatQueryStats {
+        let on_access = |a| {
+            if let PageAccess::Data(page) = a {
+                on_page(page)
+            }
+        };
+        self.crawl(q, scratch, false, on_access, sink)
+    }
+
+    /// The seed-and-crawl every entry point runs. `trace` selects the
+    /// seed tree's hooked queries (every node reported to `on_access`,
+    /// `crawl_order` recorded) over its allocation-free ones; the page
+    /// visits, tests, emissions and counters do not depend on it.
+    fn crawl<'a, A: FnMut(PageAccess), S: FnMut(&'a T) -> Flow>(
+        &'a self,
+        q: &Aabb,
+        scratch: &mut FlatScratch,
+        trace: bool,
+        mut on_access: A,
         mut sink: S,
     ) -> FlatQueryStats {
         let mut stats = FlatQueryStats::default();
@@ -176,65 +158,122 @@ impl<T: RTreeObject> FlatIndex<T> {
             return stats;
         }
         scratch.begin(self.pages.len());
-        let FlatScratch { queue, visited, seed, .. } = scratch;
+        let FlatScratch { queue, visited, seed } = scratch;
 
         // --- Seed ---------------------------------------------------------
-        let (seed_hit, seed_counters) = self.seed_tree.first_hit_scratch(q, seed);
-        stats.seed_nodes_read += seed_counters.nodes_visited;
-        let Some(first) = seed_hit else {
+        // No page MBR intersecting q is an empty result, proven by the
+        // seed descent alone.
+        let (first, nodes) = if trace {
+            let (hit, s) = self
+                .seed_tree
+                .first_hit_with(q, |node, level| on_access(PageAccess::SeedNode(node, level)));
+            (hit, s.nodes_visited())
+        } else {
+            let (hit, c) = self.seed_tree.first_hit_scratch(q, seed);
+            (hit, c.nodes_visited)
+        };
+        stats.seed_nodes_read += nodes;
+        let Some(first) = first else {
             return stats;
         };
         visited.mark(first.page as usize);
         queue.push_back(first.page);
 
         // --- Crawl (with exactness-preserving re-seeding) ------------------
+        let q_lanes = QueryLanes::new(q);
         loop {
             while let Some(page) = queue.pop_front() {
                 stats.pages_read += 1;
-                on_page(page);
-
-                for o in self.page_objects(page) {
-                    stats.objects_tested += 1;
-                    if o.aabb().intersects(q) {
-                        match sink(o) {
-                            Flow::Emit => stats.results += 1,
-                            Flow::Skip => {}
-                            Flow::Last => {
-                                stats.results += 1;
-                                return stats;
-                            }
+                if trace {
+                    stats.crawl_order.push(page);
+                }
+                on_access(PageAccess::Data(page));
+                if self.scan_page(&self.pages[page as usize], q, &q_lanes, &mut stats, &mut sink) {
+                    return stats;
+                }
+                // Each page's MBR is tested once per query: the mark
+                // remembers a rejection as well as an admission.
+                for &n in self.neighbors_of(page) {
+                    if visited.mark(n as usize) {
+                        if self.pages[n as usize].mbr.intersects(q) {
+                            queue.push_back(n);
+                        } else {
+                            stats.links_rejected += 1;
                         }
                     }
                 }
-                for &n in self.neighbors_of(page) {
-                    if visited.is_marked(n as usize) {
-                        continue;
-                    }
-                    if self.pages[n as usize].mbr.intersects(q) {
-                        visited.mark(n as usize);
-                        queue.push_back(n);
-                    } else {
-                        stats.links_rejected += 1;
-                    }
-                }
             }
 
+            // Crawl front empty: check for unreached pages intersecting q.
+            // This is the exactness fallback — rare on dense data. The
+            // seed tree returns only pages that intersect q, so a page
+            // marked as rejected is never asked about here.
             let mut reseeded = false;
-            let reseed_counters = self.seed_tree.range_query_scratch(q, seed, |entry| {
-                if visited.mark(entry.page as usize) {
-                    queue.push_back(entry.page);
+            let mut admit = |page: u32| {
+                if visited.mark(page as usize) {
+                    queue.push_back(page);
                     reseeded = true;
                 }
-            });
-            stats.seed_nodes_read += reseed_counters.nodes_visited;
-            if reseeded {
-                stats.reseeds += 1;
+            };
+            stats.seed_nodes_read += if trace {
+                let (candidates, s) = self.seed_tree.range_query_with(q, |node, level| {
+                    on_access(PageAccess::SeedNode(node, level))
+                });
+                candidates.iter().for_each(|entry| admit(entry.page));
+                s.nodes_visited()
             } else {
-                break;
+                self.seed_tree.range_query_scratch(q, seed, |entry| admit(entry.page)).nodes_visited
+            };
+            if !reseeded {
+                return stats;
+            }
+            stats.reseeds += 1;
+        }
+    }
+
+    /// Emit the objects of `page` that intersect `q`, in slot order;
+    /// `true` when the sink ended the query. A page wholly inside `q` is
+    /// emitted untested; any other is cut by the lane masks into misses,
+    /// hits and the few the exact test decides (see `lanes.rs`).
+    fn scan_page<'a, S: FnMut(&'a T) -> Flow>(
+        &'a self,
+        page: &FlatPage,
+        q: &Aabb,
+        q_lanes: &QueryLanes,
+        stats: &mut FlatQueryStats,
+        sink: &mut S,
+    ) -> bool {
+        let (start, end) = (page.start as usize, page.end as usize);
+        let objects = &self.objects[start..end];
+        stats.objects_tested += objects.len() as u64;
+        let whole = page.all_valid && q.contains(&page.mbr);
+        let lanes = page_lanes(&self.lanes, start, end);
+        for (chunk, base) in objects.chunks(64).zip((0..).step_by(64)) {
+            let (maybe, sure) = if whole {
+                let all = u64::MAX >> (64 - chunk.len());
+                (all, all)
+            } else {
+                q_lanes.masks(lanes.map(|lane| &lane[base..base + chunk.len()]))
+            };
+            let mut rest = maybe;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let o = &chunk[i];
+                if sure >> i & 1 == 0 && !o.aabb().intersects(q) {
+                    continue;
+                }
+                match sink(o) {
+                    Flow::Emit => stats.results += 1,
+                    Flow::Skip => {}
+                    Flow::Last => {
+                        stats.results += 1;
+                        return true;
+                    }
+                }
             }
         }
-
-        stats
+        false
     }
 }
 
@@ -298,17 +337,8 @@ mod tests {
         // Cluster sizes are exact multiples of the page capacity so no
         // page straddles the gap (a straddling page would bridge the two
         // components through its oversized MBR).
-        let mut objs = Vec::new();
-        for i in 0..512 {
-            objs.push(Aabb::cube(Vec3::new((i % 10) as f64, ((i / 10) % 10) as f64, 0.0), 0.6));
-        }
-        for i in 0..512 {
-            objs.push(Aabb::cube(
-                Vec3::new(1000.0 + (i % 10) as f64, ((i / 10) % 10) as f64, 0.0),
-                0.6,
-            ));
-        }
-        let idx = FlatIndex::build(objs.clone(), FlatBuildParams::default().with_page_capacity(32));
+        let idx =
+            FlatIndex::build(two_clusters(), FlatBuildParams::default().with_page_capacity(32));
         let q = Aabb::new(Vec3::new(-5.0, -5.0, -5.0), Vec3::new(1015.0, 15.0, 5.0));
         let (hits, stats) = idx.range_query(&q);
         assert_eq!(hits.len(), 1024);
@@ -393,23 +423,159 @@ mod tests {
 
     #[test]
     fn scratch_reseeding_still_exact_on_disconnected_data() {
-        let mut objs = Vec::new();
-        for i in 0..512 {
-            objs.push(Aabb::cube(Vec3::new((i % 10) as f64, ((i / 10) % 10) as f64, 0.0), 0.6));
-        }
-        for i in 0..512 {
-            objs.push(Aabb::cube(
-                Vec3::new(1000.0 + (i % 10) as f64, ((i / 10) % 10) as f64, 0.0),
-                0.6,
-            ));
-        }
-        let idx = FlatIndex::build(objs, FlatBuildParams::default().with_page_capacity(32));
+        let idx =
+            FlatIndex::build(two_clusters(), FlatBuildParams::default().with_page_capacity(32));
         let q = Aabb::new(Vec3::new(-5.0, -5.0, -5.0), Vec3::new(1015.0, 15.0, 5.0));
         let mut scratch = FlatScratch::default();
         let mut hits = 0usize;
         let c = idx.range_query_scratch(&q, &mut scratch, |_| {}, |_| hits += 1);
         assert_eq!(hits, 1024);
         assert!(c.reseeds >= 1, "gap must trigger a re-seed on the scratch path too");
+    }
+
+    fn two_clusters() -> Vec<Aabb> {
+        let cluster = |x0: f64| {
+            (0..512).map(move |i| {
+                Aabb::cube(Vec3::new(x0 + (i % 10) as f64, ((i / 10) % 10) as f64, 0.0), 0.6)
+            })
+        };
+        cluster(0.0).chain(cluster(1000.0)).collect()
+    }
+
+    /// Page sequences and counters recorded from the commit before the
+    /// page kernel (23f1a7b): the lanes, whole-page acceptance and the
+    /// decide-once rule change none of them.
+    #[test]
+    fn visit_order_and_counters_equal_the_recorded_ones() {
+        // (query, crawl order, seed nodes, objects tested, results, reseeds)
+        type Golden = (Aabb, &'static [u32], u64, u64, u64, u64);
+        let dense: [Golden; 3] = [
+            (
+                Aabb::cube(Vec3::new(10.0, 10.0, 5.0), 3.0),
+                &[4, 5, 11, 12, 23, 24, 38, 39, 50, 57, 58, 13, 21, 22, 40, 49, 41, 37, 48],
+                2,
+                1216,
+                343,
+                0,
+            ),
+            (
+                Aabb::cube(Vec3::new(8.0, 8.0, 4.0), 5.0),
+                &[
+                    0, 1, 2, 3, 4, 5, 6, 7, 23, 24, 25, 30, 31, 38, 57, 58, 59, 60, 8, 11, 12, 15,
+                    50, 51, 16, 39, 10, 14, 13, 17, 21, 22, 29, 40, 41, 49, 32, 37, 9, 52, 48,
+                ],
+                2,
+                2624,
+                1210,
+                0,
+            ),
+            (Aabb::cube(Vec3::ZERO, 1.0), &[0], 2, 64, 8, 0),
+        ];
+        let two: [Golden; 2] = [
+            (
+                Aabb::new(Vec3::new(-5.0, -5.0, -5.0), Vec3::new(1015.0, 15.0, 5.0)),
+                &[
+                    0, 1, 2, 3, 8, 9, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                    22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+                ],
+                3,
+                1024,
+                1024,
+                1,
+            ),
+            (
+                Aabb::new(Vec3::new(2.0, 2.0, -1.0), Vec3::new(1004.0, 6.0, 1.0)),
+                &[0, 1, 2, 3, 8, 9, 4, 10, 11, 20, 21, 22, 23, 27, 28, 29, 30, 31],
+                3,
+                576,
+                325,
+                1,
+            ),
+        ];
+        let fixtures = [
+            (
+                FlatIndex::build(
+                    dense_cloud(4000),
+                    FlatBuildParams::default().with_page_capacity(64),
+                ),
+                &dense[..],
+            ),
+            (
+                FlatIndex::build(two_clusters(), FlatBuildParams::default().with_page_capacity(32)),
+                &two[..],
+            ),
+        ];
+        let mut scratch = FlatScratch::default();
+        for (idx, golden) in &fixtures {
+            for (q, order, seed_nodes, tested, results, reseeds) in *golden {
+                let (_, traced) = idx.range_query(q);
+                let mut pages = Vec::new();
+                let streamed = idx.range_query_scratch(q, &mut scratch, |p| pages.push(p), |_| {});
+                assert_eq!(&traced.crawl_order, order, "at {q}");
+                assert_eq!(&pages, order, "at {q}");
+                for s in [&traced, &streamed] {
+                    assert_eq!(
+                        (s.pages_read, s.seed_nodes_read, s.objects_tested, s.results, s.reseeds),
+                        (order.len() as u64, *seed_nodes, *tested, *results, *reseeds),
+                        "at {q}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_page_mbr_is_decided_once_per_query() {
+        let dense =
+            FlatIndex::build(dense_cloud(4000), FlatBuildParams::default().with_page_capacity(64));
+        let two =
+            FlatIndex::build(two_clusters(), FlatBuildParams::default().with_page_capacity(32));
+        let (mut links, mut pages) = (0, 0);
+        for (idx, q) in [
+            (&dense, Aabb::cube(Vec3::new(10.0, 10.0, 5.0), 3.0)),
+            (&dense, Aabb::cube(Vec3::new(8.0, 8.0, 4.0), 5.0)),
+            (&two, Aabb::new(Vec3::new(2.0, 2.0, -1.0), Vec3::new(1004.0, 6.0, 1.0))),
+        ] {
+            let (_, stats) = idx.range_query(&q);
+            // Links from visited pages to pages that miss q, and the
+            // distinct pages at their far ends.
+            let misses: Vec<u32> = stats
+                .crawl_order
+                .iter()
+                .flat_map(|&p| idx.neighbors_of(p))
+                .copied()
+                .filter(|&n| !idx.page_mbr(n).intersects(&q))
+                .collect();
+            let mut distinct = misses.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(stats.links_rejected as usize, distinct.len(), "at {q}");
+            links += misses.len();
+            pages += distinct.len();
+        }
+        assert!(pages < links, "the fixtures must reach some rejected page twice");
+    }
+
+    #[test]
+    fn pages_with_unbounded_boxes_are_never_accepted_whole() {
+        // An empty box and a NaN box match no query, and no MBR bounds
+        // them: a query containing every page MBR must still leave them
+        // out, on whichever page the sort put them.
+        let mut objs = dense_cloud(300);
+        let nan = Aabb { lo: Vec3::new(f64::NAN, 1.0, 1.0), hi: Vec3::splat(2.0) };
+        objs.extend([Aabb::EMPTY, nan]);
+        for cap in [16, 64, 128] {
+            let idx =
+                FlatIndex::build(objs.clone(), FlatBuildParams::default().with_page_capacity(cap));
+            let flagged = idx.pages.iter().filter(|p| !p.all_valid).count();
+            assert!((1..=2).contains(&flagged), "cap {cap}: {flagged} pages hold the two");
+            let everything = Aabb::new(Vec3::splat(-1e6), Vec3::splat(1e6));
+            assert!(idx.pages.iter().all(|p| everything.contains(&p.mbr)));
+            let (hits, stats) = idx.range_query(&everything);
+            assert_eq!(hits.len(), 300, "cap {cap}");
+            assert!(hits.iter().all(|o| o.is_valid()));
+            assert_eq!(stats.objects_tested, 302, "cap {cap}");
+        }
     }
 
     #[test]

@@ -30,15 +30,19 @@ pub struct FlatQueryStats {
     pub seed_nodes_read: u64,
     /// Data pages read (each page at most once per query).
     pub pages_read: u64,
-    /// Objects compared against the query box.
+    /// Objects on the pages read: every one is decided against the query
+    /// box, those of a page accepted whole by the page's MBR alone (so
+    /// `results <= objects_tested` always).
     pub objects_tested: u64,
     /// Objects returned.
     pub results: u64,
     /// Times the crawl front emptied and the executor had to re-seed
     /// (0 on well-connected dense data).
     pub reseeds: u64,
-    /// Pages the crawl *examined* via links but skipped because their MBR
-    /// missed the query (the crawl's only overhead).
+    /// Distinct pages the crawl examined through a link and rejected
+    /// because their MBR missed the query (the crawl's only overhead). A
+    /// page is examined once per query however many visited pages link
+    /// to it.
     pub links_rejected: u64,
     /// Data pages in visit order — the demo's Figure 4 crawl animation.
     pub crawl_order: Vec<u32>,

@@ -13,13 +13,21 @@
 //! The paged engine replays FLAT's seed-and-crawl *exactly*: the seed
 //! tree is rebuilt from the persisted page MBRs with the persisted
 //! fan-out (bit-identical input ⇒ identical STR structure ⇒ identical
-//! descent), and the crawl follows the persisted CSR in the same order.
-//! Results, emission order and the logical query statistics
-//! (`seed_nodes_read`, `pages_read`, `objects_tested`, `results`,
-//! `links_rejected`, `reseeds`) are byte-identical to the in-memory
-//! index the file was written from — the property
-//! `tests/ooc_equivalence.rs` proves under proptest. What differs is
-//! the [`OocIoTrace`]: cache hits, misses and real wall-clock stall.
+//! descent), and the crawl follows the persisted CSR in the same order
+//! under the same two rules: a page whose MBR lies wholly inside the
+//! query is emitted without testing its objects, and a neighbour page's
+//! MBR is tested the first time a link reaches it and the verdict kept,
+//! rejection included, for the rest of the query. (Other pages are
+//! decoded and tested object by object; the `f32` lanes of the in-memory
+//! index are not persisted.) Results, emission order and the logical
+//! query statistics are byte-identical to the in-memory index the file
+//! was written from — the property `tests/ooc_equivalence.rs` proves
+//! under proptest — and mean the same: `objects_tested` counts the
+//! objects on the pages read, accepted pages included, and
+//! `links_rejected` the distinct pages examined through a link and
+//! rejected; `seed_nodes_read`, `pages_read`, `results` and `reseeds`
+//! are what they say. What differs is the [`OocIoTrace`]: cache hits,
+//! misses and real wall-clock stall.
 //!
 //! ## Real background prefetching
 //!
@@ -900,9 +908,14 @@ impl OocFlatIndex {
                     segs.clear();
                 }
 
+                // A decoded page is scanned object by object (there are
+                // no lanes on disk), but a page wholly inside `q` is
+                // emitted untested as in memory: every decoded box is
+                // finite and non-empty, so `q` contains it.
+                let whole = q.contains(&self.page_mbrs[page as usize]);
+                stats.flat.objects_tested += segs.len() as u64;
                 for o in segs.iter() {
-                    stats.flat.objects_tested += 1;
-                    if o.aabb().intersects(q) {
+                    if whole || o.aabb().intersects(q) {
                         match sink(o) {
                             Flow::Emit => stats.flat.results += 1,
                             Flow::Skip => {}
@@ -913,17 +926,17 @@ impl OocFlatIndex {
                         }
                     }
                 }
+                // Each page's MBR is tested once per query: the mark
+                // remembers a rejection as well as an admission.
                 frontier.clear();
                 for &n in self.neighbors_of(page) {
-                    if visited.is_marked(n as usize) {
-                        continue;
-                    }
-                    if self.page_mbrs[n as usize].intersects(q) {
-                        visited.mark(n as usize);
-                        queue.push_back(n);
-                        frontier.push(n);
-                    } else {
-                        stats.flat.links_rejected += 1;
+                    if visited.mark(n as usize) {
+                        if self.page_mbrs[n as usize].intersects(q) {
+                            queue.push_back(n);
+                            frontier.push(n);
+                        } else {
+                            stats.flat.links_rejected += 1;
+                        }
                     }
                 }
                 // Crawl-frontier prefetch: the pages just admitted to the
@@ -1051,10 +1064,16 @@ impl OocCursor<'_> {
         let mut prefetched = 0;
         if let Some(handle) = &self.index.prefetch {
             let page_count = self.index.page_count();
-            // `visited` still holds the marks of the pages this step
-            // read, so marking a planned page tells both whether the
-            // step read it and whether the plan already has it.
+            // Mark the pages this step read, so that marking a planned
+            // page tells both whether the step read it and whether the
+            // plan already has it. (The crawl's own marks will not do:
+            // they also cover the neighbours it rejected, which are the
+            // pages a plan is most likely to want.)
             let OocScratch { visited, seed, frontier, .. } = &mut self.scratch;
+            visited.begin(page_count);
+            for &p in &self.pages_read {
+                visited.mark(p as usize);
+            }
             let pages = &mut self.plan_pages;
             pages.clear();
             let mut accept = |candidates: &[u32]| {

@@ -74,8 +74,88 @@ fn query_box() -> impl Strategy<Value = Aabb> {
         .prop_map(|((x, y, z), r)| Aabb::cube(Vec3::new(x, y, z), r))
 }
 
+/// Capsules on the lattice `(k·0.1 + j·1e-9)·scale` — the data of the
+/// FLAT page kernel's own proptest (`crates/flat/tests/proptests.rs`):
+/// coordinates `f32` cannot represent, faces that coincide exactly,
+/// zero-extent boxes, negative values, scales from 1e-3 to beyond
+/// `f32::MAX`.
+fn lattice_segments() -> impl Strategy<Value = Vec<NeuronSegment>> {
+    let coord = || (-40i32..40, 0u32..3);
+    let one = ((coord(), coord(), coord()), (0u32..4, 0u32..4, 0u32..4), 0u32..3);
+    (prop::collection::vec(one, 1..400), 0usize..5).prop_map(|(cells, scale)| {
+        let scale = [1e-3, 1.0, 1e3, 1e7, 1e38][scale];
+        let at = |(k, j): (i32, u32)| (f64::from(k) * 0.1 + f64::from(j) * 1e-9) * scale;
+        cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, ((x, y, z), (ex, ey, ez), r))| {
+                let p0 = Vec3::new(at(x), at(y), at(z));
+                let step = 0.1 * scale;
+                let ext = Vec3::new(f64::from(ex), f64::from(ey), f64::from(ez)) * step;
+                NeuronSegment {
+                    id: i as u64,
+                    neuron: (i % 7) as u32,
+                    section: 0,
+                    index_on_section: i as u32,
+                    geom: Segment::new(p0, p0 + ext, f64::from(r) * step),
+                }
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernel's rounding cases through the facade, on the backends
+    /// that run it: FLAT, and sharded FLAT at 2 and 3 shards. Queries
+    /// touch object faces exactly, sit one `f64` ulp and one `f32` step
+    /// either side of them, or have infinite faces.
+    #[test]
+    fn flat_and_sharded_flat_agree_with_scan_on_rounding_cases(
+        segments in lattice_segments(),
+        cap in 0usize..6,
+        picks in prop::collection::vec(0usize..10_000, 2..9),
+    ) {
+        let cap = [1, 63, 64, 65, 128, 200][cap];
+        let inf = Vec3::splat(f64::INFINITY);
+        let nudged = |b: &Aabb, f: fn(f64) -> f64, g: fn(f64) -> f64| Aabb {
+            lo: Vec3::new(f(b.lo.x), f(b.lo.y), f(b.lo.z)),
+            hi: Vec3::new(g(b.hi.x), g(b.hi.y), g(b.hi.z)),
+        };
+        let f32_up = |x: f64| f64::from((x as f32).next_up());
+        let f32_down = |x: f64| f64::from((x as f32).next_down());
+        let mut queries = vec![Aabb { lo: -inf, hi: inf }, Aabb { lo: Vec3::ZERO, hi: inf }];
+        for pair in picks.chunks(2) {
+            let a = segments[pair[0] % segments.len()].aabb();
+            let b = segments[pair[pair.len() - 1] % segments.len()].aabb();
+            let u = a.union(&b);
+            queries.extend([
+                Aabb::new(a.hi, b.lo),
+                Aabb { lo: a.lo, hi: inf },
+                u,
+                nudged(&u, f64::next_up, f64::next_down),
+                nudged(&u, f64::next_down, f64::next_up),
+                nudged(&u, f32_up, f32_down),
+                nudged(&u, f32_down, f32_up),
+            ]);
+        }
+        let params = IndexParams::with_page_capacity(cap).threaded(2);
+        let flat = IndexBackend::Flat;
+        let indexes = [
+            ("flat", flat.build(segments.clone(), &params)),
+            ("sharded:flat/2", flat.build_sharded(segments.clone(), &params.sharded(2))),
+            ("sharded:flat/3", flat.build_sharded(segments.clone(), &params.sharded(3))),
+        ];
+        for q in &queries {
+            let want = scan_ids(&segments, q);
+            for (name, index) in &indexes {
+                let out = index.range_query(q);
+                prop_assert_eq!(out.sorted_ids(), want.clone(), "{} at {} (cap {})", name, q, cap);
+                prop_assert_eq!(out.stats.results as usize, want.len(), "{} stats", name);
+            }
+        }
+    }
 
     #[test]
     fn backends_agree_on_random_soups(
