@@ -1821,6 +1821,8 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
         reads: u64,
         base_exact: bool,
         expect_live: Vec<u64>,
+        /// The most generations any reader saw alive at once.
+        generations_max: u64,
     }
     let out = db.with_ingest_maintenance(Duration::from_millis(1), |db| {
         let stop = AtomicBool::new(false);
@@ -1829,7 +1831,7 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
             for _ in 0..readers.max(1) {
                 handles.push(scope.spawn(|| {
                     let mut lat = Vec::new();
-                    let (mut reads, mut exact) = (0u64, true);
+                    let (mut reads, mut exact, mut generations) = (0u64, true, 0u64);
                     while !stop.load(Ordering::Acquire) {
                         let t = Instant::now();
                         let got = db.range_query(&base_region).sorted_ids();
@@ -1839,8 +1841,10 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
                         db.range_query(&band_region);
                         lat.push(t.elapsed().as_secs_f64() * 1e3);
                         reads += 2;
+                        generations =
+                            generations.max(db.wal_health().expect("live").generations_alive);
                     }
-                    (lat, reads, exact)
+                    (lat, reads, exact, generations)
                 }));
             }
 
@@ -1867,14 +1871,25 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
             stop.store(true, Ordering::Release);
 
             let (mut read_ms, mut reads, mut base_exact) = (Vec::new(), 0u64, true);
+            let mut generations_max = 0;
             for h in handles {
-                let (lat, r, exact) = h.join().expect("reader");
+                let (lat, r, exact, generations) = h.join().expect("reader");
                 read_ms.extend(lat);
                 reads += r;
                 base_exact &= exact;
+                generations_max = generations_max.max(generations);
             }
             live.sort_unstable();
-            Ingest { acks: writes, ack_ms, write_s, read_ms, reads, base_exact, expect_live: live }
+            Ingest {
+                acks: writes,
+                ack_ms,
+                write_s,
+                read_ms,
+                reads,
+                base_exact,
+                expect_live: live,
+                generations_max,
+            }
         })
     });
 
@@ -1886,6 +1901,11 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
     band_ids.retain(|id| *id >= 10_000_000);
     let final_exact =
         band_ids == out.expect_live && db.range_query(&base_region).sorted_ids() == base_truth;
+    // At rest only the current generation is left, whatever `swaps` was;
+    // under load it is that, the one being built, and one per reader.
+    let generations_end = db.wal_health().expect("live").generations_alive;
+    let generations_max = out.generations_max;
+    let generations_bound = readers.max(1) as u64 + 2;
     std::fs::remove_file(&wal).ok();
 
     let pct = |v: &mut Vec<f64>, p: f64| {
@@ -1909,6 +1929,8 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
         "query p99 ms",
         "reads",
         "swaps",
+        "gens max",
+        "gens end",
         "base exact",
         "final exact",
     ]);
@@ -1920,6 +1942,8 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
         format!("{q_p99:.4}"),
         out.reads.to_string(),
         swaps.to_string(),
+        generations_max.to_string(),
+        generations_end.to_string(),
         out.base_exact.to_string(),
         final_exact.to_string(),
     ]);
@@ -1931,7 +1955,9 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
             "  \"readers\": {},\n  \"refreeze_threshold\": {},\n  \"seed\": {},\n",
             "  \"writes_per_sec\": {:.1},\n  \"ack_p50_ms\": {:.4},\n  \"ack_p99_ms\": {:.4},\n",
             "  \"query_p50_ms\": {:.4},\n  \"query_p99_ms\": {:.4},\n  \"reads\": {},\n",
-            "  \"swaps\": {},\n  \"base_reads_exact\": {},\n  \"final_exact\": {}\n}}\n"
+            "  \"swaps\": {},\n  \"generations_alive_max\": {},\n",
+            "  \"generations_alive_end\": {},\n  \"base_reads_exact\": {},\n",
+            "  \"final_exact\": {}\n}}\n"
         ),
         base_len,
         out.acks,
@@ -1945,6 +1971,8 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
         q_p99,
         out.reads,
         swaps,
+        generations_max,
+        generations_end,
         out.base_exact,
         final_exact,
     );
@@ -1954,13 +1982,22 @@ fn ingest_bench(n: usize, writes: usize, readers: usize, seed: u64, out_path: &s
     println!(
         "\nshape check: {swaps} background swaps (acceptance: >= 1), base-region reads \
          byte-identical across swaps: {}, final state exact: {final_exact}, query p99 \
-         {q_p99:.3} ms (acceptance: < 100 ms).",
+         {q_p99:.3} ms (acceptance: < 100 ms), generations alive at most {generations_max} \
+         (acceptance: <= {generations_bound}) and {generations_end} at the end (acceptance: 1).",
         out.base_exact
     );
-    if strict && (swaps < 1 || !out.base_exact || !final_exact || q_p99 >= 100.0) {
+    if strict
+        && (swaps < 1
+            || !out.base_exact
+            || !final_exact
+            || q_p99 >= 100.0
+            || generations_end != 1
+            || generations_max > generations_bound)
+    {
         eprintln!(
             "ingest --strict: acceptance bar FAILED (swaps {swaps}, base_exact {}, \
-             final_exact {final_exact}, query p99 {q_p99:.3} ms)",
+             final_exact {final_exact}, query p99 {q_p99:.3} ms, generations alive max \
+             {generations_max} end {generations_end})",
             out.base_exact
         );
         std::process::exit(1);

@@ -8,9 +8,7 @@
 
 use crate::delta::{self, DeltaBuffer, WriteOp};
 use crate::error::NeuroError;
-use crate::index::{
-    IndexBackend, IndexParams, Neighbor, QueryOutput, QueryScratch, QueryStats, SpatialIndex,
-};
+use crate::index::{IndexBackend, IndexParams, Neighbor, QueryOutput, QueryStats, SpatialIndex};
 use crate::paged::PagedFlatIndex;
 use crate::query::Query;
 use crate::shard::ShardedIndex;
@@ -643,12 +641,99 @@ enum DbIndex {
     Live(Box<LiveCore>),
 }
 
+/// What a reader traverses: a frozen database's index is a plain borrow
+/// for the database's lifetime; a live database's is whichever
+/// generation the swap holds when the reader loads it.
+enum IndexView<'a> {
+    Frozen(&'a (dyn SpatialIndex + 'static)),
+    Live(&'a LiveCore),
+}
+
+impl DbIndex {
+    // Never inlined: the `&I` → `&dyn SpatialIndex` coercions below are
+    // what instantiates each backend's vtable and every method behind
+    // it. Inlined into a generic caller that a downstream crate
+    // instantiates (`index_as::<T>`), they are all instantiated again
+    // there: +245 KB in the server crate's rlib, +117 KB of text in the
+    // benchmark binary, and different inlining in code this does not
+    // touch.
+    #[inline(never)]
+    fn view(&self) -> IndexView<'_> {
+        match self {
+            DbIndex::Flat(session) => IndexView::Frozen(session.index()),
+            DbIndex::ShardedFlat(session) => IndexView::Frozen(session.index()),
+            DbIndex::Paged(paged) => IndexView::Frozen(paged.as_ref()),
+            DbIndex::Boxed(b) => IndexView::Frozen(b.as_ref()),
+            DbIndex::Live(core) => IndexView::Live(core),
+        }
+    }
+}
+
+/// The index of a [`NeuroDb`], as [`NeuroDb::index`] hands it out;
+/// dereferences to [`dyn SpatialIndex`](SpatialIndex).
+///
+/// On a frozen database this is a borrow of the one index the database
+/// owns. On a live database it pins the generation that was current
+/// when `index()` was called: the guard keeps answering from that
+/// snapshot however many re-freezes run meanwhile, and the generation is
+/// freed when the guard drops if a swap has replaced it by then. Hold a
+/// guard for one piece of work, not for the database's lifetime: each
+/// one held across a swap keeps a whole index resident.
+pub struct IndexRef<'a>(Pinned<'a>);
+
+enum Pinned<'a> {
+    Frozen(&'a (dyn SpatialIndex + 'static)),
+    Live(Arc<LiveGen>),
+}
+
+impl std::ops::Deref for IndexRef<'_> {
+    type Target = dyn SpatialIndex;
+
+    fn deref(&self) -> &Self::Target {
+        match &self.0 {
+            Pinned::Frozen(index) => *index,
+            Pinned::Live(gen) => gen.index.as_ref(),
+        }
+    }
+}
+
 /// One frozen generation of a live database: the immutable index plus
 /// the exact segment list it was built from (the refreeze clones this
 /// list, replays the delta over it and builds the next generation).
+///
+/// A generation lives in an `Arc` and nowhere else: [`LiveCore::gen`]
+/// holds the current one, a reader holds the one it loaded, and the last
+/// of them to let go frees it. `alive` counts the generations not yet
+/// freed ([`WalHealth::generations_alive`]).
 struct LiveGen {
     index: Box<dyn SpatialIndex>,
     segments: Vec<NeuronSegment>,
+    alive: Arc<AtomicU64>,
+}
+
+impl LiveGen {
+    fn build(
+        segments: Vec<NeuronSegment>,
+        backend: IndexBackend,
+        params: &IndexParams,
+        alive: &Arc<AtomicU64>,
+    ) -> Arc<Self> {
+        let index = if params.shards > 1 {
+            backend.build_sharded(segments.clone(), params)
+        } else {
+            backend.build(segments.clone(), params)
+        };
+        alive.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::generations_alive().add(1);
+        Arc::new(LiveGen { index, segments, alive: Arc::clone(alive) })
+    }
+}
+
+impl Drop for LiveGen {
+    fn drop(&mut self) {
+        self.alive.fetch_sub(1, Ordering::Relaxed);
+        crate::metrics::generations_alive().add(-1);
+    }
 }
 
 /// Writer-side state of a live database, all behind one mutex so writes
@@ -670,23 +755,24 @@ struct LiveRecovery {
 /// The live-ingest engine: a frozen base generation behind an atomic
 /// [`Swap`], a mutable [`DeltaBuffer`] overlay, and the WAL writer.
 ///
-/// Lock ordering (deadlock freedom): `writer` → `delta.write()` →
-/// `retired`; the generation swap's internal mutex is leaf-level.
-/// Queries take only `delta.read()` → `gen.load()`, which is coherent
-/// because a refreeze installs the new generation *and* clears the
-/// delta while holding `delta.write()` — a reader sees either (old gen,
-/// old delta) or (new gen, empty delta), never a mix.
+/// Lock ordering (deadlock freedom): `writer` → `delta.write()`; the
+/// generation swap's internal mutex is leaf-level. Queries take only
+/// `delta.read()` → `gen.load()`, which is coherent because a refreeze
+/// installs the new generation *and* clears the delta while holding
+/// `delta.write()` — a reader sees either (old gen, old delta) or
+/// (new gen, empty delta), never a mix.
+///
+/// `gen` is the only owner of a generation besides the readers that
+/// loaded it, so a live database at rest holds exactly one.
 struct LiveCore {
     gen: Swap<LiveGen>,
-    /// Every generation ever installed, append-only, kept alive for the
-    /// database's lifetime — the invariant `index()`'s unsafe lifetime
-    /// extension rests on. Bounded by the number of refreezes.
-    retired: Mutex<Vec<Arc<LiveGen>>>,
+    /// Generations built and not yet freed; every [`LiveGen`] of this
+    /// database shares it.
+    generations_alive: Arc<AtomicU64>,
     delta: RwLock<DeltaBuffer>,
     writer: Mutex<LiveWriter>,
     backend: IndexBackend,
     params: IndexParams,
-    sharded: bool,
     threshold: usize,
     last_lsn: AtomicU64,
     wal_bytes: AtomicU64,
@@ -705,23 +791,17 @@ impl LiveCore {
         params: &IndexParams,
         threshold: usize,
     ) -> Self {
-        let sharded = params.shards > 1;
-        let index = if sharded {
-            backend.build_sharded(segments.clone(), params)
-        } else {
-            backend.build(segments.clone(), params)
-        };
         let ids: HashSet<u64> = segments.iter().map(|s| s.id).collect();
-        let cell = Self::delta_cell(index.bounds());
-        let first = Arc::new(LiveGen { index, segments });
+        let generations_alive = Arc::new(AtomicU64::new(0));
+        let first = LiveGen::build(segments, backend, params, &generations_alive);
+        let cell = Self::delta_cell(first.index.bounds());
         let core = LiveCore {
-            gen: Swap::new(Arc::clone(&first)),
-            retired: Mutex::new(vec![first]),
+            gen: Swap::new(first),
+            generations_alive,
             delta: RwLock::new(DeltaBuffer::new(cell)),
             writer: Mutex::new(LiveWriter { wal, ids }),
             backend,
             params: *params,
-            sharded,
             threshold,
             last_lsn: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -796,6 +876,10 @@ pub struct WalHealth {
     pub recovered_torn_tail: bool,
     /// Checkpoints written over the WAL's lifetime.
     pub checkpoints: u64,
+    /// Frozen generations built and not yet freed: the current one, the
+    /// one a refreeze is building, and any a reader still holds. 1 at
+    /// rest, however many swaps the database has been through.
+    pub generations_alive: u64,
 }
 
 /// A spatial database over one set of neuron segments.
@@ -852,13 +936,13 @@ impl NeuroDb {
     /// Number of indexed segments. Live databases count the frozen base
     /// plus the net effect of buffered writes.
     pub fn len(&self) -> usize {
-        match &self.index {
-            DbIndex::Live(core) => {
+        match self.index.view() {
+            IndexView::Live(core) => {
                 let d = core.read_delta();
                 let base = core.gen.load().index.len() as isize;
                 (base + d.net_len_delta()).max(0) as usize
             }
-            _ => self.index().len(),
+            IndexView::Frozen(index) => index.len(),
         }
     }
 
@@ -872,34 +956,23 @@ impl NeuroDb {
     }
 
     /// The underlying index, backend-agnostic. For live databases this
-    /// is the current *frozen base generation* — it excludes writes
-    /// still buffered in the delta (queries through
-    /// [`query`](Self::query) merge both tiers).
-    pub fn index(&self) -> &dyn SpatialIndex {
-        match &self.index {
-            DbIndex::Flat(session) => session.index(),
-            DbIndex::ShardedFlat(session) => session.index(),
-            DbIndex::Paged(paged) => paged.as_ref(),
-            DbIndex::Boxed(b) => b.as_ref(),
-            DbIndex::Live(core) => {
-                let gen = core.gen.load();
-                let ptr: *const dyn SpatialIndex = gen.index.as_ref();
-                // SAFETY: every generation `Arc` ever installed in
-                // `core.gen` (including the initial one) is also pushed
-                // into `core.retired`, which is append-only and dropped
-                // only when `self` drops. The boxed index therefore
-                // lives at a stable heap address for at least `&self`'s
-                // lifetime, even after later swaps retire this
-                // generation from the hot path.
-                unsafe { &*ptr }
-            }
-        }
+    /// is the *frozen base generation* current at the time of the call —
+    /// it excludes writes still buffered in the delta (queries through
+    /// [`query`](Self::query) merge both tiers), and the returned
+    /// [`IndexRef`] keeps that generation alive, and keeps answering from
+    /// it, until the guard is dropped. Nothing else retains a replaced
+    /// generation: it is freed with its last guard or in-flight query.
+    pub fn index(&self) -> IndexRef<'_> {
+        IndexRef(match self.index.view() {
+            IndexView::Frozen(index) => Pinned::Frozen(index),
+            IndexView::Live(core) => Pinned::Live(core.gen.load()),
+        })
     }
 
     /// The out-of-core FLAT engine, if this database was built with
     /// [`NeuroDbBuilder::paged`] — frame-pool counters, page-file path,
-    /// prefetcher state. `None` for in-memory databases. Sugar for
-    /// [`index_as`](Self::index_as).
+    /// prefetcher state. `None` for in-memory and live databases. Sugar
+    /// for [`index_as`](Self::index_as).
     pub fn paged_index(&self) -> Option<&PagedFlatIndex> {
         self.index_as::<PagedFlatIndex>()
     }
@@ -917,15 +990,22 @@ impl NeuroDb {
     /// assert!(rplus.replication_factor() >= 1.0);
     /// assert!(db.index_as::<FlatIndex<NeuronSegment>>().is_none());
     /// ```
+    ///
+    /// `None` on a live database, whatever its backend: a plain borrow
+    /// cannot outlive the next re-freeze. Use [`index`](Self::index),
+    /// whose guard pins the generation it was taken from.
     pub fn index_as<T: SpatialIndex>(&self) -> Option<&T> {
-        self.index().as_any().downcast_ref::<T>()
+        match self.index.view() {
+            IndexView::Frozen(index) => index.as_any().downcast_ref::<T>(),
+            IndexView::Live(_) => None,
+        }
     }
 
     /// The FLAT index, if this database uses the **monolithic** FLAT
     /// backend (page-level statistics, neighborhood graph inspection).
     /// `None` for every other backend, including sharded FLAT — its
-    /// pages are spread over shard-local indexes. Sugar for
-    /// [`index_as`](Self::index_as).
+    /// pages are spread over shard-local indexes — and for live
+    /// databases. Sugar for [`index_as`](Self::index_as).
     pub fn flat_index(&self) -> Option<&FlatIndex<NeuronSegment>> {
         self.index_as::<FlatIndex<NeuronSegment>>()
     }
@@ -942,14 +1022,14 @@ impl NeuroDb {
     /// Bounding box of the indexed data. Live databases grow the box to
     /// cover buffered delta inserts as well.
     pub fn bounds(&self) -> Aabb {
-        match &self.index {
-            DbIndex::Live(core) => {
+        match self.index.view() {
+            IndexView::Live(core) => {
                 let d = core.read_delta();
                 let mut b = core.gen.load().index.bounds();
                 d.for_each(|s| b = b.union(&s.aabb()));
                 b
             }
-            _ => self.index().bounds(),
+            IndexView::Frozen(index) => index.bounds(),
         }
     }
 
@@ -981,28 +1061,6 @@ impl NeuroDb {
     /// in `tests/query_api_equivalence.rs`).
     pub fn range_query(&self, region: &Aabb) -> QueryOutput {
         self.query().range(*region).collect().expect("no population constraint to fail")
-    }
-
-    /// Execute a batch of range queries (one output per region). On a
-    /// sharded database the batch fans out over the worker pool (one
-    /// reused [`QueryScratch`] per worker); monolithic databases reuse
-    /// one scratch across the whole batch — either way, per-query
-    /// traversal state is not re-allocated query by query.
-    pub fn range_query_many(&self, regions: &[Aabb]) -> Vec<QueryOutput> {
-        self.index().range_query_many(regions)
-    }
-
-    /// Allocation-free range query for hot serving loops: results append
-    /// to `out`, per-query working state lives in the caller's `scratch`
-    /// (reused across calls). Identical results and statistics to
-    /// [`range_query`](Self::range_query).
-    pub fn range_query_into_scratch(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        self.index().range_query_into_scratch(region, scratch, out)
     }
 
     /// The `k` segments nearest to `p`, in canonical (distance, id)
@@ -1108,10 +1166,15 @@ impl NeuroDb {
 
     /// Fold the delta into a fresh frozen index, atomically swap it in,
     /// and checkpoint the WAL (bounding future replay to writes newer
-    /// than this call). Queries in flight keep their old snapshot;
-    /// concurrent writes block only for the swap itself, not the index
-    /// build. Returns the new generation epoch; a no-op (empty delta)
-    /// returns the current epoch.
+    /// than this call). Queries are never blocked by the build; the swap
+    /// itself waits for those in flight (they hold the delta read
+    /// lock), and the replaced generation is freed right after it,
+    /// outside that lock, unless an [`IndexRef`] still pins it.
+    /// Concurrent *writes* wait for the whole refreeze — segment clone,
+    /// index build, swap and checkpoint all run under the writer lock
+    /// (`core.refreeze_stall_ms_per_swap` in the reference benchmark).
+    /// Returns the new generation epoch; a no-op (empty delta) returns
+    /// the current epoch.
     ///
     /// A crash *during* the checkpoint leaves the previous WAL intact
     /// (the checkpoint replaces the file atomically), so recovery
@@ -1122,33 +1185,31 @@ impl NeuroDb {
             _ => return Err(NeuroError::WriteUnsupported),
         };
         // Holding the writer lock for the whole refreeze serializes it
-        // against writes *and* other refreezes; the delta cannot change
-        // underneath the rebuild.
+        // against writes *and* other refreezes; neither the delta nor
+        // the current generation can change underneath the rebuild.
         let mut writer = core.lock_writer();
-        let (base, ops) = {
+        let ops = {
             let d = core.read_delta();
             if d.is_empty() {
                 return Ok(core.gen.epoch());
             }
-            (core.gen.load(), d.ops().to_vec())
+            d.ops().to_vec()
         };
-        let mut segments = base.segments.clone();
+        let mut segments = core.gen.load().segments.clone();
         delta::apply_ops(&mut segments, &ops);
-        let index = if core.sharded {
-            core.backend.build_sharded(segments.clone(), &core.params)
-        } else {
-            core.backend.build(segments.clone(), &core.params)
-        };
-        let next = Arc::new(LiveGen { index, segments });
-        {
+        let next = LiveGen::build(segments, core.backend, &core.params, &core.generations_alive);
+        let replaced = {
             // Install + clear under the delta write lock so readers see
             // either (old gen, old delta) or (new gen, empty delta).
             let mut d = core.write_delta();
-            core.retired.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::clone(&next));
-            core.gen.store(Arc::clone(&next));
+            let replaced = core.gen.store(Arc::clone(&next));
             d.clear();
             core.pending_ops.store(0, Ordering::Relaxed);
-        }
+            replaced
+        };
+        // Freed here (unless a reader still holds it), not inside the
+        // scope above: no reader should wait on the delta lock for it.
+        drop(replaced);
         writer.wal.checkpoint(&delta::encode_snapshot(&next.segments))?;
         core.wal_bytes.store(writer.wal.bytes(), Ordering::Relaxed);
         core.checkpoints.store(writer.wal.checkpoints(), Ordering::Relaxed);
@@ -1206,6 +1267,7 @@ impl NeuroDb {
                 replayed_ops: core.replayed_ops,
                 recovered_torn_tail: core.recovered_torn_tail,
                 checkpoints: core.checkpoints.load(Ordering::Relaxed),
+                generations_alive: core.generations_alive.load(Ordering::Relaxed),
             }),
             _ => None,
         }
@@ -1215,18 +1277,21 @@ impl NeuroDb {
     /// query engine's entry point. Non-live databases pass `None` for
     /// the delta; live databases pin the delta read lock *then* load the
     /// generation, which the refreeze's install-under-write-lock makes
-    /// a consistent snapshot.
+    /// a consistent snapshot. No swap can install while the read lock is
+    /// held, so the generation is still the current one when this
+    /// reader lets go of it: a query never pays for freeing one, the
+    /// refreeze that replaces it does.
     pub(crate) fn with_view<R>(
         &self,
         f: impl FnOnce(&dyn SpatialIndex, Option<&DeltaBuffer>) -> R,
     ) -> R {
-        match &self.index {
-            DbIndex::Live(core) => {
+        match self.index.view() {
+            IndexView::Live(core) => {
                 let d = core.read_delta();
                 let gen = core.gen.load();
                 f(gen.index.as_ref(), Some(&d))
             }
-            _ => f(self.index(), None),
+            IndexView::Frozen(index) => f(index, None),
         }
     }
 
@@ -1842,18 +1907,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_queries_match_singles() {
-        let (db, c) = db();
-        let regions: Vec<Aabb> =
-            (0..4).map(|i| Aabb::cube(c.segments()[i * 11].geom.center(), 20.0)).collect();
-        let batch = db.range_query_many(&regions);
-        assert_eq!(batch.len(), regions.len());
-        for (out, r) in batch.iter().zip(&regions) {
-            assert_eq!(out.sorted_ids(), db.range_query(r).sorted_ids());
-        }
-    }
-
-    #[test]
     fn region_stats_aggregate_correctly() {
         let (db, c) = db();
         // Centre the region on actual data (the bounds centre can fall in
@@ -2029,6 +2082,19 @@ mod tests {
                     reference.range_query(&q).sorted_ids(),
                     "{backend} shards={shards}"
                 );
+                // The scratch-reusing loop merges the pending inserts
+                // and removals too, every time round.
+                let mut session = db.query().session();
+                for half in [45.0, 20.0, 45.0] {
+                    let q = Aabb::cube(c.bounds().center(), half);
+                    let mut got: Vec<u64> = session.range(&q).0.iter().map(|s| s.id).collect();
+                    got.sort_unstable();
+                    assert_eq!(
+                        got,
+                        reference.range_query(&q).sorted_ids(),
+                        "{backend} shards={shards} session half={half}"
+                    );
+                }
                 let p = c.segments()[5].geom.center();
                 let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
                 assert_eq!(
@@ -2137,5 +2203,163 @@ mod tests {
         for i in 0..32u64 {
             assert!(out.sorted_ids().contains(&(800_000 + i)), "segment {i} lost in swap");
         }
+    }
+
+    fn live_core(db: &NeuroDb) -> &LiveCore {
+        match &db.index {
+            DbIndex::Live(core) => core,
+            _ => panic!("not a live database"),
+        }
+    }
+
+    fn generations_alive(db: &NeuroDb) -> u64 {
+        db.wal_health().expect("live").generations_alive
+    }
+
+    #[test]
+    fn a_replaced_generation_is_freed_with_its_last_holder() {
+        let c = CircuitBuilder::new(5).neurons(4).build();
+        let wal = WalPath::new("freed");
+        let db = NeuroDb::builder().circuit(&c).durable(&wal.0).build().expect("live");
+        let everything = Aabb::cube(Vec3::ZERO, 1e6);
+        assert_eq!(generations_alive(&db), 1);
+
+        // No reader: the swap itself frees the generation it replaces.
+        let first = Arc::downgrade(&live_core(&db).gen.load());
+        db.insert_segment(fresh_segment(600_000, 40.0)).expect("acked");
+        assert!(first.upgrade().is_some(), "a write alone replaces nothing");
+        db.refreeze().expect("refrozen");
+        assert!(first.upgrade().is_none(), "freed by the swap that replaced it");
+        assert_eq!(generations_alive(&db), 1);
+
+        // A held guard pins its generation, and keeps answering from it.
+        let guard = db.index();
+        let pinned = Arc::downgrade(&live_core(&db).gen.load());
+        let old = guard.range_query(&everything);
+        let (old_len, old_bounds) = (guard.len(), guard.bounds());
+        for swap in 0..5u64 {
+            db.insert_segment(fresh_segment(600_001 + swap, 50.0 + swap as f64)).expect("acked");
+            db.remove_segment(c.segments()[swap as usize].id).expect("acked");
+            db.refreeze().expect("refrozen");
+            let again = guard.range_query(&everything);
+            assert_eq!(again.segments, old.segments, "swap {swap}: the old snapshot, in order");
+            assert_eq!(again.stats, old.stats, "swap {swap}");
+            assert_eq!((guard.len(), guard.bounds()), (old_len, old_bounds), "swap {swap}");
+            // The generations in between were freed as they were replaced.
+            assert_eq!(generations_alive(&db), 2, "swap {swap}: the pinned one and the current");
+        }
+        let now = db.range_query(&everything).sorted_ids();
+        assert!(now.contains(&600_005) && !now.contains(&c.segments()[0].id));
+        assert!(!old.sorted_ids().contains(&600_001));
+        assert!(pinned.upgrade().is_some(), "held across five swaps");
+        drop(guard);
+        assert!(pinned.upgrade().is_none(), "freed the moment the guard dropped");
+        assert_eq!(generations_alive(&db), 1);
+    }
+
+    #[test]
+    fn generations_stay_bounded_across_200_swaps_under_readers() {
+        const SWAPS: usize = 200;
+        const READERS: usize = 2;
+        let base: Vec<NeuronSegment> =
+            (0..24u64).map(|i| fresh_segment(i, i as f64 * 2.0)).collect();
+        // Two writes a swap: an insert, and a removal of a base segment
+        // while there are any, of the previous swap's insert after that.
+        let mut ops = Vec::new();
+        for k in 0..SWAPS as u64 {
+            ops.push(WriteOp::Insert(fresh_segment(1_000 + k, (k % 40) as f64 * 1.5)));
+            ops.push(WriteOp::Remove(if k < 24 { k } else { 1_000 + k - 1 }));
+        }
+        // What a read of `q` returns after the first `k` ops, by id.
+        let q = Aabb::new(Vec3::new(-1.0, -1.0, -1.0), Vec3::new(30.0, 1.0, 1.0));
+        let states: Vec<Vec<NeuronSegment>> = (0..=ops.len())
+            .map(|k| {
+                let mut model = base.clone();
+                delta::apply_ops(&mut model, &ops[..k]);
+                model.retain(|s| s.aabb().intersects(&q));
+                model.sort_by_key(|s| s.id);
+                model
+            })
+            .collect();
+
+        let wal = WalPath::new("bounded");
+        let db = NeuroDb::builder().segments(base).durable(&wal.0).build().expect("live");
+        let (issued, acked) = (AtomicU64::new(0), AtomicU64::new(0));
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(READERS + 1);
+        let most_alive = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut session = db.query().session();
+                        let (mut most_alive, mut reads) = (0, 0u64);
+                        start.wait();
+                        while !done.load(Ordering::SeqCst) {
+                            let before = acked.load(Ordering::SeqCst) as usize;
+                            let mut got = session.range(&q).0.to_vec();
+                            let after = issued.load(Ordering::SeqCst) as usize;
+                            got.sort_by_key(|s| s.id);
+                            assert!(
+                                states[before..=after].contains(&got),
+                                "a read between ops {before} and {after} matches no prefix"
+                            );
+                            most_alive = most_alive.max(generations_alive(&db));
+                            reads += 1;
+                        }
+                        assert!(reads > 0);
+                        most_alive
+                    })
+                })
+                .collect();
+            start.wait();
+            // Set on the way out, also by a panic: the readers must end.
+            struct Finish<'a>(&'a AtomicBool);
+            impl Drop for Finish<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+            let finish = Finish(&done);
+            for pair in ops.chunks(2) {
+                for op in pair {
+                    issued.fetch_add(1, Ordering::SeqCst);
+                    db.write_batch(std::slice::from_ref(op)).expect("acked");
+                    acked.fetch_add(1, Ordering::SeqCst);
+                }
+                db.refreeze().expect("refrozen");
+            }
+            drop(finish);
+            readers.into_iter().map(|r| r.join().expect("reader")).max().expect("readers")
+        });
+        // The current generation, the one a refreeze is building, and at
+        // most one per reader in flight.
+        assert!(most_alive <= READERS as u64 + 2, "{most_alive} generations alive at once");
+        let health = db.wal_health().expect("live");
+        assert_eq!(health.epoch, SWAPS as u64);
+        assert_eq!(health.generations_alive, 1, "at rest a live database holds one generation");
+        let end: Vec<u64> = states[ops.len()].iter().map(|s| s.id).collect();
+        assert_eq!(db.range_query(&q).sorted_ids(), end);
+    }
+
+    #[test]
+    fn concrete_index_borrows_are_for_frozen_databases_only() {
+        let c = CircuitBuilder::new(5).neurons(4).build();
+        let wal = WalPath::new("borrows");
+        let live = NeuroDb::builder().circuit(&c).durable(&wal.0).build().expect("live");
+        assert_eq!(live.backend(), IndexBackend::Flat);
+        assert!(live.flat_index().is_none());
+        assert!(live.paged_index().is_none());
+        assert!(live.index_as::<FlatIndex<NeuronSegment>>().is_none());
+        // The guard reaches the same index, pinned.
+        assert!(live.index().as_any().downcast_ref::<FlatIndex<NeuronSegment>>().is_some());
+
+        let frozen = NeuroDb::from_circuit(&c);
+        let flat = frozen.flat_index().expect("monolithic FLAT");
+        assert_eq!(flat.len(), frozen.index().len());
+        assert!(frozen.paged_index().is_none());
+        let paged = NeuroDb::builder().circuit(&c).paged(true).build().expect("paged");
+        assert!(paged.paged_index().is_some() && paged.flat_index().is_none());
+        let rplus = NeuroDb::builder().circuit(&c).backend(IndexBackend::RPlus).build().unwrap();
+        assert!(rplus.index_as::<neurospatial_rtree::RPlusTree<NeuronSegment>>().is_some());
     }
 }

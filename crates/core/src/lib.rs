@@ -76,6 +76,8 @@
 //! assert!(outputs.windows(2).all(|w| w[0].sorted_ids() == w[1].sorted_ids()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use neurospatial_flat as flat;
 pub use neurospatial_geom as geom;
 pub use neurospatial_model as model;
@@ -96,8 +98,8 @@ pub mod query;
 pub mod shard;
 
 pub use db::{
-    NeuroDb, NeuroDbBuilder, NeuroDbConfig, Population, RegionStats, WalHealth, WalkthroughMethod,
-    WriteAck,
+    IndexRef, NeuroDb, NeuroDbBuilder, NeuroDbConfig, Population, RegionStats, WalHealth,
+    WalkthroughMethod, WriteAck,
 };
 pub use delta::WriteOp;
 pub use error::NeuroError;

@@ -11,7 +11,7 @@
 //! nanosecond steady-state tax on sub-microsecond selective queries.
 
 use crate::index::QueryStats;
-use neurospatial_obs::{global, Counter, Histogram};
+use neurospatial_obs::{global, Counter, Gauge, Histogram};
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::thread::LocalKey;
@@ -172,11 +172,23 @@ pub(crate) fn query_obs() -> &'static QueryObs {
     })
 }
 
+static GENERATIONS_ALIVE: OnceLock<Arc<Gauge>> = OnceLock::new();
+
+/// Frozen generations of live databases built and not yet freed, summed
+/// over every live database in the process (`core_generations_alive`;
+/// one database's own count is `WalHealth::generations_alive`). It reads
+/// one per open live database at rest; a level that climbs with the
+/// swap count means something is holding generations.
+pub(crate) fn generations_alive() -> &'static Gauge {
+    GENERATIONS_ALIVE.get_or_init(|| global().gauge("core_generations_alive"))
+}
+
 /// Eagerly registers every query-pipeline metric (and the storage-layer
 /// handles the paged backends use), so hot paths never pay first-use
 /// registration. Called from database construction; cheap and idempotent.
 pub fn warm_metrics() {
     let _ = query_obs();
+    let _ = generations_alive();
     let _ = neurospatial_storage::metrics::frame_obs();
     let _ = neurospatial_storage::metrics::wal_obs();
     let _ = neurospatial_storage::metrics::fault_obs();

@@ -10,8 +10,8 @@
 //! ```
 
 pub use crate::db::{
-    NeuroDb, NeuroDbBuilder, NeuroDbConfig, Population, RegionStats, WalHealth, WalkthroughMethod,
-    WriteAck,
+    IndexRef, NeuroDb, NeuroDbBuilder, NeuroDbConfig, Population, RegionStats, WalHealth,
+    WalkthroughMethod, WriteAck,
 };
 pub use crate::delta::WriteOp;
 pub use crate::error::NeuroError;

@@ -762,8 +762,9 @@ impl<'a> KnnQuery<'a> {
     /// The execution plan: the first expanding-cube iteration the search
     /// would run.
     pub fn explain(&self) -> Plan {
-        let (r0, _) = knn_radii(self.db.index(), self.p, self.effective_k().max(1));
-        let ip = self.db.index().plan_range(&Aabb::cube(self.p, r0));
+        let index = self.db.index();
+        let (r0, _) = knn_radii(&*index, self.p, self.effective_k().max(1));
+        let ip = index.plan_range(&Aabb::cube(self.p, r0));
         Plan {
             operation: "knn",
             backend: self.db.backend(),

@@ -89,6 +89,8 @@
 //! assert_eq!(stats.results as usize, hits.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod build;
 mod lanes;
 pub mod query;

@@ -22,6 +22,8 @@
 //! assert!(a.aabb().intersects(&b.aabb()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod grid;
 pub mod hilbert;

@@ -7,8 +7,15 @@
 //! readers that are still traversing the old one. [`Swap`] provides
 //! both with nothing but `Mutex<Arc<T>>` plus an epoch counter: readers
 //! clone the `Arc` under a lock held for nanoseconds and then traverse
-//! lock-free; writers store a new `Arc` and bump the epoch; old
-//! snapshots stay alive exactly as long as someone still holds a clone.
+//! lock-free; writers store a new `Arc` and bump the epoch.
+//!
+//! Who keeps a snapshot alive: the swap holds one strong reference, to
+//! the *current* snapshot only, and every [`load`](Swap::load) hands its
+//! caller another. [`store`](Swap::store) gives the swap's reference to
+//! the replaced snapshot back to the caller, so a replaced snapshot
+//! lives exactly as long as the readers that loaded it (and the caller
+//! of `store`, until it drops what it was handed) and is freed by
+//! whichever of them lets go last. The swap keeps no history.
 //!
 //! This is the `std`-only analogue of the `arc-swap` crate — a mutex
 //! instead of hazard pointers, which is the right trade here: loads are
@@ -52,7 +59,10 @@ impl<T> Swap<T> {
 
     /// Install `value` as the current snapshot, bump the epoch, and
     /// return the previous snapshot. Readers holding the old `Arc`
-    /// finish undisturbed; new loads see `value`.
+    /// finish undisturbed; new loads see `value`. The returned `Arc` is
+    /// the reference the swap held: dropping it frees the old snapshot
+    /// unless a reader still holds it, so a caller that stores under a
+    /// lock of its own should drop it after releasing that lock.
     pub fn store(&self, value: Arc<T>) -> Arc<T> {
         let mut cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
         let old = std::mem::replace(&mut *cur, value);
@@ -80,6 +90,26 @@ mod tests {
         assert_eq!(*old, 10);
         assert_eq!(*s.load(), 20);
         assert_eq!(s.epoch(), 1);
+    }
+
+    #[test]
+    fn store_hands_back_the_only_other_reference() {
+        let s = Swap::new(Arc::new(vec![1, 2, 3]));
+        let first = Arc::downgrade(&s.load());
+        let reader = s.load();
+        let replaced = s.store(Arc::new(vec![4]));
+        assert!(Arc::ptr_eq(&replaced, &reader), "store returns the previous snapshot");
+        // The swap kept nothing: the caller of `store` and the reader
+        // are the only holders, and the last of them frees it.
+        assert_eq!(Arc::strong_count(&replaced), 2);
+        drop(replaced);
+        assert!(first.upgrade().is_some(), "the reader still holds it");
+        drop(reader);
+        assert!(first.upgrade().is_none(), "freed with its last holder");
+        // With no reader, dropping what `store` returns frees at once.
+        let second = Arc::downgrade(&s.load());
+        drop(s.store(Arc::new(vec![5])));
+        assert!(second.upgrade().is_none());
     }
 
     #[test]

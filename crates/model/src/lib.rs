@@ -26,6 +26,8 @@
 //! assert!(circuit.bounds().is_valid());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod io;
 pub mod mesh;

@@ -20,6 +20,7 @@
 //! [`MetricsRegistry::snapshot`], [`MetricsSnapshot::render_text`], the
 //! binary wire codec — allocate freely because they run off the hot path.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;

@@ -36,6 +36,8 @@
 //! assert!(stats.nodes_visited() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod insert;
 pub mod node;
 pub mod params;

@@ -28,6 +28,8 @@
 //! pool, reporting the demo's Figure 6 statistics (data prefetched,
 //! correctly prefetched, fetched on demand, stall time, speedup).
 
+#![forbid(unsafe_code)]
+
 pub mod candidate;
 pub mod markov;
 pub mod ooc;

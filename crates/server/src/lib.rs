@@ -37,6 +37,8 @@
 //! assert_eq!(served, db.query().range(region).collect().expect("ok").segments.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

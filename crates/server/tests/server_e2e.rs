@@ -562,7 +562,10 @@ fn live_ingest_acks_serves_and_recovers_over_the_wire() {
             }
 
             // HEALTH carries the WAL block.
+            // A live database lends out no `paged_index()` borrow, and
+            // HEALTH reads that as "not paged", which it is.
             let health = client.health().expect("health");
+            assert!(!health.paged && !health.degraded && health.quarantined.is_empty());
             let w = health.wal.expect("live server reports WAL state");
             assert!(w.last_lsn >= ack2.lsn);
             assert_eq!(w.pending_ops, 2);
@@ -693,6 +696,10 @@ fn metrics_opcode_reports_scripted_counts_and_live_histograms() {
         assert_eq!(snap.histogram("server_insert_latency_ns").map(|h| h.count), Some(1));
         let commits = snap.histogram("wal_commit_latency_ns").expect("wal histogram");
         assert!(commits.count > base_commits, "the acked insert committed through the WAL");
+        // The generation gauge is process-wide (other tests in this
+        // binary open live databases too); this one holds at least one.
+        assert!(snap.gauge("core_generations_alive").is_some_and(|alive| alive >= 1));
+        assert!(snap.render_text().contains("neurospatial_core_generations_alive "));
     })
     .expect("serve");
 

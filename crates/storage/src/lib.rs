@@ -42,6 +42,7 @@
 //! deterministic yardstick the prefetching experiments are scored with,
 //! while the [`FramePool`] path measures actual wall-clock stalls.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buffer;

@@ -40,6 +40,8 @@
 //! assert!(fast.stats.refine_comparisons <= slow.stats.refine_comparisons);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod classic;
 pub mod nested;
 pub mod pbsm;
