@@ -36,16 +36,17 @@ fn bench_range_queries(c: &mut Criterion) {
         });
 
         // Every backend through the one trait, using the buffer-reuse
-        // form (`range_query_into`) — the hot-loop API.
+        // form (`range_query_into_scratch`) — the hot-loop API.
         for backend in IndexBackend::ALL {
             let index = backend.build(segments.clone(), &params);
             group.bench_with_input(BenchmarkId::new(backend.name(), n), &w, |b, w| {
+                let mut scratch = QueryScratch::new();
                 let mut buf = Vec::new();
                 b.iter(|| {
                     let mut total = 0usize;
                     for q in &w.queries {
                         buf.clear();
-                        index.range_query_into(black_box(q), &mut buf);
+                        index.range_query_into_scratch(black_box(q), &mut scratch, &mut buf);
                         total += buf.len();
                     }
                     total
@@ -85,7 +86,10 @@ fn bench_range_queries(c: &mut Criterion) {
                 let mut total = 0u64;
                 for q in &w.queries {
                     total += packed
-                        .for_each_in_range(black_box(q), &mut scratch, &mut |_| Flow::Emit)
+                        .try_for_each_in_range(black_box(q), &mut scratch, false, &mut |_| {
+                            Flow::Emit
+                        })
+                        .expect("in-memory traversals do not fail")
                         .results;
                 }
                 total

@@ -47,7 +47,7 @@ fn bench_skeleton_reconstruction(c: &mut Criterion) {
     group.sample_size(30);
     for radius in [15.0, 25.0] {
         let q = Aabb::cube(centre, radius);
-        let out = db.range_query(&q);
+        let out = db.query().range(q).collect().expect("in-memory range");
         let result: Vec<&NeuronSegment> = out.segments.iter().collect();
         group.bench_function(format!("reconstruct_{}_segments", result.len()), |b| {
             b.iter(|| {

@@ -8,12 +8,12 @@
 
 use crate::delta::{self, DeltaBuffer, WriteOp};
 use crate::error::NeuroError;
-use crate::index::{IndexBackend, IndexParams, Neighbor, QueryOutput, QueryStats, SpatialIndex};
+use crate::index::{IndexBackend, IndexParams, SpatialIndex};
 use crate::paged::PagedFlatIndex;
 use crate::query::Query;
 use crate::shard::ShardedIndex;
 use neurospatial_flat::{FlatBuildParams, FlatIndex};
-use neurospatial_geom::{Aabb, Swap, Vec3};
+use neurospatial_geom::{Aabb, Swap};
 use neurospatial_model::{Circuit, NavigationPath, NeuronSegment};
 use neurospatial_scout::{
     ExplorationSession, ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch,
@@ -21,7 +21,7 @@ use neurospatial_scout::{
     SessionStats,
 };
 use neurospatial_storage::{EvictionPolicy, FaultLog, FaultPlan, FileLog, LogIo, Wal};
-use neurospatial_touch::{JoinResult, SpatialJoin, TouchJoin};
+use neurospatial_touch::TouchJoin;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -321,7 +321,7 @@ impl NeuroDbBuilder {
     /// [`prefetch_workers`](Self::prefetch_workers) background threads
     /// read pages ahead of the exploration cursor. Results and logical
     /// statistics stay byte-identical to the in-memory FLAT backend;
-    /// the I/O shows up in [`QueryStats`]'s `cache_*` fields.
+    /// the I/O shows up in [`QueryStats`](crate::QueryStats)'s `cache_*` fields.
     ///
     /// Only valid with the (monolithic) FLAT backend — any other
     /// combination is rejected at [`build`](Self::build). The page file
@@ -1055,21 +1055,6 @@ impl NeuroDb {
         Query::new(self)
     }
 
-    /// Execute a spatial range query through the selected backend.
-    /// Forwarding shim over `self.query().range(*region).collect()` —
-    /// results, order and statistics are byte-identical (property-tested
-    /// in `tests/query_api_equivalence.rs`).
-    pub fn range_query(&self, region: &Aabb) -> QueryOutput {
-        self.query().range(*region).collect().expect("no population constraint to fail")
-    }
-
-    /// The `k` segments nearest to `p`, in canonical (distance, id)
-    /// order, through the selected backend. Forwarding shim over
-    /// `self.query().knn(p, k).collect()`.
-    pub fn knn(&self, p: Vec3, k: usize) -> (Vec<Neighbor>, QueryStats) {
-        self.query().knn(p, k).collect().expect("no population constraint to fail")
-    }
-
     /// Whether this database was opened in durable live-ingest mode.
     pub fn is_live(&self) -> bool {
         matches!(&self.index, DbIndex::Live(_))
@@ -1295,26 +1280,31 @@ impl NeuroDb {
         }
     }
 
-    /// Compute aggregate tissue statistics for a region (one range query
-    /// plus a linear pass over the result).
+    /// Compute aggregate tissue statistics for a region: one streamed
+    /// range query folded into the totals, nothing materialized. Panics
+    /// where a paged database's file fails under it (use
+    /// [`query`](Self::query) to handle that).
     pub fn region_stats(&self, region: &Aabb) -> RegionStats {
-        let out = self.range_query(region);
-        if out.is_empty() {
-            return RegionStats::default();
-        }
-        let mut stats = RegionStats { count: out.len(), ..Default::default() };
-        let mut neurons = std::collections::HashSet::new();
+        let mut stats = RegionStats::default();
+        let mut neurons = HashSet::new();
         let mut radius_sum = 0.0;
-        for s in &out.segments {
-            let len = s.geom.axis_length();
-            stats.total_cable_length += len;
-            stats.total_cable_volume += std::f64::consts::PI * s.geom.radius * s.geom.radius * len;
-            radius_sum += s.geom.radius;
-            neurons.insert(s.neuron);
+        self.query()
+            .range(*region)
+            .stream(|s| {
+                let len = s.geom.axis_length();
+                stats.count += 1;
+                stats.total_cable_length += len;
+                stats.total_cable_volume +=
+                    std::f64::consts::PI * s.geom.radius * s.geom.radius * len;
+                radius_sum += s.geom.radius;
+                neurons.insert(s.neuron);
+            })
+            .expect("no population to resolve, and a validated page file does not fail");
+        if stats.count > 0 {
+            stats.mean_radius = radius_sum / stats.count as f64;
+            stats.neuron_count = neurons.len();
+            stats.density = stats.count as f64 / region.volume().max(f64::MIN_POSITIVE);
         }
-        stats.mean_radius = radius_sum / out.len() as f64;
-        stats.neuron_count = neurons.len();
-        stats.density = out.len() as f64 / region.volume().max(f64::MIN_POSITIVE);
         stats
     }
 
@@ -1348,91 +1338,13 @@ impl NeuroDb {
         self.population_of_id.get(&id).copied()
     }
 
-    /// Distance-join two named populations: all segment pairs whose
-    /// capsule surfaces come within `epsilon` (TOUCH). Pair indices are
-    /// positions within each population's segment slice. Forwarding shim
-    /// over `self.query().touching(second, epsilon).in_population(first)`.
-    pub fn join_between(
-        &self,
-        first: &str,
-        second: &str,
-        epsilon: f64,
-    ) -> Result<JoinResult, NeuroError> {
-        self.query().touching(second, epsilon).in_population(first).collect()
-    }
-
     /// The join engine this database runs TOUCH workloads with.
     pub(crate) fn join_config(&self) -> &TouchJoin {
         &self.config.join
     }
 
-    /// Find synapse candidates between the first two populations — the
-    /// demo's synapse-placement workload. Errors if the database has
-    /// fewer than two populations.
-    pub fn find_synapse_candidates(&self, epsilon: f64) -> Result<JoinResult, NeuroError> {
-        if self.populations.len() < 2 {
-            return Err(NeuroError::TooFewPopulations { found: self.populations.len(), needed: 2 });
-        }
-        self.join_between(&self.populations[0].name, &self.populations[1].name, epsilon)
-    }
-
-    /// Distance-join this database's segments against an external
-    /// population.
-    ///
-    /// Joins population by population and merges with index offsets —
-    /// equivalent to joining the concatenation of all populations, but
-    /// without cloning the dataset on every call. Pair `(i, j)` means
-    /// segment `i` of the concatenated populations and `other[j]`.
-    pub fn join_against(&self, other: &[NeuronSegment], epsilon: f64) -> JoinResult {
-        let mut merged = JoinResult::default();
-        let mut offset = 0u32;
-        for pop in &self.populations {
-            let r = self.config.join.join(&pop.segments, other, epsilon);
-            merged.pairs.extend(r.pairs.iter().map(|&(i, j)| (i + offset, j)));
-            merged.stats.filter_comparisons += r.stats.filter_comparisons;
-            merged.stats.refine_comparisons += r.stats.refine_comparisons;
-            merged.stats.build_ms += r.stats.build_ms;
-            merged.stats.probe_ms += r.stats.probe_ms;
-            merged.stats.total_ms += r.stats.total_ms;
-            merged.stats.aux_memory_bytes =
-                merged.stats.aux_memory_bytes.max(r.stats.aux_memory_bytes);
-            merged.stats.filtered_out += r.stats.filtered_out;
-            offset += pop.segments.len() as u32;
-        }
-        merged.stats.results = merged.pairs.len() as u64;
-        merged
-    }
-
-    /// Build a branch-following navigation path through `circuit`
-    /// (convenience wrapper; the circuit must be the one this database
-    /// was opened over for the walkthrough to make sense).
-    pub fn navigation_path(
-        &self,
-        circuit: &Circuit,
-        seed: u64,
-        view_radius: f64,
-        step: f64,
-    ) -> Option<NavigationPath> {
-        NavigationPath::along_random_branch(circuit, seed, view_radius, step)
-    }
-
-    /// Replay a walkthrough with the given prefetching method and report
-    /// the session statistics (stall time, hit ratio, prefetch precision).
-    ///
-    /// Errors unless the database uses the FLAT backend (monolithic or
-    /// sharded) — walkthrough simulation is page-granular. Forwarding
-    /// shim over `self.query().along_path(path).method(method).run()`.
-    pub fn walkthrough(
-        &self,
-        path: &NavigationPath,
-        method: WalkthroughMethod,
-    ) -> Result<SessionStats, NeuroError> {
-        self.query().along_path(path).method(method).run()
-    }
-
-    /// The worker behind [`walkthrough`](Self::walkthrough) and the
-    /// builder's `along_path(..).run()` terminal.
-    pub(crate) fn walkthrough_impl(
+    /// The worker behind the builder's `along_path(..).run()` terminal.
+    pub(crate) fn replay_walkthrough(
         &self,
         path: &NavigationPath,
         method: WalkthroughMethod,
@@ -1556,12 +1468,40 @@ impl DbCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{Neighbor, QueryOutput};
     use neurospatial_geom::Vec3;
     use neurospatial_model::{CircuitBuilder, DensityStats};
+    use neurospatial_touch::JoinResult;
 
     fn db() -> (NeuroDb, Circuit) {
         let c = CircuitBuilder::new(5).neurons(10).build();
         (NeuroDb::from_circuit(&c), c)
+    }
+
+    fn range(db: &NeuroDb, q: &Aabb) -> QueryOutput {
+        db.query().range(*q).collect().expect("no population to resolve")
+    }
+
+    fn knn(db: &NeuroDb, p: Vec3, k: usize) -> Vec<Neighbor> {
+        db.query().knn(p, k).collect().expect("no population to resolve").0
+    }
+
+    /// The synapse-placement workload: the first population joined with
+    /// the second.
+    fn synapse_candidates(db: &NeuroDb, epsilon: f64) -> JoinResult {
+        db.query().touching(&db.populations()[1].name, epsilon).collect().expect("two populations")
+    }
+
+    fn branch_path(c: &Circuit, seed: u64, view_radius: f64, step: f64) -> NavigationPath {
+        NavigationPath::along_random_branch(c, seed, view_radius, step).expect("path exists")
+    }
+
+    fn replay(
+        db: &NeuroDb,
+        path: &NavigationPath,
+        method: WalkthroughMethod,
+    ) -> Result<SessionStats, NeuroError> {
+        db.query().along_path(path).method(method).run()
     }
 
     #[test]
@@ -1569,7 +1509,7 @@ mod tests {
         let (db, c) = db();
         assert_eq!(db.len(), c.segments().len());
         let q = Aabb::cube(c.bounds().center(), 40.0);
-        let out = db.range_query(&q);
+        let out = range(&db, &q);
         let brute = c.segments().iter().filter(|s| s.aabb().intersects(&q)).count();
         assert_eq!(out.len(), brute);
         assert_eq!(out.stats.results as usize, brute);
@@ -1579,11 +1519,11 @@ mod tests {
     fn every_backend_answers_the_same_queries() {
         let c = CircuitBuilder::new(8).neurons(6).build();
         let q = Aabb::cube(c.bounds().center(), 35.0);
-        let want = NeuroDb::from_circuit(&c).range_query(&q).sorted_ids();
+        let want = range(&NeuroDb::from_circuit(&c), &q).sorted_ids();
         for backend in IndexBackend::ALL {
             let db = NeuroDb::builder().circuit(&c).backend(backend).build().expect("valid");
             assert_eq!(db.backend(), backend);
-            assert_eq!(db.range_query(&q).sorted_ids(), want, "{backend}");
+            assert_eq!(range(&db, &q).sorted_ids(), want, "{backend}");
         }
     }
 
@@ -1655,11 +1595,43 @@ mod tests {
         assert!(ooc.paged_index().is_some() && mem.paged_index().is_none());
         assert_eq!(ooc.shard_count(), 1);
         let q = Aabb::cube(c.bounds().center(), 40.0);
-        let (want, got) = (mem.range_query(&q), ooc.range_query(&q));
+        let (want, got) = (range(&mem, &q), range(&ooc, &q));
         assert_eq!(want.sorted_ids(), got.sorted_ids());
         assert_eq!(want.stats.nodes_read, got.stats.nodes_read);
         assert!(got.stats.cache_hits + got.stats.cache_misses > 0);
         assert_eq!(want.stats.cache_hits + want.stats.cache_misses, 0);
+        // KNN is made of range traversals and reports their page I/O too.
+        let p = c.segments()[3].geom.center();
+        let (_, knn_stats) = ooc.query().knn(p, 7).collect().expect("healthy page file");
+        assert!(knn_stats.cache_hits + knn_stats.cache_misses > 0, "{knn_stats:?}");
+    }
+
+    #[test]
+    fn knn_over_a_torn_page_is_a_typed_error_or_a_labeled_partial() {
+        let c = CircuitBuilder::new(5).neurons(10).build();
+        let path = std::env::temp_dir()
+            .join(format!("neurospatial-db-torn-knn-{}.flatpages", std::process::id()));
+        let db = NeuroDb::builder()
+            .circuit(&c)
+            .page_file(&path)
+            .frame_budget(1)
+            .build()
+            .expect("explicit page file");
+        let pages = db.paged_index().expect("paged").page_count() as u64;
+        assert!(pages >= 3, "a middle page the one-frame pool does not hold, got {pages}");
+        neurospatial_storage::tear_page(&path, pages / 2).expect("tear");
+        // A search that needs every page meets the torn one: first the
+        // checksum failure, then — the page now quarantined — the
+        // degradation signal; never a panic.
+        let (p, k) = (c.bounds().center(), c.segments().len());
+        assert!(matches!(db.query().knn(p, k).collect(), Err(NeuroError::Storage(_))));
+        assert!(matches!(db.query().knn(p, k).collect(), Err(NeuroError::DegradedResult { .. })));
+        assert!(db.query().session().try_knn(p, k, false).is_err());
+        let (survivors, stats) =
+            db.query().knn(p, k).allow_partial(true).collect().expect("partial");
+        assert!(stats.pages_quarantined >= 1, "the loss is labeled: {stats:?}");
+        assert!(!survivors.is_empty() && survivors.len() < k);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1672,8 +1644,8 @@ mod tests {
             .prefetch_workers(1)
             .build()
             .expect("paged flat");
-        let path = db.navigation_path(&c, 1, 20.0, 8.0).expect("path");
-        let report = db.walkthrough(&path, WalkthroughMethod::Scout).expect("paged walkthrough");
+        let path = branch_path(&c, 1, 20.0, 8.0);
+        let report = replay(&db, &path, WalkthroughMethod::Scout).expect("paged walkthrough");
         assert_eq!(report.steps.len(), path.queries.len());
         assert_eq!(report.method, "scout");
         let touched: u64 = report.steps.iter().map(|s| s.pages_demanded).sum();
@@ -1705,7 +1677,7 @@ mod tests {
                 .page_file(&path)
                 .build()
                 .expect("explicit page file");
-            db.range_query(&q).sorted_ids()
+            range(&db, &q).sorted_ids()
         };
         // The database dropped; the explicit file must still be there.
         assert!(path.exists());
@@ -1718,7 +1690,7 @@ mod tests {
     fn synapse_join_uses_the_default_parity_populations() {
         let (db, c) = db();
         assert_eq!(db.population_names(), vec!["even", "odd"]);
-        let r = db.find_synapse_candidates(2.0).expect("two populations");
+        let r = synapse_candidates(&db, 2.0);
         assert!(r.is_duplicate_free());
         // Every reported pair crosses the even/odd population boundary.
         let (a, b) = c.split_populations();
@@ -1753,10 +1725,12 @@ mod tests {
         let total = low.len() + db.population("high").expect("exists").len();
         assert_eq!(total, c.segments().len());
         assert!(matches!(db.population("mid"), Err(NeuroError::UnknownPopulation { .. })));
-        // join_between is symmetric in coverage with find_synapse_candidates.
-        let a = db.join_between("low", "high", 1.5).expect("both exist").sorted_pairs();
-        let b = db.find_synapse_candidates(1.5).expect("two pops").sorted_pairs();
-        assert_eq!(a, b);
+        // The left side defaults to the first population.
+        let named = db.query().touching("high", 1.5).in_population("low").collect();
+        assert_eq!(
+            named.expect("both exist").sorted_pairs(),
+            synapse_candidates(&db, 1.5).sorted_pairs()
+        );
     }
 
     #[test]
@@ -1771,16 +1745,16 @@ mod tests {
         let total: usize = db.populations().iter().map(|p| p.segments.len()).sum();
         assert_eq!(total, c.segments().len());
         // First two populations feed the synapse join.
-        assert!(db.find_synapse_candidates(1.0).is_ok());
+        assert!(db.query().touching("layer1", 1.0).collect().is_ok());
     }
 
     #[test]
     fn walkthrough_all_methods_run() {
         let (db, c) = db();
-        let path = db.navigation_path(&c, 3, 20.0, 8.0).expect("path exists");
+        let path = branch_path(&c, 3, 20.0, 8.0);
         let mut stalls = Vec::new();
         for m in WalkthroughMethod::ALL {
-            let stats = db.walkthrough(&path, m).expect("flat backend");
+            let stats = replay(&db, &path, m).expect("flat backend");
             assert_eq!(stats.steps.len(), path.queries.len());
             assert_eq!(stats.method, m.name());
             stalls.push((m, stats.total_stall_ms));
@@ -1808,9 +1782,9 @@ mod tests {
             assert_eq!(sharded.shard_count(), 4, "{backend}");
             assert_eq!(mono.shard_count(), 1, "{backend}");
             assert_eq!(sharded.len(), mono.len());
-            assert_eq!(sharded.range_query(&q).sorted_ids(), mono.range_query(&q).sorted_ids());
+            assert_eq!(range(&sharded, &q).sorted_ids(), range(&mono, &q).sorted_ids());
             let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
-            assert_eq!(ids(&sharded.knn(p, 7).0), ids(&mono.knn(p, 7).0), "{backend} knn");
+            assert_eq!(ids(&knn(&sharded, p, 7)), ids(&knn(&mono, p, 7)), "{backend} knn");
         }
     }
 
@@ -1820,8 +1794,8 @@ mod tests {
         let db = NeuroDb::builder().circuit(&c).shards(3).threads(2).build().expect("valid");
         assert_eq!(db.backend(), IndexBackend::Flat);
         assert!(db.flat_index().is_none(), "sharded flat has no single page space");
-        let path = db.navigation_path(&c, 3, 20.0, 8.0).expect("path exists");
-        let stats = db.walkthrough(&path, WalkthroughMethod::Scout).expect("sharded flat walks");
+        let path = branch_path(&c, 3, 20.0, 8.0);
+        let stats = replay(&db, &path, WalkthroughMethod::Scout).expect("sharded flat walks");
         assert_eq!(stats.steps.len(), path.queries.len());
     }
 
@@ -1868,9 +1842,9 @@ mod tests {
         let c = CircuitBuilder::new(5).neurons(4).build();
         let db =
             NeuroDb::builder().circuit(&c).backend(IndexBackend::StrPacked).build().expect("valid");
-        let path = db.navigation_path(&c, 1, 15.0, 6.0).expect("path");
+        let path = branch_path(&c, 1, 15.0, 6.0);
         assert!(matches!(
-            db.walkthrough(&path, WalkthroughMethod::Scout),
+            replay(&db, &path, WalkthroughMethod::Scout),
             Err(NeuroError::WalkthroughUnsupported { .. })
         ));
     }
@@ -1885,35 +1859,13 @@ mod tests {
     }
 
     #[test]
-    fn join_against_external_population() {
-        let (db, _) = db();
-        let other = CircuitBuilder::new(99).neurons(2).build();
-        let r = db.join_against(other.segments(), 1.0);
-        assert!(r.is_duplicate_free());
-        assert_eq!(r.stats.results as usize, r.pairs.len());
-    }
-
-    #[test]
-    fn join_against_matches_concatenated_join() {
-        let (db, c) = db();
-        let other = CircuitBuilder::new(77).neurons(3).build();
-        let merged = db.join_against(other.segments(), 1.5);
-        // Reference: one join over the concatenation of the populations.
-        let (a, b) = c.split_populations();
-        let mut all = a;
-        all.extend_from_slice(&b);
-        let reference = TouchJoin::default().join(&all, other.segments(), 1.5);
-        assert_eq!(merged.sorted_pairs(), reference.sorted_pairs());
-    }
-
-    #[test]
     fn region_stats_aggregate_correctly() {
         let (db, c) = db();
         // Centre the region on actual data (the bounds centre can fall in
         // empty space between neurons).
         let q = Aabb::cube(c.segments()[0].geom.center(), 50.0);
         let s = db.region_stats(&q);
-        let out = db.range_query(&q);
+        let out = range(&db, &q);
         assert!(!out.is_empty());
         assert_eq!(s.count, out.len());
         let want_len: f64 = out.segments.iter().map(|h| h.geom.axis_length()).sum();
@@ -1941,9 +1893,9 @@ mod tests {
     fn empty_database() {
         let db = NeuroDb::builder().segments(vec![]).build().expect("empty is valid");
         assert!(db.is_empty());
-        let out = db.range_query(&Aabb::cube(Vec3::ZERO, 5.0));
+        let out = range(&db, &Aabb::cube(Vec3::ZERO, 5.0));
         assert!(out.is_empty());
-        assert!(db.find_synapse_candidates(1.0).expect("parity pops exist").pairs.is_empty());
+        assert!(synapse_candidates(&db, 1.0).pairs.is_empty());
     }
 
     #[test]
@@ -2018,7 +1970,7 @@ mod tests {
         assert_eq!(ack.pending, 1);
         assert_eq!(db.len(), base_len + 1);
         let near = Aabb::cube(Vec3::new(5_000.5, 0.0, 0.0), 10.0);
-        assert_eq!(db.range_query(&near).sorted_ids(), vec![1_000_000]);
+        assert_eq!(range(&db, &near).sorted_ids(), vec![1_000_000]);
         assert!(db.bounds().hi.x >= 5_001.0);
 
         // Remove a base segment: masked out of queries immediately.
@@ -2026,11 +1978,22 @@ mod tests {
         db.remove_segment(victim.id).expect("acked");
         assert_eq!(db.len(), base_len);
         let around = Aabb::cube(victim.geom.center(), 1.0);
-        assert!(!db.range_query(&around).sorted_ids().contains(&victim.id));
+        assert!(!range(&db, &around).sorted_ids().contains(&victim.id));
+
+        // A limit counts base hits and delta inserts alike, and stops
+        // the merge wherever it falls: in the base, on the boundary, or
+        // in the delta.
+        let everything = db.bounds();
+        let full = range(&db, &everything);
+        assert_eq!(full.segments.last().map(|s| s.id), Some(1_000_000), "delta comes last");
+        for n in [1, full.len() - 1, full.len()] {
+            let capped = db.query().range(everything).limit(n).collect().expect("ok");
+            assert_eq!(capped.segments, full.segments[..n], "limit {n}");
+            assert_eq!(capped.stats.results as usize, n, "limit {n}");
+        }
 
         // KNN sees the delta insert.
-        let (nearest, _) = db.knn(Vec3::new(5_000.5, 0.0, 0.0), 1);
-        assert_eq!(nearest[0].segment.id, 1_000_000);
+        assert_eq!(knn(&db, Vec3::new(5_000.5, 0.0, 0.0), 1)[0].segment.id, 1_000_000);
 
         // Validation rejects without logging.
         let lsn_before = db.wal_health().expect("live").last_lsn;
@@ -2078,8 +2041,8 @@ mod tests {
                     .expect("frozen reference");
                 let q = Aabb::cube(c.bounds().center(), 45.0);
                 assert_eq!(
-                    db.range_query(&q).sorted_ids(),
-                    reference.range_query(&q).sorted_ids(),
+                    range(&db, &q).sorted_ids(),
+                    range(&reference, &q).sorted_ids(),
                     "{backend} shards={shards}"
                 );
                 // The scratch-reusing loop merges the pending inserts
@@ -2091,23 +2054,23 @@ mod tests {
                     got.sort_unstable();
                     assert_eq!(
                         got,
-                        reference.range_query(&q).sorted_ids(),
+                        range(&reference, &q).sorted_ids(),
                         "{backend} shards={shards} session half={half}"
                     );
                 }
                 let p = c.segments()[5].geom.center();
                 let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
                 assert_eq!(
-                    ids(&db.knn(p, 9).0),
-                    ids(&reference.knn(p, 9).0),
+                    ids(&knn(&db, p, 9)),
+                    ids(&knn(&reference, p, 9)),
                     "{backend} shards={shards} knn"
                 );
                 // After a refreeze the answers are unchanged.
                 let epoch = db.refreeze().expect("refrozen");
                 assert_eq!(epoch, 1);
                 assert_eq!(
-                    db.range_query(&q).sorted_ids(),
-                    reference.range_query(&q).sorted_ids(),
+                    range(&db, &q).sorted_ids(),
+                    range(&reference, &q).sorted_ids(),
                     "{backend} shards={shards} post-swap"
                 );
                 assert_eq!(db.wal_health().expect("live").pending_ops, 0);
@@ -2124,12 +2087,12 @@ mod tests {
             let db = NeuroDb::builder().circuit(&c).durable(&wal.0).build().expect("live");
             db.insert_segment(fresh_segment(500_000, 3.0)).expect("acked");
             db.remove_segment(c.segments()[1].id).expect("acked");
-            db.range_query(&q).sorted_ids()
+            range(&db, &q).sorted_ids()
         };
         // Reopen: the builder's (different) data source is ignored — the
         // WAL is the source of truth.
         let reopened = NeuroDb::builder().segments(vec![]).durable(&wal.0).build().expect("live");
-        assert_eq!(reopened.range_query(&q).sorted_ids(), want);
+        assert_eq!(range(&reopened, &q).sorted_ids(), want);
         let health = reopened.wal_health().expect("live");
         assert_eq!(health.replayed_ops, 2);
         assert!(!health.recovered_torn_tail);
@@ -2138,7 +2101,7 @@ mod tests {
         drop(reopened);
         let third = NeuroDb::builder().segments(vec![]).durable(&wal.0).build().expect("live");
         assert_eq!(third.wal_health().expect("live").replayed_ops, 0);
-        assert_eq!(third.range_query(&q).sorted_ids(), want);
+        assert_eq!(range(&third, &q).sorted_ids(), want);
     }
 
     #[test]
@@ -2151,7 +2114,7 @@ mod tests {
         let (acked_ids, bytes_after_first) = {
             let db = NeuroDb::builder().circuit(&c).durable(&wal.0).build().expect("live");
             db.insert_segment(fresh_segment(700_000, 2.0)).expect("acked");
-            (db.range_query(&q).sorted_ids(), db.wal_health().expect("live").wal_bytes)
+            (range(&db, &q).sorted_ids(), db.wal_health().expect("live").wal_bytes)
         };
         std::fs::remove_file(&wal.0).expect("reset");
         // …then crash the log exactly there on a second run: the first
@@ -2168,7 +2131,7 @@ mod tests {
             assert!(err.is_err(), "crashed commit must not ack");
         }
         let reopened = NeuroDb::builder().segments(vec![]).durable(&wal.0).build().expect("live");
-        assert_eq!(reopened.range_query(&q).sorted_ids(), acked_ids);
+        assert_eq!(range(&reopened, &q).sorted_ids(), acked_ids);
         let health = reopened.wal_health().expect("live");
         assert!(health.recovered_torn_tail, "torn tail must be detected");
         assert_eq!(health.replayed_ops, 1, "only the acked write replays");
@@ -2199,7 +2162,7 @@ mod tests {
         assert!(epoch_after >= 1);
         // Everything is still queryable after however many swaps ran.
         let q = Aabb::cube(Vec3::new(48.0, 0.0, 0.0), 1_000.0);
-        let out = db.range_query(&q);
+        let out = range(&db, &q);
         for i in 0..32u64 {
             assert!(out.sorted_ids().contains(&(800_000 + i)), "segment {i} lost in swap");
         }
@@ -2248,7 +2211,7 @@ mod tests {
             // The generations in between were freed as they were replaced.
             assert_eq!(generations_alive(&db), 2, "swap {swap}: the pinned one and the current");
         }
-        let now = db.range_query(&everything).sorted_ids();
+        let now = range(&db, &everything).sorted_ids();
         assert!(now.contains(&600_005) && !now.contains(&c.segments()[0].id));
         assert!(!old.sorted_ids().contains(&600_001));
         assert!(pinned.upgrade().is_some(), "held across five swaps");
@@ -2338,7 +2301,7 @@ mod tests {
         assert_eq!(health.epoch, SWAPS as u64);
         assert_eq!(health.generations_alive, 1, "at rest a live database holds one generation");
         let end: Vec<u64> = states[ops.len()].iter().map(|s| s.id).collect();
-        assert_eq!(db.range_query(&q).sorted_ids(), end);
+        assert_eq!(range(&db, &q).sorted_ids(), end);
     }
 
     #[test]

@@ -30,16 +30,15 @@ use std::any::Any;
 use std::fmt;
 use std::str::FromStr;
 
-/// Reusable per-query state for the allocation-free `*_scratch` query
-/// paths: create one per worker thread, reuse it across an entire batch.
-/// After the first few queries have grown the buffers, steady-state
-/// queries perform **zero** heap allocations (measured by
-/// `experiments --scenario=hotpath`).
+/// Reusable per-query state for
+/// [`SpatialIndex::try_for_each_in_range`] and everything built on it:
+/// create one per worker thread, reuse it across an entire batch. After
+/// the first few queries have grown the buffers, steady-state queries
+/// perform **zero** heap allocations (gated per backend by
+/// `experiments --scenario=hotpath --strict`).
 ///
-/// Fields are public so custom [`SpatialIndex`] implementations can
-/// reuse the same buffers in their own
-/// [`range_query_into_scratch`](SpatialIndex::range_query_into_scratch)
-/// overrides.
+/// Fields are public so custom [`SpatialIndex`] implementations can use
+/// the same buffers in their own traversal.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// R-Tree-family traversal state (visit stack, best-first candidate
@@ -51,12 +50,9 @@ pub struct QueryScratch {
     /// Out-of-core FLAT state (crawl front, visited marks, page-decode
     /// buffer) for the paged backend.
     pub paged: neurospatial_scout::OocScratch,
-    /// KNN: hit buffer reused across expanding-cube iterations.
-    pub knn_hits: Vec<NeuronSegment>,
-    /// KNN: candidate neighbours awaiting the canonical sort.
+    /// KNN: the candidates of the current expanding-cube iteration,
+    /// awaiting the canonical sort.
     pub knn_candidates: Vec<Neighbor>,
-    /// KNN: sharded executors' cross-shard merge buffer.
-    pub knn_merge: Vec<Neighbor>,
 }
 
 impl QueryScratch {
@@ -67,8 +63,7 @@ impl QueryScratch {
 
 impl From<TraversalCounters> for QueryStats {
     /// Lift the R-Tree family's flat scratch counters into the unified
-    /// schema — same mapping as the allocating
-    /// [`neurospatial_rtree::QueryStats`] conversion.
+    /// schema.
     fn from(c: TraversalCounters) -> Self {
         QueryStats {
             results: c.results,
@@ -192,6 +187,16 @@ impl QueryStats {
         self.pages_quarantined += other.pages_quarantined;
     }
 
+    /// Accumulate another traversal's *work* — every counter but
+    /// `results`. A search made of several range traversals (KNN's
+    /// expanding cubes) sums what they read and tested, physical I/O
+    /// included, and stamps its own result count at the end.
+    pub fn merge_work(&mut self, other: &QueryStats) {
+        let results = self.results;
+        self.merge(other);
+        self.results = results;
+    }
+
     /// The field-wise sum of an iterator of statistics.
     pub fn merged<'a, I: IntoIterator<Item = &'a QueryStats>>(stats: I) -> QueryStats {
         let mut out = QueryStats::default();
@@ -209,17 +214,6 @@ impl From<&FlatQueryStats> for QueryStats {
             nodes_read: s.pages_read + s.seed_nodes_read,
             objects_tested: s.objects_tested,
             reseeds: s.reseeds,
-            ..QueryStats::default()
-        }
-    }
-}
-
-impl From<&neurospatial_rtree::QueryStats> for QueryStats {
-    fn from(s: &neurospatial_rtree::QueryStats) -> Self {
-        QueryStats {
-            results: s.results,
-            nodes_read: s.nodes_visited(),
-            objects_tested: s.leaf_entries_tested,
             ..QueryStats::default()
         }
     }
@@ -288,26 +282,144 @@ fn neighbor_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
         .then(a.segment.id.cmp(&b.segment.id))
 }
 
-/// Sort candidates canonically, truncate to `k`, and stamp the result
-/// count — the shared tail of every KNN path (trait default and sharded
-/// merge alike).
+/// Sort `candidates` canonically, keep the first `k`, stamp the result
+/// count and append them to `out` — the tail of every KNN search.
 pub(crate) fn finish_knn(
-    mut candidates: Vec<Neighbor>,
+    candidates: &mut Vec<Neighbor>,
     k: usize,
     stats: &mut QueryStats,
-) -> Vec<Neighbor> {
+    out: &mut Vec<Neighbor>,
+) {
     candidates.sort_by(neighbor_order);
     candidates.truncate(k);
     stats.results = candidates.len() as u64;
-    candidates
+    out.extend_from_slice(candidates);
+}
+
+/// The initial expanding-cube radius and its upper bound for a KNN
+/// search: the distance to the data plus a cube sized to hold ~k objects
+/// under a uniform-density estimate, capped by the farthest corner of the
+/// data bounds (every indexed AABB lies inside the bounds, so no AABB
+/// distance exceeds it).
+pub(crate) fn knn_radii<I: SpatialIndex + ?Sized>(index: &I, p: Vec3, k: usize) -> (f64, f64) {
+    let bounds = index.bounds();
+    let far = Vec3::new(
+        (p.x - bounds.lo.x).abs().max((p.x - bounds.hi.x).abs()),
+        (p.y - bounds.lo.y).abs().max((p.y - bounds.hi.y).abs()),
+        (p.z - bounds.lo.z).abs().max((p.z - bounds.hi.z).abs()),
+    )
+    .norm();
+    let ext = bounds.extent();
+    let frac = (k as f64 / index.len().max(1) as f64).cbrt().min(1.0);
+    let guess = ext.x.max(ext.y).max(ext.z) * frac * 0.5;
+    let r = (bounds.min_distance_to_point(p) + guess).max(1e-9).min(far.max(1e-9));
+    (r, far)
+}
+
+/// The exact expanding-cube search behind every KNN, written once over
+/// the range primitive: a cube of half-extent `r` centred on `p` contains
+/// every segment whose AABB lies within Euclidean distance `r` of `p`, so
+/// once at least `k` candidates that pass `keep` sit within the ball of
+/// radius `r` the answer is among them. The radius starts from
+/// [`knn_radii`]'s density-scaled guess and doubles until the ball holds
+/// `k` candidates or the cube swallows the dataset.
+///
+/// Leaves the last cube's candidates, unsorted, in
+/// `scratch.knn_candidates` for [`finish_knn`] (callers with a second
+/// tier — a live database's delta — add its candidates in between), and
+/// returns the work of every cube traversed.
+pub(crate) fn knn_candidates<I: SpatialIndex + ?Sized>(
+    index: &I,
+    p: Vec3,
+    k: usize,
+    scratch: &mut QueryScratch,
+    allow_partial: bool,
+    mut keep: impl FnMut(&NeuronSegment) -> bool,
+) -> Result<QueryStats, NeuroError> {
+    let mut stats = QueryStats::default();
+    scratch.knn_candidates.clear();
+    if k == 0 || index.is_empty() {
+        return Ok(stats);
+    }
+    let (mut r, far) = knn_radii(index, p, k);
+    // Taken out of the scratch so the borrow checker sees the buffer as
+    // disjoint from the scratch handed to the range traversal.
+    let mut candidates = std::mem::take(&mut scratch.knn_candidates);
+    let result = loop {
+        candidates.clear();
+        let cube =
+            index.try_for_each_in_range(&Aabb::cube(p, r), scratch, allow_partial, &mut |s| {
+                if !keep(s) {
+                    return Flow::Skip;
+                }
+                let distance = s.aabb().min_distance_to_point(p);
+                if distance <= r {
+                    candidates.push(Neighbor { segment: *s, distance });
+                }
+                Flow::Emit
+            });
+        match cube {
+            Ok(s) => stats.merge_work(&s),
+            Err(e) => break Err(e),
+        }
+        if candidates.len() >= k || r >= far {
+            break Ok(stats);
+        }
+        r = (r * 2.0).min(far);
+    };
+    scratch.knn_candidates = candidates;
+    result
+}
+
+/// One [`QueryOutput`] per region, in input order, one [`QueryScratch`]
+/// reused across the slice — the body of
+/// [`SpatialIndex::range_query_many`], and of each worker's share when the
+/// sharded executor splits a batch.
+pub(crate) fn range_query_batch<I: SpatialIndex + ?Sized>(
+    index: &I,
+    regions: &[Aabb],
+) -> Vec<QueryOutput> {
+    let mut scratch = QueryScratch::new();
+    regions
+        .iter()
+        .map(|r| {
+            let mut segments = Vec::new();
+            let stats = index.range_query_into_scratch(r, &mut scratch, &mut segments);
+            QueryOutput { segments, stats }
+        })
+        .collect()
+}
+
+/// Unwrap the range primitive for the infallible provided methods — the
+/// one place they can panic. In-memory backends never fail; a paged
+/// index validates its whole file at open, so an error here means the
+/// file rotted or was truncated *while the database was serving*.
+/// Callers that must survive that use
+/// [`try_for_each_in_range`](SpatialIndex::try_for_each_in_range) or the
+/// fallible query terminals in [`crate::query`].
+pub(crate) fn infallible<T>(result: Result<T, NeuroError>) -> T {
+    result.unwrap_or_else(|e| {
+        panic!("range traversal failed on an infallible query method (did a page file change while serving?): {e}")
+    })
 }
 
 /// A queryable spatial index over neuron segments.
 ///
-/// Implemented by FLAT, the dynamic R-Tree, the R+-Tree, the STR-packed
-/// R-Tree and the sharded executor over any of them; every implementation
-/// must return exactly the segments a brute-force scan would
-/// (property-tested in `tests/backend_equivalence.rs`).
+/// Implemented by FLAT (in memory and paged), the dynamic R-Tree, the
+/// R+-Tree, the STR-packed R-Tree and the sharded executor over any of
+/// them; every implementation must return exactly the segments a
+/// brute-force scan would (property-tested in
+/// `tests/backend_equivalence.rs` and `tests/hotpath_equivalence.rs`).
+///
+/// A backend implements **one** range traversal,
+/// [`try_for_each_in_range`](Self::try_for_each_in_range). Collecting,
+/// batching, KNN and planning are provided methods written once on top of
+/// it, so a fix or a counter added to the primitive reaches every query
+/// form. Override a provided method only to change *how the work is
+/// scheduled or estimated*, never what it returns: the sharded executor
+/// splits a [`range_query_many`](Self::range_query_many) batch over its
+/// workers, and it and FLAT (in memory and paged) report real pruning and
+/// page counts from [`plan_range`](Self::plan_range).
 pub trait SpatialIndex: Send + Sync + 'static {
     /// Build the index over `segments`.
     fn build(segments: Vec<NeuronSegment>, params: &IndexParams) -> Self
@@ -338,92 +450,85 @@ pub trait SpatialIndex: Send + Sync + 'static {
     /// Bounding box of the indexed data (`Aabb::EMPTY` when empty).
     fn bounds(&self) -> Aabb;
 
-    /// All segments intersecting `region`, with unified statistics.
-    fn range_query(&self, region: &Aabb) -> QueryOutput;
-
-    /// Append every segment intersecting `region` to `out` and return the
-    /// query statistics. Equivalent to [`range_query`](Self::range_query)
-    /// but amortises result allocation across calls — the form hot query
-    /// loops (benches, servers) should use.
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        let o = self.range_query(region);
-        out.extend_from_slice(&o.segments);
-        o.stats
-    }
-
-    /// Fully allocation-free range query: results append to `out`, all
-    /// per-query working state (visit stacks, crawl queues, visited
-    /// bitsets) lives in `scratch`, and the returned statistics are plain
-    /// `Copy` data. Results, their order, and statistics are
-    /// byte-identical to [`range_query`](Self::range_query)
-    /// (property-tested in `tests/hotpath_equivalence.rs`). The default
-    /// falls back to the buffered path, so custom backends keep working
-    /// unchanged; every built-in backend overrides it.
-    fn range_query_into_scratch(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        let _ = scratch;
-        self.range_query_into(region, out)
-    }
-
-    /// Streaming range query with predicate/limit pushdown — the
-    /// execution primitive behind [`crate::query::RangeQuery::stream`]. Every
-    /// segment intersecting `region` is offered to `sink` exactly once,
-    /// in the same order [`range_query`](Self::range_query) would emit
-    /// it; the sink's [`Flow`] verdict decides whether it counts as a
-    /// result ([`Flow::Emit`]), is filtered out below the traversal
+    /// The range traversal — the only query method a backend implements.
+    /// Every segment intersecting `region` is offered to `sink` exactly
+    /// once, in the backend's canonical emission order; the sink's
+    /// [`Flow`] verdict decides whether it counts as a result
+    /// ([`Flow::Emit`]), is filtered out below the traversal
     /// ([`Flow::Skip`] — not counted in `stats.results`), or ends the
     /// traversal immediately ([`Flow::Last`] — how a pushed-down limit
     /// stops reading index pages it no longer needs). Nothing is
-    /// materialized; with an always-`Emit` sink the statistics are
-    /// byte-identical to
-    /// [`range_query_into_scratch`](Self::range_query_into_scratch).
+    /// materialized, and all per-query working state (visit stacks, crawl
+    /// queues, visited marks) lives in `scratch`.
     ///
-    /// The default buffers through the scratch path and replays the
-    /// buffer (correct, but no early exit below the traversal); every
-    /// built-in backend overrides it with a native streaming traversal.
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
-        let mut buf = Vec::new();
-        let mut stats = self.range_query_into_scratch(region, scratch, &mut buf);
-        let mut results = 0u64;
-        for s in &buf {
-            match sink(s) {
-                Flow::Emit => results += 1,
-                Flow::Skip => {}
-                Flow::Last => {
-                    results += 1;
-                    break;
-                }
-            }
-        }
-        stats.results = results;
-        stats
-    }
-
-    /// Fallible variant of [`for_each_in_range`](Self::for_each_in_range)
-    /// — the lane disk-backed queries run on. In-memory backends cannot
-    /// fail mid-traversal, so the default simply delegates and always
-    /// succeeds; the paged backend overrides it to surface storage
-    /// failures as typed errors and, with `allow_partial`, to skip
-    /// quarantined pages and label the result via
-    /// `stats.pages_quarantined` instead of failing.
+    /// In-memory backends cannot fail and ignore `allow_partial`. The
+    /// paged backend surfaces storage failures as typed errors, or, with
+    /// `allow_partial`, skips quarantined pages and labels the loss in
+    /// `stats.pages_quarantined`.
     fn try_for_each_in_range(
         &self,
         region: &Aabb,
         scratch: &mut QueryScratch,
         allow_partial: bool,
         sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> Result<QueryStats, crate::error::NeuroError> {
-        let _ = allow_partial; // meaningless without failure modes
-        Ok(self.for_each_in_range(region, scratch, sink))
+    ) -> Result<QueryStats, NeuroError>;
+
+    /// Append every segment intersecting `region` to `out` and return
+    /// the query statistics — the allocation-free collecting form hot
+    /// loops use. Panics where the primitive fails: only on a paged index
+    /// whose file changed while serving.
+    fn range_query_into_scratch(
+        &self,
+        region: &Aabb,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<NeuronSegment>,
+    ) -> QueryStats {
+        infallible(self.try_for_each_in_range(region, scratch, false, &mut |s| {
+            out.push(*s);
+            Flow::Emit
+        }))
+    }
+
+    /// All segments intersecting `region`, with unified statistics, on a
+    /// fresh scratch and a fresh vector.
+    fn range_query(&self, region: &Aabb) -> QueryOutput {
+        let mut segments = Vec::new();
+        let stats = self.range_query_into_scratch(region, &mut QueryScratch::new(), &mut segments);
+        QueryOutput { segments, stats }
+    }
+
+    /// Batched queries — one call, one output per region, in input
+    /// order, with one [`QueryScratch`] reused across the batch. The
+    /// sharded executor overrides this to split the batch over its
+    /// worker pool (one scratch per worker).
+    fn range_query_many(&self, regions: &[Aabb]) -> Vec<QueryOutput> {
+        range_query_batch(self, regions)
+    }
+
+    /// The `k` segments nearest to `p` (AABB minimum distance), in
+    /// canonical order: ascending distance, ties broken by segment id.
+    /// One exact expanding-cube search over the range primitive serves
+    /// every backend, which keeps answers byte-identical across backends
+    /// and shard counts.
+    fn knn(&self, p: Vec3, k: usize) -> (Vec<Neighbor>, QueryStats) {
+        let mut out = Vec::new();
+        let stats = self.knn_into_scratch(p, k, &mut QueryScratch::new(), &mut out);
+        (out, stats)
+    }
+
+    /// Allocation-free [`knn`](Self::knn): the candidate buffer comes
+    /// from `scratch`, results append to `out` in the same canonical
+    /// order.
+    fn knn_into_scratch(
+        &self,
+        p: Vec3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) -> QueryStats {
+        let mut stats = infallible(knn_candidates(self, p, k, scratch, false, |_| true));
+        finish_knn(&mut scratch.knn_candidates, k, &mut stats, out);
+        stats
     }
 
     /// Planner metadata for a region — what [`crate::query::RangeQuery::explain`]
@@ -450,104 +555,6 @@ pub trait SpatialIndex: Send + Sync + 'static {
         }
     }
 
-    /// Batched queries — one call, one output per region. Backends can
-    /// override this with a plan that shares traversal state (the sharded
-    /// executor fans the batch out over its worker pool, one scratch per
-    /// worker); the default loops with one reused [`QueryScratch`], so
-    /// per-query traversal state is allocated once per batch, not once
-    /// per query.
-    fn range_query_many(&self, regions: &[Aabb]) -> Vec<QueryOutput> {
-        let mut scratch = QueryScratch::default();
-        regions
-            .iter()
-            .map(|r| {
-                let mut segments = Vec::new();
-                let stats = self.range_query_into_scratch(r, &mut scratch, &mut segments);
-                QueryOutput { segments, stats }
-            })
-            .collect()
-    }
-
-    /// The `k` segments nearest to `p` (AABB minimum distance), in
-    /// canonical order: ascending distance, ties broken by segment id.
-    ///
-    /// The default implementation is an exact expanding-cube search built
-    /// purely on [`range_query`](Self::range_query): a cube of half-extent
-    /// `r` centred on `p` contains every segment whose AABB lies within
-    /// Euclidean distance `r` of `p`, so once at least `k` candidates sit
-    /// within the Euclidean ball of radius `r` the answer is complete.
-    /// The radius starts from a density-scaled guess and doubles until
-    /// the ball holds `k` candidates or the cube swallows the dataset.
-    /// All backends share this one implementation, which keeps answers
-    /// byte-identical across backends and shard counts.
-    fn knn(&self, p: Vec3, k: usize) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        let stats = self.knn_into_scratch(p, k, &mut scratch, &mut out);
-        (out, stats)
-    }
-
-    /// Allocation-free [`knn`](Self::knn): the expanding-cube search's
-    /// hit and candidate buffers come from `scratch`, results append to
-    /// `out` in the same canonical order. The default implements the
-    /// whole algorithm on top of
-    /// [`range_query_into_scratch`](Self::range_query_into_scratch), so
-    /// overriding the range path is enough to make KNN allocation-free
-    /// too.
-    fn knn_into_scratch(
-        &self,
-        p: Vec3,
-        k: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Neighbor>,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        if k == 0 || self.is_empty() {
-            return stats;
-        }
-        let bounds = self.bounds();
-        // Upper bound on any AABB distance: the farthest corner of the
-        // data bounds (every indexed AABB lies inside the bounds).
-        let far = Vec3::new(
-            (p.x - bounds.lo.x).abs().max((p.x - bounds.hi.x).abs()),
-            (p.y - bounds.lo.y).abs().max((p.y - bounds.hi.y).abs()),
-            (p.z - bounds.lo.z).abs().max((p.z - bounds.hi.z).abs()),
-        )
-        .norm();
-        // Initial radius: the distance to the data plus a cube sized to
-        // hold ~k objects under a uniform-density estimate.
-        let ext = bounds.extent();
-        let frac = (k as f64 / self.len() as f64).cbrt().min(1.0);
-        let guess = ext.x.max(ext.y).max(ext.z) * frac * 0.5;
-        let mut r = (bounds.min_distance_to_point(p) + guess).max(1e-9).min(far.max(1e-9));
-        // Take the buffers out of the scratch so the borrow checker sees
-        // them as disjoint from the scratch handed to the range queries.
-        let mut hits = std::mem::take(&mut scratch.knn_hits);
-        let mut candidates = std::mem::take(&mut scratch.knn_candidates);
-        loop {
-            hits.clear();
-            let s = self.range_query_into_scratch(&Aabb::cube(p, r), scratch, &mut hits);
-            stats.nodes_read += s.nodes_read;
-            stats.objects_tested += s.objects_tested;
-            stats.reseeds += s.reseeds;
-            candidates.clear();
-            candidates.extend(
-                hits.iter()
-                    .map(|s| Neighbor { segment: *s, distance: s.aabb().min_distance_to_point(p) })
-                    .filter(|n| n.distance <= r),
-            );
-            if candidates.len() >= k || r >= far {
-                candidates = finish_knn(candidates, k, &mut stats);
-                out.extend_from_slice(&candidates);
-                break;
-            }
-            r = (r * 2.0).min(far);
-        }
-        scratch.knn_hits = hits;
-        scratch.knn_candidates = candidates;
-        stats
-    }
-
     /// Approximate resident size in bytes (for the demo's memory panels).
     fn memory_bytes(&self) -> usize;
 }
@@ -568,46 +575,15 @@ impl SpatialIndex for FlatIndex<NeuronSegment> {
         FlatIndex::bounds(self)
     }
 
-    fn range_query(&self, region: &Aabb) -> QueryOutput {
-        // Single pass: matches are copied straight into the output vector
-        // (no intermediate reference vector), keeping the trait lane at
-        // parity with the concrete FLAT query. Seeding capacity with two
-        // pages' worth of objects absorbs the growth-doubling re-copies
-        // that would otherwise dominate small result sets.
-        let mut segments = Vec::with_capacity(self.params().page_capacity * 2);
-        let stats = self.range_query_sink(region, |_| {}, |o| segments.push(*o));
-        QueryOutput { segments, stats: (&stats).into() }
-    }
-
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        let stats = self.range_query_sink(region, |_| {}, |o| out.push(*o));
-        (&stats).into()
-    }
-
-    fn range_query_into_scratch(
+    fn try_for_each_in_range(
         &self,
         region: &Aabb,
         scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        let stats = FlatIndex::range_query_scratch(
-            self,
-            region,
-            &mut scratch.flat,
-            |_| {},
-            |o| out.push(*o),
-        );
-        (&stats).into()
-    }
-
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
+        _allow_partial: bool,
         sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
+    ) -> Result<QueryStats, NeuroError> {
         let stats = FlatIndex::range_query_stream(self, region, &mut scratch.flat, |_| {}, sink);
-        (&stats).into()
+        Ok((&stats).into())
     }
 
     fn plan_range(&self, region: &Aabb) -> IndexPlan {
@@ -648,33 +624,14 @@ impl SpatialIndex for RTree<NeuronSegment> {
         self.root_mbr()
     }
 
-    fn range_query(&self, region: &Aabb) -> QueryOutput {
-        let (hits, stats) = RTree::range_query(self, region);
-        QueryOutput { segments: hits.into_iter().copied().collect(), stats: (&stats).into() }
-    }
-
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        let (hits, stats) = RTree::range_query(self, region);
-        out.extend(hits.into_iter().copied());
-        (&stats).into()
-    }
-
-    fn range_query_into_scratch(
+    fn try_for_each_in_range(
         &self,
         region: &Aabb,
         scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        RTree::range_query_scratch(self, region, &mut scratch.tree, |o| out.push(*o)).into()
-    }
-
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
+        _allow_partial: bool,
         sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
-        RTree::range_query_stream(self, region, &mut scratch.tree, sink).into()
+    ) -> Result<QueryStats, NeuroError> {
+        Ok(RTree::range_query_stream(self, region, &mut scratch.tree, sink).into())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -713,33 +670,14 @@ impl SpatialIndex for DynamicRTree {
         self.0.root_mbr()
     }
 
-    fn range_query(&self, region: &Aabb) -> QueryOutput {
-        let (hits, stats) = self.0.range_query(region);
-        QueryOutput { segments: hits.into_iter().copied().collect(), stats: (&stats).into() }
-    }
-
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        let (hits, stats) = self.0.range_query(region);
-        out.extend(hits.into_iter().copied());
-        (&stats).into()
-    }
-
-    fn range_query_into_scratch(
+    fn try_for_each_in_range(
         &self,
         region: &Aabb,
         scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        self.0.range_query_scratch(region, &mut scratch.tree, |o| out.push(*o)).into()
-    }
-
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
+        _allow_partial: bool,
         sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
-        self.0.range_query_stream(region, &mut scratch.tree, sink).into()
+    ) -> Result<QueryStats, NeuroError> {
+        Ok(self.0.range_query_stream(region, &mut scratch.tree, sink).into())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -764,33 +702,14 @@ impl SpatialIndex for RPlusTree<NeuronSegment> {
         RPlusTree::bounds(self)
     }
 
-    fn range_query(&self, region: &Aabb) -> QueryOutput {
-        let (hits, stats) = RPlusTree::range_query(self, region);
-        QueryOutput { segments: hits.into_iter().copied().collect(), stats: (&stats).into() }
-    }
-
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        let (hits, stats) = RPlusTree::range_query(self, region);
-        out.extend(hits.into_iter().copied());
-        (&stats).into()
-    }
-
-    fn range_query_into_scratch(
+    fn try_for_each_in_range(
         &self,
         region: &Aabb,
         scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        RPlusTree::range_query_scratch(self, region, &mut scratch.tree, |o| out.push(*o)).into()
-    }
-
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
+        _allow_partial: bool,
         sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
-        RPlusTree::range_query_stream(self, region, &mut scratch.tree, sink).into()
+    ) -> Result<QueryStats, NeuroError> {
+        Ok(RPlusTree::range_query_stream(self, region, &mut scratch.tree, sink).into())
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -45,17 +45,18 @@
 //!
 //! // 3. Spatial range query through the pluggable SpatialIndex API.
 //! let region = Aabb::cube(circuit.bounds().center(), 30.0);
-//! let out = db.range_query(&region);
+//! let out = db.query().range(region).collect().expect("no population to resolve");
 //! assert_eq!(out.segments.len(), out.stats.results as usize);
 //!
 //! // 4. Synapse candidates between the two populations (TOUCH join).
-//! let synapses = db.find_synapse_candidates(3.0).expect("two populations");
+//! let synapses =
+//!     db.query().touching("dendrites", 3.0).in_population("axons").collect().expect("both exist");
 //! assert!(synapses.stats.results == synapses.pairs.len() as u64);
 //!
 //! // 5. Replay a branch-following walkthrough with SCOUT prefetching
 //! //    (FLAT backend only — walkthroughs are page-granular).
-//! if let Some(path) = db.navigation_path(&circuit, 1, 20.0, 8.0) {
-//!     let report = db.walkthrough(&path, WalkthroughMethod::Scout).expect("flat");
+//! if let Some(path) = NavigationPath::along_random_branch(&circuit, 1, 20.0, 8.0) {
+//!     let report = db.query().along_path(&path).run().expect("flat");
 //!     assert!(report.steps.len() == path.queries.len());
 //! }
 //! ```
@@ -112,4 +113,4 @@ pub use paged::PagedFlatIndex;
 pub use query::{
     KnnQuery, PathQuery, Plan, Query, QuerySession, RangeQuery, SegmentPredicate, TouchingQuery,
 };
-pub use shard::{ShardedIndex, ShardedQueryOutput};
+pub use shard::ShardedIndex;

@@ -13,30 +13,29 @@
 //!
 //! ## Fallibility
 //!
-//! Disk-backed queries can fail in ways in-memory queries cannot, but
-//! the [`SpatialIndex`] trait is infallible by design (in-memory
-//! backends would pay an `unwrap` tax on every call otherwise). The
-//! split is:
+//! Disk-backed queries can fail in ways in-memory queries cannot:
 //!
 //! * **Open-time**: [`PagedFlatIndex::open`] / [`PagedFlatIndex::create`] validate the
 //!   header, metadata and — with [`OocConfig::validate_pages`] (the
 //!   default) — every page checksum, returning typed
 //!   [`NeuroError::Storage`] errors. A corrupt file never constructs an
 //!   index.
-//! * **Query-time**: the trait methods `expect` on storage errors,
-//!   which after a validated open can only mean the file rotted or was
-//!   truncated *while the database was serving*. Callers that want to
-//!   survive post-open media failure use the fallible
-//!   [`try_range_query_into_scratch`](PagedFlatIndex::try_range_query_into_scratch)
-//!   lane instead.
+//! * **Query-time**: [`SpatialIndex::try_for_each_in_range`] returns a
+//!   typed error, which after a validated open can only mean the file
+//!   rotted or was truncated *while the database was serving*; with
+//!   `allow_partial` it skips quarantined pages and labels the loss. The
+//!   trait's infallible provided methods (`range_query`, `knn`, …) panic
+//!   on that error at one site; callers that want to survive post-open
+//!   media failure use the primitive or the fallible terminals of
+//!   [`crate::query`].
 
 use crate::error::NeuroError;
-use crate::index::{IndexParams, IndexPlan, QueryOutput, QueryScratch, QueryStats, SpatialIndex};
+use crate::index::{IndexParams, IndexPlan, QueryScratch, QueryStats, SpatialIndex};
 use neurospatial_flat::{FlatBuildParams, FlatIndex};
 use neurospatial_geom::{Aabb, Flow};
 use neurospatial_model::NeuronSegment;
-use neurospatial_scout::{write_flat_index, OocConfig, OocFlatIndex, OocQueryStats, OocScratch};
-use neurospatial_storage::{FrameStats, StorageError};
+use neurospatial_scout::{write_flat_index, OocConfig, OocFlatIndex, OocQueryStats};
+use neurospatial_storage::FrameStats;
 use std::any::Any;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,39 +168,6 @@ impl PagedFlatIndex {
     pub fn is_degraded(&self) -> bool {
         !self.quarantined_pages().is_empty()
     }
-
-    /// Fallible range query for callers that must survive post-open
-    /// media failure (a served file truncated or bit-flipped while the
-    /// database is live): same results and statistics as
-    /// [`SpatialIndex::range_query_into_scratch`], but storage errors
-    /// return as [`NeuroError::Storage`] instead of panicking.
-    pub fn try_range_query_into_scratch(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> Result<QueryStats, NeuroError> {
-        let stats = self.ooc.range_query_stream(
-            region,
-            &mut scratch.paged,
-            |_| {},
-            |s| {
-                out.push(*s);
-                Flow::Emit
-            },
-        )?;
-        Ok(unified_stats(&stats))
-    }
-
-    /// Unwrap a query-lane storage result. `open` validated every page
-    /// (see the module docs), so an error here means the file changed
-    /// underneath a live database — not something the infallible trait
-    /// lane can report.
-    fn must<T>(r: Result<T, StorageError>) -> T {
-        r.unwrap_or_else(|e| {
-            panic!("paged FLAT: page file failed after a validated open (did the file change while serving?): {e}")
-        })
-    }
 }
 
 impl SpatialIndex for PagedFlatIndex {
@@ -229,68 +195,6 @@ impl SpatialIndex for PagedFlatIndex {
 
     fn bounds(&self) -> Aabb {
         self.ooc.bounds()
-    }
-
-    fn range_query(&self, region: &Aabb) -> QueryOutput {
-        let mut segments = Vec::with_capacity(self.ooc.params().page_capacity * 2);
-        let mut scratch = OocScratch::new();
-        let stats = Self::must(self.ooc.range_query_stream(
-            region,
-            &mut scratch,
-            |_| {},
-            |s| {
-                segments.push(*s);
-                Flow::Emit
-            },
-        ));
-        QueryOutput { segments, stats: unified_stats(&stats) }
-    }
-
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        let mut scratch = OocScratch::new();
-        let stats = Self::must(self.ooc.range_query_stream(
-            region,
-            &mut scratch,
-            |_| {},
-            |s| {
-                out.push(*s);
-                Flow::Emit
-            },
-        ));
-        unified_stats(&stats)
-    }
-
-    fn range_query_into_scratch(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        let stats = Self::must(self.ooc.range_query_stream(
-            region,
-            &mut scratch.paged,
-            |_| {},
-            |s| {
-                out.push(*s);
-                Flow::Emit
-            },
-        ));
-        unified_stats(&stats)
-    }
-
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
-        let stats = Self::must(self.ooc.range_query_stream(
-            region,
-            &mut scratch.paged,
-            |_| {},
-            |s| sink(s),
-        ));
-        unified_stats(&stats)
     }
 
     fn try_for_each_in_range(

@@ -5,7 +5,8 @@
 //!
 //! let circuit = CircuitBuilder::new(1).neurons(3).build();
 //! let db = NeuroDb::from_circuit(&circuit);
-//! let out = db.range_query(&Aabb::cube(circuit.bounds().center(), 10.0));
+//! let region = Aabb::cube(circuit.bounds().center(), 10.0);
+//! let out = db.query().range(region).collect().expect("no population to resolve");
 //! assert!(out.len() <= circuit.segments().len());
 //! ```
 
@@ -23,7 +24,7 @@ pub use crate::paged::PagedFlatIndex;
 pub use crate::query::{
     KnnQuery, PathQuery, Plan, Query, QuerySession, RangeQuery, SegmentPredicate, TouchingQuery,
 };
-pub use crate::shard::{ShardedIndex, ShardedQueryOutput};
+pub use crate::shard::ShardedIndex;
 
 pub use neurospatial_geom::{Aabb, Flow, Segment, Vec3};
 
@@ -47,6 +48,6 @@ pub use neurospatial_storage::{
 };
 
 pub use neurospatial_touch::{
-    ClassicTouchJoin, JoinObject, JoinResult, JoinScratch, JoinStats, NestedLoopJoin, PbsmJoin,
-    PlaneSweepJoin, S3Join, SpatialJoin, TouchEngine, TouchJoin,
+    JoinObject, JoinResult, JoinScratch, JoinStats, NestedLoopJoin, PbsmJoin, PlaneSweepJoin,
+    S3Join, SpatialJoin, TouchEngine, TouchJoin,
 };

@@ -12,13 +12,14 @@
 //!   population, [`RangeQuery::filter`] pushes an arbitrary predicate
 //!   *below* the index traversal, [`RangeQuery::limit`] stops the
 //!   traversal the moment enough results have been emitted;
-//! * **how** — three terminal modes: `collect()` materializes (the
-//!   classic [`QueryOutput`], byte-identical to the legacy methods),
-//!   `stream(|seg| …)` delivers results through a sink without ever
-//!   building a `Vec` (backed by [`SpatialIndex::for_each_in_range`]),
-//!   and `session()` binds a reusable [`QueryScratch`] — plus, on FLAT
-//!   databases, an optional SCOUT prefetch cursor — for repeated-query
-//!   serving loops that must not allocate;
+//! * **how** — three terminal modes: `collect()` materializes a
+//!   [`QueryOutput`], `stream(|seg| …)` delivers results through a sink
+//!   without ever building a `Vec`, and `session()` binds a reusable
+//!   [`QueryScratch`] — plus, on FLAT databases, an optional SCOUT
+//!   prefetch cursor — for repeated-query serving loops that must not
+//!   allocate. Every range form runs one executor over the index's one
+//!   traversal, [`SpatialIndex::try_for_each_in_range`], and every KNN
+//!   form one expanding-cube search over the same primitive;
 //! * **why** — every builder answers [`explain`](RangeQuery::explain)
 //!   with a [`Plan`]: backend chosen, shards pruned, pushdown applied,
 //!   estimated page reads.
@@ -34,7 +35,7 @@
 //!     .expect("valid");
 //! let region = Aabb::cube(circuit.bounds().center(), 40.0);
 //!
-//! // Collect — today's QueryOutput, byte-identical to db.range_query().
+//! // Collect — a QueryOutput: segments plus unified statistics.
 //! let all = db.query().range(region).collect().unwrap();
 //!
 //! // Stream with a pushed-down predicate and limit: no Vec, early exit.
@@ -65,8 +66,11 @@
 
 use crate::db::{DbCursor, NeuroDb, WalkthroughMethod};
 use crate::error::NeuroError;
+#[cfg(doc)]
+use crate::index::SpatialIndex;
 use crate::index::{
-    finish_knn, IndexBackend, Neighbor, QueryOutput, QueryScratch, QueryStats, SpatialIndex,
+    finish_knn, infallible, knn_candidates, knn_radii, IndexBackend, Neighbor, QueryOutput,
+    QueryScratch, QueryStats,
 };
 use neurospatial_geom::{Aabb, Flow, Vec3};
 use neurospatial_model::{NavigationPath, NeuronSegment};
@@ -99,58 +103,76 @@ fn with_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
     })
 }
 
-/// Emit the live delta inserts matching `region` after the base
-/// traversal — the second half of the base+delta merge on live
-/// databases. Delta hits respect the same population/filter/limit
-/// pushdown as base hits (a population constraint excludes delta
-/// inserts entirely: membership is assigned at build time, so a
-/// freshly ingested segment belongs to no population until the next
-/// reopen). Returns `false` iff `emit` asked to stop (budget tripped).
-#[allow(clippy::too_many_arguments)]
-fn emit_delta_matches(
+/// The membership and predicate test a bound composition pushes below
+/// the traversal.
+#[inline(always)]
+fn passes(
     db: &NeuroDb,
-    delta: &crate::delta::DeltaBuffer,
-    region: &Aabb,
     population: Option<u32>,
     filter: Option<&SegmentPredicate<'_>>,
-    remaining: &mut Option<usize>,
-    stats: &mut QueryStats,
-    emit: &mut dyn FnMut(&NeuronSegment) -> bool,
+    s: &NeuronSegment,
 ) -> bool {
-    let mut completed = true;
-    delta.for_each_in_range(region, |s| {
-        if !completed || *remaining == Some(0) {
-            return;
-        }
-        stats.objects_tested += 1;
-        let keep = population.is_none_or(|pi| db.population_of_segment(s.id) == Some(pi))
-            && filter.is_none_or(|f| f(s));
-        if !keep {
-            return;
-        }
-        stats.results += 1;
-        if let Some(r) = remaining {
-            *r -= 1;
-        }
-        if !emit(s) {
-            completed = false;
-        }
-    });
-    completed
+    population.is_none_or(|pi| db.population_of_segment(s.id) == Some(pi))
+        && filter.is_none_or(|f| f(s))
 }
 
-/// The shared range executor behind every terminal: one streaming
-/// traversal with population membership, predicate and limit all applied
-/// *below* the index (via [`SpatialIndex::try_for_each_in_range`]),
-/// results delivered to `emit` in the backend's canonical emission
-/// order. On live databases the traversal runs over a coherent
-/// (base, delta) snapshot: removals mask base hits, then the delta's
-/// inserts are emitted after the base in acknowledgement order.
-/// In-memory backends cannot fail; the paged backend surfaces
-/// storage faults as typed errors, or — with `allow_partial` — skips
-/// quarantined pages and labels the loss in `stats.pages_quarantined`.
+/// The pushdown sink: what a bound composition does with each segment
+/// the traversal offers. Both tiers of a live database (the base index,
+/// then the delta's inserts) offer to the same one.
+struct Pushdown<'q, E> {
+    db: &'q NeuroDb,
+    population: Option<u32>,
+    filter: Option<&'q SegmentPredicate<'q>>,
+    remaining: Option<usize>,
+    emit: E,
+    /// Set when a verdict ended the traversal (limit reached or `emit`
+    /// said stop): nothing is offered after it.
+    stopped: bool,
+}
+
+impl<E: FnMut(&NeuronSegment) -> bool> Pushdown<'_, E> {
+    // Forced: the per-result path of every range query, called from the
+    // closures of both tiers.
+    #[inline(always)]
+    fn offer(&mut self, s: &NeuronSegment) -> Flow {
+        if !passes(self.db, self.population, self.filter, s) {
+            return Flow::Skip;
+        }
+        let last = !(self.emit)(s)
+            || self.remaining.as_mut().is_some_and(|r| {
+                *r -= 1;
+                *r == 0
+            });
+        if last {
+            self.stopped = true;
+            Flow::Last
+        } else {
+            Flow::Emit
+        }
+    }
+}
+
+/// The range executor behind every terminal and every session method:
+/// one streaming traversal with population membership, predicate and
+/// limit all applied *below* the index (in the sink handed to
+/// [`SpatialIndex::try_for_each_in_range`]), results delivered to `emit`
+/// in the backend's canonical emission order. `emit` returns whether to
+/// keep going: `false` ends the traversal cleanly after the segment in
+/// hand (how a serving loop's time budget cuts a stream short), and an
+/// always-`true` emitter costs nothing once monomorphised.
+///
+/// On live databases the traversal runs over a coherent (base, delta)
+/// snapshot: removals mask base hits, then the delta's inserts matching
+/// `region` go through the same sink after the base, in acknowledgement
+/// order. (A population constraint excludes delta inserts entirely:
+/// membership is assigned at build time, so a freshly ingested segment
+/// belongs to no population until the next reopen.)
+///
+/// In-memory backends cannot fail; the paged backend surfaces storage
+/// faults as typed errors, or — with `allow_partial` — skips quarantined
+/// pages and labels the loss in `stats.pages_quarantined`.
 #[allow(clippy::too_many_arguments)]
-fn try_run_range(
+fn run_range(
     db: &NeuroDb,
     region: &Aabb,
     population: Option<u32>,
@@ -158,54 +180,32 @@ fn try_run_range(
     limit: Option<usize>,
     allow_partial: bool,
     scratch: &mut QueryScratch,
-    mut emit: impl FnMut(&NeuronSegment),
+    emit: impl FnMut(&NeuronSegment) -> bool,
 ) -> Result<QueryStats, NeuroError> {
     if limit == Some(0) {
         return Ok(QueryStats::default());
     }
+    let mut sink = Pushdown { db, population, filter, remaining: limit, emit, stopped: false };
     let qobs = crate::metrics::query_obs();
     qobs.ranges.inc();
     let _traversal = crate::metrics::sample_range_latency().then(|| {
         neurospatial_obs::span_timed(neurospatial_obs::Stage::Traversal, &qobs.range_latency)
     });
     let res = db.with_view(|index, delta| {
-        let mut remaining = limit;
         let mut stats = index.try_for_each_in_range(region, scratch, allow_partial, &mut |s| {
             if delta.is_some_and(|d| d.is_removed(s.id)) {
-                return Flow::Skip;
-            }
-            let keep = population.is_none_or(|pi| db.population_of_segment(s.id) == Some(pi))
-                && filter.is_none_or(|f| f(s));
-            if !keep {
-                return Flow::Skip;
-            }
-            emit(s);
-            match &mut remaining {
-                None => Flow::Emit,
-                Some(r) => {
-                    *r -= 1;
-                    if *r == 0 {
-                        Flow::Last
-                    } else {
-                        Flow::Emit
-                    }
-                }
+                Flow::Skip
+            } else {
+                sink.offer(s)
             }
         })?;
         if let Some(d) = delta {
-            emit_delta_matches(
-                db,
-                d,
-                region,
-                population,
-                filter,
-                &mut remaining,
-                &mut stats,
-                &mut |s| {
-                    emit(s);
-                    true
-                },
-            );
+            d.for_each_in_range(region, |s| {
+                if !sink.stopped {
+                    stats.objects_tested += 1;
+                    stats.results += u64::from(sink.offer(s) != Flow::Skip);
+                }
+            });
         }
         Ok(stats)
     });
@@ -215,96 +215,13 @@ fn try_run_range(
     res
 }
 
-/// The infallible form of [`try_run_range`] used by [`QuerySession`]'s
-/// hot loops: identical traversal through the infallible trait lane
-/// (the paged backend panics on post-open media failure here — sessions
-/// that must survive it use [`QuerySession::try_range`]).
-fn run_range(
-    db: &NeuroDb,
-    region: &Aabb,
-    population: Option<u32>,
-    filter: Option<&SegmentPredicate<'_>>,
-    limit: Option<usize>,
-    scratch: &mut QueryScratch,
-    mut emit: impl FnMut(&NeuronSegment),
-) -> QueryStats {
-    if limit == Some(0) {
-        return QueryStats::default();
-    }
-    let qobs = crate::metrics::query_obs();
-    qobs.ranges.inc();
-    let _traversal = crate::metrics::sample_range_latency().then(|| {
-        neurospatial_obs::span_timed(neurospatial_obs::Stage::Traversal, &qobs.range_latency)
-    });
-    let stats = db.with_view(|index, delta| {
-        let mut remaining = limit;
-        let mut stats = index.for_each_in_range(region, scratch, &mut |s| {
-            if delta.is_some_and(|d| d.is_removed(s.id)) {
-                return Flow::Skip;
-            }
-            let keep = population.is_none_or(|pi| db.population_of_segment(s.id) == Some(pi))
-                && filter.is_none_or(|f| f(s));
-            if !keep {
-                return Flow::Skip;
-            }
-            emit(s);
-            match &mut remaining {
-                None => Flow::Emit,
-                Some(r) => {
-                    *r -= 1;
-                    if *r == 0 {
-                        Flow::Last
-                    } else {
-                        Flow::Emit
-                    }
-                }
-            }
-        });
-        if let Some(d) = delta {
-            emit_delta_matches(
-                db,
-                d,
-                region,
-                population,
-                filter,
-                &mut remaining,
-                &mut stats,
-                &mut |s| {
-                    emit(s);
-                    true
-                },
-            );
-        }
-        stats
-    });
-    qobs.observe(&stats);
-    stats
-}
-
-/// The initial expanding-cube radius and its upper bound for a KNN
-/// search — the same density-scaled guess the trait's default uses, so
-/// plans describe the traversal that will actually run.
-fn knn_radii(index: &dyn SpatialIndex, p: Vec3, k: usize) -> (f64, f64) {
-    let bounds = index.bounds();
-    let far = Vec3::new(
-        (p.x - bounds.lo.x).abs().max((p.x - bounds.hi.x).abs()),
-        (p.y - bounds.lo.y).abs().max((p.y - bounds.hi.y).abs()),
-        (p.z - bounds.lo.z).abs().max((p.z - bounds.hi.z).abs()),
-    )
-    .norm();
-    let ext = bounds.extent();
-    let frac = (k as f64 / index.len().max(1) as f64).cbrt().min(1.0);
-    let guess = ext.x.max(ext.y).max(ext.z) * frac * 0.5;
-    let r = (bounds.min_distance_to_point(p) + guess).max(1e-9).min(far.max(1e-9));
-    (r, far)
-}
-
-/// Filtered exact KNN: the expanding-cube search of the trait default,
-/// with the membership/predicate tests pushed below each cube traversal.
-/// Only used when a filter or population is bound — the unfiltered path
-/// goes through [`SpatialIndex::knn_into_scratch`] so answers (and the
-/// sharded executor's merge strategy) stay byte-identical to the legacy
-/// [`NeuroDb::knn`].
+/// The KNN executor behind [`KnnQuery`] and [`QuerySession::try_knn`]:
+/// the index's expanding-cube search with the removed-mask, membership
+/// and predicate tests pushed below each cube traversal, so the search
+/// keeps expanding until `k` *matching* neighbours are proven nearest.
+/// On live databases every delta insert is a candidate too (the buffer
+/// is small by construction); the canonical (distance, id) order then
+/// makes the merged answer exact. Fallible exactly as [`run_range`] is.
 #[allow(clippy::too_many_arguments)]
 fn run_knn(
     db: &NeuroDb,
@@ -312,87 +229,35 @@ fn run_knn(
     k: usize,
     population: Option<u32>,
     filter: Option<&SegmentPredicate<'_>>,
+    allow_partial: bool,
     scratch: &mut QueryScratch,
     out: &mut Vec<Neighbor>,
-) -> QueryStats {
+) -> Result<QueryStats, NeuroError> {
     let qobs = crate::metrics::query_obs();
     qobs.knns.inc();
     let _traversal = crate::metrics::sample_knn_latency().then(|| {
         neurospatial_obs::span_timed(neurospatial_obs::Stage::Traversal, &qobs.knn_latency)
     });
-    let stats = db.with_view(|index, delta| {
-        // An empty delta merges like no delta at all — keep the
-        // byte-identical fast path.
-        let delta = delta.filter(|d| !d.is_empty());
-        if population.is_none() && filter.is_none() && delta.is_none() {
-            return index.knn_into_scratch(p, k, scratch, out);
-        }
-        let mut stats = QueryStats::default();
-        if k == 0 || (index.is_empty() && delta.is_none()) {
-            return stats;
-        }
-        let mut hits = std::mem::take(&mut scratch.knn_hits);
-        let mut candidates = std::mem::take(&mut scratch.knn_candidates);
-        candidates.clear();
-        if index.is_empty() {
-            // Nothing frozen yet: every candidate comes from the delta.
-        } else {
-            let (mut r, far) = knn_radii(index, p, k);
-            loop {
-                hits.clear();
-                let s = index.for_each_in_range(&Aabb::cube(p, r), scratch, &mut |seg| {
-                    let keep = !delta.is_some_and(|d| d.is_removed(seg.id))
-                        && population.is_none_or(|pi| db.population_of_segment(seg.id) == Some(pi))
-                        && filter.is_none_or(|f| f(seg));
-                    if keep {
-                        hits.push(*seg);
-                        Flow::Emit
-                    } else {
-                        Flow::Skip
-                    }
-                });
-                stats.nodes_read += s.nodes_read;
-                stats.objects_tested += s.objects_tested;
-                stats.reseeds += s.reseeds;
-                candidates.clear();
-                candidates.extend(
-                    hits.iter()
-                        .map(|s| Neighbor {
-                            segment: *s,
-                            distance: s.aabb().min_distance_to_point(p),
-                        })
-                        .filter(|n| n.distance <= r),
-                );
-                if candidates.len() >= k || r >= far {
-                    break;
-                }
-                r = (r * 2.0).min(far);
-            }
-        }
-        // Every live delta insert is a candidate (the buffer is small by
-        // construction); finish_knn's canonical (distance, id) order then
-        // makes the merged answer exact.
-        if let Some(d) = delta {
-            d.for_each(|seg| {
+    let res = db.with_view(|index, delta| {
+        let mut stats = knn_candidates(index, p, k, scratch, allow_partial, |s| {
+            !delta.is_some_and(|d| d.is_removed(s.id)) && passes(db, population, filter, s)
+        })?;
+        if let Some(d) = delta.filter(|_| k > 0) {
+            d.for_each(|s| {
                 stats.objects_tested += 1;
-                let keep = population.is_none_or(|pi| db.population_of_segment(seg.id) == Some(pi))
-                    && filter.is_none_or(|f| f(seg));
-                if keep {
-                    candidates.push(Neighbor {
-                        segment: *seg,
-                        distance: seg.aabb().min_distance_to_point(p),
-                    });
+                if passes(db, population, filter, s) {
+                    let distance = s.aabb().min_distance_to_point(p);
+                    scratch.knn_candidates.push(Neighbor { segment: *s, distance });
                 }
             });
         }
-        candidates = finish_knn(candidates, k, &mut stats);
-        out.extend_from_slice(&candidates);
-        scratch.knn_hits = hits;
-        scratch.knn_candidates = candidates;
-        stats
+        finish_knn(&mut scratch.knn_candidates, k, &mut stats, out);
+        Ok(stats)
     });
-    qobs.observe(&stats);
-    stats
+    if let Ok(stats) = &res {
+        qobs.observe(stats);
+    }
+    res
 }
 
 /// What a query *would* do — returned by every builder's `explain()`
@@ -473,7 +338,15 @@ impl<'a> Query<'a> {
     /// The `k` segments nearest to `p` (AABB minimum distance), in
     /// canonical (distance, id) order.
     pub fn knn(self, p: Vec3, k: usize) -> KnnQuery<'a> {
-        KnnQuery { db: self.db, p, k, population: None, filter: None, limit: None }
+        KnnQuery {
+            db: self.db,
+            p,
+            k,
+            population: None,
+            filter: None,
+            limit: None,
+            allow_partial: false,
+        }
     }
 
     /// ε-distance join (TOUCH): all pairs between the left population
@@ -563,25 +436,13 @@ impl<'a> RangeQuery<'a> {
         }
     }
 
-    /// Materialize: today's [`QueryOutput`]. Without a population,
-    /// filter or limit this is byte-identical — results, order,
-    /// statistics — to the legacy [`NeuroDb::range_query`].
+    /// Materialize a [`QueryOutput`]. Without a population, filter or
+    /// limit this is — results, order, statistics — what the index's own
+    /// [`SpatialIndex::range_query`] returns.
     pub fn collect(&self) -> Result<QueryOutput, NeuroError> {
-        let population = self.resolve_population()?;
-        with_scratch(|scratch| {
-            let mut segments = Vec::new();
-            let stats = try_run_range(
-                self.db,
-                &self.region,
-                population,
-                self.filter,
-                self.limit,
-                self.allow_partial,
-                scratch,
-                |s| segments.push(*s),
-            )?;
-            Ok(QueryOutput { segments, stats })
-        })
+        let mut segments = Vec::new();
+        let stats = self.stream(|s| segments.push(*s))?;
+        Ok(QueryOutput { segments, stats })
     }
 
     /// Count the matching segments without materializing any of them —
@@ -616,7 +477,7 @@ impl<'a> RangeQuery<'a> {
     pub fn stream(&self, mut sink: impl FnMut(&NeuronSegment)) -> Result<QueryStats, NeuroError> {
         let population = self.resolve_population()?;
         with_scratch(|scratch| {
-            try_run_range(
+            run_range(
                 self.db,
                 &self.region,
                 population,
@@ -624,7 +485,10 @@ impl<'a> RangeQuery<'a> {
                 self.limit,
                 self.allow_partial,
                 scratch,
-                |s| sink(s),
+                |s| {
+                    sink(s);
+                    true
+                },
             )
         })
     }
@@ -670,8 +534,8 @@ impl<'a> RangeQuery<'a> {
 /// A composable k-nearest-neighbour query. With a filter or population
 /// bound, the expanding-cube search applies the predicate below each
 /// cube traversal and keeps expanding until `k` *matching* neighbours
-/// are proven nearest; without one it is byte-identical to the legacy
-/// [`NeuroDb::knn`].
+/// are proven nearest; without one it answers exactly as the index's own
+/// [`SpatialIndex::knn`].
 pub struct KnnQuery<'a> {
     db: &'a NeuroDb,
     p: Vec3,
@@ -679,6 +543,7 @@ pub struct KnnQuery<'a> {
     population: Option<&'a str>,
     filter: Option<&'a SegmentPredicate<'a>>,
     limit: Option<usize>,
+    allow_partial: bool,
 }
 
 impl<'a> KnnQuery<'a> {
@@ -701,6 +566,15 @@ impl<'a> KnnQuery<'a> {
         self
     }
 
+    /// Accept neighbours drawn from the surviving pages of a degraded
+    /// paged database, exactly as [`RangeQuery::allow_partial`] does for
+    /// ranges; without it such a search fails with
+    /// [`NeuroError::DegradedResult`].
+    pub fn allow_partial(mut self, allow: bool) -> Self {
+        self.allow_partial = allow;
+        self
+    }
+
     fn effective_k(&self) -> usize {
         self.limit.map_or(self.k, |l| self.k.min(l))
     }
@@ -712,8 +586,8 @@ impl<'a> KnnQuery<'a> {
         }
     }
 
-    /// Materialize the canonical neighbour list — the legacy
-    /// [`NeuroDb::knn`] tuple.
+    /// Materialize the canonical neighbour list. A storage fault on a
+    /// paged database is returned, not panicked on.
     pub fn collect(&self) -> Result<(Vec<Neighbor>, QueryStats), NeuroError> {
         let population = self.resolve_population()?;
         with_scratch(|scratch| {
@@ -724,9 +598,10 @@ impl<'a> KnnQuery<'a> {
                 self.effective_k(),
                 population,
                 self.filter,
+                self.allow_partial,
                 scratch,
                 &mut out,
-            );
+            )?;
             Ok((out, stats))
         })
     }
@@ -837,8 +712,9 @@ impl<'a> TouchingQuery<'a> {
         Some((keep, filtered))
     }
 
-    /// Run the join. Without a filter or limit this is byte-identical
-    /// (pairs and counters) to the legacy [`NeuroDb::join_between`].
+    /// Run the join. Without a filter or limit this is, pairs and
+    /// counters, the database's [`TouchJoin`](neurospatial_touch::TouchJoin)
+    /// run on the two population slices.
     pub fn collect(&self) -> Result<JoinResult, NeuroError> {
         let (li, ri) = self.sides()?;
         let a = &self.db.populations()[li].segments;
@@ -935,10 +811,12 @@ impl PathQuery<'_> {
         self
     }
 
-    /// Replay the walkthrough. Identical to the legacy
-    /// [`NeuroDb::walkthrough`]; errors on non-paged backends.
+    /// Replay the walkthrough and report the session statistics (stall
+    /// time, hit ratio, prefetch precision). Errors unless the database
+    /// uses the FLAT backend (monolithic, sharded or paged) —
+    /// walkthroughs are page-granular.
     pub fn run(&self) -> Result<SessionStats, NeuroError> {
-        self.db.walkthrough_impl(self.path, self.method)
+        self.db.replay_walkthrough(self.path, self.method)
     }
 
     /// The execution plan: shard layout plus the summed per-step read
@@ -992,52 +870,54 @@ pub struct QuerySession<'a> {
 }
 
 impl<'a> QuerySession<'a> {
-    /// Execute a range query with the bound composition; the result
-    /// slice lives in the session's reused buffer until the next call.
-    pub fn range(&mut self, region: &Aabb) -> (&[NeuronSegment], QueryStats) {
-        self.segments.clear();
-        let QuerySession { db, population, filter, limit, scratch, segments, cursor, .. } = self;
-        let stats =
-            run_range(db, region, *population, *filter, *limit, scratch, |s| segments.push(*s));
-        if let Some(cursor) = cursor {
-            cursor.step(region);
-        }
-        (&self.segments, stats)
-    }
-
-    /// Fallible sibling of [`range`](Self::range) for serving loops that
-    /// must survive degraded media: a paged database with quarantined
-    /// pages reports [`NeuroError::DegradedResult`] instead of panicking,
-    /// and `allow_partial` opts into labeled partial results
-    /// (`stats.pages_quarantined` counts the skipped pages). On healthy
-    /// databases this is byte-identical to [`range`](Self::range).
-    pub fn try_range(
+    /// The one path from a session method to the range executor: the
+    /// bound composition, the session's scratch, the prefetch cursor's
+    /// step. `emit` is handed the session's result buffer with each
+    /// result and says whether to keep going.
+    fn run(
         &mut self,
         region: &Aabb,
         allow_partial: bool,
-    ) -> Result<(&[NeuronSegment], QueryStats), NeuroError> {
-        self.segments.clear();
+        mut emit: impl FnMut(&mut Vec<NeuronSegment>, &NeuronSegment) -> bool,
+    ) -> Result<QueryStats, NeuroError> {
         let QuerySession { db, population, filter, limit, scratch, segments, cursor, .. } = self;
         let stats =
-            try_run_range(db, region, *population, *filter, *limit, allow_partial, scratch, |s| {
-                segments.push(*s)
+            run_range(db, region, *population, *filter, *limit, allow_partial, scratch, |s| {
+                emit(segments, s)
             })?;
         if let Some(cursor) = cursor {
             cursor.step(region);
         }
-        Ok((&self.segments, stats))
+        Ok(stats)
     }
 
-    /// [`try_range`](Self::try_range) with a cooperative abort: the
+    /// Execute a range query with the bound composition; the result
+    /// slice lives in the session's reused buffer until the next call.
+    /// Infallible: panics where a paged database's file fails under it
+    /// (serving loops that must survive that use
+    /// [`try_range_budgeted`](Self::try_range_budgeted)).
+    pub fn range(&mut self, region: &Aabb) -> (&[NeuronSegment], QueryStats) {
+        self.segments.clear();
+        let stats = infallible(self.run(region, false, |out, s| {
+            out.push(*s);
+            true
+        }));
+        (&self.segments, stats)
+    }
+
+    /// Fallible [`range`](Self::range) with a cooperative abort — the
+    /// serving loop's form. A paged database with quarantined pages
+    /// reports [`NeuroError::DegradedResult`] instead of panicking, and
+    /// `allow_partial` opts into labeled partial results
+    /// (`stats.pages_quarantined` counts the skipped pages). The
     /// traversal also stops — cleanly, after delivering the segment in
     /// hand — once `keep_going` returns `false`. Returns
     /// `(segments, stats, completed)`; `completed` is `false` iff the
     /// budget check tripped first, in which case the buffered segments
     /// are a valid prefix of the full answer (`stats` still matches what
-    /// was delivered). Serving loops use this for per-request time
-    /// budgets; `keep_going` is consulted once per emitted result, so a
-    /// tripped budget cuts a stream short without abandoning mid-frame
-    /// state.
+    /// was delivered). `keep_going` is consulted once per emitted result,
+    /// so a tripped budget cuts a stream short without abandoning
+    /// mid-frame state.
     pub fn try_range_budgeted(
         &mut self,
         region: &Aabb,
@@ -1045,72 +925,12 @@ impl<'a> QuerySession<'a> {
         mut keep_going: impl FnMut() -> bool,
     ) -> Result<(&[NeuronSegment], QueryStats, bool), NeuroError> {
         self.segments.clear();
-        let QuerySession { db, population, filter, limit, scratch, segments, cursor, .. } = self;
         let mut completed = true;
-        let stats = if *limit == Some(0) {
-            QueryStats::default()
-        } else {
-            let qobs = crate::metrics::query_obs();
-            qobs.ranges.inc();
-            let _traversal = crate::metrics::sample_range_latency().then(|| {
-                neurospatial_obs::span_timed(
-                    neurospatial_obs::Stage::Traversal,
-                    &qobs.range_latency,
-                )
-            });
-            let stats = db.with_view(|index, delta| {
-                let mut remaining = *limit;
-                let mut stats =
-                    index.try_for_each_in_range(region, scratch, allow_partial, &mut |s| {
-                        if delta.is_some_and(|d| d.is_removed(s.id)) {
-                            return Flow::Skip;
-                        }
-                        let keep = population
-                            .is_none_or(|pi| db.population_of_segment(s.id) == Some(pi))
-                            && filter.is_none_or(|f| f(s));
-                        if !keep {
-                            return Flow::Skip;
-                        }
-                        segments.push(*s);
-                        if !keep_going() {
-                            completed = false;
-                            return Flow::Last;
-                        }
-                        match &mut remaining {
-                            None => Flow::Emit,
-                            Some(r) => {
-                                *r -= 1;
-                                if *r == 0 {
-                                    Flow::Last
-                                } else {
-                                    Flow::Emit
-                                }
-                            }
-                        }
-                    })?;
-                if let (Some(d), true) = (delta, completed) {
-                    completed = emit_delta_matches(
-                        db,
-                        d,
-                        region,
-                        *population,
-                        *filter,
-                        &mut remaining,
-                        &mut stats,
-                        &mut |s| {
-                            segments.push(*s);
-                            keep_going()
-                        },
-                    );
-                }
-                Ok::<QueryStats, NeuroError>(stats)
-            })?;
-            qobs.observe(&stats);
-            stats
-        };
-        if let Some(cursor) = cursor {
-            cursor.step(region);
-        }
+        let stats = self.run(region, allow_partial, |out, s| {
+            out.push(*s);
+            completed = keep_going();
+            completed
+        })?;
         Ok((&self.segments, stats, completed))
     }
 
@@ -1123,21 +943,7 @@ impl<'a> QuerySession<'a> {
         region: &Aabb,
         allow_partial: bool,
     ) -> Result<QueryStats, NeuroError> {
-        let QuerySession { db, population, filter, limit, scratch, cursor, .. } = self;
-        let stats = try_run_range(
-            db,
-            region,
-            *population,
-            *filter,
-            *limit,
-            allow_partial,
-            scratch,
-            |_| {},
-        )?;
-        if let Some(cursor) = cursor {
-            cursor.step(region);
-        }
-        Ok(stats)
+        self.run(region, allow_partial, |_, _| true)
     }
 
     /// Count the segments a [`range`](Self::range) call would return,
@@ -1146,12 +952,7 @@ impl<'a> QuerySession<'a> {
     /// `stats.results`; the full [`QueryStats`] is returned so serving
     /// loops can account for work done, not just rows matched.
     pub fn count(&mut self, region: &Aabb) -> QueryStats {
-        let QuerySession { db, population, filter, limit, scratch, cursor, .. } = self;
-        let stats = run_range(db, region, *population, *filter, *limit, scratch, |_| {});
-        if let Some(cursor) = cursor {
-            cursor.step(region);
-        }
-        stats
+        infallible(self.try_count(region, false))
     }
 
     /// Rebind the session's population restriction (`None` clears it) —
@@ -1178,12 +979,26 @@ impl<'a> QuerySession<'a> {
 
     /// Execute a KNN query with the bound composition; the neighbour
     /// slice lives in the session's reused buffer until the next call.
+    /// Infallible, as [`range`](Self::range) is.
     pub fn knn(&mut self, p: Vec3, k: usize) -> (&[Neighbor], QueryStats) {
+        infallible(self.try_knn(p, k, false))
+    }
+
+    /// Fallible [`knn`](Self::knn) — the serving loop's form: a storage
+    /// fault on a paged database is a typed error, and `allow_partial`
+    /// searches the surviving pages instead (labeled via
+    /// `stats.pages_quarantined`).
+    pub fn try_knn(
+        &mut self,
+        p: Vec3,
+        k: usize,
+        allow_partial: bool,
+    ) -> Result<(&[Neighbor], QueryStats), NeuroError> {
         self.neighbors.clear();
         let k = self.limit.map_or(k, |l| k.min(l));
         let QuerySession { db, population, filter, scratch, neighbors, .. } = self;
-        let stats = run_knn(db, p, k, *population, *filter, scratch, neighbors);
-        (&self.neighbors, stats)
+        let stats = run_knn(db, p, k, *population, *filter, allow_partial, scratch, neighbors)?;
+        Ok((&self.neighbors, stats))
     }
 
     /// Attach a SCOUT prefetch cursor (FLAT databases only): every
@@ -1236,10 +1051,10 @@ mod tests {
     fn collect_matches_legacy_range_query() {
         let (db, c) = db();
         let q = Aabb::cube(c.bounds().center(), 35.0);
-        let legacy = db.index().range_query(&q);
+        let direct = db.index().range_query(&q);
         let built = db.query().range(q).collect().expect("no population");
-        assert_eq!(built.stats, legacy.stats);
-        assert!(built.segments.iter().map(|s| s.id).eq(legacy.segments.iter().map(|s| s.id)));
+        assert_eq!(built.stats, direct.stats);
+        assert!(built.segments.iter().map(|s| s.id).eq(direct.segments.iter().map(|s| s.id)));
     }
 
     #[test]
@@ -1356,10 +1171,10 @@ mod tests {
     fn knn_collect_matches_legacy_and_filters() {
         let (db, c) = db();
         let p = c.segments()[3].geom.center();
-        let (legacy, legacy_stats) = db.index().knn(p, 7);
+        let (direct, direct_stats) = db.index().knn(p, 7);
         let (built, stats) = db.query().knn(p, 7).collect().expect("ok");
-        assert_eq!(stats, legacy_stats);
-        assert!(built.iter().map(|n| n.segment.id).eq(legacy.iter().map(|n| n.segment.id)));
+        assert_eq!(stats, direct_stats);
+        assert!(built.iter().map(|n| n.segment.id).eq(direct.iter().map(|n| n.segment.id)));
 
         let (dendrites, _) =
             db.query().knn(p, 5).in_population("dendrites").collect().expect("known");
@@ -1380,12 +1195,14 @@ mod tests {
     }
 
     #[test]
-    fn touching_matches_join_between() {
+    fn touching_matches_the_join_engine() {
         let (db, _) = db();
         let via_builder =
             db.query().touching("dendrites", 2.0).in_population("axons").collect().expect("ok");
-        let legacy = db.join_between("axons", "dendrites", 2.0).expect("ok");
-        assert_eq!(via_builder.sorted_pairs(), legacy.sorted_pairs());
+        let axons = db.population("axons").expect("known");
+        let dendrites = db.population("dendrites").expect("known");
+        let engine = db.join_config().join(axons, dendrites, 2.0);
+        assert_eq!(via_builder.sorted_pairs(), engine.sorted_pairs());
         // Filtered left side: pair indices still address the unfiltered slice.
         let pred = |s: &NeuronSegment| s.neuron < 4;
         let filtered = db
@@ -1395,10 +1212,9 @@ mod tests {
             .filter(&pred)
             .collect()
             .expect("ok");
-        let axons = db.population("axons").expect("known");
         assert!(filtered.pairs.iter().all(|&(i, _)| pred(&axons[i as usize])));
         let want: Vec<(u32, u32)> =
-            legacy.pairs.iter().copied().filter(|&(i, _)| pred(&axons[i as usize])).collect();
+            engine.pairs.iter().copied().filter(|&(i, _)| pred(&axons[i as usize])).collect();
         assert_eq!(filtered.sorted_pairs(), {
             let mut w = want;
             w.sort_unstable();
@@ -1439,7 +1255,7 @@ mod tests {
     #[test]
     fn along_path_runs_and_errors_on_tree_backends() {
         let (db, c) = db();
-        let path = db.navigation_path(&c, 3, 20.0, 8.0).expect("path");
+        let path = NavigationPath::along_random_branch(&c, 3, 20.0, 8.0).expect("path");
         let stats =
             db.query().along_path(&path).method(WalkthroughMethod::Scout).run().expect("flat");
         assert_eq!(stats.steps.len(), path.queries.len());

@@ -10,17 +10,21 @@
 //! ([`neurospatial_geom::Executor`] — the same primitive the TOUCH join
 //! uses for its parallel probe phase).
 //!
-//! Parallelism is applied where it pays:
+//! The worker pool is used where a dispatch pays for itself:
 //!
-//! * **single queries** run the K per-shard probes on the worker pool
-//!   (useful for large regions; small regions are dominated by the root
-//!   descent each shard repeats);
+//! * **build** constructs the K shard indexes concurrently;
 //! * **batched queries** ([`SpatialIndex::range_query_many`]) split the
-//!   *batch* across workers, each worker probing all shards sequentially
-//!   for its queries — the throughput configuration the
-//!   `experiments --scenario=throughput` race measures;
-//! * **KNN** runs each shard's exact expanding-cube search concurrently
-//!   and merges the per-shard top-k candidate lists.
+//!   *batch* across workers, each worker probing the shards for its
+//!   share of the queries with its own scratch — the throughput
+//!   configuration the `experiments --scenario=throughput` race measures.
+//!
+//! A **single query** is not fanned out: the intersecting shards are
+//! probed inline, on the caller's thread with the caller's scratch, in
+//! partition order. A dispatch costs more than a typical query does
+//! (README, "Parallel execution", has the measured pair), and the inline lane is
+//! the one that pushes a [`Flow::Last`] verdict all the way down: later
+//! shards are not even probed, and nothing is allocated. KNN rides the
+//! same lane through the trait's one expanding-cube search.
 //!
 //! Because the shards partition the segments (every segment lives in
 //! exactly one shard), concatenating per-shard results needs no
@@ -44,26 +48,17 @@
 //! assert_eq!(sharded.range_query(&q).sorted_ids(), mono.range_query(&q).sorted_ids());
 //! ```
 
+use crate::error::NeuroError;
 use crate::index::{
-    finish_knn, IndexParams, IndexPlan, Neighbor, QueryOutput, QueryScratch, QueryStats,
-    SpatialIndex,
+    range_query_batch, IndexParams, IndexPlan, QueryOutput, QueryScratch, QueryStats, SpatialIndex,
 };
 use neurospatial_flat::FlatIndex;
-use neurospatial_geom::{Aabb, Executor, Flow, HilbertSorter, Vec3};
+use neurospatial_geom::{Aabb, Executor, Flow, HilbertSorter};
 use neurospatial_model::NeuronSegment;
 use neurospatial_scout::PagedIndex;
 
-/// A range query's merged result plus the per-shard statistics breakdown
-/// (`per_shard[i]` is shard `i`'s contribution; fields sum to
-/// `output.stats`).
-#[derive(Debug, Clone, Default)]
-pub struct ShardedQueryOutput {
-    pub output: QueryOutput,
-    pub per_shard: Vec<QueryStats>,
-}
-
-/// K backend indexes over a Hilbert space partition of one dataset,
-/// queried by a scoped-thread worker pool.
+/// K backend indexes over a Hilbert space partition of one dataset, built
+/// and batch-queried by a scoped-thread worker pool.
 ///
 /// Built via [`build_with`](Self::build_with) (or the [`SpatialIndex`]
 /// trait constructor, [`NeuroDbBuilder`](crate::NeuroDbBuilder)'s
@@ -72,8 +67,8 @@ pub struct ShardedQueryOutput {
 /// [`IndexParams::shards`] / [`IndexParams::threads`].
 pub struct ShardedIndex<I> {
     shards: Vec<I>,
-    /// `shard_bounds[i]` = `shards[i].bounds()`, cached so query paths
-    /// can prune non-intersecting shards without touching the shard.
+    /// `shard_bounds[i]` = `shards[i].bounds()`, cached so a query can
+    /// prune non-intersecting shards without touching the shard.
     shard_bounds: Vec<Aabb>,
     executor: Executor,
     len: usize,
@@ -130,7 +125,7 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         self.shards.len()
     }
 
-    /// Worker threads used for query execution.
+    /// Worker threads used for the build and for batched queries.
     pub fn threads(&self) -> usize {
         self.executor.threads()
     }
@@ -143,75 +138,6 @@ impl<I: SpatialIndex> ShardedIndex<I> {
     /// Segment counts per shard (sums to [`len`](SpatialIndex::len)).
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.len()).collect()
-    }
-
-    /// Range query returning the merged output *and* the per-shard
-    /// statistics breakdown — the sharded analogue of the demo's
-    /// "disk pages retrieved" panel. Shards whose bounds miss the region
-    /// are pruned without being touched (all-zero statistics), so a
-    /// well-partitioned dataset answers a local query from one or two
-    /// shards.
-    pub fn range_query_breakdown(&self, region: &Aabb) -> ShardedQueryOutput {
-        let shards = &self.shards;
-        let partials = self
-            .executor
-            .map_chunks(shards.len(), |r| {
-                r.map(|i| {
-                    if self.shard_bounds[i].intersects(region) {
-                        shards[i].range_query(region)
-                    } else {
-                        QueryOutput::default()
-                    }
-                })
-                .collect::<Vec<QueryOutput>>()
-            })
-            .into_iter()
-            .flatten();
-        let mut out = ShardedQueryOutput::default();
-        for shard_out in partials {
-            out.output.stats.merge(&shard_out.stats);
-            out.per_shard.push(shard_out.stats);
-            out.output.segments.extend(shard_out.segments);
-        }
-        out
-    }
-
-    /// Append the results of every intersecting shard to `out`,
-    /// sequentially on the calling thread, and return the merged
-    /// statistics. The one pruned shard loop behind both the sequential
-    /// `range_query_into` path and the inner loop of batched execution
-    /// (where the worker pool is already saturated at the batch level).
-    fn range_query_sequential_into(
-        &self,
-        region: &Aabb,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        for (shard, bounds) in self.shards.iter().zip(&self.shard_bounds) {
-            if bounds.intersects(region) {
-                stats.merge(&shard.range_query_into(region, out));
-            }
-        }
-        stats
-    }
-
-    /// The scratch-threading twin of
-    /// [`range_query_sequential_into`](Self::range_query_sequential_into):
-    /// the inner loop of batched execution, where each worker owns one
-    /// [`QueryScratch`] for its whole slice of the batch.
-    fn range_query_sequential_scratch(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        for (shard, bounds) in self.shards.iter().zip(&self.shard_bounds) {
-            if bounds.intersects(region) {
-                stats.merge(&shard.range_query_into_scratch(region, scratch, out));
-            }
-        }
-        stats
     }
 }
 
@@ -228,116 +154,41 @@ impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
         self.bounds
     }
 
-    fn range_query(&self, region: &Aabb) -> QueryOutput {
-        self.range_query_breakdown(region).output
-    }
-
-    fn range_query_into(&self, region: &Aabb, out: &mut Vec<NeuronSegment>) -> QueryStats {
-        if self.executor.threads() == 1 {
-            self.range_query_sequential_into(region, out)
-        } else {
-            let o = self.range_query(region);
-            out.extend_from_slice(&o.segments);
-            o.stats
-        }
-    }
-
-    /// Sequential scratch path: probes the intersecting shards on the
-    /// calling thread, threading one [`QueryScratch`] through all of
-    /// them. Same results, order and statistics as
-    /// [`range_query`](Self::range_query) (shard order is deterministic
-    /// either way); the worker pool is deliberately not engaged — this
-    /// is the form the batched executor runs *inside* each worker.
-    fn range_query_into_scratch(
+    /// Probe the intersecting shards inline, in partition order, on the
+    /// caller's thread with the caller's scratch. Shards whose bounds
+    /// miss the region are pruned without being touched, so a
+    /// well-partitioned dataset answers a local query from one or two
+    /// shards; a [`Flow::Last`] verdict stops before later shards are
+    /// probed. Because the shards partition the segments, per-shard
+    /// statistics simply sum.
+    fn try_for_each_in_range(
         &self,
         region: &Aabb,
         scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        self.range_query_sequential_scratch(region, scratch, out)
-    }
-
-    /// Streaming execution over the shards. At one worker thread the
-    /// intersecting shards stream *sequentially* through the caller's
-    /// sink (one scratch threaded through all of them, a [`Flow::Last`]
-    /// verdict stops before later shards are even probed — the fully
-    /// pushed-down, allocation-free lane). With multiple workers each
-    /// shard streams into a per-worker sink buffer on the pool (bounds
-    /// pruning still applies below the fan-out) and the buffers replay
-    /// through the caller's sink in shard order — a deterministic merge,
-    /// so emission order is identical to the sequential lane. Statistics
-    /// under a `Last` early-exit differ between the lanes (parallel
-    /// probes every intersecting shard before the verdict can stop the
-    /// replay); without an early exit both report the same merged stats.
-    fn for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
+        allow_partial: bool,
         sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> QueryStats {
-        if self.executor.threads() == 1 {
-            let mut stats = QueryStats::default();
-            let mut stopped = false;
-            for (shard, bounds) in self.shards.iter().zip(&self.shard_bounds) {
-                if !bounds.intersects(region) {
-                    continue;
-                }
-                let s = shard.for_each_in_range(region, scratch, &mut |o| {
-                    let f = sink(o);
-                    if f == Flow::Last {
-                        stopped = true;
-                    }
-                    f
-                });
-                stats.merge(&s);
-                if stopped {
-                    break;
-                }
-            }
-            return stats;
-        }
-        let shards = &self.shards;
-        let partials = self
-            .executor
-            .map_chunks(shards.len(), |r| {
-                let mut worker_scratch = QueryScratch::default();
-                r.map(|i| {
-                    let mut buf = Vec::new();
-                    let stats = if self.shard_bounds[i].intersects(region) {
-                        shards[i].range_query_into_scratch(region, &mut worker_scratch, &mut buf)
-                    } else {
-                        QueryStats::default()
-                    };
-                    (buf, stats)
-                })
-                .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten();
+    ) -> Result<QueryStats, NeuroError> {
         let mut stats = QueryStats::default();
-        let mut results = 0u64;
         let mut stopped = false;
-        for (buf, shard_stats) in partials {
-            stats.nodes_read += shard_stats.nodes_read;
-            stats.objects_tested += shard_stats.objects_tested;
-            stats.reseeds += shard_stats.reseeds;
-            if stopped {
+        for (shard, bounds) in self.shards.iter().zip(&self.shard_bounds) {
+            if !bounds.intersects(region) {
                 continue;
             }
-            for o in &buf {
-                match sink(o) {
-                    Flow::Emit => results += 1,
-                    Flow::Skip => {}
-                    Flow::Last => {
-                        results += 1;
-                        stopped = true;
-                        break;
-                    }
-                }
+            stats.merge(&shard.try_for_each_in_range(
+                region,
+                scratch,
+                allow_partial,
+                &mut |o| {
+                    let flow = sink(o);
+                    stopped |= flow == Flow::Last;
+                    flow
+                },
+            )?);
+            if stopped {
+                break;
             }
         }
-        stats.results = results;
-        stats
+        Ok(stats)
     }
 
     /// Real shard-pruning numbers for [`crate::query::RangeQuery::explain`]:
@@ -360,92 +211,14 @@ impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
     }
 
     /// Batched execution splits the *batch* across workers; each worker
-    /// probes all shards sequentially for its queries, reusing **one**
-    /// [`QueryScratch`] across its whole slice of the batch. Outputs keep
-    /// the input order.
+    /// answers its share of the queries as a single caller would, reusing
+    /// **one** [`QueryScratch`] across it. Outputs keep the input order.
     fn range_query_many(&self, regions: &[Aabb]) -> Vec<QueryOutput> {
         self.executor
-            .map_chunks(regions.len(), |r| {
-                let mut scratch = QueryScratch::default();
-                regions[r]
-                    .iter()
-                    .map(|q| {
-                        let mut segments = Vec::new();
-                        let stats =
-                            self.range_query_sequential_scratch(q, &mut scratch, &mut segments);
-                        QueryOutput { segments, stats }
-                    })
-                    .collect::<Vec<_>>()
-            })
+            .map_chunks(regions.len(), |r| range_query_batch(self, &regions[r]))
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// Exact cross-shard KNN: each shard's top-k candidates (computed
-    /// concurrently) merge into the global canonical top-k. Correctness:
-    /// every shard returns *its* k nearest, and the global k nearest are
-    /// each the nearest within their own shard, so the union of per-shard
-    /// top-k lists contains the global answer.
-    fn knn(&self, p: Vec3, k: usize) -> (Vec<Neighbor>, QueryStats) {
-        let mut stats = QueryStats::default();
-        if k == 0 || self.len == 0 {
-            return (Vec::new(), stats);
-        }
-        let shards = &self.shards;
-        let partials = self
-            .executor
-            .map_chunks(shards.len(), |r| {
-                r.map(|i| shards[i].knn(p, k)).collect::<Vec<(Vec<Neighbor>, QueryStats)>>()
-            })
-            .into_iter()
-            .flatten();
-        let mut candidates = Vec::new();
-        for (neighbors, shard_stats) in partials {
-            stats.nodes_read += shard_stats.nodes_read;
-            stats.objects_tested += shard_stats.objects_tested;
-            stats.reseeds += shard_stats.reseeds;
-            candidates.extend(neighbors);
-        }
-        let merged = finish_knn(candidates, k, &mut stats);
-        (merged, stats)
-    }
-
-    /// Allocation-free cross-shard KNN. A scratch cannot be shared
-    /// across worker threads, so the scratch form runs the per-shard
-    /// searches sequentially (one scratch threaded through all of them,
-    /// cross-shard merge in `scratch.knn_merge`) and only multi-threaded
-    /// executors fall back to the parallel allocating path. Candidate
-    /// order, canonical merge and statistics match [`knn`](Self::knn)
-    /// exactly either way.
-    fn knn_into_scratch(
-        &self,
-        p: Vec3,
-        k: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Neighbor>,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        if k == 0 || self.len == 0 {
-            return stats;
-        }
-        if self.executor.threads() > 1 {
-            let (neighbors, s) = self.knn(p, k);
-            out.extend_from_slice(&neighbors);
-            return s;
-        }
-        let mut merge = std::mem::take(&mut scratch.knn_merge);
-        merge.clear();
-        for shard in &self.shards {
-            let shard_stats = shard.knn_into_scratch(p, k, scratch, &mut merge);
-            stats.nodes_read += shard_stats.nodes_read;
-            stats.objects_tested += shard_stats.objects_tested;
-            stats.reseeds += shard_stats.reseeds;
-        }
-        let merged = finish_knn(merge, k, &mut stats);
-        out.extend_from_slice(&merged);
-        scratch.knn_merge = merged;
-        stats
     }
 
     fn memory_bytes(&self) -> usize {
@@ -514,6 +287,7 @@ impl PagedIndex for ShardedIndex<FlatIndex<NeuronSegment>> {
 mod tests {
     use super::*;
     use crate::index::{DynamicRTree, IndexBackend};
+    use neurospatial_geom::Vec3;
     use neurospatial_model::CircuitBuilder;
     use neurospatial_rtree::{RPlusTree, RTree};
     use neurospatial_scout::{ExplorationSession, ScoutPrefetcher, SessionConfig};
@@ -607,8 +381,24 @@ mod tests {
         }
     }
 
-    /// Satellite: sharded statistics must sum consistently across
-    /// K ∈ {1, 2, 7} shards, including shards that hold no segments.
+    /// What each shard reports when it is asked directly — the breakdown
+    /// a sharded query's statistics must be the sum of. Shards whose
+    /// bounds miss the region are pruned: all-zero statistics.
+    fn per_shard<I: SpatialIndex>(idx: &ShardedIndex<I>, q: &Aabb) -> Vec<QueryStats> {
+        idx.shards()
+            .iter()
+            .map(|shard| {
+                if shard.bounds().intersects(q) {
+                    shard.range_query(q).stats
+                } else {
+                    QueryStats::default()
+                }
+            })
+            .collect()
+    }
+
+    /// Sharded statistics must sum consistently across K ∈ {1, 2, 7}
+    /// shards, including shards that hold no segments.
     #[test]
     fn stats_merge_consistently_across_shard_counts() {
         let segments = circuit_segments();
@@ -616,17 +406,11 @@ mod tests {
         let q = Aabb::cube(bounds.center(), 40.0);
         for k in [1usize, 2, 7] {
             let idx = ShardedIndex::<DynamicRTree>::build_with(segments.clone(), &params(k, 2));
-            let breakdown = idx.range_query_breakdown(&q);
-            assert_eq!(breakdown.per_shard.len(), k);
-            let summed = QueryStats::merged(breakdown.per_shard.iter());
-            assert_eq!(summed, breakdown.output.stats, "k={k}: breakdown sums to merged stats");
-            assert_eq!(
-                breakdown.output.stats.results as usize,
-                breakdown.output.segments.len(),
-                "k={k}: results counts segments"
-            );
-            // The trait-level query reports the identical merged stats.
-            assert_eq!(idx.range_query(&q).stats, breakdown.output.stats, "k={k}");
+            let breakdown = per_shard(&idx, &q);
+            assert_eq!(breakdown.len(), k);
+            let out = idx.range_query(&q);
+            assert_eq!(QueryStats::merged(&breakdown), out.stats, "k={k}: shards sum to the whole");
+            assert_eq!(out.stats.results as usize, out.segments.len(), "k={k}");
         }
     }
 
@@ -639,14 +423,45 @@ mod tests {
         assert_eq!(idx.shard_count(), 7);
         assert_eq!(idx.shard_lens().iter().filter(|&&l| l == 0).count(), 4);
         let q = idx.bounds();
-        let breakdown = idx.range_query_breakdown(&q);
-        assert_eq!(breakdown.output.segments.len(), segments.len());
-        assert_eq!(QueryStats::merged(breakdown.per_shard.iter()), breakdown.output.stats);
-        for (lens, stats) in idx.shard_lens().iter().zip(&breakdown.per_shard) {
+        let breakdown = per_shard(&idx, &q);
+        let out = idx.range_query(&q);
+        assert_eq!(out.segments.len(), segments.len());
+        assert_eq!(QueryStats::merged(&breakdown), out.stats);
+        for (lens, stats) in idx.shard_lens().iter().zip(&breakdown) {
             if *lens == 0 {
                 assert_eq!(*stats, QueryStats::default(), "empty shard reports zero work");
             }
         }
+    }
+
+    /// A limit is pushed all the way down: the traversal stops inside the
+    /// shard that delivers the last result and later shards are not
+    /// probed.
+    #[test]
+    fn a_limit_stops_before_later_shards() {
+        let segments = circuit_segments();
+        let idx = ShardedIndex::<RTree<NeuronSegment>>::build_with(segments.clone(), &params(4, 2));
+        let everything = Aabb::cube(Vec3::ZERO, 1e6);
+        let run = |limit: usize| {
+            let mut ids = Vec::new();
+            let stats = idx
+                .try_for_each_in_range(&everything, &mut QueryScratch::new(), false, &mut |s| {
+                    ids.push(s.id);
+                    if ids.len() == limit {
+                        Flow::Last
+                    } else {
+                        Flow::Emit
+                    }
+                })
+                .expect("in-memory shards do not fail");
+            (ids, stats)
+        };
+        let (all, full) = run(usize::MAX);
+        assert_eq!(all.len(), segments.len());
+        let (first, capped) = run(5);
+        assert_eq!(first, all[..5], "a limit emits a prefix of the full order");
+        assert_eq!(capped.results, 5);
+        assert!(capped.nodes_read < full.nodes_read / 2, "three of four shards never probed");
     }
 
     #[test]

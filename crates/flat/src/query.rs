@@ -1,11 +1,11 @@
 //! FLAT query phase: seed, then crawl the neighborhood graph.
 //!
-//! Every entry point — the instrumented [`FlatIndex::range_query_sink`]
-//! and its wrappers, the streaming [`FlatIndex::range_query_stream`] and
-//! its — runs one private crawl. They differ in how they reach the seed
-//! tree (its hooked queries, or its allocation-free ones on the scratch)
-//! and in nothing else, so page visits, emission order and every counter
-//! agree by construction.
+//! Both entry points — the instrumented [`FlatIndex::range_query_with`]
+//! and the streaming [`FlatIndex::range_query_stream`] — run one private
+//! crawl. They differ in how they reach the seed tree (its hooked
+//! queries, or its allocation-free ones on the scratch) and in nothing
+//! else, so page visits, emission order and every counter agree by
+//! construction.
 //!
 //! A visited page is scanned by the page kernel: if the query contains
 //! the page's MBR (and the page's flag says every box on it is finite and
@@ -66,66 +66,37 @@ impl<T: RTreeObject> FlatIndex<T> {
         self.range_query_with(q, |_| {})
     }
 
-    /// Range query with a page-access hook (for simulated I/O charging).
-    ///
-    /// The hook fires once per seed-tree node and once per data page read.
+    /// Range query with a page-access hook (for simulated I/O charging)
+    /// — the fully instrumented form: the hook fires once per seed-tree
+    /// node and once per data page read, and the statistics carry the
+    /// crawl order. The crawl state is allocated per call; batches use
+    /// [`range_query_stream`](Self::range_query_stream).
     pub fn range_query_with<F: FnMut(PageAccess)>(
         &self,
         q: &Aabb,
         on_access: F,
     ) -> (Vec<&T>, FlatQueryStats) {
         let mut out = Vec::new();
-        let stats = self.range_query_sink(q, on_access, |o| out.push(o));
+        let stats = self.crawl(q, &mut FlatScratch::default(), true, on_access, |o| {
+            out.push(o);
+            Flow::Emit
+        });
         (out, stats)
     }
 
-    /// Range query delivering matches straight into `sink` — the fully
-    /// instrumented form: `on_access` sees every seed-tree node and every
-    /// data page, and the statistics carry the crawl order. The crawl
-    /// state is allocated per call; batches use
-    /// [`range_query_stream`](Self::range_query_stream).
-    pub fn range_query_sink<'a, F: FnMut(PageAccess), S: FnMut(&'a T)>(
-        &'a self,
-        q: &Aabb,
-        on_access: F,
-        mut sink: S,
-    ) -> FlatQueryStats {
-        self.crawl(q, &mut FlatScratch::default(), true, on_access, |o| {
-            sink(o);
-            Flow::Emit
-        })
-    }
-
-    /// Allocation-free seed-and-crawl: the crawl front, visited marks and
-    /// seed-tree traversal state all live in `scratch`, reused across
-    /// queries. `on_page` fires once per data page read (the hook the
-    /// session simulator charges I/O through); seed-tree node accesses
-    /// are *counted* (`seed_nodes_read`) but not hooked, and
-    /// `crawl_order` is left empty — use
-    /// [`range_query_sink`](Self::range_query_sink) for the fully
-    /// instrumented path. Everything else (visit order, page reads,
-    /// objects tested, emission order, re-seeds) is identical.
-    pub fn range_query_scratch<'a, F: FnMut(u32), S: FnMut(&'a T)>(
-        &'a self,
-        q: &Aabb,
-        scratch: &mut FlatScratch,
-        on_page: F,
-        mut sink: S,
-    ) -> FlatQueryStats {
-        self.range_query_stream(q, scratch, on_page, |o| {
-            sink(o);
-            Flow::Emit
-        })
-    }
-
-    /// Flow-controlled streaming seed-and-crawl — the traversal behind
-    /// [`range_query_scratch`](Self::range_query_scratch), with the sink
-    /// deciding per match whether it counts ([`Flow::Emit`]), is filtered
-    /// out ([`Flow::Skip`]) or ends the crawl right here ([`Flow::Last`] —
-    /// the early exit a pushed-down limit compiles to). With an
-    /// always-`Emit` sink the page visits, object tests, results,
-    /// emission order and re-seeds are exactly those of
-    /// [`range_query`](Self::range_query).
+    /// Allocation-free, flow-controlled seed-and-crawl: the crawl front,
+    /// visited marks and seed-tree traversal state all live in `scratch`,
+    /// reused across queries. `on_page` fires once per data page read
+    /// (the hook the session simulator charges I/O through); seed-tree
+    /// node accesses are *counted* (`seed_nodes_read`) but not hooked,
+    /// and `crawl_order` is left empty — use
+    /// [`range_query_with`](Self::range_query_with) for the fully
+    /// instrumented path. The sink decides per match whether it counts
+    /// ([`Flow::Emit`]), is filtered out ([`Flow::Skip`]) or ends the
+    /// crawl right here ([`Flow::Last`] — the early exit a pushed-down
+    /// limit compiles to). With an always-`Emit` sink the page visits,
+    /// object tests, results, emission order and re-seeds are exactly
+    /// those of [`range_query`](Self::range_query).
     pub fn range_query_stream<'a, F: FnMut(u32), S: FnMut(&'a T) -> Flow>(
         &'a self,
         q: &Aabb,
@@ -222,7 +193,11 @@ impl<T: RTreeObject> FlatIndex<T> {
                 candidates.iter().for_each(|entry| admit(entry.page));
                 s.nodes_visited()
             } else {
-                self.seed_tree.range_query_scratch(q, seed, |entry| admit(entry.page)).nodes_visited
+                let counters = self.seed_tree.range_query_stream(q, seed, |entry| {
+                    admit(entry.page);
+                    Flow::Emit
+                });
+                counters.nodes_visited
             };
             if !reseeded {
                 return stats;
@@ -405,8 +380,15 @@ mod tests {
                 let (want, stats) = idx.range_query(&q);
                 let mut got: Vec<&Aabb> = Vec::new();
                 let mut pages = Vec::new();
-                let c =
-                    idx.range_query_scratch(&q, &mut scratch, |p| pages.push(p), |o| got.push(o));
+                let c = idx.range_query_stream(
+                    &q,
+                    &mut scratch,
+                    |p| pages.push(p),
+                    |o| {
+                        got.push(o);
+                        Flow::Emit
+                    },
+                );
                 assert_eq!(got.len(), want.len(), "pass={pass} at {q}");
                 assert!(got.iter().zip(&want).all(|(a, b)| std::ptr::eq(*a, *b)), "order");
                 assert_eq!(pages, stats.crawl_order, "page visit order");
@@ -428,7 +410,15 @@ mod tests {
         let q = Aabb::new(Vec3::new(-5.0, -5.0, -5.0), Vec3::new(1015.0, 15.0, 5.0));
         let mut scratch = FlatScratch::default();
         let mut hits = 0usize;
-        let c = idx.range_query_scratch(&q, &mut scratch, |_| {}, |_| hits += 1);
+        let c = idx.range_query_stream(
+            &q,
+            &mut scratch,
+            |_| {},
+            |_| {
+                hits += 1;
+                Flow::Emit
+            },
+        );
         assert_eq!(hits, 1024);
         assert!(c.reseeds >= 1, "gap must trigger a re-seed on the scratch path too");
     }
@@ -510,7 +500,8 @@ mod tests {
             for (q, order, seed_nodes, tested, results, reseeds) in *golden {
                 let (_, traced) = idx.range_query(q);
                 let mut pages = Vec::new();
-                let streamed = idx.range_query_scratch(q, &mut scratch, |p| pages.push(p), |_| {});
+                let streamed =
+                    idx.range_query_stream(q, &mut scratch, |p| pages.push(p), |_| Flow::Emit);
                 assert_eq!(&traced.crawl_order, order, "at {q}");
                 assert_eq!(&pages, order, "at {q}");
                 for s in [&traced, &streamed] {

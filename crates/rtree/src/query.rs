@@ -186,33 +186,17 @@ impl<T: RTreeObject> RTree<T> {
         (None, stats)
     }
 
-    /// Allocation-free range query: every object whose AABB intersects
-    /// `q` is delivered to `sink`, traversal state lives in `scratch`
-    /// (reused across queries), and the returned counters are plain
-    /// `Copy` data. On a [frozen](RTree::freeze) tree the child-MBR tests
-    /// scan the contiguous SoA lanes; on an unfrozen tree an iterative
-    /// pointer walk with the same visit order is used. Node visits,
-    /// entries tested, results and emission order are identical to
-    /// [`range_query`](Self::range_query) either way.
-    pub fn range_query_scratch<'a, S: FnMut(&'a T)>(
-        &'a self,
-        q: &Aabb,
-        scratch: &mut TraversalScratch,
-        mut sink: S,
-    ) -> TraversalCounters {
-        self.range_query_stream(q, scratch, |o| {
-            sink(o);
-            Flow::Emit
-        })
-    }
-
-    /// Flow-controlled streaming range query — the traversal behind
-    /// [`range_query_scratch`](Self::range_query_scratch), with the sink
-    /// deciding per candidate whether it counts ([`Flow::Emit`]), is
-    /// filtered out ([`Flow::Skip`]) or ends the traversal right here
-    /// ([`Flow::Last`]). With an always-`Emit` sink the visits, tests,
-    /// results and emission order are exactly those of
-    /// [`range_query`](Self::range_query).
+    /// Allocation-free, flow-controlled range query: every object whose
+    /// AABB intersects `q` is offered to `sink`, traversal state lives in
+    /// `scratch` (reused across queries), and the returned counters are
+    /// plain `Copy` data. The sink decides per candidate whether it
+    /// counts ([`Flow::Emit`]), is filtered out ([`Flow::Skip`]) or ends
+    /// the traversal right here ([`Flow::Last`]). On a
+    /// [frozen](RTree::freeze) tree the child-MBR tests scan the
+    /// contiguous SoA lanes; on an unfrozen tree an iterative pointer
+    /// walk with the same visit order is used. With an always-`Emit`
+    /// sink the node visits, entries tested, results and emission order
+    /// are identical to [`range_query`](Self::range_query) either way.
     pub fn range_query_stream<'a, S: FnMut(&'a T) -> Flow>(
         &'a self,
         q: &Aabb,
@@ -632,7 +616,10 @@ mod tests {
             for q in &queries {
                 let (want, stats) = t.range_query(q);
                 let mut got: Vec<&Aabb> = Vec::new();
-                let c = t.range_query_scratch(q, &mut scratch, |o| got.push(o));
+                let c = t.range_query_stream(q, &mut scratch, |o| {
+                    got.push(o);
+                    Flow::Emit
+                });
                 assert_eq!(got.len(), want.len(), "frozen={frozen} at {q}");
                 assert!(got.iter().zip(&want).all(|(a, b)| std::ptr::eq(*a, *b)), "order");
                 assert_eq!(c.nodes_visited, stats.nodes_visited(), "frozen={frozen} at {q}");

@@ -204,30 +204,15 @@ impl<T: RTreeObject> RPlusTree<T> {
         (out, stats)
     }
 
-    /// Allocation-free range query: replica de-duplication uses the
-    /// scratch's epoch-stamped marks (O(1) to reset between queries)
-    /// instead of a fresh `vec![false; n]`, and the traversal stack is
-    /// reused. Visits, tests, results and emission order are identical
-    /// to [`range_query`](Self::range_query).
-    pub fn range_query_scratch<'a, S: FnMut(&'a T)>(
-        &'a self,
-        q: &Aabb,
-        scratch: &mut TraversalScratch,
-        mut sink: S,
-    ) -> TraversalCounters {
-        self.range_query_stream(q, scratch, |o| {
-            sink(o);
-            Flow::Emit
-        })
-    }
-
-    /// Flow-controlled streaming range query — the traversal behind
-    /// [`range_query_scratch`](Self::range_query_scratch). Each distinct
-    /// object is offered to the sink at most once (replicas are
-    /// de-duplicated *before* the verdict, so a predicate runs once per
-    /// object); [`Flow::Skip`] rejects it, [`Flow::Last`] counts it and
-    /// stops the traversal. With an always-`Emit` sink the visits, tests,
-    /// results and emission order match [`range_query`](Self::range_query).
+    /// Allocation-free, flow-controlled range query: replica
+    /// de-duplication uses the scratch's epoch-stamped marks (O(1) to
+    /// reset between queries) instead of a fresh `vec![false; n]`, and
+    /// the traversal stack is reused. Each distinct object is offered to
+    /// the sink at most once (replicas are de-duplicated *before* the
+    /// verdict, so a predicate runs once per object); [`Flow::Skip`]
+    /// rejects it, [`Flow::Last`] counts it and stops the traversal. With
+    /// an always-`Emit` sink the visits, tests, results and emission
+    /// order match [`range_query`](Self::range_query).
     pub fn range_query_stream<'a, S: FnMut(&'a T) -> Flow>(
         &'a self,
         q: &Aabb,
@@ -386,7 +371,10 @@ mod tests {
             ] {
                 let (want, stats) = t.range_query(&q);
                 let mut got: Vec<&Aabb> = Vec::new();
-                let c = t.range_query_scratch(&q, &mut scratch, |o| got.push(o));
+                let c = t.range_query_stream(&q, &mut scratch, |o| {
+                    got.push(o);
+                    Flow::Emit
+                });
                 assert_eq!(got.len(), want.len(), "pass={pass} at {q}");
                 assert!(got.iter().zip(&want).all(|(a, b)| std::ptr::eq(*a, *b)), "order");
                 assert_eq!(c.nodes_visited, stats.nodes_visited(), "pass={pass} at {q}");

@@ -786,7 +786,10 @@ impl OocFlatIndex {
         out: &mut Vec<u32>,
     ) {
         out.clear();
-        self.seed_tree.range_query_scratch(q, scratch, |entry| out.push(entry.page));
+        self.seed_tree.range_query_stream(q, scratch, |entry| {
+            out.push(entry.page);
+            Flow::Emit
+        });
     }
 
     /// Resident memory of the paged engine: frames + metadata + seed
@@ -948,11 +951,12 @@ impl OocFlatIndex {
             }
 
             let mut reseeded = false;
-            let reseed_counters = self.seed_tree.range_query_scratch(q, seed, |entry| {
+            let reseed_counters = self.seed_tree.range_query_stream(q, seed, |entry| {
                 if visited.mark(entry.page as usize) {
                     queue.push_back(entry.page);
                     reseeded = true;
                 }
+                Flow::Emit
             });
             stats.flat.seed_nodes_read += reseed_counters.nodes_visited;
             if reseeded {
@@ -1187,11 +1191,14 @@ mod tests {
         ] {
             let mut want: Vec<NeuronSegment> = Vec::new();
             let mut want_pages = Vec::new();
-            let want_stats = mem.range_query_scratch(
+            let want_stats = mem.range_query_stream(
                 &q,
                 &mut fscratch,
                 |p| want_pages.push(p),
-                |s| want.push(*s),
+                |s| {
+                    want.push(*s);
+                    Flow::Emit
+                },
             );
             let mut got: Vec<NeuronSegment> = Vec::new();
             let mut got_pages = Vec::new();
@@ -1406,7 +1413,7 @@ mod tests {
         let q = Aabb::cube(mem.page_objects(page)[0].aabb().center(), 1.0);
         let mut pages = Vec::new();
         let mut scratch = neurospatial_flat::FlatScratch::default();
-        mem.range_query_scratch(&q, &mut scratch, |p| pages.push(p), |_| {});
+        mem.range_query_stream(&q, &mut scratch, |p| pages.push(p), |_| Flow::Emit);
         (q, pages)
     }
 

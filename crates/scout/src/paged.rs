@@ -10,7 +10,7 @@
 //! to the facade's trait.
 
 use neurospatial_flat::{FlatIndex, FlatScratch, PageAccess};
-use neurospatial_geom::Aabb;
+use neurospatial_geom::{Aabb, Flow};
 use neurospatial_model::NeuronSegment;
 
 /// A spatial index with page-granular I/O, as required by the session
@@ -99,7 +99,10 @@ impl PagedIndex for FlatIndex<NeuronSegment> {
         on_page: &mut dyn FnMut(u32),
         out: &mut Vec<&'a NeuronSegment>,
     ) {
-        self.range_query_scratch(region, scratch, on_page, |o| out.push(o));
+        self.range_query_stream(region, scratch, on_page, |o| {
+            out.push(o);
+            Flow::Emit
+        });
     }
 }
 

@@ -598,12 +598,16 @@ fn serve_request<'db>(
             if !bind_session(session, shared, desc, out) {
                 return;
             }
-            let (neighbors, stats) = session.knn(*point, *k as usize);
-            for chunk in neighbors.chunks(shared.cfg.chunk.max(1)) {
-                p::encode_neighbor_chunk(chunk, out);
+            match session.try_knn(*point, *k as usize, desc.allow_partial) {
+                Ok((neighbors, stats)) => {
+                    for chunk in neighbors.chunks(shared.cfg.chunk.max(1)) {
+                        p::encode_neighbor_chunk(chunk, out);
+                    }
+                    p::encode_done(&stats, out);
+                    account(shared, desc.tenant, &stats);
+                }
+                Err(err) => encode_neuro_error(&err, out),
             }
-            p::encode_done(&stats, out);
-            account(shared, desc.tenant, &stats);
         }
         RequestView::Touching { desc, other, epsilon } => {
             serve_touching(shared, desc, other, *epsilon, out);

@@ -4,8 +4,8 @@
 //! way the config promises.
 
 use neurospatial::geom::{Aabb, Vec3};
-use neurospatial::model::{Circuit, CircuitBuilder, NeuronSegment};
-use neurospatial::{IndexBackend, NeuroDb, WalkthroughMethod};
+use neurospatial::model::{Circuit, CircuitBuilder, NavigationPath, NeuronSegment};
+use neurospatial::{IndexBackend, NeuroDb, NeuroError, WalkthroughMethod};
 use neurospatial_server::protocol::{self as p, QueryDescView, Request};
 use neurospatial_server::{serve_with, Client, ClientError, FilterRegistry, ServerConfig};
 use std::time::Duration;
@@ -144,11 +144,16 @@ fn server_responses_match_local_execution_on_all_backends() {
 
             // Walkthrough: FLAT replays it; tree backends refuse with a
             // typed application error.
-            let path = db.navigation_path(&circuit, 3, 20.0, 8.0).expect("path");
+            let path = NavigationPath::along_random_branch(&circuit, 3, 20.0, 8.0).expect("path");
             let walk = client.walkthrough(1, WalkthroughMethod::Scout, &path);
             if backend == IndexBackend::Flat {
                 let summary = walk.expect("flat walkthrough");
-                let local = db.walkthrough(&path, WalkthroughMethod::Scout).expect("local walk");
+                let local = db
+                    .query()
+                    .along_path(&path)
+                    .method(WalkthroughMethod::Scout)
+                    .run()
+                    .expect("local walk");
                 assert_eq!(summary.steps, local.steps.len() as u32);
                 assert_eq!(summary.demand_misses, local.total_demand_misses);
                 assert_eq!(summary.demand_hits, local.total_demand_hits);
@@ -488,6 +493,19 @@ fn health_and_partial_results_survive_a_quarantined_page() {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, p::ERR_DEGRADED),
             other => panic!("quarantined page should be a typed DEGRADED error, got {other:?}"),
         }
+        // A KNN wide enough to need every page gets the error frame RANGE
+        // gets (and the worker survives to answer what follows); in
+        // process, the builder's KNN returns the same typed error.
+        let (probe, everything) = (circuit.bounds().center(), circuit.segments().len() as u32);
+        let mut neighbors = Vec::new();
+        match client.knn(&plain, probe, everything, &mut neighbors) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, p::ERR_DEGRADED),
+            other => panic!("KNN over a quarantined page should be DEGRADED, got {other:?}"),
+        }
+        assert!(matches!(
+            db.query().knn(probe, everything as usize).collect(),
+            Err(NeuroError::DegradedResult { .. })
+        ));
 
         // Partial opt-in: the surviving pages serve, the loss is labeled.
         let partial = QueryDescView { tenant: 1, allow_partial: true, ..Default::default() };
@@ -497,6 +515,10 @@ fn health_and_partial_results_survive_a_quarantined_page() {
             stats.results < baseline.results,
             "partial results should be missing the torn page's segments"
         );
+        let stats = client.knn(&partial, probe, everything, &mut neighbors).expect("partial knn");
+        assert!(stats.pages_quarantined >= 1, "loss must be labeled");
+        assert_eq!(neighbors.len() as u64, stats.results);
+        assert!(stats.results < baseline.results);
 
         // HEALTH now names the quarantined page.
         let health = client.health().expect("health");

@@ -16,7 +16,6 @@
 //! | [`PlaneSweepJoin`] | sort + sweep on x | degrades when many elements sit on the sweep line |
 //! | [`PbsmJoin`] | uniform grid, *space*-oriented, replicates | TOUCH is ~1 order of magnitude faster |
 //! | [`S3Join`] | synchronized R-Tree traversal, indexes both sides | TOUCH is ~2 orders faster at equal memory |
-//! | [`ClassicTouchJoin`] | TOUCH over the pointer arena, fused streaming probe | the pre-rebuild engine, kept for racing |
 //! | [`TouchJoin`] | hierarchical *data*-oriented partitioning, no replication; CSR buckets + SoA lanes + hybrid bucket sweep | — |
 //!
 //! For repeated joins against a fixed dataset A, build a [`TouchEngine`]
@@ -42,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod classic;
 pub mod nested;
 pub mod pbsm;
 pub mod stats;
@@ -50,7 +48,6 @@ pub mod sweep;
 pub mod touch;
 pub mod tree2;
 
-pub use classic::ClassicTouchJoin;
 pub use nested::NestedLoopJoin;
 pub use pbsm::PbsmJoin;
 pub use stats::{register_allocation_probe, JoinResult, JoinStats, PhaseTimer};

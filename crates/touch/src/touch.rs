@@ -14,9 +14,7 @@
 //!    against the A-objects in that node's subtree, descending only into
 //!    children whose ε-inflated MBR intersects `b`.
 //!
-//! This module is the *cache-conscious* engine for that pipeline (the
-//! pre-rebuild pointer-walking implementation survives as
-//! [`crate::ClassicTouchJoin`]):
+//! This module is the *cache-conscious* engine for that pipeline:
 //!
 //! * the A-tree is **frozen** after the STR build, so both the assignment
 //!   descent and the per-bucket join scan the BFS-ordered
@@ -433,8 +431,8 @@ pub struct JoinScratch {
     /// parallel to `items` (the leaf-test side).
     lanes: BoxLanes,
     /// The same boxes ε-inflated (the node-pruning side): storing both
-    /// keeps every filter comparison bit-identical to the classic path
-    /// without re-inflating inside the hot scans.
+    /// keeps every filter comparison bit-identical to a per-object
+    /// descent without re-inflating inside the hot scans.
     lanes_fb: BoxLanes,
     /// SoA ids with non-empty buckets, sorted ascending (BFS order).
     active: Vec<u32>,
@@ -672,7 +670,7 @@ struct BucketView<'s> {
 /// Join one task: a run of one bucket's slots descends the assignment
 /// node's subtree as a whole ("radix" descent). At each inner node the
 /// sub-bucket is scanned once per child against that child's hoisted MBR
-/// — the exact (b, child) tests the classic per-object descent performs,
+/// — the exact (b, child) tests a per-object descent performs,
 /// but each tree node is visited once per task instead of once per
 /// object, and the scan streams the inflated-box lanes. Sub-buckets
 /// reaching a leaf join against the leaf's entry lanes: nested
@@ -737,7 +735,7 @@ fn join_leaf<T: JoinObject>(
         return;
     }
     // Nested lane scan, A-entry major: the ε-inflation is hoisted per
-    // entry (matching the classic leaf test bit for bit) and the
+    // entry (matching a per-object leaf test bit for bit) and the
     // sub-bucket's slots gather from the six raw lanes.
     for i in es..ee {
         let fa = view.entry_aabb(i).inflate(eps);
@@ -867,23 +865,6 @@ impl AssignmentReport {
         weighted as f64 / total as f64
     }
 
-    pub(crate) fn record(&mut self, depth: usize) {
-        if self.histogram.len() <= depth {
-            self.histogram.resize(depth + 1, 0);
-        }
-        self.histogram[depth] += 1;
-    }
-
-    pub(crate) fn merge(&mut self, o: &AssignmentReport) {
-        if self.histogram.len() < o.histogram.len() {
-            self.histogram.resize(o.histogram.len(), 0);
-        }
-        for (d, c) in o.histogram.iter().enumerate() {
-            self.histogram[d] += c;
-        }
-        self.filtered_out += o.filtered_out;
-    }
-
     fn merge_worker(&mut self, ws: &WorkerScratch) {
         if self.histogram.len() < ws.hist.len() {
             self.histogram.resize(ws.hist.len(), 0);
@@ -898,7 +879,7 @@ impl AssignmentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClassicTouchJoin, NestedLoopJoin, PbsmJoin, PlaneSweepJoin, S3Join};
+    use crate::{NestedLoopJoin, PbsmJoin, PlaneSweepJoin, S3Join};
     use neurospatial_geom::Vec3;
 
     fn grid_boxes(n: usize, offset: f64) -> Vec<Aabb> {
@@ -925,13 +906,12 @@ mod tests {
     }
 
     #[test]
-    fn all_six_algorithms_agree() {
+    fn all_five_algorithms_agree() {
         let a = grid_boxes(250, 0.0);
         let b = grid_boxes(250, 0.7);
         let eps = 0.25;
         let reference = NestedLoopJoin.join(&a, &b, eps).sorted_pairs();
         assert_eq!(TouchJoin::default().join(&a, &b, eps).sorted_pairs(), reference);
-        assert_eq!(ClassicTouchJoin::default().join(&a, &b, eps).sorted_pairs(), reference);
         assert_eq!(PlaneSweepJoin.join(&a, &b, eps).sorted_pairs(), reference);
         assert_eq!(PbsmJoin::default().join(&a, &b, eps).sorted_pairs(), reference);
         assert_eq!(S3Join::default().join(&a, &b, eps).sorted_pairs(), reference);
@@ -1113,20 +1093,5 @@ mod tests {
         assert!(r.stats.assign_ms >= 0.0 && r.stats.join_ms >= 0.0);
         assert!((r.stats.probe_ms - (r.stats.assign_ms + r.stats.join_ms)).abs() < 1e-9);
         assert!(r.stats.total_ms >= r.stats.probe_ms);
-    }
-
-    #[test]
-    fn matches_classic_exactly() {
-        // The rebuilt engine and the pointer-walking classic must agree
-        // bit for bit on the pair relation, at every fanout.
-        let a = grid_boxes(700, 0.0);
-        let b = grid_boxes(650, 0.9);
-        for fanout in [4usize, 16, 64] {
-            for eps in [0.0, 0.8] {
-                let new = TouchJoin::default().with_fanout(fanout).join(&a, &b, eps);
-                let old = ClassicTouchJoin { fanout, threads: 1 }.join(&a, &b, eps);
-                assert_eq!(new.sorted_pairs(), old.sorted_pairs(), "fanout={fanout} eps={eps}");
-            }
-        }
     }
 }

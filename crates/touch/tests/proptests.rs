@@ -3,8 +3,7 @@
 
 use neurospatial_geom::{Aabb, Segment, Vec3};
 use neurospatial_touch::{
-    ClassicTouchJoin, JoinObject, NestedLoopJoin, PbsmJoin, PlaneSweepJoin, S3Join, SpatialJoin,
-    TouchJoin,
+    JoinObject, NestedLoopJoin, PbsmJoin, PlaneSweepJoin, S3Join, SpatialJoin, TouchJoin,
 };
 use proptest::prelude::*;
 
@@ -35,7 +34,6 @@ fn check_all_agree<T: JoinObject>(a: &[T], b: &[T], eps: f64) -> Result<(), Test
         ("touch", TouchJoin::default().join(a, b, eps)),
         ("touch-par", TouchJoin::parallel(3).join(a, b, eps)),
         ("touch-sweep", TouchJoin::default().with_sweep_min(2).join(a, b, eps)),
-        ("touch-classic", ClassicTouchJoin::default().join(a, b, eps)),
         ("sweep", PlaneSweepJoin.join(a, b, eps)),
         ("pbsm", PbsmJoin { objects_per_cell: 8, max_cells_per_axis: 24 }.join(a, b, eps)),
         ("s3", S3Join { fanout: 5 }.join(a, b, eps)),

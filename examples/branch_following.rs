@@ -13,8 +13,7 @@ fn main() {
     let circuit =
         CircuitBuilder::new(13).neurons(25).morphology(MorphologyParams::cortical()).build();
     let db = NeuroDb::from_circuit(&circuit);
-    let path = db
-        .navigation_path(&circuit, 3, 22.0, 9.0)
+    let path = NavigationPath::along_random_branch(&circuit, 3, 22.0, 9.0)
         .expect("generated circuits always have branches");
 
     println!(
@@ -31,9 +30,10 @@ fn main() {
         "{:>13} | {:>9} | {:>9} | {:>10} | {:>11} | {:>8}",
         "method", "stall ms", "hit rate", "prefetched", "useful", "speedup"
     );
-    let baseline = db.walkthrough(&path, WalkthroughMethod::None).expect("flat backend");
+    let walk = |m| db.query().along_path(&path).method(m).run().expect("flat backend");
+    let baseline = walk(WalkthroughMethod::None);
     for m in WalkthroughMethod::ALL {
-        let s = db.walkthrough(&path, m).expect("flat backend");
+        let s = walk(m);
         println!(
             "{:>13} | {:>9.1} | {:>8.1}% | {:>10} | {:>10.1}% | {:>7.1}×",
             s.method,

@@ -40,7 +40,7 @@ fn main() {
         });
 
         // --- 3. Queries merge base + delta immediately ------------------
-        let hit = db.range_query(&Aabb::cube(far, 10.0));
+        let hit = db.query().range(Aabb::cube(far, 10.0)).collect().expect("in-memory range");
         assert_eq!(hit.sorted_ids(), vec![1_000_000]);
         println!("insert visible: {:?}; removed id {gone} is masked", hit.sorted_ids());
 
@@ -60,7 +60,8 @@ fn main() {
         h.replayed_ops,
         h.recovered_torn_tail
     );
-    assert_eq!(db.range_query(&Aabb::cube(Vec3::new(9_000.0, 0.0, 0.0), 10.0)).len(), 1);
+    let recovered = db.query().range(Aabb::cube(Vec3::new(9_000.0, 0.0, 0.0), 10.0)).count();
+    assert_eq!(recovered.expect("in-memory range"), 1);
 
     std::fs::remove_file(&wal).ok();
 }

@@ -45,7 +45,8 @@ fn main() {
     // Results and logical statistics are byte-identical to the in-memory
     // backend; the cache_* fields report the real page I/O.
     let region = Aabb::cube(circuit.bounds().center(), 50.0);
-    let (want, got) = (mem.range_query(&region), db.range_query(&region));
+    let range = |db: &NeuroDb| db.query().range(region).collect().expect("healthy page file");
+    let (want, got) = (range(&mem), range(&db));
     assert_eq!(want.sorted_ids(), got.sorted_ids(), "paged answers match in-memory");
     println!(
         "\nrange query {region}: {} segments | {} index reads | \
@@ -58,7 +59,7 @@ fn main() {
     );
 
     // Re-running the same query hits the pool instead of the disk.
-    let again = db.range_query(&region);
+    let again = range(&db);
     println!(
         "same query again: {} hits, {} misses (the pool remembered {} of {} pages)",
         again.stats.cache_hits,
@@ -71,10 +72,16 @@ fn main() {
     // Prefetches are actual background reads racing the exploration
     // cursor through the same pool — stall time is wall-clock, not
     // simulated.
-    let path = db.navigation_path(&circuit, 7, 25.0, 10.0).expect("branches exist");
+    let path =
+        NavigationPath::along_random_branch(&circuit, 7, 25.0, 10.0).expect("branches exist");
     println!("\nwalkthrough over {} steps at a {budget}-frame budget:", path.queries.len());
     for method in [WalkthroughMethod::None, WalkthroughMethod::Scout] {
-        let s = db.walkthrough(&path, method).expect("paged FLAT supports walkthroughs");
+        let s = db
+            .query()
+            .along_path(&path)
+            .method(method)
+            .run()
+            .expect("paged FLAT supports walkthroughs");
         println!(
             "  {:>6}: stall {:>7.2} ms | {:>4} demand misses | {:>4} pages prefetched \
              ({} later demanded)",

@@ -138,8 +138,7 @@ fn main() {
     );
 
     // --- 6. Branch-following walkthrough with SCOUT ----------------------
-    let path = db
-        .navigation_path(&circuit, 7, 25.0, 10.0)
+    let path = NavigationPath::along_random_branch(&circuit, 7, 25.0, 10.0)
         .expect("generated circuits always have branches");
     println!(
         "walkthrough: following neuron {} over {} steps ({:.0} µm); plan: {}",

@@ -81,7 +81,7 @@ fn main() {
         println!("touching: {} candidate synapse pairs", pairs.len());
 
         // 6. Walkthrough replay with SCOUT prefetching (FLAT only).
-        if let Some(path) = db.navigation_path(&circuit, 1, 20.0, 8.0) {
+        if let Some(path) = NavigationPath::along_random_branch(&circuit, 1, 20.0, 8.0) {
             let walk = client.walkthrough(0, WalkthroughMethod::Scout, &path).expect("walk");
             println!(
                 "walkthrough: {} steps, {} demand misses, {} pages prefetched",

@@ -320,6 +320,10 @@ fn builder_selected_backends_pass_equivalence_too() {
     let want = scan_ids(c.segments(), &q);
     for backend in IndexBackend::ALL {
         let db = NeuroDb::builder().circuit(&c).backend(backend).build().expect("valid");
-        assert_eq!(db.range_query(&q).sorted_ids(), want, "{backend} via builder");
+        assert_eq!(
+            db.query().range(q).collect().expect("range").sorted_ids(),
+            want,
+            "{backend} via builder"
+        );
     }
 }

@@ -17,7 +17,7 @@ proptest! {
         let db = NeuroDb::from_circuit(&c);
         let tree = RTree::bulk_load(c.segments().to_vec(), RTreeParams::with_max_entries(16));
         let q = Aabb::cube(c.bounds().center(), half);
-        let f = db.range_query(&q);
+        let f = db.query().range(q).collect().expect("range");
         let (r, _) = tree.range_query(&q);
         let scan = c.segments().iter().filter(|s| s.aabb().intersects(&q)).count();
         prop_assert_eq!(f.len(), scan);
@@ -49,12 +49,12 @@ proptest! {
     ) {
         let c = CircuitBuilder::new(seed).neurons(6).build();
         let db = NeuroDb::from_circuit(&c);
-        let Some(path) = db.navigation_path(&c, path_seed, 15.0, 6.0) else {
+        let Some(path) = NavigationPath::along_random_branch(&c, path_seed, 15.0, 6.0) else {
             return Ok(());
         };
         let mut result_counts: Option<Vec<u64>> = None;
         for m in WalkthroughMethod::ALL {
-            let s = db.walkthrough(&path, m).expect("flat backend");
+            let s = db.query().along_path(&path).method(m).run().expect("flat backend");
             // Accounting identities.
             let hits: u64 = s.steps.iter().map(|t| t.demand_hits).sum();
             let misses: u64 = s.steps.iter().map(|t| t.demand_misses).sum();

@@ -9,10 +9,15 @@ fn whole_pipeline_is_deterministic() {
         let c = CircuitBuilder::new(77).neurons(12).build();
         let db = NeuroDb::from_circuit(&c);
         let q = Aabb::cube(c.bounds().center(), 25.0);
-        let out = db.range_query(&q);
-        let join = db.find_synapse_candidates(1.0).expect("two populations");
-        let path = db.navigation_path(&c, 5, 15.0, 6.0).expect("path");
-        let walk = db.walkthrough(&path, WalkthroughMethod::Scout).expect("flat backend");
+        let out = db.query().range(q).collect().expect("range");
+        let join = db.query().touching("odd", 1.0).collect().expect("two populations");
+        let path = NavigationPath::along_random_branch(&c, 5, 15.0, 6.0).expect("path");
+        let walk = db
+            .query()
+            .along_path(&path)
+            .method(WalkthroughMethod::Scout)
+            .run()
+            .expect("flat backend");
         (
             out.len(),
             out.stats.nodes_read,
@@ -34,7 +39,7 @@ fn results_scale_with_circuit_size() {
 
         let db = NeuroDb::from_circuit(&c);
         let q = Aabb::cube(c.bounds().center(), 1e6); // everything
-        let out = db.range_query(&q);
+        let out = db.query().range(q).collect().expect("range");
         assert_eq!(out.len(), c.segments().len());
     }
 }
@@ -54,7 +59,7 @@ fn query_stats_are_internally_consistent() {
     let flat = db.flat_index().expect("default backend is FLAT");
     for q in &w.queries {
         // Unified stats through the facade…
-        let out = db.range_query(q);
+        let out = db.query().range(*q).collect().expect("range");
         assert_eq!(out.stats.results as usize, out.len());
         assert!(out.stats.objects_tested >= out.stats.results);
         // …and page-level detail through the FLAT view.

@@ -10,10 +10,10 @@ fn single_neuron_circuit_works_everywhere() {
     let c = CircuitBuilder::new(1).neurons(1).build();
     let db = NeuroDb::from_circuit(&c);
     assert!(!db.is_empty());
-    let out = db.range_query(&c.bounds().inflate(1.0));
+    let out = db.query().range(c.bounds().inflate(1.0)).collect().expect("range");
     assert_eq!(out.len(), c.segments().len());
     // One neuron → one population empty → join returns nothing but works.
-    let r = db.find_synapse_candidates(5.0).expect("parity populations always exist");
+    let r = db.query().touching("odd", 5.0).collect().expect("parity populations always exist");
     assert!(r.pairs.is_empty());
 }
 
@@ -23,7 +23,7 @@ fn zero_extent_query_is_a_point_probe() {
     let db = NeuroDb::from_circuit(&c);
     let p = c.segments()[10].geom.center();
     let q = Aabb::point(p);
-    let out = db.range_query(&q);
+    let out = db.query().range(q).collect().expect("range");
     // At least the segment whose centre we probed intersects.
     assert!(out.segments.iter().any(|s| s.id == c.segments()[10].id));
     let brute = c.segments().iter().filter(|s| s.aabb().intersects(&q)).count();
@@ -50,11 +50,11 @@ fn walkthrough_of_length_one_path() {
     let c = CircuitBuilder::new(7).neurons(3).build();
     let db = NeuroDb::from_circuit(&c);
     // Manufacture a single-query "path".
-    let mut path = db.navigation_path(&c, 1, 15.0, 6.0).expect("path");
+    let mut path = NavigationPath::along_random_branch(&c, 1, 15.0, 6.0).expect("path");
     path.queries.truncate(1);
     path.waypoints.truncate(1);
     for m in WalkthroughMethod::ALL {
-        let s = db.walkthrough(&path, m).expect("flat backend");
+        let s = db.query().along_path(&path).method(m).run().expect("flat backend");
         assert_eq!(s.steps.len(), 1);
         // One query, cold cache: every method pays the same stall.
         assert_eq!(s.total_demand_hits, 0);
@@ -209,7 +209,7 @@ fn queries_far_outside_the_model_are_cheap_and_empty() {
     let c = CircuitBuilder::new(9).neurons(6).build();
     let db = NeuroDb::from_circuit(&c);
     let far = Aabb::cube(Vec3::splat(1e9), 100.0);
-    let out = db.range_query(&far);
+    let out = db.query().range(far).collect().expect("range");
     assert!(out.is_empty());
     // Root/seed check proves emptiness with only seed-tree reads, no
     // data-page I/O.

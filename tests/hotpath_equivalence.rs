@@ -1,63 +1,224 @@
-//! The hot-path equivalence property suite: the allocation-free
-//! `*_into_scratch` query paths must be **byte-identical** — same result
-//! segments, in the same order, with the same unified statistics — to the
-//! allocating paths, for every backend, monolithic and sharded, across
-//! random circuits, random segment soups, and repeated reuse of one
-//! scratch over many queries (the epoch-stamped visited marks must never
-//! leak state from one query into the next).
+//! The table-driven check of the [`SpatialIndex`] surface: every provided
+//! method of every configuration against a brute-force scan.
 //!
-//! This is the contract that lets servers and benches switch to the
-//! scratch paths without re-validating answers: the fast lane is not a
-//! different query engine, just a different memory discipline.
+//! A backend implements one traversal (`try_for_each_in_range`);
+//! collecting, batching and KNN are written once on top of it. So one
+//! table — every backend × {monolithic, sharded at 1 and at 2 threads} ×
+//! {memory, paged} — and one checker cover the whole query surface, and
+//! the properties that still have two sides are checked on every row:
+//!
+//! * one [`QueryScratch`] reused across interleaved backends and queries
+//!   answers exactly like a fresh scratch each time (the epoch-stamped
+//!   marks must never leak state from one query, or one index, into the
+//!   next);
+//! * a sharded index equals the monolithic one as a sorted id set (both
+//!   equal the scan), and built with 1 and with 2 threads it returns the
+//!   same segments in the same order with the same statistics, under a
+//!   limit too: threads serve the build and batches, never a single
+//!   query;
+//! * `range_query_many` equals the single queries, in input order.
+//!
+//! The database-level composition (population, filter, limit, delta) on
+//! top of this surface is `tests/query_api_equivalence.rs`.
 
 use neurospatial::prelude::*;
 use proptest::prelude::*;
 
-/// Every backend configuration under test: the four monolithic backends
-/// plus a sharded executor over each.
-fn all_configs(
-    segments: &[NeuronSegment],
-    params: &IndexParams,
-) -> Vec<(String, Box<dyn SpatialIndex>)> {
-    let mut out: Vec<(String, Box<dyn SpatialIndex>)> = Vec::new();
-    for b in IndexBackend::ALL {
-        out.push((b.name().to_string(), b.build(segments.to_vec(), params)));
-        out.push((b.sharded_name(), b.build_sharded(segments.to_vec(), params)));
-    }
-    out
+const SHARDS: usize = 3;
+
+/// One row of the table.
+struct Row {
+    name: String,
+    index: Box<dyn SpatialIndex>,
+    /// A paged row's `cache_*` counters depend on what the pool holds,
+    /// so they are not comparable between two runs of one query.
+    paged: bool,
+    /// The thread count of a sharded row (rows `threads == 1` and
+    /// `threads == 2` of one backend are adjacent and must agree).
+    threads: Option<usize>,
 }
 
-/// The shared checker: one scratch reused across every query of every
-/// backend, two passes over the query list (pass 2 runs with buffers the
-/// earlier queries already dirtied — exactly the steady state hot loops
-/// run in).
-fn assert_scratch_paths_match(
+fn table(segments: &[NeuronSegment], cap: usize) -> Vec<Row> {
+    let params =
+        |threads: usize| IndexParams::with_page_capacity(cap).sharded(SHARDS).threaded(threads);
+    let mut rows = Vec::new();
+    for b in IndexBackend::ALL {
+        rows.push(Row {
+            name: b.name().to_string(),
+            index: b.build(segments.to_vec(), &params(1)),
+            paged: false,
+            threads: None,
+        });
+        for threads in [1, 2] {
+            rows.push(Row {
+                name: format!("{}/{threads}", b.sharded_name()),
+                index: b.build_sharded(segments.to_vec(), &params(threads)),
+                paged: false,
+                threads: Some(threads),
+            });
+        }
+    }
+    // Paged FLAT: a small frame budget on the monolithic row, so queries
+    // evict; the sharded rows build one page file per shard.
+    let paged = PagedFlatIndex::create_temp(
+        segments.to_vec(),
+        FlatBuildParams::default().with_page_capacity(cap),
+        OocConfig::default().with_frame_budget(2),
+    );
+    rows.push(Row {
+        name: "paged".to_string(),
+        index: Box::new(paged.expect("temp dir is writable")),
+        paged: true,
+        threads: None,
+    });
+    for threads in [1, 2] {
+        rows.push(Row {
+            name: format!("sharded:paged/{threads}"),
+            index: Box::new(ShardedIndex::<PagedFlatIndex>::build_with(
+                segments.to_vec(),
+                &params(threads),
+            )),
+            paged: true,
+            threads: Some(threads),
+        });
+    }
+    rows
+}
+
+/// Statistics with the run-dependent physical I/O counters cleared.
+fn logical(stats: QueryStats) -> QueryStats {
+    QueryStats { cache_hits: 0, cache_misses: 0, cache_evictions: 0, ..stats }
+}
+
+fn ids(segments: &[NeuronSegment]) -> Vec<u64> {
+    segments.iter().map(|s| s.id).collect()
+}
+
+/// What one row answered, in the form two rows are compared in.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Per query: emission order, statistics, and the same under a limit
+    /// of half the result.
+    ranges: Vec<(Vec<u64>, QueryStats, Vec<u64>, QueryStats)>,
+    /// Per probe: neighbour ids and statistics.
+    knns: Vec<(Vec<u64>, QueryStats)>,
+}
+
+fn check_table(
     segments: &[NeuronSegment],
     queries: &[Aabb],
-    params: &IndexParams,
+    probes: &[(Vec3, usize)],
+    cap: usize,
 ) -> Result<(), TestCaseError> {
+    // The scan: sorted ids per query, and per probe the canonical
+    // (distance, id) order.
+    let scans: Vec<Vec<u64>> = queries
+        .iter()
+        .map(|q| {
+            let mut hit: Vec<u64> =
+                segments.iter().filter(|s| s.aabb().intersects(q)).map(|s| s.id).collect();
+            hit.sort_unstable();
+            hit
+        })
+        .collect();
+    let nearest = |p: Vec3, k: usize| {
+        let mut all: Vec<(f64, u64)> =
+            segments.iter().map(|s| (s.aabb().min_distance_to_point(p), s.id)).collect();
+        all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        all.truncate(k);
+        all
+    };
+
+    // One scratch and one pair of buffers across every row, query and
+    // probe: each call runs on state the previous index left behind.
     let mut scratch = QueryScratch::new();
     let mut buf: Vec<NeuronSegment> = Vec::new();
-    for (name, index) in all_configs(segments, params) {
-        for pass in 0..2 {
-            for q in queries {
-                let want = index.range_query(q);
-                buf.clear();
-                let stats = index.range_query_into_scratch(q, &mut scratch, &mut buf);
-                prop_assert_eq!(
-                    stats,
-                    want.stats,
-                    "{} pass {}: scratch stats diverge at {}",
-                    &name,
-                    pass,
+    let mut neighbors: Vec<Neighbor> = Vec::new();
+    let mut previous: Option<Observed> = None;
+    for row in table(segments, cap) {
+        let (name, index) = (&row.name, &row.index);
+        prop_assert_eq!(index.len(), segments.len(), "{}", name);
+        let mut seen = Observed { ranges: Vec::new(), knns: Vec::new() };
+
+        for (q, scan) in queries.iter().zip(&scans) {
+            let fresh = index.range_query(q);
+            prop_assert_eq!(&fresh.sorted_ids(), scan, "{} differs from the scan at {}", name, q);
+            prop_assert_eq!(fresh.stats.results as usize, scan.len(), "{} at {}", name, q);
+            let io = fresh.stats.cache_hits + fresh.stats.cache_misses;
+            prop_assert!(row.paged || io == 0, "{} is in memory, I/O at {}", name, q);
+            prop_assert!(!row.paged || scan.is_empty() || io > 0, "{} no I/O at {}", name, q);
+
+            buf.clear();
+            let reused = index.range_query_into_scratch(q, &mut scratch, &mut buf);
+            prop_assert_eq!(ids(&buf), ids(&fresh.segments), "{} reused scratch at {}", name, q);
+            prop_assert_eq!(logical(reused), logical(fresh.stats), "{} at {}", name, q);
+
+            // The primitive under a pushed-down limit: a prefix of the
+            // full order, counted exactly, reading no more than the
+            // whole query.
+            let limit = scan.len() / 2;
+            let mut prefix = Vec::new();
+            let capped = if limit == 0 {
+                QueryStats::default()
+            } else {
+                index
+                    .try_for_each_in_range(q, &mut scratch, false, &mut |s| {
+                        prefix.push(s.id);
+                        if prefix.len() == limit {
+                            Flow::Last
+                        } else {
+                            Flow::Emit
+                        }
+                    })
+                    .expect("healthy indexes do not fail")
+            };
+            prop_assert_eq!(&prefix, &ids(&fresh.segments[..limit]), "{} limit at {}", name, q);
+            prop_assert_eq!(capped.results as usize, limit, "{} at {}", name, q);
+            prop_assert!(capped.nodes_read <= fresh.stats.nodes_read, "{} at {}", name, q);
+
+            let plan = index.plan_range(q);
+            prop_assert!(plan.shards_probed <= plan.shards_total, "{} at {}", name, q);
+            if !scan.is_empty() {
+                prop_assert!(
+                    plan.shards_probed >= 1 && plan.estimated_reads >= 1,
+                    "{} at {}",
+                    name,
                     q
                 );
-                prop_assert_eq!(buf.len(), want.segments.len(), "{} at {}", &name, q);
-                for (got, expected) in buf.iter().zip(&want.segments) {
-                    prop_assert_eq!(got.id, expected.id, "{} order diverges at {}", &name, q);
-                }
             }
+            if !index.bounds().intersects(q) {
+                prop_assert_eq!((plan.shards_probed, plan.estimated_reads), (0, 0), "{}", name);
+            }
+            seen.ranges.push((ids(&fresh.segments), logical(fresh.stats), prefix, logical(capped)));
         }
+
+        let batch = index.range_query_many(queries);
+        prop_assert_eq!(batch.len(), queries.len(), "{}", name);
+        for ((out, single), q) in batch.iter().zip(&seen.ranges).zip(queries) {
+            prop_assert_eq!(&ids(&out.segments), &single.0, "{} batch order at {}", name, q);
+            prop_assert_eq!(logical(out.stats), single.1, "{} batch stats at {}", name, q);
+        }
+
+        for &(p, k) in probes {
+            let want = nearest(p, k);
+            let (got, stats) = index.knn(p, k);
+            prop_assert_eq!(got.len(), want.len(), "{} knn k={}", name, k);
+            prop_assert_eq!(stats.results as usize, got.len(), "{} knn k={}", name, k);
+            for (g, (distance, id)) in got.iter().zip(&want) {
+                prop_assert_eq!(g.segment.id, *id, "{} knn order, k={}", name, k);
+                prop_assert_eq!(g.distance.to_bits(), distance.to_bits(), "{} knn k={}", name, k);
+            }
+            neighbors.clear();
+            let reused = index.knn_into_scratch(p, k, &mut scratch, &mut neighbors);
+            prop_assert_eq!(&neighbors, &got, "{} knn on a reused scratch, k={}", name, k);
+            prop_assert_eq!(logical(reused), logical(stats), "{} knn k={}", name, k);
+            seen.knns.push((got.iter().map(|n| n.segment.id).collect(), logical(stats)));
+        }
+
+        if row.threads == Some(2) {
+            prop_assert_eq!(Some(&seen), previous.as_ref(), "{}: 2 threads differ from 1", name);
+        }
+        previous = Some(seen);
     }
     Ok(())
 }
@@ -90,114 +251,83 @@ fn query_box() -> impl Strategy<Value = Aabb> {
         .prop_map(|((x, y, z), r)| Aabb::cube(Vec3::new(x, y, z), r))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+fn probe() -> impl Strategy<Value = (Vec3, usize)> {
+    ((-70.0..70.0, -70.0..70.0, -70.0..70.0), 0usize..30)
+        .prop_map(|((x, y, z), k)| (Vec3::new(x, y, z), k))
+}
 
-    /// The ISSUE 3 acceptance property: buffer-reusing queries are
-    /// byte-identical to the allocating path on every backend, monolithic
-    /// and sharded, across random circuits and repeated scratch reuse.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The table on generated tissue: dense, branch-structured data with
+    /// a query that is sure to hit and one that cannot.
     #[test]
     fn scratch_paths_match_on_random_circuits(
         seed in 0u64..3000,
         neurons in 2u32..8,
         half in 2.0..45.0f64,
         cap in 8usize..80,
-        shards in 1usize..7,
-        threads in 1usize..4,
+        k in 1usize..20,
     ) {
         let c = CircuitBuilder::new(seed).neurons(neurons).build();
-        let params = IndexParams::with_page_capacity(cap).sharded(shards).threaded(threads);
         let queries = [
             Aabb::cube(c.bounds().center(), half),
             Aabb::cube(c.segments()[0].geom.center(), half), // non-empty result
             Aabb::EMPTY,
         ];
-        assert_scratch_paths_match(c.segments(), &queries, &params)?;
+        let probes = [(c.segments()[0].geom.center(), k), (c.bounds().hi + Vec3::splat(50.0), k)];
+        check_table(c.segments(), &queries, &probes, cap)?;
     }
 
+    /// The table on unstructured soups, down to the empty dataset.
     #[test]
     fn scratch_paths_match_on_random_soups(
         segments in segment_soup(),
         queries in prop::collection::vec(query_box(), 1..6),
-        shards in 1usize..7,
+        probes in prop::collection::vec(probe(), 1..3),
     ) {
-        let params = IndexParams::with_page_capacity(16).sharded(shards).threaded(2);
-        assert_scratch_paths_match(&segments, &queries, &params)?;
+        check_table(&segments, &queries, &probes, 16)?;
     }
 
-    /// KNN through the scratch path returns the identical canonical
-    /// neighbour list and statistics as the allocating `knn` on every
-    /// backend (the sequential sharded merge must agree with the
-    /// parallel one).
+    /// KNN at the edges of its domain: `k` of zero, `k` past the dataset,
+    /// probes far outside the data.
     #[test]
     fn scratch_knn_matches_allocating_knn(
         segments in segment_soup(),
-        (px, py, pz) in (-70.0..70.0, -70.0..70.0, -70.0..70.0),
-        k in 0usize..30,
-        shards in 1usize..6,
-        threads in 1usize..4,
+        probes in prop::collection::vec(probe(), 2..6),
     ) {
-        let p = Vec3::new(px, py, pz);
-        let params = IndexParams::with_page_capacity(16).sharded(shards).threaded(threads);
-        let mut scratch = QueryScratch::new();
-        let mut out: Vec<Neighbor> = Vec::new();
-        for (name, index) in all_configs(&segments, &params) {
-            let (want, want_stats) = index.knn(p, k);
-            for pass in 0..2 {
-                out.clear();
-                let stats = index.knn_into_scratch(p, k, &mut scratch, &mut out);
-                prop_assert_eq!(stats, want_stats, "{} pass {}: knn stats", &name, pass);
-                prop_assert_eq!(out.len(), want.len(), "{}", &name);
-                for (got, expected) in out.iter().zip(&want) {
-                    prop_assert_eq!(got.segment.id, expected.segment.id, "{} knn order", &name);
-                    prop_assert!(
-                        got.distance.to_bits() == expected.distance.to_bits(),
-                        "{} knn distances byte-identical", &name
-                    );
-                }
-            }
-        }
+        let n = segments.len();
+        let mut probes = probes;
+        probes.extend([(Vec3::ZERO, 0), (Vec3::splat(400.0), n + 3), (Vec3::splat(-1e4), 2)]);
+        check_table(&segments, &[], &probes, 24)?;
     }
 
-    /// Batched queries (which reuse one scratch per worker under the
-    /// hood) agree with one-at-a-time allocating queries, in input order.
+    /// Batches longer than the worker count, with repeats and misses, so
+    /// the sharded executor's chunks are uneven.
     #[test]
     fn batched_queries_match_singles(
         segments in segment_soup(),
-        queries in prop::collection::vec(query_box(), 1..5),
-        shards in 1usize..6,
-        threads in 1usize..4,
+        queries in prop::collection::vec(query_box(), 3..9),
     ) {
-        let params = IndexParams::with_page_capacity(24).sharded(shards).threaded(threads);
-        for (name, index) in all_configs(&segments, &params) {
-            let batch = index.range_query_many(&queries);
-            prop_assert_eq!(batch.len(), queries.len());
-            for (out, q) in batch.iter().zip(&queries) {
-                let want = index.range_query(q);
-                prop_assert_eq!(out.stats, want.stats, "{} batch stats at {}", &name, q);
-                prop_assert_eq!(
-                    out.sorted_ids(), want.sorted_ids(),
-                    "{} batch results at {}", &name, q
-                );
-            }
-        }
+        let mut queries = queries;
+        queries.extend([queries[0], Aabb::EMPTY, queries[1]]);
+        check_table(&segments, &queries, &[], 24)?;
     }
 }
 
 #[test]
 fn scratch_paths_handle_empty_and_degenerate_inputs() {
-    let params = IndexParams::default().sharded(3).threaded(2);
-    let mut scratch = QueryScratch::new();
-    let mut buf = Vec::new();
-    for (name, index) in all_configs(&[], &params) {
-        for q in [Aabb::cube(Vec3::ZERO, 10.0), Aabb::EMPTY, Aabb::point(Vec3::splat(2.0))] {
-            buf.clear();
-            let stats = index.range_query_into_scratch(&q, &mut scratch, &mut buf);
-            assert!(buf.is_empty(), "{name} on {q}");
-            assert_eq!(stats, QueryStats::default(), "{name} on {q}");
-        }
-        let mut out = Vec::new();
-        assert_eq!(index.knn_into_scratch(Vec3::ZERO, 4, &mut scratch, &mut out).results, 0);
-        assert!(out.is_empty(), "{name} knn on empty index");
-    }
+    let queries = [Aabb::cube(Vec3::ZERO, 10.0), Aabb::EMPTY, Aabb::point(Vec3::splat(2.0))];
+    let probes = [(Vec3::ZERO, 4), (Vec3::splat(2.0), 1)];
+    check_table(&[], &queries, &probes, 64).expect("empty dataset");
+    // One segment: two of three shards are empty, and the point query
+    // sits on the segment's box.
+    let one = NeuronSegment {
+        id: 0,
+        neuron: 0,
+        section: 0,
+        index_on_section: 0,
+        geom: Segment::new(Vec3::splat(1.0), Vec3::splat(3.0), 0.5),
+    };
+    check_table(&[one], &queries, &probes, 4).expect("one segment");
 }

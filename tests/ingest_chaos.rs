@@ -129,7 +129,7 @@ fn everything(c: &Circuit) -> Aabb {
 
 /// Segments of a range query, sorted by id — the byte-comparison form.
 fn snapshot(db: &NeuroDb, q: &Aabb) -> Vec<NeuronSegment> {
-    let mut out = db.range_query(q).segments;
+    let mut out = db.query().range(*q).collect().expect("range").segments;
     out.sort_by_key(|s| s.id);
     out
 }
@@ -252,8 +252,16 @@ fn recovery_equals_rebuild_of_the_acked_prefix_at_any_crash_offset() {
             );
             // KNN agrees too (exact candidate order).
             let p = circuit.segments()[0].geom.p0;
-            let ids =
-                |db: &NeuroDb| db.knn(p, 8).0.iter().map(|n| n.segment.id).collect::<Vec<_>>();
+            let ids = |db: &NeuroDb| {
+                db.query()
+                    .knn(p, 8)
+                    .collect()
+                    .expect("knn")
+                    .0
+                    .iter()
+                    .map(|n| n.segment.id)
+                    .collect::<Vec<_>>()
+            };
             assert_eq!(ids(&recovered), ids(&reference), "round {round} {backend:?}/{shards} knn");
         }
     }

@@ -27,7 +27,7 @@ fn flat_rtree_and_scan_agree_on_a_circuit() {
         Some(c.segments()),
     );
     for q in &workload.queries {
-        let flat_out = db.range_query(q);
+        let flat_out = db.query().range(*q).collect().expect("range");
         let (tree_hits, _) = tree.range_query(q);
         let scan = c.segments().iter().filter(|s| s.aabb().intersects(q)).count();
         assert_eq!(flat_out.len(), scan, "FLAT vs scan at {q}");
@@ -82,13 +82,14 @@ fn walkthrough_methods_ranked_as_the_paper_claims() {
     ];
     let mut paths = 0;
     for seed in 0..8 {
-        let Some(path) = db.navigation_path(&c, seed, 18.0, 7.0) else { continue };
+        let Some(path) = NavigationPath::along_random_branch(&c, seed, 18.0, 7.0) else { continue };
         if path.queries.len() < 4 {
             continue;
         }
         paths += 1;
         for (m, acc) in totals.iter_mut() {
-            *acc += db.walkthrough(&path, *m).expect("flat backend").total_stall_ms;
+            *acc +=
+                db.query().along_path(&path).method(*m).run().expect("flat backend").total_stall_ms;
         }
     }
     assert!(paths >= 3, "need several usable paths");
@@ -116,8 +117,8 @@ fn density_stats_identify_dense_regions() {
     let dense = stats.densest_cell_center();
     let sparse = stats.sparsest_cell_center();
     let db = NeuroDb::from_circuit(&c);
-    let dense_hits = db.range_query(&Aabb::cube(dense, 20.0));
-    let sparse_hits = db.range_query(&Aabb::cube(sparse, 20.0));
+    let dense_hits = db.query().range(Aabb::cube(dense, 20.0)).collect().expect("range");
+    let sparse_hits = db.query().range(Aabb::cube(sparse, 20.0)).collect().expect("range");
     assert!(
         dense_hits.len() >= sparse_hits.len(),
         "dense anchor ({}) should yield >= results than sparse ({})",

@@ -1,15 +1,14 @@
 //! Join-engine equivalence properties: the rebuilt cache-conscious TOUCH
 //! pipeline (scratch path, parallel path at random worker counts, forced
-//! bucket-sweep path), the classic pointer-walking TOUCH it replaced,
-//! PBSM, the plane sweep and the nested loop must all produce the
-//! identical sorted pair relation — on random segment clouds, at ε = 0,
-//! and on heavily overlapping inputs. On skewed inputs, where most of B
-//! lands in the root bucket, the engine must also produce the identical
-//! pair *sequence* and comparison counts at every worker count.
+//! bucket-sweep path), PBSM, the plane sweep and the nested loop must all
+//! produce the identical sorted pair relation — on random segment clouds,
+//! at ε = 0, and on heavily overlapping inputs. On skewed inputs, where
+//! most of B lands in the root bucket, the engine must also produce the
+//! identical pair *sequence* and comparison counts at every worker count.
 
 use neurospatial::touch::{
-    ClassicTouchJoin, JoinScratch, JoinStats, NestedLoopJoin, PbsmJoin, PlaneSweepJoin,
-    SpatialJoin, TouchEngine, TouchJoin, JOIN_TASK_SLOTS,
+    JoinScratch, JoinStats, NestedLoopJoin, PbsmJoin, PlaneSweepJoin, SpatialJoin, TouchEngine,
+    TouchJoin, JOIN_TASK_SLOTS,
 };
 use neurospatial_geom::{Executor, Segment, Vec3};
 use proptest::prelude::*;
@@ -69,10 +68,6 @@ fn skewed_cloud(long: usize, short: usize, half: f64) -> impl Strategy<Value = V
 
 fn check_all(a: &[Segment], b: &[Segment], eps: f64, threads: usize) -> Result<(), TestCaseError> {
     let want = NestedLoopJoin.join(a, b, eps).sorted_pairs();
-
-    // Classic pointer-walk path (sequential and parallel).
-    prop_assert_eq!(&ClassicTouchJoin::default().join(a, b, eps).sorted_pairs(), &want);
-    prop_assert_eq!(&ClassicTouchJoin::parallel(threads).join(a, b, eps).sorted_pairs(), &want);
 
     // Rebuilt engine through the trait (fresh scratch per call).
     prop_assert_eq!(&TouchJoin::default().join(a, b, eps).sorted_pairs(), &want);
@@ -156,7 +151,7 @@ proptest! {
         prop_assert_eq!(seq.join_imbalance, 1.0);
         let mut sorted = want.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(sorted, ClassicTouchJoin::default().join(&a, &b, eps).sorted_pairs());
+        prop_assert_eq!(sorted, PbsmJoin::default().join(&a, &b, eps).sorted_pairs());
         for workers in [2usize, 3, 8] {
             let (got, stats) = join_on_workers(&engine, &b, eps, workers, &mut scratch);
             prop_assert!(got == want, "pair sequence differs at {} workers", workers);

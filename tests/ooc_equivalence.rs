@@ -96,12 +96,13 @@ fn assert_paged_matches_memory(
         let mut got: Vec<NeuronSegment> = Vec::new();
         for q in queries {
             want.clear();
-            let want_stats = mem.range_query_scratch(
+            let want_stats = mem.range_query_stream(
                 q,
                 &mut mem_scratch,
                 |_| {},
                 |s| {
                     want.push(*s);
+                    Flow::Emit
                 },
             );
             let got_stats = paged
@@ -159,7 +160,7 @@ proptest! {
             .build()
             .expect("paged build");
         let q = Aabb::cube(c.bounds().center(), radius);
-        let (want, got) = (mem.range_query(&q), ooc.range_query(&q));
+        let (want, got) = (mem.query().range(q).collect().expect("range"), ooc.query().range(q).collect().expect("range"));
         prop_assert_eq!(want.sorted_ids(), got.sorted_ids());
         prop_assert_eq!(want.stats.results, got.stats.results);
         prop_assert_eq!(want.stats.nodes_read, got.stats.nodes_read);
@@ -168,8 +169,8 @@ proptest! {
         // KNN rides the shared trait default over the paged range path,
         // so neighbours and distances are identical too.
         let p = c.bounds().center();
-        let (wn, _) = mem.knn(p, 7);
-        let (gn, _) = ooc.knn(p, 7);
+        let (wn, _) = mem.query().knn(p, 7).collect().expect("knn");
+        let (gn, _) = ooc.query().knn(p, 7).collect().expect("knn");
         prop_assert_eq!(wn.len(), gn.len());
         for (w, g) in wn.iter().zip(&gn) {
             prop_assert_eq!(w.segment.id, g.segment.id);
@@ -192,9 +193,19 @@ fn interleaved_range_knn_walkthrough_stays_exact() {
         .prefetch_workers(2)
         .build()
         .expect("paged build");
-    let path = mem.navigation_path(&c, 3, 18.0, 7.0).expect("path");
-    let mem_walk = mem.walkthrough(&path, WalkthroughMethod::Scout).expect("mem walkthrough");
-    let ooc_walk = ooc.walkthrough(&path, WalkthroughMethod::Scout).expect("ooc walkthrough");
+    let path = NavigationPath::along_random_branch(&c, 3, 18.0, 7.0).expect("path");
+    let mem_walk = mem
+        .query()
+        .along_path(&path)
+        .method(WalkthroughMethod::Scout)
+        .run()
+        .expect("mem walkthrough");
+    let ooc_walk = ooc
+        .query()
+        .along_path(&path)
+        .method(WalkthroughMethod::Scout)
+        .run()
+        .expect("ooc walkthrough");
     assert_eq!(mem_walk.steps.len(), ooc_walk.steps.len());
     for (i, (m, o)) in mem_walk.steps.iter().zip(&ooc_walk.steps).enumerate() {
         // Same query boxes, same index layout: each step returns the
@@ -205,13 +216,13 @@ fn interleaved_range_knn_walkthrough_stays_exact() {
     // And range/knn answers after the walkthrough are still exact.
     for (i, q) in path.queries.iter().enumerate() {
         assert_eq!(
-            mem.range_query(q).sorted_ids(),
-            ooc.range_query(q).sorted_ids(),
+            mem.query().range(*q).collect().expect("range").sorted_ids(),
+            ooc.query().range(*q).collect().expect("range").sorted_ids(),
             "query {i} after walkthrough"
         );
     }
-    let (wn, _) = mem.knn(c.bounds().center(), 9);
-    let (gn, _) = ooc.knn(c.bounds().center(), 9);
+    let (wn, _) = mem.query().knn(c.bounds().center(), 9).collect().expect("knn");
+    let (gn, _) = ooc.query().knn(c.bounds().center(), 9).collect().expect("knn");
     assert_eq!(
         wn.iter().map(|n| n.segment.id).collect::<Vec<_>>(),
         gn.iter().map(|n| n.segment.id).collect::<Vec<_>>()
