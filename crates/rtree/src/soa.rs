@@ -225,6 +225,30 @@ impl SoaArena {
             && q.lo.z <= self.hi_z[i]
     }
 
+    /// One chunk of [`FrozenView::entry_masks`]: bit `i` is entry `s + i`
+    /// of the at most 64 entries `s..e`. Six comparisons an entry joined
+    /// with `&`, so there is no branch to mispredict and the compiler
+    /// vectorises the loop (the shift form is as fast as a byte-then-pack
+    /// form here: `f64` lanes are two to a vector either way). Not inlined,
+    /// so that every caller runs the one vectorised copy.
+    #[inline(never)]
+    fn mask64(&self, s: usize, e: usize, q: &Aabb, eps: f64) -> u64 {
+        let (lx, ly, lz) = (&self.lo_x[s..e], &self.lo_y[s..e], &self.lo_z[s..e]);
+        let (hx, hy, hz) = (&self.hi_x[s..e], &self.hi_y[s..e], &self.hi_z[s..e]);
+        debug_assert!(e - s <= 64, "one mask holds 64 entries");
+        let mut bits = 0u64;
+        for i in 0..e - s {
+            let hit = (lx[i] - eps <= q.hi.x)
+                & (q.lo.x <= hx[i] + eps)
+                & (ly[i] - eps <= q.hi.y)
+                & (q.lo.y <= hy[i] + eps)
+                & (lz[i] - eps <= q.hi.z)
+                & (q.lo.z <= hz[i] + eps);
+            bits |= u64::from(hit) << i;
+        }
+        bits
+    }
+
     /// Centre of entry `i`'s box — same arithmetic as [`Aabb::center`],
     /// so best-first orderings agree bit-for-bit with the pointer path.
     #[inline]
@@ -334,6 +358,25 @@ impl<'t> FrozenView<'t> {
     #[inline]
     pub fn entry_intersects(&self, i: usize, q: &Aabb) -> bool {
         self.arena.entry_intersects(i, q)
+    }
+
+    /// The entries `s..e` whose box, inflated by `eps` exactly as
+    /// [`Aabb::inflate`] does it, meets `q` (closed intervals), 64 entries
+    /// to a mask: bit `i` of mask `c` is entry `s + 64 c + i`, and a node
+    /// wider than 64 entries yields one mask per started chunk. With
+    /// `eps` = 0 a bit equals [`entry_intersects`](Self::entry_intersects).
+    /// The scan has no branch per entry, so its cost does not depend on
+    /// how the comparisons fall.
+    #[inline]
+    pub fn entry_masks(
+        &self,
+        s: usize,
+        e: usize,
+        q: &Aabb,
+        eps: f64,
+    ) -> impl Iterator<Item = u64> + 't {
+        let (arena, q) = (self.arena, *q);
+        (s..e).step_by(64).map(move |cs| arena.mask64(cs, e.min(cs + 64), &q, eps))
     }
 
     /// Entry `i`'s box reconstructed from the lanes.
@@ -453,6 +496,58 @@ mod tests {
                     assert_eq!(v.entry_lo_x(i), mbr.lo.x);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn entry_masks_equal_the_scalar_test_on_inflated_entries() {
+        // A leaf is as wide as the tree is small: one node of each width,
+        // among them both sides of a chunk boundary and three chunks.
+        for width in [1usize, 16, 63, 64, 65, 130] {
+            let mut t = RTree::bulk_load(cubes(width), RTreeParams::with_max_entries(width.max(4)));
+            t.freeze();
+            let v = t.frozen().expect("frozen");
+            let (s, e) = v.entries(v.root());
+            assert!(v.is_leaf(v.root()) && e - s == width);
+            // Boxes that overlap a few entries, one that shares exactly a
+            // face with entry 0 (closed intervals meet), one that meets
+            // nothing until the entries are inflated, and one far away.
+            let first = v.entry_aabb(s);
+            let face = Aabb::new(
+                Vec3::new(first.hi.x, first.lo.y, first.lo.z),
+                first.hi + Vec3::splat(0.1),
+            );
+            let probes = [
+                Aabb::cube(Vec3::new(3.0, 3.0, 0.0), 2.5),
+                face,
+                Aabb::cube(Vec3::new(1.0, 1.0, 1.0), 0.35),
+                Aabb::cube(Vec3::splat(-50.0), 1.0),
+                Aabb::cube(Vec3::new(12.0, 10.0, 0.0), 40.0),
+            ];
+            for q in &probes {
+                for eps in [0.0, 0.05, 0.75] {
+                    let masks: Vec<u64> = v.entry_masks(s, e, q, eps).collect();
+                    assert_eq!(masks.len(), width.div_ceil(64), "width {width}");
+                    for i in s..e {
+                        let bit = masks[(i - s) / 64] >> ((i - s) % 64) & 1 == 1;
+                        let inflated = v.entry_aabb(i).inflate(eps);
+                        assert_eq!(
+                            bit,
+                            inflated.intersects(q),
+                            "width {width} entry {i} eps {eps}"
+                        );
+                        if eps == 0.0 {
+                            assert_eq!(bit, v.entry_intersects(i, q));
+                        }
+                    }
+                    // No bit beyond the node's last entry.
+                    let tail = width % 64;
+                    if tail != 0 {
+                        assert_eq!(masks[masks.len() - 1] >> tail, 0, "width {width}");
+                    }
+                }
+            }
+            assert_eq!(v.entry_masks(s, e, &face, 0.0).next().expect("one chunk") & 1, 1);
         }
     }
 

@@ -17,8 +17,10 @@ use std::sync::Mutex;
 /// sequential page ids to spatially adjacent leaves (the layout the disk
 /// simulator rewards, as a real bulk loader would). The x slabs of every
 /// level are tiled on `exec`; the tree is the same at every worker count.
+/// An object whose box has a non-finite centre lands in some leaf and, a
+/// NaN box meeting nothing, is found by no query.
 pub fn bulk_load<T: RTreeObject + Send>(
-    objects: Vec<T>,
+    mut objects: Vec<T>,
     params: RTreeParams,
     exec: &Executor,
 ) -> RTree<T> {
@@ -28,18 +30,18 @@ pub fn bulk_load<T: RTreeObject + Send>(
     let cap = params.max_entries;
 
     // --- Pack leaves ----------------------------------------------------
-    let mut items: Vec<(Vec3, T)> = objects.into_iter().map(|o| (o.aabb().center(), o)).collect();
+    // The sorts move 32-byte (centre, index) keys; each object then moves
+    // once, to its place in tile order.
+    let mut keys: Vec<(Vec3, usize)> =
+        objects.iter().enumerate().map(|(i, o)| (sort_key(o.aabb()), i)).collect();
+    let runs = str_tile(&mut keys, cap, exec);
+    gather_in_place(&mut objects, keys);
     let mut nodes: Vec<Node<T>> = Vec::new();
     let mut level_ids: Vec<NodeId> = Vec::new();
-    let runs = str_tile(&mut items, cap, exec);
-    let mut items = items.into_iter();
+    let mut objects = objects.into_iter();
     for len in runs {
-        let mut mbr = Aabb::EMPTY;
-        let mut leaf_items = Vec::with_capacity(len);
-        for (_, o) in items.by_ref().take(len) {
-            mbr = mbr.union(&o.aabb());
-            leaf_items.push(o);
-        }
+        let leaf_items: Vec<T> = objects.by_ref().take(len).collect();
+        let mbr = leaf_items.iter().fold(Aabb::EMPTY, |mbr, o| mbr.union(&o.aabb()));
         level_ids.push(nodes.len());
         nodes.push(Node { mbr, parent: None, kind: NodeKind::Leaf(leaf_items) });
     }
@@ -49,7 +51,7 @@ pub fn bulk_load<T: RTreeObject + Send>(
     while level_ids.len() > 1 {
         height += 1;
         let mut entries: Vec<(Vec3, NodeId)> =
-            level_ids.iter().map(|&id| (nodes[id].mbr.center(), id)).collect();
+            level_ids.iter().map(|&id| (sort_key(nodes[id].mbr), id)).collect();
         let runs = str_tile(&mut entries, cap, exec);
         let mut next_level = Vec::with_capacity(runs.len());
         let mut entries = entries.into_iter();
@@ -110,6 +112,24 @@ fn str_tile<P: Send>(items: &mut [(Vec3, P)], cap: usize, exec: &Executor) -> Ve
         .collect()
 }
 
+/// Reorder `objects` so that position `i` holds the object `order[i]`
+/// names, by walking the permutation's cycles: one swap an object, no
+/// second buffer. An index is overwritten with its own position once that
+/// position is final.
+fn gather_in_place<T>(objects: &mut [T], mut order: Vec<(Vec3, usize)>) {
+    for start in 0..order.len() {
+        let mut at = start;
+        loop {
+            let from = std::mem::replace(&mut order[at].1, at);
+            if from == start {
+                break; // the object that began at `start` has arrived
+            }
+            objects.swap(at, from);
+            at = from;
+        }
+    }
+}
+
 /// Tile one slab along `axis` (1 = y, 2 = z), then the axes after it,
 /// appending its run lengths to `runs`.
 fn tile_slab<P>(items: &mut [(Vec3, P)], cap: usize, axis: usize, runs: &mut Vec<usize>) {
@@ -130,8 +150,18 @@ fn tile_slab<P>(items: &mut [(Vec3, P)], cap: usize, axis: usize, runs: &mut Vec
     }
 }
 
+/// Stable, and total on every `f64`: a box with a non-finite centre (the
+/// database's builder rejects those, a direct caller may pass one) is
+/// sorted to an end of the run instead of stopping the build.
 fn sort_along<P>(items: &mut [(Vec3, P)], axis: usize) {
-    items.sort_by(|a, b| a.0.axis(axis).partial_cmp(&b.0.axis(axis)).expect("finite coordinates"));
+    items.sort_by(|a, b| a.0.axis(axis).total_cmp(&b.0.axis(axis)));
+}
+
+/// The centre STR orders a box by. Adding `0.0` turns `-0.0` into `+0.0`
+/// and changes no other value, so `total_cmp` ties exactly the keys that
+/// compare equal.
+fn sort_key(bb: Aabb) -> Vec3 {
+    bb.center() + Vec3::ZERO
 }
 
 /// Sizes of the pieces `n > cap` sorted elements are cut into along
@@ -209,18 +239,35 @@ mod tests {
             let seq = RTree::bulk_load(cubes(n), params);
             for workers in [2usize, 3, 8] {
                 let par = RTree::bulk_load_on(cubes(n), params, &Executor::io_bound(workers));
-                assert_eq!((par.root, par.len, par.height), (seq.root, seq.len, seq.height));
-                assert_eq!(par.nodes.len(), seq.nodes.len(), "n={n} workers={workers}");
-                for (id, (p, s)) in par.nodes.iter().zip(&seq.nodes).enumerate() {
-                    assert_eq!((p.mbr, p.parent), (s.mbr, s.parent), "node {id}");
-                    match (&p.kind, &s.kind) {
-                        (NodeKind::Leaf(p), NodeKind::Leaf(s)) => assert_eq!(p, s, "leaf {id}"),
-                        (NodeKind::Inner(p), NodeKind::Inner(s)) => assert_eq!(p, s, "node {id}"),
-                        _ => panic!("node {id} is a leaf in one tree only"),
-                    }
-                }
+                assert_same_tree(&par, &seq, &format!("n={n} workers={workers}"));
             }
         }
+    }
+
+    fn assert_same_tree(got: &RTree<Aabb>, want: &RTree<Aabb>, what: &str) {
+        assert_eq!((got.root, got.len, got.height), (want.root, want.len, want.height), "{what}");
+        assert_eq!(got.nodes.len(), want.nodes.len(), "{what}");
+        for (id, (p, s)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            assert_eq!((p.mbr, p.parent), (s.mbr, s.parent), "{what}: node {id}");
+            match (&p.kind, &s.kind) {
+                (NodeKind::Leaf(p), NodeKind::Leaf(s)) => assert_eq!(p, s, "{what}: leaf {id}"),
+                (NodeKind::Inner(p), NodeKind::Inner(s)) => assert_eq!(p, s, "{what}: node {id}"),
+                _ => panic!("{what}: node {id} is a leaf in one tree only"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_centres_tie_whatever_their_sign() {
+        // Centres of -0.0 and +0.0 are one position: the order among them
+        // is the input order, as it is for any other tie.
+        let at = |x: f64, i: usize| Aabb::point(Vec3::new(x, (i % 7) as f64, (i % 3) as f64));
+        let signed: Vec<Aabb> =
+            (0..300).map(|i| at(if i % 2 == 0 { -0.0 } else { 0.0 }, i)).collect();
+        let plain: Vec<Aabb> = (0..300).map(|i| at(0.0, i)).collect();
+        let params = RTreeParams::with_max_entries(8);
+        let want = RTree::bulk_load(plain, params);
+        assert_same_tree(&RTree::bulk_load(signed, params), &want, "signed zeros");
     }
 
     #[test]

@@ -73,6 +73,8 @@ fn check_all(a: &[Segment], b: &[Segment], eps: f64, threads: usize) -> Result<(
     prop_assert_eq!(&TouchJoin::default().join(a, b, eps).sorted_pairs(), &want);
     prop_assert_eq!(&TouchJoin::parallel(threads).join(a, b, eps).sorted_pairs(), &want);
     prop_assert_eq!(&TouchJoin::default().with_sweep_min(2).join(a, b, eps).sorted_pairs(), &want);
+    // One leaf as wide as A: a lane mask of every width up to the cloud's.
+    prop_assert_eq!(&TouchJoin::default().with_fanout(100).join(a, b, eps).sorted_pairs(), &want);
 
     // Rebuilt engine through the explicit scratch path, reusing one
     // scratch across a sequential run and one on `threads` real workers
@@ -151,7 +153,10 @@ proptest! {
         prop_assert_eq!(seq.join_imbalance, 1.0);
         let mut sorted = want.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(sorted, PbsmJoin::default().join(&a, &b, eps).sorted_pairs());
+        prop_assert_eq!(&sorted, &PbsmJoin::default().join(&a, &b, eps).sorted_pairs());
+        // Leaves wider than one 64-entry lane mask.
+        let wide = TouchJoin::parallel(2).with_fanout(100).join(&a, &b, eps);
+        prop_assert_eq!(wide.sorted_pairs(), sorted);
         for workers in [2usize, 3, 8] {
             let (got, stats) = join_on_workers(&engine, &b, eps, workers, &mut scratch);
             prop_assert!(got == want, "pair sequence differs at {} workers", workers);
