@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neurospatial::prelude::*;
-use neurospatial_bench::{jagged_circuit, walkthrough_config, walkthrough_paths};
+use neurospatial_bench::{
+    jagged_circuit, walk, walkthrough_config, walkthrough_db, walkthrough_paths,
+};
 use std::hint::black_box;
 
 fn bench_walkthrough(c: &mut Criterion) {
@@ -11,20 +13,13 @@ fn bench_walkthrough(c: &mut Criterion) {
     group.sample_size(10);
 
     let circuit = jagged_circuit(12, 9);
-    let session = ExplorationSession::new(circuit.segments().to_vec(), walkthrough_config());
+    let db = walkthrough_db(&circuit, walkthrough_config());
     let paths = walkthrough_paths(&circuit, 3);
     assert!(!paths.is_empty(), "bench workload must produce paths");
 
     for m in WalkthroughMethod::ALL {
         group.bench_function(format!("{m:?}"), |b| {
-            b.iter(|| {
-                let mut stall = 0.0;
-                for p in &paths {
-                    let mut pf = m.prefetcher();
-                    stall += session.run(black_box(p), pf.as_mut()).total_stall_ms;
-                }
-                stall
-            })
+            b.iter(|| paths.iter().map(|p| walk(&db, black_box(p), m).total_stall_ms).sum::<f64>())
         });
     }
     group.finish();

@@ -306,7 +306,7 @@ fn main() {
 /// E1 (demo Figures 2+3): range-query statistics, FLAT vs STR-packed and
 /// dynamically built R-Trees, across densities and query sizes.
 ///
-/// Series: pages/nodes read, simulated I/O ms (random/sequential cost
+/// Series: pages/nodes read, modelled I/O ms (random/sequential cost
 /// model), wall time, per result sizes.
 fn e1_flat_vs_rtree() {
     println!("\n== E1 — FLAT vs R-Tree range queries (Figures 2+3) ==\n");
@@ -340,21 +340,22 @@ fn e1_flat_vs_rtree() {
             let n = w.queries.len() as f64;
             let (mut results, mut f_reads, mut r_reads, mut d_reads) = (0u64, 0u64, 0u64, 0u64);
             let (mut f_us, mut r_us) = (0.0f64, 0.0f64);
-            // Simulated disks: FLAT pages are Hilbert-contiguous, R-Tree
-            // nodes live wherever the arena put them.
-            let f_disk = DiskSim::new(u64::MAX, CostModel::default());
-            let r_disk = DiskSim::new(u64::MAX, CostModel::default());
+            // Modelled disks (head position, nanoseconds): FLAT pages are
+            // Hilbert-contiguous, R-Tree nodes live wherever the arena
+            // put them.
+            let cost = CostModel::default();
+            let (mut f_head, mut f_ns, mut r_head, mut r_ns) = (None, 0u64, None, 0u64);
             for q in &w.queries {
                 let t0 = Instant::now();
                 let (hits, fs) = flat.range_query_with(q, |acc| {
                     if let neurospatial::flat::PageAccess::Data(p) = acc {
-                        f_disk.read(PageId(p as u64)).expect("sim disk");
+                        f_ns += cost.read_ns(f_head.replace(p as u64), p as u64);
                     }
                 });
                 f_us += t0.elapsed().as_secs_f64() * 1e6;
                 let t1 = Instant::now();
                 let (_, rs) = packed.range_query_with(q, |node, _| {
-                    r_disk.read(PageId(node as u64)).expect("sim disk");
+                    r_ns += cost.read_ns(r_head.replace(node as u64), node as u64);
                 });
                 r_us += t1.elapsed().as_secs_f64() * 1e6;
                 let (_, ds) = dynamic.range_query(q);
@@ -371,8 +372,8 @@ fn e1_flat_vs_rtree() {
                 f1(f_reads as f64 / n),
                 f1(r_reads as f64 / n),
                 f1(d_reads as f64 / n),
-                f2(f_disk.stats().total_cost_ms / n),
-                f2(r_disk.stats().total_cost_ms / n),
+                f2(f_ns as f64 / 1e6 / n),
+                f2(r_ns as f64 / 1e6 / n),
                 f1(f_us / n),
                 f1(r_us / n),
             ]);
@@ -588,7 +589,7 @@ fn e4_walkthrough(methods: &[WalkthroughMethod]) {
     println!("\n== E4 — SCOUT walkthrough speedup (Figure 6) ==\n");
     for &(neurons, label) in &[(12u32, "small"), (30, "medium")] {
         let circuit = jagged_circuit(neurons, 9);
-        let session = ExplorationSession::new(circuit.segments().to_vec(), walkthrough_config());
+        let db = walkthrough_db(&circuit, walkthrough_config());
         let paths = walkthrough_paths(&circuit, 6);
         println!(
             "circuit {label}: {} segments, {} paths, {} total steps",
@@ -609,18 +610,12 @@ fn e4_walkthrough(methods: &[WalkthroughMethod]) {
         ]);
         // The speedup column is always relative to the no-prefetch
         // baseline, whether or not "none" is among the selected methods.
-        let baseline_stall: f64 = paths
-            .iter()
-            .map(|p| {
-                let mut pf = WalkthroughMethod::None.prefetcher();
-                session.run(p, pf.as_mut()).total_stall_ms
-            })
-            .sum();
+        let baseline_stall: f64 =
+            paths.iter().map(|p| walk(&db, p, WalkthroughMethod::None).total_stall_ms).sum();
         for &m in methods {
             let mut agg = SessionStats::default();
             for p in &paths {
-                let mut pf = m.prefetcher();
-                let s = session.run(p, pf.as_mut());
+                let s = walk(&db, p, m);
                 agg.total_stall_ms += s.total_stall_ms;
                 agg.total_demand_misses += s.total_demand_misses;
                 agg.total_demand_hits += s.total_demand_hits;
@@ -745,7 +740,7 @@ fn e6_scaling() {
         let (pa, pb) = circuit.split_populations();
         let join_ms = TouchJoin::default().join(&pa, &pb, 1.5).stats.total_ms;
 
-        let session = ExplorationSession::new(segments.clone(), walkthrough_config());
+        let db = walkthrough_db(&circuit, walkthrough_config());
         // Dense circuits have short branches; accept shorter paths here —
         // this column tracks scaling, not prefetch quality.
         let paths: Vec<NavigationPath> = (0..32)
@@ -753,13 +748,8 @@ fn e6_scaling() {
             .filter(|p| p.queries.len() >= 4)
             .take(3)
             .collect();
-        let stall = paths
-            .iter()
-            .map(|p| {
-                let mut s = ScoutPrefetcher::default();
-                session.run(p, &mut s).total_stall_ms
-            })
-            .sum::<f64>();
+        let stall: f64 =
+            paths.iter().map(|p| walk(&db, p, WalkthroughMethod::Scout).total_stall_ms).sum();
 
         t.row([
             neurons.to_string(),
@@ -3177,12 +3167,12 @@ fn a1_flat_packing() {
         if packing == PackingStrategy::Hilbert {
             base_surface = surface;
         }
-        let disk = DiskSim::new(u64::MAX, CostModel::default());
+        let (mut head, mut io_ns) = (None, 0u64);
         let mut pages = 0u64;
         for q in &w.queries {
             let (_, s) = idx.range_query_with(q, |acc| {
                 if let neurospatial::flat::PageAccess::Data(p) = acc {
-                    disk.read(PageId(p as u64)).expect("sim disk");
+                    io_ns += CostModel::default().read_ns(head.replace(p as u64), p as u64);
                 }
             });
             pages += s.pages_read;
@@ -3194,7 +3184,7 @@ fn a1_flat_packing() {
             f1(idx.mean_neighbors()),
             f2(surface / base_surface),
             f1(pages as f64 / n),
-            f2(disk.stats().total_cost_ms / n),
+            f2(io_ns as f64 / 1e6 / n),
         ]);
     }
     t.print();
@@ -3249,14 +3239,13 @@ fn a3_think_time() {
     for think in [0.0f64, 25.0, 100.0, 400.0, 1600.0] {
         let mut config = walkthrough_config();
         config.think_time_ms = think;
-        let session = ExplorationSession::new(circuit.segments().to_vec(), config);
+        let db = walkthrough_db(&circuit, config);
         let (mut scout_stall, mut none_stall, mut prefetched) = (0.0, 0.0, 0u64);
         for p in &paths {
-            let mut s = ScoutPrefetcher::default();
-            let r = session.run(p, &mut s);
+            let r = walk(&db, p, WalkthroughMethod::Scout);
             scout_stall += r.total_stall_ms;
             prefetched += r.total_prefetched;
-            none_stall += session.run(p, &mut neurospatial::scout::NoPrefetch).total_stall_ms;
+            none_stall += walk(&db, p, WalkthroughMethod::None).total_stall_ms;
         }
         t.row([
             f1(think),
@@ -3271,26 +3260,58 @@ fn a3_think_time() {
     println!("covers one step's worth of pages.");
 }
 
+/// One Markov table behind every cursor it is handed to.
+#[derive(Clone, Default)]
+struct SharedPolicy(std::rc::Rc<std::cell::RefCell<neurospatial::scout::MarkovPrefetcher>>);
+
+impl Prefetcher for SharedPolicy {
+    fn name(&self) -> &'static str {
+        self.0.borrow().name()
+    }
+
+    fn plan(&mut self, ctx: &PrefetchContext<'_>) -> neurospatial::scout::PrefetchPlan {
+        self.0.borrow_mut().plan(ctx)
+    }
+
+    fn reset(&mut self) {
+        self.0.borrow_mut().reset()
+    }
+}
+
 /// A5 ablation — Markov prefetching on repeated paths: history-based
 /// prediction *does* work when users retrace known paths; it fails on
 /// fresh ones (the paper's point about massive, rarely-revisited models).
 fn a5_markov_warmup() {
     println!("\n== A5 — Markov warm-up ablation ==\n");
     let circuit = jagged_circuit(20, 9);
-    let session = ExplorationSession::new(circuit.segments().to_vec(), walkthrough_config());
+    let flat = std::sync::Arc::new(FlatIndex::build(
+        circuit.segments().to_vec(),
+        FlatBuildParams::default().with_page_capacity(64),
+    ));
     let paths = walkthrough_paths(&circuit, 3);
+    // The facade makes a fresh policy per walkthrough; here one Markov
+    // table has to outlive the walkthroughs, each on a cold view.
+    let walk = |p: &NavigationPath, policy: Box<dyn Prefetcher>| {
+        let view = OocFlatIndex::view(flat.clone(), &walkthrough_config());
+        let mut cursor = view.cursor(policy);
+        cursor.reset(); // a walkthrough starts nowhere: no transition from the last one's end
+        let mut stats = SessionStats::default();
+        for q in &p.queries {
+            stats.record(cursor.step(q).expect("pages in memory always read"));
+        }
+        stats
+    };
 
     let mut t =
         Table::new(["traversal", "stall ms (markov)", "stall ms (scout)", "markov prefetched"]);
-    let mut markov = neurospatial::scout::MarkovPrefetcher::default();
+    let markov = SharedPolicy::default();
     for round in 0..3 {
         let (mut m_stall, mut m_pref, mut s_stall) = (0.0, 0u64, 0.0);
         for p in &paths {
-            let r = session.run(p, &mut markov); // table persists across runs
+            let r = walk(p, Box::new(markov.clone())); // table persists across runs
             m_stall += r.total_stall_ms;
             m_pref += r.total_prefetched;
-            let mut scout = ScoutPrefetcher::default();
-            s_stall += session.run(p, &mut scout).total_stall_ms;
+            s_stall += walk(p, Box::<ScoutPrefetcher>::default()).total_stall_ms;
         }
         t.row([format!("#{}", round + 1), f1(m_stall), f1(s_stall), m_pref.to_string()]);
     }
@@ -3310,15 +3331,14 @@ fn a4_buffer_size() {
     for pool in [16usize, 48, 128, 512] {
         let mut config = walkthrough_config();
         config.buffer_pages = pool;
-        let session = ExplorationSession::new(circuit.segments().to_vec(), config);
+        let db = walkthrough_db(&circuit, config);
         let (mut none_stall, mut scout_stall, mut hits, mut total) = (0.0, 0.0, 0u64, 0u64);
         for p in &paths {
-            let none = session.run(p, &mut neurospatial::scout::NoPrefetch);
+            let none = walk(&db, p, WalkthroughMethod::None);
             none_stall += none.total_stall_ms;
             hits += none.total_demand_hits;
             total += none.total_demand_hits + none.total_demand_misses;
-            let mut s = ScoutPrefetcher::default();
-            scout_stall += session.run(p, &mut s).total_stall_ms;
+            scout_stall += walk(&db, p, WalkthroughMethod::Scout).total_stall_ms;
         }
         t.row([
             pool.to_string(),

@@ -63,7 +63,6 @@ pub fn standard_workload(circuit: &Circuit, n: usize, half_extent: f64) -> Range
 /// enough that prefetch accuracy dominates stall time.
 pub fn walkthrough_config() -> SessionConfig {
     SessionConfig {
-        page_capacity: 64,
         // Pool smaller than a walkthrough's working set: pages from a few
         // steps ago get evicted, as on the demo machine where the model
         // dwarfs memory.
@@ -71,6 +70,24 @@ pub fn walkthrough_config() -> SessionConfig {
         cost: CostModel::default(),
         think_time_ms: 400.0,
     }
+}
+
+/// The database the walkthrough tables (E4, E6, A3, A4) replay paths on:
+/// FLAT at 64 objects a page with the given session settings. Every
+/// `db.query().along_path(..).run()` on it starts on a cold pool over a
+/// modelled device, so a table row is a function of its inputs.
+pub fn walkthrough_db(circuit: &Circuit, session: SessionConfig) -> NeuroDb {
+    NeuroDb::builder()
+        .circuit(circuit)
+        .page_capacity(64)
+        .session(session)
+        .build()
+        .expect("generated circuits are valid and FLAT takes any page capacity")
+}
+
+/// One cold walkthrough on a [`walkthrough_db`].
+pub fn walk(db: &NeuroDb, path: &NavigationPath, method: WalkthroughMethod) -> SessionStats {
+    db.query().along_path(path).method(method).run().expect("monolithic FLAT walks")
 }
 
 /// Branch-following paths for E3/E4: moderately overlapping view boxes
@@ -146,6 +163,38 @@ mod tests {
         assert_eq!(dense_circuit(5, 1).segments().len(), dense_circuit(5, 1).segments().len());
         let c = jagged_circuit(4, 2);
         assert!(!walkthrough_paths(&c, 2).is_empty());
+    }
+
+    /// Table E4's small circuit, the one the paper's Figure 6 corresponds
+    /// to. On the modelled device every count is exact.
+    #[test]
+    fn e4_small_circuit_rows_are_pinned() {
+        use WalkthroughMethod as M;
+        let circuit = jagged_circuit(12, 9);
+        let db = walkthrough_db(&circuit, walkthrough_config());
+        let paths = walkthrough_paths(&circuit, 6);
+        assert_eq!(paths.iter().map(|p| p.queries.len()).sum::<usize>(), 97);
+        // method, stall ms, demand misses, demand hits, prefetched, useful
+        let rows = [
+            (M::None, 514.3, 87, 475, 0, 0),
+            (M::Hilbert, 337.6, 58, 504, 143, 29),
+            (M::Extrapolation, 217.2, 39, 523, 66, 48),
+            (M::Markov, 514.3, 87, 475, 0, 0),
+            (M::Scout, 128.8, 24, 538, 93, 63),
+        ];
+        for (method, stall_ms, misses, hits, prefetched, useful) in rows {
+            let (mut stall, mut counts) = (0.0, [0u64; 4]);
+            for p in &paths {
+                let s = walk(&db, p, method);
+                stall += s.total_stall_ms;
+                counts[0] += s.total_demand_misses;
+                counts[1] += s.total_demand_hits;
+                counts[2] += s.total_prefetched;
+                counts[3] += s.useful_prefetched;
+            }
+            assert!((stall - stall_ms).abs() < 0.05, "{method}: stall {stall} ms");
+            assert_eq!(counts, [misses, hits, prefetched, useful], "{method}");
+        }
     }
 
     #[test]

@@ -11,14 +11,12 @@ use crate::error::NeuroError;
 use crate::index::{IndexBackend, IndexParams, SpatialIndex};
 use crate::paged::PagedFlatIndex;
 use crate::query::Query;
-use crate::shard::ShardedIndex;
 use neurospatial_flat::{FlatBuildParams, FlatIndex};
 use neurospatial_geom::{Aabb, Swap};
 use neurospatial_model::{Circuit, NavigationPath, NeuronSegment};
 use neurospatial_scout::{
-    ExplorationSession, ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch,
-    OocConfig, OocCursor, Prefetcher, QueryTrace, ScoutPrefetcher, SessionConfig, SessionCursor,
-    SessionStats,
+    ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch, OocConfig, OocCursor,
+    OocFlatIndex, Prefetcher, QueryTrace, ScoutPrefetcher, SessionConfig, SessionStats,
 };
 use neurospatial_storage::{EvictionPolicy, FaultLog, FaultPlan, FileLog, LogIo, Wal};
 use neurospatial_touch::TouchJoin;
@@ -38,7 +36,10 @@ pub struct NeuroDbConfig {
     pub shards: usize,
     /// Worker threads for sharded query execution.
     pub threads: usize,
-    /// Exploration-session settings (buffer pool, cost model, think time).
+    /// Walkthrough settings of an in-memory FLAT database: pool size,
+    /// disk cost model and think time of the modelled device each
+    /// walkthrough runs on. A paged database walks its own pool and file
+    /// and reads none of them.
     pub session: SessionConfig,
     /// Distance-join engine configuration.
     pub join: TouchJoin,
@@ -46,12 +47,11 @@ pub struct NeuroDbConfig {
 
 impl Default for NeuroDbConfig {
     fn default() -> Self {
-        let session = SessionConfig::default();
         NeuroDbConfig {
-            page_capacity: session.page_capacity,
+            page_capacity: 64,
             shards: 1,
             threads: 1,
-            session,
+            session: SessionConfig::default(),
             join: TouchJoin::default(),
         }
     }
@@ -299,9 +299,9 @@ impl NeuroDbBuilder {
     }
 
     /// Space-partition the dataset into `shards` Hilbert-ordered shards,
-    /// one backend index per shard ([`ShardedIndex`]). 1 (the default)
-    /// keeps a monolithic index; 0 is rejected at
-    /// [`build`](Self::build).
+    /// one backend index per shard
+    /// ([`ShardedIndex`](crate::ShardedIndex)). 1 (the default) keeps a
+    /// monolithic index; 0 is rejected at [`build`](Self::build).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self
@@ -363,7 +363,8 @@ impl NeuroDbBuilder {
         self
     }
 
-    /// Exploration-session settings for walkthroughs.
+    /// Walkthrough settings of an in-memory FLAT database (see
+    /// [`NeuroDbConfig::session`]).
     pub fn session(mut self, session: SessionConfig) -> Self {
         self.config.session = session;
         self
@@ -567,7 +568,6 @@ impl NeuroDbBuilder {
             .flat_map(|(i, p)| p.segments.iter().map(move |s| (s.id, i as u32)))
             .collect();
 
-        config.session.page_capacity = config.page_capacity;
         let params = IndexParams {
             page_capacity: config.page_capacity,
             shards: config.shards,
@@ -608,19 +608,9 @@ impl NeuroDbBuilder {
                 population_of_id,
             });
         }
-        // FLAT gets the full exploration session (walkthroughs need
-        // page-level I/O) whether monolithic or sharded — the sharded
-        // executor is itself a `PagedIndex`; the session owns the only
-        // copy of the index.
         let index = match (backend, config.shards > 1) {
             (IndexBackend::Flat, false) => {
-                DbIndex::Flat(Box::new(ExplorationSession::new(segments, config.session)))
-            }
-            (IndexBackend::Flat, true) => {
-                DbIndex::ShardedFlat(Box::new(ExplorationSession::from_index(
-                    ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(segments, &params),
-                    config.session,
-                )))
+                DbIndex::Flat(Arc::new(SpatialIndex::build(segments, &params)))
             }
             (other, false) => DbIndex::Boxed(other.build(segments, &params)),
             (other, true) => DbIndex::Boxed(other.build_sharded(segments, &params)),
@@ -629,13 +619,12 @@ impl NeuroDbBuilder {
     }
 }
 
-/// The index storage: FLAT keeps its exploration session (for
-/// walkthroughs) — monolithic or sharded; the out-of-core variant owns
-/// the page file and frame pool; every other backend is a plain boxed
-/// [`SpatialIndex`].
+/// The index storage: monolithic FLAT is kept by its own type, shared
+/// with the view each walkthrough over it pages through; the out-of-core
+/// variant owns the page file and frame pool; every other backend,
+/// sharded FLAT included, is a plain boxed [`SpatialIndex`].
 enum DbIndex {
-    Flat(Box<ExplorationSession>),
-    ShardedFlat(Box<ExplorationSession<ShardedIndex<FlatIndex<NeuronSegment>>>>),
+    Flat(Arc<FlatIndex<NeuronSegment>>),
     Paged(Box<PagedFlatIndex>),
     Boxed(Box<dyn SpatialIndex>),
     Live(Box<LiveCore>),
@@ -660,8 +649,7 @@ impl DbIndex {
     #[inline(never)]
     fn view(&self) -> IndexView<'_> {
         match self {
-            DbIndex::Flat(session) => IndexView::Frozen(session.index()),
-            DbIndex::ShardedFlat(session) => IndexView::Frozen(session.index()),
+            DbIndex::Flat(flat) => IndexView::Frozen(flat.as_ref()),
             DbIndex::Paged(paged) => IndexView::Frozen(paged.as_ref()),
             DbIndex::Boxed(b) => IndexView::Frozen(b.as_ref()),
             DbIndex::Live(core) => IndexView::Live(core),
@@ -1013,7 +1001,6 @@ impl NeuroDb {
     /// Shard count of the underlying index (1 for monolithic backends).
     pub fn shard_count(&self) -> usize {
         match &self.index {
-            DbIndex::ShardedFlat(session) => session.index().shard_count(),
             DbIndex::Flat(_) | DbIndex::Paged(_) => 1,
             DbIndex::Boxed(_) | DbIndex::Live(_) => self.config.shards,
         }
@@ -1349,119 +1336,72 @@ impl NeuroDb {
         path: &NavigationPath,
         method: WalkthroughMethod,
     ) -> Result<SessionStats, NeuroError> {
-        match &self.index {
-            DbIndex::Flat(session) => {
-                let mut prefetcher = method.prefetcher();
-                Ok(session.run(path, prefetcher.as_mut()))
-            }
-            DbIndex::ShardedFlat(session) => {
-                let mut prefetcher = method.prefetcher();
-                Ok(session.run(path, prefetcher.as_mut()))
-            }
-            DbIndex::Paged(paged) => {
-                // The real-I/O walkthrough: every step's stall time is
-                // measured wall-clock against the page file, and
-                // prefetches are actual background reads.
-                let mut cursor = paged.ooc().cursor(method.prefetcher());
-                let mut stats =
-                    SessionStats { method: method.name().to_string(), ..Default::default() };
-                let before = paged.frame_stats();
-                for q in &path.queries {
-                    let trace = cursor.step(q)?;
-                    accumulate_trace(&mut stats, trace);
-                }
-                let after = paged.frame_stats();
-                stats.useful_prefetched = after.prefetch_hits - before.prefetch_hits;
-                Ok(stats)
-            }
-            DbIndex::Boxed(_) | DbIndex::Live(_) => {
-                Err(NeuroError::WalkthroughUnsupported { backend: self.backend.name().to_string() })
-            }
+        let mut cursor = self.scout_cursor(method)?;
+        for q in &path.queries {
+            cursor.step(q, false)?;
         }
+        Ok(cursor.stats)
     }
 
-    /// Bind a step-wise SCOUT prefetch cursor over this database's paged
-    /// (FLAT) index — the simulated-I/O companion `Query::session`
-    /// attaches so repeated-query loops report walkthrough-grade hit and
-    /// stall statistics. Errors on non-paged backends.
+    /// Bind a step-wise SCOUT walkthrough over this database's FLAT
+    /// pages. A paged database walks its own index: its page file, its
+    /// frame pool and workers, stalls in wall-clock time. An in-memory
+    /// one gets a view made for this walkthrough
+    /// ([`OocFlatIndex::view`]): a cold pool of
+    /// `session.buffer_pages` frames over a device that charges
+    /// `session.cost` to its own clock, so concurrent walkthroughs
+    /// neither share a pool nor depend on one another. Errors on every
+    /// other backend, sharded FLAT included.
     pub(crate) fn scout_cursor(
         &self,
         method: WalkthroughMethod,
     ) -> Result<DbCursor<'_>, NeuroError> {
-        match &self.index {
-            DbIndex::Flat(session) => Ok(DbCursor::Flat(session.cursor(method.prefetcher()))),
-            DbIndex::ShardedFlat(session) => {
-                Ok(DbCursor::Sharded(session.cursor(method.prefetcher())))
+        let prefetcher = method.prefetcher();
+        let cursor = match &self.index {
+            DbIndex::Flat(flat) => {
+                OocFlatIndex::view(Arc::clone(flat), &self.config.session).into_cursor(prefetcher)
             }
-            DbIndex::Paged(paged) => Ok(DbCursor::Paged {
-                cursor: paged.ooc().cursor(method.prefetcher()),
-                paged,
-                stats: SessionStats { method: method.name().to_string(), ..Default::default() },
-                prefetch_hits_at_start: paged.frame_stats().prefetch_hits,
-            }),
+            DbIndex::Paged(paged) => paged.ooc().cursor(prefetcher),
             DbIndex::Boxed(_) | DbIndex::Live(_) => {
-                Err(NeuroError::WalkthroughUnsupported { backend: self.backend.name().to_string() })
+                let layout = if self.config.shards > 1 { "sharded:" } else { "" };
+                return Err(NeuroError::WalkthroughUnsupported {
+                    backend: format!("{layout}{}", self.backend.name()),
+                });
             }
-        }
+        };
+        Ok(DbCursor {
+            prefetch_hits_at_start: cursor.index().pool().stats().prefetch_hits,
+            cursor,
+            stats: SessionStats { method: method.name().to_string(), ..Default::default() },
+        })
     }
 }
 
-/// Fold one step's trace into the running session totals — the same
-/// accumulation the simulator's `StepState` applies, minus the
-/// simulation-only fields (`useful_prefetched` comes from the frame
-/// pool's prefetch-hit counter, `prefetch_cost_ms` is zero because real
-/// prefetch I/O runs on background workers the user never waits for).
-fn accumulate_trace(stats: &mut SessionStats, trace: QueryTrace) {
-    stats.total_stall_ms += trace.stall_ms;
-    stats.total_demand_misses += trace.demand_misses;
-    stats.total_demand_hits += trace.demand_hits;
-    stats.total_prefetched += trace.prefetched;
-    stats.steps.push(trace);
-}
-
-/// A step-wise SCOUT cursor over whichever paged index shape the
-/// database owns (monolithic or sharded FLAT) — the binding behind
-/// `QuerySession::with_prefetch`.
-pub(crate) enum DbCursor<'s> {
-    Flat(SessionCursor<'s, FlatIndex<NeuronSegment>>),
-    Sharded(SessionCursor<'s, ShardedIndex<FlatIndex<NeuronSegment>>>),
-    Paged {
-        cursor: OocCursor<'s>,
-        paged: &'s PagedFlatIndex,
-        stats: SessionStats,
-        /// Pool-wide prefetch-hit count when the cursor bound, so the
-        /// session's `useful_prefetched` reports only this cursor's
-        /// walkthrough.
-        prefetch_hits_at_start: u64,
-    },
+/// A step-wise SCOUT walkthrough and its running statistics: what
+/// `along_path(..).run()` replays a path on and what
+/// `QuerySession::with_prefetch` binds.
+pub(crate) struct DbCursor<'s> {
+    cursor: OocCursor<'s>,
+    stats: SessionStats,
+    /// Pool-wide prefetch-hit count when the cursor bound, so the
+    /// session's `useful_prefetched` reports only this cursor's
+    /// walkthrough.
+    prefetch_hits_at_start: u64,
 }
 
 impl DbCursor<'_> {
-    pub(crate) fn step(&mut self, q: &Aabb) -> QueryTrace {
-        match self {
-            DbCursor::Flat(c) => c.step(q),
-            DbCursor::Sharded(c) => c.step(q),
-            DbCursor::Paged { cursor, paged, stats, prefetch_hits_at_start } => {
-                // Open validated every page, so a storage error here
-                // means the file changed under a live database — same
-                // contract as the infallible `SpatialIndex` lane.
-                let trace = cursor.step(q).unwrap_or_else(|e| {
-                    panic!("paged walkthrough: page file failed after a validated open: {e}")
-                });
-                accumulate_trace(stats, trace);
-                stats.useful_prefetched =
-                    paged.frame_stats().prefetch_hits - *prefetch_hits_at_start;
-                trace
-            }
-        }
+    /// One step. With `allow_partial` a page that fails permanently is
+    /// skipped; without, it is the step's typed error.
+    pub(crate) fn step(&mut self, q: &Aabb, allow_partial: bool) -> Result<QueryTrace, NeuroError> {
+        let trace = self.cursor.step_partial(q, allow_partial)?;
+        self.stats.record(trace);
+        self.stats.useful_prefetched =
+            self.cursor.index().pool().stats().prefetch_hits - self.prefetch_hits_at_start;
+        Ok(trace)
     }
 
     pub(crate) fn stats(&self) -> &SessionStats {
-        match self {
-            DbCursor::Flat(c) => c.stats(),
-            DbCursor::Sharded(c) => c.stats(),
-            DbCursor::Paged { stats, .. } => stats,
-        }
+        &self.stats
     }
 }
 
@@ -1635,6 +1575,38 @@ mod tests {
     }
 
     #[test]
+    fn a_prefetching_session_over_a_torn_page_degrades_labeled() {
+        let c = CircuitBuilder::new(5).neurons(10).build();
+        let path = std::env::temp_dir()
+            .join(format!("neurospatial-db-torn-walk-{}.flatpages", std::process::id()));
+        let db = NeuroDb::builder()
+            .circuit(&c)
+            .page_file(&path)
+            .frame_budget(1)
+            .build()
+            .expect("explicit page file");
+        let pages = db.paged_index().expect("paged").page_count() as u64;
+        assert!(pages >= 3, "a middle page the one-frame pool does not hold, got {pages}");
+        neurospatial_storage::tear_page(&path, pages / 2).expect("tear");
+        let everything = c.bounds();
+        let mut session =
+            db.query().session().with_prefetch(WalkthroughMethod::Scout).expect("paged flat");
+        assert!(session.try_range_budgeted(&everything, false, || true).is_err());
+        // The caller asked for the form that survives a bad page, and
+        // the walkthrough step behind the query survives it too.
+        let (hits, stats, completed) =
+            session.try_range_budgeted(&everything, true, || true).expect("partial");
+        assert!(completed);
+        assert!(stats.pages_quarantined >= 1, "the loss is labeled: {stats:?}");
+        let survivors = hits.len();
+        assert!(survivors > 0 && survivors < c.segments().len());
+        let walked = session.prefetch_stats().expect("bound");
+        assert_eq!(walked.steps.len(), 1, "the partial query advanced the walkthrough");
+        assert_eq!(walked.steps[0].results as usize, survivors);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn paged_walkthrough_runs_on_the_real_pager() {
         let c = CircuitBuilder::new(5).neurons(10).build();
         let db = NeuroDb::builder()
@@ -1789,14 +1761,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flat_still_walks_through() {
+    fn sharded_flat_refuses_a_walkthrough() {
         let c = CircuitBuilder::new(5).neurons(10).build();
         let db = NeuroDb::builder().circuit(&c).shards(3).threads(2).build().expect("valid");
         assert_eq!(db.backend(), IndexBackend::Flat);
+        assert_eq!(db.shard_count(), 3);
         assert!(db.flat_index().is_none(), "sharded flat has no single page space");
         let path = branch_path(&c, 3, 20.0, 8.0);
-        let stats = replay(&db, &path, WalkthroughMethod::Scout).expect("sharded flat walks");
-        assert_eq!(stats.steps.len(), path.queries.len());
+        let err = replay(&db, &path, WalkthroughMethod::Scout).expect_err("no page space to walk");
+        assert_eq!(err, NeuroError::WalkthroughUnsupported { backend: "sharded:flat".into() });
+        assert!(db.query().session().with_prefetch(WalkthroughMethod::Scout).is_err());
     }
 
     #[test]

@@ -21,8 +21,9 @@ pub enum NeuroError {
     /// `segments`). An *empty* segment list is valid; providing nothing
     /// at all is almost always a bug.
     MissingSegments,
-    /// The requested operation needs a paged (FLAT) index but the
-    /// database was built with another backend.
+    /// The requested operation needs one page space to walk: a
+    /// monolithic, frozen FLAT index, in memory or paged. `backend` names
+    /// what the database has (`sharded:flat` for a sharded one).
     WalkthroughUnsupported { backend: String },
     /// A configuration value was out of range.
     InvalidConfig(String),
@@ -69,7 +70,7 @@ impl fmt::Display for NeuroError {
                 write!(f, "builder finalised without segments; call .circuit() or .segments()")
             }
             NeuroError::WalkthroughUnsupported { backend } => {
-                write!(f, "walkthroughs need the paged 'flat' backend, database uses '{backend}'")
+                write!(f, "walkthroughs need a monolithic 'flat' index, database uses '{backend}'")
             }
             NeuroError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             NeuroError::Storage(e) => write!(f, "page store failure: {e}"),

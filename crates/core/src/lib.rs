@@ -19,9 +19,9 @@
 //! Substrates built for the reproduction: geometric primitives and
 //! space-filling curves ([`geom`]), a synthetic neural-tissue generator
 //! replacing the proprietary Blue Brain datasets ([`model`]), an R-Tree
-//! with STR bulk loading ([`rtree`]) and a paged-storage simulator that
-//! reports the paper's "disk pages retrieved / time" statistics
-//! reproducibly ([`storage`]).
+//! with STR bulk loading ([`rtree`]) and a paged-storage layer whose
+//! modelled device reports the paper's "disk pages retrieved / time"
+//! statistics reproducibly ([`storage`]).
 //!
 //! ## Quickstart
 //!

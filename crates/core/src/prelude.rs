@@ -38,13 +38,12 @@ pub use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, PackingS
 pub use neurospatial_rtree::{RPlusTree, RTree, RTreeObject, RTreeParams, SplitStrategy};
 
 pub use neurospatial_scout::{
-    ExplorationSession, ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch,
-    OocConfig, OocFlatIndex, Prefetcher, ScoutPrefetcher, SessionConfig, SessionStats,
+    ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch, OocConfig,
+    OocFlatIndex, Prefetcher, ScoutPrefetcher, SessionConfig, SessionStats,
 };
 
 pub use neurospatial_storage::{
-    BufferPool, CostModel, DiskSim, EvictionPolicy, FaultPlan, FrameStats, IoStats, PageId,
-    StorageError, Wal, WalRecovery,
+    CostModel, EvictionPolicy, FaultPlan, FrameStats, StorageError, Wal, WalRecovery,
 };
 
 pub use neurospatial_touch::{

@@ -357,8 +357,8 @@ impl<'a> Query<'a> {
         TouchingQuery { db: self.db, other, epsilon, population: None, filter: None, limit: None }
     }
 
-    /// Walkthrough replay along a navigation path with simulated paged
-    /// I/O and prefetching (FLAT databases only).
+    /// Walkthrough replay along a navigation path with paged I/O and
+    /// prefetching (monolithic FLAT databases only, in memory or paged).
     pub fn along_path(self, path: &'a NavigationPath) -> PathQuery<'a> {
         PathQuery { db: self.db, path, method: WalkthroughMethod::Scout }
     }
@@ -813,7 +813,7 @@ impl PathQuery<'_> {
 
     /// Replay the walkthrough and report the session statistics (stall
     /// time, hit ratio, prefetch precision). Errors unless the database
-    /// uses the FLAT backend (monolithic, sharded or paged) —
+    /// uses the monolithic FLAT backend (in memory or paged) —
     /// walkthroughs are page-granular.
     pub fn run(&self) -> Result<SessionStats, NeuroError> {
         self.db.replay_walkthrough(self.path, self.method)
@@ -852,12 +852,13 @@ impl PathQuery<'_> {
 /// [`KnnQuery::session`].
 ///
 /// On FLAT databases, [`with_prefetch`](Self::with_prefetch) attaches a
-/// SCOUT [`SessionCursor`](neurospatial_scout::SessionCursor): each
-/// range query also advances a simulated paged-I/O walkthrough (demand
-/// misses, think-time prefetching), and
+/// SCOUT cursor ([`OocCursor`](neurospatial_scout::OocCursor)): each
+/// range query also advances a paged walkthrough (demand misses,
+/// think-time prefetching), and
 /// [`prefetch_stats`](Self::prefetch_stats) reports the accumulated
-/// stall/hit statistics — how the loop *would* behave against cold
-/// storage.
+/// stall/hit statistics. A paged database walks its own page file and
+/// frame pool; an in-memory one walks a cold pool over a modelled
+/// device — how the loop *would* behave against cold storage.
 pub struct QuerySession<'a> {
     db: &'a NeuroDb,
     population: Option<u32>,
@@ -886,7 +887,7 @@ impl<'a> QuerySession<'a> {
                 emit(segments, s)
             })?;
         if let Some(cursor) = cursor {
-            cursor.step(region);
+            cursor.step(region, allow_partial)?;
         }
         Ok(stats)
     }
@@ -1001,15 +1002,17 @@ impl<'a> QuerySession<'a> {
         Ok((&self.neighbors, stats))
     }
 
-    /// Attach a SCOUT prefetch cursor (FLAT databases only): every
-    /// subsequent [`range`](Self::range) also advances a simulated
-    /// walkthrough step with the given prefetching policy.
+    /// Attach a SCOUT prefetch cursor (monolithic FLAT databases only,
+    /// in memory or paged): every subsequent [`range`](Self::range) also
+    /// advances a walkthrough step with the given prefetching policy. A
+    /// storage fault in that step is the query's error, and
+    /// `allow_partial` covers it as it covers the query.
     pub fn with_prefetch(mut self, method: WalkthroughMethod) -> Result<Self, NeuroError> {
         self.cursor = Some(self.db.scout_cursor(method)?);
         Ok(self)
     }
 
-    /// Accumulated simulated-I/O statistics of the attached prefetch
+    /// Accumulated walkthrough statistics of the attached prefetch
     /// cursor (`None` unless [`with_prefetch`](Self::with_prefetch) was
     /// called).
     pub fn prefetch_stats(&self) -> Option<&SessionStats> {

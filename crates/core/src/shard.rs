@@ -52,10 +52,8 @@ use crate::error::NeuroError;
 use crate::index::{
     range_query_batch, IndexParams, IndexPlan, QueryOutput, QueryScratch, QueryStats, SpatialIndex,
 };
-use neurospatial_flat::FlatIndex;
 use neurospatial_geom::{Aabb, Executor, Flow, HilbertSorter};
 use neurospatial_model::NeuronSegment;
-use neurospatial_scout::PagedIndex;
 
 /// K backend indexes over a Hilbert space partition of one dataset, built
 /// and batch-queried by a scoped-thread worker pool.
@@ -109,9 +107,7 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         ShardedIndex { shards, shard_bounds, executor, len: n, bounds }
     }
 
-    /// Number of indexed segments across all shards. (Inherent so calls
-    /// stay unambiguous when both [`SpatialIndex`] and
-    /// [`PagedIndex`] are in scope.)
+    /// Number of indexed segments across all shards.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -227,70 +223,14 @@ impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
     }
 }
 
-/// A sharded FLAT executor is still page-granular, so it can drive a
-/// SCOUT [`ExplorationSession`](neurospatial_scout::ExplorationSession):
-/// global page ids are shard-local ids offset by the page counts of the
-/// preceding shards.
-impl PagedIndex for ShardedIndex<FlatIndex<NeuronSegment>> {
-    /// One FLAT scratch serves every shard in turn: each shard's crawl
-    /// re-sizes the visited marks to its own page count on entry.
-    type Scratch = neurospatial_flat::FlatScratch;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn page_count(&self) -> usize {
-        self.shards.iter().map(|s| s.page_count()).sum()
-    }
-
-    fn pages_intersecting(&self, region: &Aabb) -> Vec<u32> {
-        let mut pages = Vec::new();
-        let mut offset = 0u32;
-        for shard in &self.shards {
-            pages.extend(shard.pages_intersecting(region).into_iter().map(|p| p + offset));
-            offset += shard.page_count() as u32;
-        }
-        pages
-    }
-
-    fn paged_range_query<'a>(
-        &'a self,
-        region: &Aabb,
-        on_page: &mut dyn FnMut(u32),
-    ) -> Vec<&'a NeuronSegment> {
-        let mut hits = Vec::new();
-        let mut offset = 0u32;
-        for shard in &self.shards {
-            hits.extend(shard.paged_range_query(region, &mut |p| on_page(p + offset)));
-            offset += shard.page_count() as u32;
-        }
-        hits
-    }
-
-    fn paged_range_query_scratch<'a>(
-        &'a self,
-        region: &Aabb,
-        scratch: &mut Self::Scratch,
-        on_page: &mut dyn FnMut(u32),
-        out: &mut Vec<&'a NeuronSegment>,
-    ) {
-        let mut offset = 0u32;
-        for shard in &self.shards {
-            shard.paged_range_query_scratch(region, scratch, &mut |p| on_page(p + offset), out);
-            offset += shard.page_count() as u32;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::{DynamicRTree, IndexBackend};
+    use neurospatial_flat::FlatIndex;
     use neurospatial_geom::Vec3;
     use neurospatial_model::CircuitBuilder;
     use neurospatial_rtree::{RPlusTree, RTree};
-    use neurospatial_scout::{ExplorationSession, ScoutPrefetcher, SessionConfig};
 
     fn circuit_segments() -> Vec<NeuronSegment> {
         CircuitBuilder::new(17).neurons(8).build().segments().to_vec()
@@ -474,28 +414,5 @@ mod tests {
         assert_eq!(idx.shard_count(), 4);
         assert!(idx.range_query(&Aabb::cube(Vec3::ZERO, 10.0)).is_empty());
         assert!(idx.knn(Vec3::ZERO, 5).0.is_empty());
-    }
-
-    #[test]
-    fn sharded_flat_drives_a_scout_session() {
-        let circuit = CircuitBuilder::new(5).neurons(10).build();
-        let sharded = ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(
-            circuit.segments().to_vec(),
-            &IndexParams::with_page_capacity(64).sharded(4).threaded(2),
-        );
-        // Page-id space is contiguous across shards.
-        let everything = PagedIndex::pages_intersecting(&sharded, &SpatialIndex::bounds(&sharded));
-        let mut sorted = everything.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), everything.len(), "no duplicate page ids");
-        assert!(everything.iter().all(|&p| (p as usize) < PagedIndex::page_count(&sharded)));
-
-        let session = ExplorationSession::from_index(sharded, SessionConfig::default());
-        let path = neurospatial_model::NavigationPath::along_random_branch(&circuit, 3, 20.0, 8.0)
-            .expect("path exists");
-        let mut scout = ScoutPrefetcher::default();
-        let stats = session.run(&path, &mut scout);
-        assert_eq!(stats.steps.len(), path.queries.len());
     }
 }

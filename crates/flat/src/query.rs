@@ -66,7 +66,7 @@ impl<T: RTreeObject> FlatIndex<T> {
         self.range_query_with(q, |_| {})
     }
 
-    /// Range query with a page-access hook (for simulated I/O charging)
+    /// Range query with a page-access hook (for charging modelled I/O)
     /// — the fully instrumented form: the hook fires once per seed-tree
     /// node and once per data page read, and the statistics carry the
     /// crawl order. The crawl state is allocated per call; batches use
@@ -87,7 +87,7 @@ impl<T: RTreeObject> FlatIndex<T> {
     /// Allocation-free, flow-controlled seed-and-crawl: the crawl front,
     /// visited marks and seed-tree traversal state all live in `scratch`,
     /// reused across queries. `on_page` fires once per data page read
-    /// (the hook the session simulator charges I/O through); seed-tree
+    /// (the hook a caller charges page I/O through); seed-tree
     /// node accesses are *counted* (`seed_nodes_read`) but not hooked,
     /// and `crawl_order` is left empty — use
     /// [`range_query_with`](Self::range_query_with) for the fully

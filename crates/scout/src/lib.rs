@@ -21,19 +21,20 @@
 //! 3. **extrapolate** the exit edges of the surviving candidates and
 //!    prefetch range queries at the predicted positions ([`predict`]).
 //!
-//! The crate also implements the two baselines the demo compares against
-//! (Hilbert-order prefetching and query-centre extrapolation) and a
-//! deterministic [`session::ExplorationSession`] simulator that replays a
-//! walkthrough against the FLAT index, a simulated disk and an LRU buffer
-//! pool, reporting the demo's Figure 6 statistics (data prefetched,
-//! correctly prefetched, fetched on demand, stall time, speedup).
+//! The crate also implements the baselines the demo compares against
+//! (Hilbert-order prefetching, query-centre extrapolation, a Markov
+//! chain) and the engine that runs a walkthrough: [`OocFlatIndex`] and
+//! its [`OocCursor`] read FLAT's pages through the storage crate's frame
+//! pool, from a page file or, for an index in memory, from a modelled
+//! device whose clock makes the demo's Figure 6 statistics (data
+//! prefetched, correctly prefetched, fetched on demand, stall time,
+//! speedup) a function of the reads alone.
 
 #![forbid(unsafe_code)]
 
 pub mod candidate;
 pub mod markov;
 pub mod ooc;
-pub mod paged;
 pub mod predict;
 pub mod prefetch;
 pub mod session;
@@ -44,11 +45,10 @@ pub use markov::MarkovPrefetcher;
 pub use ooc::{
     write_flat_index, OocConfig, OocCursor, OocFlatIndex, OocIoTrace, OocQueryStats, OocScratch,
 };
-pub use paged::PagedIndex;
 pub use predict::{extrapolate_exits, PredictParams};
 pub use prefetch::{
     ExtrapolationPrefetcher, HilbertPrefetcher, NoPrefetch, PrefetchContext, PrefetchPlan,
     Prefetcher, ScoutPrefetcher,
 };
-pub use session::{ExplorationSession, QueryTrace, SessionConfig, SessionCursor, SessionStats};
+pub use session::{QueryTrace, SessionConfig, SessionStats};
 pub use skeleton::{ExitEdge, Skeleton, SkeletonParams, Structure};

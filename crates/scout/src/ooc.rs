@@ -1,7 +1,7 @@
-//! Out-of-core FLAT: the paged engine over the real storage stack.
+//! Out-of-core FLAT: the paged engine over the storage stack, and the
+//! one engine every walkthrough runs on.
 //!
-//! Everything else in this crate *simulates* I/O; this module does it
-//! for real. A built [`FlatIndex`] is serialized to a page file
+//! A built [`FlatIndex`] is serialized to a page file
 //! ([`write_flat_index`]) — per-page MBRs, the neighborhood CSR and the
 //! build parameters in the metadata blob, each page's segments as its
 //! page payload — and [`OocFlatIndex`] queries it back through a pinning
@@ -58,16 +58,32 @@
 //! A demand read that catches an in-flight prefetch waits only for the
 //! remainder of that read — the pool's loading protocol — which is the
 //! stall-hiding effect `--scenario=ooc` measures.
+//!
+//! ## The modelled device
+//!
+//! [`OocFlatIndex::view`] runs the same engine over an index that is in
+//! memory: pages are encoded as they are read, through a
+//! [`ModelledDevice`] that charges each read to its own clock under a
+//! [`CostModel`](neurospatial_storage::CostModel) instead of waiting.
+//! Which way think time is spent follows from the device, not from an
+//! option. On a real file time passes by itself and the workers use it.
+//! On a device that keeps a clock only a read moves time, so a view has
+//! no workers: the cursor reads its plan on the calling thread until the
+//! clock has advanced by the session's think time, and a step's stall
+//! is the clock's advance over its demand phase. Every count and every
+//! millisecond is then a function of the reads alone, which is what the
+//! paper tables (E4, A3–A5) and the in-memory database's walkthroughs
+//! are made of.
 
 use crate::prefetch::{PrefetchContext, Prefetcher};
-use crate::session::QueryTrace;
+use crate::session::{QueryTrace, SessionConfig};
 use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, PackingStrategy};
 use neurospatial_geom::{Aabb, Executor, Flow, Vec3};
 use neurospatial_model::NeuronSegment;
 use neurospatial_rtree::{EpochMarks, RTree, RTreeObject, RTreeParams, TraversalScratch};
 use neurospatial_storage::{
-    with_retry_sleeping, EvictionPolicy, FramePool, PageFile, PageFileWriter, PageIo, RetryPolicy,
-    StorageError, PAGE_HEADER_BYTES,
+    with_retry_sleeping, EvictionPolicy, FramePool, ModelledDevice, PageFile, PageFileWriter,
+    PageIo, RetryPolicy, StorageError, PAGE_HEADER_BYTES,
 };
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -101,6 +117,18 @@ fn encode_segment(s: &NeuronSegment, out: &mut Vec<u8>) {
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
+}
+
+/// Append page `page`'s payload: its segments as fixed-size records.
+fn encode_page(index: &FlatIndex<NeuronSegment>, page: u32, out: &mut Vec<u8>) {
+    for s in index.page_objects(page) {
+        encode_segment(s, out);
+    }
+}
+
+/// Bytes of one page of an index built with `params`, header included.
+fn page_size_of(params: &FlatBuildParams) -> usize {
+    PAGE_HEADER_BYTES + params.page_capacity * SEGMENT_RECORD_BYTES
 }
 
 /// Cursor over a byte slice with total (never-panicking) primitive reads.
@@ -180,14 +208,12 @@ fn decode_page_segments(
 /// queries without the in-memory index.
 pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result<(), StorageError> {
     let params = index.params();
-    let page_size = PAGE_HEADER_BYTES + params.page_capacity * SEGMENT_RECORD_BYTES;
+    let page_size = page_size_of(params);
     let mut w = PageFileWriter::create(path, page_size)?;
     let mut payload = Vec::with_capacity(page_size);
     for page in 0..index.page_count() as u32 {
         payload.clear();
-        for s in index.page_objects(page) {
-            encode_segment(s, &mut payload);
-        }
+        encode_page(index, page, &mut payload);
         w.append_page(&payload)?;
     }
 
@@ -220,6 +246,32 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
         meta.extend_from_slice(&n.to_le_bytes());
     }
     w.finish(&meta)
+}
+
+/// Read and decode every page of `file`, retrying transient faults
+/// under `retry`: the number of records the pages hold. The sweep never
+/// stops at a bad page: all of them are collected, so the error
+/// ([`StorageError::BadPages`]) reports the full blast radius. Only a
+/// transient error that outlasts its retries aborts it.
+fn sweep_pages(file: &dyn PageIo, retry: &RetryPolicy) -> Result<u64, StorageError> {
+    let mut buf = Vec::new();
+    let mut segs = Vec::new();
+    let mut total = 0u64;
+    let mut bad_pages = Vec::new();
+    for page in 0..file.page_count() {
+        let (res, _retries) =
+            with_retry_sleeping(retry, page, || file.read_page_into(page, &mut buf));
+        match res.and_then(|()| decode_page_segments(&buf, page, &mut segs)) {
+            Ok(()) => total += segs.len() as u64,
+            Err(e) if e.is_transient() => return Err(e),
+            Err(_) => bad_pages.push(page),
+        }
+    }
+    if bad_pages.is_empty() {
+        Ok(total)
+    } else {
+        Err(StorageError::BadPages { pages: bad_pages })
+    }
 }
 
 // --- Configuration ------------------------------------------------------
@@ -501,8 +553,51 @@ pub struct OocFlatIndex {
     seed_tree: RTree<OocPageEntry>,
     prefetch: Option<PrefetchHandle>,
     retry: RetryPolicy,
+    /// Think time a cursor spends reading its plan itself, where the
+    /// device keeps a clock ([`view`](Self::view)); zero on a file.
+    think_ns: u64,
     path: PathBuf,
     delete_on_drop: bool,
+}
+
+/// What a paged index keeps in memory of the index it serves.
+struct FlatMeta {
+    params: FlatBuildParams,
+    object_count: u64,
+    page_mbrs: Vec<Aabb>,
+    neighbor_offsets: Vec<u32>,
+    neighbor_ids: Vec<u32>,
+}
+
+/// The pages of an index that is in memory, each encoded when it is
+/// read: what [`write_flat_index`] would have put in the file, without
+/// the file and without a second copy of the data.
+struct MemoryPages {
+    index: Arc<FlatIndex<NeuronSegment>>,
+}
+
+impl PageIo for MemoryPages {
+    fn read_page_into(&self, page: u64, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        buf.clear();
+        let count = self.page_count();
+        if page >= count {
+            return Err(StorageError::PageOutOfRange { page, count });
+        }
+        encode_page(&self.index, page as u32, buf);
+        Ok(())
+    }
+
+    fn page_count(&self) -> u64 {
+        self.index.page_count() as u64
+    }
+
+    fn page_size(&self) -> usize {
+        page_size_of(self.index.params())
+    }
+
+    fn meta(&self) -> &[u8] {
+        &[]
+    }
 }
 
 impl std::fmt::Debug for OocFlatIndex {
@@ -617,6 +712,66 @@ impl OocFlatIndex {
 
         let params =
             FlatBuildParams { page_capacity, packing, neighbor_epsilon, hilbert_bits, seed_fanout };
+        let meta = FlatMeta { params, object_count, page_mbrs, neighbor_offsets, neighbor_ids };
+        let file: Arc<dyn PageIo> = wrap(file);
+
+        if config.validate_pages {
+            // One sequential checksum pass over every page, and a record
+            // count cross-check against the declared object count. After
+            // this, only post-open rot or OS-level I/O failure can make
+            // a query fail.
+            let total = sweep_pages(file.as_ref(), &config.retry)?;
+            if total != object_count {
+                return Err(StorageError::Corrupt(format!(
+                    "pages hold {total} records, metadata declares {object_count}"
+                )));
+            }
+        }
+
+        Ok(Self::assemble(file, meta, &config, path.to_path_buf()))
+    }
+
+    /// The same engine over an index that is in memory, on a modelled
+    /// device: what every walkthrough that has no page file runs on.
+    ///
+    /// Page MBRs, the neighborhood CSR and the parameters are taken from
+    /// `index` and the seed tree is built as [`open`](Self::open) builds
+    /// it, so results, crawl order and logical statistics are those of
+    /// `index`. A page is encoded when it is read; nothing touches disk.
+    /// The pool holds `session.buffer_pages` frames under
+    /// [`EvictionPolicy::Lru`] and starts cold; each read costs what
+    /// `session.cost` says, on the device's clock and in no real time;
+    /// there are no workers, and a cursor spends
+    /// `session.think_time_ms` of that clock on its plan after each step
+    /// (see the [module docs](self)). A view is cheap next to the index
+    /// (metadata only) and owns all of its state: one per walkthrough
+    /// makes every walkthrough deterministic and independent of the
+    /// others.
+    pub fn view(index: Arc<FlatIndex<NeuronSegment>>, session: &SessionConfig) -> Self {
+        let (offsets, ids) = index.neighbor_csr();
+        let meta = FlatMeta {
+            params: *index.params(),
+            object_count: index.len() as u64,
+            page_mbrs: (0..index.page_count() as u32).map(|p| index.page_mbr(p)).collect(),
+            neighbor_offsets: offsets.to_vec(),
+            neighbor_ids: ids.to_vec(),
+        };
+        let config = OocConfig {
+            frame_budget: session.buffer_pages.max(1),
+            eviction: EvictionPolicy::Lru,
+            prefetch_workers: 0,
+            validate_pages: false,
+            retry: RetryPolicy::default(),
+        };
+        let file = Arc::new(ModelledDevice::new(MemoryPages { index }, session.cost));
+        let mut view = Self::assemble(file, meta, &config, PathBuf::new());
+        view.think_ns = (session.think_time_ms * 1e6).round() as u64;
+        view
+    }
+
+    /// Everything behind the metadata: seed tree, frame pool, workers.
+    fn assemble(file: Arc<dyn PageIo>, meta: FlatMeta, config: &OocConfig, path: PathBuf) -> Self {
+        let FlatMeta { params, object_count, page_mbrs, neighbor_offsets, neighbor_ids } = meta;
 
         // Rebuild the seed tree exactly as the in-memory build does:
         // same entries, same order, same fan-out, frozen — so seed
@@ -627,48 +782,18 @@ impl OocFlatIndex {
             .enumerate()
             .map(|(i, &mbr)| OocPageEntry { mbr, page: i as u32 })
             .collect();
-        let mut seed_tree = RTree::bulk_load(entries, RTreeParams::with_max_entries(seed_fanout));
+        let mut seed_tree =
+            RTree::bulk_load(entries, RTreeParams::with_max_entries(params.seed_fanout));
         seed_tree.freeze();
 
-        let frames = if config.frame_budget == 0 { n.max(1) } else { config.frame_budget };
+        let frames =
+            if config.frame_budget == 0 { page_mbrs.len().max(1) } else { config.frame_budget };
         let pool = Arc::new(FramePool::new(frames, config.eviction));
-        let file: Arc<dyn PageIo> = wrap(file);
-
-        if config.validate_pages {
-            // One sequential checksum pass over every page, and a record
-            // count cross-check against the declared object count. After
-            // this, only post-open rot or OS-level I/O failure can make
-            // a query fail. The sweep never aborts early: every bad page
-            // is collected so the error reports the full blast radius.
-            let mut buf = Vec::new();
-            let mut segs = Vec::new();
-            let mut total = 0u64;
-            let mut bad_pages = Vec::new();
-            for page in 0..page_count {
-                let (res, _retries) = with_retry_sleeping(&config.retry, page, || {
-                    file.read_page_into(page, &mut buf)
-                });
-                match res.and_then(|()| decode_page_segments(&buf, page, &mut segs)) {
-                    Ok(()) => total += segs.len() as u64,
-                    Err(e) if e.is_transient() => return Err(e),
-                    Err(_) => bad_pages.push(page),
-                }
-            }
-            if !bad_pages.is_empty() {
-                return Err(StorageError::BadPages { pages: bad_pages });
-            }
-            if total != object_count {
-                return Err(StorageError::Corrupt(format!(
-                    "pages hold {total} records, metadata declares {object_count}"
-                )));
-            }
-        }
-
         let prefetch = (config.prefetch_workers > 0).then(|| {
             PrefetchHandle::spawn(config.prefetch_workers, Arc::clone(&file), Arc::clone(&pool))
         });
 
-        Ok(OocFlatIndex {
+        OocFlatIndex {
             file,
             pool,
             params,
@@ -679,9 +804,10 @@ impl OocFlatIndex {
             seed_tree,
             prefetch,
             retry: config.retry,
-            path: path.to_path_buf(),
+            think_ns: 0,
+            path,
             delete_on_drop: false,
-        })
+        }
     }
 
     /// Re-validate every page through the current I/O stack, reporting
@@ -690,23 +816,7 @@ impl OocFlatIndex {
     /// failures are retried under the configured policy; an
     /// unrecoverable transient error aborts the sweep.
     pub fn validate_pages(&self) -> Result<(), StorageError> {
-        let mut buf = Vec::new();
-        let mut segs = Vec::new();
-        let mut bad_pages = Vec::new();
-        for page in 0..self.page_mbrs.len() as u64 {
-            let (res, _retries) =
-                with_retry_sleeping(&self.retry, page, || self.file.read_page_into(page, &mut buf));
-            match res.and_then(|()| decode_page_segments(&buf, page, &mut segs)) {
-                Ok(()) => {}
-                Err(e) if e.is_transient() => return Err(e),
-                Err(_) => bad_pages.push(page),
-            }
-        }
-        if bad_pages.is_empty() {
-            Ok(())
-        } else {
-            Err(StorageError::BadPages { pages: bad_pages })
-        }
+        sweep_pages(self.file.as_ref(), &self.retry).map(|_records| ())
     }
 
     /// Pages the pool has quarantined after permanent read failures,
@@ -990,21 +1100,30 @@ impl OocFlatIndex {
 
     /// A step-wise walkthrough cursor with the given prefetch policy.
     ///
-    /// Policy predictions are translated to pages and fetched by the
-    /// background workers during think time, each step's plan replacing
-    /// what is left of the one before (see the [module docs](self));
-    /// without workers the policy still runs (its predictions are simply
-    /// dropped), so traces stay comparable.
+    /// Policy predictions are translated to pages and fetched during
+    /// think time, each step's plan replacing what is left of the one
+    /// before: by the background workers, or on a [`view`](Self::view)
+    /// by the cursor itself against the device's clock (see the [module
+    /// docs](self)). On a file without workers the policy still runs
+    /// (its predictions are simply dropped), so traces stay comparable.
     pub fn cursor(&self, prefetcher: Box<dyn Prefetcher>) -> OocCursor<'_> {
-        OocCursor {
-            index: self,
-            prefetcher,
-            history: Vec::new(),
-            scratch: OocScratch::default(),
-            result: Vec::new(),
-            pages_read: Vec::new(),
-            plan_pages: Vec::new(),
+        OocCursor::new(Held::Lent(self), prefetcher)
+    }
+
+    /// [`cursor`](Self::cursor) that owns the index: for a
+    /// [`view`](Self::view) made for one walkthrough and dropped with it.
+    pub fn into_cursor(self, prefetcher: Box<dyn Prefetcher>) -> OocCursor<'static> {
+        OocCursor::new(Held::Owned(Box::new(self)), prefetcher)
+    }
+
+    /// The device's clock, where a cursor has to spend think time
+    /// itself: the device keeps one and no worker is there to read
+    /// while the caller thinks.
+    fn caller_clock(&self) -> Option<u64> {
+        if self.prefetch.is_some() {
+            return None;
         }
+        self.file.clock_ns()
     }
 }
 
@@ -1018,14 +1137,34 @@ impl Drop for OocFlatIndex {
     }
 }
 
+/// The index a cursor walks: its owner's, or a view of its own.
+enum Held<'a> {
+    Lent(&'a OocFlatIndex),
+    Owned(Box<OocFlatIndex>),
+}
+
+impl std::ops::Deref for Held<'_> {
+    type Target = OocFlatIndex;
+
+    fn deref(&self) -> &OocFlatIndex {
+        match self {
+            Held::Lent(index) => index,
+            Held::Owned(index) => index,
+        }
+    }
+}
+
 /// Step-wise exploration over an [`OocFlatIndex`]: each
-/// [`step`](Self::step) answers one moving-range query with real I/O,
-/// then lets the prefetch policy schedule background reads for the
+/// [`step`](Self::step) answers one moving-range query through the
+/// frame pool, then lets the prefetch policy schedule reads for the
 /// predicted next step.
 pub struct OocCursor<'a> {
-    index: &'a OocFlatIndex,
+    index: Held<'a>,
     prefetcher: Box<dyn Prefetcher>,
-    history: Vec<Vec3>,
+    /// Centres of the last two views: all any policy reads of the past.
+    recent: [Vec3; 2],
+    /// Steps since the last [`reset`](Self::reset).
+    steps: usize,
     scratch: OocScratch,
     result: Vec<NeuronSegment>,
     pages_read: Vec<u32>,
@@ -1037,37 +1176,69 @@ pub struct OocCursor<'a> {
 /// wasted bandwidth when a policy predicts a huge region.
 const CURSOR_PREFETCH_CAP: usize = 256;
 
-impl OocCursor<'_> {
-    /// Execute the next query of the walkthrough; returns its trace
-    /// (`stall_ms` is real wall-clock stall, not a simulated cost).
+impl<'a> OocCursor<'a> {
+    fn new(index: Held<'a>, prefetcher: Box<dyn Prefetcher>) -> Self {
+        OocCursor {
+            index,
+            prefetcher,
+            recent: [Vec3::ZERO; 2],
+            steps: 0,
+            scratch: OocScratch::default(),
+            result: Vec::new(),
+            pages_read: Vec::new(),
+            plan_pages: Vec::new(),
+        }
+    }
+
+    /// Execute the next query of the walkthrough; returns its trace.
+    /// `stall_ms` is wall-clock stall on a file and the clock's advance
+    /// on a device that keeps one.
     pub fn step(&mut self, q: &Aabb) -> Result<QueryTrace, StorageError> {
+        self.step_partial(q, false)
+    }
+
+    /// [`step`](Self::step) with the degradation mode of
+    /// [`OocFlatIndex::range_query_stream_partial`]: with
+    /// `allow_partial` a page that fails permanently is skipped, not an
+    /// error, and the walkthrough goes on over the pages that survive.
+    pub fn step_partial(
+        &mut self,
+        q: &Aabb,
+        allow_partial: bool,
+    ) -> Result<QueryTrace, StorageError> {
+        let index: &OocFlatIndex = &self.index;
         self.result.clear();
         self.pages_read.clear();
         let result = &mut self.result;
         let pages_read = &mut self.pages_read;
-        let stats = self.index.range_query_stream(
+        let started = index.caller_clock();
+        let stats = index.range_query_stream_partial(
             q,
             &mut self.scratch,
+            allow_partial,
             |p| pages_read.push(p),
             |s| {
                 result.push(*s);
                 Flow::Emit
             },
         )?;
-        self.history.push(q.center());
+        let answered = index.caller_clock();
+        self.recent = [self.recent[1], q.center()];
+        self.steps += 1;
 
         // Think-time prefetch: plan from the step's content, translate
-        // regions to pages, hand them to the background workers.
+        // regions to pages, hand them to whoever reads during think
+        // time.
         let refs: Vec<&NeuronSegment> = self.result.iter().collect();
         let plan = self.prefetcher.plan(&PrefetchContext {
             query: q,
             result: &refs,
-            history: &self.history,
+            history: &self.recent[2 - self.steps.min(2)..],
             pages_read: &self.pages_read,
         });
         let mut prefetched = 0;
-        if let Some(handle) = &self.index.prefetch {
-            let page_count = self.index.page_count();
+        if index.prefetch.is_some() || answered.is_some() {
+            let page_count = index.page_count();
             // Mark the pages this step read, so that marking a planned
             // page tells both whether the step read it and whether the
             // plan already has it. (The crawl's own marks will not do:
@@ -1093,18 +1264,38 @@ impl OocCursor<'_> {
                 if !room {
                     break;
                 }
-                self.index.pages_intersecting_into(region, seed, frontier);
+                index.pages_intersecting_into(region, seed, frontier);
                 room = accept(frontier);
             }
             pages.truncate(CURSOR_PREFETCH_CAP);
-            prefetched = handle.replace_plan(pages);
+            if let Some(handle) = &index.prefetch {
+                prefetched = handle.replace_plan(pages);
+            } else if let Some(answered) = answered {
+                // Only a read moves this clock: the think time is spent
+                // here, on the plan, and what is left of the plan when
+                // it is used up is dropped.
+                let deadline = answered.saturating_add(index.think_ns);
+                for &p in pages.iter() {
+                    if index.file.clock_ns() >= Some(deadline) {
+                        break;
+                    }
+                    // As a worker would: a page that does not load is
+                    // not cached, and the demand path says why.
+                    let read = index.pool.prefetch(u64::from(p), index.file.as_ref());
+                    prefetched += u64::from(matches!(read, Ok(true)));
+                }
+            }
         }
 
+        let stall_ns = match (started, answered) {
+            (Some(started), Some(answered)) => answered - started,
+            _ => stats.io.stall_ns,
+        };
         Ok(QueryTrace {
             pages_demanded: stats.flat.pages_read,
             demand_hits: stats.io.cache_hits,
             demand_misses: stats.io.cache_misses,
-            stall_ms: stats.io.stall_ns as f64 / 1e6,
+            stall_ms: stall_ns as f64 / 1e6,
             prefetched,
             results: stats.flat.results,
         })
@@ -1115,30 +1306,29 @@ impl OocCursor<'_> {
         &self.result
     }
 
+    /// The index this cursor walks.
+    pub fn index(&self) -> &OocFlatIndex {
+        &self.index
+    }
+
     /// Forget per-walkthrough state (history and the policy's memory).
     pub fn reset(&mut self) {
-        self.history.clear();
+        self.steps = 0;
         self.prefetcher.reset();
     }
 }
 
-// Local import to keep the signature readable.
-use std::fmt;
-
-impl fmt::Debug for OocCursor<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl std::fmt::Debug for OocCursor<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OocCursor")
             .field("policy", &self.prefetcher.name())
-            .field("steps", &self.history.len())
+            .field("steps", &self.steps)
             .finish()
     }
 }
 
-/// The paged-equivalence shim: lets the simulator-based
-/// [`ExplorationSession`](crate::ExplorationSession) machinery size
-/// budgets consistently with the real engine. (The real engine cannot
-/// implement [`PagedIndex`](crate::PagedIndex) itself — that trait returns borrowed
-/// segments, while paged results are decoded per read.)
+/// A frame budget of `percent` of `page_count` pages, at least one
+/// frame: how the tests and `--scenario=ooc` size a pool to a file.
 pub fn frame_budget_for(page_count: usize, percent: u32) -> usize {
     ((page_count * percent as usize) / 100).max(1)
 }
@@ -1173,10 +1363,18 @@ mod tests {
     #[test]
     fn roundtrip_preserves_results_and_stats() {
         let segs = circuit(12);
-        let mem = build(segs, 32);
+        let mem = Arc::new(build(segs, 32));
         let t = TempFile(temp_path("roundtrip"));
         write_flat_index(&mem, &t.0).expect("write");
-        let ooc = OocFlatIndex::open(&t.0, OocConfig::default()).expect("open");
+        // The page file, and the same pages encoded as they are read.
+        let from_file = OocFlatIndex::open(&t.0, OocConfig::default()).expect("open");
+        let view = OocFlatIndex::view(Arc::clone(&mem), &SessionConfig::default());
+        for ooc in [from_file, view] {
+            roundtrips(&mem, &ooc);
+        }
+    }
+
+    fn roundtrips(mem: &FlatIndex<NeuronSegment>, ooc: &OocFlatIndex) {
         assert_eq!(ooc.len(), mem.len());
         assert_eq!(ooc.page_count(), mem.page_count());
         assert_eq!(ooc.bounds(), mem.bounds());
@@ -1265,13 +1463,53 @@ mod tests {
         }
     }
 
+    /// A policy beside a twin that is shown every view centre of the
+    /// walkthrough, as a cursor used to keep them: the cursor's last two
+    /// must make the same plan.
+    struct BesideFullHistory<P> {
+        policy: P,
+        twin: P,
+        centres: Vec<Vec3>,
+    }
+
+    impl<P: Prefetcher> Prefetcher for BesideFullHistory<P> {
+        fn name(&self) -> &'static str {
+            self.policy.name()
+        }
+
+        fn plan(&mut self, ctx: &PrefetchContext<'_>) -> crate::prefetch::PrefetchPlan {
+            self.centres.push(ctx.query.center());
+            assert_eq!(ctx.history, &self.centres[self.centres.len().saturating_sub(2)..]);
+            let plan = self.policy.plan(ctx);
+            let want = self.twin.plan(&PrefetchContext { history: &self.centres, ..*ctx });
+            assert_eq!((&plan.regions, &plan.pages), (&want.regions, &want.pages));
+            plan
+        }
+
+        fn reset(&mut self) {
+            self.policy.reset();
+            self.twin.reset();
+            self.centres.clear();
+        }
+    }
+
+    fn beside_full_history<P: Prefetcher + Default + 'static>() -> Box<dyn Prefetcher> {
+        Box::new(BesideFullHistory { policy: P::default(), twin: P::default(), centres: vec![] })
+    }
+
     #[test]
     fn cursor_walkthrough_traces() {
-        let segs = circuit(8);
-        let mem = build(segs, 16);
+        use crate::prefetch::{ExtrapolationPrefetcher, ScoutPrefetcher};
+        let circuit = CircuitBuilder::new(7).neurons(8).build();
+        let path = neurospatial_model::NavigationPath::along_random_branch(&circuit, 1, 20.0, 8.0)
+            .expect("the circuit has branches");
+        let mem = build(circuit.into_segments(), 16);
         let t = TempFile(temp_path("cursor"));
         write_flat_index(&mem, &t.0).expect("write");
-        for workers in [1, 2] {
+        for (workers, policy) in [
+            (1, beside_full_history::<ScoutPrefetcher>()),
+            (2, beside_full_history::<ExtrapolationPrefetcher>()),
+        ] {
             let ooc = OocFlatIndex::open(
                 &t.0,
                 OocConfig::default()
@@ -1279,22 +1517,21 @@ mod tests {
                     .with_prefetch_workers(workers),
             )
             .expect("open");
-            let mut cur = ooc.cursor(Box::new(crate::prefetch::ScoutPrefetcher::default()));
-            // Anchor the walkthrough on real data: the first object of page 0.
-            let c = mem.page_objects(0)[0].aabb().center();
-            let mut total_results = 0u64;
-            for step in 0..8 {
-                let q = Aabb::cube(Vec3::new(c.x, c.y + step as f64 * 4.0, c.z), 20.0);
-                let trace = cur.step(&q).expect("step");
+            let mut cur = ooc.cursor(policy);
+            let (mut total_results, mut planned) = (0, 0);
+            for (step, q) in path.queries.iter().enumerate() {
+                let trace = cur.step(q).expect("step");
                 assert_eq!(trace.demand_hits + trace.demand_misses, trace.pages_demanded);
                 assert_eq!(trace.results as usize, cur.last_result().len());
                 assert!(
-                    cur.last_result().iter().eq(mem.range_query(&q).0),
+                    cur.last_result().iter().eq(mem.range_query(q).0),
                     "step {step} with {workers} workers differs from the in-memory index"
                 );
                 total_results += trace.results;
+                planned += trace.prefetched;
             }
             assert!(total_results > 0, "walkthrough crossed data");
+            assert!(planned > 0, "the policy planned pages, so plans were compared");
         }
     }
 

@@ -10,7 +10,7 @@ use neurospatial_geom::Aabb;
 #[derive(Debug, Clone, Copy)]
 pub struct PredictParams {
     /// How far beyond the exit point to centre the prefetch box — should
-    /// match the user's step length; the session simulator passes the
+    /// match the user's step length; SCOUT passes the last observed
     /// walkthrough step.
     pub lookahead: f64,
     /// Half-extent of each prefetch box (normally the view radius).

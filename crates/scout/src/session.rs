@@ -1,6 +1,5 @@
-//! The exploration-session simulator: replays a branch-following
-//! walkthrough against FLAT + simulated disk + LRU buffer pool and
-//! reports the demo's Figure 6 statistics.
+//! The walkthrough's plain data: what a session is configured with, one
+//! step's trace and the demo's Figure 6 statistics.
 //!
 //! Timing model: each step of the walkthrough issues a range query whose
 //! *demand misses* stall the user (charged with the disk cost model).
@@ -8,21 +7,15 @@
 //! [`SessionConfig::think_time_ms`]; the prefetcher may use exactly that
 //! much background disk time — a prefetcher that requests more than fits
 //! the budget gets cut off, so over-eager policies are penalised
-//! naturally rather than by fiat.
+//! naturally rather than by fiat. The engine is
+//! [`OocCursor`](crate::OocCursor) over
+//! [`OocFlatIndex::view`](crate::OocFlatIndex::view).
 
-use crate::paged::PagedIndex;
-use crate::prefetch::{PrefetchContext, Prefetcher};
-use neurospatial_flat::{FlatBuildParams, FlatIndex};
-use neurospatial_geom::{Aabb, Vec3};
-use neurospatial_model::{NavigationPath, NeuronSegment};
-use neurospatial_storage::{BufferPool, CostModel, DiskSim, PageId};
-use std::collections::HashMap;
+use neurospatial_storage::CostModel;
 
 /// Session configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
-    /// FLAT page capacity (objects per page).
-    pub page_capacity: usize,
     /// Buffer pool capacity in pages.
     pub buffer_pages: usize,
     /// Disk cost model.
@@ -33,12 +26,7 @@ pub struct SessionConfig {
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig {
-            page_capacity: 64,
-            buffer_pages: 256,
-            cost: CostModel::default(),
-            think_time_ms: 150.0,
-        }
+        SessionConfig { buffer_pages: 256, cost: CostModel::default(), think_time_ms: 150.0 }
     }
 }
 
@@ -75,11 +63,19 @@ pub struct SessionStats {
     /// Prefetched pages that a later query actually demanded ("how much
     /// was correctly prefetched").
     pub useful_prefetched: u64,
-    /// Simulated background disk time spent prefetching (ms).
-    pub prefetch_cost_ms: f64,
 }
 
 impl SessionStats {
+    /// Fold one step's trace into the running totals
+    /// (`useful_prefetched` is the frame pool's count, not a step's).
+    pub fn record(&mut self, trace: QueryTrace) {
+        self.total_stall_ms += trace.stall_ms;
+        self.total_demand_misses += trace.demand_misses;
+        self.total_demand_hits += trace.demand_hits;
+        self.total_prefetched += trace.prefetched;
+        self.steps.push(trace);
+    }
+
     /// Demand hit ratio over the whole walkthrough.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.total_demand_hits + self.total_demand_misses;
@@ -108,223 +104,40 @@ impl SessionStats {
     }
 }
 
-/// A reusable exploration environment: one paged spatial index over a
-/// circuit's segments; each [`ExplorationSession::run`] replays a
-/// walkthrough with a fresh disk, pool and prefetcher state.
-///
-/// Generic over the index: any [`PagedIndex`] implementation can drive a
-/// session. FLAT is the default (and the index the demo paper uses).
-pub struct ExplorationSession<I: PagedIndex = FlatIndex<NeuronSegment>> {
-    index: I,
-    config: SessionConfig,
-}
-
-impl ExplorationSession<FlatIndex<NeuronSegment>> {
-    /// Index `segments` with FLAT and prepare the environment.
-    pub fn new(segments: Vec<NeuronSegment>, config: SessionConfig) -> Self {
-        let index = FlatIndex::build(
-            segments,
-            FlatBuildParams::default().with_page_capacity(config.page_capacity),
-        );
-        ExplorationSession { index, config }
-    }
-}
-
-impl<I: PagedIndex> ExplorationSession<I> {
-    /// Wrap an already-built paged index.
-    pub fn from_index(index: I, config: SessionConfig) -> Self {
-        ExplorationSession { index, config }
-    }
-
-    pub fn index(&self) -> &I {
-        &self.index
-    }
-
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
-    }
-
-    /// Replay `path` with `prefetcher`. Deterministic. One cursor, one
-    /// [`SessionCursor::step`] per path query.
-    pub fn run(&self, path: &NavigationPath, prefetcher: &mut dyn Prefetcher) -> SessionStats {
-        let mut state = StepState::new(self, prefetcher.name());
-        prefetcher.reset();
-        for q in &path.queries {
-            state.step(self, prefetcher, q);
-        }
-        state.stats
-    }
-
-    /// Bind a step-wise walkthrough session: a [`SessionCursor`] owns the
-    /// simulated disk, buffer pool, prefetcher state and reusable query
-    /// scratch, and advances one query at a time — the primitive behind
-    /// repeated-query loops that do not know their whole path up front
-    /// (an interactive viewer, the facade's `Query::session` binding).
-    /// [`run`](Self::run) is exactly a cursor stepped over a whole path.
-    pub fn cursor(&self, mut prefetcher: Box<dyn Prefetcher>) -> SessionCursor<'_, I> {
-        prefetcher.reset();
-        let state = StepState::new(self, prefetcher.name());
-        SessionCursor { session: self, prefetcher, state }
-    }
-}
-
-/// All mutable per-walkthrough state of a session replay: the simulated
-/// disk and pool, prefetch provenance, query history, and the reusable
-/// per-step buffers (after the first step has sized them, the demand
-/// phase stops allocating).
-struct StepState<'s, I: PagedIndex> {
-    disk: DiskSim,
-    pool: BufferPool,
-    /// Pages inserted by prefetch that have not yet served a demand
-    /// access (provenance for the precision statistic).
-    pending_prefetch: HashMap<u32, ()>,
-    history: Vec<Vec3>,
-    scratch: I::Scratch,
-    pages_read: Vec<u32>,
-    result: Vec<&'s NeuronSegment>,
-    stats: SessionStats,
-}
-
-impl<'s, I: PagedIndex> StepState<'s, I> {
-    fn new(session: &ExplorationSession<I>, method: &str) -> Self {
-        StepState {
-            disk: DiskSim::new(u64::MAX, session.config.cost),
-            pool: BufferPool::new(session.config.buffer_pages),
-            pending_prefetch: HashMap::new(),
-            history: Vec::new(),
-            scratch: I::Scratch::default(),
-            pages_read: Vec::new(),
-            result: Vec::new(),
-            stats: SessionStats { method: method.to_string(), ..Default::default() },
-        }
-    }
-
-    /// Advance one step: demand phase (stalling on misses), then the
-    /// think-time prefetch phase. Appends to the running statistics and
-    /// returns this step's trace.
-    fn step(
-        &mut self,
-        session: &'s ExplorationSession<I>,
-        prefetcher: &mut dyn Prefetcher,
-        q: &Aabb,
-    ) -> QueryTrace {
-        self.history.push(q.center());
-        let mut trace = QueryTrace::default();
-
-        // --- Demand phase: run the query, stalling on misses --------
-        self.pages_read.clear();
-        self.result.clear();
-        let (pool, pending, stats) = (&mut self.pool, &mut self.pending_prefetch, &mut self.stats);
-        let (pages_read, disk) = (&mut self.pages_read, &self.disk);
-        session.index.paged_range_query_scratch(
-            q,
-            &mut self.scratch,
-            &mut |p| {
-                pages_read.push(p);
-                trace.pages_demanded += 1;
-                let cost =
-                    pool.get(PageId(p as u64), disk).expect("unbounded simulated disk cannot fail");
-                if cost > 0.0 {
-                    trace.demand_misses += 1;
-                    trace.stall_ms += cost;
-                } else {
-                    trace.demand_hits += 1;
-                    if pending.remove(&p).is_some() {
-                        stats.useful_prefetched += 1;
-                    }
-                }
-            },
-            &mut self.result,
-        );
-        trace.results = self.result.len() as u64;
-
-        // --- Think time: background prefetching ----------------------
-        let ctx = PrefetchContext {
-            query: q,
-            result: &self.result,
-            history: &self.history,
-            pages_read: &self.pages_read,
-        };
-        let plan = prefetcher.plan(&ctx);
-
-        let mut planned_pages: Vec<u32> = plan.pages;
-        for region in &plan.regions {
-            planned_pages.extend(session.index.pages_intersecting(region));
-        }
-        planned_pages.retain(|&p| (p as usize) < session.index.page_count());
-        planned_pages.dedup();
-
-        let mut budget = session.config.think_time_ms;
-        for p in planned_pages {
-            if budget <= 0.0 {
-                break; // think time exhausted: remaining plan dropped
-            }
-            if self.pool.contains(PageId(p as u64)) {
-                continue;
-            }
-            let cost = self
-                .pool
-                .prefetch(PageId(p as u64), &self.disk)
-                .expect("unbounded simulated disk cannot fail");
-            budget -= cost;
-            self.stats.prefetch_cost_ms += cost;
-            trace.prefetched += 1;
-            self.pending_prefetch.insert(p, ());
-        }
-
-        self.stats.total_stall_ms += trace.stall_ms;
-        self.stats.total_demand_hits += trace.demand_hits;
-        self.stats.total_demand_misses += trace.demand_misses;
-        self.stats.total_prefetched += trace.prefetched;
-        self.stats.steps.push(trace);
-        trace
-    }
-}
-
-/// A step-wise exploration session: feed queries one at a time, read the
-/// accumulated Figure-6 statistics whenever you like. Created by
-/// [`ExplorationSession::cursor`]; owns its prefetcher, simulated disk,
-/// buffer pool and reusable per-step buffers, so repeated steps are as
-/// allocation-disciplined as a whole-path [`ExplorationSession::run`].
-pub struct SessionCursor<'s, I: PagedIndex = FlatIndex<NeuronSegment>> {
-    session: &'s ExplorationSession<I>,
-    prefetcher: Box<dyn Prefetcher>,
-    state: StepState<'s, I>,
-}
-
-impl<'s, I: PagedIndex> SessionCursor<'s, I> {
-    /// Advance the walkthrough by one query: demand phase (stalling on
-    /// pool misses), then think-time prefetching. Returns this step's
-    /// trace.
-    pub fn step(&mut self, q: &Aabb) -> QueryTrace {
-        self.state.step(self.session, self.prefetcher.as_mut(), q)
-    }
-
-    /// The result segments of the most recent step, in emission order.
-    pub fn last_result(&self) -> &[&'s NeuronSegment] {
-        &self.state.result
-    }
-
-    /// Statistics accumulated over every step so far.
-    pub fn stats(&self) -> &SessionStats {
-        &self.state.stats
-    }
-
-    /// Consume the cursor, yielding the final statistics.
-    pub fn into_stats(self) -> SessionStats {
-        self.state.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ooc::OocFlatIndex;
     use crate::prefetch::{
-        ExtrapolationPrefetcher, HilbertPrefetcher, NoPrefetch, ScoutPrefetcher,
+        ExtrapolationPrefetcher, HilbertPrefetcher, NoPrefetch, Prefetcher, ScoutPrefetcher,
     };
-    use neurospatial_model::{CircuitBuilder, MorphologyParams};
+    use neurospatial_flat::{FlatBuildParams, FlatIndex};
+    use neurospatial_model::{CircuitBuilder, MorphologyParams, NavigationPath, NeuronSegment};
+    use std::sync::Arc;
 
-    fn setup() -> (ExplorationSession, NavigationPath) {
+    type Flat = Arc<FlatIndex<NeuronSegment>>;
+
+    fn flat(segments: Vec<NeuronSegment>) -> Flat {
+        Arc::new(FlatIndex::build(segments, FlatBuildParams::default().with_page_capacity(32)))
+    }
+
+    /// Replay `path` cold: a fresh view (pool and device clock) of `flat`.
+    fn run<P: Prefetcher + Default + 'static>(
+        flat: &Flat,
+        config: &SessionConfig,
+        path: &NavigationPath,
+    ) -> SessionStats {
+        let view = OocFlatIndex::view(Arc::clone(flat), config);
+        let mut cursor = view.cursor(Box::new(P::default()));
+        let mut stats = SessionStats::default();
+        for q in &path.queries {
+            stats.record(cursor.step(q).expect("pages in memory always read"));
+        }
+        stats.useful_prefetched = view.pool().stats().prefetch_hits;
+        stats
+    }
+
+    fn setup() -> (Flat, SessionConfig, NavigationPath) {
         // Seeds chosen so the walkthrough is long (17 steps) and its
         // working set exceeds the pool — the regime where prefetch
         // accuracy decides stall time, as on the demo machine.
@@ -332,18 +145,14 @@ mod tests {
             CircuitBuilder::new(11).neurons(12).morphology(MorphologyParams::small()).build();
         let path = NavigationPath::along_random_branch(&circuit, 1, 20.0, 8.0)
             .expect("circuit has branches");
-        let session = ExplorationSession::new(
-            circuit.into_segments(),
-            SessionConfig { page_capacity: 32, buffer_pages: 48, ..Default::default() },
-        );
-        (session, path)
+        let config = SessionConfig { buffer_pages: 48, ..Default::default() };
+        (flat(circuit.into_segments()), config, path)
     }
 
     #[test]
     fn no_prefetch_baseline_misses_everything_first_touch() {
-        let (session, path) = setup();
-        let stats = session.run(&path, &mut NoPrefetch);
-        assert_eq!(stats.method, "none");
+        let (flat, config, path) = setup();
+        let stats = run::<NoPrefetch>(&flat, &config, &path);
         assert_eq!(stats.total_prefetched, 0);
         assert!(stats.total_demand_misses > 0);
         assert!(stats.total_stall_ms > 0.0);
@@ -352,9 +161,9 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let (session, path) = setup();
-        let a = session.run(&path, &mut ScoutPrefetcher::default());
-        let b = session.run(&path, &mut ScoutPrefetcher::default());
+        let (flat, config, path) = setup();
+        let a = run::<ScoutPrefetcher>(&flat, &config, &path);
+        let b = run::<ScoutPrefetcher>(&flat, &config, &path);
         assert_eq!(a.total_stall_ms, b.total_stall_ms);
         assert_eq!(a.total_prefetched, b.total_prefetched);
         assert_eq!(a.useful_prefetched, b.useful_prefetched);
@@ -362,9 +171,9 @@ mod tests {
 
     #[test]
     fn scout_beats_no_prefetching() {
-        let (session, path) = setup();
-        let none = session.run(&path, &mut NoPrefetch);
-        let scout = session.run(&path, &mut ScoutPrefetcher::default());
+        let (flat, config, path) = setup();
+        let none = run::<NoPrefetch>(&flat, &config, &path);
+        let scout = run::<ScoutPrefetcher>(&flat, &config, &path);
         assert!(
             scout.total_stall_ms < none.total_stall_ms,
             "scout stall {} should beat none {}",
@@ -383,17 +192,14 @@ mod tests {
         // few paths to smooth out per-path noise.
         let circuit =
             CircuitBuilder::new(11).neurons(16).morphology(MorphologyParams::small()).build();
-        let session = ExplorationSession::new(
-            circuit.segments().to_vec(),
-            SessionConfig { page_capacity: 32, ..Default::default() },
-        );
+        let flat = flat(circuit.segments().to_vec());
+        let config = SessionConfig::default();
         let (mut s_scout, mut s_hilbert, mut s_extra) = (0.0, 0.0, 0.0);
         for seed in 0..6 {
             if let Some(path) = NavigationPath::along_random_branch(&circuit, seed, 18.0, 7.0) {
-                s_scout += session.run(&path, &mut ScoutPrefetcher::default()).total_stall_ms;
-                s_hilbert += session.run(&path, &mut HilbertPrefetcher::default()).total_stall_ms;
-                s_extra +=
-                    session.run(&path, &mut ExtrapolationPrefetcher::default()).total_stall_ms;
+                s_scout += run::<ScoutPrefetcher>(&flat, &config, &path).total_stall_ms;
+                s_hilbert += run::<HilbertPrefetcher>(&flat, &config, &path).total_stall_ms;
+                s_extra += run::<ExtrapolationPrefetcher>(&flat, &config, &path).total_stall_ms;
             }
         }
         assert!(s_scout < s_hilbert, "scout {s_scout} should stall less than hilbert {s_hilbert}");
@@ -405,31 +211,23 @@ mod tests {
 
     #[test]
     fn prefetch_budget_limits_background_io() {
-        let (session, path) = setup();
-        let tight = SessionConfig { think_time_ms: 1.0, ..*session.config() };
-        let tight_session = ExplorationSession::new(
-            session.index().page_objects(0).to_vec(), // small dataset reuse
-            tight,
-        );
-        // More simply: same dataset, tight budget.
-        let _ = tight_session;
-        let config = SessionConfig { think_time_ms: 0.0, page_capacity: 32, ..Default::default() };
-        let s2 = ExplorationSession::new(
-            {
-                let c = CircuitBuilder::new(42).neurons(12).build();
-                c.into_segments()
-            },
-            config,
-        );
-        let stats = s2.run(&path, &mut ScoutPrefetcher::default());
+        let (flat, config, path) = setup();
+        let none = SessionConfig { think_time_ms: 0.0, ..config };
+        let stats = run::<ScoutPrefetcher>(&flat, &none, &path);
         assert_eq!(stats.total_prefetched, 0, "zero think time forbids prefetching");
+        // A budget below the cost of one read is spent by the first one.
+        let cost = CostModel { random_read_ms: 8.0, sequential_read_ms: 8.0 };
+        let tight = SessionConfig { think_time_ms: 1.0, cost, ..config };
+        let stats = run::<ScoutPrefetcher>(&flat, &tight, &path);
+        assert!(stats.total_prefetched > 0);
+        assert!(stats.steps.iter().all(|t| t.prefetched <= 1), "the plan is cut off");
     }
 
     #[test]
     fn query_results_unaffected_by_prefetching() {
-        let (session, path) = setup();
-        let a = session.run(&path, &mut NoPrefetch);
-        let b = session.run(&path, &mut ScoutPrefetcher::default());
+        let (flat, config, path) = setup();
+        let a = run::<NoPrefetch>(&flat, &config, &path);
+        let b = run::<ScoutPrefetcher>(&flat, &config, &path);
         let ra: Vec<u64> = a.steps.iter().map(|t| t.results).collect();
         let rb: Vec<u64> = b.steps.iter().map(|t| t.results).collect();
         assert_eq!(ra, rb, "prefetching must not change query semantics");

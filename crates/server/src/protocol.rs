@@ -225,7 +225,7 @@ pub enum Request {
     /// ε-distance join against population `other`: pair chunks, then
     /// `DONE`.
     Touching { desc: QueryDesc, other: String, epsilon: f64 },
-    /// Walkthrough replay with simulated paged I/O (FLAT servers only):
+    /// Walkthrough replay with paged I/O (monolithic FLAT servers only):
     /// one `WALK_RESULT` frame.
     Walkthrough { tenant: u32, method: WalkthroughMethod, path: NavigationPath },
     /// Plan the wrapped request without executing it: one `PLAN_RESULT`

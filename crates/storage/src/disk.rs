@@ -1,26 +1,12 @@
-//! The disk simulator: page-access accounting and a two-parameter cost
-//! model (random seek + sequential transfer), the classic first-order
-//! model of rotating storage used throughout the spatial indexing
-//! literature the paper builds on.
+//! The modelled device: a two-parameter cost model (random seek +
+//! sequential transfer), the classic first-order model of rotating
+//! storage used throughout the spatial indexing literature the paper
+//! builds on, and a [`PageIo`] wrapper that charges it to a clock
+//! instead of waiting.
 
-use crate::page::PageId;
-
-/// Minimal stand-in for `parking_lot::Mutex` (unavailable offline): a
-/// `std::sync::Mutex` whose `lock()` returns the guard directly. The
-/// simulator never holds a guard across a panic-prone region, so poisoning
-/// is treated as unreachable.
-#[derive(Debug, Default)]
-struct Mutex<T>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
+use crate::fault::PageIo;
+use crate::file::StorageError;
+use std::sync::Mutex;
 
 /// Cost model parameters, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,137 +32,66 @@ impl CostModel {
     pub fn ssd() -> Self {
         CostModel { random_read_ms: 0.15, sequential_read_ms: 0.05 }
     }
-}
 
-/// Aggregate I/O statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IoStats {
-    /// Reads charged at the random-access cost.
-    pub random_reads: u64,
-    /// Reads of the page physically following the previous one.
-    pub sequential_reads: u64,
-    /// Total simulated read latency (ms).
-    pub total_cost_ms: f64,
-}
-
-impl IoStats {
-    /// Random plus sequential reads.
-    pub fn total_reads(&self) -> u64 {
-        self.random_reads + self.sequential_reads
-    }
-
-    /// Merge two stat blocks (e.g. per-query into per-experiment).
-    pub fn merge(&mut self, o: &IoStats) {
-        self.random_reads += o.random_reads;
-        self.sequential_reads += o.sequential_reads;
-        self.total_cost_ms += o.total_cost_ms;
+    /// Nanoseconds charged for reading `page` when the device last read
+    /// `prev`: the sequential cost if `page` physically follows `prev`
+    /// (pages live in one linear address space), the random cost
+    /// otherwise. The first read and a re-read of the same page are
+    /// random.
+    pub fn read_ns(&self, prev: Option<u64>, page: u64) -> u64 {
+        let sequential = prev.is_some_and(|p| p.checked_add(1) == Some(page));
+        let ms = if sequential { self.sequential_read_ms } else { self.random_read_ms };
+        (ms * 1e6).round() as u64
     }
 }
 
-/// Error type for the simulator's fault-injection mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IoError {
-    /// The page id lies beyond the simulated device capacity.
-    OutOfRange(PageId),
-    /// Fault injection: the read failed (used to exercise error paths).
-    InjectedFault(PageId),
-}
-
-impl std::fmt::Display for IoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoError::OutOfRange(p) => write!(f, "page {p} out of range"),
-            IoError::InjectedFault(p) => write!(f, "injected I/O fault reading {p}"),
-        }
-    }
-}
-
-impl std::error::Error for IoError {}
-
-#[derive(Debug, Default)]
-struct DiskState {
-    stats: IoStats,
-    last_page: Option<PageId>,
-    /// Fail every n-th read when set (fault injection).
-    fault_every: Option<u64>,
-    reads_since_fault: u64,
-}
-
-/// The simulated disk. Thread-safe: index structures share it by
-/// reference, and the TOUCH parallel variant reads from worker threads.
+/// A [`PageIo`] that behaves like a device of the given [`CostModel`]
+/// without taking its time: every successful read is delegated to the
+/// inner reader and its modelled cost is added to the wrapper's own
+/// clock ([`PageIo::clock_ns`]). Only a read moves the clock, so what an
+/// engine measures against it is a function of the reads it issues and
+/// nothing else: the deterministic yardstick the prefetching tables are
+/// scored with.
 #[derive(Debug)]
-pub struct DiskSim {
+pub struct ModelledDevice<F> {
+    inner: F,
     cost: CostModel,
-    capacity: u64,
-    state: Mutex<DiskState>,
+    /// (page last read, clock in nanoseconds).
+    state: Mutex<(Option<u64>, u64)>,
 }
 
-impl DiskSim {
-    /// A device of `capacity` pages with the given cost model.
-    pub fn new(capacity: u64, cost: CostModel) -> Self {
-        DiskSim { cost, capacity, state: Mutex::new(DiskState::default()) }
+impl<F: PageIo> ModelledDevice<F> {
+    /// Wrap `inner`; the clock starts at zero with the head nowhere.
+    pub fn new(inner: F, cost: CostModel) -> Self {
+        ModelledDevice { inner, cost, state: Mutex::new((None, 0)) }
+    }
+}
+
+impl<F: PageIo> PageIo for ModelledDevice<F> {
+    fn read_page_into(&self, page: u64, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        self.inner.read_page_into(page, buf)?;
+        // Both fields are updated together, so a reader that panicked
+        // elsewhere cannot have left them inconsistent.
+        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        state.1 += self.cost.read_ns(state.0, page);
+        state.0 = Some(page);
+        Ok(())
     }
 
-    /// Convenience: effectively unbounded device, default cost model.
-    pub fn unbounded() -> Self {
-        Self::new(u64::MAX, CostModel::default())
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
     }
 
-    /// The cost model this device was created with.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
     }
 
-    /// Device capacity in pages.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
+    fn meta(&self) -> &[u8] {
+        self.inner.meta()
     }
 
-    /// Simulate reading `page`: classifies the access, accumulates cost,
-    /// and returns the latency charged for this read (ms).
-    pub fn read(&self, page: PageId) -> Result<f64, IoError> {
-        if page.0 >= self.capacity {
-            return Err(IoError::OutOfRange(page));
-        }
-        let mut st = self.state.lock();
-        if let Some(n) = st.fault_every {
-            st.reads_since_fault += 1;
-            if st.reads_since_fault >= n {
-                st.reads_since_fault = 0;
-                return Err(IoError::InjectedFault(page));
-            }
-        }
-        let sequential = st.last_page.map(|lp| page.is_successor_of(lp)).unwrap_or(false);
-        let cost = if sequential {
-            st.stats.sequential_reads += 1;
-            self.cost.sequential_read_ms
-        } else {
-            st.stats.random_reads += 1;
-            self.cost.random_read_ms
-        };
-        st.stats.total_cost_ms += cost;
-        st.last_page = Some(page);
-        Ok(cost)
-    }
-
-    /// Current accumulated statistics.
-    pub fn stats(&self) -> IoStats {
-        self.state.lock().stats
-    }
-
-    /// Reset counters (between experiment phases). The head position is
-    /// also forgotten so the first subsequent read is random.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.stats = IoStats::default();
-        st.last_page = None;
-    }
-
-    /// Enable fault injection: every `n`-th read fails. `None` disables.
-    pub fn inject_faults(&self, every: Option<u64>) {
-        let mut st = self.state.lock();
-        st.fault_every = every.filter(|&n| n > 0);
-        st.reads_since_fault = 0;
+    fn clock_ns(&self) -> Option<u64> {
+        Some(self.state.lock().unwrap_or_else(|p| p.into_inner()).1)
     }
 }
 
@@ -184,101 +99,82 @@ impl DiskSim {
 mod tests {
     use super::*;
 
+    /// `pages` empty pages that always read.
+    struct Blank(u64);
+
+    impl PageIo for Blank {
+        fn read_page_into(&self, page: u64, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+            buf.clear();
+            if page < self.0 {
+                Ok(())
+            } else {
+                Err(StorageError::PageOutOfRange { page, count: self.0 })
+            }
+        }
+
+        fn page_count(&self) -> u64 {
+            self.0
+        }
+
+        fn page_size(&self) -> usize {
+            0
+        }
+
+        fn meta(&self) -> &[u8] {
+            &[]
+        }
+    }
+
+    fn read(d: &ModelledDevice<Blank>, page: u64) -> Result<(), StorageError> {
+        d.read_page_into(page, &mut Vec::new())
+    }
+
     #[test]
     fn classifies_sequential_vs_random() {
-        let d = DiskSim::new(1000, CostModel::default());
-        d.read(PageId(10)).unwrap(); // first read: random
-        d.read(PageId(11)).unwrap(); // sequential
-        d.read(PageId(12)).unwrap(); // sequential
-        d.read(PageId(5)).unwrap(); // random (backwards)
-        d.read(PageId(7)).unwrap(); // random (gap)
-        let s = d.stats();
-        assert_eq!(s.sequential_reads, 2);
-        assert_eq!(s.random_reads, 3);
-        assert_eq!(s.total_reads(), 5);
-        let expect = 3.0 * 8.0 + 2.0 * 0.1;
-        assert!((s.total_cost_ms - expect).abs() < 1e-9);
+        let d = ModelledDevice::new(Blank(1000), CostModel::default());
+        assert_eq!(d.clock_ns(), Some(0));
+        for page in [10, 11, 12, 5, 7] {
+            // first read, two sequential, backwards, gap
+            read(&d, page).unwrap();
+        }
+        assert_eq!(d.clock_ns(), Some(3 * 8_000_000 + 2 * 100_000));
     }
 
     #[test]
     fn rereading_same_page_is_random() {
         // Same page again is not "successor", so it costs a random read
         // (a buffer pool is what's supposed to absorb these).
-        let d = DiskSim::new(10, CostModel::default());
-        d.read(PageId(3)).unwrap();
-        d.read(PageId(3)).unwrap();
-        assert_eq!(d.stats().random_reads, 2);
+        let cost = CostModel::default();
+        assert_eq!(cost.read_ns(Some(3), 3), 8_000_000);
+        assert_eq!(cost.read_ns(Some(3), 4), 100_000);
+        assert_eq!(cost.read_ns(None, 4), 8_000_000);
+        assert_eq!(cost.read_ns(Some(u64::MAX), 0), 8_000_000);
     }
 
     #[test]
     fn out_of_range_rejected() {
-        let d = DiskSim::new(10, CostModel::default());
-        assert_eq!(d.read(PageId(10)), Err(IoError::OutOfRange(PageId(10))));
-        assert!(d.read(PageId(9)).is_ok());
-        // Failed reads are not accounted.
-        assert_eq!(d.stats().total_reads(), 1);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let d = DiskSim::new(100, CostModel::default());
-        d.read(PageId(0)).unwrap();
-        d.read(PageId(1)).unwrap();
-        d.reset();
-        assert_eq!(d.stats(), IoStats::default());
-        // After reset the head position is forgotten: next read is random
-        // even if physically consecutive.
-        d.read(PageId(2)).unwrap();
-        assert_eq!(d.stats().random_reads, 1);
-    }
-
-    #[test]
-    fn fault_injection_fails_every_nth() {
-        let d = DiskSim::new(100, CostModel::default());
-        d.inject_faults(Some(3));
-        assert!(d.read(PageId(0)).is_ok());
-        assert!(d.read(PageId(1)).is_ok());
-        assert!(matches!(d.read(PageId(2)), Err(IoError::InjectedFault(_))));
-        assert!(d.read(PageId(3)).is_ok());
-        assert!(d.read(PageId(4)).is_ok());
-        assert!(d.read(PageId(5)).is_err());
-        d.inject_faults(None);
-        for i in 6..20 {
-            assert!(d.read(PageId(i)).is_ok());
-        }
-    }
-
-    #[test]
-    fn stats_merge() {
-        let mut a = IoStats { random_reads: 1, sequential_reads: 2, total_cost_ms: 8.2 };
-        let b = IoStats { random_reads: 3, sequential_reads: 4, total_cost_ms: 24.4 };
-        a.merge(&b);
-        assert_eq!(a.random_reads, 4);
-        assert_eq!(a.sequential_reads, 6);
-        assert!((a.total_cost_ms - 32.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn error_display() {
-        assert!(IoError::OutOfRange(PageId(7)).to_string().contains("P7"));
-        assert!(IoError::InjectedFault(PageId(1)).to_string().contains("fault"));
+        let d = ModelledDevice::new(Blank(10), CostModel::default());
+        assert!(read(&d, 10).is_err());
+        assert!(read(&d, 9).is_ok());
+        // A failed read takes no modelled time and does not move the head.
+        assert_eq!(d.clock_ns(), Some(8_000_000));
     }
 
     #[test]
     fn shared_across_threads() {
-        let d = std::sync::Arc::new(DiskSim::new(u64::MAX, CostModel::ssd()));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let d = d.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100 {
-                    d.read(PageId(t * 1000 + i)).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(d.stats().total_reads(), 400);
+        let d = ModelledDevice::new(Blank(u64::MAX), CostModel::ssd());
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let d = &d;
+                scope.spawn(move || {
+                    // Stride 2: no read follows its predecessor, whatever
+                    // the interleaving.
+                    for i in 0..100 {
+                        read(d, t * 1000 + 2 * i).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(d.clock_ns(), Some(400 * 150_000));
     }
 }

@@ -42,8 +42,9 @@ use std::sync::Mutex;
 /// engine and the physical file, so tests can interpose a fault
 /// injector without touching production code paths.
 ///
-/// Implemented by [`PageFile`] (the production passthrough) and
-/// [`FaultFile`] (the chaos harness).
+/// Implemented by [`PageFile`] (the production passthrough),
+/// [`FaultFile`] (the chaos harness) and
+/// [`ModelledDevice`](crate::ModelledDevice) (the cost-model clock).
 pub trait PageIo: Send + Sync {
     /// Read page `page`'s payload into `buf` (cleared and refilled).
     fn read_page_into(&self, page: u64, buf: &mut Vec<u8>) -> Result<(), StorageError>;
@@ -56,6 +57,14 @@ pub trait PageIo: Send + Sync {
 
     /// The file's metadata blob.
     fn meta(&self) -> &[u8];
+
+    /// The device's own clock in nanoseconds, if it keeps one. A real
+    /// file keeps none (`None`: time passes by itself while it reads); a
+    /// [`ModelledDevice`](crate::ModelledDevice) reports the modelled
+    /// cost of every read so far, and only a read moves it.
+    fn clock_ns(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl PageIo for PageFile {
@@ -315,6 +324,10 @@ impl<F: PageIo> PageIo for FaultFile<F> {
 
     fn meta(&self) -> &[u8] {
         self.inner.meta()
+    }
+
+    fn clock_ns(&self) -> Option<u64> {
+        self.inner.clock_ns()
     }
 }
 

@@ -1,10 +1,10 @@
 //! The pinning buffer pool: a bounded set of in-memory page frames over
 //! a [`crate::PageFile`].
 //!
-//! This is the *real* buffer manager of the out-of-core stack (the
-//! simulation-era [`BufferPool`](crate::BufferPool) remains for the
-//! deterministic cost-model experiments). A [`FramePool`] owns a fixed
-//! budget of frames; [`get`](FramePool::get) returns a [`FrameGuard`]
+//! This is the one buffer manager: the paged database serves through
+//! it over a real file, and the cost-model walkthroughs run it over a
+//! [`ModelledDevice`](crate::ModelledDevice). A [`FramePool`] owns a
+//! fixed budget of frames; [`get`](FramePool::get) returns a [`FrameGuard`]
 //! that **pins** the frame for as long as the guard lives, and
 //! [`prefetch`](FramePool::prefetch) loads pages in the background
 //! without pinning them.
@@ -33,7 +33,8 @@
 //!   maintenance on the hit path — the classic second-chance
 //!   approximation of LRU.
 //! - **LRU**: exact least-recently-used by access tick, `O(frames)` per
-//!   eviction. Useful as the reference policy in tests.
+//!   eviction. The reference policy in tests, and the policy of the
+//!   cost-model walkthroughs.
 //!
 //! ## Concurrent loading
 //!
@@ -178,30 +179,6 @@ impl FramePool {
     /// Number of resident (loaded) pages.
     pub fn resident(&self) -> usize {
         self.lock().map.len()
-    }
-
-    /// Drop every unpinned frame and reset the counters. Pinned frames
-    /// stay resident (their guards remain valid) but their statistics
-    /// history is gone.
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        let mut keep = Vec::new();
-        for (&page, &slot) in inner.map.iter() {
-            if inner.frames[slot].pins > 0 || inner.frames[slot].loading {
-                keep.push((page, slot));
-            }
-        }
-        let kept: HashMap<u64, usize> = keep.into_iter().collect();
-        for slot in 0..inner.frames.len() {
-            if !kept.values().any(|&s| s == slot) {
-                inner.frames[slot].data = None;
-                if !inner.free.contains(&slot) {
-                    inner.free.push(slot);
-                }
-            }
-        }
-        inner.map = kept;
-        inner.stats = FrameStats::default();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -764,13 +741,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_counters_but_keeps_pinned_frames() {
-        let pool = FramePool::new(3, EvictionPolicy::Clock);
-        let g = pool.get_with(0, load_ok(b"keep")).expect("load");
-        drop(pool.get_with(1, load_ok(b"drop")).expect("load"));
-        pool.clear();
-        assert_eq!(pool.stats(), FrameStats::default());
-        assert_eq!(pool.resident(), 1, "only the pinned frame survives");
-        assert_eq!(&*g, b"keep");
+    fn a_prefetch_evicted_unread_is_never_a_prefetch_hit() {
+        let pool = FramePool::new(1, EvictionPolicy::Lru);
+        assert!(pool.prefetch_with(3, load_ok(b"pre")).expect("prefetch"));
+        drop(pool.get_with(4, load_ok(b"evicts 3")).expect("load"));
+        assert_eq!(pool.stats().evictions, 1);
+        // Page 3 comes back by demand: a miss, then a plain hit.
+        drop(pool.get_with(3, load_ok(b"demand")).expect("reload"));
+        drop(pool.get_with(3, load_ok(b"never runs")).expect("hit"));
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.prefetched, s.prefetch_hits), (1, 2, 1, 0));
     }
 }

@@ -1,9 +1,10 @@
 //! # neurospatial-storage
 //!
-//! The paged-storage layer: a real on-disk page format with a pinning
-//! buffer pool, plus the original deterministic I/O *simulator*.
+//! The paged-storage layer: an on-disk page format with a pinning
+//! buffer pool, a write-ahead log, and a modelled device to time them
+//! against.
 //!
-//! ## Real I/O — the out-of-core stack
+//! ## The out-of-core stack
 //!
 //! Datasets larger than RAM live in a *page file* ([`PageFile`], written
 //! by [`PageFileWriter`]): a versioned, checksummed array of fixed-size
@@ -31,36 +32,33 @@
 //! flips into acknowledged history, under the same seeded [`FaultPlan`]
 //! replay discipline as the read path.
 //!
-//! ## Simulated I/O — the measurement instrument
+//! ## The modelled device — the measurement instrument
 //!
 //! The demo's live statistics panels (Figures 3 and 6 of the paper)
 //! show *disk pages retrieved* and *time* while queries execute. To
 //! report the same quantities reproducibly on any machine, the
-//! cost-model experiments account page accesses against a [`DiskSim`]
-//! (two-parameter random/sequential model) through an LRU
-//! [`BufferPool`]. The simulator does no real I/O by design — it is the
-//! deterministic yardstick the prefetching experiments are scored with,
-//! while the [`FramePool`] path measures actual wall-clock stalls.
+//! cost-model experiments run the same [`FramePool`] over a
+//! [`ModelledDevice`]: a [`PageIo`] wrapper that charges every read to
+//! its own clock under a two-parameter random/sequential [`CostModel`]
+//! instead of waiting. Only a read moves that clock, so stall and
+//! think time measured against it depend on the reads alone; on a real
+//! file the same code measures wall-clock stalls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod disk;
 pub mod fault;
 pub mod file;
 pub mod frame;
 pub mod metrics;
-pub mod page;
 pub mod wal;
 
-pub use buffer::BufferPool;
-pub use disk::{CostModel, DiskSim, IoError, IoStats};
+pub use disk::{CostModel, ModelledDevice};
 pub use fault::{
     tear_page, with_retry, with_retry_sleeping, FaultFile, FaultLog, FaultPlan, PageIo, RetryPolicy,
 };
 pub use file::{checksum64, Checksum64, PageFile, PageFileWriter, StorageError};
 pub use file::{FILE_HEADER_BYTES, PAGE_FILE_MAGIC, PAGE_FILE_VERSION, PAGE_HEADER_BYTES};
 pub use frame::{EvictionPolicy, FrameGuard, FramePool, FrameStats};
-pub use page::{PageId, PAGE_SIZE_BYTES};
 pub use wal::{FileLog, LogIo, Wal, WalRecovery};

@@ -1,6 +1,7 @@
-//! Property tests: the buffer pool behaves exactly like a reference LRU.
+//! Property tests: the frame pool's LRU policy behaves exactly like a
+//! reference LRU, and the cost model prefers sequential scans.
 
-use neurospatial_storage::{BufferPool, CostModel, DiskSim, PageId};
+use neurospatial_storage::{CostModel, EvictionPolicy, FramePool, StorageError};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -31,29 +32,31 @@ impl RefLru {
     }
 }
 
+fn load(buf: &mut Vec<u8>) -> Result<(), StorageError> {
+    buf.push(0);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn pool_matches_reference_lru(
         cap in 1usize..16,
         accesses in prop::collection::vec(0u64..32, 0..400),
     ) {
-        let disk = DiskSim::new(u64::MAX, CostModel::default());
-        let mut pool = BufferPool::new(cap);
+        let pool = FramePool::new(cap, EvictionPolicy::Lru);
         let mut reference = RefLru::new(cap);
+        let mut reads = 0u64;
         for &a in &accesses {
             let expect_hit = reference.access(a);
-            let cost = pool.get(PageId(a), &disk).unwrap();
-            prop_assert_eq!(cost == 0.0, expect_hit, "page {}", a);
-            prop_assert!(pool.len() <= cap);
-            // Residency sets agree.
-            let order = pool.lru_order();
-            prop_assert_eq!(order.len(), reference.q.len());
-            for (got, want) in order.iter().zip(reference.q.iter()) {
-                prop_assert_eq!(got.0, *want);
-            }
+            let before = pool.stats();
+            drop(pool.get_with(a, |buf| { reads += 1; load(buf) }).unwrap());
+            let after = pool.stats();
+            prop_assert_eq!(after.hits - before.hits, u64::from(expect_hit), "page {}", a);
+            prop_assert_eq!(after.misses - before.misses, u64::from(!expect_hit), "page {}", a);
+            prop_assert_eq!(pool.resident(), reference.q.len());
         }
-        // Disk reads equal misses exactly.
-        prop_assert_eq!(disk.stats().total_reads(), pool.stats().misses);
+        // Reads equal misses exactly.
+        prop_assert_eq!(reads, pool.stats().misses);
     }
 
     #[test]
@@ -61,19 +64,20 @@ proptest! {
         cap in 1usize..12,
         ops in prop::collection::vec((any::<bool>(), 0u64..24), 0..300),
     ) {
-        let disk = DiskSim::new(u64::MAX, CostModel::ssd());
-        let mut pool = BufferPool::new(cap);
+        let pool = FramePool::new(cap, EvictionPolicy::Lru);
+        let mut reads = 0u64;
         for &(is_prefetch, page) in &ops {
             if is_prefetch {
-                pool.prefetch(PageId(page), &disk).unwrap();
+                pool.prefetch_with(page, |buf| { reads += 1; load(buf) }).unwrap();
             } else {
-                pool.get(PageId(page), &disk).unwrap();
+                drop(pool.get_with(page, |buf| { reads += 1; load(buf) }).unwrap());
             }
-            prop_assert!(pool.len() <= cap);
+            prop_assert!(pool.resident() <= cap);
         }
-        // Every miss and every effective prefetch hit the disk exactly once.
+        // Every miss and every effective prefetch read exactly once.
         let s = pool.stats();
-        prop_assert!(disk.stats().total_reads() >= s.misses);
+        prop_assert_eq!(reads, s.misses + s.prefetched);
+        prop_assert!(s.prefetch_hits <= s.prefetched);
     }
 
     #[test]
@@ -81,16 +85,19 @@ proptest! {
         start in 0u64..1000,
         len in 2u64..64,
     ) {
-        let seq = DiskSim::new(u64::MAX, CostModel::default());
-        for i in 0..len {
-            seq.read(PageId(start + i)).unwrap();
-        }
-        let rnd = DiskSim::new(u64::MAX, CostModel::default());
-        for i in 0..len {
-            rnd.read(PageId(start + i * 2)).unwrap(); // gaps → all random
-        }
-        prop_assert!(seq.stats().total_cost_ms < rnd.stats().total_cost_ms);
-        prop_assert_eq!(seq.stats().sequential_reads, len - 1);
-        prop_assert_eq!(rnd.stats().sequential_reads, 0);
+        let cost = CostModel::default();
+        let scan = |stride: u64| {
+            let (mut prev, mut ns) = (None, 0u64);
+            for i in 0..len {
+                let page = start + i * stride;
+                ns += cost.read_ns(prev, page);
+                prev = Some(page);
+            }
+            ns
+        };
+        // Gaps make every read random.
+        prop_assert!(scan(1) < scan(2));
+        prop_assert_eq!(scan(1), 8_000_000 + (len - 1) * 100_000);
+        prop_assert_eq!(scan(2), len * 8_000_000);
     }
 }

@@ -1,7 +1,8 @@
 //! Branch following: the SCOUT walkthrough of §3 of the paper.
 //!
-//! Simulates a scientist following a neuron branch through the model with
-//! moving range queries, comparing all four prefetching policies, and
+//! A scientist follows a neuron branch through the model with moving
+//! range queries on a cold pool over a modelled disk; compares the five
+//! prefetching policies and
 //! prints the candidate-pruning series of Figure 5.
 //!
 //! Run with: `cargo run --release --example branch_following`

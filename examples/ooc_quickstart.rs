@@ -71,7 +71,7 @@ fn main() {
     // --- 4. A real-I/O walkthrough with SCOUT prefetching ----------------
     // Prefetches are actual background reads racing the exploration
     // cursor through the same pool — stall time is wall-clock, not
-    // simulated.
+    // modelled.
     let path =
         NavigationPath::along_random_branch(&circuit, 7, 25.0, 10.0).expect("branches exist");
     println!("\nwalkthrough over {} steps at a {budget}-frame budget:", path.queries.len());

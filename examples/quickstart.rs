@@ -103,7 +103,7 @@ fn main() {
 
     // --- 4. Session: one scratch bound across a serving loop --------------
     // Steady-state queries allocate nothing; with_prefetch additionally
-    // replays the loop against simulated cold storage with SCOUT.
+    // replays the loop against a cold pool on a modelled disk with SCOUT.
     let mut session =
         db.query().session().with_prefetch(WalkthroughMethod::Scout).expect("FLAT backend");
     let mut served = 0usize;
@@ -114,7 +114,7 @@ fn main() {
     }
     let prefetch = session.prefetch_stats().expect("cursor bound").clone();
     println!(
-        "\nsession served {served} segments over 6 queries; simulated cold-storage replay: \
+        "\nsession served {served} segments over 6 queries; modelled cold-storage replay: \
          {:.1} ms stall, {:.0}% hit ratio, {} pages prefetched",
         prefetch.total_stall_ms,
         prefetch.hit_ratio() * 100.0,

@@ -74,44 +74,29 @@ fn query_stats_are_internally_consistent() {
 
 #[test]
 fn io_accounting_flows_through_the_stack() {
-    // Charge a FLAT query against the disk simulator by hand and check
-    // the statistics add up.
+    // Run a FLAT query through a view's frame pool and check that the
+    // statistics add up.
     let c = CircuitBuilder::new(21).neurons(10).build();
-    let db = NeuroDb::from_circuit(&c);
-    let disk = DiskSim::new(u64::MAX, CostModel::default());
-    let mut pool = BufferPool::new(64);
-    let q = Aabb::cube(c.bounds().center(), 30.0);
-    let mut data_pages = 0u64;
-    let flat = db.flat_index().expect("default backend is FLAT");
-    let (_, stats) = flat.range_query_with(&q, |acc| {
-        if let neurospatial::flat::PageAccess::Data(p) = acc {
-            data_pages += 1;
-            pool.get(PageId(p as u64), &disk).expect("simulated disk");
-        }
-    });
-    assert_eq!(data_pages, stats.pages_read);
-    assert_eq!(disk.stats().total_reads(), pool.stats().misses);
-    assert_eq!(pool.stats().misses, stats.pages_read, "first touch misses everything");
+    let flat = std::sync::Arc::new(FlatIndex::build(
+        c.segments().to_vec(),
+        FlatBuildParams::default().with_page_capacity(64),
+    ));
+    let session = SessionConfig { buffer_pages: 64, ..SessionConfig::default() };
+    let view = OocFlatIndex::view(flat.clone(), &session);
+    let q = Aabb::cube(c.segments()[0].geom.center(), 30.0);
+    let (_, stats) = flat.range_query(&q);
+    assert!(stats.pages_read > 0 && stats.pages_read <= 64, "{} pages", stats.pages_read);
+
+    let mut scratch = neurospatial::scout::OocScratch::new();
+    let mut out = Vec::new();
+    let first = view.range_query_into(&q, &mut scratch, &mut out).expect("pages in memory");
+    assert_eq!(first.flat.pages_read, stats.pages_read);
+    assert_eq!(first.io.cache_misses, stats.pages_read, "first touch misses everything");
+    assert_eq!(first.io.cache_hits, 0);
 
     // Re-running the same query hits the pool for every page.
-    let (_, _) = flat.range_query_with(&q, |acc| {
-        if let neurospatial::flat::PageAccess::Data(p) = acc {
-            pool.get(PageId(p as u64), &disk).expect("simulated disk");
-        }
-    });
-    assert_eq!(pool.stats().hits, stats.pages_read);
-}
-
-#[test]
-fn fault_injection_surfaces_errors() {
-    let disk = DiskSim::new(u64::MAX, CostModel::default());
-    disk.inject_faults(Some(2));
-    let mut pool = BufferPool::new(8);
-    let mut errors = 0;
-    for i in 0..10 {
-        if pool.get(PageId(i), &disk).is_err() {
-            errors += 1;
-        }
-    }
-    assert_eq!(errors, 5, "every second read fails");
+    let second = view.range_query_into(&q, &mut scratch, &mut out).expect("pages in memory");
+    assert_eq!((second.io.cache_hits, second.io.cache_misses), (stats.pages_read, 0));
+    let pool = view.pool().stats();
+    assert_eq!((pool.hits, pool.misses, pool.evictions), (stats.pages_read, stats.pages_read, 0));
 }

@@ -62,25 +62,6 @@ fn walkthrough_of_length_one_path() {
 }
 
 #[test]
-fn disk_faults_propagate_and_recover() {
-    let disk = DiskSim::new(u64::MAX, CostModel::default());
-    let mut pool = BufferPool::new(16);
-    disk.inject_faults(Some(4));
-    let mut failures = 0;
-    for i in 0..32u64 {
-        if pool.get(PageId(i), &disk).is_err() {
-            failures += 1;
-        }
-    }
-    assert_eq!(failures, 8);
-    // Recovery: disable faults, everything works again.
-    disk.inject_faults(None);
-    for i in 100..110u64 {
-        pool.get(PageId(i), &disk).expect("healthy disk");
-    }
-}
-
-#[test]
 fn corrupted_files_never_panic() {
     let c = CircuitBuilder::new(5).neurons(2).build();
     let good = encode_segments(c.segments());
