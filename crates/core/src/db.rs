@@ -782,11 +782,10 @@ impl LiveCore {
         let ids: HashSet<u64> = segments.iter().map(|s| s.id).collect();
         let generations_alive = Arc::new(AtomicU64::new(0));
         let first = LiveGen::build(segments, backend, params, &generations_alive);
-        let cell = Self::delta_cell(first.index.bounds());
         let core = LiveCore {
             gen: Swap::new(first),
             generations_alive,
-            delta: RwLock::new(DeltaBuffer::new(cell)),
+            delta: RwLock::new(DeltaBuffer::new()),
             writer: Mutex::new(LiveWriter { wal, ids }),
             backend,
             params: *params,
@@ -805,22 +804,6 @@ impl LiveCore {
             core.checkpoints.store(writer.wal.checkpoints(), Ordering::Relaxed);
         }
         core
-    }
-
-    /// Delta grid cell edge: ~1/32 of the base's largest extent, so a
-    /// handful of buffered inserts never fragments into thousands of
-    /// cells, clamped for empty/degenerate bases.
-    fn delta_cell(bounds: Aabb) -> f64 {
-        if bounds.is_empty() {
-            return 1.0;
-        }
-        let e = bounds.extent();
-        let span = e.x.max(e.y).max(e.z);
-        if span.is_finite() && span > 1e-6 {
-            span / 32.0
-        } else {
-            1.0
-        }
     }
 
     fn lock_writer(&self) -> std::sync::MutexGuard<'_, LiveWriter> {

@@ -1,11 +1,26 @@
 //! The delta buffer — the mutable tier in front of a frozen index.
 //!
 //! Live ingest never mutates an index in place. Acknowledged writes land
-//! in a [`DeltaBuffer`]: a small grid-bucketed overlay that queries merge
-//! with the frozen *base* generation (delta inserts are a second emitter,
-//! removals mask base hits). When the buffer crosses the refreeze
-//! threshold, a background pass rebuilds base + delta into a fresh index
-//! and swaps it in atomically; the buffer then starts empty again.
+//! in a [`DeltaBuffer`]: a small overlay that queries merge with the
+//! frozen *base* generation (delta inserts are a second emitter, removals
+//! mask base hits). When the buffer crosses the refreeze threshold, a
+//! background pass rebuilds base + delta into a fresh index and swaps it
+//! in atomically; the buffer then starts empty again.
+//!
+//! A read pays for the buffer twice, and neither payment hashes or
+//! allocates:
+//!
+//! - **Inserts.** Their boxes sit in six `f64` lanes parallel to the
+//!   entries (`lo_x lo_y lo_z hi_x hi_y hi_z`). A range read scans them
+//!   64 at a time into one branch-free bitmask and walks its set bits,
+//!   so matches come out in acknowledgement order. A removed insert's
+//!   lanes hold NaN, which fails every comparison, so the scan needs no
+//!   liveness test. (The empty box `lo = +∞, hi = −∞` would not do: it
+//!   meets a region with infinite faces.) The scan is O(pending), and
+//!   the refreeze threshold bounds pending.
+//! - **Removals.** Every base hit asks [`DeltaBuffer::is_removed`]. A
+//!   4096-bit filter over the removed ids answers most of those asks
+//!   "no" from one word; only a set bit consults the exact set.
 //!
 //! The module also owns the WAL wire format for write operations
 //! ([`WriteOp`] ⇄ bytes) and for checkpoint snapshots, so the storage
@@ -179,42 +194,54 @@ struct DeltaEntry {
 
 /// The mutable overlay in front of a frozen base generation.
 ///
-/// Holds acknowledged inserts (grid-bucketed by AABB centre so range
-/// queries probe only nearby cells) and a removal mask over base ids.
-/// Cleared wholesale when a refreeze folds it into the next frozen
-/// generation.
+/// Holds acknowledged inserts (their boxes in lanes a read scans, see the
+/// module docs) and a removal mask over base ids. Cleared wholesale when
+/// a refreeze folds it into the next frozen generation.
 #[derive(Debug)]
 pub struct DeltaBuffer {
-    /// Grid cell edge length for bucketing insert AABB centres.
-    cell: f64,
     /// Every op applied since the last refreeze, in ack order — the
     /// refreeze replays exactly this list over the base segments.
     ops: Vec<WriteOp>,
     /// Live + dead insert entries, in ack order.
     entries: Vec<DeltaEntry>,
+    /// The entries' AABBs, one lane per face in the order
+    /// `lo_x lo_y lo_z hi_x hi_y hi_z`; a dead entry's are NaN.
+    lanes: [Vec<f64>; 6],
+    /// Number of live entries.
+    live: usize,
     /// id → index into `entries` for the live insert with that id.
     by_id: HashMap<u64, usize>,
     /// Ids removed since the last refreeze (masks base hits).
     removed: HashSet<u64>,
-    /// Grid cell → indices into `entries`.
-    grid: HashMap<(i64, i64, i64), Vec<usize>>,
-    /// Largest half-extent of any buffered insert's AABB — the query
-    /// expansion needed so centre-bucketing never misses an overlap.
-    max_half_extent: f64,
+    /// The `filter_slot` bit of every id in `removed`: a clear bit
+    /// proves an id was not removed.
+    removed_filter: [u64; 64],
+}
+
+/// Word and bit of `id` in the removal filter: the top 12 bits of a
+/// Fibonacci hash.
+fn filter_slot(id: u64) -> (usize, u64) {
+    let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52;
+    ((h >> 6) as usize, 1 << (h & 63))
+}
+
+impl Default for DeltaBuffer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DeltaBuffer {
-    /// An empty buffer bucketing at `cell` edge length (clamped to a
-    /// tiny positive value so degenerate bounds cannot divide by zero).
-    pub fn new(cell: f64) -> Self {
+    /// An empty buffer.
+    pub fn new() -> Self {
         DeltaBuffer {
-            cell: if cell.is_finite() && cell > 1e-9 { cell } else { 1.0 },
             ops: Vec::new(),
             entries: Vec::new(),
+            lanes: Default::default(),
+            live: 0,
             by_id: HashMap::new(),
             removed: HashSet::new(),
-            grid: HashMap::new(),
-            max_half_extent: 0.0,
+            removed_filter: [0; 64],
         }
     }
 
@@ -236,15 +263,15 @@ impl DeltaBuffer {
     /// Net segment-count change versus the base (inserts minus removes
     /// that actually hit something).
     pub fn net_len_delta(&self) -> isize {
-        let live = self.entries.iter().filter(|e| !e.dead).count() as isize;
-        live - self.removed.len() as isize
+        self.live as isize - self.removed.len() as isize
     }
 
     /// Was `id` removed since the last refreeze? Queries use this to
     /// mask base hits. (A delta insert that was later removed is marked
     /// dead instead and never consulted here.)
     pub fn is_removed(&self, id: u64) -> bool {
-        self.removed.contains(&id)
+        let (word, bit) = filter_slot(id);
+        self.removed_filter[word] & bit != 0 && self.removed.contains(&id)
     }
 
     /// Does the delta hold a live insert with this id?
@@ -252,30 +279,19 @@ impl DeltaBuffer {
         self.by_id.contains_key(&id)
     }
 
-    fn cell_of(&self, b: &Aabb) -> (i64, i64, i64) {
-        let c = b.center();
-        (
-            (c.x / self.cell).floor() as i64,
-            (c.y / self.cell).floor() as i64,
-            (c.z / self.cell).floor() as i64,
-        )
-    }
-
     /// Apply one already-validated, already-logged op.
     pub fn apply(&mut self, op: &WriteOp) {
         self.ops.push(op.clone());
         match op {
             WriteOp::Insert(s) => {
-                let b = s.aabb();
-                let e = b.extent();
-                let half = e.x.max(e.y).max(e.z) * 0.5;
-                if half.is_finite() {
-                    self.max_half_extent = self.max_half_extent.max(half);
-                }
-                let idx = self.entries.len();
+                self.by_id.insert(s.id, self.entries.len());
                 self.entries.push(DeltaEntry { seg: *s, dead: false });
-                self.by_id.insert(s.id, idx);
-                self.grid.entry(self.cell_of(&b)).or_default().push(idx);
+                let b = s.aabb();
+                let faces = [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z];
+                for (lane, face) in self.lanes.iter_mut().zip(faces) {
+                    lane.push(face);
+                }
+                self.live += 1;
             }
             WriteOp::Remove(id) => {
                 if let Some(idx) = self.by_id.remove(id) {
@@ -284,7 +300,13 @@ impl DeltaBuffer {
                     // a later refreeze would otherwise re-filter nothing,
                     // but a *recovered* base could legitimately reuse ids.
                     self.entries[idx].dead = true;
+                    for lane in &mut self.lanes {
+                        lane[idx] = f64::NAN;
+                    }
+                    self.live -= 1;
                 } else {
+                    let (word, bit) = filter_slot(*id);
+                    self.removed_filter[word] |= bit;
                     self.removed.insert(*id);
                 }
             }
@@ -292,45 +314,26 @@ impl DeltaBuffer {
     }
 
     /// Visit every live buffered insert whose AABB intersects `region`,
-    /// in ack order. Probes only grid cells the (expanded) region
-    /// covers, falling back to a linear pass when the region spans more
-    /// cells than there are entries.
+    /// in ack order: the lanes are scanned 64 entries at a time into one
+    /// bitmask, whose set bits are then visited in order.
     pub fn for_each_in_range(&self, region: &Aabb, mut f: impl FnMut(&NeuronSegment)) {
-        if self.entries.is_empty() {
-            return;
-        }
-        let pad = self.max_half_extent;
-        let lo = (
-            ((region.lo.x - pad) / self.cell).floor() as i64,
-            ((region.lo.y - pad) / self.cell).floor() as i64,
-            ((region.lo.z - pad) / self.cell).floor() as i64,
-        );
-        let hi = (
-            ((region.hi.x + pad) / self.cell).floor() as i64,
-            ((region.hi.y + pad) / self.cell).floor() as i64,
-            ((region.hi.z + pad) / self.cell).floor() as i64,
-        );
-        let cells =
-            (hi.0 - lo.0 + 1) as i128 * (hi.1 - lo.1 + 1) as i128 * (hi.2 - lo.2 + 1) as i128;
-        let mut hits: Vec<usize> = Vec::new();
-        if cells > self.entries.len() as i128 {
-            hits.extend(0..self.entries.len());
-        } else {
-            for x in lo.0..=hi.0 {
-                for y in lo.1..=hi.1 {
-                    for z in lo.2..=hi.2 {
-                        if let Some(bucket) = self.grid.get(&(x, y, z)) {
-                            hits.extend_from_slice(bucket);
-                        }
-                    }
-                }
+        let (lo, hi) = (region.lo, region.hi);
+        for base in (0..self.entries.len()).step_by(64) {
+            let end = self.entries.len().min(base + 64);
+            let [lx, ly, lz, hx, hy, hz] = self.lanes.each_ref().map(|lane| &lane[base..end]);
+            let mut mask = 0u64;
+            for i in 0..end - base {
+                let hit = (lx[i] <= hi.x)
+                    & (lo.x <= hx[i])
+                    & (ly[i] <= hi.y)
+                    & (lo.y <= hy[i])
+                    & (lz[i] <= hi.z)
+                    & (lo.z <= hz[i]);
+                mask |= u64::from(hit) << i;
             }
-            hits.sort_unstable();
-        }
-        for idx in hits {
-            let e = &self.entries[idx];
-            if !e.dead && e.seg.aabb().intersects(region) {
-                f(&e.seg);
+            while mask != 0 {
+                f(&self.entries[base + mask.trailing_zeros() as usize].seg);
+                mask &= mask - 1;
             }
         }
     }
@@ -349,10 +352,11 @@ impl DeltaBuffer {
     pub fn clear(&mut self) {
         self.ops.clear();
         self.entries.clear();
+        self.lanes.iter_mut().for_each(Vec::clear);
+        self.live = 0;
         self.by_id.clear();
         self.removed.clear();
-        self.grid.clear();
-        self.max_half_extent = 0.0;
+        self.removed_filter = [0; 64];
     }
 }
 
@@ -405,7 +409,7 @@ mod tests {
 
     #[test]
     fn delta_masks_and_emits() {
-        let mut d = DeltaBuffer::new(2.0);
+        let mut d = DeltaBuffer::new();
         assert!(d.is_empty());
         d.apply(&WriteOp::Insert(seg(10, 0.0)));
         d.apply(&WriteOp::Insert(seg(11, 100.0)));
@@ -433,5 +437,119 @@ mod tests {
 
         d.clear();
         assert!(d.is_empty() && !d.is_removed(3));
+    }
+
+    /// Random inserts, removals of delta inserts, removals of base ids and
+    /// clears, checked after every op against a brute-force model: the
+    /// range reads (in ack order), the removal mask and the counts.
+    #[test]
+    fn delta_matches_a_brute_force_model() {
+        let mut state = 0x5EED_u64;
+        // splitmix64: the test needs no rand dev-dependency.
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let everything =
+            Aabb { lo: Vec3::splat(f64::NEG_INFINITY), hi: Vec3::splat(f64::INFINITY) };
+        let mut d = DeltaBuffer::new();
+        // (insert, still live) in ack order; base ids removed; ops since clear.
+        let mut inserts: Vec<(NeuronSegment, bool)> = Vec::new();
+        let mut removed: HashSet<u64> = HashSet::new();
+        let mut ops = 0usize;
+        let mut next_id = 1_000_000u64;
+        let (mut clears, mut peak) = (0, 0);
+        for step in 0..3000 {
+            // Clears are rare enough for the buffer to span many 64-entry
+            // chunks between them.
+            match next(1000) {
+                // On a half-unit lattice, so faces of different boxes meet;
+                // radius 0 with equal endpoints is a point box.
+                0..=549 => {
+                    let at = |v: u64| v as f64 * 0.5;
+                    let p0 = Vec3::new(at(next(40)), at(next(40)), at(next(40)));
+                    let p1 = if next(4) == 0 { p0 } else { p0 + Vec3::new(at(next(4)), 0.5, 0.0) };
+                    let radius = [0.0, 0.25, 0.5][next(3) as usize];
+                    let s = NeuronSegment {
+                        id: next_id,
+                        neuron: 0,
+                        section: 0,
+                        index_on_section: 0,
+                        geom: Segment::new(p0, p1, radius),
+                    };
+                    next_id += 1;
+                    d.apply(&WriteOp::Insert(s));
+                    inserts.push((s, true));
+                    ops += 1;
+                }
+                550..=749 => {
+                    let live: Vec<usize> = (0..inserts.len()).filter(|&i| inserts[i].1).collect();
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let i = live[next(live.len() as u64) as usize];
+                    inserts[i].1 = false;
+                    d.apply(&WriteOp::Remove(inserts[i].0.id));
+                    ops += 1;
+                }
+                750..=996 => {
+                    let id = next(100_000);
+                    if !removed.insert(id) {
+                        continue;
+                    }
+                    d.apply(&WriteOp::Remove(id));
+                    ops += 1;
+                }
+                _ => {
+                    peak = peak.max(inserts.len());
+                    clears += 1;
+                    d.clear();
+                    inserts.clear();
+                    removed.clear();
+                    ops = 0;
+                }
+            }
+
+            let live = inserts.iter().filter(|(_, alive)| *alive).count();
+            assert_eq!(d.len(), ops, "step {step}");
+            assert_eq!(d.net_len_delta(), live as isize - removed.len() as isize, "step {step}");
+
+            let mut regions = vec![Aabb::EMPTY, everything];
+            if let Some((s, _)) = inserts.get(next(inserts.len().max(1) as u64) as usize) {
+                let b = s.aabb();
+                let face = Aabb {
+                    lo: Vec3::new(b.hi.x, b.lo.y, b.lo.z),
+                    hi: b.hi + Vec3::new(1.0, 0.0, 0.0),
+                };
+                regions.extend([Aabb::point(b.lo), Aabb::point(b.center()), face, b]);
+            }
+            let c = Vec3::new(next(40) as f64 * 0.5, next(40) as f64 * 0.5, next(40) as f64 * 0.5);
+            regions.push(Aabb::cube(c, next(8) as f64 * 0.5));
+            for region in &regions {
+                let want: Vec<u64> = inserts
+                    .iter()
+                    .filter(|(s, alive)| *alive && s.aabb().intersects(region))
+                    .map(|(s, _)| s.id)
+                    .collect();
+                let mut got = Vec::new();
+                d.for_each_in_range(region, |s| got.push(s.id));
+                assert_eq!(got, want, "step {step}, region {region}");
+            }
+
+            for &id in &removed {
+                assert!(d.is_removed(id), "step {step}: base id {id} removed");
+            }
+            for _ in 0..64 {
+                let id = next(200_000);
+                assert_eq!(d.is_removed(id), removed.contains(&id), "step {step}: id {id}");
+            }
+            for (s, _) in &inserts {
+                assert!(!d.is_removed(s.id), "step {step}: delta insert {}", s.id);
+            }
+        }
+        assert!(clears >= 2 && peak > 256, "{clears} clears, {peak} inserts at most");
     }
 }

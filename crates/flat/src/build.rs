@@ -80,6 +80,8 @@ impl<T: RTreeObject> FlatIndex<T> {
     /// neighborhood computation where `p` is the page count and `k` the
     /// mean number of grid candidates per page.
     pub fn build(mut objects: Vec<T>, params: FlatBuildParams) -> Self {
+        // The crawl's re-seed skip relies on it (see `query.rs`).
+        assert!(params.neighbor_epsilon >= 0.0, "neighbor_epsilon must be >= 0");
         let t0 = Instant::now();
 
         // --- 1. Linearise objects ----------------------------------------
@@ -190,7 +192,7 @@ impl<T: RTreeObject> FlatIndex<T> {
 
 /// Compute the page neighborhood graph in CSR form: page `u` links to `v`
 /// iff `u != v` and `inflate(mbr(u), ε)` intersects `mbr(v)`. Symmetric by
-/// construction.
+/// construction: a pair is tested once, inflating the lower id's MBR.
 ///
 /// A uniform grid over the page centres prunes the candidate pairs; cell
 /// size tracks the mean page extent so each page tests O(1) cells.
@@ -317,22 +319,42 @@ mod tests {
         assert_eq!(covered, 1000);
     }
 
+    /// The link rule both ways, by brute force over every page pair: a
+    /// link has MBR contact, and MBR contact has a link. The crawl's
+    /// re-seed skip (`query.rs`) rests on the second half. Contact is
+    /// tested as the build tests it, from the lower page id, since
+    /// inflating one side or the other can round differently.
     #[test]
     fn neighborhood_is_symmetric_and_irreflexive() {
-        let idx =
-            FlatIndex::build(line_boxes(2000), FlatBuildParams::default().with_page_capacity(32));
-        for u in 0..idx.page_count() as u32 {
-            for &v in idx.neighbors_of(u) {
-                assert_ne!(u, v, "self-loop at page {u}");
-                assert!(idx.neighbors_of(v).contains(&u), "asymmetric link {u} -> {v}");
-                assert!(
-                    idx.page_mbr(u)
-                        .inflate(idx.params().neighbor_epsilon)
-                        .intersects(&idx.page_mbr(v)),
-                    "link {u} -> {v} without MBR contact"
-                );
+        let cloud: Vec<Aabb> = (0..1500)
+            .map(|i| {
+                let c = Vec3::new((i % 13) as f64 * 1.3, ((i / 13) % 11) as f64, (i / 143) as f64);
+                Aabb::cube(c, 0.2 + (i % 5) as f64 * 0.1)
+            })
+            .collect();
+        for (objs, cap) in [(line_boxes(2000), 32), (cloud, 24)] {
+            for eps in [0.0, 0.75] {
+                let params =
+                    FlatBuildParams::default().with_page_capacity(cap).with_neighbor_epsilon(eps);
+                let idx = FlatIndex::build(objs.clone(), params);
+                let pages = idx.page_count() as u32;
+                for u in 0..pages {
+                    for v in 0..pages {
+                        let (a, b) = (u.min(v), u.max(v));
+                        let contact = idx.page_mbr(a).inflate(eps).intersects(&idx.page_mbr(b));
+                        let linked = idx.neighbors_of(u).contains(&v);
+                        assert_eq!(linked, u != v && contact, "pages {u}, {v} at ε = {eps}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor_epsilon")]
+    fn build_rejects_a_nan_epsilon_set_through_the_field() {
+        let params = FlatBuildParams { neighbor_epsilon: f64::NAN, ..FlatBuildParams::default() };
+        FlatIndex::build(line_boxes(10), params);
     }
 
     #[test]

@@ -71,7 +71,10 @@
 //! FLAT targets it almost never triggers (the statistic is reported per
 //! query as [`FlatQueryStats::reseeds`]). Marking rejected pages does not
 //! disturb it: the re-seed check only ever asks about pages the seed
-//! tree returns for `q`, and a rejected page's MBR misses `q`.
+//! tree returns for `q`, and a rejected page's MBR misses `q`. The check
+//! is skipped once the crawl has read a page whose MBR contains `q`:
+//! every page meeting `q` is linked to that one, so the crawl has
+//! already reached it (proof in [`query`]).
 //!
 //! ```
 //! use neurospatial_flat::{FlatBuildParams, FlatIndex};

@@ -24,6 +24,16 @@
 //! Marking a rejected page cannot hide a result: the crawl only follows,
 //! and the re-seed check only admits, pages whose MBR intersects `q`, and
 //! the rejected page's does not.
+//!
+//! When the crawl front drains, the re-seed check (a seed-tree range
+//! query) looks for pages meeting `q` that the crawl never reached. It is
+//! skipped when some page taken off the queue had an MBR containing `q`.
+//! Any page `v` meeting `q` then meets that page `u`'s MBR inside `q`, so
+//! `inflate(mbr(u), ε)` meets `mbr(v)` for every `ε ≥ 0`: that is the
+//! link rule of the build, so `v` was decided when `u` was scanned and
+//! has been visited since. The skip changes no result, order or counter
+//! but `seed_nodes_read`. It is gated on `neighbor_epsilon >= 0.0`, which
+//! the build asserts (and which a NaN fails).
 
 use crate::lanes::{page_lanes, QueryLanes};
 use crate::stats::{FlatQueryStats, PageAccess};
@@ -152,6 +162,10 @@ impl<T: RTreeObject> FlatIndex<T> {
 
         // --- Crawl (with exactness-preserving re-seeding) ------------------
         let q_lanes = QueryLanes::new(q);
+        let may_skip = self.params.neighbor_epsilon >= 0.0;
+        // A scanned page whose MBR contains q links to every page meeting
+        // q (module doc), so the re-seed check cannot find one.
+        let mut covered = false;
         loop {
             while let Some(page) = queue.pop_front() {
                 stats.pages_read += 1;
@@ -159,7 +173,9 @@ impl<T: RTreeObject> FlatIndex<T> {
                     stats.crawl_order.push(page);
                 }
                 on_access(PageAccess::Data(page));
-                if self.scan_page(&self.pages[page as usize], q, &q_lanes, &mut stats, &mut sink) {
+                let p = &self.pages[page as usize];
+                covered |= may_skip && p.mbr.contains(q);
+                if self.scan_page(p, q, &q_lanes, &mut stats, &mut sink) {
                     return stats;
                 }
                 // Each page's MBR is tested once per query: the mark
@@ -179,6 +195,9 @@ impl<T: RTreeObject> FlatIndex<T> {
             // This is the exactness fallback — rare on dense data. The
             // seed tree returns only pages that intersect q, so a page
             // marked as rejected is never asked about here.
+            if covered {
+                return stats;
+            }
             let mut reseeded = false;
             let mut admit = |page: u32| {
                 if visited.mark(page as usize) {
@@ -434,12 +453,14 @@ mod tests {
 
     /// Page sequences and counters recorded from the commit before the
     /// page kernel (23f1a7b): the lanes, whole-page acceptance and the
-    /// decide-once rule change none of them.
+    /// decide-once rule change none of them. The fourth query lies inside
+    /// pages 6 and 7: the re-seed skip keeps its crawl and reads one seed
+    /// node where the recording read two.
     #[test]
     fn visit_order_and_counters_equal_the_recorded_ones() {
         // (query, crawl order, seed nodes, objects tested, results, reseeds)
         type Golden = (Aabb, &'static [u32], u64, u64, u64, u64);
-        let dense: [Golden; 3] = [
+        let dense: [Golden; 4] = [
             (
                 Aabb::cube(Vec3::new(10.0, 10.0, 5.0), 3.0),
                 &[4, 5, 11, 12, 23, 24, 38, 39, 50, 57, 58, 13, 21, 22, 40, 49, 41, 37, 48],
@@ -460,6 +481,7 @@ mod tests {
                 0,
             ),
             (Aabb::cube(Vec3::ZERO, 1.0), &[0], 2, 64, 8, 0),
+            (Aabb::cube(Vec3::splat(2.0), 0.5), &[0, 6, 7], 1, 192, 27, 0),
         ];
         let two: [Golden; 2] = [
             (

@@ -71,6 +71,20 @@ fn lattice_boxes() -> impl Strategy<Value = Vec<Aabb>> {
     })
 }
 
+/// Page ids in ascending order, duplicates dropped.
+fn sorted_pages(pages: &[u32]) -> Vec<u32> {
+    let mut sorted = pages.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
+}
+
+/// The pages whose MBR meets `q`, by brute force over every page (not
+/// through the seed tree, which the crawl itself uses).
+fn pages_meeting<T: RTreeObject>(idx: &FlatIndex<T>, q: &Aabb) -> Vec<u32> {
+    (0..idx.page_count() as u32).filter(|&p| idx.page_mbr(p).intersects(q)).collect()
+}
+
 /// The queries the rounding can get wrong, derived from the data and the
 /// built pages: faces equal to object faces, faces one `f64` ulp and one
 /// `f32` step either side of them, page MBRs exactly and one ulp inside
@@ -156,6 +170,7 @@ proptest! {
             prop_assert_eq!(&sorted, &scan, "result set at {} (cap {})", q, cap);
             prop_assert_eq!(stats.results as usize, got.len());
             prop_assert_eq!(stats.pages_read as usize, pages.len());
+            prop_assert_eq!(sorted_pages(&pages), pages_meeting(&idx, &q), "pages at {}", q);
             let on_pages: usize = pages.iter().map(|&p| idx.page_objects(p).len()).sum();
             prop_assert_eq!(stats.objects_tested as usize, on_pages);
 
@@ -207,24 +222,34 @@ proptest! {
         }
     }
 
+    /// Exact results, and a crawl that reads each page meeting the query
+    /// once and no other. Besides random boxes, the queries include a
+    /// point and a tiny cube inside a page's MBR: the queries a page can
+    /// contain, for which the crawl skips the final re-seed check.
     #[test]
     fn flat_matches_brute_force(
         objs in prop::collection::vec(small_box(), 0..500),
         queries in prop::collection::vec(small_box(), 1..8),
+        picks in prop::collection::vec(0usize..10_000, 1..6),
         cap in 4usize..96,
     ) {
         let idx = FlatIndex::build(objs.clone(), FlatBuildParams::default().with_page_capacity(cap));
+        let mut queries = queries;
+        if !objs.is_empty() {
+            for &pick in &picks {
+                let page = idx.page_mbr((pick % idx.page_count()) as u32);
+                queries.push(Aabb::point(page.center()));
+                queries.push(Aabb::cube(objs[pick % objs.len()].center(), 0.05));
+            }
+        }
         for q in &queries {
             let (hits, stats) = idx.range_query(q);
             let want = objs.iter().filter(|o| o.intersects(q)).count();
             prop_assert_eq!(hits.len(), want, "query {}", q);
             prop_assert_eq!(stats.results as usize, want);
-            // A page is read at most once.
-            let mut order = stats.crawl_order.clone();
-            order.sort_unstable();
-            let n = order.len();
-            order.dedup();
-            prop_assert_eq!(order.len(), n);
+            let order = sorted_pages(&stats.crawl_order);
+            prop_assert_eq!(order.len(), stats.crawl_order.len(), "a page read twice at {}", q);
+            prop_assert_eq!(order, pages_meeting(&idx, q), "pages at {}", q);
         }
     }
 

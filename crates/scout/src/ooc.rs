@@ -14,20 +14,28 @@
 //! tree is rebuilt from the persisted page MBRs with the persisted
 //! fan-out (bit-identical input ⇒ identical STR structure ⇒ identical
 //! descent), and the crawl follows the persisted CSR in the same order
-//! under the same two rules: a page whose MBR lies wholly inside the
-//! query is emitted without testing its objects, and a neighbour page's
-//! MBR is tested the first time a link reaches it and the verdict kept,
-//! rejection included, for the rest of the query. (Other pages are
-//! decoded and tested object by object; the `f32` lanes of the in-memory
-//! index are not persisted.) Results, emission order and the logical
-//! query statistics are byte-identical to the in-memory index the file
-//! was written from — the property `tests/ooc_equivalence.rs` proves
-//! under proptest — and mean the same: `objects_tested` counts the
-//! objects on the pages read, accepted pages included, and
-//! `links_rejected` the distinct pages examined through a link and
-//! rejected; `seed_nodes_read`, `pages_read`, `results` and `reseeds`
-//! are what they say. What differs is the [`OocIoTrace`]: cache hits,
-//! misses and real wall-clock stall.
+//! under the same three rules:
+//!
+//! - a page whose MBR lies wholly inside the query is emitted without
+//!   testing its objects (other pages are decoded and tested object by
+//!   object; the `f32` lanes of the in-memory index are not persisted);
+//! - a neighbour page's MBR is tested the first time a link reaches it
+//!   and the verdict kept, rejection included, for the rest of the query;
+//! - the final re-seed check is skipped once a page whose MBR contains
+//!   the query `q` has been read. Every page `v` meeting `q` meets that
+//!   page `u`'s MBR inside `q`, so `inflate(mbr(u), ε)` meets `mbr(v)`
+//!   for any `ε ≥ 0`. That is the link rule, so `v` was admitted when
+//!   `u` was read. The skip is gated on `neighbor_epsilon >= 0`, which
+//!   the reader already demands of the file.
+//!
+//! Results, emission order and the logical query statistics are
+//! byte-identical to the in-memory index the file was written from — the
+//! property `tests/ooc_equivalence.rs` proves under proptest — and mean
+//! the same: `objects_tested` counts the objects on the pages read,
+//! accepted pages included, and `links_rejected` the distinct pages
+//! examined through a link and rejected; `seed_nodes_read`, `pages_read`,
+//! `results` and `reseeds` are what they say. What differs is the
+//! [`OocIoTrace`]: cache hits, misses and real wall-clock stall.
 //!
 //! ## Real background prefetching
 //!
@@ -988,10 +996,15 @@ impl OocFlatIndex {
         queue.push_back(first.page);
 
         // --- Crawl (with exactness-preserving re-seeding) ------------------
+        let may_skip = self.params.neighbor_epsilon >= 0.0;
+        // A read page whose MBR contains q links to every page meeting q
+        // (module doc), so the re-seed check cannot find one.
+        let mut covered = false;
         loop {
             while let Some(page) = queue.pop_front() {
                 stats.flat.pages_read += 1;
                 on_page(page);
+                covered |= may_skip && self.page_mbrs[page as usize].contains(q);
 
                 // The real page read: pin (retrying transient faults
                 // under the configured policy), decode, scan. The pin is
@@ -1060,6 +1073,9 @@ impl OocFlatIndex {
                 }
             }
 
+            if covered {
+                break;
+            }
             let mut reseeded = false;
             let reseed_counters = self.seed_tree.range_query_stream(q, seed, |entry| {
                 if visited.mark(entry.page as usize) {
