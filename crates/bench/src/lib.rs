@@ -1,9 +1,9 @@
-//! Shared workload construction for the experiment harness and the
-//! Criterion benches.
+//! Shared workload construction for the paper-table binary
+//! (`experiments`), the Criterion benches and the `zero_alloc` test.
 //!
 //! Everything is deterministic: the same seeds produce the same circuits,
 //! workloads and paths on every run and platform (ChaCha8-based
-//! generators), so EXPERIMENTS.md numbers are reproducible.
+//! generators), so every table `experiments` prints is reproducible.
 
 use neurospatial::prelude::*;
 
@@ -29,10 +29,9 @@ pub fn jagged_circuit(neurons: u32, seed: u64) -> Circuit {
     CircuitBuilder::new(seed).neurons(neurons).morphology(m).build()
 }
 
-/// A deterministic dataset of (approximately) `n` segments: grow a dense
-/// circuit until it holds at least `n`, then truncate. The hotpath
-/// scenario uses this so `--n=` controls the dataset size directly
-/// instead of through a neuron count.
+/// A deterministic dataset of exactly `n` segments: grow a dense circuit
+/// until it holds at least `n`, then truncate, so a caller sizes the
+/// dataset directly instead of through a neuron count.
 pub fn sized_segments(n: usize, seed: u64) -> Vec<NeuronSegment> {
     let mut neurons = 4u32;
     loop {

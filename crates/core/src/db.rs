@@ -411,7 +411,7 @@ impl NeuroDbBuilder {
     }
 
     /// Route WAL writes through a fault-injection plan (crash at a byte
-    /// offset, bit flips) — the chaos-test and `--scenario=faults` knob.
+    /// offset, bit flips) — the chaos tests' knob.
     /// Only meaningful with [`durable`](Self::durable).
     pub fn wal_faults(mut self, plan: FaultPlan) -> Self {
         self.wal_faults = Some(plan);

@@ -34,8 +34,8 @@ use std::str::FromStr;
 /// [`SpatialIndex::try_for_each_in_range`] and everything built on it:
 /// create one per worker thread, reuse it across an entire batch. After
 /// the first few queries have grown the buffers, steady-state queries
-/// perform **zero** heap allocations (gated per backend by
-/// `experiments --scenario=hotpath --strict`).
+/// perform **zero** heap allocations (held per backend by the
+/// `zero_alloc` test in `neurospatial-bench`).
 ///
 /// Fields are public so custom [`SpatialIndex`] implementations can use
 /// the same buffers in their own traversal.

@@ -88,8 +88,8 @@ thread_local! {
     /// One [`QueryScratch`] per thread, shared by the `collect()` and
     /// `stream()` terminals: after the first few queries have grown its
     /// buffers, streaming queries perform zero heap allocations without
-    /// the caller managing scratch state (`experiments --scenario=api`
-    /// measures exactly this).
+    /// the caller managing scratch state (the `zero_alloc` test in
+    /// `neurospatial-bench` holds every backend to it).
     static SHARED_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 

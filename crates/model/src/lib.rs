@@ -46,6 +46,6 @@ pub use stats::DensityStats;
 pub use workload::{NavigationPath, QueryPlacement, RangeQueryWorkload};
 
 /// The RNG used everywhere in this crate: explicitly seeded and portable
-/// across platforms and `rand` point releases, so that every experiment in
-/// EXPERIMENTS.md is reproducible bit-for-bit.
+/// across platforms and `rand` point releases, so that every table the
+/// `experiments` binary prints is reproducible bit-for-bit.
 pub type ModelRng = rand_chacha::ChaCha8Rng;

@@ -65,7 +65,7 @@
 //!
 //! A demand read that catches an in-flight prefetch waits only for the
 //! remainder of that read — the pool's loading protocol — which is the
-//! stall-hiding effect `--scenario=ooc` measures.
+//! stall-hiding effect the `explore_ooc` benchmark workload measures.
 //!
 //! ## The modelled device
 //!
@@ -1344,7 +1344,7 @@ impl std::fmt::Debug for OocCursor<'_> {
 }
 
 /// A frame budget of `percent` of `page_count` pages, at least one
-/// frame: how the tests and `--scenario=ooc` size a pool to a file.
+/// frame: how the tests and `ooc_quickstart` size a pool to a file.
 pub fn frame_budget_for(page_count: usize, percent: u32) -> usize {
     ((page_count * percent as usize) / 100).max(1)
 }

@@ -1,9 +1,7 @@
 //! Join execution statistics — the demo's runtime charts: "time spent on
 //! the join, memory footprint as well as the number of pairwise
-//! comparisons" (§4.2) — plus the shared per-phase [`PhaseTimer`] and the
-//! process-wide allocation probe behind the `allocations` column.
+//! comparisons" (§4.2) — plus the shared per-phase [`PhaseTimer`].
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Statistics of one join execution.
@@ -43,10 +41,6 @@ pub struct JoinStats {
     /// reports), `threads` means one worker did everything. 0 for
     /// algorithms without a task-parallel join phase.
     pub join_imbalance: f64,
-    /// Heap allocations performed during the join, as reported by the
-    /// registered [`allocation probe`](register_allocation_probe);
-    /// 0 when no probe is installed.
-    pub allocations: u64,
 }
 
 impl JoinStats {
@@ -57,41 +51,20 @@ impl JoinStats {
     }
 }
 
-/// Process-wide allocation counter hook. A binary owning a counting
-/// global allocator (the `experiments` harness) registers its reader
-/// here once; every join algorithm then snapshots it around execution
-/// and reports the delta in [`JoinStats::allocations`]. Without a
-/// registered probe the snapshots read 0 and the delta stays 0.
-static ALLOCATION_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Register the process's allocation counter. Idempotent: the first
-/// registration wins (later calls are ignored, matching `OnceLock`).
-pub fn register_allocation_probe(probe: fn() -> u64) {
-    let _ = ALLOCATION_PROBE.set(probe);
-}
-
-/// Current allocation count (0 without a registered probe).
-pub fn allocation_count() -> u64 {
-    ALLOCATION_PROBE.get().map_or(0, |probe| probe())
-}
-
 /// Wall-clock phase timer shared by every join algorithm: one `start`,
 /// one `lap` per phase boundary, one `total_ms` at the end — instead of
-/// each algorithm juggling its own ad-hoc `Instant` pairs. Also
-/// snapshots the allocation probe so `finish` can fill
-/// [`JoinStats::allocations`].
+/// each algorithm juggling its own ad-hoc `Instant` pairs.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseTimer {
     t0: Instant,
     last: Instant,
-    allocs0: u64,
 }
 
 impl PhaseTimer {
-    /// Start timing (and snapshot the allocation counter).
+    /// Start timing.
     pub fn start() -> Self {
         let now = Instant::now();
-        PhaseTimer { t0: now, last: now, allocs0: allocation_count() }
+        PhaseTimer { t0: now, last: now }
     }
 
     /// Milliseconds since the previous `lap` (or `start`), advancing the
@@ -108,11 +81,9 @@ impl PhaseTimer {
         self.t0.elapsed().as_secs_f64() * 1e3
     }
 
-    /// Write the totals into `stats`: `total_ms` and the allocation delta
-    /// since `start`.
+    /// Write the total into `stats`: `total_ms` since `start`.
     pub fn finish(&self, stats: &mut JoinStats) {
         stats.total_ms = self.total_ms();
-        stats.allocations = allocation_count().saturating_sub(self.allocs0);
     }
 }
 
@@ -162,8 +133,6 @@ mod tests {
         t.finish(&mut s);
         assert!(a >= 0.0 && b >= 2.0 * 0.9, "lap b measured the sleep: {b}");
         assert!(s.total_ms >= a + b - 1e-6);
-        // No probe registered in unit tests: allocation delta reads 0.
-        assert_eq!(s.allocations, 0);
     }
 
     #[test]

@@ -233,9 +233,9 @@ impl<T: JoinObject> TouchEngine<T> {
     /// phases; `sweep_min` is the hybrid bucket threshold. The pair
     /// sequence and the comparison counts do not depend on `threads`. The
     /// returned stats cover only this call: `build_ms` is 0 (the build is
-    /// amortised across joins), `join_ms` includes copying the pairs into
-    /// `out`, and `allocations` counts this call's heap traffic — 0 in
-    /// steady state at one thread.
+    /// amortised across joins) and `join_ms` includes copying the pairs
+    /// into `out`. With a warm scratch and `out`, a one-thread call
+    /// allocates nothing.
     pub fn join_into(
         &self,
         b: &[T],

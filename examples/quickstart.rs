@@ -9,7 +9,7 @@ use neurospatial::prelude::*;
 
 fn main() {
     // --- 1. Generate a synthetic microcircuit ---------------------------
-    // (substitute for the proprietary Blue Brain datasets; see DESIGN.md)
+    // (substitute for the proprietary Blue Brain datasets)
     let circuit = CircuitBuilder::new(42)
         .neurons(40)
         .morphology(MorphologyParams::cortical())

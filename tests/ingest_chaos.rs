@@ -329,10 +329,11 @@ fn flipped_committed_record_is_refused_not_truncated() {
     dump.success();
 }
 
-/// Crash *between commit and ack* is indistinguishable (to the client)
-/// from a crash before commit — but recovery must still reflect exactly
-/// what hit the log: a batch whose commit record fully persisted is
-/// replayed even though the caller never saw the ack.
+/// A crash 10 bytes into the first batch tears its record: the write
+/// errors, nothing is acked, and recovery detects the torn tail, truncates
+/// it, replays nothing and leaves the base contents exactly as built.
+/// (A crash between commit and ack, where the record did persist, is
+/// `recovery_reconstructs_the_acknowledged_prefix` in `crates/core/src/db.rs`.)
 #[test]
 fn torn_tail_is_truncated_and_acked_history_survives() {
     let dump = PlanDump::new("ingest_torn_tail");
@@ -372,6 +373,8 @@ fn torn_tail_is_truncated_and_acked_history_survives() {
     let recovered = NeuroDb::builder().segments(vec![]).durable(&wal.0).build().expect("recovery");
     let health = recovered.wal_health().expect("live");
     assert!(health.recovered_torn_tail, "the torn tail must be detected");
+    assert_eq!(health.replayed_ops, 0, "a torn batch replays nothing");
+    assert_eq!(recovered.len(), circuit.segments().len(), "the base contents survive intact");
     let reference = rebuild(circuit.segments(), &acked, IndexBackend::Flat, 1);
     assert_eq!(
         snapshot(&recovered, &q),
