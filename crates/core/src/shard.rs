@@ -85,8 +85,8 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         let centers = Aabb::from_points(segments.iter().map(|s| s.geom.center()));
         if segments.len() > 1 {
             let sorter = HilbertSorter::new(centers);
-            // Cached keys: the Hilbert transform is ~100 ops per point,
-            // far too hot to recompute per comparison.
+            // Cached keys: a 21-bit key is 21 dependent table lookups,
+            // far too slow to recompute per comparison.
             segments.sort_by_cached_key(|s| sorter.key(s.geom.center()));
         }
         let bounds = segments.iter().fold(Aabb::EMPTY, |acc, s| acc.union(&s.aabb()));

@@ -78,7 +78,7 @@ impl FlatBuildParams {
 impl<T: RTreeObject> FlatIndex<T> {
     /// Build the index. `O(n log n)` for the sort, `O(p · k)` for the
     /// neighborhood computation where `p` is the page count and `k` the
-    /// mean number of grid candidates per page.
+    /// mean number of grid candidates per page, deduped by stamp.
     pub fn build(mut objects: Vec<T>, params: FlatBuildParams) -> Self {
         // The crawl's re-seed skip relies on it (see `query.rs`).
         assert!(params.neighbor_epsilon >= 0.0, "neighbor_epsilon must be >= 0");
@@ -90,7 +90,7 @@ impl<T: RTreeObject> FlatIndex<T> {
             match params.packing {
                 PackingStrategy::Hilbert => {
                     let sorter = HilbertSorter::with_bits(bounds, params.hilbert_bits);
-                    // Cache keys (sort_by_cached_key) — key computation dominates.
+                    // A key is `hilbert_bits` dependent table lookups: cache it.
                     objects.sort_by_cached_key(|o| sorter.key(o.aabb().center()));
                 }
                 PackingStrategy::Morton => {
@@ -229,27 +229,27 @@ fn build_neighborhoods(pages: &[FlatPage], bounds: Aabb, epsilon: f64) -> (Vec<u
         });
     }
 
-    // Discover undirected edges with one candidate buffer hoisted out of
-    // the per-page loop. Candidates are sorted + deduped, and each pair
-    // is tested once (at the lower id), so no duplicate edges arise.
+    // Discover undirected edges, each pair tested once (at the lower id).
+    // A page met in several cells is deduped by stamp (`seen[j] == i`),
+    // and only the links that pass the MBR test are sorted.
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut cand: Vec<u32> = Vec::new();
+    let mut links: Vec<u32> = Vec::new();
+    let mut seen = vec![u32::MAX; p];
     for (i, page) in pages.iter().enumerate() {
-        let probe = page.mbr.inflate(epsilon);
-        cand.clear();
+        let (i, probe) = (i as u32, page.mbr.inflate(epsilon));
+        links.clear();
         grid.for_each_cell_in(&probe, |c| {
-            cand.extend_from_slice(
-                &cell_ids[cell_offsets[c] as usize..cell_offsets[c + 1] as usize],
-            )
-        });
-        cand.sort_unstable();
-        cand.dedup();
-        for &j in &cand {
-            if j as usize > i && probe.intersects(&pages[j as usize].mbr) {
-                edges.push((i as u32, j));
-                edges.push((j, i as u32));
+            for &j in &cell_ids[cell_offsets[c] as usize..cell_offsets[c + 1] as usize] {
+                if j > i && seen[j as usize] != i {
+                    seen[j as usize] = i;
+                    if probe.intersects(&pages[j as usize].mbr) {
+                        links.push(j);
+                    }
+                }
             }
-        }
+        });
+        links.sort_unstable();
+        edges.extend(links.iter().flat_map(|&j| [(i, j), (j, i)]));
     }
 
     // Counting-sort the edges by source page into the adjacency CSR. The
@@ -339,6 +339,9 @@ mod tests {
                 let idx = FlatIndex::build(objs.clone(), params);
                 let pages = idx.page_count() as u32;
                 for u in 0..pages {
+                    // The crawl emits pages in link order: runs ascend.
+                    let run = idx.neighbors_of(u);
+                    assert!(run.windows(2).all(|w| w[0] < w[1]), "page {u}'s run {run:?}");
                     for v in 0..pages {
                         let (a, b) = (u.min(v), u.max(v));
                         let contact = idx.page_mbr(a).inflate(eps).intersects(&idx.page_mbr(b));
@@ -348,6 +351,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The index is a pure function of its input. One FNV-1a digest over
+    /// the object order, the page MBRs' bits and the neighbour CSR pins a
+    /// seeded dense cloud (40 000 boxes, 625 pages), so a faster build
+    /// must reproduce the same index bit for bit.
+    #[test]
+    fn dense_cloud_build_is_pinned_bit_for_bit() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            // SplitMix64, top 53 bits as a float in [0, 1).
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let objs: Vec<Aabb> = (0..40_000)
+            .map(|_| {
+                let c = Vec3::new(unit(), unit(), unit()) * 100.0;
+                let h = Vec3::new(0.2 + unit(), 0.2 + unit(), 0.2 + unit());
+                Aabb::new(c - h, c + h)
+            })
+            .collect();
+        let idx = FlatIndex::build(objs, FlatBuildParams::default().with_page_capacity(64));
+        assert_eq!(idx.page_count(), 625);
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01B3);
+            }
+        };
+        for b in idx.objects.iter().chain(idx.pages.iter().map(|p| &p.mbr)) {
+            for v in [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z] {
+                eat(v.to_bits());
+            }
+        }
+        for &w in idx.neighbor_offsets.iter().chain(&idx.neighbor_ids) {
+            eat(w as u64);
+        }
+        assert_eq!(digest, 0x691D_5B27_55EC_6AC6, "{digest:#018x}");
     }
 
     #[test]

@@ -1,21 +1,53 @@
-//! 3-D Hilbert curve (Skilling's transpose algorithm).
+//! 3-D Hilbert curve as a 24-state machine.
 //!
 //! FLAT packs objects into pages in Hilbert order because consecutive
 //! Hilbert codes are always spatially adjacent — that is what makes page
 //! neighborhoods small — and the Hilbert *prefetching* baseline of SCOUT
 //! (after Park & Kim) prefetches pages adjacent in this order.
 //!
-//! The implementation follows John Skilling, "Programming the Hilbert
-//! curve" (AIP Conf. Proc. 707, 2004): coordinates are transformed in
-//! place between Cartesian ("axes") form and the transposed Hilbert index
-//! form.
+//! The curve is the one of John Skilling, "Programming the Hilbert curve"
+//! (AIP Conf. Proc. 707, 2004), but it is computed from one table: every
+//! sub-cube of the curve is traversed in one of 24 orientations (states),
+//! and a state plus the octant a point falls in gives the next three bits
+//! of its distance and the state of that octant. A key is one table
+//! lookup per level, the inverse walks the same table, and the root is
+//! state 0 at every order. Skilling's transform is kept in the tests as
+//! the oracle the table is re-derived from and checked against.
 
-use crate::{Aabb, Vec3};
-
-const DIMS: usize = 3;
+use crate::{morton_decode3, morton_encode3, Aabb, Vec3};
 
 /// Number of bits of precision per axis used by [`HilbertSorter`].
 pub const HILBERT_BITS: u32 = 21;
+
+/// `STATES[s][o]` for the sub-cube in state `s` and its octant `o` (the
+/// octant's Morton digit: x in bit 0, y in bit 1, z in bit 2). The low
+/// three bits are the octant's Hilbert digit, the high five its state.
+const STATES: [[u8; 8]; 24] = [
+    [8, 23, 27, 36, 41, 54, 2, 5],
+    [56, 67, 73, 10, 87, 44, 94, 13],
+    [100, 111, 21, 78, 51, 112, 18, 89],
+    [110, 79, 29, 124, 113, 88, 26, 3],
+    [72, 57, 123, 34, 95, 86, 4, 37],
+    [32, 131, 143, 12, 1, 42, 150, 45],
+    [156, 31, 19, 160, 53, 6, 50, 145],
+    [0, 33, 151, 142, 171, 58, 76, 61],
+    [126, 69, 177, 66, 39, 132, 136, 11],
+    [40, 55, 9, 22, 107, 60, 74, 77],
+    [188, 85, 91, 82, 127, 38, 176, 137],
+    [116, 83, 93, 90, 71, 96, 14, 17],
+    [98, 121, 101, 182, 155, 24, 20, 167],
+    [30, 7, 161, 144, 109, 172, 106, 75],
+    [114, 187, 117, 92, 25, 120, 166, 183],
+    [70, 97, 125, 122, 15, 16, 28, 35],
+    [174, 133, 63, 68, 185, 130, 80, 43],
+    [180, 141, 175, 62, 147, 138, 184, 81],
+    [164, 139, 135, 152, 149, 146, 46, 49],
+    [154, 169, 99, 104, 157, 190, 52, 119],
+    [162, 179, 105, 168, 165, 148, 118, 191],
+    [134, 153, 47, 48, 173, 170, 108, 59],
+    [178, 181, 65, 102, 163, 140, 128, 159],
+    [186, 189, 115, 84, 129, 158, 64, 103],
+];
 
 /// Convert Cartesian coordinates (each `bits` wide) into a Hilbert
 /// distance along the 3-D curve of order `bits`.
@@ -23,104 +55,28 @@ pub const HILBERT_BITS: u32 = 21;
 /// The result fits in `3 * bits` bits (≤ 63 for `bits ≤ 21`).
 pub fn hilbert_xyz2d(bits: u32, x: u32, y: u32, z: u32) -> u64 {
     debug_assert!((1..=HILBERT_BITS).contains(&bits));
-    let mut a = [x, y, z];
-    axes_to_transpose(&mut a, bits);
-    interleave_transposed(&a, bits)
+    let octants = morton_encode3(x, y, z);
+    let (mut state, mut d) = (0u8, 0u64);
+    for level in (0..bits).rev() {
+        let e = STATES[state as usize][(octants >> (3 * level)) as usize & 7];
+        d = d << 3 | (e & 7) as u64;
+        state = e >> 3;
+    }
+    d
 }
 
 /// Inverse of [`hilbert_xyz2d`].
 pub fn hilbert_d2xyz(bits: u32, d: u64) -> (u32, u32, u32) {
     debug_assert!((1..=HILBERT_BITS).contains(&bits));
-    let mut a = deinterleave_to_transposed(d, bits);
-    transpose_to_axes(&mut a, bits);
-    (a[0], a[1], a[2])
-}
-
-/// In-place Gray-code transform: Cartesian axes → transposed Hilbert form.
-fn axes_to_transpose(x: &mut [u32; DIMS], bits: u32) {
-    let m = 1u32 << (bits - 1);
-    // Inverse undo excess work
-    let mut q = m;
-    while q > 1 {
-        let p = q - 1;
-        for i in 0..DIMS {
-            if x[i] & q != 0 {
-                x[0] ^= p; // invert
-            } else {
-                let t = (x[0] ^ x[i]) & p;
-                x[0] ^= t;
-                x[i] ^= t;
-            }
-        }
-        q >>= 1;
+    let (mut state, mut octants) = (0u8, 0u64);
+    for level in (0..bits).rev() {
+        let digit = (d >> (3 * level)) as u8 & 7;
+        let row = &STATES[state as usize];
+        let o = row.iter().position(|&e| e & 7 == digit).expect("a row holds all 8 digits");
+        octants = octants << 3 | o as u64;
+        state = row[o] >> 3;
     }
-    // Gray encode
-    for i in 1..DIMS {
-        x[i] ^= x[i - 1];
-    }
-    let mut t = 0u32;
-    let mut q = m;
-    while q > 1 {
-        if x[DIMS - 1] & q != 0 {
-            t ^= q - 1;
-        }
-        q >>= 1;
-    }
-    for v in x.iter_mut() {
-        *v ^= t;
-    }
-}
-
-/// In-place inverse of [`axes_to_transpose`].
-fn transpose_to_axes(x: &mut [u32; DIMS], bits: u32) {
-    let n = 2u32.wrapping_shl(bits - 1); // 2^bits
-                                         // Gray decode by H ^ (H/2)
-    let mut t = x[DIMS - 1] >> 1;
-    for i in (1..DIMS).rev() {
-        x[i] ^= x[i - 1];
-    }
-    x[0] ^= t;
-    // Undo excess work
-    let mut q = 2u32;
-    while q != n {
-        let p = q - 1;
-        for i in (0..DIMS).rev() {
-            if x[i] & q != 0 {
-                x[0] ^= p;
-            } else {
-                t = (x[0] ^ x[i]) & p;
-                x[0] ^= t;
-                x[i] ^= t;
-            }
-        }
-        q <<= 1;
-    }
-}
-
-/// Pack the transposed representation into a single integer: bit `b` of
-/// axis `i` becomes bit `b*3 + (2-i)` of the output, so the most
-/// significant interleaved bits come from the high bits of axis 0.
-fn interleave_transposed(x: &[u32; DIMS], bits: u32) -> u64 {
-    let mut d = 0u64;
-    for b in (0..bits).rev() {
-        for (i, &v) in x.iter().enumerate() {
-            d = (d << 1) | (((v >> b) & 1) as u64);
-            let _ = i;
-        }
-    }
-    d
-}
-
-/// Inverse of [`interleave_transposed`].
-fn deinterleave_to_transposed(d: u64, bits: u32) -> [u32; DIMS] {
-    let mut x = [0u32; DIMS];
-    let total = bits * DIMS as u32;
-    for pos in 0..total {
-        let bit = (d >> (total - 1 - pos)) & 1;
-        let axis = (pos as usize) % DIMS;
-        x[axis] = (x[axis] << 1) | bit as u32;
-    }
-    x
+    morton_decode3(octants)
 }
 
 /// Quantises points of a bounded region onto the Hilbert curve so that
@@ -172,6 +128,163 @@ impl HilbertSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Skilling's transpose algorithm, the oracle `STATES` is checked
+    /// against: coordinates are transformed in place between Cartesian
+    /// ("axes") form and the transposed Hilbert index form.
+    mod skilling {
+        const DIMS: usize = 3;
+
+        pub fn xyz2d(bits: u32, x: u32, y: u32, z: u32) -> u64 {
+            let mut a = [x, y, z];
+            axes_to_transpose(&mut a, bits);
+            // Bit `b` of axis `i` becomes bit `b*3 + (2-i)` of the key.
+            (0..bits).rev().fold(0, |d, b| a.iter().fold(d, |d, &v| d << 1 | (v >> b & 1) as u64))
+        }
+
+        pub fn d2xyz(bits: u32, d: u64) -> (u32, u32, u32) {
+            let mut a = [0u32; DIMS];
+            let total = bits * DIMS as u32;
+            for pos in 0..total {
+                let axis = pos as usize % DIMS;
+                a[axis] = a[axis] << 1 | (d >> (total - 1 - pos) & 1) as u32;
+            }
+            transpose_to_axes(&mut a, bits);
+            (a[0], a[1], a[2])
+        }
+
+        /// In-place Gray-code transform: Cartesian axes → transposed form.
+        fn axes_to_transpose(x: &mut [u32; DIMS], bits: u32) {
+            let m = 1u32 << (bits - 1);
+            // Inverse undo excess work
+            let mut q = m;
+            while q > 1 {
+                let p = q - 1;
+                for i in 0..DIMS {
+                    if x[i] & q != 0 {
+                        x[0] ^= p; // invert
+                    } else {
+                        let t = (x[0] ^ x[i]) & p;
+                        x[0] ^= t;
+                        x[i] ^= t;
+                    }
+                }
+                q >>= 1;
+            }
+            // Gray encode
+            for i in 1..DIMS {
+                x[i] ^= x[i - 1];
+            }
+            let mut t = 0u32;
+            let mut q = m;
+            while q > 1 {
+                if x[DIMS - 1] & q != 0 {
+                    t ^= q - 1;
+                }
+                q >>= 1;
+            }
+            for v in x.iter_mut() {
+                *v ^= t;
+            }
+        }
+
+        /// In-place inverse of [`axes_to_transpose`].
+        fn transpose_to_axes(x: &mut [u32; DIMS], bits: u32) {
+            let n = 2u32.wrapping_shl(bits - 1);
+            // Gray decode by H ^ (H/2); `n` is 2^bits.
+            let mut t = x[DIMS - 1] >> 1;
+            for i in (1..DIMS).rev() {
+                x[i] ^= x[i - 1];
+            }
+            x[0] ^= t;
+            // Undo excess work
+            let mut q = 2u32;
+            while q != n {
+                let p = q - 1;
+                for i in (0..DIMS).rev() {
+                    if x[i] & q != 0 {
+                        x[0] ^= p;
+                    } else {
+                        t = (x[0] ^ x[i]) & p;
+                        x[0] ^= t;
+                        x[i] ^= t;
+                    }
+                }
+                q <<= 1;
+            }
+        }
+    }
+
+    /// Re-derive the state table from the oracle at order `bits`,
+    /// breadth-first over sub-cubes from the root: a sub-cube's state is
+    /// keyed by its two-level digit map (the top six key bits of each of
+    /// its 64 grandchild cubes), and new keys get the next state number.
+    fn derive_states(bits: u32) -> Vec<[u8; 8]> {
+        // A sub-cube is (level, corner); octant `o` is a Morton digit.
+        type Cube = (u32, u32, u32, u32);
+        let child = |(level, x, y, z): Cube, o: u32| {
+            let half = bits - level - 1;
+            (level + 1, x | (o & 1) << half, y | (o >> 1 & 1) << half, z | (o >> 2 & 1) << half)
+        };
+        // The `n` key digits just below `cube`'s level at `inner`'s corner.
+        let digits = |cube: Cube, (_, x, y, z): Cube, n: u32| {
+            let d = skilling::xyz2d(bits, x, y, z) >> (3 * (bits - cube.0 - n));
+            (d & ((1 << (3 * n)) - 1)) as u8
+        };
+        let key = |cube: Cube| -> Vec<u8> {
+            (0..64).map(|o| digits(cube, child(child(cube, o & 7), o >> 3), 2)).collect()
+        };
+        let mut cubes = vec![(0, 0, 0, 0)];
+        let mut keys = vec![key(cubes[0])];
+        let mut table = Vec::new();
+        while table.len() < cubes.len() {
+            let cube = cubes[table.len()];
+            let mut row = [0u8; 8];
+            for (o, e) in (0..8).zip(&mut row) {
+                let c = child(cube, o);
+                let k = key(c);
+                let state = keys.iter().position(|s| *s == k).unwrap_or_else(|| {
+                    keys.push(k);
+                    cubes.push(c);
+                    keys.len() - 1
+                });
+                *e = digits(cube, c, 1) | (state as u8) << 3;
+            }
+            table.push(row);
+        }
+        table
+    }
+
+    #[test]
+    fn state_table_is_rederived_from_skillings_transform() {
+        for bits in 8..=HILBERT_BITS {
+            assert_eq!(derive_states(bits), STATES, "bits={bits}");
+        }
+    }
+
+    #[test]
+    fn table_walk_matches_skilling_exhaustively_and_on_samples() {
+        use rand::{Rng, SeedableRng};
+        let check = |bits: u32, x: u32, y: u32, z: u32| {
+            let d = skilling::xyz2d(bits, x, y, z);
+            assert_eq!(hilbert_xyz2d(bits, x, y, z), d, "bits={bits} ({x}, {y}, {z})");
+            assert_eq!(skilling::d2xyz(bits, d), (x, y, z), "oracle, bits={bits} d={d}");
+            assert_eq!(hilbert_d2xyz(bits, d), (x, y, z), "bits={bits} d={d}");
+        };
+        for bits in 1..=6u32 {
+            let n = 1u32 << bits;
+            for p in 0..n * n * n {
+                check(bits, p % n, p / n % n, p / (n * n));
+            }
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(28);
+        for bits in [7, 10, 16, 21] {
+            let max = (1u32 << bits) - 1;
+            for _ in 0..250_000 {
+                check(bits, rng.gen_range(0..=max), rng.gen_range(0..=max), rng.gen_range(0..=max));
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_exhaustive_small_order() {
