@@ -8,7 +8,8 @@
 //! * `range_query_into_scratch` with a reused scratch and result buffer,
 //!   on every backend, monolithic and `sharded(2).threaded(1)`;
 //! * `query().range().filter(&pred).stream()` on the same configurations;
-//! * a one-thread `TouchEngine::join_into` with a warm scratch and output;
+//! * a one-thread `TouchEngine::join_into` with a warm scratch and output,
+//!   with the default lane-mask leaves and with the opt-in leaf sweep;
 //! * sequential `Client::range` requests against a one-worker
 //!   `serve_with`, counting server decode, traversal, encode and client
 //!   decode together.
@@ -131,11 +132,16 @@ fn main() {
     let join = TouchJoin::default();
     let engine = TouchEngine::build(&a, join.fanout);
     let (mut scratch, mut pairs) = (JoinScratch::new(), Vec::new());
-    let allocs = steady_allocations(|| {
-        engine.join_into(&b, 1.0, 1, join.sweep_min, &mut scratch, &mut pairs);
-    });
-    assert!(!pairs.is_empty(), "the join finds pairs");
-    checks.push(("TouchEngine::join_into 1 thread".to_string(), allocs));
+    for (path, sweep_min) in [
+        ("TouchEngine::join_into 1 thread", join.sweep_min),
+        ("TouchEngine::join_into 1 thread, sweep_min 2", 2),
+    ] {
+        let allocs = steady_allocations(|| {
+            engine.join_into(&b, 1.0, 1, sweep_min, &mut scratch, &mut pairs);
+        });
+        assert!(!pairs.is_empty(), "the join finds pairs");
+        checks.push((path.to_string(), allocs));
+    }
 
     let db = NeuroDb::builder().segments(segments).build().expect("flat db");
     let cfg = ServerConfig { workers: 1, ..Default::default() };

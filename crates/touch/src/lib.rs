@@ -16,7 +16,7 @@
 //! | [`PlaneSweepJoin`] | sort + sweep on x | degrades when many elements sit on the sweep line |
 //! | [`PbsmJoin`] | uniform grid, *space*-oriented, replicates | TOUCH is ~1 order of magnitude faster |
 //! | [`S3Join`] | synchronized R-Tree traversal, indexes both sides | TOUCH is ~2 orders faster at equal memory |
-//! | [`TouchJoin`] | hierarchical *data*-oriented partitioning, no replication; CSR buckets + SoA lanes + hybrid bucket sweep | — |
+//! | [`TouchJoin`] | hierarchical *data*-oriented partitioning, no replication; Hilbert-ordered CSR buckets + SoA lane masks | — |
 //!
 //! For repeated joins against a fixed dataset A, build a [`TouchEngine`]
 //! once and drive it with a reusable [`JoinScratch`] — steady-state

@@ -40,26 +40,34 @@
 //!   stacks, epoch marks, CSR arrays, pair buffers) — steady-state joins
 //!   through a prebuilt [`TouchEngine`] perform **zero** heap
 //!   allocations at one thread;
+//! * B is visited in **space order**: every object is keyed by the
+//!   centre of its box on a Hilbert curve over A's root box, 10 bits an
+//!   axis, and the assign phase walks B sorted by `(key, index)`. The
+//!   counting sort into buckets is stable, so every bucket holds its
+//!   objects in curve order, and a run of consecutive slots is one
+//!   compact neighbourhood: its slots share the subtrees below the
+//!   bucket's node, so a task visits few nodes and puts many slots on
+//!   each leaf it reaches. The order depends on the data only;
 //! * both phases run on [`neurospatial_geom::Executor`] workers, one
-//!   scratch per worker. The assign phase gives every worker one
-//!   contiguous chunk of B (a descent costs about the same for every
-//!   object). The join phase cannot be split by bucket: in dense tissue
-//!   most probes are ambiguous at the root, so one bucket holds most of
-//!   the data. It is cut into **tasks** of at most [`JOIN_TASK_SLOTS`]
-//!   consecutive CSR slots of one bucket, which the workers pull from a
-//!   shared counter. The task list depends on the data only, never on the
-//!   worker count, and the pairs are delivered in task order, so the pair
-//!   sequence and the comparison counts are the same at every worker
-//!   count;
-//! * per leaf visit the engine picks a **hybrid strategy**: the mask
-//!   scan for small sub-buckets, a bucket-local sort+sweep along x at or
-//!   above [`TouchJoin::sweep_min`] slots. The paper's critique of the
-//!   *global* plane sweep (dense data crowds the sweep line) does not
-//!   apply inside a bucket, where both sides are already spatially tight.
+//!   scratch per worker. The keys and the assign phase give every worker
+//!   one contiguous chunk (of B, then of the curve order; a key or a
+//!   descent costs about the same for every object). The join phase
+//!   cannot be split by bucket: in dense tissue most probes are ambiguous
+//!   at the root, so one bucket holds most of the data. It is cut into
+//!   **tasks** of at most [`JOIN_TASK_SLOTS`] consecutive CSR slots of one
+//!   bucket, which the workers pull from a shared counter. The task list
+//!   depends on the data only, never on the worker count, and the pairs
+//!   are delivered in task order, so the pair sequence and the comparison
+//!   counts are the same at every worker count;
+//! * a leaf is scanned with one lane mask per slot. A bucket-local
+//!   sort+sweep along x is still reachable for sub-buckets of at least
+//!   [`TouchJoin::sweep_min`] slots, but it is off by default: on
+//!   buckets in curve order the masks do all the leaf tests in less time
+//!   than the sweep takes to sort its share of them.
 
 use crate::stats::{JoinResult, JoinStats, PhaseTimer};
 use crate::{JoinObject, SpatialJoin};
-use neurospatial_geom::{Aabb, Executor};
+use neurospatial_geom::{Aabb, Executor, HilbertSorter, Vec3};
 use neurospatial_rtree::{EpochMarks, FrozenView, RTree, RTreeObject, RTreeParams};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -73,6 +81,12 @@ use std::time::{Duration, Instant};
 /// no worker up for long.
 pub const JOIN_TASK_SLOTS: usize = 2048;
 
+/// Bits an axis of the Hilbert curve B is visited along, a constant for
+/// the same reason as [`JOIN_TASK_SLOTS`]. 2^30 cells over A's root box
+/// are finer than any leaf, and a key fits in a `u64` above the object's
+/// 32-bit index.
+const ORDER_BITS: u32 = 10;
+
 /// The TOUCH join (cache-conscious engine).
 #[derive(Debug, Clone, Copy)]
 pub struct TouchJoin {
@@ -80,14 +94,15 @@ pub struct TouchJoin {
     pub fanout: usize,
     /// Worker threads for the assign+join phases (1 = sequential).
     pub threads: usize,
-    /// Leaf buckets with at least this many B-objects switch from the
-    /// nested lane scan to a bucket-local sort+sweep along x.
+    /// Leaf sub-buckets with at least this many B-objects switch from the
+    /// lane mask to a bucket-local sort+sweep along x. Off (`usize::MAX`)
+    /// by default: on buckets in curve order the masks are faster.
     pub sweep_min: usize,
 }
 
 impl Default for TouchJoin {
     fn default() -> Self {
-        TouchJoin { fanout: 16, threads: 1, sweep_min: 32 }
+        TouchJoin { fanout: 16, threads: 1, sweep_min: usize::MAX }
     }
 }
 
@@ -103,7 +118,7 @@ impl TouchJoin {
         self
     }
 
-    /// Replace the bucket sort+sweep threshold.
+    /// Turn the leaf sort+sweep on from `sweep_min` slots (at least 2).
     pub fn with_sweep_min(mut self, sweep_min: usize) -> Self {
         self.sweep_min = sweep_min.max(2);
         self
@@ -230,7 +245,7 @@ impl<T: JoinObject> TouchEngine<T> {
     /// Execute the assign+join phases against `b`, writing qualifying
     /// `(a_index, b_index)` pairs into `out` (cleared first). `threads`
     /// workers (capped at the hardware, see [`Executor::new`]) run both
-    /// phases; `sweep_min` is the hybrid bucket threshold. The pair
+    /// phases; `sweep_min` is [`TouchJoin::sweep_min`]. The pair
     /// sequence and the comparison counts do not depend on `threads`. The
     /// returned stats cover only this call: `build_ms` is 0 (the build is
     /// amortised across joins) and `join_ms` includes copying the pairs
@@ -285,6 +300,7 @@ impl<T: JoinObject> TouchEngine<T> {
         }
         let JoinScratch {
             workers,
+            order,
             counts,
             starts,
             cursor,
@@ -301,11 +317,27 @@ impl<T: JoinObject> TouchEngine<T> {
             ws.reset();
         }
 
-        // --- Assign: every B-object descends the SoA lanes --------------
+        // --- Order: B along a Hilbert curve over A's root box -----------
+        // Keys are unique through the index, so the order is a function of
+        // the data. An empty root box (an A side of NaN boxes only) fails
+        // every object at the root test below, so any curve does there.
         let root_mbr = self.tree.root_mbr();
-        let tree = &self.tree;
+        let bounds = if root_mbr.is_empty() { Aabb::point(Vec3::ZERO) } else { root_mbr };
+        let curve = HilbertSorter::with_bits(bounds, ORDER_BITS);
         exec.for_each_chunk(b.len(), &mut workers[..assign_workers], |range, ws| {
-            assign_range(view, &root_mbr, b, range, eps, ws);
+            ws.keys.extend(range.map(|j| (curve.key(b[j].aabb().center()) << 32) | j as u64));
+        });
+        order.clear();
+        for ws in workers[..assign_workers].iter() {
+            order.extend_from_slice(&ws.keys);
+        }
+        order.sort_unstable();
+
+        // --- Assign: every B-object descends the SoA lanes, in order ----
+        let tree = &self.tree;
+        let order: &[u64] = order;
+        exec.for_each_chunk(order.len(), &mut workers[..assign_workers], |range, ws| {
+            assign_range(view, &root_mbr, b, &order[range], eps, ws);
         });
 
         // --- CSR buckets: count, prefix-sum, place -----------------------
@@ -313,8 +345,9 @@ impl<T: JoinObject> TouchEngine<T> {
         // below), so only touched nodes pay; `marks` makes first-touch
         // detection O(1) per item and the `active` list is sorted into
         // BFS id order so the join phase walks the arena sequentially.
-        // Workers are read in chunk order, so a bucket's slots hold its
-        // objects in B order at every worker count.
+        // Workers are read in chunk order and the placing pass is stable,
+        // so a bucket's slots hold its objects in curve order at every
+        // worker count.
         let n_nodes = view.node_count();
         if counts.len() < n_nodes {
             counts.resize(n_nodes, 0);
@@ -409,12 +442,15 @@ impl<T: JoinObject> TouchEngine<T> {
         } else {
             1.0
         };
-        // Memory: the frozen tree on A plus the CSR bucket arrays — one
+        // Memory: the frozen tree on A, B's curve order and the workers'
+        // key chunks it is gathered from, the CSR bucket arrays — one
         // slot and two six-lane boxes (raw and ε-inflated) per surviving
         // B object, no replication — the task list, and the workers'
         // lane-mask buffers.
+        let key_words: usize = workers.iter().map(|ws| ws.keys.capacity()).sum();
         let mask_words: usize = workers.iter().map(|ws| ws.masks.capacity()).sum();
         stats.aux_memory_bytes = self.tree.memory_bytes() as u64
+            + ((order.len() + key_words) * 8) as u64
             + (items.len() * 4 + lanes.bytes() + lanes_fb.bytes()) as u64
             + ((counts.len() + starts.len() + cursor.len() + active.len()) * 4) as u64
             + std::mem::size_of_val(tasks.as_slice()) as u64
@@ -425,14 +461,17 @@ impl<T: JoinObject> TouchEngine<T> {
 }
 
 /// Reusable transient state for [`TouchEngine::join_into`]: per-worker
-/// scratches (descent stacks, sort buffers, pair buffers, counters), the
-/// CSR bucket arrays with their six filter-box lanes, epoch marks for
+/// scratches (descent stacks, sort buffers, pair buffers, counters), B's
+/// visiting order, the CSR bucket arrays with their six filter-box lanes, epoch marks for
 /// first-touch bucket detection, and the assignment report. Create one
 /// (per thread pool) and reuse it across joins; after the first join has
 /// grown every buffer, subsequent single-threaded joins allocate nothing.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     workers: Vec<WorkerScratch>,
+    /// B in visiting order: `key << 32 | index`, sorted, `key` being the
+    /// object's box centre on a Hilbert curve over A's root box.
+    order: Vec<u64>,
     /// Per-SoA-node bucket sizes; all-zero between joins.
     counts: Vec<u32>,
     /// CSR prefix: node `n`'s bucket is `items[starts[n]..starts[n+1]]`.
@@ -531,8 +570,8 @@ impl BoxLanes {
     #[inline]
     fn aabb(&self, i: usize) -> Aabb {
         Aabb::new(
-            neurospatial_geom::Vec3::new(self.lo_x[i], self.lo_y[i], self.lo_z[i]),
-            neurospatial_geom::Vec3::new(self.hi_x[i], self.hi_y[i], self.hi_z[i]),
+            Vec3::new(self.lo_x[i], self.lo_y[i], self.lo_z[i]),
+            Vec3::new(self.hi_x[i], self.hi_y[i], self.hi_z[i]),
         )
     }
 
@@ -555,6 +594,9 @@ impl BoxLanes {
 /// bucket sort-order buffers, emitted pairs and statistics counters.
 #[derive(Debug, Default)]
 struct WorkerScratch {
+    /// `key << 32 | index` for this worker's chunk of B, gathered into
+    /// the scratch's `order`.
+    keys: Vec<u64>,
     /// `(soa node, b index)` assignments produced by this worker's chunk.
     assigned: Vec<(u32, u32)>,
     /// Raw (un-inflated) B AABBs, parallel to `assigned`.
@@ -591,6 +633,7 @@ struct WorkerScratch {
 
 impl WorkerScratch {
     fn reset(&mut self) {
+        self.keys.clear();
         self.assigned.clear();
         self.boxes.clear();
         self.pairs.clear();
@@ -611,20 +654,21 @@ impl WorkerScratch {
     }
 }
 
-/// Assignment descent for a contiguous range of B, over the SoA lanes.
-/// The descent stops early once a second intersecting child is seen —
-/// the object is ambiguous at this node no matter how many more children
-/// match.
+/// Assignment descent for a run of B's visiting order (an entry's low 32
+/// bits are the object's index), over the SoA lanes. The descent stops
+/// early once a second intersecting child is seen — the object is
+/// ambiguous at this node no matter how many more children match.
 fn assign_range<T: JoinObject>(
     view: FrozenView<'_>,
     root_mbr: &Aabb,
     b: &[T],
-    range: Range<usize>,
+    order: &[u64],
     eps: f64,
     ws: &mut WorkerScratch,
 ) {
-    for j in range {
-        let raw = b[j].aabb();
+    for &entry in order {
+        let j = entry as u32;
+        let raw = b[j as usize].aabb();
         let fb = raw.inflate(eps);
         ws.filter += 1;
         if !root_mbr.intersects(&fb) {
@@ -664,7 +708,7 @@ fn assign_range<T: JoinObject>(
             None => ws.filtered_out += 1,
             Some(n) => {
                 ws.record_depth(depth);
-                ws.assigned.push((n, j as u32));
+                ws.assigned.push((n, j));
                 ws.boxes.push(raw);
             }
         }
@@ -926,7 +970,6 @@ impl AssignmentReport {
 mod tests {
     use super::*;
     use crate::{NestedLoopJoin, PbsmJoin, PlaneSweepJoin, S3Join};
-    use neurospatial_geom::Vec3;
 
     fn grid_boxes(n: usize, offset: f64) -> Vec<Aabb> {
         (0..n)
@@ -952,7 +995,7 @@ mod tests {
         // Nodes of both kinds wider than one 64-entry lane mask: a root of
         // 80 leaves of 100, every leaf joined through its masks.
         let (a, b) = (grid_boxes(8000, 0.0), grid_boxes(8000, 0.8));
-        let wide = TouchJoin { sweep_min: usize::MAX, ..TouchJoin::default() }.with_fanout(100);
+        let wide = TouchJoin::default().with_fanout(100);
         let t = wide.join(&a, &b, 0.4);
         assert_eq!(t.sorted_pairs(), NestedLoopJoin.join(&a, &b, 0.4).sorted_pairs());
     }
@@ -980,8 +1023,9 @@ mod tests {
     ) -> (Vec<(u32, u32)>, JoinStats) {
         let mut pairs = Vec::new();
         let exec = Executor::io_bound(workers);
-        let stats =
-            engine.join_runs_on(&exec, b, eps, 32, scratch, |run| pairs.extend_from_slice(run));
+        let sweep_min = TouchJoin::default().sweep_min;
+        let stats = engine
+            .join_runs_on(&exec, b, eps, sweep_min, scratch, |run| pairs.extend_from_slice(run));
         (pairs, stats)
     }
 
@@ -1006,13 +1050,12 @@ mod tests {
     #[test]
     fn hybrid_sweep_agrees_with_nested_scan() {
         // Dense overlapping clouds produce big leaf buckets; force the
-        // sweep on (threshold 2) and off (usize::MAX) and compare.
+        // sweep on (threshold 2) and compare with the default masks.
         let a = grid_boxes(600, 0.0);
         let b = grid_boxes(600, 0.4);
         for eps in [0.0, 0.7, 2.5] {
             let swept = TouchJoin::default().with_sweep_min(2).join(&a, &b, eps);
-            let nested =
-                TouchJoin { sweep_min: usize::MAX, ..TouchJoin::default() }.join(&a, &b, eps);
+            let nested = TouchJoin::default().join(&a, &b, eps);
             assert_eq!(swept.sorted_pairs(), nested.sorted_pairs(), "eps={eps}");
             assert_eq!(swept.stats.results, nested.stats.results);
             // The sweep exists to do *fewer* comparisons on big buckets.
@@ -1036,7 +1079,8 @@ mod tests {
         for round in 0..4 {
             let b = grid_boxes(300 + round * 50, 0.3 + round as f64 * 0.2);
             let eps = round as f64 * 0.4;
-            let stats = engine.join_into(&b, eps, 1, 32, &mut scratch, &mut out);
+            let sweep_min = TouchJoin::default().sweep_min;
+            let stats = engine.join_into(&b, eps, 1, sweep_min, &mut scratch, &mut out);
             let reference = TouchJoin::default().join(&a, &b, eps);
             let mut got = out.clone();
             got.sort_unstable();
@@ -1044,9 +1088,11 @@ mod tests {
             assert_eq!(stats.results, reference.stats.results);
             let assigned: u64 = scratch.report().histogram.iter().sum();
             assert_eq!(assigned + scratch.report().filtered_out, b.len() as u64);
-            // The memory figure is the buffers' real sizes: per survivor
-            // one slot and twelve f64 lanes (its raw and its inflated box).
+            // The memory figure is the buffers' real sizes: per B object
+            // 8 bytes of visiting order, per survivor one slot and twelve
+            // f64 lanes (its raw and its inflated box).
             let s = &scratch;
+            assert_eq!(s.order.len(), b.len());
             let lanes: usize = [&s.lanes, &s.lanes_fb]
                 .into_iter()
                 .flat_map(|l| [&l.lo_x, &l.lo_y, &l.lo_z, &l.hi_x, &l.hi_y, &l.hi_z])
@@ -1056,7 +1102,10 @@ mod tests {
             let csr = s.items.len() + s.counts.len() + s.starts.len() + s.cursor.len();
             let masks: usize = s.workers.iter().map(|w| w.masks.capacity() * 8).sum();
             assert!(masks > 0, "an inner node was split");
+            let keys: usize = s.workers.iter().map(|w| w.keys.capacity() * 8).sum();
             let held = engine.tree.memory_bytes()
+                + b.len() * 8
+                + keys
                 + lanes
                 + (csr + s.active.len()) * 4
                 + std::mem::size_of_val(s.tasks.as_slice())
@@ -1078,6 +1127,12 @@ mod tests {
         b.extend([far(f64::NEG_INFINITY), nan]);
         for join in [TouchJoin::default(), TouchJoin::default().with_sweep_min(2)] {
             assert_eq!(join.join(&a, &b, 0.3).sorted_pairs(), want);
+            // An A side without a finite box has an empty or non-finite
+            // root box, and B is still keyed on a curve over it.
+            for bad in [vec![nan], vec![far(f64::INFINITY)]] {
+                let want = NestedLoopJoin.join(&bad, &b, 0.3).sorted_pairs();
+                assert_eq!(join.join(&bad, &b, 0.3).sorted_pairs(), want);
+            }
         }
     }
 
@@ -1088,13 +1143,51 @@ mod tests {
         let engine = TouchEngine::build(&a, 16);
         let mut scratch = JoinScratch::new();
         let mut out = Vec::new();
-        let seq = engine.join_into(&b, 0.6, 1, 32, &mut scratch, &mut out);
+        let seq =
+            engine.join_into(&b, 0.6, 1, TouchJoin::default().sweep_min, &mut scratch, &mut out);
         for workers in [2, 3, 8] {
             let (got, stats) = join_on_workers(&engine, &b, 0.6, workers, &mut scratch);
             assert_eq!(got, out, "workers={workers}");
             assert_eq!(stats.filter_comparisons, seq.filter_comparisons);
             assert_eq!(stats.refine_comparisons, seq.refine_comparisons);
         }
+    }
+
+    #[test]
+    fn buckets_hold_b_in_curve_order() {
+        // Rods across the whole grid along x are ambiguous at the root, so
+        // the root bucket is cut into several tasks; the small boxes among
+        // them land deeper. Every bucket must list its objects in
+        // `(key, index)` order, the same at every worker count.
+        let a = grid_boxes(1000, 0.0);
+        let coord = |i: usize, p: usize| (i * p % 1500) as f64 / 100.0;
+        let mut b = Vec::new();
+        for i in 0..3 * JOIN_TASK_SLOTS {
+            let (y, z) = (coord(i, 7919), coord(i, 104_729));
+            b.push(Aabb::new(Vec3::new(-1.0, y, z), Vec3::new(16.0, y + 0.1, z + 0.1)));
+            if i % 2 == 0 {
+                b.push(Aabb::cube(Vec3::new(coord(i, 6007), y, z), 0.3));
+            }
+        }
+        let engine = TouchEngine::build(&a, 16);
+        let mut scratch = JoinScratch::new();
+        let (mut pairs, stats) = join_on_workers(&engine, &b, 0.3, 1, &mut scratch);
+        assert!(scratch.report().histogram[0] as usize > 2 * JOIN_TASK_SLOTS);
+        assert!(stats.join_tasks > 3);
+        pairs.sort_unstable();
+        assert_eq!(pairs, NestedLoopJoin.join(&a, &b, 0.3).sorted_pairs());
+
+        let curve = HilbertSorter::with_bits(engine.tree.root_mbr(), ORDER_BITS);
+        let s = &scratch;
+        for &n in &s.active {
+            let bucket = &s.items[s.starts[n as usize] as usize..s.starts[n as usize + 1] as usize];
+            let keyed: Vec<(u64, u32)> =
+                bucket.iter().map(|&j| (curve.key(b[j as usize].center()), j)).collect();
+            assert!(keyed.windows(2).all(|w| w[0] < w[1]), "bucket {n} is out of curve order");
+        }
+        let items = scratch.items.clone();
+        join_on_workers(&engine, &b, 0.3, 3, &mut scratch);
+        assert_eq!(scratch.items, items, "the buckets at 3 workers");
     }
 
     #[test]
@@ -1144,7 +1237,8 @@ mod tests {
         assert!(TouchJoin::default().join(&one, &e, 1.0).pairs.is_empty());
         let engine = TouchEngine::build(&e, 16);
         let mut out = vec![(1u32, 1u32)];
-        let stats = engine.join_into(&one, 1.0, 2, 32, &mut JoinScratch::new(), &mut out);
+        let sweep_min = TouchJoin::default().sweep_min;
+        let stats = engine.join_into(&one, 1.0, 2, sweep_min, &mut JoinScratch::new(), &mut out);
         assert!(out.is_empty(), "join_into clears the output buffer");
         assert_eq!(stats.results, 0);
     }

@@ -37,7 +37,9 @@ fn join_on_workers(
 ) -> (Vec<(u32, u32)>, JoinStats) {
     let mut pairs = Vec::new();
     let exec = Executor::io_bound(workers);
-    let stats = engine.join_runs_on(&exec, b, eps, 32, scratch, |run| pairs.extend_from_slice(run));
+    let sweep_min = TouchJoin::default().sweep_min;
+    let stats =
+        engine.join_runs_on(&exec, b, eps, sweep_min, scratch, |run| pairs.extend_from_slice(run));
     (pairs, stats)
 }
 
