@@ -75,7 +75,7 @@ use crate::index::{
 use neurospatial_geom::{Aabb, Flow, Vec3};
 use neurospatial_model::{NavigationPath, NeuronSegment};
 use neurospatial_scout::SessionStats;
-use neurospatial_touch::{JoinResult, JoinStats, SpatialJoin};
+use neurospatial_touch::{JoinResult, JoinStats};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -716,32 +716,16 @@ impl<'a> TouchingQuery<'a> {
     /// counters, the database's [`TouchJoin`](neurospatial_touch::TouchJoin)
     /// run on the two population slices.
     pub fn collect(&self) -> Result<JoinResult, NeuroError> {
-        let (li, ri) = self.sides()?;
-        let a = &self.db.populations()[li].segments;
-        let b = &self.db.populations()[ri].segments;
-        let mut result = match self.left_side(a) {
-            None => self.db.join_config().join(a, b, self.epsilon),
-            Some((keep, filtered)) => {
-                let mut r = self.db.join_config().join(&filtered, b, self.epsilon);
-                for pair in &mut r.pairs {
-                    pair.0 = keep[pair.0 as usize];
-                }
-                r
-            }
-        };
-        if let Some(n) = self.limit {
-            if result.pairs.len() > n {
-                result.pairs.truncate(n);
-            }
-            result.stats.results = result.pairs.len() as u64;
-        }
-        Ok(result)
+        let mut pairs = Vec::new();
+        let stats = self.stream(|i, j| pairs.push((i, j)))?;
+        Ok(JoinResult { pairs, stats })
     }
 
     /// Deliver each `(left index, right index)` pair to `sink`, in
     /// [`collect`](Self::collect)'s order and straight from the join
     /// workers' buffers (the pairs are never gathered into one vector),
-    /// and return the join statistics.
+    /// and return the join statistics. The join runs in the database's
+    /// scratch, or in a fresh one while another join holds it.
     pub fn stream(&self, mut sink: impl FnMut(u32, u32)) -> Result<JoinStats, NeuroError> {
         let (li, ri) = self.sides()?;
         let a = &self.db.populations()[li].segments;
@@ -755,12 +739,14 @@ impl<'a> TouchingQuery<'a> {
             }
         };
         let join = self.db.join_config();
-        let mut stats = match self.left_side(a) {
-            None => join.join_each(a, b, self.epsilon, deliver),
+        let mut stats = self.db.with_join_scratch(|scratch| match self.left_side(a) {
+            None => join.join_each(a, b, self.epsilon, scratch, deliver),
             Some((keep, filtered)) => {
-                join.join_each(&filtered, b, self.epsilon, |i, j| deliver(keep[i as usize], j))
+                join.join_each(&filtered, b, self.epsilon, scratch, |i, j| {
+                    deliver(keep[i as usize], j)
+                })
             }
-        };
+        });
         stats.results = delivered as u64;
         Ok(stats)
     }
@@ -1039,6 +1025,7 @@ impl<'a> QuerySession<'a> {
 mod tests {
     use super::*;
     use neurospatial_model::CircuitBuilder;
+    use neurospatial_touch::SpatialJoin;
 
     fn db() -> (NeuroDb, neurospatial_model::Circuit) {
         let c = CircuitBuilder::new(6).neurons(10).build();
@@ -1253,6 +1240,69 @@ mod tests {
         let filtered = touching().filter(&pred).collect().expect("ok");
         assert!(!filtered.pairs.is_empty() && filtered.pairs.len() < all.pairs.len());
         assert_eq!(streamed(touching().filter(&pred)), filtered.pairs);
+    }
+
+    #[test]
+    fn joins_at_once_fall_back_to_a_fresh_scratch() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let (db, _) = db();
+        let touching = || db.query().touching("dendrites", 12.0).in_population("axons");
+        let want = touching().collect().expect("ok");
+        // Each join waits at its first pair until the other has reached
+        // its own. Both get there only if both run at once, one of them
+        // without the database's scratch.
+        let arrived = AtomicUsize::new(0);
+        let run = || {
+            let (mut pairs, mut met) = (Vec::new(), false);
+            let stats = touching()
+                .stream(|i, j| {
+                    if pairs.is_empty() {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while !met && Instant::now() < deadline {
+                            met = arrived.load(Ordering::SeqCst) == 2;
+                            std::thread::yield_now();
+                        }
+                    }
+                    pairs.push((i, j));
+                })
+                .expect("ok");
+            assert!(met, "the other join did not run beside this one");
+            (pairs, stats)
+        };
+        let (left, right) = std::thread::scope(|s| {
+            let left = s.spawn(run);
+            let right = s.spawn(run);
+            (left.join().expect("both met"), right.join().expect("both met"))
+        });
+        for (pairs, stats) in [left, right] {
+            assert_eq!(pairs, want.pairs);
+            assert_eq!(stats.results, want.stats.results);
+            assert_eq!(stats.filter_comparisons, want.stats.filter_comparisons);
+            assert_eq!(stats.refine_comparisons, want.stats.refine_comparisons);
+        }
+    }
+
+    #[test]
+    fn a_join_that_panics_leaves_the_next_one_correct() {
+        let (db, _) = db();
+        let touching = || db.query().touching("dendrites", 12.0).in_population("axons");
+        let want = touching().collect().expect("ok");
+        let mut seen = 0usize;
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            touching().stream(|_, _| {
+                seen += 1;
+                assert!(seen < want.pairs.len() / 2, "the sink gives up half way");
+            })
+        }));
+        assert!(panicked.is_err());
+        for _ in 0..2 {
+            let again = touching().collect().expect("ok");
+            assert_eq!(again.pairs, want.pairs);
+            assert_eq!(again.stats.filter_comparisons, want.stats.filter_comparisons);
+            assert_eq!(again.stats.refine_comparisons, want.stats.refine_comparisons);
+        }
     }
 
     #[test]

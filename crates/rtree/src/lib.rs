@@ -75,27 +75,44 @@ pub struct RTree<T: RTreeObject> {
     pub(crate) soa: Option<SoaArena>,
 }
 
-impl<T: RTreeObject + Send> RTree<T> {
+impl<T: RTreeObject> RTree<T> {
     /// Bulk load with Sort-Tile-Recursive packing. The fastest way to
     /// build, and produces minimal-overlap trees for static data. Call
     /// [`freeze`](Self::freeze) afterwards if the tree will serve scratch
     /// queries — freezing is not automatic, so builds that only walk the
-    /// tree directly (e.g. the TOUCH join's partitioning tree) pay
-    /// neither the SoA construction time nor its memory.
+    /// tree directly pay neither the SoA construction time nor its
+    /// memory. The tiling moves 32-byte `(centre, index)` keys, never the
+    /// objects; each object then moves into a slot of its own and from
+    /// there, in tile order, into its leaf.
     pub fn bulk_load(objects: Vec<T>, params: RTreeParams) -> Self {
-        Self::bulk_load_on(objects, params, &Executor::default())
-    }
-
-    /// [`bulk_load`](Self::bulk_load) with the slabs of every level tiled
-    /// on `exec`'s workers. The tree is identical, node for node, at
-    /// every worker count.
-    pub fn bulk_load_on(objects: Vec<T>, params: RTreeParams, exec: &Executor) -> Self {
         params.validate();
-        str_pack::bulk_load(objects, params, exec)
+        let exec = Executor::default();
+        let order =
+            str_pack::leaf_order(objects.len(), |i| objects[i].aabb(), params.max_entries, &exec);
+        let mut slots: Vec<Option<T>> = objects.into_iter().map(Some).collect();
+        str_pack::pack(order, params, &exec, |i| slots[i].take().expect("tiled once"))
     }
-}
 
-impl<T: RTreeObject> RTree<T> {
+    /// [`bulk_load`](Self::bulk_load) by index, with the slabs of every
+    /// level tiled on `exec`'s workers: the tree holds `n`
+    /// objects, object `i` having the box `box_of(i)` and being created
+    /// by `make(i)`, once, straight into its leaf (so a caller packing
+    /// views of a slice copies each element once). `make(i).aabb()` must
+    /// be `box_of(i)`. The tree is identical, node for node, to
+    /// `bulk_load` of the made objects in index order, at every worker
+    /// count.
+    pub fn bulk_load_on(
+        n: usize,
+        box_of: impl Fn(usize) -> Aabb,
+        params: RTreeParams,
+        exec: &Executor,
+        make: impl FnMut(usize) -> T,
+    ) -> Self {
+        params.validate();
+        let order = str_pack::leaf_order(n, box_of, params.max_entries, exec);
+        str_pack::pack(order, params, exec, make)
+    }
+
     /// An empty tree.
     pub fn new(params: RTreeParams) -> Self {
         params.validate();

@@ -6,41 +6,69 @@
 //! sequence into vertical slabs, sorts each slab by y, cuts again, sorts
 //! runs by z and packs consecutive objects into full leaves. Upper levels
 //! are built by applying the same procedure to the node centres.
+//!
+//! Here every level works on `(centre, index)` keys of 32 bytes, never
+//! on the objects: once the leaf keys are in tile order, each object is
+//! created (or moved) once, straight into its leaf. The order is a total
+//! one, ties broken by the earlier axes and then the index (see
+//! `sort_along`), so a cut along x or y only has to *select* which
+//! keys fall into each slab, O(n log slabs) instead of a full sort; the
+//! z sort of each run cut into nodes fixes the order inside a node.
 
 use crate::node::{Node, NodeKind, RTreeObject};
 use crate::{NodeId, RTree, RTreeParams};
 use neurospatial_geom::{Aabb, Executor, Vec3};
+use std::cmp::Ordering;
 use std::sync::Mutex;
 
-/// Build a tree by STR packing. Objects end up in leaves in tile order;
-/// leaf nodes are allocated contiguously in the arena, which gives
-/// sequential page ids to spatially adjacent leaves (the layout the disk
-/// simulator rewards, as a real bulk loader would). The x slabs of every
-/// level are tiled on `exec`; the tree is the same at every worker count.
-/// An object whose box has a non-finite centre lands in some leaf and, a
-/// NaN box meeting nothing, is found by no query.
-pub fn bulk_load<T: RTreeObject + Send>(
-    mut objects: Vec<T>,
+/// The leaf level of an STR packing: the objects' indices in tile order,
+/// and the lengths of the runs that make up the leaves.
+pub(crate) struct LeafOrder {
+    order: Vec<u32>,
+    runs: Vec<usize>,
+}
+
+/// Tile `n` objects, object `i` having the box `box_of(i)`, into STR leaf
+/// order. The selections and sorts move 32-byte `(centre, index)` keys,
+/// never the objects themselves, and only the indices outlive the tiling.
+pub(crate) fn leaf_order(
+    n: usize,
+    box_of: impl Fn(usize) -> Aabb,
+    cap: usize,
+    exec: &Executor,
+) -> LeafOrder {
+    assert!(u32::try_from(n).is_ok(), "an STR build indexes at most u32::MAX objects");
+    let mut keys: Vec<(Centre, u32)> = (0..n).map(|i| (sort_key(box_of(i)), i as u32)).collect();
+    let runs = if n == 0 { Vec::new() } else { str_tile(&mut keys, cap, exec) };
+    LeafOrder { order: keys.iter().map(|&(_, i)| i).collect(), runs }
+}
+
+/// Build a tree from a [`LeafOrder`]: `make(i)` creates object `i` once,
+/// in tile order, straight into its leaf. Leaf nodes are allocated
+/// contiguously in the arena, which gives sequential page ids to
+/// spatially adjacent leaves (the layout the disk simulator rewards, as a
+/// real bulk loader would). The x slabs of every level are tiled on
+/// `exec`; the tree is the same at every worker count. An object whose
+/// box has a non-finite centre lands in some leaf and, a NaN box meeting
+/// nothing, is found by no query.
+pub(crate) fn pack<T: RTreeObject>(
+    leaves: LeafOrder,
     params: RTreeParams,
     exec: &Executor,
+    mut make: impl FnMut(usize) -> T,
 ) -> RTree<T> {
-    if objects.is_empty() {
+    let LeafOrder { order, runs } = leaves;
+    if order.is_empty() {
         return RTree::new(params);
     }
     let cap = params.max_entries;
 
     // --- Pack leaves ----------------------------------------------------
-    // The sorts move 32-byte (centre, index) keys; each object then moves
-    // once, to its place in tile order.
-    let mut keys: Vec<(Vec3, usize)> =
-        objects.iter().enumerate().map(|(i, o)| (sort_key(o.aabb()), i)).collect();
-    let runs = str_tile(&mut keys, cap, exec);
-    gather_in_place(&mut objects, keys);
     let mut nodes: Vec<Node<T>> = Vec::new();
-    let mut level_ids: Vec<NodeId> = Vec::new();
-    let mut objects = objects.into_iter();
+    let mut level_ids: Vec<NodeId> = Vec::with_capacity(runs.len());
+    let mut order_left = order.iter();
     for len in runs {
-        let leaf_items: Vec<T> = objects.by_ref().take(len).collect();
+        let leaf_items: Vec<T> = order_left.by_ref().take(len).map(|&i| make(i as usize)).collect();
         let mbr = leaf_items.iter().fold(Aabb::EMPTY, |mbr, o| mbr.union(&o.aabb()));
         level_ids.push(nodes.len());
         nodes.push(Node { mbr, parent: None, kind: NodeKind::Leaf(leaf_items) });
@@ -50,7 +78,7 @@ pub fn bulk_load<T: RTreeObject + Send>(
     let mut height = 1usize;
     while level_ids.len() > 1 {
         height += 1;
-        let mut entries: Vec<(Vec3, NodeId)> =
+        let mut entries: Vec<(Centre, NodeId)> =
             level_ids.iter().map(|&id| (sort_key(nodes[id].mbr), id)).collect();
         let runs = str_tile(&mut entries, cap, exec);
         let mut next_level = Vec::with_capacity(runs.len());
@@ -61,7 +89,7 @@ pub fn bulk_load<T: RTreeObject + Send>(
             let mut children = Vec::with_capacity(len);
             for (_, c) in entries.by_ref().take(len) {
                 mbr = mbr.union(&nodes[c].mbr);
-                nodes.push_parent(c, id);
+                nodes[c].parent = Some(id);
                 children.push(c);
             }
             nodes.push(Node { mbr, parent: None, kind: NodeKind::Inner(children) });
@@ -71,31 +99,25 @@ pub fn bulk_load<T: RTreeObject + Send>(
     }
 
     let root = level_ids[0];
-    let len = nodes
-        .iter()
-        .map(|n| match &n.kind {
-            NodeKind::Leaf(v) => v.len(),
-            NodeKind::Inner(_) => 0,
-        })
-        .sum();
-    RTree { nodes, root, params, len, height, free: Vec::new(), soa: None }
+    RTree { nodes, root, params, len: order.len(), height, free: Vec::new(), soa: None }
 }
 
-/// Reorder a level's `items` (center, payload; at least one) into STR
+/// Reorder a level's `items` (centre, payload; at least one) into STR
 /// tile order and return the lengths of the consecutive runs of at most
-/// `cap` elements that make up its nodes. The x sort is one pass over
-/// everything; each x slab is then tiled along y and z independently of
-/// the others, on `exec`'s workers.
-fn str_tile<P: Send>(items: &mut [(Vec3, P)], cap: usize, exec: &Executor) -> Vec<usize> {
+/// `cap` elements that make up its nodes. The x slabs are selected in one
+/// pass over everything; each slab is then tiled along y and z
+/// independently of the others, on `exec`'s workers.
+fn str_tile<P: Ord + Send>(items: &mut [(Centre, P)], cap: usize, exec: &Executor) -> Vec<usize> {
     if items.len() <= cap {
         return vec![items.len()];
     }
-    sort_along(items, 0);
+    let sizes: Vec<usize> = cut_sizes(items.len(), cap, 0).collect();
+    select_pieces(items, &sizes, 0);
     // A slab and its run lengths, behind a lock that is never contended:
     // task `i` is the only one that touches slab `i`.
-    let mut slabs = Vec::new();
+    let mut slabs = Vec::with_capacity(sizes.len());
     let mut rest = items;
-    for size in cut_sizes(rest.len(), cap, 0) {
+    for size in sizes {
         let (slab, tail) = rest.split_at_mut(size);
         slabs.push(Mutex::new((slab, Vec::new())));
         rest = tail;
@@ -104,7 +126,7 @@ fn str_tile<P: Send>(items: &mut [(Vec3, P)], cap: usize, exec: &Executor) -> Ve
     exec.for_each_task(slabs.len(), &mut vec![(); workers], |i, ()| {
         let mut slab = slabs[i].lock().expect("no other task holds this slab");
         let (items, runs) = &mut *slab;
-        tile_slab(items, cap, 1, runs);
+        tile_piece(items, cap, 1, runs);
     });
     slabs
         .into_iter()
@@ -112,56 +134,85 @@ fn str_tile<P: Send>(items: &mut [(Vec3, P)], cap: usize, exec: &Executor) -> Ve
         .collect()
 }
 
-/// Reorder `objects` so that position `i` holds the object `order[i]`
-/// names, by walking the permutation's cycles: one swap an object, no
-/// second buffer. An index is overwritten with its own position once that
-/// position is final.
-fn gather_in_place<T>(objects: &mut [T], mut order: Vec<(Vec3, usize)>) {
-    for start in 0..order.len() {
-        let mut at = start;
-        loop {
-            let from = std::mem::replace(&mut order[at].1, at);
-            if from == start {
-                break; // the object that began at `start` has arrived
-            }
-            objects.swap(at, from);
-            at = from;
+/// Tile one piece along `axis` (1 = y, 2 = z), then the axes after it,
+/// appending its run lengths to `runs`. The piece holds the right
+/// elements in no particular order: the order STR gives them comes from
+/// the last sort that sees them. That is the z sort of a run cut into
+/// leaves or nodes, or, for a piece already small enough to be one
+/// node, the sort along the axis that cut it out.
+fn tile_piece<P: Ord>(items: &mut [(Centre, P)], cap: usize, axis: usize, runs: &mut Vec<usize>) {
+    if items.len() <= cap {
+        sort_along(items, axis - 1);
+        runs.push(items.len());
+    } else if axis == 2 {
+        sort_along(items, axis);
+        runs.extend(cut_sizes(items.len(), cap, axis));
+    } else {
+        let sizes: Vec<usize> = cut_sizes(items.len(), cap, axis).collect();
+        select_pieces(items, &sizes, axis);
+        let mut rest = items;
+        for size in sizes {
+            let (piece, tail) = rest.split_at_mut(size);
+            tile_piece(piece, cap, axis + 1, runs);
+            rest = tail;
         }
     }
 }
 
-/// Tile one slab along `axis` (1 = y, 2 = z), then the axes after it,
-/// appending its run lengths to `runs`.
-fn tile_slab<P>(items: &mut [(Vec3, P)], cap: usize, axis: usize, runs: &mut Vec<usize>) {
-    if items.len() <= cap {
-        runs.push(items.len());
+/// Reorder `items` so that its consecutive pieces of the given `sizes`
+/// hold, in turn, the elements of successive rank ranges along `axis`
+/// (in [`sort_along`]'s order), each piece in no particular order: the
+/// cut a full sort would make, at O(n log pieces) instead of O(n log n).
+/// The order is total, so the pieces are a function of the data.
+fn select_pieces<P: Ord>(items: &mut [(Centre, P)], sizes: &[usize], axis: usize) {
+    if sizes.len() < 2 {
         return;
     }
-    sort_along(items, axis);
-    let mut rest = items;
-    for size in cut_sizes(rest.len(), cap, axis) {
-        let (run, tail) = rest.split_at_mut(size);
-        if axis + 1 < 3 {
-            tile_slab(run, cap, axis + 1, runs);
-        } else {
-            runs.push(size);
-        }
-        rest = tail;
+    let half = sizes.len() / 2;
+    let at: usize = sizes[..half].iter().sum();
+    items.select_nth_unstable_by(at, |a, b| cmp_along(a, b, axis));
+    let (left, right) = items.split_at_mut(at);
+    select_pieces(left, &sizes[..half], axis);
+    select_pieces(right, &sizes[half..], axis);
+}
+
+/// Sort along `axis`. Ties are broken by the earlier axes in reverse
+/// order and then by the payload: `(y, x, payload)` for y, `(z, y, x,
+/// payload)` for z. Payloads enter a level in ascending order (object
+/// indices, node ids), so this is exactly the order the classic
+/// formulation's stable sorts give, one axis after the other, and it is
+/// total, so a sort or a selection by it has one answer whatever the
+/// input order.
+fn sort_along<P: Ord>(items: &mut [(Centre, P)], axis: usize) {
+    items.sort_unstable_by(|a, b| cmp_along(a, b, axis));
+}
+
+fn cmp_along<P: Ord>(a: &(Centre, P), b: &(Centre, P), axis: usize) -> Ordering {
+    let (u, v) = (&a.0, &b.0);
+    match axis {
+        0 => (u[0], &a.1).cmp(&(v[0], &b.1)),
+        1 => (u[1], u[0], &a.1).cmp(&(v[1], v[0], &b.1)),
+        _ => (u[2], u[1], u[0], &a.1).cmp(&(v[2], v[1], v[0], &b.1)),
     }
 }
 
-/// Stable, and total on every `f64`: a box with a non-finite centre (the
-/// database's builder rejects those, a direct caller may pass one) is
-/// sorted to an end of the run instead of stopping the build.
-fn sort_along<P>(items: &mut [(Vec3, P)], axis: usize) {
-    items.sort_by(|a, b| a.0.axis(axis).total_cmp(&b.0.axis(axis)));
-}
+/// The centre STR orders a box by, one integer an axis that orders as
+/// `f64::total_cmp` orders the coordinate. Total on every `f64`: a box
+/// with a non-finite centre (the database's builder rejects those, a
+/// direct caller may pass one) is sorted to an end of the run instead of
+/// stopping the build.
+type Centre = [u64; 3];
 
-/// The centre STR orders a box by. Adding `0.0` turns `-0.0` into `+0.0`
-/// and changes no other value, so `total_cmp` ties exactly the keys that
-/// compare equal.
-fn sort_key(bb: Aabb) -> Vec3 {
-    bb.center() + Vec3::ZERO
+/// Adding `0.0` turns `-0.0` into `+0.0` and changes no other value, so
+/// the keys tie exactly where the centres compare equal.
+fn sort_key(bb: Aabb) -> Centre {
+    let c = bb.center() + Vec3::ZERO;
+    [c.x, c.y, c.z].map(|v| {
+        // `total_cmp`'s transform, then the sign bit flipped so that
+        // unsigned order is signed order.
+        let bits = v.to_bits();
+        bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+    })
 }
 
 /// Sizes of the pieces `n > cap` sorted elements are cut into along
@@ -180,17 +231,6 @@ fn cut_sizes(n: usize, cap: usize, axis: usize) -> impl Iterator<Item = usize> {
     };
     let (base, extra) = (n / pieces, n % pieces);
     (0..pieces).map(move |c| base + usize::from(c < extra))
-}
-
-/// Tiny extension trait to keep parent wiring readable above.
-trait PushParent<T> {
-    fn push_parent(&mut self, child: NodeId, parent: NodeId);
-}
-
-impl<T: RTreeObject> PushParent<T> for Vec<Node<T>> {
-    fn push_parent(&mut self, child: NodeId, parent: NodeId) {
-        self[child].parent = Some(parent);
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +278,9 @@ mod tests {
             let params = RTreeParams::with_max_entries(cap);
             let seq = RTree::bulk_load(cubes(n), params);
             for workers in [2usize, 3, 8] {
-                let par = RTree::bulk_load_on(cubes(n), params, &Executor::io_bound(workers));
+                let objs = cubes(n);
+                let exec = Executor::io_bound(workers);
+                let par = RTree::bulk_load_on(n, |i| objs[i], params, &exec, |i| objs[i]);
                 assert_same_tree(&par, &seq, &format!("n={n} workers={workers}"));
             }
         }
@@ -268,6 +310,143 @@ mod tests {
         let params = RTreeParams::with_max_entries(8);
         let want = RTree::bulk_load(plain, params);
         assert_same_tree(&RTree::bulk_load(signed, params), &want, "signed zeros");
+    }
+
+    /// A box and the position it was built from, so that a digest of the
+    /// leaves covers the order the objects land in.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tagged {
+        bb: Aabb,
+        id: u32,
+    }
+
+    impl RTreeObject for Tagged {
+        fn aabb(&self) -> Aabb {
+            self.bb
+        }
+    }
+
+    /// 40 000 seeded boxes in a 100 µm cube with every kind of tie: every
+    /// 31st is a point at a signed zero on x and z, every 9th (of the
+    /// rest) repeats an earlier box, every 13th has its centre at y = 50
+    /// and every 17th at z = 25, and the last is NaN.
+    fn seeded_cloud() -> Vec<Aabb> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut unit = move || {
+            // SplitMix64, top 53 bits as a float in [0, 1).
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut cloud: Vec<Aabb> = Vec::with_capacity(40_000);
+        for i in 0..40_000usize {
+            let bb = if i == 39_999 {
+                Aabb::point(Vec3::splat(f64::NAN))
+            } else if i % 31 == 0 {
+                let sign = if i % 2 == 0 { -1.0 } else { 1.0 };
+                Aabb::point(Vec3::new(sign * 0.0, unit() * 100.0, -sign * 0.0))
+            } else if i % 9 == 0 {
+                cloud[(unit() * i as f64) as usize]
+            } else {
+                let mut c = Vec3::new(unit(), unit(), unit()) * 100.0;
+                let mut h = Vec3::new(0.1 + unit(), 0.1 + unit(), 0.1 + unit());
+                // Half-extents of 0.5 keep these centres exact.
+                if i % 13 == 0 {
+                    (c.y, h.y) = (50.0, 0.5);
+                }
+                if i % 17 == 0 {
+                    (c.z, h.z) = (25.0, 0.5);
+                }
+                Aabb::new(c - h, c + h)
+            };
+            cloud.push(bb);
+        }
+        cloud
+    }
+
+    /// FNV-1a over every frozen node's entry range, leaf flag, entry-box
+    /// bits and entry refs, then the ids of the leaf objects in SoA order.
+    fn digest(tree: &RTree<Tagged>) -> u64 {
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01B3);
+            }
+        };
+        let view = tree.frozen().expect("frozen");
+        for n in 0..view.node_count() as u32 {
+            let (lo, hi) = view.entries(n);
+            eat(lo as u64);
+            eat(hi as u64);
+            eat(view.is_leaf(n) as u64);
+            for i in lo..hi {
+                let b = view.entry_aabb(i);
+                for v in [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z] {
+                    eat(v.to_bits());
+                }
+                eat(view.entry_ref(i) as u64);
+            }
+        }
+        for n in 0..view.node_count() as u32 {
+            if view.is_leaf(n) {
+                let leaf = tree.leaf_objects(view.orig(n));
+                let (lo, hi) = view.entries(n);
+                for i in lo..hi {
+                    eat(leaf[view.entry_ref(i) as usize].id as u64);
+                }
+            }
+        }
+        digest
+    }
+
+    fn build_tagged(cloud: &[Aabb], cap: usize, workers: usize) -> RTree<Tagged> {
+        let params = RTreeParams::with_max_entries(cap);
+        let exec = Executor::io_bound(workers);
+        RTree::bulk_load_on(
+            cloud.len(),
+            |i| cloud[i],
+            params,
+            &exec,
+            |i| Tagged { bb: cloud[i], id: i as u32 },
+        )
+    }
+
+    /// The packing is a pure function of its input: one digest pins the
+    /// frozen tree over a seeded cloud with tied, signed-zero and NaN
+    /// centres, at two fan-outs and every worker count. The short tails
+    /// of the cloud (`cap + 1` and `2 cap + 1` boxes, the NaN box always
+    /// among them) cut slabs and y runs that are already one node each.
+    /// The values were recorded from the packer before it sorted by
+    /// index and selected its slabs.
+    #[test]
+    fn seeded_cloud_tree_is_pinned_bit_for_bit() {
+        let cloud = seeded_cloud();
+        let pinned = [
+            (16usize, cloud.len(), 0xAF27_E6F5_EB9A_A79Eu64),
+            (16, 17, 0x19FB_B710_B295_5097),
+            (16, 33, 0xAB59_4763_D324_7500),
+            (16, 3000, 0x0869_5AEA_85BF_0283),
+            (64, cloud.len(), 0x2F14_4FAE_4C06_9708),
+            (64, 65, 0xF195_1F38_1D7D_4516),
+            (64, 129, 0x96A4_07DA_4DA6_1B64),
+            (64, 3000, 0xA240_2D03_6461_CBB7),
+        ];
+        for (cap, n, want) in pinned {
+            let tail = &cloud[cloud.len() - n..];
+            for workers in [1usize, 2, 3] {
+                let mut tree = build_tagged(tail, cap, workers);
+                assert_eq!(tree.len(), n);
+                tree.freeze();
+                let got = digest(&tree);
+                assert_eq!(got, want, "cap={cap} n={n} workers={workers}: {got:#018x}");
+            }
+            let tagged = tail.iter().enumerate().map(|(i, &bb)| Tagged { bb, id: i as u32 });
+            let mut owned = RTree::bulk_load(tagged.collect(), RTreeParams::with_max_entries(cap));
+            owned.freeze();
+            assert_eq!(digest(&owned), want, "cap={cap} n={n} from an owned vector");
+        }
     }
 
     #[test]

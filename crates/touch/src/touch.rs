@@ -140,15 +140,19 @@ impl TouchJoin {
 
     /// Run the join and hand every qualifying `(a_index, b_index)` pair
     /// to `sink`, in the order [`SpatialJoin::join`] would return them,
-    /// without first collecting them into one vector.
+    /// without first collecting them into one vector. The assign and
+    /// join phases run in `scratch`, so a caller that keeps one across
+    /// joins (as the database does) pays for its buffers once instead of
+    /// allocating and faulting them in on every cold join.
     pub fn join_each<T: JoinObject>(
         &self,
         a: &[T],
         b: &[T],
         eps: f64,
+        scratch: &mut JoinScratch,
         mut sink: impl FnMut(u32, u32),
     ) -> JoinStats {
-        self.join_runs(a, b, eps, &mut JoinScratch::new(), |run| {
+        self.join_runs(a, b, eps, scratch, |run| {
             for &(i, j) in run {
                 sink(i, j);
             }
@@ -187,16 +191,34 @@ impl SpatialJoin for TouchJoin {
     }
 }
 
-#[derive(Clone)]
-struct Indexed<T> {
-    obj: T,
-    idx: u32,
+/// An object of A and its position in A: what the leaves of an A-tree
+/// hold, so that a pair names the object it came from.
+pub(crate) struct Indexed<T> {
+    pub(crate) obj: T,
+    pub(crate) idx: u32,
 }
 
 impl<T: JoinObject> RTreeObject for Indexed<T> {
     fn aabb(&self) -> Aabb {
         self.obj.aabb()
     }
+}
+
+/// STR-pack `a` with the given fan-out, each element cloned once,
+/// straight into its leaf, next to its position.
+pub(crate) fn index_tree<T: JoinObject>(
+    a: &[T],
+    fanout: usize,
+    exec: &Executor,
+) -> RTree<Indexed<T>> {
+    let params = RTreeParams::with_max_entries(fanout.max(2));
+    RTree::bulk_load_on(
+        a.len(),
+        |i| a[i].aabb(),
+        params,
+        exec,
+        |i| Indexed { obj: a[i].clone(), idx: i as u32 },
+    )
 }
 
 /// A prebuilt TOUCH join engine over dataset A: the frozen STR tree plus
@@ -211,7 +233,9 @@ pub struct TouchEngine<T: JoinObject> {
 
 impl<T: JoinObject> TouchEngine<T> {
     /// STR-pack dataset A with the given fan-out and freeze the tree into
-    /// its structure-of-arrays traversal layout.
+    /// its structure-of-arrays traversal layout. The packer tiles
+    /// `(centre, index)` keys and then clones each element of `a` once,
+    /// straight into its leaf.
     pub fn build(a: &[T], fanout: usize) -> Self {
         Self::build_on(a, fanout, &Executor::default())
     }
@@ -220,10 +244,7 @@ impl<T: JoinObject> TouchEngine<T> {
     /// workers; the tree is the same at every worker count.
     fn build_on(a: &[T], fanout: usize, exec: &Executor) -> Self {
         let timer = PhaseTimer::start();
-        let wrapped: Vec<Indexed<T>> =
-            a.iter().enumerate().map(|(i, o)| Indexed { obj: o.clone(), idx: i as u32 }).collect();
-        let params = RTreeParams::with_max_entries(fanout.max(2));
-        let mut tree = RTree::bulk_load_on(wrapped, params, exec);
+        let mut tree = index_tree(a, fanout, exec);
         tree.freeze();
         TouchEngine { build_ms: timer.total_ms(), tree }
     }
@@ -1111,6 +1132,31 @@ mod tests {
                 + std::mem::size_of_val(s.tasks.as_slice())
                 + masks;
             assert_eq!(stats.aux_memory_bytes, held as u64, "round {round}");
+        }
+    }
+
+    #[test]
+    fn join_each_reuses_one_scratch_across_engines_and_epsilons() {
+        // Big, small, big again: the scratch's arrays shrink and regrow
+        // under it, and its all-zero bucket counts outlive a smaller tree.
+        let big = (grid_boxes(4000, 0.0), grid_boxes(3500, 0.6));
+        let small = (grid_boxes(150, 0.0), grid_boxes(120, 0.4));
+        for join in [TouchJoin::default(), TouchJoin::parallel(2)] {
+            let mut scratch = JoinScratch::new();
+            for (a, b) in [&big, &small, &big] {
+                for eps in [0.3, 1.2] {
+                    let mut pairs = Vec::new();
+                    let stats = join.join_each(a, b, eps, &mut scratch, |i, j| pairs.push((i, j)));
+                    let fresh = join.join(a, b, eps);
+                    let what = format!("|A|={} eps={eps}", a.len());
+                    assert_eq!(pairs, fresh.pairs, "{what}");
+                    let counters = |s: &JoinStats| {
+                        let c = (s.filter_comparisons, s.refine_comparisons, s.results);
+                        (c, s.filtered_out, s.join_tasks)
+                    };
+                    assert_eq!(counters(&stats), counters(&fresh.stats), "{what}");
+                }
+            }
         }
     }
 

@@ -8,9 +8,9 @@
 //! which is exactly what E5's build/probe breakdown shows.
 
 use crate::stats::{JoinResult, JoinStats, PhaseTimer};
+use crate::touch::index_tree;
 use crate::{JoinObject, SpatialJoin};
-use neurospatial_geom::Aabb;
-use neurospatial_rtree::{RTree, RTreeObject, RTreeParams};
+use neurospatial_geom::Executor;
 
 /// Synchronized traversal of two STR-packed R-Trees.
 #[derive(Debug, Clone, Copy)]
@@ -22,19 +22,6 @@ pub struct S3Join {
 impl Default for S3Join {
     fn default() -> Self {
         S3Join { fanout: 16 }
-    }
-}
-
-/// Indexed wrapper so leaves carry original positions.
-#[derive(Clone)]
-struct Indexed<T> {
-    obj: T,
-    idx: u32,
-}
-
-impl<T: JoinObject> RTreeObject for Indexed<T> {
-    fn aabb(&self) -> Aabb {
-        self.obj.aabb()
     }
 }
 
@@ -50,11 +37,9 @@ impl SpatialJoin for S3Join {
             return JoinResult::default();
         }
 
-        let wrap = |s: &[T]| -> Vec<Indexed<T>> {
-            s.iter().enumerate().map(|(i, o)| Indexed { obj: o.clone(), idx: i as u32 }).collect()
-        };
-        let ta = RTree::bulk_load(wrap(a), RTreeParams::with_max_entries(self.fanout));
-        let tb = RTree::bulk_load(wrap(b), RTreeParams::with_max_entries(self.fanout));
+        let exec = Executor::default();
+        let ta = index_tree(a, self.fanout, &exec);
+        let tb = index_tree(b, self.fanout, &exec);
         stats.aux_memory_bytes = (ta.memory_bytes() + tb.memory_bytes()) as u64;
         stats.build_ms = timer.lap();
 
@@ -115,7 +100,7 @@ impl SpatialJoin for S3Join {
 mod tests {
     use super::*;
     use crate::NestedLoopJoin;
-    use neurospatial_geom::Vec3;
+    use neurospatial_geom::{Aabb, Vec3};
 
     fn grid_boxes(n: usize, offset: f64) -> Vec<Aabb> {
         (0..n)
