@@ -12,7 +12,8 @@
 //!   with the default lane-mask leaves and with the opt-in leaf sweep;
 //! * sequential `Client::range` requests against a one-worker
 //!   `serve_with`, counting server decode, traversal, encode and client
-//!   decode together.
+//!   decode together: once with small boxes, and once with a wide box
+//!   every 16th request, whose answer spans several chunks.
 //!
 //! `cargo test -p neurospatial-bench --test zero_alloc` prints one line a
 //! check and exits non-zero naming every path that allocated.
@@ -143,20 +144,40 @@ fn main() {
         checks.push((path.to_string(), allocs));
     }
 
+    // Every 16th box of the second server check is the whole extent or
+    // one half of it: answers of 2-4 chunks of 512 segments, larger than
+    // the client's first read buffer, which grows once in the warm-up.
+    let mid = (bounds.lo.x + bounds.hi.x) / 2.0;
+    let wide = [
+        bounds,
+        Aabb { hi: Vec3::new(mid, bounds.hi.y, bounds.hi.z), ..bounds },
+        Aabb { lo: Vec3::new(mid, bounds.lo.y, bounds.lo.z), ..bounds },
+    ];
     let db = NeuroDb::builder().segments(segments).build().expect("flat db");
     let cfg = ServerConfig { workers: 1, ..Default::default() };
-    let allocs = serve_with(&db, &FilterRegistry::new(), &cfg, |handle| {
+    serve_with(&db, &FilterRegistry::new(), &cfg, |handle| {
         let mut client = Client::connect(handle.addr()).expect("connect");
         let desc = QueryDescView { tenant: 1, ..Default::default() };
         let mut out = Vec::new();
-        steady_allocations(|| {
+        let allocs = steady_allocations(|| {
             for i in 0..REQUESTS {
                 client.range(&desc, &queries[i % queries.len()], &mut out).expect("request");
             }
-        })
+        });
+        checks.push((format!("serve_with Client::range x{REQUESTS}, 1 worker"), allocs));
+
+        let mut largest = 0;
+        let allocs = steady_allocations(|| {
+            for i in 0..REQUESTS {
+                let q = if i % 16 == 0 { &wide[i / 16 % 3] } else { &queries[i % queries.len()] };
+                client.range(&desc, q, &mut out).expect("request");
+                largest = largest.max(out.len());
+            }
+        });
+        assert!(largest > 3 * 512, "the wide boxes answer in several chunks");
+        checks.push((format!("serve_with Client::range x{REQUESTS}, multi-chunk answers"), allocs));
     })
     .expect("serve");
-    checks.push((format!("serve_with Client::range x{REQUESTS}, 1 worker"), allocs));
 
     for (path, allocs) in &checks {
         println!("zero_alloc: {path}: {allocs} allocations");

@@ -904,7 +904,9 @@ impl<'a> QuerySession<'a> {
     /// are a valid prefix of the full answer (`stats` still matches what
     /// was delivered). `keep_going` is consulted once per emitted result,
     /// so a tripped budget cuts a stream short without abandoning
-    /// mid-frame state.
+    /// mid-frame state; it is called on the hot path, so a caller whose
+    /// check reads a clock can read it only every so many calls (the
+    /// server reads it on the first result and every 64th).
     pub fn try_range_budgeted(
         &mut self,
         region: &Aabb,

@@ -2,6 +2,11 @@
 //! one connection, reused frame buffers, results decoded into
 //! caller-provided warm vectors — after the first few requests the
 //! range/count/knn paths allocate nothing on either side of the socket.
+//!
+//! A request is one `send`. Its answer is parsed out of one
+//! [`FrameReader`](p::FrameReader) that lives as long as the client, so
+//! an answer the server wrote at once (a range's chunks and its `DONE`)
+//! is taken in with one `recv` when it fits the buffer.
 
 use crate::protocol::{
     self as p, HealthReport, PlanWire, ProtocolError, Request, TenantTotals, WalkSummary,
@@ -240,7 +245,7 @@ pub struct Client {
     /// The resolved peer, kept so [`reconnect`](Self::reconnect) can
     /// re-establish the connection after a `BUSY` shed closes it.
     addr: SocketAddr,
-    read_buf: Vec<u8>,
+    reader: p::FrameReader,
     write_buf: Vec<u8>,
 }
 
@@ -255,7 +260,7 @@ impl Client {
         Ok(Client {
             stream,
             addr,
-            read_buf: Vec::with_capacity(4096),
+            reader: p::FrameReader::new(),
             write_buf: Vec::with_capacity(4096),
         })
     }
@@ -263,11 +268,13 @@ impl Client {
     /// Re-establish the connection to the same resolved peer — a `BUSY`
     /// shed closes the socket server-side, so a retry loop reconnects
     /// before its next attempt. The frame buffers (and their warmth)
-    /// survive; the read timeout does not.
+    /// survive, emptied of anything the old socket sent; the read
+    /// timeout does not.
     pub fn reconnect(&mut self) -> io::Result<()> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
         self.stream = stream;
+        self.reader.clear();
         Ok(())
     }
 
@@ -290,7 +297,7 @@ impl Client {
                         | io::ErrorKind::ConnectionAborted
                 ) =>
             {
-                match p::read_frame(&mut self.stream, &mut self.read_buf) {
+                match self.reader.read_frame(&mut self.stream) {
                     Ok((p::OP_BUSY, _)) => Err(ClientError::Busy),
                     _ => Err(ClientError::Io(e)),
                 }
@@ -312,7 +319,7 @@ impl Client {
         p::encode_range_request(desc, region, &mut self.write_buf);
         self.send()?;
         loop {
-            let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+            let (op, payload) = self.reader.read_frame(&mut self.stream)?;
             match op {
                 p::OP_SEGMENT_CHUNK => p::decode_segment_chunk_into(payload, out)?,
                 p::OP_DONE => return Ok(p::decode_done(payload)?),
@@ -330,7 +337,7 @@ impl Client {
         self.write_buf.clear();
         p::encode_count_request(desc, region, &mut self.write_buf);
         self.send()?;
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_COUNT_RESULT => Ok(p::decode_count(payload)?),
             other => Err(terminal_error(other, payload)),
@@ -350,7 +357,7 @@ impl Client {
         p::encode_knn_request(desc, point, k, &mut self.write_buf);
         self.send()?;
         loop {
-            let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+            let (op, payload) = self.reader.read_frame(&mut self.stream)?;
             match op {
                 p::OP_NEIGHBOR_CHUNK => p::decode_neighbor_chunk_into(payload, out)?,
                 p::OP_DONE => return Ok(p::decode_done(payload)?),
@@ -373,7 +380,7 @@ impl Client {
         p::encode_request(&req, &mut self.write_buf);
         self.send()?;
         loop {
-            let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+            let (op, payload) = self.reader.read_frame(&mut self.stream)?;
             match op {
                 p::OP_PAIR_CHUNK => p::decode_pair_chunk_into(payload, out)?,
                 p::OP_DONE => return Ok(p::decode_done(payload)?),
@@ -393,7 +400,7 @@ impl Client {
         self.write_buf.clear();
         p::encode_request(&req, &mut self.write_buf);
         self.send()?;
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_WALK_RESULT => match p::decode_response(op, payload)? {
                 p::Response::Walkthrough(w) => Ok(w),
@@ -409,7 +416,7 @@ impl Client {
         self.write_buf.clear();
         p::encode_request(&wrapped, &mut self.write_buf);
         self.send()?;
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_PLAN_RESULT => match p::decode_response(op, payload)? {
                 p::Response::Plan(plan) => Ok(plan),
@@ -425,7 +432,7 @@ impl Client {
         self.write_buf.clear();
         p::encode_request(&req, &mut self.write_buf);
         self.send()?;
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_STATS_RESULT => match p::decode_response(op, payload)? {
                 p::Response::Stats(t) => Ok(t),
@@ -462,7 +469,7 @@ impl Client {
     }
 
     fn read_write_ack(&mut self) -> Result<p::WriteAckWire, ClientError> {
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_WRITE_ACK => Ok(p::decode_write_ack(payload)?),
             other => Err(terminal_error(other, payload)),
@@ -475,7 +482,7 @@ impl Client {
         self.write_buf.clear();
         p::encode_request(&Request::Health, &mut self.write_buf);
         self.send()?;
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_HEALTH_RESULT => match p::decode_response(op, payload)? {
                 p::Response::Health(h) => Ok(h),
@@ -492,7 +499,7 @@ impl Client {
         self.write_buf.clear();
         p::encode_request(&Request::Metrics, &mut self.write_buf);
         self.send()?;
-        let (op, payload) = p::read_frame(&mut self.stream, &mut self.read_buf)?;
+        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
         match op {
             p::OP_METRICS_RESULT => match p::decode_response(op, payload)? {
                 p::Response::Metrics(snap) => Ok(snap),

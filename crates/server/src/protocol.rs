@@ -569,23 +569,129 @@ fn end_frame(out: &mut [u8], at: usize) {
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Read one complete frame into `buf` (reused across calls — the steady
-/// state allocates nothing once the buffer has grown). Returns the
-/// opcode and the payload slice. Corrupt length headers surface as
-/// [`io::ErrorKind::InvalidData`] carrying the [`ProtocolError`].
-pub fn read_frame<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<(u8, &'a [u8])> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            ProtocolError::FrameTooLarge(len as u64),
-        ));
+/// One connection's read side: a buffer that is filled with whatever
+/// the socket has, out of which whole frames are parsed, and which keeps
+/// a partial frame's tail for the next fill. A request, or a range answer
+/// (its chunks and `DONE`), that the peer sent with one write is then
+/// taken in with one `read`, not two per frame.
+///
+/// The buffer starts at [`FrameReader::INITIAL`] bytes and grows only for
+/// a frame that does not fit: to that frame's size or to twice its own,
+/// whichever is larger, and it never shrinks, so a run of large frames
+/// grows it once. A length header is checked against [`MAX_FRAME`]
+/// before anything is sized from it.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::new()
     }
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
-    Ok((buf[0], &buf[1..]))
+}
+
+impl FrameReader {
+    /// Bytes allocated up front: a range answer of a few hundred
+    /// segments, with its `DONE`, fits in one fill.
+    pub const INITIAL: usize = 32 * 1024;
+
+    pub fn new() -> Self {
+        FrameReader { buf: vec![0; Self::INITIAL], start: 0, end: 0 }
+    }
+
+    /// Bytes read but not yet returned as a frame.
+    pub fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The buffer's size (it never shrinks).
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Drop every buffered byte, as when the socket they came from is
+    /// replaced.
+    pub fn clear(&mut self) {
+        (self.start, self.end) = (0, 0);
+    }
+
+    /// The length field of the frame at the front, once its header is
+    /// buffered: the one place a length header is validated.
+    fn front_len(&self) -> Result<Option<usize>, ProtocolError> {
+        let Some(header) = self.buf[self.start..self.end].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*header) as usize;
+        if len == 0 || len > MAX_FRAME {
+            return Err(ProtocolError::FrameTooLarge(len as u64));
+        }
+        Ok(Some(len))
+    }
+
+    /// The size (header included) of the frame at the front once all of
+    /// it is buffered, `None` before that.
+    pub(crate) fn frame_size(&self) -> Result<Option<usize>, ProtocolError> {
+        Ok(self.front_len()?.map(|len| 4 + len).filter(|&size| size <= self.buffered()))
+    }
+
+    /// Consume the `size`-byte frame [`frame_size`](Self::frame_size)
+    /// reported and return its opcode and payload.
+    pub(crate) fn take(&mut self, size: usize) -> (u8, &[u8]) {
+        let frame = &self.buf[self.start + 4..self.start + size];
+        self.start += size;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        (frame[0], &frame[1..])
+    }
+
+    /// One `read` from `r` into the free space; returns the bytes read
+    /// (0 at end of stream). Called only while no whole frame is
+    /// buffered, so there is free space once the partial frame at the
+    /// front has moved to the start of the buffer and the buffer has
+    /// grown if that frame's header says it cannot fit. A bad header is
+    /// `InvalidData`, and nothing is read.
+    pub(crate) fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let need = 4 + self.front_len().map_err(invalid_data)?.unwrap_or(0);
+        if need > self.buf.len() {
+            self.buf.resize(need.max(2 * self.buf.len()), 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Block until a whole frame is buffered, reading from `r` as
+    /// needed, and return it. A corrupt length header surfaces as
+    /// [`io::ErrorKind::InvalidData`] carrying the [`ProtocolError`], and
+    /// stays at the front, since nothing after it can be framed; an end
+    /// of stream, even between frames, surfaces as `UnexpectedEof`.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> io::Result<(u8, &[u8])> {
+        loop {
+            if let Some(size) = self.frame_size().map_err(invalid_data)? {
+                return Ok(self.take(size));
+            }
+            match self.fill(r) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// A corrupt length header as an I/O error, the form a reader returns.
+fn invalid_data(e: ProtocolError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 /// Write bytes previously produced by the `encode_*` functions.
@@ -835,7 +941,7 @@ fn decode_request_inner<'a>(
 }
 
 /// Decode a request frame body (opcode + payload as returned by
-/// [`read_frame`]) into the allocation-free view.
+/// [`FrameReader::read_frame`]) into the allocation-free view.
 pub fn decode_request_view(opcode: u8, payload: &[u8]) -> Result<RequestView<'_>, ProtocolError> {
     let mut rd = Rd::new(payload);
     let req = decode_request_inner(opcode, &mut rd, true)?;

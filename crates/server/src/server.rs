@@ -5,19 +5,24 @@
 //! database, many analysts' viewers hitting it — under this repo's
 //! offline constraint (no async runtime, `std::net` only):
 //!
-//! * the **acceptor** owns the listening socket. Each accepted
-//!   connection is offered to the workers through a *bounded*
-//!   [`std::sync::mpsc::sync_channel`]; when every worker is busy and
-//!   the queue is full, the acceptor writes one `BUSY` frame and closes
-//!   the socket — admission control as fast-reject, so overload sheds
-//!   arrivals in microseconds instead of stacking them into a latency
-//!   cliff;
+//! * the **acceptor** owns the listening socket and admits by count: it
+//!   keeps the number of admitted, unfinished connections, and while
+//!   that is below `workers + queue` it hands the connection to the
+//!   workers through a [`std::sync::mpsc::sync_channel`] sized to the
+//!   same ceiling. Above it, the acceptor writes one `BUSY` frame and
+//!   closes the socket — admission control as fast-reject, so overload
+//!   sheds arrivals in microseconds instead of stacking them into a
+//!   latency cliff. A worker frees its slot before it closes the
+//!   socket, so a client that sees the close may reconnect at once;
 //! * each **worker** owns one connection at a time, plus a persistent
-//!   [`QuerySession`] and read/write buffers that live across
-//!   connections — after warmup, serving a range/count/knn request
-//!   performs **zero heap allocations** end to end (decode borrows from
-//!   the read buffer, the session rebinds per request, results stream
-//!   from the session's reused buffer straight into the write buffer);
+//!   [`QuerySession`], a [`FrameReader`](p::FrameReader) and a write
+//!   buffer that live across connections. A request costs one `recv`
+//!   (the reader takes in whatever the socket has and parses whole
+//!   frames out of it) and one `send` (the whole answer). After warmup,
+//!   serving a range/count/knn request performs **zero heap
+//!   allocations** end to end (decode borrows from the read buffer, the
+//!   session rebinds per request, results stream from the session's
+//!   reused buffer straight into the write buffer);
 //! * per-tenant [`QueryStats`] totals accumulate under a mutex keyed by
 //!   the request's tenant id and are served back by the `STATS` opcode.
 //!
@@ -36,9 +41,9 @@ use neurospatial::{
     NeuroDb, NeuroError, Plan, QuerySession, QueryStats, SegmentPredicate, WalkthroughMethod,
 };
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::sync::{mpsc, Mutex};
@@ -81,10 +86,13 @@ pub struct ServerConfig {
     /// socket I/O, not CPU, so the count may exceed the core count
     /// (cf. `Executor::io_bound`).
     pub workers: usize,
-    /// Accepted-but-unclaimed connections the hand-off queue holds; 0
-    /// means a connection is admitted only if a worker is already
-    /// waiting. `workers + queue` is the admission ceiling — everything
-    /// beyond it is fast-rejected with `BUSY`.
+    /// Admitted connections that may wait for a worker. The admission
+    /// ceiling is exactly `workers + queue` connections in flight,
+    /// counted from admission until a worker has finished with one: up
+    /// to it every connection is admitted, whether or not a worker is
+    /// waiting at that instant, and everything beyond it is
+    /// fast-rejected with `BUSY`. With 0, `workers` connections are
+    /// admitted and none waits.
     pub queue: usize,
     /// Segments per streamed response chunk.
     pub chunk: usize,
@@ -93,9 +101,11 @@ pub struct ServerConfig {
     pub poll: Duration,
     /// Ceiling on wall-clock spent reading a *single frame* once its
     /// first byte has arrived (a connection may idle between frames
-    /// indefinitely). A client that trickles a frame byte-by-byte — the
-    /// slow-loris shape — is evicted when the ceiling trips, freeing the
-    /// worker.
+    /// indefinitely). One clock runs per frame, started when its first
+    /// byte is seen, also when that byte came in the same read as the
+    /// previous frame's tail. A client that trickles a frame
+    /// byte-by-byte — the slow-loris shape — is evicted when the ceiling
+    /// trips, freeing the worker.
     pub read_deadline: Duration,
     /// Write timeout on the response socket: a client that stops
     /// draining its receive window is disconnected instead of pinning
@@ -104,7 +114,9 @@ pub struct ServerConfig {
     /// Per-request execution budget. A range stream that exceeds it is
     /// cut short: the segments already encoded are sent, terminated by a
     /// typed `TIMEOUT` frame (in place of `DONE`) carrying the partial
-    /// stats.
+    /// stats. The clock is read on the first result and then on every
+    /// 64th, so a stream overshoots its budget by at most 63 results,
+    /// and a zero budget stops after the first.
     pub request_budget: Duration,
 }
 
@@ -266,6 +278,9 @@ struct Shared<'s> {
     metrics: &'s ServerMetrics,
     tenants: Mutex<HashMap<u32, TenantAccount>>,
     stop: AtomicBool,
+    /// Connections admitted and not yet finished by a worker, queued
+    /// ones included; admission holds it at or below `workers + queue`.
+    admitted: AtomicUsize,
 }
 
 /// Run the server over `db` until the callback returns: bind, spawn the
@@ -288,9 +303,12 @@ pub fn serve_with<R>(
         metrics: &metrics,
         tenants: Mutex::new(HashMap::new()),
         stop: AtomicBool::new(false),
+        admitted: AtomicUsize::new(0),
     };
     let workers = cfg.workers.max(1);
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(cfg.queue);
+    // Room for every connection admission lets in, so a hand-off never
+    // waits for a worker to be parked on the channel.
+    let (tx, rx) = mpsc::sync_channel::<TcpStream>(workers + cfg.queue);
     let rx = Mutex::new(rx);
 
     let result = std::thread::scope(|scope| {
@@ -333,25 +351,33 @@ fn acceptor_loop(shared: &Shared<'_>, listener: &TcpListener, tx: &SyncSender<Tc
     // Prebuilt BUSY frame: rejection must not allocate.
     let mut busy = Vec::new();
     p::encode_busy(&mut busy);
+    let ceiling = shared.cfg.workers.max(1) + shared.cfg.queue;
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        let stream = match conn {
+        let mut stream = match conn {
             Ok(s) => s,
             Err(_) => continue,
         };
         let _admission = obs::span!(obs::Stage::Admission);
-        match tx.try_send(stream) {
-            Ok(()) => {
-                shared.metrics.accepted.inc();
+        // Only this thread raises the count, so a connection seen below
+        // the ceiling is admitted, and the channel (sized to the ceiling)
+        // has room for it.
+        if shared.admitted.load(Ordering::Acquire) < ceiling {
+            shared.admitted.fetch_add(1, Ordering::AcqRel);
+            // Counted before the hand-off, so the count is never behind
+            // a request the connection has had answered.
+            shared.metrics.accepted.inc();
+            match tx.try_send(stream) {
+                Ok(()) => {}
+                Err(TrySendError::Full(_)) => unreachable!("admitted beyond the channel's bound"),
+                Err(TrySendError::Disconnected(_)) => break,
             }
-            Err(TrySendError::Full(mut stream)) => {
-                shared.metrics.rejected.inc();
-                let _ = stream.write_all(&busy);
-                // Drop closes the socket; the client sees BUSY then EOF.
-            }
-            Err(TrySendError::Disconnected(_)) => break,
+        } else {
+            shared.metrics.rejected.inc();
+            let _ = stream.write_all(&busy);
+            // Drop closes the socket; the client sees BUSY then EOF.
         }
     }
 }
@@ -361,7 +387,7 @@ fn worker_loop<'db>(shared: &Shared<'db>, rx: &Mutex<Receiver<TcpStream>>) {
     // serves: the query session (scratch + result buffers) and the
     // frame buffers.
     let mut session = shared.db.query().session();
-    let mut read_buf: Vec<u8> = Vec::with_capacity(4096);
+    let mut reader = p::FrameReader::new();
     let mut write_buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     loop {
         // Take the receiver lock only long enough to claim one
@@ -371,14 +397,24 @@ fn worker_loop<'db>(shared: &Shared<'db>, rx: &Mutex<Receiver<TcpStream>>) {
             rx.recv_timeout(shared.cfg.poll)
         };
         match claimed {
-            Ok(stream) => {
-                if let Err(e) =
-                    serve_connection(shared, stream, &mut session, &mut read_buf, &mut write_buf)
-                {
+            Ok(mut stream) => {
+                reader.clear();
+                let served = serve_connection(
+                    shared,
+                    &mut stream,
+                    &mut session,
+                    &mut reader,
+                    &mut write_buf,
+                );
+                if let Err(e) = served {
                     if e.kind() == io::ErrorKind::TimedOut {
                         shared.metrics.read_timeouts.inc();
                     }
                 }
+                // The slot is free before the socket closes, so a client
+                // that sees the close may reconnect at once.
+                shared.admitted.fetch_sub(1, Ordering::AcqRel);
+                drop(stream);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop.load(Ordering::Acquire) {
@@ -390,92 +426,68 @@ fn worker_loop<'db>(shared: &Shared<'db>, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// `read_exact` that survives read timeouts without losing its place,
-/// so the idle poll can observe shutdown between (but never inside)
-/// frames. Returns `Ok(false)` on clean end-of-stream or shutdown
-/// *before any byte* when `idle` (frame-boundary) reads are allowed to
-/// give up.
+/// Serve one connection until its peer closes it, shutdown is requested
+/// between frames, or a frame fails. Each request costs one `read` when
+/// the peer sent it with one write: frames are parsed out of `reader`,
+/// which is filled only when it holds no whole frame.
 ///
-/// The `deadline` bounds wall-clock from the first byte of this read to
-/// its completion — a connection may sit idle between frames forever,
-/// but once a frame has started arriving it must finish within the
-/// deadline or the connection is evicted (`TimedOut`). This is the
-/// slow-loris defense: trickling one byte per poll interval no longer
-/// pins a worker.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    idle: bool,
-    deadline: Duration,
-) -> io::Result<bool> {
-    let mut off = 0;
-    // The clock starts when the read stops being idle: immediately for
-    // mid-frame (body) reads, at the first byte for header reads.
-    let mut started: Option<Instant> = if idle { None } else { Some(Instant::now()) };
-    while off < buf.len() {
-        if let Some(start) = started {
-            if start.elapsed() > deadline {
-                return Err(io::ErrorKind::TimedOut.into());
-            }
-        }
-        match stream.read(&mut buf[off..]) {
-            Ok(0) => {
-                return if off == 0 && idle {
-                    Ok(false)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                }
-            }
-            Ok(n) => {
-                off += n;
-                started.get_or_insert_with(Instant::now);
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Acquire) && off == 0 && idle {
-                    return Ok(false);
-                }
-                if stop.load(Ordering::Acquire) {
-                    return Err(e); // mid-frame at shutdown: abandon
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
+/// `read_deadline` bounds the wall-clock from a frame's first byte to its
+/// last. The clock starts when a partial frame is first seen buffered,
+/// so also when its first bytes came in the same read as the previous
+/// frame's tail. A connection may sit idle between frames forever, but a
+/// frame that has started arriving must finish within the deadline or
+/// the connection is evicted (`TimedOut`): the slow-loris defense.
 fn serve_connection<'db>(
     shared: &Shared<'db>,
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     session: &mut QuerySession<'db>,
-    read_buf: &mut Vec<u8>,
+    reader: &mut p::FrameReader,
     write_buf: &mut Vec<u8>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(shared.cfg.poll))?;
     stream.set_write_timeout(Some(shared.cfg.write_deadline))?;
     let deadline = shared.cfg.read_deadline;
+    // When the first byte of the partial frame in `reader` was seen.
+    let mut started: Option<Instant> = None;
     loop {
-        // Frame header.
-        let mut header = [0u8; 4];
-        if !read_full(&mut stream, &mut header, &shared.stop, true, deadline)? {
-            return Ok(()); // clean EOF or shutdown at a frame boundary
-        }
-        let len = u32::from_le_bytes(header) as usize;
-        if len == 0 || len > p::MAX_FRAME {
-            shared.metrics.protocol_errors.inc();
-            write_buf.clear();
-            p::encode_error(p::ERR_PROTOCOL, "frame length out of range", write_buf);
-            let _ = stream.write_all(write_buf);
-            return Ok(());
-        }
-        read_buf.resize(len, 0);
-        if !read_full(&mut stream, read_buf, &shared.stop, false, deadline)? {
-            return Ok(());
-        }
-        let (opcode, payload) = (read_buf[0], &read_buf[1..]);
+        let size = match reader.frame_size() {
+            Ok(Some(size)) => size,
+            Ok(None) => {
+                let idle = reader.buffered() == 0;
+                if !idle && started.get_or_insert_with(Instant::now).elapsed() > deadline {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                match reader.fill(stream) {
+                    Ok(0) if idle => return Ok(()), // clean EOF at a frame boundary
+                    Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                    Ok(_) => {}
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        if shared.stop.load(Ordering::Acquire) {
+                            // Idle: a clean shutdown. Mid-frame: abandon.
+                            return if idle { Ok(()) } else { Err(e) };
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+                continue;
+            }
+            Err(err) => {
+                // A bad length header: nothing after it can be framed.
+                reply_protocol_error(shared, stream, write_buf, err);
+                return Ok(());
+            }
+        };
+        // Bytes past this frame belong to the next one, whose clock
+        // starts now.
+        started = (reader.buffered() > size).then(Instant::now);
+        let (opcode, payload) = reader.take(size);
         let decoded = {
             let _decode = obs::span!(obs::Stage::Decode);
             p::decode_request_view(opcode, payload)
@@ -493,14 +505,25 @@ fn serve_connection<'db>(
             Err(err) => {
                 // A connection that desynchronized its framing cannot be
                 // trusted further: reply, then close.
-                shared.metrics.protocol_errors.inc();
-                write_buf.clear();
-                p::encode_error(p::ERR_PROTOCOL, protocol_error_name(err), write_buf);
-                let _ = stream.write_all(write_buf);
+                reply_protocol_error(shared, stream, write_buf, err);
                 return Ok(());
             }
         }
     }
+}
+
+/// Count a protocol error and answer it with an error frame; the caller
+/// then closes the connection.
+fn reply_protocol_error(
+    shared: &Shared<'_>,
+    stream: &mut TcpStream,
+    write_buf: &mut Vec<u8>,
+    err: ProtocolError,
+) {
+    shared.metrics.protocol_errors.inc();
+    write_buf.clear();
+    p::encode_error(p::ERR_PROTOCOL, protocol_error_name(err), write_buf);
+    let _ = stream.write_all(write_buf);
 }
 
 /// Static description for the error frame — no `format!` on the reply
@@ -552,6 +575,11 @@ fn account(shared: &Shared<'_>, tenant: u32, stats: &QueryStats) {
     acct.stats.merge(stats);
 }
 
+/// A range stream reads the clock for its request budget on its first
+/// result and then on every this-many-th, not on each: a clock read costs
+/// tens of nanoseconds, as much as encoding a result.
+const BUDGET_CHECK_STRIDE: usize = 64;
+
 fn serve_request<'db>(
     shared: &Shared<'db>,
     session: &mut QuerySession<'db>,
@@ -564,9 +592,13 @@ fn serve_request<'db>(
                 return;
             }
             let deadline = Instant::now() + shared.cfg.request_budget;
-            match session
-                .try_range_budgeted(region, desc.allow_partial, || Instant::now() < deadline)
-            {
+            let mut emitted = 0usize;
+            let keep_going = || {
+                let check = emitted.is_multiple_of(BUDGET_CHECK_STRIDE);
+                emitted += 1;
+                !check || Instant::now() < deadline
+            };
+            match session.try_range_budgeted(region, desc.allow_partial, keep_going) {
                 Ok((segments, stats, completed)) => {
                     for chunk in segments.chunks(shared.cfg.chunk.max(1)) {
                         p::encode_segment_chunk(chunk, out);

@@ -436,10 +436,164 @@ fn read_frame_rejects_oversized_and_zero_lengths() {
     for len in [0u32, (p::MAX_FRAME as u32) + 1, u32::MAX] {
         let mut bytes = len.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 8]);
-        let mut buf = Vec::new();
-        let err = p::read_frame(&mut &bytes[..], &mut buf).unwrap_err();
+        let mut reader = p::FrameReader::new();
+        let err = reader.read_frame(&mut &bytes[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len={len}");
+        assert!(reader.capacity() < 64 * 1024, "len={len} sized the buffer");
+        let again = reader.read_frame(&mut &[][..]).unwrap_err();
+        assert_eq!(
+            again.kind(),
+            std::io::ErrorKind::InvalidData,
+            "len={len}: the header stays bad"
+        );
     }
+}
+
+/// A deterministic segment, distinct per `i`.
+fn nth_segment(i: u64) -> NeuronSegment {
+    let x = i as f64;
+    NeuronSegment {
+        id: i,
+        neuron: (i % 97) as u32,
+        section: (i % 13) as u32,
+        index_on_section: (i % 7) as u32,
+        geom: Segment { p0: Vec3::new(x, -x, 0.5), p1: Vec3::new(x + 1.0, 2.0, -x), radius: 0.25 },
+    }
+}
+
+fn segments(n: u64) -> Vec<NeuronSegment> {
+    (0..n).map(nth_segment).collect()
+}
+
+/// A range answer as a worker writes it: chunks of `SEGMENT_CHUNK`, then
+/// `DONE`.
+fn range_answer(n: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    for chunk in segments(n).chunks(p::SEGMENT_CHUNK) {
+        p::encode_segment_chunk(chunk, &mut out);
+    }
+    p::encode_done(&QueryStats { results: n, ..QueryStats::default() }, &mut out);
+    out
+}
+
+/// Split a run of encoded frames into `(opcode, payload)` by their
+/// headers.
+fn frames_of(mut bytes: &[u8]) -> Vec<(u8, Vec<u8>)> {
+    let mut frames = Vec::new();
+    while !bytes.is_empty() {
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let (op, payload) = split(&bytes[..4 + len]);
+        frames.push((op, payload.to_vec()));
+        bytes = &bytes[4 + len..];
+    }
+    frames
+}
+
+/// A `Read` over fixed bytes that counts its calls and hands out at most
+/// `next_size()` bytes per call.
+struct Feed<'a, F> {
+    bytes: &'a [u8],
+    reads: usize,
+    next_size: F,
+}
+
+impl<F: FnMut() -> usize> std::io::Read for Feed<'_, F> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        let n = (self.next_size)().min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+fn feed<F: FnMut() -> usize>(bytes: &[u8], next_size: F) -> Feed<'_, F> {
+    Feed { bytes, reads: 0, next_size }
+}
+
+#[test]
+fn frame_reader_parses_every_split_of_a_frame_stream() {
+    let mut stream = Vec::new();
+    p::encode_busy(&mut stream); // empty payload
+    p::encode_range_request(
+        &p::QueryDescView { tenant: 3, ..Default::default() },
+        &Aabb::cube(Vec3::new(1.0, 2.0, 3.0), 4.0),
+        &mut stream,
+    );
+    p::encode_segment_chunk(&[], &mut stream);
+    p::encode_metrics_request(&mut stream); // empty payload
+    stream.extend_from_slice(&range_answer(94));
+    p::encode_error(p::ERR_PROTOCOL, "bad", &mut stream);
+    // Frames larger than the reader's first buffer: it grows mid-stream.
+    stream.extend_from_slice(&range_answer(3 * p::SEGMENT_CHUNK as u64 + 5));
+    p::encode_segment_chunk(&segments(1500), &mut stream);
+    p::encode_busy(&mut stream);
+    let expected = frames_of(&stream);
+    assert!(expected.iter().any(|(_, payload)| payload.is_empty()));
+    assert!(expected.iter().any(|(_, payload)| payload.len() > p::FrameReader::INITIAL));
+
+    let mut rng = 0x5EED_u64;
+    for cap in [1, 2, 3, 5, 17, 256, 4096, 40_000, usize::MAX] {
+        for _ in 0..4 {
+            let mut source = feed(&stream, || {
+                rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (rng ^ (rng >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                if cap == usize::MAX {
+                    usize::MAX
+                } else {
+                    1 + (z >> 33) as usize % cap
+                }
+            });
+            let mut reader = p::FrameReader::new();
+            for (i, (op, payload)) in expected.iter().enumerate() {
+                let (got_op, got) = reader.read_frame(&mut source).expect("whole frame");
+                assert_eq!((got_op, got), (*op, &payload[..]), "frame {i}, splits up to {cap}");
+            }
+            assert_eq!(reader.buffered(), 0, "splits up to {cap}");
+            let end = reader.read_frame(&mut source).unwrap_err();
+            assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+        }
+    }
+}
+
+#[test]
+fn frame_reader_takes_a_buffered_answer_in_one_read() {
+    // A range answer the server wrote at once: its chunk and DONE.
+    let answer = range_answer(94);
+    let mut source = feed(&answer, || usize::MAX);
+    let mut reader = p::FrameReader::new();
+    let (op, payload) = reader.read_frame(&mut source).expect("chunk");
+    assert_eq!(op, p::OP_SEGMENT_CHUNK);
+    let mut got = Vec::new();
+    p::decode_segment_chunk_into(payload, &mut got).expect("decodes");
+    assert_eq!(got, segments(94));
+    let (op, payload) = reader.read_frame(&mut source).expect("done");
+    assert_eq!(op, p::OP_DONE);
+    assert_eq!(p::decode_done(payload).expect("decodes").results, 94);
+    assert_eq!(source.reads, 1, "chunk + DONE in one read");
+
+    // A request, on the server's side.
+    let mut request = Vec::new();
+    p::encode_count_request(
+        &p::QueryDescView { tenant: 1, ..Default::default() },
+        &Aabb::cube(Vec3::new(0.0, 0.0, 0.0), 2.0),
+        &mut request,
+    );
+    let mut source = feed(&request, || usize::MAX);
+    let (op, _) = reader.read_frame(&mut source).expect("request");
+    assert_eq!((op, source.reads), (p::OP_COUNT, 1));
+
+    // A multi-chunk answer larger than the buffer grows it on the first
+    // request and not again on the next.
+    let large = range_answer(4 * p::SEGMENT_CHUNK as u64);
+    let mut sizes = Vec::new();
+    for _ in 0..3 {
+        let mut source = feed(&large, || usize::MAX);
+        while reader.read_frame(&mut source).expect("frame").0 != p::OP_DONE {}
+        sizes.push(reader.capacity());
+    }
+    assert!(sizes[0] > p::FrameReader::INITIAL);
+    assert_eq!(sizes, [sizes[0]; 3], "the buffer grows once, not per answer");
 }
 
 #[test]

@@ -254,8 +254,8 @@ fn admission_control_sheds_and_recovers() {
         // closes the socket.
         let mut shed = std::net::TcpStream::connect(handle.addr()).expect("connect");
         shed.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        let mut buf = Vec::new();
-        let (op, payload) = p::read_frame(&mut shed, &mut buf).expect("busy frame");
+        let mut reader = p::FrameReader::new();
+        let (op, payload) = reader.read_frame(&mut shed).expect("busy frame");
         assert_eq!(op, p::OP_BUSY);
         assert!(payload.is_empty());
         drop(shed);
@@ -287,6 +287,64 @@ fn admission_control_sheds_and_recovers() {
     .expect("serve");
 }
 
+/// Admission is by count: `workers + queue` connections opened at once
+/// against idle workers are all admitted, whether or not a worker is
+/// parked on the hand-off at that instant. Each connection runs one
+/// request, half-closes, and waits for the server's close, which comes
+/// only after its slot is free; so the next round starts against idle
+/// workers with no sleep in between.
+#[test]
+fn idle_workers_admit_workers_plus_queue_at_once() {
+    use std::io::{Read, Write};
+
+    let circuit = circuit();
+    let db = build_db(&circuit, IndexBackend::Flat);
+    let filters = FilterRegistry::new();
+    let mut request = Vec::new();
+    let plain = QueryDescView { tenant: 1, ..Default::default() };
+    p::encode_count_request(&plain, &Aabb::cube(Vec3::new(0.0, 0.0, 0.0), 10.0), &mut request);
+
+    for (workers, queue) in [(1, 0), (2, 0), (2, 1)] {
+        let cfg =
+            ServerConfig { workers, queue, poll: Duration::from_millis(5), ..Default::default() };
+        serve_with(&db, &filters, &cfg, |handle| {
+            const ROUNDS: usize = 200;
+            let mut reader = p::FrameReader::new();
+            for round in 0..ROUNDS {
+                let mut conns: Vec<_> = (0..workers + queue)
+                    .map(|_| {
+                        let c = std::net::TcpStream::connect(handle.addr()).expect("connect");
+                        c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+                        c
+                    })
+                    .collect();
+                // In accept order: a queued connection is served once an
+                // earlier one has closed.
+                for (i, conn) in conns.iter_mut().enumerate() {
+                    conn.write_all(&request).expect("send");
+                    reader.clear();
+                    let (op, _) = reader.read_frame(conn).expect("answer");
+                    assert_eq!(
+                        op,
+                        p::OP_COUNT_RESULT,
+                        "workers {workers} queue {queue}: round {round} connection {i} not served"
+                    );
+                    conn.shutdown(std::net::Shutdown::Write).expect("half-close");
+                    assert_eq!(conn.read(&mut [0u8; 8]).expect("server closes"), 0);
+                }
+            }
+            let m = handle.metrics();
+            assert_eq!(
+                m.rejected.get(),
+                0,
+                "workers {workers} queue {queue}: BUSY under the ceiling"
+            );
+            assert_eq!(m.accepted.get(), (ROUNDS * (workers + queue)) as u64);
+        })
+        .expect("serve");
+    }
+}
+
 /// Garbage on the wire is answered with a typed protocol error frame,
 /// counted, and the connection is closed — the worker survives to serve
 /// the next client.
@@ -303,21 +361,22 @@ fn protocol_garbage_is_rejected_and_counted() {
         let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         raw.write_all(&[1, 0, 0, 0, 0xEE]).expect("send");
-        let mut buf = Vec::new();
-        let (op, payload) = p::read_frame(&mut raw, &mut buf).expect("error frame");
+        let mut reader = p::FrameReader::new();
+        let (op, payload) = reader.read_frame(&mut raw).expect("error frame");
         assert_eq!(op, p::OP_ERROR);
         match p::decode_response(op, payload).expect("decode") {
             p::Response::Error { code, .. } => assert_eq!(code, p::ERR_PROTOCOL),
             other => panic!("expected error response, got {other:?}"),
         }
         // ... and the server hangs up on us.
-        assert!(p::read_frame(&mut raw, &mut buf).is_err(), "connection should be closed");
+        assert!(reader.read_frame(&mut raw).is_err(), "connection should be closed");
 
         // A length header beyond MAX_FRAME.
         let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         raw.write_all(&u32::MAX.to_le_bytes()).expect("send");
-        let (op, _) = p::read_frame(&mut raw, &mut buf).expect("error frame");
+        let mut reader = p::FrameReader::new();
+        let (op, _) = reader.read_frame(&mut raw).expect("error frame");
         assert_eq!(op, p::OP_ERROR);
 
         assert!(
@@ -356,7 +415,7 @@ fn zero_budget_cuts_streams_with_a_typed_timeout() {
             Err(err @ ClientError::Timeout { .. }) => {
                 assert!(err.is_retryable(), "timeouts must be retryable");
                 let ClientError::Timeout { stats } = err else { unreachable!() };
-                assert!(stats.results >= 1, "the segment in hand is still delivered");
+                assert_eq!(stats.results, 1, "the first result checks the budget and is delivered");
                 assert_eq!(
                     segments.len() as u64,
                     stats.results,
@@ -416,6 +475,64 @@ fn slow_loris_connections_are_evicted() {
         client
             .count(&plain, &Aabb::cube(Vec3::new(0.0, 0.0, 0.0), 10.0))
             .expect("worker serves after evicting the loris");
+    })
+    .expect("serve");
+}
+
+/// The slow-loris clock starts at a frame's first byte even when that
+/// byte arrived in the same read as the previous frame: a whole request
+/// followed by two bytes of the next one, then silence, gets its answer
+/// and is then evicted by `read_deadline`.
+#[test]
+fn coalesced_slow_loris_is_answered_then_evicted() {
+    use std::io::{Read, Write};
+
+    let circuit = circuit();
+    let db = build_db(&circuit, IndexBackend::Flat);
+    let filters = FilterRegistry::new();
+    let cfg = ServerConfig {
+        workers: 1,
+        queue: 0,
+        poll: Duration::from_millis(5),
+        read_deadline: Duration::from_millis(50),
+        ..Default::default()
+    };
+
+    serve_with(&db, &filters, &cfg, |handle| {
+        let plain = QueryDescView { tenant: 1, ..Default::default() };
+        let region = Aabb::cube(Vec3::new(0.0, 0.0, 0.0), 10.0);
+        let mut bytes = Vec::new();
+        p::encode_count_request(&plain, &region, &mut bytes);
+        let whole = bytes.len();
+        p::encode_count_request(&plain, &region, &mut bytes);
+        bytes.truncate(whole + 2);
+
+        let mut loris = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        loris.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        loris.write_all(&bytes).expect("one write");
+        let start = std::time::Instant::now();
+        let mut reader = p::FrameReader::new();
+        let (op, payload) = reader.read_frame(&mut loris).expect("the whole request is answered");
+        assert_eq!(op, p::OP_COUNT_RESULT);
+        let (count, _) = p::decode_count(payload).expect("count");
+        assert_eq!(count, db.query().range(region).collect().expect("local").segments.len() as u64);
+
+        let mut buf = [0u8; 16];
+        match loris.read(&mut buf) {
+            Ok(0) | Err(_) => {} // hung up on us — the eviction
+            Ok(n) => panic!("server answered a partial frame with {n} bytes"),
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "eviction took {:?}, deadline was 50ms",
+            start.elapsed()
+        );
+        assert_eq!(handle.metrics().read_timeouts.get(), 1, "evicted by the read deadline");
+
+        // The only worker is free again.
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        client.count(&plain, &region).expect("worker serves after evicting the loris");
     })
     .expect("serve");
 }
