@@ -166,58 +166,20 @@ fn e1_flat_vs_rtree() {
         "rtree µs",
     ]);
 
-    for &neurons in &[10u32, 25, 50] {
-        let circuit = dense_circuit(neurons, 1);
-        let segments = circuit.segments().to_vec();
-        let flat =
-            FlatIndex::build(segments.clone(), FlatBuildParams::default().with_page_capacity(64));
-        let packed = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(64));
-        let mut dynamic = RTree::new(RTreeParams::with_max_entries(64));
-        for s in &segments {
-            dynamic.insert(*s);
-        }
-
-        for &half in &[10.0f64, 30.0] {
-            let w = standard_workload(&circuit, 40, half);
-            let n = w.queries.len() as f64;
-            let (mut results, mut f_reads, mut r_reads, mut d_reads) = (0u64, 0u64, 0u64, 0u64);
-            let (mut f_us, mut r_us) = (0.0f64, 0.0f64);
-            // Modelled disks (head position, nanoseconds): FLAT pages are
-            // Hilbert-contiguous, R-Tree nodes live wherever the arena
-            // put them.
-            let cost = CostModel::default();
-            let (mut f_head, mut f_ns, mut r_head, mut r_ns) = (None, 0u64, None, 0u64);
-            for q in &w.queries {
-                let t0 = Instant::now();
-                let (hits, fs) = flat.range_query_with(q, |acc| {
-                    if let neurospatial::flat::PageAccess::Data(p) = acc {
-                        f_ns += cost.read_ns(f_head.replace(p as u64), p as u64);
-                    }
-                });
-                f_us += t0.elapsed().as_secs_f64() * 1e6;
-                let t1 = Instant::now();
-                let (_, rs) = packed.range_query_with(q, |node, _| {
-                    r_ns += cost.read_ns(r_head.replace(node as u64), node as u64);
-                });
-                r_us += t1.elapsed().as_secs_f64() * 1e6;
-                let (_, ds) = dynamic.range_query(q);
-                results += hits.len() as u64;
-                f_reads += fs.pages_read + fs.seed_nodes_read;
-                r_reads += rs.nodes_visited();
-                d_reads += ds.nodes_visited();
-            }
+    for neurons in [10u32, 25, 50] {
+        for r in e1_rows(neurons) {
             t.row([
                 neurons.to_string(),
-                segments.len().to_string(),
-                format!("{:.0}³", half * 2.0),
-                f1(results as f64 / n),
-                f1(f_reads as f64 / n),
-                f1(r_reads as f64 / n),
-                f1(d_reads as f64 / n),
-                f2(f_ns as f64 / 1e6 / n),
-                f2(r_ns as f64 / 1e6 / n),
-                f1(f_us / n),
-                f1(r_us / n),
+                r.segments.to_string(),
+                format!("{:.0}³", r.half_extent * 2.0),
+                f1(r.avg_result),
+                f1(r.flat_reads),
+                f1(r.rtree_reads),
+                f1(r.dyn_reads),
+                f2(r.flat_io_ms),
+                f2(r.rtree_io_ms),
+                f1(r.flat_us),
+                f1(r.rtree_us),
             ]);
         }
     }

@@ -57,6 +57,88 @@ pub fn standard_workload(circuit: &Circuit, n: usize, half_extent: f64) -> Range
     )
 }
 
+/// One row of table E1: averages per query over one density and one
+/// query size, FLAT against the STR-packed and the dynamically built
+/// R-Tree (64 entries a node or page).
+#[derive(Debug, Clone, PartialEq)]
+pub struct E1Row {
+    pub segments: usize,
+    pub half_extent: f64,
+    pub avg_result: f64,
+    /// FLAT data pages plus seed-tree nodes.
+    pub flat_reads: f64,
+    pub rtree_reads: f64,
+    pub dyn_reads: f64,
+    /// Modelled I/O ([`CostModel::default`]): FLAT's data pages and the
+    /// packed tree's nodes, each read in visit order on its own disk.
+    pub flat_io_ms: f64,
+    pub rtree_io_ms: f64,
+    pub flat_us: f64,
+    pub rtree_us: f64,
+}
+
+/// Table E1's rows for `dense_circuit(neurons, 1)`: one row per query
+/// half-extent (10 and 30 µm), 40 data-centred queries each. Every
+/// column but the two wall times is a function of the inputs.
+pub fn e1_rows(neurons: u32) -> Vec<E1Row> {
+    use neurospatial::flat::PageAccess;
+    use std::time::Instant;
+    let circuit = dense_circuit(neurons, 1);
+    let segments = circuit.segments().to_vec();
+    let flat =
+        FlatIndex::build(segments.clone(), FlatBuildParams::default().with_page_capacity(64));
+    let packed = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(64));
+    let mut dynamic = RTree::new(RTreeParams::with_max_entries(64));
+    for s in &segments {
+        dynamic.insert(*s);
+    }
+
+    let mut rows = Vec::new();
+    for half_extent in [10.0f64, 30.0] {
+        let w = standard_workload(&circuit, 40, half_extent);
+        let n = w.queries.len() as f64;
+        let (mut results, mut f_reads, mut r_reads, mut d_reads) = (0u64, 0u64, 0u64, 0u64);
+        let (mut f_us, mut r_us) = (0.0f64, 0.0f64);
+        // Modelled disks (head position, nanoseconds): FLAT pages are
+        // Hilbert-contiguous, R-Tree nodes live wherever the arena put
+        // them.
+        let cost = CostModel::default();
+        let (mut f_head, mut f_ns, mut r_head, mut r_ns) = (None, 0u64, None, 0u64);
+        for q in &w.queries {
+            let t0 = Instant::now();
+            let (hits, fs) = flat.range_query_with(q, |acc| {
+                if let PageAccess::Data(p) = acc {
+                    f_ns += cost.read_ns(f_head.replace(p as u64), p as u64);
+                }
+            });
+            f_us += t0.elapsed().as_secs_f64() * 1e6;
+            let t1 = Instant::now();
+            let (_, rs) = packed.range_query_with(q, |node, _| {
+                r_ns += cost.read_ns(r_head.replace(node as u64), node as u64);
+            });
+            r_us += t1.elapsed().as_secs_f64() * 1e6;
+            let (_, ds) = dynamic.range_query(q);
+            results += hits.len() as u64;
+            f_reads += fs.pages_read + fs.seed_nodes_read;
+            r_reads += rs.nodes_visited();
+            d_reads += ds.nodes_visited();
+        }
+        rows.push(E1Row {
+            segments: segments.len(),
+            half_extent,
+            avg_result: results as f64 / n,
+            flat_reads: f_reads as f64 / n,
+            rtree_reads: r_reads as f64 / n,
+            dyn_reads: d_reads as f64 / n,
+            flat_io_ms: f_ns as f64 / 1e6 / n,
+            rtree_io_ms: r_ns as f64 / 1e6 / n,
+            flat_us: f_us / n,
+            rtree_us: r_us / n,
+        });
+    }
+    rows
+}
+
 /// Session configuration used by the E4 walkthroughs: a pool smaller than
 /// the walkthrough working set and a disk whose random reads are slow
 /// enough that prefetch accuracy dominates stall time.
@@ -193,6 +275,34 @@ mod tests {
             }
             assert!((stall - stall_ms).abs() < 0.05, "{method}: stall {stall} ms");
             assert_eq!(counts, [misses, hits, prefetched, useful], "{method}");
+        }
+    }
+
+    /// Table E1's sparsest circuit at both query sizes. `rtree io ms` is
+    /// charged from the packed tree's visit hook, node id by node id, so
+    /// any change to which nodes a range query visits, or in what order,
+    /// moves it.
+    #[test]
+    fn e1_small_circuit_rows_are_pinned() {
+        let rows = e1_rows(10);
+        // half extent, avg result, flat / rtree / dyn reads, flat / rtree io ms
+        let want = [
+            [10.0, 14.9, 4.825, 3.65, 3.725, 11.985, 29.2],
+            [30.0, 108.5, 9.7, 8.75, 8.7, 33.3525, 70.0],
+        ];
+        assert_eq!(rows.len(), want.len());
+        for (r, w) in rows.iter().zip(want) {
+            assert_eq!(r.segments, 2586);
+            let got = [
+                r.half_extent,
+                r.avg_result,
+                r.flat_reads,
+                r.rtree_reads,
+                r.dyn_reads,
+                r.flat_io_ms,
+                r.rtree_io_ms,
+            ];
+            assert!(got.iter().zip(w).all(|(a, b)| (a - b).abs() < 1e-9), "{got:?} != {w:?}");
         }
     }
 

@@ -8,6 +8,8 @@
 //! * `range_query_into_scratch` with a reused scratch and result buffer,
 //!   on every backend, monolithic and `sharded(2).threaded(1)`;
 //! * `query().range().filter(&pred).stream()` on the same configurations;
+//! * `RTree::range_query_stream` and `first_hit_scratch` on a bulk-loaded
+//!   tree nobody froze, whose first query builds the lanes;
 //! * a one-thread `TouchEngine::join_into` with a warm scratch and output,
 //!   with the default lane-mask leaves and with the opt-in leaf sweep;
 //! * sequential `Client::range` requests against a one-worker
@@ -19,6 +21,7 @@
 //! check and exits non-zero naming every path that allocated.
 
 use neurospatial::prelude::*;
+use neurospatial::rtree::TraversalScratch;
 use neurospatial_bench::sized_segments;
 use neurospatial_server::protocol::QueryDescView;
 use neurospatial_server::{serve_with, Client, FilterRegistry, ServerConfig};
@@ -127,6 +130,18 @@ fn main() {
             checks.push((format!("query().range().filter().stream() {name}"), allocs));
         }
     }
+
+    let tree = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(16));
+    let mut scratch = TraversalScratch::new();
+    let mut hits = 0u64;
+    let allocs = steady_allocations(|| {
+        for q in &queries {
+            hits += tree.range_query_stream(q, &mut scratch, |_| Flow::Emit).results;
+            hits += tree.first_hit_scratch(q, &mut scratch).1.results;
+        }
+    });
+    assert!(hits > 0, "the queries find segments");
+    checks.push(("RTree range_query_stream + first_hit_scratch, never frozen".into(), allocs));
 
     let (a, b): (Vec<NeuronSegment>, Vec<NeuronSegment>) =
         sized_segments(2 * SEGMENTS, 42).into_iter().partition(|s| s.neuron % 2 == 0);

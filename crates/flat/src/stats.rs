@@ -14,7 +14,7 @@ pub struct FlatBuildStats {
     pub neighbor_links: u64,
 }
 
-/// What kind of simulated page a query touched.
+/// What kind of page a query touched (what a cost model charges).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageAccess {
     /// A data page, by page number.
@@ -49,7 +49,7 @@ pub struct FlatQueryStats {
 }
 
 impl FlatQueryStats {
-    /// Total simulated page reads (seed + data).
+    /// Total page reads (seed + data).
     pub fn total_reads(&self) -> u64 {
         self.seed_nodes_read + self.pages_read
     }

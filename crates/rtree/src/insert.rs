@@ -11,10 +11,11 @@ use crate::{NodeId, RTree};
 use neurospatial_geom::Aabb;
 
 impl<T: RTreeObject> RTree<T> {
-    /// Insert one object. Drops the frozen SoA traversal layout (rebuild
-    /// with [`RTree::freeze`] once the batch of mutations is done).
+    /// Insert one object. Drops the frozen SoA query layout; the next
+    /// query, or [`RTree::freeze`] once the batch of mutations is done,
+    /// rebuilds it.
     pub fn insert(&mut self, obj: T) {
-        self.soa = None;
+        self.soa.take();
         let bb = obj.aabb();
         debug_assert!(bb.is_valid(), "object AABB must be valid");
         let leaf = self.choose_leaf(bb);

@@ -12,8 +12,8 @@
 //! * **instrumented queries**: every traversal can report node accesses
 //!   *per level* — exactly the statistic the demo visualizes to show how
 //!   overlap degrades the R-Tree on dense data (§2.2) — and an optional
-//!   visitor receives every visited node id so the storage simulator can
-//!   charge page reads;
+//!   visitor receives every visited node id so a cost model can charge
+//!   page reads;
 //! * **first-hit descent** — FLAT's seed phase (find *one* object in the
 //!   query range without paying for full overlap-expansion);
 //! * **best-first k-nearest-neighbour** search.
@@ -57,6 +57,7 @@ pub use soa::{EpochMarks, FrozenView, TraversalCounters, TraversalScratch};
 use neurospatial_geom::{Aabb, Executor};
 use node::Node;
 use soa::SoaArena;
+use std::sync::OnceLock;
 
 /// An arena-allocated R-Tree over objects of type `T`.
 #[derive(Debug, Clone)]
@@ -69,21 +70,22 @@ pub struct RTree<T: RTreeObject> {
     pub(crate) height: usize,
     /// Free list of recycled arena slots (from deletions).
     pub(crate) free: Vec<NodeId>,
-    /// Frozen structure-of-arrays traversal layout (see [`soa`]). Built
-    /// by [`bulk_load`](Self::bulk_load) / [`freeze`](Self::freeze),
-    /// dropped by any mutation.
-    pub(crate) soa: Option<SoaArena>,
+    /// Frozen structure-of-arrays layout (see [`soa`]), the only one
+    /// range and first-hit queries read. Built by [`freeze`](Self::freeze)
+    /// or by the first such query, dropped by any mutation.
+    pub(crate) soa: OnceLock<SoaArena>,
 }
 
 impl<T: RTreeObject> RTree<T> {
     /// Bulk load with Sort-Tile-Recursive packing. The fastest way to
     /// build, and produces minimal-overlap trees for static data. Call
-    /// [`freeze`](Self::freeze) afterwards if the tree will serve scratch
-    /// queries — freezing is not automatic, so builds that only walk the
-    /// tree directly pay neither the SoA construction time nor its
-    /// memory. The tiling moves 32-byte `(centre, index)` keys, never the
-    /// objects; each object then moves into a slot of its own and from
-    /// there, in tile order, into its leaf.
+    /// [`freeze`](Self::freeze) afterwards to build the query layout up
+    /// front; otherwise the first range or first-hit query builds it, and
+    /// builds that only walk the tree directly pay neither its
+    /// construction time nor its memory. The tiling moves 32-byte
+    /// `(centre, index)` keys, never the objects; each object then moves
+    /// into a slot of its own and from there, in tile order, into its
+    /// leaf.
     pub fn bulk_load(objects: Vec<T>, params: RTreeParams) -> Self {
         params.validate();
         let exec = Executor::default();
@@ -124,30 +126,30 @@ impl<T: RTreeObject> RTree<T> {
             len: 0,
             height: 1,
             free: Vec::new(),
-            soa: None,
+            soa: OnceLock::new(),
         }
     }
 
-    /// (Re)build the structure-of-arrays traversal layout. Idempotent;
-    /// O(n). Call after a batch of `insert`/`remove` calls to restore
-    /// cache-friendly scratch queries (they fall back to a pointer walk
-    /// on unfrozen trees).
+    /// (Re)build the structure-of-arrays query layout. Idempotent; O(n).
+    /// Call after a batch of `insert`/`remove` calls to move the build
+    /// out of the next query, which would otherwise make it.
     pub fn freeze(&mut self) {
-        if self.soa.is_none() && !self.is_empty() {
-            self.soa = Some(SoaArena::build(self));
+        if !self.is_empty() {
+            self.soa.get_or_init(|| SoaArena::build(self));
         }
     }
 
-    /// Whether the SoA traversal layout is current.
+    /// Whether the SoA query layout is current.
     pub fn is_frozen(&self) -> bool {
-        self.soa.is_some()
+        self.soa.get().is_some()
     }
 
     /// Read-only view of the frozen structure-of-arrays layout, or `None`
-    /// if the tree is not frozen. External traversals (e.g. the TOUCH
+    /// if neither [`freeze`](Self::freeze) nor a query has built it since
+    /// the last mutation. External traversals (e.g. the TOUCH
     /// join) descend through this instead of the pointer arena.
     pub fn frozen(&self) -> Option<FrozenView<'_>> {
-        self.soa.as_ref().map(|arena| FrozenView { arena })
+        self.soa.get().map(|arena| FrozenView { arena })
     }
 
     /// Number of objects stored.
@@ -183,7 +185,7 @@ impl<T: RTreeObject> RTree<T> {
     /// the join experiments' memory comparisons.
     pub fn memory_bytes(&self) -> usize {
         let mut total = self.nodes.capacity() * std::mem::size_of::<Node<T>>();
-        total += self.soa.as_ref().map_or(0, |s| s.memory_bytes());
+        total += self.soa.get().map_or(0, |s| s.memory_bytes());
         for n in &self.nodes {
             match &n.kind {
                 node::NodeKind::Leaf(items) => {

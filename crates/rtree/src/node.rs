@@ -2,8 +2,8 @@
 
 use neurospatial_geom::Aabb;
 
-/// Index of a node in the tree arena. Doubles as the simulated page id of
-/// that node for I/O accounting.
+/// Index of a node in the tree arena. Doubles as that node's page id when
+/// a cost model charges the reads a query makes.
 pub type NodeId = usize;
 
 /// Anything storable in an R-Tree: must expose an AABB.

@@ -4,10 +4,14 @@
 //! statistic the demo displays to explain the R-Tree's behaviour on dense
 //! data: "due to overlap more nodes are retrieved on higher levels"
 //! (§2.2). A visitor hook exposes each visited node id so callers can
-//! charge simulated page reads.
+//! charge modelled page reads.
+//!
+//! Every range and first-hit query runs one descent, `RTree::walk`,
+//! over the frozen structure-of-arrays lanes; only `knn`'s best-first
+//! heap search walks the pointer arena.
 
 use crate::node::{NodeKind, RTreeObject};
-use crate::soa::{TraversalCounters, TraversalScratch};
+use crate::soa::{SoaArena, TraversalCounters, TraversalScratch};
 use crate::{NodeId, RTree};
 use neurospatial_geom::{Aabb, Flow, Vec3};
 use std::cmp::Ordering;
@@ -29,20 +33,25 @@ impl QueryStats {
         self.nodes_per_level.iter().sum()
     }
 
-    fn bump(&mut self, level: usize) {
-        // Guard only: every query pre-sizes the vector to the tree height
-        // up front (`presize`), so the hot path never reallocates here.
-        if self.nodes_per_level.len() <= level {
-            self.nodes_per_level.resize(level + 1, 0);
+    /// Count one visit at `level`. The first visit sizes the per-level
+    /// counters to the tree's `height`, so a query that visits anything
+    /// reports every level.
+    pub(crate) fn bump(&mut self, level: usize, height: usize) {
+        let len = height.max(level + 1);
+        if self.nodes_per_level.len() < len {
+            self.nodes_per_level.resize(len, 0);
         }
         self.nodes_per_level[level] += 1;
     }
+}
 
-    /// Size the per-level counters to the tree height once, at query
-    /// start, instead of growing the vector visit by visit.
-    fn presize(&mut self, height: usize) {
-        self.nodes_per_level.resize(height, 0);
-    }
+/// The order in which [`RTree::walk`] descends into a node's
+/// intersecting children.
+#[derive(Clone, Copy, PartialEq)]
+enum Order {
+    Stored,
+    /// Closest MBR centre to the query centre first.
+    NearestFirst,
 }
 
 /// One k-nearest-neighbour result.
@@ -92,41 +101,17 @@ impl<T: RTreeObject> RTree<T> {
 
     /// Range query with a node-visit hook `(node id, level)` — level 0 is
     /// the root. The hook fires once per node whose MBR intersects the
-    /// query (i.e. per simulated page read).
+    /// query (i.e. per modelled page read).
     pub fn range_query_with<F: FnMut(NodeId, usize)>(
         &self,
         q: &Aabb,
-        mut on_visit: F,
+        on_visit: F,
     ) -> (Vec<&T>, QueryStats) {
         let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        if self.is_empty() || !self.nodes[self.root].mbr.intersects(q) {
-            return (out, stats);
-        }
-        stats.presize(self.height);
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.root, 0)];
-        while let Some((id, level)) = stack.pop() {
-            stats.bump(level);
-            on_visit(id, level);
-            match &self.nodes[id].kind {
-                NodeKind::Leaf(items) => {
-                    for o in items {
-                        stats.leaf_entries_tested += 1;
-                        if o.aabb().intersects(q) {
-                            out.push(o);
-                        }
-                    }
-                }
-                NodeKind::Inner(children) => {
-                    for &c in children {
-                        if self.nodes[c].mbr.intersects(q) {
-                            stack.push((c, level + 1));
-                        }
-                    }
-                }
-            }
-        }
-        stats.results = out.len() as u64;
+        let stats = self.walk_stats(q, Order::Stored, on_visit, |o| {
+            out.push(o);
+            Flow::Emit
+        });
         (out, stats)
     }
 
@@ -143,47 +128,14 @@ impl<T: RTreeObject> RTree<T> {
     pub fn first_hit_with<F: FnMut(NodeId, usize)>(
         &self,
         q: &Aabb,
-        mut on_visit: F,
+        on_visit: F,
     ) -> (Option<&T>, QueryStats) {
-        let mut stats = QueryStats::default();
-        if self.is_empty() || !self.nodes[self.root].mbr.intersects(q) {
-            return (None, stats);
-        }
-        stats.presize(self.height);
-        let qc = q.center();
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.root, 0)];
-        while let Some((id, level)) = stack.pop() {
-            stats.bump(level);
-            on_visit(id, level);
-            match &self.nodes[id].kind {
-                NodeKind::Leaf(items) => {
-                    for o in items {
-                        stats.leaf_entries_tested += 1;
-                        if o.aabb().intersects(q) {
-                            stats.results = 1;
-                            return (Some(o), stats);
-                        }
-                    }
-                }
-                NodeKind::Inner(children) => {
-                    // Push farthest-first so the closest child pops first.
-                    let mut cand: Vec<NodeId> = children
-                        .iter()
-                        .copied()
-                        .filter(|&c| self.nodes[c].mbr.intersects(q))
-                        .collect();
-                    cand.sort_by(|&a, &b| {
-                        let da = self.nodes[a].mbr.center().distance_sq(qc);
-                        let db = self.nodes[b].mbr.center().distance_sq(qc);
-                        db.partial_cmp(&da).unwrap_or(Ordering::Equal)
-                    });
-                    for c in cand {
-                        stack.push((c, level + 1));
-                    }
-                }
-            }
-        }
-        (None, stats)
+        let mut hit = None;
+        let stats = self.walk_stats(q, Order::NearestFirst, on_visit, |o| {
+            hit = Some(o);
+            Flow::Last
+        });
+        (hit, stats)
     }
 
     /// Allocation-free, flow-controlled range query: every object whose
@@ -191,171 +143,147 @@ impl<T: RTreeObject> RTree<T> {
     /// `scratch` (reused across queries), and the returned counters are
     /// plain `Copy` data. The sink decides per candidate whether it
     /// counts ([`Flow::Emit`]), is filtered out ([`Flow::Skip`]) or ends
-    /// the traversal right here ([`Flow::Last`]). On a
-    /// [frozen](RTree::freeze) tree the child-MBR tests scan the
-    /// contiguous SoA lanes; on an unfrozen tree an iterative pointer
-    /// walk with the same visit order is used. With an always-`Emit`
+    /// the traversal right here ([`Flow::Last`]). With an always-`Emit`
     /// sink the node visits, entries tested, results and emission order
-    /// are identical to [`range_query`](Self::range_query) either way.
+    /// are identical to [`range_query`](Self::range_query).
     pub fn range_query_stream<'a, S: FnMut(&'a T) -> Flow>(
         &'a self,
         q: &Aabb,
         scratch: &mut TraversalScratch,
-        mut sink: S,
+        sink: S,
     ) -> TraversalCounters {
-        let mut c = TraversalCounters::default();
-        if self.is_empty() || !self.nodes[self.root].mbr.intersects(q) {
-            return c;
-        }
-        scratch.stack.clear();
-        match &self.soa {
-            Some(soa) => {
-                scratch.stack.push(soa.root());
-                while let Some(n) = scratch.stack.pop() {
-                    c.nodes_visited += 1;
-                    let (s, e) = soa.entries(n);
-                    if soa.is_leaf(n) {
-                        let items = self.leaf_objects(soa.orig(n));
-                        for i in s..e {
-                            c.leaf_entries_tested += 1;
-                            if soa.entry_intersects(i, q) {
-                                match sink(&items[i - s]) {
-                                    Flow::Emit => c.results += 1,
-                                    Flow::Skip => {}
-                                    Flow::Last => {
-                                        c.results += 1;
-                                        return c;
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        for i in s..e {
-                            if soa.entry_intersects(i, q) {
-                                scratch.stack.push(soa.entry_ref(i));
-                            }
-                        }
-                    }
-                }
-            }
-            None => {
-                scratch.stack.push(self.root as u32);
-                while let Some(id) = scratch.stack.pop() {
-                    c.nodes_visited += 1;
-                    match &self.nodes[id as usize].kind {
-                        NodeKind::Leaf(items) => {
-                            for o in items {
-                                c.leaf_entries_tested += 1;
-                                if o.aabb().intersects(q) {
-                                    match sink(o) {
-                                        Flow::Emit => c.results += 1,
-                                        Flow::Skip => {}
-                                        Flow::Last => {
-                                            c.results += 1;
-                                            return c;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        NodeKind::Inner(children) => {
-                            for &ch in children {
-                                if self.nodes[ch].mbr.intersects(q) {
-                                    scratch.stack.push(ch as u32);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        c
+        self.walk(q, Order::Stored, scratch, |_, _| {}, sink)
     }
 
-    /// Allocation-free [`first_hit`](Self::first_hit): same best-first
-    /// descent, with the candidate ordering buffer and stack borrowed
-    /// from `scratch`.
+    /// Allocation-free [`first_hit`](Self::first_hit): the same descent,
+    /// with the candidate ordering buffer and stack borrowed from
+    /// `scratch`.
     pub fn first_hit_scratch<'a>(
         &'a self,
         q: &Aabb,
         scratch: &mut TraversalScratch,
     ) -> (Option<&'a T>, TraversalCounters) {
-        let mut c = TraversalCounters::default();
+        let mut hit = None;
+        let c = self.walk(
+            q,
+            Order::NearestFirst,
+            scratch,
+            |_, _| {},
+            |o| {
+                hit = Some(o);
+                Flow::Last
+            },
+        );
+        (hit, c)
+    }
+
+    /// [`walk`](Self::walk) on a fresh scratch, counting visits per level.
+    fn walk_stats<'a>(
+        &'a self,
+        q: &Aabb,
+        order: Order,
+        mut on_visit: impl FnMut(NodeId, usize),
+        sink: impl FnMut(&'a T) -> Flow,
+    ) -> QueryStats {
+        let mut stats = QueryStats::default();
+        let mut scratch = TraversalScratch::default();
+        let c = self.walk(
+            q,
+            order,
+            &mut scratch,
+            |id, level| {
+                stats.bump(level, self.height);
+                on_visit(id, level);
+            },
+            sink,
+        );
+        stats.leaf_entries_tested = c.leaf_entries_tested;
+        stats.results = c.results;
+        stats
+    }
+
+    /// The one descent behind every range and first-hit query: depth
+    /// first over the frozen lanes (built here if nobody froze the
+    /// tree), visiting a node's intersecting children in `order`.
+    /// `on_visit` sees each visited node's arena id and level;
+    /// each intersecting leaf object goes to `sink`, and [`Flow::Last`]
+    /// ends the walk.
+    fn walk<'a>(
+        &'a self,
+        q: &Aabb,
+        order: Order,
+        scratch: &mut TraversalScratch,
+        on_visit: impl FnMut(NodeId, usize),
+        sink: impl FnMut(&'a T) -> Flow,
+    ) -> TraversalCounters {
         if self.is_empty() || !self.nodes[self.root].mbr.intersects(q) {
-            return (None, c);
+            return TraversalCounters::default();
         }
+        let soa = self.soa.get_or_init(|| SoaArena::build(self));
+        self.walk_lanes(soa, q, order, scratch, on_visit, sink)
+    }
+
+    /// [`walk`](Self::walk)'s loop. The lanes come in as an argument: a
+    /// tree holding a `OnceLock` is not `Freeze`, so lanes reached through
+    /// `&self` would not let the compiler keep their pointers in
+    /// registers across the sink's calls, which measurably slows range
+    /// queries.
+    fn walk_lanes<'a>(
+        &'a self,
+        soa: &SoaArena,
+        q: &Aabb,
+        order: Order,
+        scratch: &mut TraversalScratch,
+        mut on_visit: impl FnMut(NodeId, usize),
+        mut sink: impl FnMut(&'a T) -> Flow,
+    ) -> TraversalCounters {
+        let mut c = TraversalCounters::default();
         let qc = q.center();
         scratch.stack.clear();
-        match &self.soa {
-            Some(soa) => {
-                scratch.stack.push(soa.root());
-                while let Some(n) = scratch.stack.pop() {
-                    c.nodes_visited += 1;
-                    let (s, e) = soa.entries(n);
-                    if soa.is_leaf(n) {
-                        let items = self.leaf_objects(soa.orig(n));
-                        for i in s..e {
-                            c.leaf_entries_tested += 1;
-                            if soa.entry_intersects(i, q) {
-                                c.results = 1;
-                                return (Some(&items[i - s]), c);
+        scratch.stack.push((0, 0)); // the root: SoA node 0, level 0
+        while let Some((n, level)) = scratch.stack.pop() {
+            c.nodes_visited += 1;
+            let id = soa.orig(n);
+            on_visit(id, level as usize);
+            let (s, e) = soa.entries(n);
+            if soa.is_leaf(n) {
+                let items = self.leaf_objects(id);
+                for i in s..e {
+                    c.leaf_entries_tested += 1;
+                    if soa.entry_intersects(i, q) {
+                        match sink(&items[i - s]) {
+                            Flow::Emit => c.results += 1,
+                            Flow::Skip => {}
+                            Flow::Last => {
+                                c.results += 1;
+                                return c;
                             }
-                        }
-                    } else {
-                        // Push farthest-first so the closest child pops
-                        // first — the same ordering (and the same centre
-                        // arithmetic) as the pointer path.
-                        scratch.cand.clear();
-                        scratch.cand.extend(
-                            (s..e).filter(|&i| soa.entry_intersects(i, q)).map(|i| i as u32),
-                        );
-                        scratch.cand.sort_by(|&a, &b| {
-                            let da = soa.entry_center(a as usize).distance_sq(qc);
-                            let db = soa.entry_center(b as usize).distance_sq(qc);
-                            db.partial_cmp(&da).unwrap_or(Ordering::Equal)
-                        });
-                        for i in 0..scratch.cand.len() {
-                            scratch.stack.push(soa.entry_ref(scratch.cand[i] as usize));
                         }
                     }
                 }
-            }
-            None => {
-                scratch.stack.push(self.root as u32);
-                while let Some(id) = scratch.stack.pop() {
-                    c.nodes_visited += 1;
-                    match &self.nodes[id as usize].kind {
-                        NodeKind::Leaf(items) => {
-                            for o in items {
-                                c.leaf_entries_tested += 1;
-                                if o.aabb().intersects(q) {
-                                    c.results = 1;
-                                    return (Some(o), c);
-                                }
-                            }
-                        }
-                        NodeKind::Inner(children) => {
-                            scratch.cand.clear();
-                            scratch.cand.extend(
-                                children
-                                    .iter()
-                                    .filter(|&&ch| self.nodes[ch].mbr.intersects(q))
-                                    .map(|&ch| ch as u32),
-                            );
-                            scratch.cand.sort_by(|&a, &b| {
-                                let da = self.nodes[a as usize].mbr.center().distance_sq(qc);
-                                let db = self.nodes[b as usize].mbr.center().distance_sq(qc);
-                                db.partial_cmp(&da).unwrap_or(Ordering::Equal)
-                            });
-                            for i in 0..scratch.cand.len() {
-                                scratch.stack.push(scratch.cand[i]);
-                            }
-                        }
+            } else if order == Order::NearestFirst {
+                // Push farthest-first so the closest child pops first.
+                scratch.cand.clear();
+                scratch
+                    .cand
+                    .extend((s..e).filter(|&i| soa.entry_intersects(i, q)).map(|i| i as u32));
+                scratch.cand.sort_by(|&a, &b| {
+                    let da = soa.entry_center(a as usize).distance_sq(qc);
+                    let db = soa.entry_center(b as usize).distance_sq(qc);
+                    db.partial_cmp(&da).unwrap_or(Ordering::Equal)
+                });
+                for &i in &scratch.cand {
+                    scratch.stack.push((soa.entry_ref(i as usize), level + 1));
+                }
+            } else {
+                for i in s..e {
+                    if soa.entry_intersects(i, q) {
+                        scratch.stack.push((soa.entry_ref(i), level + 1));
                     }
                 }
             }
         }
-        (None, c)
+        c
     }
 
     /// Best-first k-nearest-neighbour search from a point (distances are
@@ -369,7 +297,6 @@ impl<T: RTreeObject> RTree<T> {
         if self.is_empty() || k == 0 {
             return (out, stats);
         }
-        stats.presize(self.height);
         // Two heaps: node frontier (min-dist) and current best results.
         let mut frontier = BinaryHeap::new();
         frontier.push(HeapEntry {
@@ -390,8 +317,7 @@ impl<T: RTreeObject> RTree<T> {
             if dist > kth(&out) {
                 break; // no closer node can exist
             }
-            let level = self.level_of(node);
-            stats.bump(level);
+            stats.bump(self.level_of(node), self.height);
             match &self.nodes[node].kind {
                 NodeKind::Leaf(items) => {
                     for o in items {
@@ -598,8 +524,7 @@ mod tests {
 
     #[test]
     fn scratch_queries_match_allocating_queries() {
-        let (mut t, objs) = grid_tree(2500, 16);
-        t.freeze();
+        let (t, objs) = grid_tree(2500, 16);
         let queries = [
             Aabb::new(Vec3::ZERO, Vec3::splat(6.0)),
             Aabb::cube(Vec3::new(18.0, 18.0, 3.0), 4.0),
@@ -607,34 +532,28 @@ mod tests {
             Aabb::new(Vec3::splat(-100.0), Vec3::splat(100.0)), // everything
         ];
         let mut scratch = TraversalScratch::default();
-        // Frozen (SoA lanes) and unfrozen (pointer fallback) give the
-        // same answers, in the same emission order, with the same counts.
-        for frozen in [true, false] {
-            if !frozen {
-                t.soa = None;
-            }
-            for q in &queries {
-                let (want, stats) = t.range_query(q);
-                let mut got: Vec<&Aabb> = Vec::new();
-                let c = t.range_query_stream(q, &mut scratch, |o| {
-                    got.push(o);
-                    Flow::Emit
-                });
-                assert_eq!(got.len(), want.len(), "frozen={frozen} at {q}");
-                assert!(got.iter().zip(&want).all(|(a, b)| std::ptr::eq(*a, *b)), "order");
-                assert_eq!(c.nodes_visited, stats.nodes_visited(), "frozen={frozen} at {q}");
-                assert_eq!(c.leaf_entries_tested, stats.leaf_entries_tested);
-                assert_eq!(c.results, stats.results);
+        // Same answers, in the same emission order, with the same counts.
+        for q in &queries {
+            let (want, stats) = t.range_query(q);
+            let mut got: Vec<&Aabb> = Vec::new();
+            let c = t.range_query_stream(q, &mut scratch, |o| {
+                got.push(o);
+                Flow::Emit
+            });
+            assert_eq!(got.len(), want.len(), "at {q}");
+            assert!(got.iter().zip(&want).all(|(a, b)| std::ptr::eq(*a, *b)), "order");
+            assert_eq!(c.nodes_visited, stats.nodes_visited(), "at {q}");
+            assert_eq!(c.leaf_entries_tested, stats.leaf_entries_tested);
+            assert_eq!(c.results, stats.results);
 
-                let (want_hit, hit_stats) = t.first_hit(q);
-                let (got_hit, hc) = t.first_hit_scratch(q, &mut scratch);
-                assert_eq!(got_hit.is_some(), want_hit.is_some(), "frozen={frozen}");
-                if let (Some(a), Some(b)) = (got_hit, want_hit) {
-                    assert!(std::ptr::eq(a, b), "same first hit");
-                }
-                assert_eq!(hc.nodes_visited, hit_stats.nodes_visited());
-                assert_eq!(hc.leaf_entries_tested, hit_stats.leaf_entries_tested);
+            let (want_hit, hit_stats) = t.first_hit(q);
+            let (got_hit, hc) = t.first_hit_scratch(q, &mut scratch);
+            assert_eq!(got_hit.is_some(), want_hit.is_some());
+            if let (Some(a), Some(b)) = (got_hit, want_hit) {
+                assert!(std::ptr::eq(a, b), "same first hit");
             }
+            assert_eq!(hc.nodes_visited, hit_stats.nodes_visited());
+            assert_eq!(hc.leaf_entries_tested, hit_stats.leaf_entries_tested);
         }
         assert_eq!(objs.len(), t.len());
     }

@@ -8,7 +8,7 @@ impl<T: RTreeObject + PartialEq> RTree<T> {
     /// Remove one object equal to `obj` (first match in leaf order under
     /// its AABB). Returns `true` if an object was removed.
     pub fn remove(&mut self, obj: &T) -> bool {
-        self.soa = None;
+        self.soa.take();
         let bb = obj.aabb();
         let Some(leaf) = self.find_leaf(self.root, &bb, obj) else {
             return false;

@@ -166,41 +166,21 @@ impl<T: RTreeObject> RPlusTree<T> {
     }
 
     /// Range query: every object whose AABB intersects `q`, each reported
-    /// once (replicas de-duplicated with a visit mask).
+    /// once (replicas de-duplicated with visit marks).
     pub fn range_query(&self, q: &Aabb) -> (Vec<&T>, QueryStats) {
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        if self.objects.is_empty() || !self.nodes[self.root].region().intersects(q) {
-            return (out, stats);
-        }
-        stats.nodes_per_level.resize(self.height, 0);
-        let mut emitted = vec![false; self.objects.len()];
-        let mut stack = vec![(self.root, 0usize)];
-        while let Some((id, level)) = stack.pop() {
-            if stats.nodes_per_level.len() <= level {
-                stats.nodes_per_level.resize(level + 1, 0);
-            }
-            stats.nodes_per_level[level] += 1;
-            match &self.nodes[id] {
-                RPlusNode::Leaf { objects, .. } => {
-                    for &i in objects {
-                        stats.leaf_entries_tested += 1;
-                        if !emitted[i as usize] && self.objects[i as usize].aabb().intersects(q) {
-                            emitted[i as usize] = true;
-                            out.push(&self.objects[i as usize]);
-                        }
-                    }
-                }
-                RPlusNode::Inner { children, .. } => {
-                    for &c in children {
-                        if self.nodes[c].region().intersects(q) {
-                            stack.push((c, level + 1));
-                        }
-                    }
-                }
-            }
-        }
-        stats.results = out.len() as u64;
+        let c = self.walk(
+            q,
+            &mut TraversalScratch::default(),
+            |l| stats.bump(l, self.height),
+            |o| {
+                out.push(o);
+                Flow::Emit
+            },
+        );
+        stats.leaf_entries_tested = c.leaf_entries_tested;
+        stats.results = c.results;
         (out, stats)
     }
 
@@ -217,7 +197,19 @@ impl<T: RTreeObject> RPlusTree<T> {
         &'a self,
         q: &Aabb,
         scratch: &mut TraversalScratch,
-        mut sink: S,
+        sink: S,
+    ) -> TraversalCounters {
+        self.walk(q, scratch, |_| {}, sink)
+    }
+
+    /// The one traversal behind both range queries; `on_visit` sees the
+    /// level of every visited node (root = 0).
+    fn walk<'a>(
+        &'a self,
+        q: &Aabb,
+        scratch: &mut TraversalScratch,
+        mut on_visit: impl FnMut(usize),
+        mut sink: impl FnMut(&'a T) -> Flow,
     ) -> TraversalCounters {
         let mut c = TraversalCounters::default();
         if self.objects.is_empty() || !self.nodes[self.root].region().intersects(q) {
@@ -225,9 +217,10 @@ impl<T: RTreeObject> RPlusTree<T> {
         }
         scratch.dedup.begin(self.objects.len());
         scratch.stack.clear();
-        scratch.stack.push(self.root as u32);
-        while let Some(id) = scratch.stack.pop() {
+        scratch.stack.push((self.root as u32, 0));
+        while let Some((id, level)) = scratch.stack.pop() {
             c.nodes_visited += 1;
+            on_visit(level as usize);
             match &self.nodes[id as usize] {
                 RPlusNode::Leaf { objects, .. } => {
                     for &i in objects {
@@ -250,7 +243,7 @@ impl<T: RTreeObject> RPlusTree<T> {
                 RPlusNode::Inner { children, .. } => {
                     for &ch in children {
                         if self.nodes[ch].region().intersects(q) {
-                            scratch.stack.push(ch as u32);
+                            scratch.stack.push((ch as u32, level + 1));
                         }
                     }
                 }

@@ -12,12 +12,10 @@
 //! contiguous slab run. A range query then scans lanes sequentially and
 //! only touches the original arena to emit actual hits.
 //!
-//! The arena is built only by an explicit [`crate::RTree::freeze`] call —
-//! never by `bulk_load` itself, so builds that query the pointer arena
-//! directly (e.g. the TOUCH join's partitioning tree) pay nothing for it.
-//! Any mutation (`insert` / `remove`) invalidates it, and the scratch
-//! query paths fall back to an iterative (still allocation-free) walk of
-//! the pointer arena until the tree is frozen again.
+//! It is the only layout range and first-hit queries read. The arena is
+//! built by [`crate::RTree::freeze`] or by the first such query — never
+//! by `bulk_load` itself, so builds that walk the pointer arena directly
+//! pay nothing for it. Any mutation (`insert` / `remove`) drops it.
 
 use crate::node::{NodeKind, RTreeObject};
 use crate::{NodeId, RTree};
@@ -69,9 +67,9 @@ impl EpochMarks {
 /// grown the buffers, queries allocate nothing.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
-    /// DFS stack of pending nodes (SoA ids when frozen, arena ids
-    /// otherwise).
-    pub(crate) stack: Vec<u32>,
+    /// DFS stack of pending `(node, level)` pairs (SoA ids in an R-Tree,
+    /// arena ids in an R+-Tree).
+    pub(crate) stack: Vec<(u32, u32)>,
     /// Candidate buffer for best-first child ordering (`first_hit`).
     pub(crate) cand: Vec<u32>,
     /// R+ replica de-duplication marks.
@@ -98,11 +96,11 @@ pub struct TraversalCounters {
 
 /// The frozen structure-of-arrays layout of one tree.
 ///
-/// Nodes are renumbered in BFS order; node `n`'s entries occupy
-/// `entry_start[n] .. entry_start[n + 1]` in every lane. For inner nodes
-/// an entry is a child (`entry_ref` = the child's SoA id); for leaves an
-/// entry is an object (`entry_ref` = its slot in the original leaf's
-/// item vector, reachable through `orig`).
+/// Nodes are renumbered in BFS order, so the root is node 0; node `n`'s
+/// entries occupy `entry_start[n] .. entry_start[n + 1]` in every lane.
+/// For inner nodes an entry is a child (`entry_ref` = the child's SoA
+/// id); for leaves an entry is an object (`entry_ref` = its slot in the
+/// original leaf's item vector, reachable through `orig`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SoaArena {
     entry_start: Vec<u32>,
@@ -117,7 +115,6 @@ pub(crate) struct SoaArena {
     /// SoA id → original arena [`NodeId`].
     orig: Vec<u32>,
     is_leaf: Vec<bool>,
-    root: u32,
 }
 
 impl SoaArena {
@@ -152,7 +149,6 @@ impl SoaArena {
             entry_ref: Vec::with_capacity(total_entries),
             orig: Vec::with_capacity(order.len()),
             is_leaf: Vec::with_capacity(order.len()),
-            root: 0,
         };
         for &id in &order {
             a.entry_start.push(a.entry_ref.len() as u32);
@@ -208,11 +204,6 @@ impl SoaArena {
         self.entry_ref[i]
     }
 
-    #[inline]
-    pub(crate) fn root(&self) -> u32 {
-        self.root
-    }
-
     /// Closed-interval intersection of entry `i` against `q` — the exact
     /// comparison sequence [`Aabb::intersects`] performs, over the lanes.
     #[inline]
@@ -250,7 +241,7 @@ impl SoaArena {
     }
 
     /// Centre of entry `i`'s box — same arithmetic as [`Aabb::center`],
-    /// so best-first orderings agree bit-for-bit with the pointer path.
+    /// so best-first orderings agree bit-for-bit with one by node MBRs.
     #[inline]
     pub(crate) fn entry_center(&self, i: usize) -> Vec3 {
         Vec3::new(
@@ -258,37 +249,6 @@ impl SoaArena {
             (self.lo_y[i] + self.hi_y[i]) * 0.5,
             (self.lo_z[i] + self.hi_z[i]) * 0.5,
         )
-    }
-
-    /// Entry `i`'s box reconstructed from the lanes.
-    #[inline]
-    pub(crate) fn entry_aabb(&self, i: usize) -> Aabb {
-        Aabb::new(
-            Vec3::new(self.lo_x[i], self.lo_y[i], self.lo_z[i]),
-            Vec3::new(self.hi_x[i], self.hi_y[i], self.hi_z[i]),
-        )
-    }
-
-    /// Minimum x of entry `i`'s box (sweep-order key).
-    #[inline]
-    pub(crate) fn entry_lo_x(&self, i: usize) -> f64 {
-        self.lo_x[i]
-    }
-
-    /// Maximum x of entry `i`'s box (sweep expiry bound).
-    #[inline]
-    pub(crate) fn entry_hi_x(&self, i: usize) -> f64 {
-        self.hi_x[i]
-    }
-
-    /// Overlap test on the y and z axes only — the x axis is already
-    /// guaranteed by a sweep's ordering invariant.
-    #[inline]
-    pub(crate) fn entry_overlaps_yz(&self, i: usize, q: &Aabb) -> bool {
-        self.lo_y[i] <= q.hi.y
-            && q.lo.y <= self.hi_y[i]
-            && self.lo_z[i] <= q.hi.z
-            && q.lo.z <= self.hi_z[i]
     }
 
     /// Approximate resident bytes of the slabs.
@@ -320,7 +280,7 @@ impl<'t> FrozenView<'t> {
     /// SoA id of the root node (always 0).
     #[inline]
     pub fn root(&self) -> u32 {
-        self.arena.root()
+        0
     }
 
     /// Number of nodes in the frozen layout.
@@ -382,25 +342,31 @@ impl<'t> FrozenView<'t> {
     /// Entry `i`'s box reconstructed from the lanes.
     #[inline]
     pub fn entry_aabb(&self, i: usize) -> Aabb {
-        self.arena.entry_aabb(i)
+        let a = self.arena;
+        Aabb::new(
+            Vec3::new(a.lo_x[i], a.lo_y[i], a.lo_z[i]),
+            Vec3::new(a.hi_x[i], a.hi_y[i], a.hi_z[i]),
+        )
     }
 
-    /// Minimum x of entry `i`'s box.
+    /// Minimum x of entry `i`'s box (a sweep's order key).
     #[inline]
     pub fn entry_lo_x(&self, i: usize) -> f64 {
-        self.arena.entry_lo_x(i)
+        self.arena.lo_x[i]
     }
 
-    /// Maximum x of entry `i`'s box.
+    /// Maximum x of entry `i`'s box (a sweep's expiry bound).
     #[inline]
     pub fn entry_hi_x(&self, i: usize) -> f64 {
-        self.arena.entry_hi_x(i)
+        self.arena.hi_x[i]
     }
 
-    /// y/z-axis overlap of entry `i` against `q` (x handled by a sweep).
+    /// y/z-axis overlap of entry `i` against `q` — the x axis is already
+    /// guaranteed by a sweep's ordering invariant.
     #[inline]
     pub fn entry_overlaps_yz(&self, i: usize, q: &Aabb) -> bool {
-        self.arena.entry_overlaps_yz(i, q)
+        let a = self.arena;
+        a.lo_y[i] <= q.hi.y && q.lo.y <= a.hi_y[i] && a.lo_z[i] <= q.hi.z && q.lo.z <= a.hi_z[i]
     }
 }
 
@@ -425,7 +391,7 @@ mod tests {
         let mut t = RTree::bulk_load(cubes(500), RTreeParams::with_max_entries(16));
         assert!(!t.is_frozen(), "bulk_load does not freeze on its own");
         t.freeze();
-        let soa = t.soa.as_ref().expect("freeze builds the arena");
+        let soa = t.soa.get().expect("freeze builds the arena");
         assert_eq!(soa.orig.len(), t.node_count());
         // Every leaf entry's lanes reproduce the original object AABB.
         let mut leaf_entries = 0usize;
@@ -460,6 +426,10 @@ mod tests {
         t.freeze();
         assert!(t.is_frozen());
         t.insert(Aabb::cube(Vec3::new(50.0, 50.0, 50.0), 1.0));
+        assert!(!t.is_frozen());
+        t.range_query(&Aabb::cube(Vec3::ZERO, 1.0));
+        assert!(t.is_frozen(), "the first query builds the lanes");
+        t.insert(Aabb::cube(Vec3::new(60.0, 50.0, 50.0), 1.0));
         assert!(!t.is_frozen());
         t.freeze();
         assert!(t.is_frozen());

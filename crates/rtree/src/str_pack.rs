@@ -19,7 +19,7 @@ use crate::node::{Node, NodeKind, RTreeObject};
 use crate::{NodeId, RTree, RTreeParams};
 use neurospatial_geom::{Aabb, Executor, Vec3};
 use std::cmp::Ordering;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The leaf level of an STR packing: the objects' indices in tile order,
 /// and the lengths of the runs that make up the leaves.
@@ -46,8 +46,8 @@ pub(crate) fn leaf_order(
 /// Build a tree from a [`LeafOrder`]: `make(i)` creates object `i` once,
 /// in tile order, straight into its leaf. Leaf nodes are allocated
 /// contiguously in the arena, which gives sequential page ids to
-/// spatially adjacent leaves (the layout the disk simulator rewards, as a
-/// real bulk loader would). The x slabs of every level are tiled on
+/// spatially adjacent leaves (the layout a modelled disk's sequential
+/// reads reward, as a real bulk loader would). The x slabs of every level are tiled on
 /// `exec`; the tree is the same at every worker count. An object whose
 /// box has a non-finite centre lands in some leaf and, a NaN box meeting
 /// nothing, is found by no query.
@@ -99,7 +99,7 @@ pub(crate) fn pack<T: RTreeObject>(
     }
 
     let root = level_ids[0];
-    RTree { nodes, root, params, len: order.len(), height, free: Vec::new(), soa: None }
+    RTree { nodes, root, params, len: order.len(), height, free: Vec::new(), soa: OnceLock::new() }
 }
 
 /// Reorder a level's `items` (centre, payload; at least one) into STR
