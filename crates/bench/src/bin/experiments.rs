@@ -776,19 +776,25 @@ fn a3_think_time() {
 
 /// One Markov table behind every cursor it is handed to.
 #[derive(Clone, Default)]
-struct SharedPolicy(std::rc::Rc<std::cell::RefCell<neurospatial::scout::MarkovPrefetcher>>);
+struct SharedPolicy(std::sync::Arc<std::sync::Mutex<neurospatial::scout::MarkovPrefetcher>>);
+
+impl SharedPolicy {
+    fn table(&self) -> std::sync::MutexGuard<'_, neurospatial::scout::MarkovPrefetcher> {
+        self.0.lock().expect("no walkthrough panicked holding the table")
+    }
+}
 
 impl Prefetcher for SharedPolicy {
     fn name(&self) -> &'static str {
-        self.0.borrow().name()
+        self.table().name()
     }
 
     fn plan(&mut self, ctx: &PrefetchContext<'_>) -> neurospatial::scout::PrefetchPlan {
-        self.0.borrow_mut().plan(ctx)
+        self.table().plan(ctx)
     }
 
     fn reset(&mut self) {
-        self.0.borrow_mut().reset()
+        self.table().reset()
     }
 }
 

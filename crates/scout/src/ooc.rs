@@ -53,15 +53,29 @@
 //!   Hilbert, …) predicts the next regions and their pages are fetched
 //!   during the user's think time.
 //!
-//! A cursor's plan is one hand-off. The page ids are checked before they
-//! are queued: ids past the end of the file, ids the up-to-8 overlapping
-//! regions repeat and pages the step itself just read are dropped, and
-//! only then is the plan cut to its cap, so every queued id is a read
-//! worth issuing. And a new plan **replaces** whatever the workers have
-//! not yet taken of the previous one: those pages were predicted for a
-//! step that has already been answered, and a worker that manages six or
-//! seven reads per think time must not spend them on a stale prediction
-//! while the fresh one waits behind it.
+//! Whoever spends the think time makes the plan. A step returns as soon
+//! as it is answered: it copies its inputs (the query, the result, the
+//! last two view centres and the pages it read) into the cursor's
+//! planning state and queues that as a **plan job**. A worker takes the
+//! job, runs the policy, maps the plan to pages and queues them, while
+//! the user looks at the answer. Workers take crawl-frontier pages
+//! first, then plan jobs, then plan pages. Every step is planned, in
+//! step order: if a step is answered while the job of the step before
+//! is still queued, the cursor takes the job back, makes that plan
+//! itself so the policy sees every step, and drops its pages. A policy
+//! that panics on a worker panics the cursor on its next step, its
+//! [`reset`](OocCursor::reset) or its drop; the worker goes on.
+//!
+//! A plan's page ids are checked before they are queued: ids past the
+//! end of the file, ids the up-to-8 overlapping regions repeat and pages
+//! the step itself just read are dropped, and only then is the plan cut
+//! to its cap, so every queued id is a read worth issuing. And a new
+//! plan **replaces** whatever the workers have not yet taken of the
+//! previous one: those pages were predicted for a step that has already
+//! been answered, and a worker that manages six or seven reads per think
+//! time must not spend them on a stale prediction while the fresh one
+//! waits behind it. The worker that takes a plan job drops that rest at
+//! once, so no other worker reads it while the new plan is made.
 //!
 //! A demand read that catches an in-flight prefetch waits only for the
 //! remainder of that read — the pool's loading protocol — which is the
@@ -94,8 +108,9 @@ use neurospatial_storage::{
     PageIo, RetryPolicy, StorageError, PAGE_HEADER_BYTES,
 };
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Magic of the FLAT metadata blob inside a page file.
@@ -293,8 +308,10 @@ pub struct OocConfig {
     pub frame_budget: usize,
     /// Replacement policy of the frame pool.
     pub eviction: EvictionPolicy,
-    /// Background prefetch workers. `0` disables prefetching entirely
-    /// (every page read is a demand read).
+    /// Background prefetch workers. They read pages ahead of demand and
+    /// make each cursor step's prefetch plan in the think time after it.
+    /// `0` disables prefetching entirely (every page read is a demand
+    /// read, and a cursor's policy runs on the caller).
     pub prefetch_workers: usize,
     /// Verify every page's checksum once at open (in addition to the
     /// always-on per-read verification). Keeps the infallible facade
@@ -363,6 +380,19 @@ impl RTreeObject for OocPageEntry {
     }
 }
 
+/// The seed tree: one entry per page, shared by the index and its
+/// workers, which map plans to pages through it.
+type SeedTree = RTree<OocPageEntry>;
+
+/// The pages of `tree` whose MBR meets `q`, into `out` (cleared first).
+fn pages_meeting(tree: &SeedTree, q: &Aabb, scratch: &mut TraversalScratch, out: &mut Vec<u32>) {
+    out.clear();
+    tree.range_query_stream(q, scratch, |entry| {
+        out.push(entry.page);
+        Flow::Emit
+    });
+}
+
 /// Real I/O counters of one paged query — the part of the statistics
 /// that legitimately differs from the in-memory engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -417,10 +447,13 @@ impl OocScratch {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct PrefetchQueue {
     /// Crawl-frontier pages: a running query is about to demand them.
     frontier: VecDeque<u32>,
+    /// Plan jobs: cursors' planning states, each holding the inputs of
+    /// its cursor's latest step.
+    jobs: VecDeque<Box<Planner>>,
     /// What is left of the latest think-time plan.
     plan: VecDeque<u32>,
     shutdown: bool,
@@ -431,11 +464,87 @@ struct PrefetchShared {
     ready: Condvar,
 }
 
+/// What a worker takes from the queue.
+enum Work {
+    Page(u32),
+    Plan(Box<Planner>),
+}
+
 impl PrefetchShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PrefetchQueue> {
+    fn lock(&self) -> MutexGuard<'_, PrefetchQueue> {
         // Every update leaves the queue valid, so a worker's panic does
         // not poison it for the others.
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The next piece of work, in priority order, waiting for one; `None`
+    /// once the workers are to stop.
+    fn next_work(&self) -> Option<Work> {
+        let mut q = self.lock();
+        loop {
+            if q.shutdown {
+                return None;
+            }
+            if let Some(p) = q.frontier.pop_front() {
+                return Some(Work::Page(p));
+            }
+            if let Some(job) = q.jobs.pop_front() {
+                // The rest of the last plan was made for a step that has
+                // been answered: no worker reads it while the new plan is
+                // made.
+                q.plan.clear();
+                return Some(Work::Plan(job));
+            }
+            if let Some(p) = q.plan.pop_front() {
+                return Some(Work::Page(p));
+            }
+            q = self.ready.wait(q).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// Run a plan job and send the planner back to its cursor, with the
+    /// number of pages its plan queued. A panic of the policy goes back
+    /// instead, for the cursor to raise: the worker goes on.
+    fn make_plan(&self, mut planner: Box<Planner>, seed_tree: &SeedTree) {
+        let home = Arc::clone(&planner.home);
+        let made = catch_unwind(AssertUnwindSafe(|| {
+            let queued = self.replace_plan(planner.plan(Some(seed_tree)));
+            planner.queued = queued;
+        }));
+        home.put(made.map(|()| planner));
+    }
+
+    /// Queue a plan job and wake a worker for it.
+    fn send(&self, planner: Box<Planner>) {
+        self.lock().jobs.push_back(planner);
+        self.ready.notify_one();
+    }
+
+    /// Take back the plan job of the cursor that `home` belongs to, if
+    /// no worker has taken it yet.
+    fn withdraw(&self, home: &Arc<PlanHome>) -> Option<Box<Planner>> {
+        let mut q = self.lock();
+        let at = q.jobs.iter().position(|job| Arc::ptr_eq(&job.home, home))?;
+        q.jobs.remove(at)
+    }
+
+    /// Make `pages` the think-time plan, in place of whatever is left of
+    /// the previous one; returns how many were queued (all of them).
+    fn replace_plan(&self, pages: &[u32]) -> u64 {
+        let mut q = self.lock();
+        q.plan.clear();
+        q.plan.extend(pages);
+        drop(q);
+        self.hand_off(pages.len(), 0)
+    }
+
+    fn hand_off(&self, accepted: usize, dropped: usize) -> u64 {
+        scout_prefetch_obs().enqueued.add(accepted as u64);
+        scout_prefetch_obs().dropped.add(dropped as u64);
+        if accepted > 0 {
+            self.ready.notify_all();
+        }
+        accepted as u64
     }
 }
 
@@ -466,7 +575,12 @@ struct PrefetchHandle {
 }
 
 impl PrefetchHandle {
-    fn spawn(workers: usize, file: Arc<dyn PageIo>, pool: Arc<FramePool>) -> Self {
+    fn spawn(
+        workers: usize,
+        file: Arc<dyn PageIo>,
+        pool: Arc<FramePool>,
+        seed_tree: Arc<SeedTree>,
+    ) -> Self {
         let shared = Arc::new(PrefetchShared {
             queue: Mutex::new(PrefetchQueue::default()),
             ready: Condvar::new(),
@@ -476,23 +590,18 @@ impl PrefetchHandle {
         // issued only once a worker is reading it and everything still
         // queued can be replaced.
         let thread = std::thread::spawn(move || {
-            Executor::io_bound(workers).map_chunks(workers, |_| loop {
-                let page = {
-                    let mut q = shared2.lock();
-                    loop {
-                        if q.shutdown {
-                            return;
+            Executor::io_bound(workers).map_chunks(workers, |_| {
+                while let Some(work) = shared2.next_work() {
+                    match work {
+                        // A real background page read. Best-effort: a
+                        // corrupt page is simply not cached — the demand
+                        // path will surface the typed error.
+                        Work::Page(page) => {
+                            let _ = pool.prefetch(u64::from(page), file.as_ref());
                         }
-                        if let Some(p) = q.frontier.pop_front().or_else(|| q.plan.pop_front()) {
-                            break p;
-                        }
-                        q = shared2.ready.wait(q).unwrap_or_else(|p| p.into_inner());
+                        Work::Plan(planner) => shared2.make_plan(planner, &seed_tree),
                     }
-                };
-                // A real background page read. Best-effort: a corrupt
-                // page is simply not cached — the demand path will
-                // surface the typed error.
-                let _ = pool.prefetch(u64::from(page), file.as_ref());
+                }
             });
         });
         PrefetchHandle { shared, workers: Some(thread) }
@@ -509,26 +618,7 @@ impl PrefetchHandle {
         let accepted = pages.len().min(room);
         q.frontier.extend(&pages[..accepted]);
         drop(q);
-        self.hand_off(accepted, pages.len() - accepted)
-    }
-
-    /// Make `pages` the think-time plan, in place of whatever is left of
-    /// the previous one; returns how many were queued (all of them).
-    fn replace_plan(&self, pages: &[u32]) -> u64 {
-        let mut q = self.shared.lock();
-        q.plan.clear();
-        q.plan.extend(pages);
-        drop(q);
-        self.hand_off(pages.len(), 0)
-    }
-
-    fn hand_off(&self, accepted: usize, dropped: usize) -> u64 {
-        scout_prefetch_obs().enqueued.add(accepted as u64);
-        scout_prefetch_obs().dropped.add(dropped as u64);
-        if accepted > 0 {
-            self.shared.ready.notify_all();
-        }
-        accepted as u64
+        self.shared.hand_off(accepted, pages.len() - accepted)
     }
 }
 
@@ -558,7 +648,7 @@ pub struct OocFlatIndex {
     page_mbrs: Vec<Aabb>,
     neighbor_offsets: Vec<u32>,
     neighbor_ids: Vec<u32>,
-    seed_tree: RTree<OocPageEntry>,
+    seed_tree: Arc<SeedTree>,
     prefetch: Option<PrefetchHandle>,
     retry: RetryPolicy,
     /// Think time a cursor spends reading its plan itself, where the
@@ -793,12 +883,18 @@ impl OocFlatIndex {
         let mut seed_tree =
             RTree::bulk_load(entries, RTreeParams::with_max_entries(params.seed_fanout));
         seed_tree.freeze();
+        let seed_tree = Arc::new(seed_tree);
 
         let frames =
             if config.frame_budget == 0 { page_mbrs.len().max(1) } else { config.frame_budget };
         let pool = Arc::new(FramePool::new(frames, config.eviction));
         let prefetch = (config.prefetch_workers > 0).then(|| {
-            PrefetchHandle::spawn(config.prefetch_workers, Arc::clone(&file), Arc::clone(&pool))
+            PrefetchHandle::spawn(
+                config.prefetch_workers,
+                Arc::clone(&file),
+                Arc::clone(&pool),
+                Arc::clone(&seed_tree),
+            )
         });
 
         OocFlatIndex {
@@ -903,11 +999,7 @@ impl OocFlatIndex {
         scratch: &mut TraversalScratch,
         out: &mut Vec<u32>,
     ) {
-        out.clear();
-        self.seed_tree.range_query_stream(q, scratch, |entry| {
-            out.push(entry.page);
-            Flow::Emit
-        });
+        pages_meeting(&self.seed_tree, q, scratch, out);
     }
 
     /// Resident memory of the paged engine: frames + metadata + seed
@@ -1118,10 +1210,11 @@ impl OocFlatIndex {
     ///
     /// Policy predictions are translated to pages and fetched during
     /// think time, each step's plan replacing what is left of the one
-    /// before: by the background workers, or on a [`view`](Self::view)
-    /// by the cursor itself against the device's clock (see the [module
-    /// docs](self)). On a file without workers the policy still runs
-    /// (its predictions are simply dropped), so traces stay comparable.
+    /// before: by the background workers, which make the plan too, or on
+    /// a [`view`](Self::view) by the cursor itself against the device's
+    /// clock (see the [module docs](self)). On a file without workers
+    /// the policy still runs on the caller (its predictions are simply
+    /// dropped), so traces stay comparable.
     pub fn cursor(&self, prefetcher: Box<dyn Prefetcher>) -> OocCursor<'_> {
         OocCursor::new(Held::Lent(self), prefetcher)
     }
@@ -1170,21 +1263,27 @@ impl std::ops::Deref for Held<'_> {
     }
 }
 
-/// Step-wise exploration over an [`OocFlatIndex`]: each
-/// [`step`](Self::step) answers one moving-range query through the
-/// frame pool, then lets the prefetch policy schedule reads for the
-/// predicted next step.
-pub struct OocCursor<'a> {
-    index: Held<'a>,
+/// A cursor's planning state: its policy, the inputs of the step it
+/// plans next, and the scratch that maps a plan to pages. It stays with
+/// the cursor, or travels to a prefetch worker as a plan job and comes
+/// back through [`PlanHome`]. Every buffer is kept between steps.
+struct Planner {
     prefetcher: Box<dyn Prefetcher>,
-    /// Centres of the last two views: all any policy reads of the past.
-    recent: [Vec3; 2],
-    /// Steps since the last [`reset`](Self::reset).
-    steps: usize,
-    scratch: OocScratch,
+    home: Arc<PlanHome>,
+    query: Aabb,
     result: Vec<NeuronSegment>,
+    /// Centres of the last two views; the last `history` of them are the
+    /// walkthrough's past.
+    recent: [Vec3; 2],
+    history: usize,
     pages_read: Vec<u32>,
-    plan_pages: Vec<u32>,
+    marks: EpochMarks,
+    seed: TraversalScratch,
+    found: Vec<u32>,
+    pages: Vec<u32>,
+    /// Pages queued by the last plan a worker made, until a step reports
+    /// them.
+    queued: u64,
 }
 
 /// Cap on pages scheduled per think-time prefetch plan, applied to the
@@ -1192,17 +1291,209 @@ pub struct OocCursor<'a> {
 /// wasted bandwidth when a policy predicts a huge region.
 const CURSOR_PREFETCH_CAP: usize = 256;
 
+impl Planner {
+    /// Take a step's inputs in place of the last step's.
+    fn load(
+        &mut self,
+        query: &Aabb,
+        result: &[NeuronSegment],
+        recent: [Vec3; 2],
+        history: usize,
+        pages_read: &[u32],
+    ) {
+        self.query = *query;
+        self.result.clear();
+        self.result.extend_from_slice(result);
+        self.recent = recent;
+        self.history = history;
+        self.pages_read.clear();
+        self.pages_read.extend_from_slice(pages_read);
+    }
+
+    /// Run the policy on the inputs held. With the seed tree, map its
+    /// plan to the pages worth reading: ids past the end of the file, ids
+    /// the plan repeats and pages the step read are dropped, and then the
+    /// list is cut to its cap. Without, the plan maps to no page.
+    fn plan(&mut self, seed_tree: Option<&SeedTree>) -> &[u32] {
+        let refs: Vec<&NeuronSegment> = self.result.iter().collect();
+        let plan = self.prefetcher.plan(&PrefetchContext {
+            query: &self.query,
+            result: &refs,
+            history: &self.recent[2 - self.history..],
+            pages_read: &self.pages_read,
+        });
+        let Planner { marks, seed, found, pages, pages_read, .. } = self;
+        pages.clear();
+        let Some(seed_tree) = seed_tree else {
+            return pages;
+        };
+        let page_count = seed_tree.len();
+        // Mark the pages the step read, so that marking a planned page
+        // tells both whether the step read it and whether the plan
+        // already has it. (The crawl's own marks will not do: they also
+        // cover the neighbours it rejected, which are the pages a plan
+        // is most likely to want.)
+        marks.begin(page_count);
+        for &p in pages_read.iter() {
+            marks.mark(p as usize);
+        }
+        let mut accept = |candidates: &[u32]| {
+            for &p in candidates {
+                if (p as usize) < page_count && marks.mark(p as usize) {
+                    pages.push(p);
+                }
+            }
+            pages.len() < CURSOR_PREFETCH_CAP
+        };
+        let mut room = accept(&plan.pages);
+        for region in &plan.regions {
+            if !room {
+                break;
+            }
+            pages_meeting(seed_tree, region, seed, found);
+            room = accept(found);
+        }
+        pages.truncate(CURSOR_PREFETCH_CAP);
+        pages
+    }
+}
+
+/// Where a worker sends a planner back when its plan job is done: the
+/// planner, or the panic its policy raised.
+#[derive(Default)]
+struct PlanHome {
+    returned: Mutex<Option<std::thread::Result<Box<Planner>>>>,
+    ready: Condvar,
+}
+
+impl PlanHome {
+    fn lock(&self) -> MutexGuard<'_, Option<std::thread::Result<Box<Planner>>>> {
+        // Nothing panics while holding this lock.
+        self.returned.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn put(&self, made: std::thread::Result<Box<Planner>>) {
+        *self.lock() = Some(made);
+        self.ready.notify_all();
+    }
+
+    /// Wait for the worker that has taken the job.
+    fn take(&self) -> std::thread::Result<Box<Planner>> {
+        let mut returned = self.lock();
+        loop {
+            if let Some(made) = returned.take() {
+                return made;
+            }
+            returned = self.ready.wait(returned).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+}
+
+/// Where a cursor's planner is.
+enum Plans {
+    /// With the cursor.
+    Here(Box<Planner>),
+    /// In a plan job: queued, or with the worker making the plan.
+    Out,
+    /// Gone with a panic of its policy.
+    Lost,
+}
+
+/// A cursor's end of the plan hand-off: where its planner is, and the
+/// workers' queue, if there are workers, that plan jobs go to. It is a
+/// type of its own, holding no borrow, so that the `Drop` is its and not
+/// the cursor's: a `Drop` on the cursor would make everything the
+/// cursor's caller lends for the cursor's lifetime outlive the cursor.
+struct PlanLink {
+    planner: Plans,
+    home: Arc<PlanHome>,
+    workers: Option<Arc<PrefetchShared>>,
+    policy: &'static str,
+}
+
+impl PlanLink {
+    /// Bring the planner back from its plan job: out of the queue if no
+    /// worker has taken the job (`true`: its plan is still to be made),
+    /// else from the worker, once the plan is made. A panic of the
+    /// policy on the worker comes back as the error.
+    fn recall(&mut self) -> std::thread::Result<(Box<Planner>, bool)> {
+        match std::mem::replace(&mut self.planner, Plans::Lost) {
+            Plans::Here(planner) => Ok((planner, false)),
+            Plans::Lost => {
+                panic!("the {} prefetch policy panicked in an earlier step", self.policy)
+            }
+            Plans::Out => {
+                let workers = self.workers.as_ref().expect("only workers take plan jobs");
+                match workers.withdraw(&self.home) {
+                    Some(planner) => Ok((planner, true)),
+                    None => self.home.take().map(|planner| (planner, false)),
+                }
+            }
+        }
+    }
+}
+
+impl Drop for PlanLink {
+    fn drop(&mut self) {
+        // As `OocCursor::reset`: a plan being made is waited for, so that
+        // a panic of the policy in the last step reaches the caller,
+        // unless it is already unwinding.
+        if matches!(self.planner, Plans::Out) {
+            if let Err(panic) = self.recall() {
+                if !std::thread::panicking() {
+                    resume_unwind(panic);
+                }
+            }
+        }
+    }
+}
+
+/// Step-wise exploration over an [`OocFlatIndex`]: each
+/// [`step`](Self::step) answers one moving-range query through the
+/// frame pool, then lets the prefetch policy schedule reads for the
+/// predicted next step.
+pub struct OocCursor<'a> {
+    index: Held<'a>,
+    plans: PlanLink,
+    /// Centres of the last two views: all any policy reads of the past.
+    recent: [Vec3; 2],
+    /// Steps since the last [`reset`](Self::reset).
+    steps: usize,
+    scratch: OocScratch,
+    result: Vec<NeuronSegment>,
+    pages_read: Vec<u32>,
+}
+
 impl<'a> OocCursor<'a> {
     fn new(index: Held<'a>, prefetcher: Box<dyn Prefetcher>) -> Self {
+        let home = Arc::new(PlanHome::default());
+        let plans = PlanLink {
+            policy: prefetcher.name(),
+            planner: Plans::Here(Box::new(Planner {
+                prefetcher,
+                home: Arc::clone(&home),
+                query: Aabb::cube(Vec3::ZERO, 0.0),
+                result: Vec::new(),
+                recent: [Vec3::ZERO; 2],
+                history: 0,
+                pages_read: Vec::new(),
+                marks: EpochMarks::default(),
+                seed: TraversalScratch::default(),
+                found: Vec::new(),
+                pages: Vec::new(),
+                queued: 0,
+            })),
+            home,
+            workers: index.prefetch.as_ref().map(|h| Arc::clone(&h.shared)),
+        };
         OocCursor {
             index,
-            prefetcher,
+            plans,
             recent: [Vec3::ZERO; 2],
             steps: 0,
             scratch: OocScratch::default(),
             result: Vec::new(),
             pages_read: Vec::new(),
-            plan_pages: Vec::new(),
         }
     }
 
@@ -1217,6 +1508,11 @@ impl<'a> OocCursor<'a> {
     /// [`OocFlatIndex::range_query_stream_partial`]: with
     /// `allow_partial` a page that fails permanently is skipped, not an
     /// error, and the walkthrough goes on over the pages that survive.
+    ///
+    /// # Panics
+    ///
+    /// If the policy panicked while a worker made the last step's plan,
+    /// or panics here.
     pub fn step_partial(
         &mut self,
         q: &Aabb,
@@ -1242,66 +1538,43 @@ impl<'a> OocCursor<'a> {
         self.recent = [self.recent[1], q.center()];
         self.steps += 1;
 
-        // Think-time prefetch: plan from the step's content, translate
-        // regions to pages, hand them to whoever reads during think
-        // time.
-        let refs: Vec<&NeuronSegment> = self.result.iter().collect();
-        let plan = self.prefetcher.plan(&PrefetchContext {
-            query: q,
-            result: &refs,
-            history: &self.recent[2 - self.steps.min(2)..],
-            pages_read: &self.pages_read,
-        });
-        let mut prefetched = 0;
-        if index.prefetch.is_some() || answered.is_some() {
-            let page_count = index.page_count();
-            // Mark the pages this step read, so that marking a planned
-            // page tells both whether the step read it and whether the
-            // plan already has it. (The crawl's own marks will not do:
-            // they also cover the neighbours it rejected, which are the
-            // pages a plan is most likely to want.)
-            let OocScratch { visited, seed, frontier, .. } = &mut self.scratch;
-            visited.begin(page_count);
-            for &p in &self.pages_read {
-                visited.mark(p as usize);
-            }
-            let pages = &mut self.plan_pages;
-            pages.clear();
-            let mut accept = |candidates: &[u32]| {
-                for &p in candidates {
-                    if (p as usize) < page_count && visited.mark(p as usize) {
-                        pages.push(p);
-                    }
-                }
-                pages.len() < CURSOR_PREFETCH_CAP
-            };
-            let mut room = accept(&plan.pages);
-            for region in &plan.regions {
-                if !room {
-                    break;
-                }
-                index.pages_intersecting_into(region, seed, frontier);
-                room = accept(frontier);
-            }
-            pages.truncate(CURSOR_PREFETCH_CAP);
-            if let Some(handle) = &index.prefetch {
-                prefetched = handle.replace_plan(pages);
-            } else if let Some(answered) = answered {
+        let (mut planner, unmade) =
+            self.plans.recall().unwrap_or_else(|panic| resume_unwind(panic));
+        if unmade {
+            // No worker got to the last step's plan before this step was
+            // answered: make it here, so the policy sees every step, and
+            // drop its pages.
+            planner.plan(None);
+        }
+        planner.load(q, &self.result, self.recent, self.steps.min(2), &self.pages_read);
+        let prefetched = if let Some(workers) = &self.plans.workers {
+            // Whoever spends the think time makes the plan: here, a
+            // worker, while the caller looks at the answer.
+            let queued = std::mem::take(&mut planner.queued);
+            workers.send(planner);
+            self.plans.planner = Plans::Out;
+            queued
+        } else {
+            let pages = planner.plan(answered.map(|_| &*index.seed_tree));
+            let mut read = 0;
+            if let Some(answered) = answered {
                 // Only a read moves this clock: the think time is spent
                 // here, on the plan, and what is left of the plan when
                 // it is used up is dropped.
                 let deadline = answered.saturating_add(index.think_ns);
-                for &p in pages.iter() {
+                for &p in pages {
                     if index.file.clock_ns() >= Some(deadline) {
                         break;
                     }
                     // As a worker would: a page that does not load is
                     // not cached, and the demand path says why.
-                    let read = index.pool.prefetch(u64::from(p), index.file.as_ref());
-                    prefetched += u64::from(matches!(read, Ok(true)));
+                    let loaded = index.pool.prefetch(u64::from(p), index.file.as_ref());
+                    read += u64::from(matches!(loaded, Ok(true)));
                 }
             }
-        }
+            self.plans.planner = Plans::Here(planner);
+            read
+        };
 
         let stall_ns = match (started, answered) {
             (Some(started), Some(answered)) => answered - started,
@@ -1327,17 +1600,25 @@ impl<'a> OocCursor<'a> {
         &self.index
     }
 
-    /// Forget per-walkthrough state (history and the policy's memory).
+    /// Forget per-walkthrough state (history and the policy's memory). A
+    /// plan a worker is making is waited for; one that is only queued is
+    /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// If the policy panicked while a worker made the last step's plan.
     pub fn reset(&mut self) {
+        let (mut planner, _) = self.plans.recall().unwrap_or_else(|panic| resume_unwind(panic));
+        planner.prefetcher.reset();
+        self.plans.planner = Plans::Here(planner);
         self.steps = 0;
-        self.prefetcher.reset();
     }
 }
 
 impl std::fmt::Debug for OocCursor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OocCursor")
-            .field("policy", &self.prefetcher.name())
+            .field("policy", &self.plans.policy)
             .field("steps", &self.steps)
             .finish()
     }
@@ -1544,7 +1825,11 @@ mod tests {
                     "step {step} with {workers} workers differs from the in-memory index"
                 );
                 total_results += trace.results;
+                // A worker makes each step's plan, and the next step's
+                // trace reports it: wait for it, so that every step's
+                // plan is made (and compared) on a worker.
                 planned += trace.prefetched;
+                plan_made(&mut cur);
             }
             assert!(total_results > 0, "walkthrough crossed data");
             assert!(planned > 0, "the policy planned pages, so plans were compared");
@@ -1571,8 +1856,14 @@ mod tests {
     }
 
     impl Gate {
+        /// The state, whatever a panicking test left it in: the gate
+        /// must still open as that test unwinds.
+        fn state(&self) -> MutexGuard<'_, (bool, Vec<u64>)> {
+            self.state.lock().unwrap_or_else(|p| p.into_inner())
+        }
+
         fn open(&self) {
-            self.state.lock().expect("gate").0 = true;
+            self.state().0 = true;
             self.changed.notify_all();
         }
 
@@ -1587,25 +1878,24 @@ mod tests {
             };
             let (state, timeout) = self
                 .changed
-                .wait_timeout_while(
-                    self.state.lock().expect("gate"),
-                    std::time::Duration::from_secs(20),
-                    |s| among(&s.1).len() < n,
-                )
-                .expect("gate");
-            assert!(!timeout.timed_out(), "workers read {:?}, expected {n} of {of:?}", state.1);
-            among(&state.1)
+                .wait_timeout_while(self.state(), TIMEOUT, |s| among(&s.1).len() < n)
+                .unwrap_or_else(|p| p.into_inner());
+            let reads = state.1.clone();
+            drop(state);
+            assert!(!timeout.timed_out(), "workers read {reads:?}, expected {n} of {of:?}");
+            among(&reads)
         }
     }
 
     impl PageIo for GateIo {
         fn read_page_into(&self, page: u64, buf: &mut Vec<u8>) -> Result<(), StorageError> {
             if std::thread::current().id() != self.owner {
-                let mut state = self.gate.state.lock().expect("gate");
+                let mut state = self.gate.state();
                 state.1.push(page);
                 self.gate.changed.notify_all();
                 if self.held.iter().any(|&h| u64::from(h) == page) {
-                    drop(self.gate.changed.wait_while(state, |s| !s.0).expect("gate"));
+                    let opened = self.gate.changed.wait_while(state, |s| !s.0);
+                    drop(opened.unwrap_or_else(|p| p.into_inner()));
                 }
             }
             self.file.read_page_into(page, buf)
@@ -1624,16 +1914,66 @@ mod tests {
         }
     }
 
-    fn open_gated(path: &Path, config: OocConfig, held: &[u32]) -> (OocFlatIndex, Arc<Gate>) {
+    /// How long a test waits for the workers before it fails.
+    const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(20);
+
+    /// An index over [`GateIo`] that opens the gate when it is dropped,
+    /// on unwind too: the index's drop joins the workers, and a worker
+    /// held at a gate nobody opens would keep a failing test from ever
+    /// ending.
+    struct Gated {
+        index: OocFlatIndex,
+        gate: Arc<Gate>,
+    }
+
+    impl std::ops::Deref for Gated {
+        type Target = OocFlatIndex;
+
+        fn deref(&self) -> &OocFlatIndex {
+            &self.index
+        }
+    }
+
+    impl Drop for Gated {
+        fn drop(&mut self) {
+            self.gate.open();
+        }
+    }
+
+    fn open_gated(path: &Path, config: OocConfig, held: &[u32]) -> Gated {
         let gate = Arc::new(Gate::default());
         let io_gate = Arc::clone(&gate);
         let owner = std::thread::current().id();
         let held = held.to_vec();
-        let ooc = OocFlatIndex::open_with(path, config, move |file| {
+        let index = OocFlatIndex::open_with(path, config, move |file| {
             Arc::new(GateIo { file, owner, held, gate: io_gate })
         })
         .expect("open");
-        (ooc, gate)
+        Gated { index, gate }
+    }
+
+    /// Wait until a worker has sent `home`'s planner back.
+    fn returned(home: &PlanHome) -> MutexGuard<'_, Option<std::thread::Result<Box<Planner>>>> {
+        let (returned, timeout) = home
+            .ready
+            .wait_timeout_while(home.lock(), TIMEOUT, |r| r.is_none())
+            .unwrap_or_else(|p| p.into_inner());
+        assert!(!timeout.timed_out(), "no worker made the plan");
+        returned
+    }
+
+    /// Wait, without taking the job back, until a worker has made the
+    /// last step's plan; the pages that plan queued. A panic of the
+    /// policy on the worker is raised here.
+    fn plan_made(cur: &mut OocCursor<'_>) -> u64 {
+        if matches!(cur.plans.planner, Plans::Out) {
+            let made = returned(&cur.plans.home).take().expect("the planner is back");
+            cur.plans.planner = Plans::Here(made.unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        match &cur.plans.planner {
+            Plans::Here(planner) => planner.queued,
+            _ => panic!("the policy panicked in an earlier step"),
+        }
     }
 
     /// A policy that plans the page lists it was given, one per step.
@@ -1686,7 +2026,7 @@ mod tests {
 
         for workers in [1, 2] {
             let config = OocConfig::default().with_prefetch_workers(workers);
-            let (ooc, gate) = open_gated(&t.0, config, &spare);
+            let ooc = open_gated(&t.0, config, &spare);
             // Each plan also names a page its step reads, a page twice
             // and pages past the end of the file.
             let mut plan1 = vec![read1[0], first[0], first[0], pages, u32::MAX];
@@ -1695,26 +2035,29 @@ mod tests {
             plan2.extend(&second[..2]);
             let mut cur = ooc.cursor(Box::new(Scripted(VecDeque::from([plan1, plan2]))));
 
-            let trace = cur.step(&q1).expect("step 1");
-            assert_eq!(trace.prefetched, 6, "unread, unrepeated, in-range pages of plan 1");
+            // A worker makes each plan once its step has been answered.
+            assert_eq!(cur.step(&q1).expect("step 1").prefetched, 0, "nothing planned before");
             assert!(cur.last_result().iter().eq(mem.range_query(&q1).0));
+            assert_eq!(plan_made(&mut cur), 6, "unread, unrepeated, in-range pages of plan 1");
             // Every worker is stuck reading one page of plan 1; the rest
             // is still queued.
-            let mut issued = gate.reads(workers, &spare);
+            let mut issued = ooc.gate.reads(workers, &spare);
             issued.sort_unstable();
             assert_eq!(issued, first[..workers]);
             assert_eq!(queued_plan(&ooc), first[workers..]);
 
             let trace = cur.step(&q2).expect("step 2");
-            assert_eq!(trace.prefetched, 3);
+            assert_eq!(trace.prefetched, 6, "step 2 reports plan 1");
             assert!(cur.last_result().iter().eq(mem.range_query(&q2).0));
-            assert_eq!(queued_plan(&ooc), second, "plan 2 in place of the rest of plan 1");
 
-            // Let the workers go: they read plan 2 and nothing else.
-            gate.open();
-            let mut after = gate.reads(workers + 3, &spare).split_off(workers);
+            // Let the workers go. Step 2's plan job comes before the rest
+            // of plan 1, and the worker that takes it drops that rest:
+            // the workers read plan 2 and nothing else.
+            ooc.gate.open();
+            assert_eq!(plan_made(&mut cur), 3);
+            let mut after = ooc.gate.reads(workers + 3, &spare).split_off(workers);
             after.sort_unstable();
-            assert_eq!(after, second);
+            assert_eq!(after, second, "plan 2 in place of the rest of plan 1");
             assert!(queued_plan(&ooc).is_empty());
         }
     }
@@ -1726,14 +2069,15 @@ mod tests {
         write_flat_index(&mem, &t.0).expect("write");
         let pages = mem.page_count() as u32;
         let config = OocConfig::default().with_frame_budget(4).with_prefetch_workers(1);
-        let (ooc, gate) = open_gated(&t.0, config, &[]);
+        let ooc = open_gated(&t.0, config, &[]);
 
         // Walk up to the last page with the storage-order policy, whose
-        // window reaches two ids past it.
+        // window reaches two ids past it. The worker makes each plan.
         let mut cur = ooc.cursor(Box::new(crate::prefetch::HilbertPrefetcher { window: 2 }));
         let mut planned = 0;
         for page in pages - 6..pages {
-            planned += cur.step(&probe(&mem, page).0).expect("step").prefetched;
+            cur.step(&probe(&mem, page).0).expect("step");
+            planned += plan_made(&mut cur);
         }
         assert!(planned > 0, "the policy planned something");
         // The last plan is taken whole once the queue is empty, and a
@@ -1745,20 +2089,209 @@ mod tests {
         // On a full pool, a plan of nothing but ids past the end costs
         // no frame.
         let last = probe(&mem, pages - 1).0;
-        cur = ooc.cursor(Box::new(Scripted(VecDeque::from([vec![pages, pages + 1, u32::MAX]]))));
+        let past_the_end = vec![pages, pages + 1, u32::MAX];
+        cur = ooc.cursor(Box::new(Scripted(VecDeque::from([vec![], past_the_end]))));
         cur.step(&last).expect("warm the last page");
+        plan_made(&mut cur);
         let before = ooc.pool().stats();
         assert_eq!(ooc.pool().resident(), 4, "the pool is full");
-        assert_eq!(cur.step(&last).expect("step").prefetched, 0);
+        cur.step(&last).expect("step");
+        assert_eq!(plan_made(&mut cur), 0);
         assert!(queued_plan(&ooc).is_empty());
         assert_eq!(ooc.pool().stats().evictions, before.evictions);
 
         drop(cur);
         let pool = Arc::clone(&ooc.pool);
+        let gate = Arc::clone(&ooc.gate);
         drop(ooc); // joins the worker
-        let reads = gate.state.lock().expect("gate").1.clone();
+        let reads = gate.state().1.clone();
         assert!(reads.iter().all(|&p| p < u64::from(pages)), "read past the end: {reads:?}");
         assert_eq!(pool.stats().prefetched, reads.len() as u64, "a prefetch read failed");
+    }
+
+    /// One step's plan as a policy made it: regions, pages, and SCOUT's
+    /// candidate counts so far.
+    type PlanLog = Arc<Mutex<Vec<(Vec<Aabb>, Vec<u32>, Vec<usize>)>>>;
+
+    /// A policy that logs every plan it makes, on whichever thread.
+    struct Recording<P> {
+        policy: P,
+        candidates: fn(&P) -> &[usize],
+        log: PlanLog,
+    }
+
+    impl<P: Prefetcher> Prefetcher for Recording<P> {
+        fn name(&self) -> &'static str {
+            self.policy.name()
+        }
+
+        fn plan(&mut self, ctx: &PrefetchContext<'_>) -> crate::prefetch::PrefetchPlan {
+            let plan = self.policy.plan(ctx);
+            let candidates = (self.candidates)(&self.policy).to_vec();
+            self.log.lock().expect("log").push((
+                plan.regions.clone(),
+                plan.pages.clone(),
+                candidates,
+            ));
+            plan
+        }
+
+        fn reset(&mut self) {
+            self.policy.reset();
+        }
+    }
+
+    #[test]
+    fn workers_make_the_plans_the_caller_would() {
+        use crate::prefetch::{ExtrapolationPrefetcher, ScoutPrefetcher};
+        let circuit = CircuitBuilder::new(7).neurons(8).build();
+        let path = neurospatial_model::NavigationPath::along_random_branch(&circuit, 1, 20.0, 8.0)
+            .expect("the circuit has branches");
+        let mem = build(circuit.into_segments(), 16);
+        let t = TempFile(temp_path("sameplans"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let budget = frame_budget_for(mem.page_count(), 50);
+        // Pages the walkthrough never demands: a worker held at one of
+        // them holds up no step.
+        let mut demanded = vec![false; mem.page_count()];
+        let mut scratch = neurospatial_flat::FlatScratch::default();
+        for q in &path.queries {
+            mem.range_query_stream(
+                q,
+                &mut scratch,
+                |p| demanded[p as usize] = true,
+                |_| Flow::Emit,
+            );
+        }
+        let idle: Vec<u32> =
+            (0..mem.page_count() as u32).filter(|&p| !demanded[p as usize]).collect();
+        assert!(idle.len() >= 2, "the walkthrough leaves pages alone");
+
+        // Walk the path with `workers` and `think_ms` after each step. With
+        // `held`, every worker is stuck at the gate before the first
+        // step, so the cursor makes every plan but the last itself.
+        let walk = |workers: usize, think_ms: u64, held: bool, policy: Box<dyn Prefetcher>| {
+            let config =
+                OocConfig::default().with_frame_budget(budget).with_prefetch_workers(workers);
+            let ooc = open_gated(&t.0, config, if held { &idle } else { &[] });
+            if held {
+                ooc.prefetch.as_ref().expect("workers").enqueue_frontier(&idle[..workers]);
+                ooc.gate.reads(workers, &idle);
+            }
+            let mut cur = ooc.cursor(policy);
+            for (step, q) in path.queries.iter().enumerate() {
+                let trace = cur.step(q).expect("step");
+                assert!(
+                    cur.last_result().iter().eq(mem.range_query(q).0),
+                    "step {step} with {workers} workers differs from the in-memory index"
+                );
+                if held {
+                    assert_eq!(trace.prefetched, 0, "step {step} made the plan before it");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(think_ms));
+            }
+            ooc.gate.open();
+            if workers > 0 {
+                // The last step's plan: dropping the cursor would drop it.
+                plan_made(&mut cur);
+            }
+        };
+        let scout = |log: PlanLog| -> Box<dyn Prefetcher> {
+            let candidates = ScoutPrefetcher::candidate_history;
+            Box::new(Recording { policy: ScoutPrefetcher::default(), candidates, log })
+        };
+        let extrapolation = |log: PlanLog| -> Box<dyn Prefetcher> {
+            let candidates = |_: &ExtrapolationPrefetcher| -> &[usize] { &[] };
+            Box::new(Recording { policy: ExtrapolationPrefetcher::default(), candidates, log })
+        };
+        for policy in [&scout as &dyn Fn(PlanLog) -> Box<dyn Prefetcher>, &extrapolation] {
+            let logged = |workers, think_ms, held| {
+                let log = PlanLog::default();
+                walk(workers, think_ms, held, policy(Arc::clone(&log)));
+                let plans = log.lock().expect("log").clone();
+                plans
+            };
+            let inline = logged(0, 0, false);
+            assert_eq!(inline.len(), path.queries.len(), "one plan a step");
+            // At zero think time the cursor often finds the last job
+            // still queued; after a short sleep a worker has made it.
+            for (workers, think_ms, held) in
+                [(1, 0, false), (2, 0, false), (1, 2, false), (2, 2, false), (1, 0, true)]
+            {
+                assert!(
+                    logged(workers, think_ms, held) == inline,
+                    "{workers} workers, {think_ms} ms think time, held {held}: other plans"
+                );
+            }
+        }
+    }
+
+    /// A policy that plans nothing and panics at step `at`.
+    struct PanicsAt {
+        at: usize,
+        steps: usize,
+    }
+
+    impl Prefetcher for PanicsAt {
+        fn name(&self) -> &'static str {
+            "panics"
+        }
+
+        fn plan(&mut self, _ctx: &PrefetchContext<'_>) -> crate::prefetch::PrefetchPlan {
+            self.steps += 1;
+            if self.steps == self.at {
+                panic!("the policy gave up at step {}", self.at);
+            }
+            crate::prefetch::PrefetchPlan::default()
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn a_policy_that_panics_on_a_worker_panics_its_cursor() {
+        let mem = build(circuit(10), 8);
+        let t = TempFile(temp_path("panics"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let (q, read) = probe(&mem, 0);
+        let spare: Vec<u32> =
+            (0..mem.page_count() as u32).filter(|p| !read.contains(p)).take(3).collect();
+        let ooc = open_gated(&t.0, OocConfig::default().with_prefetch_workers(1), &[]);
+        let message = |panic: Box<dyn std::any::Any + Send>| {
+            *panic.downcast::<String>().expect("the policy's formatted message")
+        };
+
+        // The next step raises the panic of the last step's plan...
+        let mut cur = ooc.cursor(Box::new(PanicsAt { at: 2, steps: 0 }));
+        cur.step(&q).expect("step 1");
+        cur.step(&q).expect("step 2");
+        drop(returned(&cur.plans.home));
+        let panic = catch_unwind(AssertUnwindSafe(|| cur.step(&q))).expect_err("step 3 panics");
+        assert_eq!(message(panic), "the policy gave up at step 2");
+        drop(cur);
+
+        // ... and so do a reset and a drop.
+        for reset in [true, false] {
+            let mut cur = ooc.cursor(Box::new(PanicsAt { at: 1, steps: 0 }));
+            cur.step(&q).expect("step 1");
+            drop(returned(&cur.plans.home));
+            let panic = if reset {
+                catch_unwind(AssertUnwindSafe(|| cur.reset())).expect_err("reset panics")
+            } else {
+                catch_unwind(AssertUnwindSafe(move || drop(cur))).expect_err("drop panics")
+            };
+            assert_eq!(message(panic), "the policy gave up at step 1");
+        }
+
+        // The worker goes on: another cursor gets its answers, and its
+        // plan is made and read.
+        let mut other = ooc.cursor(Box::new(Scripted(VecDeque::from([spare.clone()]))));
+        other.step(&q).expect("step");
+        assert!(other.last_result().iter().eq(mem.range_query(&q).0));
+        assert_eq!(plan_made(&mut other), 3);
+        let mut reads = ooc.gate.reads(3, &spare);
+        reads.sort_unstable();
+        assert_eq!(reads, spare);
     }
 
     #[test]

@@ -39,7 +39,12 @@ impl PrefetchPlan {
 }
 
 /// A prefetching policy.
-pub trait Prefetcher {
+///
+/// A policy is `Send` because it goes where the think time is spent: on
+/// a file with prefetch workers a worker makes each plan, so
+/// [`plan`](Self::plan) runs off the caller's thread, one step at a time
+/// and in step order (see [`OocCursor`](crate::OocCursor)).
+pub trait Prefetcher: Send {
     fn name(&self) -> &'static str;
 
     /// Called after each query; returns what to fetch during think time.

@@ -41,7 +41,14 @@ pub struct QueryTrace {
     pub demand_misses: u64,
     /// Stall time of this step (ms).
     pub stall_ms: f64,
-    /// Pages prefetched after this step.
+    /// Pages prefetched for the next step. On a device that keeps a
+    /// clock (a [`view`](crate::OocFlatIndex::view)), the pages the
+    /// cursor read after this step, in its think time. With prefetch
+    /// workers, a worker makes each step's plan after the step returns,
+    /// so this is the number of pages the *previous* step's plan queued;
+    /// it is 0 when that plan was still queued as this step was answered
+    /// and the cursor made it itself, dropping its pages. On a file
+    /// without workers, 0.
     pub prefetched: u64,
     /// Result size of the step's query.
     pub results: u64,
@@ -58,7 +65,10 @@ pub struct SessionStats {
     pub total_demand_misses: u64,
     /// Total demand hits.
     pub total_demand_hits: u64,
-    /// Total pages prefetched ("how much data was prefetched in total").
+    /// Total pages prefetched ("how much data was prefetched in total"):
+    /// the sum of the steps' [`QueryTrace::prefetched`]. With prefetch
+    /// workers that is the pages queued by every plan a worker made but
+    /// the last step's.
     pub total_prefetched: u64,
     /// Prefetched pages that a later query actually demanded ("how much
     /// was correctly prefetched").

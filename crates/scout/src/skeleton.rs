@@ -11,8 +11,10 @@
 //! that relation. The pairs are found by sorting the 2n endpoints along
 //! x and sweeping a tolerance-wide window over them — a pair closer than
 //! the tolerance is closer than it along x too — and fused in a
-//! union-find. The prediction runs inside every walkthrough step, so it
-//! has to cost what the crawl costs: two sorts and no hashing. The
+//! union-find. The prediction runs once a walkthrough step, on a
+//! prefetch worker in the user's think time where there is one and on
+//! the caller where there is not, so it has to cost what the crawl
+//! costs: two sorts and no hashing. The
 //! ground-truth neuron/section ids on [`NeuronSegment`] are deliberately
 //! ignored; tests use them to measure reconstruction quality.
 
