@@ -676,18 +676,15 @@ fn a1_flat_packing() {
             segments.clone(),
             FlatBuildParams::default().with_page_capacity(64).with_packing(packing),
         );
-        let surface: f64 =
-            (0..idx.page_count() as u32).map(|p| idx.page_mbr(p).surface_area()).sum();
+        let surface: f64 = idx.graph().mbrs().iter().map(|mbr| mbr.surface_area()).sum();
         if packing == PackingStrategy::Hilbert {
             base_surface = surface;
         }
         let (mut head, mut io_ns) = (None, 0u64);
         let mut pages = 0u64;
         for q in &w.queries {
-            let (_, s) = idx.range_query_with(q, |acc| {
-                if let neurospatial::flat::PageAccess::Data(p) = acc {
-                    io_ns += CostModel::default().read_ns(head.replace(p as u64), p as u64);
-                }
+            let (_, s) = idx.range_query_with(q, |p| {
+                io_ns += CostModel::default().read_ns(head.replace(p as u64), p as u64);
             });
             pages += s.pages_read;
         }
@@ -695,7 +692,7 @@ fn a1_flat_packing() {
         t.row([
             format!("{packing:?}"),
             idx.page_count().to_string(),
-            f1(idx.mean_neighbors()),
+            f1(idx.graph().mean_neighbors()),
             f2(surface / base_surface),
             f1(pages as f64 / n),
             f2(io_ns as f64 / 1e6 / n),

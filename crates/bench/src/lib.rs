@@ -81,7 +81,6 @@ pub struct E1Row {
 /// half-extent (10 and 30 µm), 40 data-centred queries each. Every
 /// column but the two wall times is a function of the inputs.
 pub fn e1_rows(neurons: u32) -> Vec<E1Row> {
-    use neurospatial::flat::PageAccess;
     use std::time::Instant;
     let circuit = dense_circuit(neurons, 1);
     let segments = circuit.segments().to_vec();
@@ -106,10 +105,8 @@ pub fn e1_rows(neurons: u32) -> Vec<E1Row> {
         let (mut f_head, mut f_ns, mut r_head, mut r_ns) = (None, 0u64, None, 0u64);
         for q in &w.queries {
             let t0 = Instant::now();
-            let (hits, fs) = flat.range_query_with(q, |acc| {
-                if let PageAccess::Data(p) = acc {
-                    f_ns += cost.read_ns(f_head.replace(p as u64), p as u64);
-                }
+            let (hits, fs) = flat.range_query_with(q, |p| {
+                f_ns += cost.read_ns(f_head.replace(p as u64), p as u64);
             });
             f_us += t0.elapsed().as_secs_f64() * 1e6;
             let t1 = Instant::now();

@@ -22,7 +22,7 @@
 
 use crate::error::NeuroError;
 use crate::shard::ShardedIndex;
-use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch};
+use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch, PageGraph};
 use neurospatial_geom::{Aabb, Flow, Vec3};
 use neurospatial_model::NeuronSegment;
 use neurospatial_rtree::{RPlusTree, RTree, RTreeParams, TraversalCounters, TraversalScratch};
@@ -587,14 +587,7 @@ impl SpatialIndex for FlatIndex<NeuronSegment> {
     }
 
     fn plan_range(&self, region: &Aabb) -> IndexPlan {
-        // FLAT keeps page MBRs as metadata: the plan can count the exact
-        // data pages the crawl would read, plus a seed descent.
-        let pages = self.pages_intersecting(region).len() as u64;
-        IndexPlan {
-            shards_total: 1,
-            shards_probed: usize::from(pages > 0),
-            estimated_reads: if pages == 0 { 0 } else { pages + self.seed_tree_height() as u64 },
-        }
+        flat_plan(self.graph(), region)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -603,6 +596,20 @@ impl SpatialIndex for FlatIndex<NeuronSegment> {
 
     fn memory_bytes(&self) -> usize {
         FlatIndex::memory_bytes(self)
+    }
+}
+
+/// FLAT's plan, in memory or paged: the page MBRs are metadata, so the
+/// plan counts the exact data pages the region meets, plus a seed
+/// descent, and reads no page.
+pub(crate) fn flat_plan(graph: &PageGraph, region: &Aabb) -> IndexPlan {
+    let mut pages = Vec::new();
+    graph.pages_intersecting(region, &mut TraversalScratch::default(), &mut pages);
+    let reads = if pages.is_empty() { 0 } else { pages.len() + graph.seed_tree_height() };
+    IndexPlan {
+        shards_total: 1,
+        shards_probed: usize::from(!pages.is_empty()),
+        estimated_reads: reads as u64,
     }
 }
 

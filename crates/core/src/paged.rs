@@ -5,11 +5,14 @@
 //! [`PagedFlatIndex`] wraps the scout crate's paged engine
 //! ([`OocFlatIndex`]): segments live in a checksummed page file on disk,
 //! a bounded frame pool keeps a configurable number of pages resident,
-//! and background workers prefetch pages ahead of the crawl. Logical
+//! and background workers prefetch pages ahead of the crawl. The crawl
+//! is the in-memory [`FlatIndex`]'s own, run over the same
+//! [`PageGraph`](neurospatial_flat::PageGraph) with pages read from the
+//! file, and the plan is the same function of that graph. So logical
 //! results and seed-and-crawl statistics are **byte-identical** to the
-//! in-memory [`FlatIndex`] (property-tested in
-//! `tests/ooc_equivalence.rs`); the physical I/O counters surface
-//! through the `cache_*` fields of [`QueryStats`].
+//! in-memory index (property-tested in `tests/ooc_equivalence.rs`); the
+//! physical I/O counters surface through the `cache_*` fields of
+//! [`QueryStats`].
 //!
 //! ## Fallibility
 //!
@@ -30,7 +33,7 @@
 //!   [`crate::query`].
 
 use crate::error::NeuroError;
-use crate::index::{IndexParams, IndexPlan, QueryScratch, QueryStats, SpatialIndex};
+use crate::index::{flat_plan, IndexParams, IndexPlan, QueryScratch, QueryStats, SpatialIndex};
 use neurospatial_flat::{FlatBuildParams, FlatIndex};
 use neurospatial_geom::{Aabb, Flow};
 use neurospatial_model::NeuronSegment;
@@ -41,19 +44,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lift a paged query's statistics into the unified schema: the logical
-/// counters map exactly as the in-memory FLAT conversion does, and the
-/// physical I/O counters land in the `cache_*` fields.
+/// counters by the in-memory FLAT conversion, and the physical I/O
+/// counters into the `cache_*` fields.
 pub(crate) fn unified_stats(s: &OocQueryStats) -> QueryStats {
     QueryStats {
-        results: s.flat.results,
-        nodes_read: s.flat.pages_read + s.flat.seed_nodes_read,
-        objects_tested: s.flat.objects_tested,
-        reseeds: s.flat.reseeds,
         cache_hits: s.io.cache_hits,
         cache_misses: s.io.cache_misses,
         cache_evictions: s.io.evictions,
         retries: s.io.retries,
         pages_quarantined: s.io.pages_quarantined,
+        ..(&s.flat).into()
     }
 }
 
@@ -215,18 +215,7 @@ impl SpatialIndex for PagedFlatIndex {
     }
 
     fn plan_range(&self, region: &Aabb) -> IndexPlan {
-        // Same exact plan as in-memory FLAT: the page MBRs are metadata,
-        // resident in RAM, so planning still costs no page I/O.
-        let pages = self.ooc.pages_intersecting(region).len() as u64;
-        IndexPlan {
-            shards_total: 1,
-            shards_probed: usize::from(pages > 0),
-            estimated_reads: if pages == 0 {
-                0
-            } else {
-                pages + self.ooc.seed_tree_height() as u64
-            },
-        }
+        flat_plan(self.ooc.graph(), region)
     }
 
     fn memory_bytes(&self) -> usize {

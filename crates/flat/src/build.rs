@@ -2,9 +2,9 @@
 
 use crate::lanes::write_box;
 use crate::stats::FlatBuildStats;
-use crate::{FlatIndex, FlatPage, PageEntry};
+use crate::{FlatIndex, FlatPage, PageGraph};
 use neurospatial_geom::{morton_encode3, Aabb, GridIndexer, HilbertSorter};
-use neurospatial_rtree::{RTree, RTreeObject, RTreeParams};
+use neurospatial_rtree::RTreeObject;
 use std::time::Instant;
 
 /// How objects are linearised before being chunked into pages.
@@ -129,7 +129,9 @@ impl<T: RTreeObject> FlatIndex<T> {
         // One pass over each page's boxes gives its MBR, its lanes and its
         // flag.
         let t1 = Instant::now();
-        let mut pages = Vec::with_capacity(objects.len().div_ceil(params.page_capacity.max(1)));
+        let page_count = objects.len().div_ceil(params.page_capacity.max(1));
+        let (mut pages, mut mbrs) =
+            (Vec::with_capacity(page_count), Vec::with_capacity(page_count));
         let mut lanes = vec![0f32; 6 * objects.len()];
         let mut start = 0usize;
         while start < objects.len() {
@@ -142,7 +144,8 @@ impl<T: RTreeObject> FlatIndex<T> {
                 all_valid &= b.is_valid();
                 write_box(block, end - start, i, &b);
             }
-            pages.push(FlatPage { mbr, start: start as u32, end: end as u32, all_valid });
+            pages.push(FlatPage { start: start as u32, end: end as u32, all_valid });
+            mbrs.push(mbr);
             start = end;
         }
         let pack_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -150,21 +153,12 @@ impl<T: RTreeObject> FlatIndex<T> {
         // --- 3. Neighborhood graph --------------------------------------
         let t2 = Instant::now();
         let (neighbor_offsets, neighbor_ids) =
-            build_neighborhoods(&pages, bounds, params.neighbor_epsilon);
+            build_neighborhoods(&mbrs, bounds, params.neighbor_epsilon);
         let neighbor_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         // --- 4. Seed tree over page MBRs ---------------------------------
         let t3 = Instant::now();
-        let entries: Vec<PageEntry> = pages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| PageEntry { mbr: p.mbr, page: i as u32 })
-            .collect();
-        let mut seed_tree =
-            RTree::bulk_load(entries, RTreeParams::with_max_entries(params.seed_fanout));
-        // The seed tree answers every query's seed descent and re-seed
-        // check, including the scratch paths: freeze its SoA lanes.
-        seed_tree.freeze();
+        let graph = PageGraph::new(mbrs, neighbor_offsets, neighbor_ids, params.seed_fanout);
         let seed_ms = t3.elapsed().as_secs_f64() * 1e3;
 
         let build_stats = FlatBuildStats {
@@ -174,19 +168,10 @@ impl<T: RTreeObject> FlatIndex<T> {
             seed_tree_ms: seed_ms,
             total_ms: t0.elapsed().as_secs_f64() * 1e3,
             pages: pages.len() as u64,
-            neighbor_links: neighbor_ids.len() as u64,
+            neighbor_links: graph.neighbor_csr().1.len() as u64,
         };
 
-        FlatIndex {
-            objects,
-            lanes,
-            pages,
-            neighbor_offsets,
-            neighbor_ids,
-            seed_tree,
-            params,
-            build_stats,
-        }
+        FlatIndex { objects, lanes, pages, graph, params, build_stats }
     }
 }
 
@@ -196,8 +181,8 @@ impl<T: RTreeObject> FlatIndex<T> {
 ///
 /// A uniform grid over the page centres prunes the candidate pairs; cell
 /// size tracks the mean page extent so each page tests O(1) cells.
-fn build_neighborhoods(pages: &[FlatPage], bounds: Aabb, epsilon: f64) -> (Vec<u32>, Vec<u32>) {
-    let p = pages.len();
+fn build_neighborhoods(mbrs: &[Aabb], bounds: Aabb, epsilon: f64) -> (Vec<u32>, Vec<u32>) {
+    let p = mbrs.len();
     if p == 0 {
         return (vec![0], Vec::new());
     }
@@ -214,16 +199,16 @@ fn build_neighborhoods(pages: &[FlatPage], bounds: Aabb, epsilon: f64) -> (Vec<u
     // `Vec<Vec<u32>>` — one allocation for all cells rather than one per
     // occupied cell, and membership runs are contiguous in memory.
     let mut cell_offsets = vec![0u32; grid.len() + 1];
-    for page in pages {
-        grid.for_each_cell_in(&page.mbr, |c| cell_offsets[c + 1] += 1);
+    for mbr in mbrs {
+        grid.for_each_cell_in(mbr, |c| cell_offsets[c + 1] += 1);
     }
     for c in 0..grid.len() {
         cell_offsets[c + 1] += cell_offsets[c];
     }
     let mut cell_ids = vec![0u32; cell_offsets[grid.len()] as usize];
     let mut cursor = cell_offsets.clone();
-    for (i, page) in pages.iter().enumerate() {
-        grid.for_each_cell_in(&page.mbr, |c| {
+    for (i, mbr) in mbrs.iter().enumerate() {
+        grid.for_each_cell_in(mbr, |c| {
             cell_ids[cursor[c] as usize] = i as u32;
             cursor[c] += 1;
         });
@@ -235,14 +220,14 @@ fn build_neighborhoods(pages: &[FlatPage], bounds: Aabb, epsilon: f64) -> (Vec<u
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut links: Vec<u32> = Vec::new();
     let mut seen = vec![u32::MAX; p];
-    for (i, page) in pages.iter().enumerate() {
-        let (i, probe) = (i as u32, page.mbr.inflate(epsilon));
+    for (i, mbr) in mbrs.iter().enumerate() {
+        let (i, probe) = (i as u32, mbr.inflate(epsilon));
         links.clear();
         grid.for_each_cell_in(&probe, |c| {
             for &j in &cell_ids[cell_offsets[c] as usize..cell_offsets[c + 1] as usize] {
                 if j > i && seen[j as usize] != i {
                     seen[j as usize] = i;
-                    if probe.intersects(&pages[j as usize].mbr) {
+                    if probe.intersects(&mbrs[j as usize]) {
                         links.push(j);
                     }
                 }
@@ -292,12 +277,12 @@ mod tests {
         let idx: FlatIndex<Aabb> = FlatIndex::build(vec![], FlatBuildParams::default());
         assert!(idx.is_empty());
         assert_eq!(idx.page_count(), 0);
-        assert_eq!(idx.mean_neighbors(), 0.0);
+        assert_eq!(idx.graph.mean_neighbors(), 0.0);
 
         let one = FlatIndex::build(vec![Aabb::cube(Vec3::ZERO, 1.0)], FlatBuildParams::default());
         assert_eq!(one.len(), 1);
         assert_eq!(one.page_count(), 1);
-        assert!(one.neighbors_of(0).is_empty());
+        assert!(one.graph.neighbors_of(0).is_empty());
     }
 
     #[test]
@@ -312,7 +297,7 @@ mod tests {
             assert!(objs.len() <= 64);
             // Page MBR covers its objects.
             for o in objs {
-                assert!(idx.page_mbr(p).contains(&o.aabb()));
+                assert!(idx.graph.mbr(p).contains(&o.aabb()));
             }
             covered += objs.len();
         }
@@ -340,12 +325,12 @@ mod tests {
                 let pages = idx.page_count() as u32;
                 for u in 0..pages {
                     // The crawl emits pages in link order: runs ascend.
-                    let run = idx.neighbors_of(u);
+                    let run = idx.graph.neighbors_of(u);
                     assert!(run.windows(2).all(|w| w[0] < w[1]), "page {u}'s run {run:?}");
                     for v in 0..pages {
                         let (a, b) = (u.min(v), u.max(v));
-                        let contact = idx.page_mbr(a).inflate(eps).intersects(&idx.page_mbr(b));
-                        let linked = idx.neighbors_of(u).contains(&v);
+                        let contact = idx.graph.mbr(a).inflate(eps).intersects(&idx.graph.mbr(b));
+                        let linked = idx.graph.neighbors_of(u).contains(&v);
                         assert_eq!(linked, u != v && contact, "pages {u}, {v} at ε = {eps}");
                     }
                 }
@@ -383,12 +368,12 @@ mod tests {
                 digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01B3);
             }
         };
-        for b in idx.objects.iter().chain(idx.pages.iter().map(|p| &p.mbr)) {
+        for b in idx.objects.iter().chain(&idx.graph.mbrs) {
             for v in [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z] {
                 eat(v.to_bits());
             }
         }
-        for &w in idx.neighbor_offsets.iter().chain(&idx.neighbor_ids) {
+        for &w in idx.graph.neighbor_offsets.iter().chain(&idx.graph.neighbor_ids) {
             eat(w as u64);
         }
         assert_eq!(digest, 0x691D_5B27_55EC_6AC6, "{digest:#018x}");
@@ -417,7 +402,7 @@ mod tests {
         let mut count = 0;
         while let Some(u) = stack.pop() {
             count += 1;
-            for &v in idx.neighbors_of(u) {
+            for &v in idx.graph.neighbors_of(u) {
                 if !seen[v as usize] {
                     seen[v as usize] = true;
                     stack.push(v);
@@ -440,14 +425,14 @@ mod tests {
         let tight =
             FlatIndex::build(objs.clone(), FlatBuildParams::default().with_page_capacity(64));
         assert_eq!(tight.page_count(), 2);
-        assert!(tight.neighbors_of(0).is_empty());
+        assert!(tight.graph.neighbors_of(0).is_empty());
 
         let bridged = FlatIndex::build(
             objs,
             FlatBuildParams::default().with_page_capacity(64).with_neighbor_epsilon(95.0),
         );
-        assert_eq!(bridged.neighbors_of(0), &[1]);
-        assert_eq!(bridged.neighbors_of(1), &[0]);
+        assert_eq!(bridged.graph.neighbors_of(0), &[1]);
+        assert_eq!(bridged.graph.neighbors_of(1), &[0]);
     }
 
     #[test]
@@ -456,7 +441,7 @@ mod tests {
             FlatIndex::build(line_boxes(500), FlatBuildParams::default().with_page_capacity(32));
         let s = idx.build_stats();
         assert_eq!(s.pages, idx.page_count() as u64);
-        assert_eq!(s.neighbor_links, idx.neighbor_count());
+        assert_eq!(s.neighbor_links, idx.graph.neighbor_csr().1.len() as u64);
         assert!(s.total_ms >= 0.0);
     }
 
@@ -499,7 +484,7 @@ mod tests {
             )
         };
         let area = |idx: &FlatIndex<Aabb>| {
-            (0..idx.page_count() as u32).map(|p| idx.page_mbr(p).surface_area()).sum::<f64>()
+            (0..idx.page_count() as u32).map(|p| idx.graph.mbr(p).surface_area()).sum::<f64>()
         };
         let h = build(PackingStrategy::Hilbert);
         let c = build(PackingStrategy::CoordinateSort);
@@ -510,14 +495,14 @@ mod tests {
             area(&c)
         );
         // Fewer neighbors per page too — the crawl examines fewer links.
-        assert!(h.mean_neighbors() <= c.mean_neighbors());
+        assert!(h.graph.mean_neighbors() <= c.graph.mean_neighbors());
     }
 
     #[test]
     fn memory_accounting_positive() {
         let idx = FlatIndex::build(line_boxes(500), FlatBuildParams::default());
         assert!(idx.memory_bytes() > 500 * std::mem::size_of::<Aabb>());
-        assert!(idx.seed_tree_height() >= 1);
+        assert!(idx.graph.seed_tree_height() >= 1);
     }
 
     #[test]
@@ -525,12 +510,12 @@ mod tests {
         use std::mem::size_of;
         let idx =
             FlatIndex::build(line_boxes(1000), FlatBuildParams::default().with_page_capacity(64));
-        // Everything the index held before the lanes, priced as before.
-        let page_before = size_of::<Aabb>() + 2 * size_of::<u32>();
+        // Everything the index held before the lanes, priced as before:
+        // the page records' ranges, and the graph (MBRs, links, seed tree).
+        let page_before = 2 * size_of::<u32>();
         let before = idx.objects.capacity() * size_of::<Aabb>()
             + idx.pages.capacity() * page_before
-            + (idx.neighbor_ids.capacity() + idx.neighbor_offsets.capacity()) * 4
-            + idx.seed_tree.memory_bytes();
+            + idx.graph.memory_bytes();
         // The flag is one byte, padded to the page record's alignment.
         let flag = size_of::<FlatPage>() - page_before;
         assert!(flag <= std::mem::align_of::<FlatPage>());

@@ -27,8 +27,13 @@
 //! Both steps are independent of how dense the dataset is, which is the
 //! paper's headline property.
 //!
-//! One loop (in [`query`]) runs every crawl, and it decides each thing
-//! once:
+//! One loop, [`PageGraph::crawl`] (in [`query`]), runs every crawl: this
+//! index's and that of the paged engine in `neurospatial-scout`, which
+//! supplies only how a page is read from its file. The page MBRs, the
+//! links and the seed tree form the [`PageGraph`] both engines hold.
+//! [`FlatIndex::range_query_stream`] and [`FlatIndex::range_query_with`]
+//! take one hook, fired with each page read. The crawl decides each
+//! thing once:
 //!
 //! - **A page wholly inside `q`** (`q` contains its MBR, and its flag is
 //!   set) is emitted without testing any object.
@@ -101,16 +106,16 @@ pub mod stats;
 
 pub use build::{FlatBuildParams, PackingStrategy};
 pub use query::FlatScratch;
-pub use stats::{FlatBuildStats, FlatQueryStats, PageAccess};
+pub use stats::{FlatBuildStats, FlatQueryStats};
 
-use neurospatial_geom::Aabb;
-use neurospatial_rtree::{RTree, RTreeObject};
+use neurospatial_geom::{Aabb, Flow};
+use neurospatial_rtree::{RTree, RTreeObject, RTreeParams, TraversalScratch};
 
 /// Entry of the seed tree: one page's MBR.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PageEntry {
-    pub mbr: Aabb,
-    pub page: u32,
+struct PageEntry {
+    mbr: Aabb,
+    page: u32,
 }
 
 impl RTreeObject for PageEntry {
@@ -119,15 +124,115 @@ impl RTreeObject for PageEntry {
     }
 }
 
+/// FLAT's page graph: every page's MBR, the neighborhood links in CSR
+/// form and the seed tree over the MBRs. It is all a crawl knows of the
+/// index ([`PageGraph::crawl`]); how a page's objects are read is the
+/// caller's, in memory or from a page file.
+#[derive(Debug, Clone)]
+pub struct PageGraph {
+    mbrs: Vec<Aabb>,
+    neighbor_offsets: Vec<u32>,
+    neighbor_ids: Vec<u32>,
+    seed_tree: RTree<PageEntry>,
+}
+
+impl PageGraph {
+    /// The graph of pages with MBRs `mbrs`, page `p` linked to
+    /// `neighbor_ids[neighbor_offsets[p]..neighbor_offsets[p + 1]]`, and
+    /// its seed tree STR-packed at fan-out `seed_fanout` and frozen. The
+    /// links must be the build's (`u` links `v` iff `u != v` and
+    /// `inflate(mbr(u), ε)` meets `mbr(v)`, for one `ε ≥ 0`): the crawl's
+    /// re-seed skip rests on it (see [`query`]).
+    pub fn new(
+        mbrs: Vec<Aabb>,
+        neighbor_offsets: Vec<u32>,
+        neighbor_ids: Vec<u32>,
+        seed_fanout: usize,
+    ) -> Self {
+        assert_eq!(neighbor_offsets.len(), mbrs.len() + 1, "one offset per page, and the end");
+        assert_eq!(neighbor_offsets.last().map(|&e| e as usize), Some(neighbor_ids.len()));
+        let entries = mbrs.iter().enumerate().map(|(i, &mbr)| PageEntry { mbr, page: i as u32 });
+        let mut seed_tree =
+            RTree::bulk_load(entries.collect(), RTreeParams::with_max_entries(seed_fanout));
+        // Every seed descent and re-seed check runs on the lanes.
+        seed_tree.freeze();
+        PageGraph { mbrs, neighbor_offsets, neighbor_ids, seed_tree }
+    }
+
+    /// Number of pages.
+    pub fn page_count(&self) -> usize {
+        self.mbrs.len()
+    }
+
+    /// Every page's MBR, by page id.
+    pub fn mbrs(&self) -> &[Aabb] {
+        &self.mbrs
+    }
+
+    /// MBR of a page.
+    pub fn mbr(&self, page: u32) -> Aabb {
+        self.mbrs[page as usize]
+    }
+
+    /// Neighbor pages of `page`, ascending.
+    pub fn neighbors_of(&self, page: u32) -> &[u32] {
+        let a = self.neighbor_offsets[page as usize] as usize;
+        let b = self.neighbor_offsets[page as usize + 1] as usize;
+        &self.neighbor_ids[a..b]
+    }
+
+    /// The links in their raw CSR form, `(offsets, ids)`: what the
+    /// out-of-core writer persists.
+    pub fn neighbor_csr(&self) -> (&[u32], &[u32]) {
+        (&self.neighbor_offsets, &self.neighbor_ids)
+    }
+
+    /// Mean neighborhood size (links per page).
+    pub fn mean_neighbors(&self) -> f64 {
+        if self.mbrs.is_empty() {
+            return 0.0;
+        }
+        self.neighbor_ids.len() as f64 / self.mbrs.len() as f64
+    }
+
+    /// Union of the page MBRs (`Aabb::EMPTY` without pages): the seed
+    /// tree's root MBR, so O(1).
+    pub fn bounds(&self) -> Aabb {
+        self.seed_tree.root_mbr()
+    }
+
+    /// The seed tree's height: the seed phase's cost bound.
+    pub fn seed_tree_height(&self) -> usize {
+        self.seed_tree.height()
+    }
+
+    /// The pages whose MBR meets `q`, into `out` (cleared first), from
+    /// the seed tree alone: no data page is read, and with warm buffers
+    /// nothing is allocated.
+    pub fn pages_intersecting(&self, q: &Aabb, scratch: &mut TraversalScratch, out: &mut Vec<u32>) {
+        out.clear();
+        self.seed_tree.range_query_stream(q, scratch, |entry| {
+            out.push(entry.page);
+            Flow::Emit
+        });
+    }
+
+    /// Bytes held: MBRs, links and seed tree.
+    pub fn memory_bytes(&self) -> usize {
+        self.mbrs.capacity() * std::mem::size_of::<Aabb>()
+            + (self.neighbor_offsets.capacity() + self.neighbor_ids.capacity()) * 4
+            + self.seed_tree.memory_bytes()
+    }
+}
+
 /// One FLAT data page: a contiguous run of objects in Hilbert order.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatPage {
-    pub mbr: Aabb,
     /// Index range into `FlatIndex::objects`.
     pub start: u32,
     pub end: u32,
     /// Every box on the page is finite and non-empty, so a query that
-    /// contains `mbr` contains them all.
+    /// contains the page's MBR contains them all.
     pub all_valid: bool,
 }
 
@@ -139,10 +244,7 @@ pub struct FlatIndex<T: RTreeObject> {
     /// (layout in `lanes.rs`).
     pub(crate) lanes: Vec<f32>,
     pub(crate) pages: Vec<FlatPage>,
-    /// Adjacency lists of the page neighborhood graph (CSR layout).
-    pub(crate) neighbor_offsets: Vec<u32>,
-    pub(crate) neighbor_ids: Vec<u32>,
-    pub(crate) seed_tree: RTree<PageEntry>,
+    pub(crate) graph: PageGraph,
     pub(crate) params: FlatBuildParams,
     pub(crate) build_stats: FlatBuildStats,
 }
@@ -163,10 +265,13 @@ impl<T: RTreeObject> FlatIndex<T> {
     }
 
     /// Bounding box of every indexed object (`Aabb::EMPTY` when empty).
-    /// O(1): the seed tree's root MBR is exactly the union of all page
-    /// MBRs.
     pub fn bounds(&self) -> Aabb {
-        self.seed_tree.root_mbr()
+        self.graph.bounds()
+    }
+
+    /// The page graph: page MBRs, neighborhoods and seed tree.
+    pub fn graph(&self) -> &PageGraph {
+        &self.graph
     }
 
     /// Statistics recorded while building.
@@ -179,69 +284,18 @@ impl<T: RTreeObject> FlatIndex<T> {
         &self.params
     }
 
-    /// Total number of directed neighborhood links.
-    pub fn neighbor_count(&self) -> u64 {
-        self.neighbor_ids.len() as u64
-    }
-
-    /// Mean neighborhood size (links per page).
-    pub fn mean_neighbors(&self) -> f64 {
-        if self.pages.is_empty() {
-            return 0.0;
-        }
-        self.neighbor_ids.len() as f64 / self.pages.len() as f64
-    }
-
-    /// The neighborhood graph in its raw CSR form:
-    /// `(offsets, ids)` with `neighbors_of(p) == ids[offsets[p]..offsets[p+1]]`.
-    ///
-    /// This is the serialization-friendly view — the out-of-core writer
-    /// persists both arrays verbatim so the paged engine crawls exactly
-    /// the same links.
-    pub fn neighbor_csr(&self) -> (&[u32], &[u32]) {
-        (&self.neighbor_offsets, &self.neighbor_ids)
-    }
-
-    /// Neighbor pages of `page`.
-    pub fn neighbors_of(&self, page: u32) -> &[u32] {
-        let a = self.neighbor_offsets[page as usize] as usize;
-        let b = self.neighbor_offsets[page as usize + 1] as usize;
-        &self.neighbor_ids[a..b]
-    }
-
-    /// MBR of a page.
-    pub fn page_mbr(&self, page: u32) -> Aabb {
-        self.pages[page as usize].mbr
-    }
-
     /// Objects stored on a page.
     pub fn page_objects(&self, page: u32) -> &[T] {
         let p = &self.pages[page as usize];
         &self.objects[p.start as usize..p.end as usize]
     }
 
-    /// Ids of all pages whose MBR intersects `q`, via the seed tree.
-    ///
-    /// This is metadata-only (no data-page access) — prefetchers use it to
-    /// translate predicted regions into page ids.
-    pub fn pages_intersecting(&self, q: &Aabb) -> Vec<u32> {
-        let (entries, _) = self.seed_tree.range_query(q);
-        entries.into_iter().map(|e| e.page).collect()
-    }
-
     /// Rough memory footprint (bytes): objects + their lanes + page table
-    /// (MBR, range and flag per page) + adjacency + seed tree.
+    /// (range and flag per page) + page graph.
     pub fn memory_bytes(&self) -> usize {
         self.objects.capacity() * std::mem::size_of::<T>()
             + self.lanes.capacity() * std::mem::size_of::<f32>()
             + self.pages.capacity() * std::mem::size_of::<FlatPage>()
-            + self.neighbor_ids.capacity() * 4
-            + self.neighbor_offsets.capacity() * 4
-            + self.seed_tree.memory_bytes()
-    }
-
-    /// The seed R-Tree height — the seed phase cost bound.
-    pub fn seed_tree_height(&self) -> usize {
-        self.seed_tree.height()
+            + self.graph.memory_bytes()
     }
 }

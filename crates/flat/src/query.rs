@@ -1,14 +1,18 @@
 //! FLAT query phase: seed, then crawl the neighborhood graph.
 //!
-//! Both entry points — the instrumented [`FlatIndex::range_query_with`]
-//! and the streaming [`FlatIndex::range_query_stream`] — run one private
-//! crawl. They differ in how they reach the seed tree (its hooked
-//! queries, or its allocation-free ones on the scratch) and in nothing
-//! else, so page visits, emission order and every counter agree by
-//! construction.
+//! There is one seed-and-crawl, [`PageGraph::crawl`], and both engines
+//! run it: the in-memory [`FlatIndex`] and the paged engine of
+//! `neurospatial-scout`, which reads its pages from a file. A caller
+//! supplies only how a page is read and what happens to the pages a read
+//! page's links admit; the seed, the link rule, the re-seed skip and the
+//! re-seed are the crawl's, so page visits, emission order and every
+//! counter are the same for every caller that reads the same pages.
+//! [`FlatIndex::range_query_with`] is [`FlatIndex::range_query_stream`]
+//! on a fresh scratch, collecting the results and recording the crawl
+//! order through the same page hook.
 //!
-//! A visited page is scanned by the page kernel: if the query contains
-//! the page's MBR (and the page's flag says every box on it is finite and
+//! A page read in memory is the page kernel: if the query contains the
+//! page's MBR (and the page's flag says every box on it is finite and
 //! non-empty) all its objects are emitted untested; otherwise the page's
 //! `f32` lanes are cut, 64 objects at a time, into a `maybe` and a `sure`
 //! bitmask, and only the objects in `maybe` but not in `sure` meet the
@@ -30,17 +34,17 @@
 //! skipped when some page taken off the queue had an MBR containing `q`.
 //! Any page `v` meeting `q` then meets that page `u`'s MBR inside `q`, so
 //! `inflate(mbr(u), ε)` meets `mbr(v)` for every `ε ≥ 0`: that is the
-//! link rule of the build, so `v` was decided when `u` was scanned and
-//! has been visited since. The skip changes no result, order or counter
-//! but `seed_nodes_read`. It is gated on `neighbor_epsilon >= 0.0`, which
-//! the build asserts (and which a NaN fails).
+//! link rule of the build, which [`PageGraph::new`] demands, so `v` was
+//! decided when `u` was read and has been visited since. The skip changes
+//! no result, order or counter but `seed_nodes_read`.
 
 use crate::lanes::{page_lanes, QueryLanes};
-use crate::stats::{FlatQueryStats, PageAccess};
-use crate::{FlatIndex, FlatPage};
+use crate::stats::FlatQueryStats;
+use crate::{FlatIndex, PageGraph};
 use neurospatial_geom::{Aabb, Flow};
 use neurospatial_rtree::{EpochMarks, RTreeObject, TraversalScratch};
-use std::collections::VecDeque;
+use std::collections::vec_deque::{self, VecDeque};
+use std::convert::Infallible;
 
 /// Reusable per-query state for FLAT's seed-and-crawl executor: the
 /// crawl front, the epoch-stamped visited-page marks (O(1) to reset
@@ -49,24 +53,108 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub struct FlatScratch {
     /// BFS crawl front.
-    pub(crate) queue: VecDeque<u32>,
+    queue: VecDeque<u32>,
     /// Visited-page marks (shared epoch-stamping helper from the rtree
     /// crate, so the subtle wrap-around reset lives in one place).
-    pub(crate) visited: EpochMarks,
+    visited: EpochMarks,
     /// Scratch for the seed tree's descent and re-seed queries.
-    pub(crate) seed: TraversalScratch,
+    seed: TraversalScratch,
 }
 
 impl FlatScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Begin a query over `pages` pages: clear the crawl front and reset
-    /// the visited marks.
-    fn begin(&mut self, pages: usize) {
-        self.visited.begin(pages);
-        self.queue.clear();
+impl PageGraph {
+    /// FLAT's seed-and-crawl over this graph. `read(page, stats)` reads
+    /// one page the crawl has reached, emits its objects inside `q` and
+    /// counts them in `stats` (`objects_tested`, `results`); `Ok(true)`
+    /// means the sink ended the query, and an error ends it too.
+    /// `admitted` sees, in admission order, the pages one read page's
+    /// links have just added to the crawl front (never an empty run).
+    /// The crawl counts the rest: pages read, seed nodes, rejected links
+    /// and re-seeds.
+    pub fn crawl<E, R, A>(
+        &self,
+        q: &Aabb,
+        scratch: &mut FlatScratch,
+        mut read: R,
+        mut admitted: A,
+    ) -> Result<FlatQueryStats, E>
+    where
+        R: FnMut(u32, &mut FlatQueryStats) -> Result<bool, E>,
+        A: FnMut(vec_deque::Iter<'_, u32>),
+    {
+        let mut stats = FlatQueryStats::default();
+        if self.mbrs.is_empty() {
+            return Ok(stats);
+        }
+        let FlatScratch { queue, visited, seed } = scratch;
+        visited.begin(self.mbrs.len());
+        queue.clear();
+
+        // --- Seed ---------------------------------------------------------
+        // No page MBR intersecting q is an empty result, proven by the
+        // seed descent alone.
+        let (first, counters) = self.seed_tree.first_hit_scratch(q, seed);
+        stats.seed_nodes_read += counters.nodes_visited;
+        let Some(first) = first else {
+            return Ok(stats);
+        };
+        visited.mark(first.page as usize);
+        queue.push_back(first.page);
+
+        // --- Crawl (with exactness-preserving re-seeding) ------------------
+        // A read page whose MBR contains q links to every page meeting q
+        // (module doc), so the re-seed check cannot find one.
+        let mut covered = false;
+        loop {
+            while let Some(page) = queue.pop_front() {
+                stats.pages_read += 1;
+                covered |= self.mbrs[page as usize].contains(q);
+                if read(page, &mut stats)? {
+                    return Ok(stats);
+                }
+                // Each page's MBR is tested once per query: the mark
+                // remembers a rejection as well as an admission.
+                let before = queue.len();
+                for &n in self.neighbors_of(page) {
+                    if visited.mark(n as usize) {
+                        if self.mbrs[n as usize].intersects(q) {
+                            queue.push_back(n);
+                        } else {
+                            stats.links_rejected += 1;
+                        }
+                    }
+                }
+                if queue.len() > before {
+                    admitted(queue.range(before..));
+                }
+            }
+
+            // Crawl front empty: check for unreached pages intersecting q.
+            // This is the exactness fallback — rare on dense data. The
+            // seed tree returns only pages that intersect q, so a page
+            // marked as rejected is never asked about here.
+            if covered {
+                return Ok(stats);
+            }
+            let mut reseeded = false;
+            let counters = self.seed_tree.range_query_stream(q, seed, |entry| {
+                if visited.mark(entry.page as usize) {
+                    queue.push_back(entry.page);
+                    reseeded = true;
+                }
+                Flow::Emit
+            });
+            stats.seed_nodes_read += counters.nodes_visited;
+            if !reseeded {
+                return Ok(stats);
+            }
+            stats.reseeds += 1;
+        }
     }
 }
 
@@ -76,32 +164,36 @@ impl<T: RTreeObject> FlatIndex<T> {
         self.range_query_with(q, |_| {})
     }
 
-    /// Range query with a page-access hook (for charging modelled I/O)
-    /// — the fully instrumented form: the hook fires once per seed-tree
-    /// node and once per data page read, and the statistics carry the
-    /// crawl order. The crawl state is allocated per call; batches use
-    /// [`range_query_stream`](Self::range_query_stream).
-    pub fn range_query_with<F: FnMut(PageAccess)>(
+    /// [`range_query`](Self::range_query) with a page hook: `on_page`
+    /// fires once per data page read, as in
+    /// [`range_query_stream`](Self::range_query_stream) (the hook a
+    /// caller charges modelled page I/O through), and the statistics
+    /// carry the crawl order. The crawl state is allocated per call;
+    /// batches use `range_query_stream`.
+    pub fn range_query_with<F: FnMut(u32)>(
         &self,
         q: &Aabb,
-        on_access: F,
+        mut on_page: F,
     ) -> (Vec<&T>, FlatQueryStats) {
-        let mut out = Vec::new();
-        let stats = self.crawl(q, &mut FlatScratch::default(), true, on_access, |o| {
+        let (mut out, mut order) = (Vec::new(), Vec::new());
+        let on_page = |page| {
+            order.push(page);
+            on_page(page)
+        };
+        let mut stats = self.range_query_stream(q, &mut FlatScratch::default(), on_page, |o| {
             out.push(o);
             Flow::Emit
         });
+        stats.crawl_order = order;
         (out, stats)
     }
 
     /// Allocation-free, flow-controlled seed-and-crawl: the crawl front,
     /// visited marks and seed-tree traversal state all live in `scratch`,
     /// reused across queries. `on_page` fires once per data page read
-    /// (the hook a caller charges page I/O through); seed-tree
-    /// node accesses are *counted* (`seed_nodes_read`) but not hooked,
-    /// and `crawl_order` is left empty — use
-    /// [`range_query_with`](Self::range_query_with) for the fully
-    /// instrumented path. The sink decides per match whether it counts
+    /// (the hook a caller charges page I/O through); seed-tree node
+    /// accesses are counted (`seed_nodes_read`), and `crawl_order` is
+    /// left empty. The sink decides per match whether it counts
     /// ([`Flow::Emit`]), is filtered out ([`Flow::Skip`]) or ends the
     /// crawl right here ([`Flow::Last`] — the early exit a pushed-down
     /// limit compiles to). With an always-`Emit` sink the page visits,
@@ -112,117 +204,15 @@ impl<T: RTreeObject> FlatIndex<T> {
         q: &Aabb,
         scratch: &mut FlatScratch,
         mut on_page: F,
-        sink: S,
-    ) -> FlatQueryStats {
-        let on_access = |a| {
-            if let PageAccess::Data(page) = a {
-                on_page(page)
-            }
-        };
-        self.crawl(q, scratch, false, on_access, sink)
-    }
-
-    /// The seed-and-crawl every entry point runs. `trace` selects the
-    /// seed tree's hooked queries (every node reported to `on_access`,
-    /// `crawl_order` recorded) over its allocation-free ones; the page
-    /// visits, tests, emissions and counters do not depend on it.
-    fn crawl<'a, A: FnMut(PageAccess), S: FnMut(&'a T) -> Flow>(
-        &'a self,
-        q: &Aabb,
-        scratch: &mut FlatScratch,
-        trace: bool,
-        mut on_access: A,
         mut sink: S,
     ) -> FlatQueryStats {
-        let mut stats = FlatQueryStats::default();
-        if self.pages.is_empty() {
-            return stats;
-        }
-        scratch.begin(self.pages.len());
-        let FlatScratch { queue, visited, seed } = scratch;
-
-        // --- Seed ---------------------------------------------------------
-        // No page MBR intersecting q is an empty result, proven by the
-        // seed descent alone.
-        let (first, nodes) = if trace {
-            let (hit, s) = self
-                .seed_tree
-                .first_hit_with(q, |node, level| on_access(PageAccess::SeedNode(node, level)));
-            (hit, s.nodes_visited())
-        } else {
-            let (hit, c) = self.seed_tree.first_hit_scratch(q, seed);
-            (hit, c.nodes_visited)
-        };
-        stats.seed_nodes_read += nodes;
-        let Some(first) = first else {
-            return stats;
-        };
-        visited.mark(first.page as usize);
-        queue.push_back(first.page);
-
-        // --- Crawl (with exactness-preserving re-seeding) ------------------
         let q_lanes = QueryLanes::new(q);
-        let may_skip = self.params.neighbor_epsilon >= 0.0;
-        // A scanned page whose MBR contains q links to every page meeting
-        // q (module doc), so the re-seed check cannot find one.
-        let mut covered = false;
-        loop {
-            while let Some(page) = queue.pop_front() {
-                stats.pages_read += 1;
-                if trace {
-                    stats.crawl_order.push(page);
-                }
-                on_access(PageAccess::Data(page));
-                let p = &self.pages[page as usize];
-                covered |= may_skip && p.mbr.contains(q);
-                if self.scan_page(p, q, &q_lanes, &mut stats, &mut sink) {
-                    return stats;
-                }
-                // Each page's MBR is tested once per query: the mark
-                // remembers a rejection as well as an admission.
-                for &n in self.neighbors_of(page) {
-                    if visited.mark(n as usize) {
-                        if self.pages[n as usize].mbr.intersects(q) {
-                            queue.push_back(n);
-                        } else {
-                            stats.links_rejected += 1;
-                        }
-                    }
-                }
-            }
-
-            // Crawl front empty: check for unreached pages intersecting q.
-            // This is the exactness fallback — rare on dense data. The
-            // seed tree returns only pages that intersect q, so a page
-            // marked as rejected is never asked about here.
-            if covered {
-                return stats;
-            }
-            let mut reseeded = false;
-            let mut admit = |page: u32| {
-                if visited.mark(page as usize) {
-                    queue.push_back(page);
-                    reseeded = true;
-                }
-            };
-            stats.seed_nodes_read += if trace {
-                let (candidates, s) = self.seed_tree.range_query_with(q, |node, level| {
-                    on_access(PageAccess::SeedNode(node, level))
-                });
-                candidates.iter().for_each(|entry| admit(entry.page));
-                s.nodes_visited()
-            } else {
-                let counters = self.seed_tree.range_query_stream(q, seed, |entry| {
-                    admit(entry.page);
-                    Flow::Emit
-                });
-                counters.nodes_visited
-            };
-            if !reseeded {
-                return stats;
-            }
-            stats.reseeds += 1;
-        }
+        let read = |page, stats: &mut FlatQueryStats| {
+            on_page(page);
+            Ok::<_, Infallible>(self.scan_page(page, q, &q_lanes, stats, &mut sink))
+        };
+        let Ok(stats) = self.graph.crawl(q, scratch, read, |_| {});
+        stats
     }
 
     /// Emit the objects of `page` that intersect `q`, in slot order;
@@ -231,16 +221,17 @@ impl<T: RTreeObject> FlatIndex<T> {
     /// hits and the few the exact test decides (see `lanes.rs`).
     fn scan_page<'a, S: FnMut(&'a T) -> Flow>(
         &'a self,
-        page: &FlatPage,
+        page: u32,
         q: &Aabb,
         q_lanes: &QueryLanes,
         stats: &mut FlatQueryStats,
         sink: &mut S,
     ) -> bool {
-        let (start, end) = (page.start as usize, page.end as usize);
+        let p = &self.pages[page as usize];
+        let (start, end) = (p.start as usize, p.end as usize);
         let objects = &self.objects[start..end];
         stats.objects_tested += objects.len() as u64;
-        let whole = page.all_valid && q.contains(&page.mbr);
+        let whole = p.all_valid && q.contains(&self.graph.mbrs[page as usize]);
         let lanes = page_lanes(&self.lanes, start, end);
         for (chunk, base) in objects.chunks(64).zip((0..).step_by(64)) {
             let (maybe, sure) = if whole {
@@ -363,7 +354,8 @@ mod tests {
         assert_eq!(stats.reseeds, 0, "dense data should crawl in one component");
         let order = &stats.crawl_order;
         for (i, &p) in order.iter().enumerate().skip(1) {
-            let linked = order[..i].iter().any(|&earlier| idx.neighbors_of(earlier).contains(&p));
+            let linked =
+                order[..i].iter().any(|&earlier| idx.graph.neighbors_of(earlier).contains(&p));
             assert!(linked, "page {p} (position {i}) reached without a link");
         }
     }
@@ -373,14 +365,10 @@ mod tests {
         let objs = dense_cloud(2000);
         let idx = FlatIndex::build(objs, FlatBuildParams::default());
         let q = Aabb::cube(Vec3::new(10.0, 10.0, 2.0), 4.0);
-        let mut data = 0u64;
-        let mut seed = 0u64;
-        let (_, stats) = idx.range_query_with(&q, |a| match a {
-            PageAccess::Data(_) => data += 1,
-            PageAccess::SeedNode(..) => seed += 1,
-        });
-        assert_eq!(data, stats.pages_read);
-        assert_eq!(seed, stats.seed_nodes_read);
+        let mut pages = Vec::new();
+        let (_, stats) = idx.range_query_with(&q, |p| pages.push(p));
+        assert_eq!(pages.len() as u64, stats.pages_read);
+        assert_eq!(pages, stats.crawl_order);
     }
 
     #[test]
@@ -555,9 +543,9 @@ mod tests {
             let misses: Vec<u32> = stats
                 .crawl_order
                 .iter()
-                .flat_map(|&p| idx.neighbors_of(p))
+                .flat_map(|&p| idx.graph.neighbors_of(p))
                 .copied()
-                .filter(|&n| !idx.page_mbr(n).intersects(&q))
+                .filter(|&n| !idx.graph.mbr(n).intersects(&q))
                 .collect();
             let mut distinct = misses.clone();
             distinct.sort_unstable();
@@ -583,7 +571,7 @@ mod tests {
             let flagged = idx.pages.iter().filter(|p| !p.all_valid).count();
             assert!((1..=2).contains(&flagged), "cap {cap}: {flagged} pages hold the two");
             let everything = Aabb::new(Vec3::splat(-1e6), Vec3::splat(1e6));
-            assert!(idx.pages.iter().all(|p| everything.contains(&p.mbr)));
+            assert!(idx.graph.mbrs().iter().all(|mbr| everything.contains(mbr)));
             let (hits, stats) = idx.range_query(&everything);
             assert_eq!(hits.len(), 300, "cap {cap}");
             assert!(hits.iter().all(|o| o.is_valid()));

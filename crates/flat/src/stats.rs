@@ -14,15 +14,6 @@ pub struct FlatBuildStats {
     pub neighbor_links: u64,
 }
 
-/// What kind of page a query touched (what a cost model charges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageAccess {
-    /// A data page, by page number.
-    Data(u32),
-    /// A node of the seed R-Tree: (node id, level).
-    SeedNode(usize, usize),
-}
-
 /// Per-query execution statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatQueryStats {

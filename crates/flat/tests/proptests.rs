@@ -82,7 +82,7 @@ fn sorted_pages(pages: &[u32]) -> Vec<u32> {
 /// The pages whose MBR meets `q`, by brute force over every page (not
 /// through the seed tree, which the crawl itself uses).
 fn pages_meeting<T: RTreeObject>(idx: &FlatIndex<T>, q: &Aabb) -> Vec<u32> {
-    (0..idx.page_count() as u32).filter(|&p| idx.page_mbr(p).intersects(q)).collect()
+    (0..idx.page_count() as u32).filter(|&p| idx.graph().mbr(p).intersects(q)).collect()
 }
 
 /// The queries the rounding can get wrong, derived from the data and the
@@ -120,7 +120,7 @@ fn awkward_queries(idx: &FlatIndex<Tagged>, objs: &[Aabb], picks: &[usize]) -> V
             nudged(&u, f32_down, f32_up),
         ]);
         let page = (pair[0] % idx.page_count()) as u32;
-        let mbr = idx.page_mbr(page);
+        let mbr = idx.graph().mbr(page);
         qs.extend([
             mbr,
             nudged(&mbr, f64::next_up, f64::next_down),
@@ -178,9 +178,9 @@ proptest! {
             // number of distinct rejected neighbours, not of links.
             let mut rejected: Vec<u32> = pages
                 .iter()
-                .flat_map(|&p| idx.neighbors_of(p))
+                .flat_map(|&p| idx.graph().neighbors_of(p))
                 .copied()
-                .filter(|&n| !idx.page_mbr(n).intersects(&q))
+                .filter(|&n| !idx.graph().mbr(n).intersects(&q))
                 .collect();
             rejected.sort_unstable();
             rejected.dedup();
@@ -237,7 +237,7 @@ proptest! {
         let mut queries = queries;
         if !objs.is_empty() {
             for &pick in &picks {
-                let page = idx.page_mbr((pick % idx.page_count()) as u32);
+                let page = idx.graph().mbr((pick % idx.page_count()) as u32);
                 queries.push(Aabb::point(page.center()));
                 queries.push(Aabb::cube(objs[pick % objs.len()].center(), 0.05));
             }
@@ -290,10 +290,10 @@ proptest! {
             FlatBuildParams::default().with_page_capacity(cap).with_neighbor_epsilon(eps),
         );
         for u in 0..idx.page_count() as u32 {
-            for &v in idx.neighbors_of(u) {
+            for &v in idx.graph().neighbors_of(u) {
                 prop_assert!(u != v);
-                prop_assert!(idx.neighbors_of(v).contains(&u));
-                prop_assert!(idx.page_mbr(u).inflate(eps).intersects(&idx.page_mbr(v)));
+                prop_assert!(idx.graph().neighbors_of(v).contains(&u));
+                prop_assert!(idx.graph().mbr(u).inflate(eps).intersects(&idx.graph().mbr(v)));
             }
         }
     }

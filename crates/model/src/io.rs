@@ -46,6 +46,45 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Append `s` as one record of [`RECORD_BYTES`] bytes: id, neuron,
+/// section, index on section, a reserved `u32`, then the seven geometry
+/// `f64`s (`p0`, `p1`, radius), all little-endian.
+#[inline]
+pub fn encode_record(s: &NeuronSegment, out: &mut Vec<u8>) {
+    out.extend_from_slice(&s.id.to_le_bytes());
+    out.extend_from_slice(&s.neuron.to_le_bytes());
+    out.extend_from_slice(&s.section.to_le_bytes());
+    out.extend_from_slice(&s.index_on_section.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // padding/reserved
+    let g = &s.geom;
+    for v in [g.p0.x, g.p0.y, g.p0.z, g.p1.x, g.p1.y, g.p1.z, g.radius] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Decode one record written by [`encode_record`]; `None` when its
+/// geometry is not finite.
+#[inline]
+pub fn decode_record(r: &[u8; RECORD_BYTES]) -> Option<NeuronSegment> {
+    let u32_at = |at: usize| u32::from_le_bytes(r[at..at + 4].try_into().expect("4 bytes"));
+    let f64_at = |k: usize| {
+        let at = 24 + 8 * k;
+        f64::from_le_bytes(r[at..at + 8].try_into().expect("8 bytes"))
+    };
+    let geom = Segment {
+        p0: Vec3::new(f64_at(0), f64_at(1), f64_at(2)),
+        p1: Vec3::new(f64_at(3), f64_at(4), f64_at(5)),
+        radius: f64_at(6),
+    };
+    geom.is_valid().then(|| NeuronSegment {
+        id: u64::from_le_bytes(r[0..8].try_into().expect("8 bytes")),
+        neuron: u32_at(8),
+        section: u32_at(12),
+        index_on_section: u32_at(16),
+        geom,
+    })
+}
+
 /// Serialise segments to the binary format.
 pub fn encode_segments(segments: &[NeuronSegment]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + segments.len() * RECORD_BYTES);
@@ -53,22 +92,7 @@ pub fn encode_segments(segments: &[NeuronSegment]) -> Vec<u8> {
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(segments.len() as u64).to_le_bytes());
     for s in segments {
-        out.extend_from_slice(&s.id.to_le_bytes());
-        out.extend_from_slice(&s.neuron.to_le_bytes());
-        out.extend_from_slice(&s.section.to_le_bytes());
-        out.extend_from_slice(&s.index_on_section.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // padding/reserved
-        for v in [
-            s.geom.p0.x,
-            s.geom.p0.y,
-            s.geom.p0.z,
-            s.geom.p1.x,
-            s.geom.p1.y,
-            s.geom.p1.z,
-            s.geom.radius,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        encode_record(s, &mut out);
     }
     out
 }
@@ -93,36 +117,12 @@ pub fn decode_segments(bytes: &[u8]) -> Result<Vec<NeuronSegment>, DecodeError> 
     if bytes.len() != expected {
         return Err(DecodeError::Truncated { expected, got: bytes.len() });
     }
-
-    let mut out = Vec::with_capacity(count);
-    let mut off = 16usize;
-    let f64_at = |bytes: &[u8], off: &mut usize| -> f64 {
-        let v = f64::from_le_bytes(bytes[*off..*off + 8].try_into().expect("8 bytes"));
-        *off += 8;
-        v
-    };
-    for i in 0..count {
-        let id = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-        off += 8;
-        let neuron = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-        off += 4;
-        let section = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-        off += 4;
-        let index_on_section = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-        off += 4;
-        off += 4; // reserved
-        let p0 =
-            Vec3::new(f64_at(bytes, &mut off), f64_at(bytes, &mut off), f64_at(bytes, &mut off));
-        let p1 =
-            Vec3::new(f64_at(bytes, &mut off), f64_at(bytes, &mut off), f64_at(bytes, &mut off));
-        let radius = f64_at(bytes, &mut off);
-        let geom = Segment { p0, p1, radius };
-        if !geom.is_valid() {
-            return Err(DecodeError::CorruptRecord(i));
-        }
-        out.push(NeuronSegment { id, neuron, section, index_on_section, geom });
-    }
-    Ok(out)
+    let (records, _) = bytes[16..].as_chunks::<RECORD_BYTES>();
+    records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| decode_record(r).ok_or(DecodeError::CorruptRecord(i)))
+        .collect()
 }
 
 #[cfg(test)]

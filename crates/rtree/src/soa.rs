@@ -70,7 +70,7 @@ pub struct TraversalScratch {
     /// DFS stack of pending `(node, level)` pairs (SoA ids in an R-Tree,
     /// arena ids in an R+-Tree).
     pub(crate) stack: Vec<(u32, u32)>,
-    /// Candidate buffer for best-first child ordering (`first_hit`).
+    /// Candidate buffer for best-first child ordering (`first_hit_scratch`).
     pub(crate) cand: Vec<u32>,
     /// R+ replica de-duplication marks.
     pub(crate) dedup: EpochMarks,

@@ -97,8 +97,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every range and first-hit entry point runs the one descent: the
-    /// hooked, allocating and scratch forms agree with each other and
-    /// with a pointer-arena walk visit for visit, on bulk-loaded,
+    /// hooked, allocating and scratch range forms agree with each other
+    /// and with a pointer-arena walk visit for visit, the first hit with
+    /// its hit and visit count, on bulk-loaded,
     /// inserted and thinned trees, frozen or not; and a sink that skips
     /// and stops by rule sees exactly a prefix of the brute-force answer.
     #[test]
@@ -160,18 +161,13 @@ proptest! {
             prop_assert_eq!(c.results, kept + u64::from(stopped));
             prop_assert!(c.nodes_visited <= stats.nodes_visited());
 
-            let mut hooked = Vec::new();
-            let (hit, hit_stats) = tree.first_hit_with(q, |id, level| hooked.push((id, level)));
-            let (want_hooked, want_hit) = pointer_walk(&tree, q, true);
-            prop_assert_eq!(&hooked, &want_hooked);
-            let (scratch_hit, hc) = tree.first_hit_scratch(q, &mut scratch);
+            let (hit, hc) = tree.first_hit_scratch(q, &mut scratch);
+            let (want_visits, want_hit) = pointer_walk(&tree, q, true);
             let hit: Vec<&Aabb> = hit.into_iter().collect();
             prop_assert!(same_objects(&hit, &want_hit));
-            prop_assert!(same_objects(&scratch_hit.into_iter().collect::<Vec<_>>(), &hit));
             prop_assert_eq!(hit.is_empty(), hits.is_empty());
-            prop_assert_eq!(hc.nodes_visited, hit_stats.nodes_visited());
-            prop_assert_eq!(hc.leaf_entries_tested, hit_stats.leaf_entries_tested);
-            prop_assert_eq!(hc.results, hit_stats.results);
+            prop_assert_eq!(hc.nodes_visited, want_visits.len() as u64);
+            prop_assert_eq!(hc.results, hit.len() as u64);
         }
     }
 
@@ -214,7 +210,7 @@ proptest! {
         q in small_box(),
     ) {
         let tree = RTree::bulk_load(objs.clone(), RTreeParams::with_max_entries(8));
-        let (hit, _) = tree.first_hit(&q);
+        let (hit, _) = tree.first_hit_scratch(&q, &mut TraversalScratch::new());
         let any = objs.iter().any(|o| o.intersects(&q));
         prop_assert_eq!(hit.is_some(), any);
         if let Some(h) = hit {

@@ -10,32 +10,27 @@
 //!
 //! ## Equivalence contract
 //!
-//! The paged engine replays FLAT's seed-and-crawl *exactly*: the seed
-//! tree is rebuilt from the persisted page MBRs with the persisted
-//! fan-out (bit-identical input ⇒ identical STR structure ⇒ identical
-//! descent), and the crawl follows the persisted CSR in the same order
-//! under the same three rules:
-//!
-//! - a page whose MBR lies wholly inside the query is emitted without
-//!   testing its objects (other pages are decoded and tested object by
-//!   object; the `f32` lanes of the in-memory index are not persisted);
-//! - a neighbour page's MBR is tested the first time a link reaches it
-//!   and the verdict kept, rejection included, for the rest of the query;
-//! - the final re-seed check is skipped once a page whose MBR contains
-//!   the query `q` has been read. Every page `v` meeting `q` meets that
-//!   page `u`'s MBR inside `q`, so `inflate(mbr(u), ε)` meets `mbr(v)`
-//!   for any `ε ≥ 0`. That is the link rule, so `v` was admitted when
-//!   `u` was read. The skip is gated on `neighbor_epsilon >= 0`, which
-//!   the reader already demands of the file.
+//! The paged engine runs FLAT's crawl, [`PageGraph::crawl`], over the
+//! same [`PageGraph`]: the page MBRs and the neighborhood CSR come from
+//! the file, and the seed tree is packed from them with the persisted
+//! fan-out, so it is node for node the in-memory index's. The engine
+//! supplies only the page read (pin, decode, test, with retry and
+//! quarantine) and what happens to the pages a read page's links admit
+//! (the crawl-frontier prefetch below); the seed, the link rule, the
+//! re-seed skip and the re-seed, and the proof that they are exact, are
+//! FLAT's (`neurospatial_flat::query`). A decoded page is tested object
+//! by object (the `f32` lanes of the in-memory index are not persisted),
+//! and a page wholly inside the query is emitted untested, as in memory.
+//! The whole-page rule needs every record inside its page's MBR, and the
+//! re-seed skip needs the MBR no larger than its records: a page's MBR
+//! must be the union of its records' boxes, and [`OocFlatIndex::open`]
+//! checks that of every page it validates.
 //!
 //! Results, emission order and the logical query statistics are
 //! byte-identical to the in-memory index the file was written from — the
 //! property `tests/ooc_equivalence.rs` proves under proptest — and mean
-//! the same: `objects_tested` counts the objects on the pages read,
-//! accepted pages included, and `links_rejected` the distinct pages
-//! examined through a link and rejected; `seed_nodes_read`, `pages_read`,
-//! `results` and `reseeds` are what they say. What differs is the
-//! [`OocIoTrace`]: cache hits, misses and real wall-clock stall.
+//! the same. What differs is the [`OocIoTrace`]: cache hits, misses and
+//! real wall-clock stall.
 //!
 //! ## Real background prefetching
 //!
@@ -99,15 +94,18 @@
 
 use crate::prefetch::{PrefetchContext, Prefetcher};
 use crate::session::{QueryTrace, SessionConfig};
-use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, PackingStrategy};
+use neurospatial_flat::{
+    FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch, PackingStrategy, PageGraph,
+};
 use neurospatial_geom::{Aabb, Executor, Flow, Vec3};
+use neurospatial_model::io::{decode_record, encode_record, RECORD_BYTES};
 use neurospatial_model::NeuronSegment;
-use neurospatial_rtree::{EpochMarks, RTree, RTreeObject, RTreeParams, TraversalScratch};
+use neurospatial_rtree::{EpochMarks, RTreeObject, TraversalScratch};
 use neurospatial_storage::{
     with_retry_sleeping, EvictionPolicy, FramePool, ModelledDevice, PageFile, PageFileWriter,
     PageIo, RetryPolicy, StorageError, PAGE_HEADER_BYTES,
 };
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -117,35 +115,15 @@ use std::time::Instant;
 pub const FLAT_META_MAGIC: [u8; 4] = *b"FLTM";
 /// Version of the FLAT metadata layout.
 pub const FLAT_META_VERSION: u32 = 1;
-/// Bytes per serialized segment record (same layout as `model::io`):
-/// id, neuron, section, index, reserved, then 7 `f64` geometry fields.
-pub const SEGMENT_RECORD_BYTES: usize = 8 + 4 + 4 + 4 + 4 + 7 * 8;
+/// Bytes per serialized segment record: `model::io`'s record.
+pub const SEGMENT_RECORD_BYTES: usize = RECORD_BYTES;
 
 // --- Serialization ------------------------------------------------------
-
-fn encode_segment(s: &NeuronSegment, out: &mut Vec<u8>) {
-    out.extend_from_slice(&s.id.to_le_bytes());
-    out.extend_from_slice(&s.neuron.to_le_bytes());
-    out.extend_from_slice(&s.section.to_le_bytes());
-    out.extend_from_slice(&s.index_on_section.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    for v in [
-        s.geom.p0.x,
-        s.geom.p0.y,
-        s.geom.p0.z,
-        s.geom.p1.x,
-        s.geom.p1.y,
-        s.geom.p1.z,
-        s.geom.radius,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
 
 /// Append page `page`'s payload: its segments as fixed-size records.
 fn encode_page(index: &FlatIndex<NeuronSegment>, page: u32, out: &mut Vec<u8>) {
     for s in index.page_objects(page) {
-        encode_segment(s, out);
+        encode_record(s, out);
     }
 }
 
@@ -195,29 +173,17 @@ fn decode_page_segments(
     out: &mut Vec<NeuronSegment>,
 ) -> Result<(), StorageError> {
     out.clear();
-    if !payload.len().is_multiple_of(SEGMENT_RECORD_BYTES) {
+    let (records, rest) = payload.as_chunks::<SEGMENT_RECORD_BYTES>();
+    if !rest.is_empty() {
         return Err(StorageError::Corrupt(format!(
             "page {page}: payload of {} bytes is not a whole number of records",
             payload.len()
         )));
     }
-    let mut r = Reader::new(payload);
-    for i in 0..payload.len() / SEGMENT_RECORD_BYTES {
-        let id = r.u64()?;
-        let neuron = r.u32()?;
-        let section = r.u32()?;
-        let index_on_section = r.u32()?;
-        let _reserved = r.u32()?;
-        let p0 = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
-        let p1 = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
-        let radius = r.f64()?;
-        let geom = neurospatial_geom::Segment { p0, p1, radius };
-        if !geom.is_valid() {
-            return Err(StorageError::Corrupt(format!(
-                "page {page}: record {i} has non-finite geometry"
-            )));
-        }
-        out.push(NeuronSegment { id, neuron, section, index_on_section, geom });
+    for (i, r) in records.iter().enumerate() {
+        out.push(decode_record(r).ok_or_else(|| {
+            StorageError::Corrupt(format!("page {page}: record {i} has non-finite geometry"))
+        })?);
     }
     Ok(())
 }
@@ -240,7 +206,7 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
         w.append_page(&payload)?;
     }
 
-    let (offsets, ids) = index.neighbor_csr();
+    let (offsets, ids) = index.graph().neighbor_csr();
     let mut meta = Vec::new();
     meta.extend_from_slice(&FLAT_META_MAGIC);
     meta.extend_from_slice(&FLAT_META_VERSION.to_le_bytes());
@@ -256,8 +222,7 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
     meta.extend_from_slice(&params.neighbor_epsilon.to_le_bytes());
     meta.extend_from_slice(&(index.len() as u64).to_le_bytes());
     meta.extend_from_slice(&(index.page_count() as u64).to_le_bytes());
-    for page in 0..index.page_count() as u32 {
-        let mbr = index.page_mbr(page);
+    for mbr in index.graph().mbrs() {
         for v in [mbr.lo.x, mbr.lo.y, mbr.lo.z, mbr.hi.x, mbr.hi.y, mbr.hi.z] {
             meta.extend_from_slice(&v.to_le_bytes());
         }
@@ -272,22 +237,25 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
 }
 
 /// Read and decode every page of `file`, retrying transient faults
-/// under `retry`: the number of records the pages hold. The sweep never
+/// under `retry`, and check that page `p`'s records are bounded by
+/// `mbrs[p]`, exactly as the build bounded them (the union of their
+/// boxes): the number of records the pages hold. The sweep never
 /// stops at a bad page: all of them are collected, so the error
 /// ([`StorageError::BadPages`]) reports the full blast radius. Only a
 /// transient error that outlasts its retries aborts it.
-fn sweep_pages(file: &dyn PageIo, retry: &RetryPolicy) -> Result<u64, StorageError> {
+fn sweep_pages(file: &dyn PageIo, mbrs: &[Aabb], retry: &RetryPolicy) -> Result<u64, StorageError> {
     let mut buf = Vec::new();
     let mut segs = Vec::new();
     let mut total = 0u64;
     let mut bad_pages = Vec::new();
-    for page in 0..file.page_count() {
+    let bound = |segs: &[NeuronSegment]| segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.aabb()));
+    for (page, mbr) in (0..file.page_count()).zip(mbrs) {
         let (res, _retries) =
             with_retry_sleeping(retry, page, || file.read_page_into(page, &mut buf));
         match res.and_then(|()| decode_page_segments(&buf, page, &mut segs)) {
-            Ok(()) => total += segs.len() as u64,
+            Ok(()) if bound(&segs) == *mbr => total += segs.len() as u64,
             Err(e) if e.is_transient() => return Err(e),
-            Err(_) => bad_pages.push(page),
+            _ => bad_pages.push(page),
         }
     }
     if bad_pages.is_empty() {
@@ -314,8 +282,9 @@ pub struct OocConfig {
     /// read, and a cursor's policy runs on the caller).
     pub prefetch_workers: usize,
     /// Verify every page's checksum once at open (in addition to the
-    /// always-on per-read verification). Keeps the infallible facade
-    /// honest: with this on, a corrupt file cannot get past `open`.
+    /// always-on per-read verification), and that its metadata MBR is
+    /// the bound of its records. Keeps the infallible facade honest:
+    /// with this on, a corrupt file cannot get past `open`.
     /// The sweep covers the *whole* file and reports every bad page in
     /// one [`StorageError::BadPages`], so operators see the full blast
     /// radius in a single pass.
@@ -366,33 +335,6 @@ impl OocConfig {
 
 // --- The paged index ----------------------------------------------------
 
-/// Seed-tree entry: one page's MBR (mirror of the in-memory index's
-/// private `PageEntry`).
-#[derive(Debug, Clone, Copy)]
-struct OocPageEntry {
-    mbr: Aabb,
-    page: u32,
-}
-
-impl RTreeObject for OocPageEntry {
-    fn aabb(&self) -> Aabb {
-        self.mbr
-    }
-}
-
-/// The seed tree: one entry per page, shared by the index and its
-/// workers, which map plans to pages through it.
-type SeedTree = RTree<OocPageEntry>;
-
-/// The pages of `tree` whose MBR meets `q`, into `out` (cleared first).
-fn pages_meeting(tree: &SeedTree, q: &Aabb, scratch: &mut TraversalScratch, out: &mut Vec<u32>) {
-    out.clear();
-    tree.range_query_stream(q, scratch, |entry| {
-        out.push(entry.page);
-        Flow::Emit
-    });
-}
-
 /// Real I/O counters of one paged query — the part of the statistics
 /// that legitimately differs from the in-memory engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -429,15 +371,12 @@ pub struct OocQueryStats {
     pub io: OocIoTrace,
 }
 
-/// Reusable per-query state of the paged engine: crawl front, visited
-/// marks, seed-tree scratch and the page-decode buffer.
+/// Reusable per-query state of the paged engine: FLAT's crawl scratch
+/// and the page-decode buffer.
 #[derive(Debug, Default)]
 pub struct OocScratch {
-    queue: VecDeque<u32>,
-    visited: EpochMarks,
-    seed: TraversalScratch,
+    flat: FlatScratch,
     segs: Vec<NeuronSegment>,
-    frontier: Vec<u32>,
 }
 
 impl OocScratch {
@@ -505,10 +444,10 @@ impl PrefetchShared {
     /// Run a plan job and send the planner back to its cursor, with the
     /// number of pages its plan queued. A panic of the policy goes back
     /// instead, for the cursor to raise: the worker goes on.
-    fn make_plan(&self, mut planner: Box<Planner>, seed_tree: &SeedTree) {
+    fn make_plan(&self, mut planner: Box<Planner>, graph: &PageGraph) {
         let home = Arc::clone(&planner.home);
         let made = catch_unwind(AssertUnwindSafe(|| {
-            let queued = self.replace_plan(planner.plan(Some(seed_tree)));
+            let queued = self.replace_plan(planner.plan(Some(graph)));
             planner.queued = queued;
         }));
         home.put(made.map(|()| planner));
@@ -579,7 +518,7 @@ impl PrefetchHandle {
         workers: usize,
         file: Arc<dyn PageIo>,
         pool: Arc<FramePool>,
-        seed_tree: Arc<SeedTree>,
+        graph: Arc<PageGraph>,
     ) -> Self {
         let shared = Arc::new(PrefetchShared {
             queue: Mutex::new(PrefetchQueue::default()),
@@ -599,7 +538,7 @@ impl PrefetchHandle {
                         Work::Page(page) => {
                             let _ = pool.prefetch(u64::from(page), file.as_ref());
                         }
-                        Work::Plan(planner) => shared2.make_plan(planner, &seed_tree),
+                        Work::Plan(planner) => shared2.make_plan(planner, &graph),
                     }
                 }
             });
@@ -609,16 +548,13 @@ impl PrefetchHandle {
 
     /// Queue crawl-frontier pages for background loading; returns how
     /// many were accepted (the backlog cap may drop the rest).
-    fn enqueue_frontier(&self, pages: &[u32]) -> u64 {
-        if pages.is_empty() {
-            return 0;
-        }
+    fn enqueue_frontier<'p>(&self, pages: impl ExactSizeIterator<Item = &'p u32>) -> u64 {
+        let offered = pages.len();
         let mut q = self.shared.lock();
-        let room = PREFETCH_QUEUE_CAP.saturating_sub(q.frontier.len());
-        let accepted = pages.len().min(room);
-        q.frontier.extend(&pages[..accepted]);
+        let accepted = offered.min(PREFETCH_QUEUE_CAP.saturating_sub(q.frontier.len()));
+        q.frontier.extend(pages.take(accepted));
         drop(q);
-        self.shared.hand_off(accepted, pages.len() - accepted)
+        self.shared.hand_off(accepted, offered - accepted)
     }
 }
 
@@ -645,10 +581,9 @@ pub struct OocFlatIndex {
     pool: Arc<FramePool>,
     params: FlatBuildParams,
     object_count: u64,
-    page_mbrs: Vec<Aabb>,
-    neighbor_offsets: Vec<u32>,
-    neighbor_ids: Vec<u32>,
-    seed_tree: Arc<SeedTree>,
+    /// Shared with the prefetch workers, which map plans to pages
+    /// through it.
+    graph: Arc<PageGraph>,
     prefetch: Option<PrefetchHandle>,
     retry: RetryPolicy,
     /// Think time a cursor spends reading its plan itself, where the
@@ -656,15 +591,6 @@ pub struct OocFlatIndex {
     think_ns: u64,
     path: PathBuf,
     delete_on_drop: bool,
-}
-
-/// What a paged index keeps in memory of the index it serves.
-struct FlatMeta {
-    params: FlatBuildParams,
-    object_count: u64,
-    page_mbrs: Vec<Aabb>,
-    neighbor_offsets: Vec<u32>,
-    neighbor_ids: Vec<u32>,
 }
 
 /// The pages of an index that is in memory, each encoded when it is
@@ -703,7 +629,7 @@ impl std::fmt::Debug for OocFlatIndex {
         f.debug_struct("OocFlatIndex")
             .field("path", &self.path)
             .field("objects", &self.object_count)
-            .field("pages", &self.page_mbrs.len())
+            .field("pages", &self.graph.page_count())
             .field("frame_budget", &self.pool.capacity())
             .field("eviction", &self.pool.policy())
             .field("prefetch", &self.prefetch.is_some())
@@ -716,7 +642,8 @@ impl OocFlatIndex {
     ///
     /// Total on untrusted input: any structural problem — page-file
     /// corruption, a foreign metadata blob, inconsistent CSR, and (with
-    /// [`OocConfig::validate_pages`]) any corrupt page — returns a typed
+    /// [`OocConfig::validate_pages`]) any corrupt page or page whose
+    /// metadata MBR is not the bound of its records — returns a typed
     /// [`StorageError`].
     pub fn open(path: &Path, config: OocConfig) -> Result<Self, StorageError> {
         Self::open_with(path, config, |file| Arc::new(file))
@@ -810,15 +737,16 @@ impl OocFlatIndex {
 
         let params =
             FlatBuildParams { page_capacity, packing, neighbor_epsilon, hilbert_bits, seed_fanout };
-        let meta = FlatMeta { params, object_count, page_mbrs, neighbor_offsets, neighbor_ids };
+        let graph = PageGraph::new(page_mbrs, neighbor_offsets, neighbor_ids, seed_fanout);
         let file: Arc<dyn PageIo> = wrap(file);
 
         if config.validate_pages {
-            // One sequential checksum pass over every page, and a record
-            // count cross-check against the declared object count. After
-            // this, only post-open rot or OS-level I/O failure can make
-            // a query fail.
-            let total = sweep_pages(file.as_ref(), &config.retry)?;
+            // One sequential checksum pass over every page, with each
+            // page's records checked against its MBR, and a record count
+            // cross-check against the declared object count. After this,
+            // only post-open rot or OS-level I/O failure can make a query
+            // fail.
+            let total = sweep_pages(file.as_ref(), graph.mbrs(), &config.retry)?;
             if total != object_count {
                 return Err(StorageError::Corrupt(format!(
                     "pages hold {total} records, metadata declares {object_count}"
@@ -826,16 +754,16 @@ impl OocFlatIndex {
             }
         }
 
-        Ok(Self::assemble(file, meta, &config, path.to_path_buf()))
+        Ok(Self::assemble(file, params, object_count, graph, &config, path.to_path_buf()))
     }
 
     /// The same engine over an index that is in memory, on a modelled
     /// device: what every walkthrough that has no page file runs on.
     ///
-    /// Page MBRs, the neighborhood CSR and the parameters are taken from
-    /// `index` and the seed tree is built as [`open`](Self::open) builds
-    /// it, so results, crawl order and logical statistics are those of
-    /// `index`. A page is encoded when it is read; nothing touches disk.
+    /// The page graph (a clone of `index`'s) and the parameters are
+    /// `index`'s, so results, crawl order and logical statistics are
+    /// those of `index`. A page is encoded when it is read; nothing
+    /// touches disk.
     /// The pool holds `session.buffer_pages` frames under
     /// [`EvictionPolicy::Lru`] and starts cold; each read costs what
     /// `session.cost` says, on the device's clock and in no real time;
@@ -846,14 +774,8 @@ impl OocFlatIndex {
     /// makes every walkthrough deterministic and independent of the
     /// others.
     pub fn view(index: Arc<FlatIndex<NeuronSegment>>, session: &SessionConfig) -> Self {
-        let (offsets, ids) = index.neighbor_csr();
-        let meta = FlatMeta {
-            params: *index.params(),
-            object_count: index.len() as u64,
-            page_mbrs: (0..index.page_count() as u32).map(|p| index.page_mbr(p)).collect(),
-            neighbor_offsets: offsets.to_vec(),
-            neighbor_ids: ids.to_vec(),
-        };
+        let (params, object_count) = (*index.params(), index.len() as u64);
+        let graph = index.graph().clone();
         let config = OocConfig {
             frame_budget: session.buffer_pages.max(1),
             eviction: EvictionPolicy::Lru,
@@ -862,38 +784,32 @@ impl OocFlatIndex {
             retry: RetryPolicy::default(),
         };
         let file = Arc::new(ModelledDevice::new(MemoryPages { index }, session.cost));
-        let mut view = Self::assemble(file, meta, &config, PathBuf::new());
+        let mut view = Self::assemble(file, params, object_count, graph, &config, PathBuf::new());
         view.think_ns = (session.think_time_ms * 1e6).round() as u64;
         view
     }
 
-    /// Everything behind the metadata: seed tree, frame pool, workers.
-    fn assemble(file: Arc<dyn PageIo>, meta: FlatMeta, config: &OocConfig, path: PathBuf) -> Self {
-        let FlatMeta { params, object_count, page_mbrs, neighbor_offsets, neighbor_ids } = meta;
-
-        // Rebuild the seed tree exactly as the in-memory build does:
-        // same entries, same order, same fan-out, frozen — so seed
-        // descents and re-seed scans visit the same nodes and return the
-        // same counters.
-        let entries: Vec<OocPageEntry> = page_mbrs
-            .iter()
-            .enumerate()
-            .map(|(i, &mbr)| OocPageEntry { mbr, page: i as u32 })
-            .collect();
-        let mut seed_tree =
-            RTree::bulk_load(entries, RTreeParams::with_max_entries(params.seed_fanout));
-        seed_tree.freeze();
-        let seed_tree = Arc::new(seed_tree);
-
-        let frames =
-            if config.frame_budget == 0 { page_mbrs.len().max(1) } else { config.frame_budget };
+    /// Everything behind the metadata: frame pool and workers.
+    fn assemble(
+        file: Arc<dyn PageIo>,
+        params: FlatBuildParams,
+        object_count: u64,
+        graph: PageGraph,
+        config: &OocConfig,
+        path: PathBuf,
+    ) -> Self {
+        let graph = Arc::new(graph);
+        let frames = match config.frame_budget {
+            0 => graph.page_count().max(1),
+            budget => budget,
+        };
         let pool = Arc::new(FramePool::new(frames, config.eviction));
         let prefetch = (config.prefetch_workers > 0).then(|| {
             PrefetchHandle::spawn(
                 config.prefetch_workers,
                 Arc::clone(&file),
                 Arc::clone(&pool),
-                Arc::clone(&seed_tree),
+                Arc::clone(&graph),
             )
         });
 
@@ -902,10 +818,7 @@ impl OocFlatIndex {
             pool,
             params,
             object_count,
-            page_mbrs,
-            neighbor_offsets,
-            neighbor_ids,
-            seed_tree,
+            graph,
             prefetch,
             retry: config.retry,
             think_ns: 0,
@@ -920,7 +833,7 @@ impl OocFlatIndex {
     /// failures are retried under the configured policy; an
     /// unrecoverable transient error aborts the sweep.
     pub fn validate_pages(&self) -> Result<(), StorageError> {
-        sweep_pages(self.file.as_ref(), &self.retry).map(|_records| ())
+        sweep_pages(self.file.as_ref(), self.graph.mbrs(), &self.retry).map(|_records| ())
     }
 
     /// Pages the pool has quarantined after permanent read failures,
@@ -948,12 +861,18 @@ impl OocFlatIndex {
 
     /// Number of data pages.
     pub fn page_count(&self) -> usize {
-        self.page_mbrs.len()
+        self.graph.page_count()
     }
 
     /// Bounding box of all objects (seed-tree root MBR).
     pub fn bounds(&self) -> Aabb {
-        self.seed_tree.root_mbr()
+        self.graph.bounds()
+    }
+
+    /// The page graph: page MBRs, neighborhoods and seed tree, all in
+    /// memory.
+    pub fn graph(&self) -> &PageGraph {
+        &self.graph
     }
 
     /// The persisted build parameters.
@@ -976,45 +895,10 @@ impl OocFlatIndex {
         self.prefetch.is_some()
     }
 
-    /// Seed-tree height (the seed phase cost bound).
-    pub fn seed_tree_height(&self) -> usize {
-        self.seed_tree.height()
-    }
-
-    /// Ids of all pages whose MBR intersects `q` (metadata only — no
-    /// page I/O). Prefetch policies use this to translate predicted
-    /// regions into pages.
-    pub fn pages_intersecting(&self, q: &Aabb) -> Vec<u32> {
-        let mut pages = Vec::new();
-        self.pages_intersecting_into(q, &mut TraversalScratch::default(), &mut pages);
-        pages
-    }
-
-    /// [`pages_intersecting`](Self::pages_intersecting) into `out`
-    /// (cleared first), the seed-tree traversal running on `scratch`:
-    /// with warm buffers nothing is allocated.
-    pub fn pages_intersecting_into(
-        &self,
-        q: &Aabb,
-        scratch: &mut TraversalScratch,
-        out: &mut Vec<u32>,
-    ) {
-        pages_meeting(&self.seed_tree, q, scratch, out);
-    }
-
-    /// Resident memory of the paged engine: frames + metadata + seed
-    /// tree (the segments themselves live on disk).
+    /// Resident memory of the paged engine: frames + page graph (the
+    /// segments themselves live on disk).
     pub fn memory_bytes(&self) -> usize {
-        self.pool.capacity() * self.file.page_size()
-            + self.page_mbrs.capacity() * std::mem::size_of::<Aabb>()
-            + (self.neighbor_offsets.capacity() + self.neighbor_ids.capacity()) * 4
-            + self.seed_tree.memory_bytes()
-    }
-
-    fn neighbors_of(&self, page: u32) -> &[u32] {
-        let a = self.neighbor_offsets[page as usize] as usize;
-        let b = self.neighbor_offsets[page as usize + 1] as usize;
-        &self.neighbor_ids[a..b]
+        self.pool.capacity() * self.file.page_size() + self.graph.memory_bytes()
     }
 
     /// Streaming seed-and-crawl over the page file — the paged
@@ -1055,136 +939,73 @@ impl OocFlatIndex {
         F: FnMut(u32),
         S: FnMut(&NeuronSegment) -> Flow,
     {
-        let mut stats = OocQueryStats::default();
-        if self.page_mbrs.is_empty() {
-            return Ok(stats);
-        }
         let pool_before = self.pool.stats();
-        let mut stall_ns = 0u64;
-        scratch.queue.clear();
-        scratch.visited.begin(self.page_mbrs.len());
-        scratch.frontier.clear();
-        let OocScratch { queue, visited, seed, segs, frontier } = scratch;
-
-        let finish = |mut stats: OocQueryStats, stall_ns: u64, pool: &FramePool, enq: u64| {
-            let after = pool.stats();
-            stats.io.stall_ns = stall_ns;
-            stats.io.cache_hits = after.hits - pool_before.hits;
-            stats.io.cache_misses = after.misses - pool_before.misses;
-            stats.io.prefetch_hits = after.prefetch_hits - pool_before.prefetch_hits;
-            stats.io.evictions = after.evictions - pool_before.evictions;
-            stats.io.prefetch_enqueued = enq;
-            stats
-        };
-        let mut enqueued = 0u64;
-
-        // --- Seed ---------------------------------------------------------
-        let (seed_hit, seed_counters) = self.seed_tree.first_hit_scratch(q, seed);
-        stats.flat.seed_nodes_read += seed_counters.nodes_visited;
-        let Some(first) = seed_hit else {
-            return Ok(finish(stats, stall_ns, &self.pool, enqueued));
-        };
-        visited.mark(first.page as usize);
-        queue.push_back(first.page);
-
-        // --- Crawl (with exactness-preserving re-seeding) ------------------
-        let may_skip = self.params.neighbor_epsilon >= 0.0;
-        // A read page whose MBR contains q links to every page meeting q
-        // (module doc), so the re-seed check cannot find one.
-        let mut covered = false;
-        loop {
-            while let Some(page) = queue.pop_front() {
-                stats.flat.pages_read += 1;
-                on_page(page);
-                covered |= may_skip && self.page_mbrs[page as usize].contains(q);
-
-                // The real page read: pin (retrying transient faults
-                // under the configured policy), decode, scan. The pin is
-                // held only while the page is scanned, so even a
-                // one-frame budget can execute any query.
-                let t = Instant::now();
-                let (res, tries) = with_retry_sleeping(&self.retry, u64::from(page), || {
-                    self.pool.get(u64::from(page), self.file.as_ref())
-                });
-                stall_ns += t.elapsed().as_nanos() as u64;
-                stats.io.retries += u64::from(tries);
-                let decoded =
-                    res.and_then(|guard| decode_page_segments(&guard, u64::from(page), segs));
-                if let Err(e) = decoded {
-                    if e.is_transient() {
-                        // Retries exhausted or frame-budget pressure:
-                        // not the page's fault, never quarantine.
-                        return Err(e);
-                    }
-                    // Permanent: quarantine so later demands fail fast
-                    // instead of re-reading known-bad bytes.
-                    self.pool.quarantine_page(u64::from(page));
-                    if !allow_partial {
-                        return Err(e);
-                    }
-                    stats.io.pages_quarantined += 1;
-                    segs.clear();
-                }
-
-                // A decoded page is scanned object by object (there are
-                // no lanes on disk), but a page wholly inside `q` is
-                // emitted untested as in memory: every decoded box is
-                // finite and non-empty, so `q` contains it.
-                let whole = q.contains(&self.page_mbrs[page as usize]);
-                stats.flat.objects_tested += segs.len() as u64;
-                for o in segs.iter() {
-                    if whole || o.aabb().intersects(q) {
-                        match sink(o) {
-                            Flow::Emit => stats.flat.results += 1,
-                            Flow::Skip => {}
-                            Flow::Last => {
-                                stats.flat.results += 1;
-                                return Ok(finish(stats, stall_ns, &self.pool, enqueued));
-                            }
-                        }
-                    }
-                }
-                // Each page's MBR is tested once per query: the mark
-                // remembers a rejection as well as an admission.
-                frontier.clear();
-                for &n in self.neighbors_of(page) {
-                    if visited.mark(n as usize) {
-                        if self.page_mbrs[n as usize].intersects(q) {
-                            queue.push_back(n);
-                            frontier.push(n);
-                        } else {
-                            stats.flat.links_rejected += 1;
-                        }
-                    }
-                }
-                // Crawl-frontier prefetch: the pages just admitted to the
-                // BFS queue are read in the background while the queue
-                // ahead of them is scanned.
-                if let Some(h) = &self.prefetch {
-                    enqueued += h.enqueue_frontier(frontier);
-                }
-            }
-
-            if covered {
-                break;
-            }
-            let mut reseeded = false;
-            let reseed_counters = self.seed_tree.range_query_stream(q, seed, |entry| {
-                if visited.mark(entry.page as usize) {
-                    queue.push_back(entry.page);
-                    reseeded = true;
-                }
-                Flow::Emit
+        let mut io = OocIoTrace::default();
+        let OocScratch { flat, segs } = scratch;
+        // The real page read: pin (retrying transient faults under the
+        // configured policy), decode, scan. The pin is held only while
+        // the page is decoded, so even a one-frame budget can execute any
+        // query.
+        let read = |page: u32, stats: &mut FlatQueryStats| {
+            on_page(page);
+            let t = Instant::now();
+            let (res, tries) = with_retry_sleeping(&self.retry, u64::from(page), || {
+                self.pool.get(u64::from(page), self.file.as_ref())
             });
-            stats.flat.seed_nodes_read += reseed_counters.nodes_visited;
-            if reseeded {
-                stats.flat.reseeds += 1;
-            } else {
-                break;
+            io.stall_ns += t.elapsed().as_nanos() as u64;
+            io.retries += u64::from(tries);
+            let decoded = res.and_then(|guard| decode_page_segments(&guard, u64::from(page), segs));
+            if let Err(e) = decoded {
+                if e.is_transient() {
+                    // Retries exhausted or frame-budget pressure: not the
+                    // page's fault, never quarantine.
+                    return Err(e);
+                }
+                // Permanent: quarantine so later demands fail fast
+                // instead of re-reading known-bad bytes.
+                self.pool.quarantine_page(u64::from(page));
+                if !allow_partial {
+                    return Err(e);
+                }
+                io.pages_quarantined += 1;
+                segs.clear();
             }
-        }
-
-        Ok(finish(stats, stall_ns, &self.pool, enqueued))
+            // A decoded page is scanned object by object (there are no
+            // lanes on disk), but a page wholly inside `q` is emitted
+            // untested as in memory: every decoded box is finite,
+            // non-empty and inside the page's MBR (checked at open), so
+            // `q` contains it.
+            let whole = q.contains(&self.graph.mbr(page));
+            stats.objects_tested += segs.len() as u64;
+            for o in segs.iter().filter(|o| whole || o.aabb().intersects(q)) {
+                match sink(o) {
+                    Flow::Emit => stats.results += 1,
+                    Flow::Skip => {}
+                    Flow::Last => {
+                        stats.results += 1;
+                        return Ok(true);
+                    }
+                }
+            }
+            Ok(false)
+        };
+        // Crawl-frontier prefetch: the pages a read page's links admit to
+        // the crawl front are read in the background while the front
+        // ahead of them is scanned.
+        let mut enqueued = 0;
+        let admitted = |pages: vec_deque::Iter<'_, u32>| {
+            if let Some(h) = &self.prefetch {
+                enqueued += h.enqueue_frontier(pages);
+            }
+        };
+        let flat = self.graph.crawl(q, flat, read, admitted)?;
+        let after = self.pool.stats();
+        io.cache_hits = after.hits - pool_before.hits;
+        io.cache_misses = after.misses - pool_before.misses;
+        io.prefetch_hits = after.prefetch_hits - pool_before.prefetch_hits;
+        io.evictions = after.evictions - pool_before.evictions;
+        io.prefetch_enqueued = enqueued;
+        Ok(OocQueryStats { flat, io })
     }
 
     /// Range query collecting owned copies into `out` (cleared first).
@@ -1310,11 +1131,11 @@ impl Planner {
         self.pages_read.extend_from_slice(pages_read);
     }
 
-    /// Run the policy on the inputs held. With the seed tree, map its
+    /// Run the policy on the inputs held. With the page graph, map its
     /// plan to the pages worth reading: ids past the end of the file, ids
     /// the plan repeats and pages the step read are dropped, and then the
     /// list is cut to its cap. Without, the plan maps to no page.
-    fn plan(&mut self, seed_tree: Option<&SeedTree>) -> &[u32] {
+    fn plan(&mut self, graph: Option<&PageGraph>) -> &[u32] {
         let refs: Vec<&NeuronSegment> = self.result.iter().collect();
         let plan = self.prefetcher.plan(&PrefetchContext {
             query: &self.query,
@@ -1324,10 +1145,10 @@ impl Planner {
         });
         let Planner { marks, seed, found, pages, pages_read, .. } = self;
         pages.clear();
-        let Some(seed_tree) = seed_tree else {
+        let Some(graph) = graph else {
             return pages;
         };
-        let page_count = seed_tree.len();
+        let page_count = graph.page_count();
         // Mark the pages the step read, so that marking a planned page
         // tells both whether the step read it and whether the plan
         // already has it. (The crawl's own marks will not do: they also
@@ -1350,7 +1171,7 @@ impl Planner {
             if !room {
                 break;
             }
-            pages_meeting(seed_tree, region, seed, found);
+            graph.pages_intersecting(region, seed, found);
             room = accept(found);
         }
         pages.truncate(CURSOR_PREFETCH_CAP);
@@ -1555,7 +1376,7 @@ impl<'a> OocCursor<'a> {
             self.plans.planner = Plans::Out;
             queued
         } else {
-            let pages = planner.plan(answered.map(|_| &*index.seed_tree));
+            let pages = planner.plan(answered.map(|_| &*index.graph));
             let mut read = 0;
             if let Some(answered) = answered {
                 // Only a read moves this clock: the think time is spent
@@ -2175,7 +1996,7 @@ mod tests {
                 OocConfig::default().with_frame_budget(budget).with_prefetch_workers(workers);
             let ooc = open_gated(&t.0, config, if held { &idle } else { &[] });
             if held {
-                ooc.prefetch.as_ref().expect("workers").enqueue_frontier(&idle[..workers]);
+                ooc.prefetch.as_ref().expect("workers").enqueue_frontier(idle[..workers].iter());
                 ooc.gate.reads(workers, &idle);
             }
             let mut cur = ooc.cursor(policy);
@@ -2348,6 +2169,69 @@ mod tests {
             ooc.range_query_into(&ooc.bounds(), &mut scratch, &mut out).expect_err("still refused");
         assert_eq!(err, StorageError::Quarantined { pages: vec![0] });
         assert_eq!(ooc.validate_pages(), Err(StorageError::BadPages { pages: vec![0] }));
+    }
+
+    /// Rewrite the page file at `path` with its metadata blob passed
+    /// through `edit`; pages and checksums stay valid.
+    fn rewrite_meta(path: &Path, edit: impl FnOnce(&mut [u8])) {
+        let file = PageFile::open(path).expect("open");
+        let mut meta = file.meta().to_vec();
+        edit(&mut meta);
+        let mut pages = vec![Vec::new(); file.page_count() as usize];
+        for (p, buf) in (0..).zip(&mut pages) {
+            file.read_page_into(p, buf).expect("read");
+        }
+        let mut w = PageFileWriter::create(path, file.page_size()).expect("create");
+        pages.iter().for_each(|payload| w.append_page(payload).expect("page"));
+        w.finish(&meta).expect("finish");
+    }
+
+    /// A page whose metadata MBR does not bound its records would lose
+    /// records (moved away) or break the crawl's rules (grown): open
+    /// refuses the file, with the page named as for a bad checksum.
+    #[test]
+    fn a_page_mbr_that_is_not_its_records_bound_fails_open() {
+        let mem = build(circuit(12), 32);
+        // Page 0's MBR follows the 48 bytes of parameters and counts.
+        let at = 48..96;
+        let moved = Aabb::cube(Vec3::splat(1e6), 0.0);
+        let grown = mem.graph().mbr(0).inflate(1.0);
+        for mbr in [moved, grown] {
+            let t = TempFile(temp_path("mbr"));
+            write_flat_index(&mem, &t.0).expect("write");
+            rewrite_meta(&t.0, |meta| {
+                let faces = [mbr.lo.x, mbr.lo.y, mbr.lo.z, mbr.hi.x, mbr.hi.y, mbr.hi.z];
+                let bytes: Vec<u8> = faces.iter().flat_map(|v| v.to_le_bytes()).collect();
+                meta[at.clone()].copy_from_slice(&bytes);
+            });
+            let err = OocFlatIndex::open(&t.0, OocConfig::default()).expect_err("bad MBR");
+            assert_eq!(err, StorageError::BadPages { pages: vec![0] }, "MBR {mbr}");
+            let lazy = OocConfig { validate_pages: false, ..OocConfig::default() };
+            let ooc = OocFlatIndex::open(&t.0, lazy).expect("lazy open");
+            assert_eq!(ooc.validate_pages(), Err(StorageError::BadPages { pages: vec![0] }));
+        }
+    }
+
+    /// The crawl hands every page a link admits to the frontier
+    /// prefetch: without a re-seed, that is every page read but the seed.
+    #[test]
+    fn the_frontier_queues_every_page_read_but_the_seed() {
+        let mem = build(circuit(10), 16);
+        let t = TempFile(temp_path("frontier"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let ooc =
+            OocFlatIndex::open(&t.0, OocConfig::default().with_prefetch_workers(1)).expect("open");
+        let mut scratch = OocScratch::default();
+        let mut out = Vec::new();
+        // A segment's centre: the tissue's own centre can be hollow.
+        let centre = mem.page_objects(mem.page_count() as u32 / 2)[0].aabb().center();
+        for r in [5.0, 15.0, 40.0, 200.0] {
+            let q = Aabb::cube(centre, r);
+            let stats = ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
+            assert_eq!(stats.flat.reseeds, 0, "at {q}");
+            assert!(stats.flat.pages_read > 1, "at {q}");
+            assert_eq!(stats.io.prefetch_enqueued, stats.flat.pages_read - 1, "at {q}");
+        }
     }
 
     #[test]

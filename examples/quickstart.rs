@@ -34,8 +34,8 @@ fn main() {
     println!(
         "FLAT index: {} pages, {:.1} neighbors/page, seed-tree height {}",
         flat.page_count(),
-        flat.mean_neighbors(),
-        flat.seed_tree_height()
+        flat.graph().mean_neighbors(),
+        flat.graph().seed_tree_height()
     );
 
     // --- 3. One composable query surface ----------------------------------

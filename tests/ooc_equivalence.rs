@@ -74,22 +74,25 @@ fn budgets(pages: usize) -> Vec<usize> {
     b
 }
 
-/// Check one (segments, queries, capacity) case under every budget: the
-/// paged index must match the in-memory one result-for-result and
-/// logical-counter-for-logical-counter, reusing one scratch across the
-/// whole query list both times.
+/// Check one (segments, queries, capacity, prefetch workers) case under
+/// every budget: the paged index must match the in-memory one
+/// result-for-result and logical-counter-for-logical-counter, reusing one
+/// scratch across the whole query list both times. With workers, every
+/// page a link admits is handed to the frontier prefetch while the crawl
+/// goes on, so its reads race the crawl's own.
 fn assert_paged_matches_memory(
     segments: &[NeuronSegment],
     queries: &[Aabb],
     page_capacity: usize,
+    workers: usize,
 ) -> Result<(), TestCaseError> {
     let params = FlatBuildParams::default().with_page_capacity(page_capacity);
     let mem: FlatIndex<NeuronSegment> = FlatIndex::build(segments.to_vec(), params);
     let file = ScratchFile::new("prop");
     write_flat_index(&mem, &file.0).expect("write page file");
     for budget in budgets(mem.page_count()) {
-        let paged = OocFlatIndex::open(&file.0, OocConfig::default().with_frame_budget(budget))
-            .expect("open page file");
+        let config = OocConfig::default().with_frame_budget(budget).with_prefetch_workers(workers);
+        let paged = OocFlatIndex::open(&file.0, config).expect("open page file");
         let mut mem_scratch = FlatScratch::default();
         let mut ooc_scratch = OocScratch::new();
         let mut want: Vec<NeuronSegment> = Vec::new();
@@ -108,16 +111,11 @@ fn assert_paged_matches_memory(
             let got_stats = paged
                 .range_query_into(q, &mut ooc_scratch, &mut got)
                 .expect("validated file cannot fail");
-            prop_assert_eq!(
-                &got_stats.flat,
-                &want_stats,
-                "budget {} at {}: logical stats diverge",
-                budget,
-                q
-            );
-            prop_assert_eq!(got.len(), want.len(), "budget {} at {}", budget, q);
+            let case = format!("budget {budget}, {workers} workers at {q}");
+            prop_assert_eq!(&got_stats.flat, &want_stats, "{}: logical stats diverge", case);
+            prop_assert_eq!(got.len(), want.len(), "{}", case);
             for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.id, w.id, "budget {} at {}: order diverges", budget, q);
+                prop_assert_eq!(g.id, w.id, "{}: order diverges", case);
             }
         }
     }
@@ -132,14 +130,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random soups, random page capacity, random queries: paged FLAT is
-    /// byte-identical to in-memory FLAT under every frame budget.
+    /// byte-identical to in-memory FLAT under every frame budget, with
+    /// and without prefetch workers.
     #[test]
     fn paged_flat_is_byte_identical_to_memory(
         segments in segment_soup(),
         queries in prop::collection::vec(query_box(), 1..7),
         capacity in 1usize..48,
+        prefetch in any::<bool>(),
     ) {
-        assert_paged_matches_memory(&segments, &queries, capacity)?;
+        assert_paged_matches_memory(&segments, &queries, capacity, if prefetch { 2 } else { 0 })?;
     }
 
     /// The facade lane: a paged database and an in-memory database give
