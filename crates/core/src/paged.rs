@@ -5,14 +5,19 @@
 //! [`PagedFlatIndex`] wraps the scout crate's paged engine
 //! ([`OocFlatIndex`]): segments live in a checksummed page file on disk,
 //! a bounded frame pool keeps a configurable number of pages resident,
-//! and background workers prefetch pages ahead of the crawl. The crawl
-//! is the in-memory [`FlatIndex`]'s own, run over the same
+//! and once a query meets a page that is not resident, background
+//! workers read the pages its crawl has admitted but not reached, the
+//! last-admitted first, while the query reads from the front. The
+//! crawl is the in-memory [`FlatIndex`]'s own, run over the same
 //! [`PageGraph`](neurospatial_flat::PageGraph) with pages read from the
 //! file, and the plan is the same function of that graph. So logical
 //! results and seed-and-crawl statistics are **byte-identical** to the
 //! in-memory index (property-tested in `tests/ooc_equivalence.rs`); the
 //! physical I/O counters surface through the `cache_*` fields of
-//! [`QueryStats`].
+//! [`QueryStats`]. Hits and misses are the query's own, as the frame
+//! pool reported each page it served, so queries that share the pool
+//! are not charged each other's; evictions are the pool's while the
+//! query ran.
 //!
 //! ## Fallibility
 //!

@@ -39,10 +39,16 @@
 //! a shared queue and loading it into the pool. Two producers feed the
 //! queue ahead of the demand stream:
 //!
-//! - the **crawl frontier**: pages newly admitted to the BFS queue are
-//!   enqueued the moment they are discovered, so their reads overlap
-//!   with scanning the pages ahead of them in the queue. A query is
-//!   waiting for these, so workers take them first;
+//! - the **crawl frontier** of a cold query: once a query meets a page
+//!   the pool does not hold resident (the frame guard says how the pool
+//!   served each page), the pages its links admit to the BFS queue are
+//!   enqueued the moment they are discovered. The caller reads the
+//!   queue from its oldest page on, and the workers take the frontier
+//!   newest first, so they read the pages the crawl reaches last while
+//!   the caller reads the first ones, and the reads overlap. A query is
+//!   waiting for these, so workers take them before anything else. A
+//!   query that finds every page resident hands off nothing and takes no
+//!   queue lock;
 //! - the **exploration cursor** ([`OocCursor`]): after each
 //!   walkthrough step, the configured [`Prefetcher`] policy (SCOUT,
 //!   Hilbert, …) predicts the next regions and their pages are fetched
@@ -54,23 +60,29 @@
 //! planning state and queues that as a **plan job**. A worker takes the
 //! job, runs the policy, maps the plan to pages and queues them, while
 //! the user looks at the answer. Workers take crawl-frontier pages
-//! first, then plan jobs, then plan pages. Every step is planned, in
-//! step order: if a step is answered while the job of the step before
-//! is still queued, the cursor takes the job back, makes that plan
-//! itself so the policy sees every step, and drops its pages. A policy
-//! that panics on a worker panics the cursor on its next step, its
-//! [`reset`](OocCursor::reset) or its drop; the worker goes on.
+//! first, then plan jobs, then plan pages in plan order. Every step is
+//! planned, in step order: if a step is answered while the job of the
+//! step before is still queued, the cursor takes the job back, makes
+//! that plan itself so the policy sees every step, and drops its pages.
+//! A policy that panics on a worker panics the cursor on its next step,
+//! its [`reset`](OocCursor::reset) or its drop; the worker goes on.
 //!
 //! A plan's page ids are checked before they are queued: ids past the
 //! end of the file, ids the up-to-8 overlapping regions repeat and pages
-//! the step itself just read are dropped, and only then is the plan cut
-//! to its cap, so every queued id is a read worth issuing. And a new
-//! plan **replaces** whatever the workers have not yet taken of the
-//! previous one: those pages were predicted for a step that has already
-//! been answered, and a worker that manages six or seven reads per think
-//! time must not spend them on a stale prediction while the fresh one
-//! waits behind it. The worker that takes a plan job drops that rest at
-//! once, so no other worker reads it while the new plan is made.
+//! the step itself just read are dropped. A policy's explicit pages keep
+//! its order and go first; the regions' pages follow **nearest first**,
+//! by the squared distance from the page's MBR to the nearest region
+//! centre (ties in seed-tree order), and only then is the plan cut to
+//! its cap, so every queued id is a read worth issuing and the likeliest
+//! are read first. A worker manages about five reads per millisecond of
+//! think time on the `explore_ooc` device, so the head of the plan is
+//! what gets read. And a new plan **replaces** whatever the workers have
+//! not yet taken of the previous one: those pages were predicted for a
+//! step that has already been answered, and must not take the think time
+//! while the fresh plan waits behind them. The worker that takes a plan
+//! job drops that rest at once, so no other worker reads it while the new
+//! plan is made; a cursor's [`reset`](OocCursor::reset) drops it too, as
+//! the walkthrough it was made for has ended.
 //!
 //! A demand read that catches an in-flight prefetch waits only for the
 //! remainder of that read — the pool's loading protocol — which is the
@@ -103,8 +115,9 @@ use neurospatial_model::NeuronSegment;
 use neurospatial_rtree::{EpochMarks, RTreeObject, TraversalScratch};
 use neurospatial_storage::{
     with_retry_sleeping, EvictionPolicy, FramePool, ModelledDevice, PageFile, PageFileWriter,
-    PageIo, RetryPolicy, StorageError, PAGE_HEADER_BYTES,
+    PageIo, RetryPolicy, Served, StorageError, PAGE_HEADER_BYTES,
 };
+use std::cell::Cell;
 use std::collections::{vec_deque, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -342,16 +355,22 @@ pub struct OocIoTrace {
     /// Wall-clock nanoseconds the query spent blocked on page reads
     /// (demand misses plus waits for in-flight prefetches).
     pub stall_ns: u64,
-    /// Demand page requests served from the frame pool.
+    /// This query's page requests served from the frame pool, as the
+    /// pool's guard reported each: queries that share the pool are not
+    /// charged each other's.
     pub cache_hits: u64,
-    /// Demand page requests that went to disk.
+    /// The hits that waited for the rest of an in-flight load.
+    pub waits: u64,
+    /// This query's page requests that went to disk.
     pub cache_misses: u64,
-    /// Demand hits whose frame had been loaded by a prefetch.
+    /// This query's hits whose frame had been loaded by a prefetch.
     pub prefetch_hits: u64,
     /// Frames evicted while this query ran (pool-wide, so concurrent
     /// background prefetching is included).
     pub evictions: u64,
-    /// Pages handed to the background prefetcher by the crawl frontier.
+    /// Pages handed to the background prefetcher by the crawl frontier:
+    /// those its links admitted once the query had found a page that was
+    /// not resident.
     pub prefetch_enqueued: u64,
     /// Transient page-read failures recovered by the bounded-retry
     /// path during this query.
@@ -388,7 +407,8 @@ impl OocScratch {
 
 #[derive(Default)]
 struct PrefetchQueue {
-    /// Crawl-frontier pages: a running query is about to demand them.
+    /// Crawl-frontier pages: a running cold query is about to demand
+    /// them, the oldest first.
     frontier: VecDeque<u32>,
     /// Plan jobs: cursors' planning states, each holding the inputs of
     /// its cursor's latest step.
@@ -424,7 +444,9 @@ impl PrefetchShared {
             if q.shutdown {
                 return None;
             }
-            if let Some(p) = q.frontier.pop_front() {
+            // Newest first: the crawl reads its front from the oldest
+            // page on, so the worker reads the pages it will reach last.
+            if let Some(p) = q.frontier.pop_back() {
                 return Some(Work::Page(p));
             }
             if let Some(job) = q.jobs.pop_front() {
@@ -939,13 +961,16 @@ impl OocFlatIndex {
         F: FnMut(u32),
         S: FnMut(&NeuronSegment) -> Flow,
     {
-        let pool_before = self.pool.stats();
+        let evictions_before = self.pool.evictions();
         let mut io = OocIoTrace::default();
         let OocScratch { flat, segs } = scratch;
+        // Set at the first page the pool does not hold resident: from
+        // there on the query goes to the device.
+        let cold = Cell::new(false);
         // The real page read: pin (retrying transient faults under the
-        // configured policy), decode, scan. The pin is held only while
-        // the page is decoded, so even a one-frame budget can execute any
-        // query.
+        // configured policy), count how the pool served it, decode, scan.
+        // The pin is held only while the page is decoded, so even a
+        // one-frame budget can execute any query.
         let read = |page: u32, stats: &mut FlatQueryStats| {
             on_page(page);
             let t = Instant::now();
@@ -954,7 +979,22 @@ impl OocFlatIndex {
             });
             io.stall_ns += t.elapsed().as_nanos() as u64;
             io.retries += u64::from(tries);
-            let decoded = res.and_then(|guard| decode_page_segments(&guard, u64::from(page), segs));
+            let decoded = res.and_then(|guard| {
+                match guard.served() {
+                    Served::Resident => io.cache_hits += 1,
+                    Served::Waited => {
+                        io.cache_hits += 1;
+                        io.waits += 1;
+                        cold.set(true);
+                    }
+                    Served::Read => {
+                        io.cache_misses += 1;
+                        cold.set(true);
+                    }
+                }
+                io.prefetch_hits += u64::from(guard.prefetch_hit());
+                decode_page_segments(&guard, u64::from(page), segs)
+            });
             if let Err(e) = decoded {
                 if e.is_transient() {
                     // Retries exhausted or frame-budget pressure: not the
@@ -989,21 +1029,18 @@ impl OocFlatIndex {
             }
             Ok(false)
         };
-        // Crawl-frontier prefetch: the pages a read page's links admit to
-        // the crawl front are read in the background while the front
-        // ahead of them is scanned.
+        // Crawl-frontier prefetch: once the query is cold, the pages a
+        // read page's links admit to the crawl front are read in the
+        // background while the front ahead of them is scanned. A warm
+        // query takes no queue lock.
         let mut enqueued = 0;
         let admitted = |pages: vec_deque::Iter<'_, u32>| {
-            if let Some(h) = &self.prefetch {
+            if let (Some(h), true) = (&self.prefetch, cold.get()) {
                 enqueued += h.enqueue_frontier(pages);
             }
         };
         let flat = self.graph.crawl(q, flat, read, admitted)?;
-        let after = self.pool.stats();
-        io.cache_hits = after.hits - pool_before.hits;
-        io.cache_misses = after.misses - pool_before.misses;
-        io.prefetch_hits = after.prefetch_hits - pool_before.prefetch_hits;
-        io.evictions = after.evictions - pool_before.evictions;
+        io.evictions = self.pool.evictions() - evictions_before;
         io.prefetch_enqueued = enqueued;
         Ok(OocQueryStats { flat, io })
     }
@@ -1101,6 +1138,8 @@ struct Planner {
     marks: EpochMarks,
     seed: TraversalScratch,
     found: Vec<u32>,
+    /// The regions' pages, each with its distance to the nearest region.
+    near: Vec<(f64, u32)>,
     pages: Vec<u32>,
     /// Pages queued by the last plan a worker made, until a step reports
     /// them.
@@ -1133,8 +1172,10 @@ impl Planner {
 
     /// Run the policy on the inputs held. With the page graph, map its
     /// plan to the pages worth reading: ids past the end of the file, ids
-    /// the plan repeats and pages the step read are dropped, and then the
-    /// list is cut to its cap. Without, the plan maps to no page.
+    /// the plan repeats and pages the step read are dropped. The plan's
+    /// explicit pages come first, in its order; then the regions' pages,
+    /// nearest first; and then the list is cut to its cap. Without the
+    /// graph, the plan maps to no page.
     fn plan(&mut self, graph: Option<&PageGraph>) -> &[u32] {
         let refs: Vec<&NeuronSegment> = self.result.iter().collect();
         let plan = self.prefetcher.plan(&PrefetchContext {
@@ -1143,7 +1184,7 @@ impl Planner {
             history: &self.recent[2 - self.history..],
             pages_read: &self.pages_read,
         });
-        let Planner { marks, seed, found, pages, pages_read, .. } = self;
+        let Planner { marks, seed, found, near, pages, pages_read, .. } = self;
         pages.clear();
         let Some(graph) = graph else {
             return pages;
@@ -1158,22 +1199,32 @@ impl Planner {
         for &p in pages_read.iter() {
             marks.mark(p as usize);
         }
-        let mut accept = |candidates: &[u32]| {
-            for &p in candidates {
-                if (p as usize) < page_count && marks.mark(p as usize) {
-                    pages.push(p);
+        for &p in &plan.pages {
+            if (p as usize) < page_count && marks.mark(p as usize) {
+                pages.push(p);
+            }
+        }
+        // The next step is most likely near a predicted centre, and a
+        // worker reads the plan in order: sort the regions' pages by the
+        // squared distance from their MBR to the nearest region centre,
+        // ties in the order the seed tree finds them.
+        near.clear();
+        if pages.len() < CURSOR_PREFETCH_CAP {
+            for region in &plan.regions {
+                graph.pages_intersecting(region, seed, found);
+                for &p in found.iter() {
+                    if marks.mark(p as usize) {
+                        let mbr = graph.mbr(p);
+                        let d = plan.regions.iter().fold(f64::INFINITY, |d, r| {
+                            d.min(mbr.min_distance_sq(&Aabb::point(r.center())))
+                        });
+                        near.push((d, p));
+                    }
                 }
             }
-            pages.len() < CURSOR_PREFETCH_CAP
-        };
-        let mut room = accept(&plan.pages);
-        for region in &plan.regions {
-            if !room {
-                break;
-            }
-            graph.pages_intersecting(region, seed, found);
-            room = accept(found);
         }
+        near.sort_by(|a, b| a.0.total_cmp(&b.0));
+        pages.extend(near.iter().map(|&(_, p)| p));
         pages.truncate(CURSOR_PREFETCH_CAP);
         pages
     }
@@ -1301,6 +1352,7 @@ impl<'a> OocCursor<'a> {
                 marks: EpochMarks::default(),
                 seed: TraversalScratch::default(),
                 found: Vec::new(),
+                near: Vec::new(),
                 pages: Vec::new(),
                 queued: 0,
             })),
@@ -1404,6 +1456,7 @@ impl<'a> OocCursor<'a> {
         Ok(QueryTrace {
             pages_demanded: stats.flat.pages_read,
             demand_hits: stats.io.cache_hits,
+            demand_waits: stats.io.waits,
             demand_misses: stats.io.cache_misses,
             stall_ms: stall_ns as f64 / 1e6,
             prefetched,
@@ -1421,9 +1474,10 @@ impl<'a> OocCursor<'a> {
         &self.index
     }
 
-    /// Forget per-walkthrough state (history and the policy's memory). A
-    /// plan a worker is making is waited for; one that is only queued is
-    /// dropped.
+    /// Forget per-walkthrough state (history, the policy's memory and
+    /// the plan). A plan a worker is making is waited for; one that is
+    /// only queued is dropped, and so are the pages of the last plan no
+    /// worker has taken yet.
     ///
     /// # Panics
     ///
@@ -1433,6 +1487,11 @@ impl<'a> OocCursor<'a> {
         planner.prefetcher.reset();
         self.plans.planner = Plans::Here(planner);
         self.steps = 0;
+        if let Some(workers) = &self.plans.workers {
+            // The rest of the last plan was made for a walkthrough that
+            // has ended.
+            workers.lock().plan.clear();
+        }
     }
 }
 
@@ -2212,26 +2271,177 @@ mod tests {
         }
     }
 
-    /// The crawl hands every page a link admits to the frontier
-    /// prefetch: without a re-seed, that is every page read but the seed.
+    /// A cold crawl hands every page a link admits to the frontier
+    /// prefetch: on a fresh pool, where the seed is not resident, and
+    /// without a re-seed, that is every page read but the seed. The same
+    /// query again finds every page resident and hands off none.
     #[test]
     fn the_frontier_queues_every_page_read_but_the_seed() {
         let mem = build(circuit(10), 16);
         let t = TempFile(temp_path("frontier"));
         write_flat_index(&mem, &t.0).expect("write");
-        let ooc =
-            OocFlatIndex::open(&t.0, OocConfig::default().with_prefetch_workers(1)).expect("open");
         let mut scratch = OocScratch::default();
         let mut out = Vec::new();
         // A segment's centre: the tissue's own centre can be hollow.
         let centre = mem.page_objects(mem.page_count() as u32 / 2)[0].aabb().center();
         for r in [5.0, 15.0, 40.0, 200.0] {
+            let config = OocConfig::default().with_prefetch_workers(1);
+            let ooc = OocFlatIndex::open(&t.0, config).expect("open");
             let q = Aabb::cube(centre, r);
-            let stats = ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
-            assert_eq!(stats.flat.reseeds, 0, "at {q}");
-            assert!(stats.flat.pages_read > 1, "at {q}");
-            assert_eq!(stats.io.prefetch_enqueued, stats.flat.pages_read - 1, "at {q}");
+            let cold = ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
+            assert_eq!(cold.flat.reseeds, 0, "at {q}");
+            assert!(cold.flat.pages_read > 1, "at {q}");
+            assert_eq!(cold.io.prefetch_enqueued, cold.flat.pages_read - 1, "at {q}");
+            let warm = ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
+            assert_eq!(warm.flat, cold.flat, "at {q}");
+            assert_eq!((warm.io.cache_hits, warm.io.waits), (warm.flat.pages_read, 0), "at {q}");
+            assert_eq!(warm.io.prefetch_enqueued, 0, "at {q}");
         }
+    }
+
+    /// Two threads querying one index at once are each charged their own
+    /// page requests: the per-query counts add up to the pool's.
+    #[test]
+    fn concurrent_queries_are_charged_their_own_cache_counts() {
+        let mem = build(circuit(10), 16);
+        let t = TempFile(temp_path("twoqueries"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let pages = mem.page_count() as u32;
+        let config = OocConfig::default()
+            .with_frame_budget(frame_budget_for(pages as usize, 20))
+            .with_prefetch_workers(1);
+        let ooc = OocFlatIndex::open(&t.0, config).expect("open");
+        let before = ooc.pool().stats();
+        let both = std::sync::Barrier::new(2);
+        let charged: Vec<OocIoTrace> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2u32)
+                .map(|thread| {
+                    let (ooc, mem, both) = (&ooc, &mem, &both);
+                    scope.spawn(move || {
+                        let mut scratch = OocScratch::default();
+                        let mut out = Vec::new();
+                        let mut sum = OocIoTrace::default();
+                        both.wait();
+                        for i in 0..80 {
+                            let page = (i * 7 + thread * 13) % pages;
+                            let q = Aabb::cube(mem.page_objects(page)[0].aabb().center(), 20.0);
+                            let s =
+                                ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
+                            assert_eq!(s.io.cache_hits + s.io.cache_misses, s.flat.pages_read);
+                            sum.cache_hits += s.io.cache_hits;
+                            sum.cache_misses += s.io.cache_misses;
+                            sum.waits += s.io.waits;
+                            sum.prefetch_hits += s.io.prefetch_hits;
+                        }
+                        sum
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("querying thread")).collect()
+        });
+        let after = ooc.pool().stats();
+        let total = |f: fn(&OocIoTrace) -> u64| charged.iter().map(f).sum::<u64>();
+        assert_eq!(total(|io| io.cache_hits), after.hits - before.hits);
+        assert_eq!(total(|io| io.cache_misses), after.misses - before.misses);
+        assert_eq!(total(|io| io.waits), after.waits - before.waits);
+        assert_eq!(total(|io| io.prefetch_hits), after.prefetch_hits - before.prefetch_hits);
+    }
+
+    /// A policy that predicts the same regions at every step.
+    struct Regions(Vec<Aabb>);
+
+    impl Prefetcher for Regions {
+        fn name(&self) -> &'static str {
+            "regions"
+        }
+
+        fn plan(&mut self, _ctx: &PrefetchContext<'_>) -> crate::prefetch::PrefetchPlan {
+            crate::prefetch::PrefetchPlan { regions: self.0.clone(), pages: Vec::new() }
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn plans_are_issued_nearest_first() {
+        let mem = Arc::new(build(circuit(10), 8));
+        let t = TempFile(temp_path("nearest"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let pages = mem.page_count() as u32;
+        let (q, read) = probe(&mem, 0);
+        let around = |page: u32, r| Aabb::cube(mem.page_objects(page)[0].aabb().center(), r);
+        let regions = vec![around(pages / 2, 25.0), around(pages - 1, 15.0)];
+        let graph = mem.graph();
+        let nearness = |p: u32| {
+            let centres = regions.iter().map(|r| Aabb::point(r.center()));
+            centres.map(|c| graph.mbr(p).min_distance_sq(&c)).fold(f64::INFINITY, f64::min)
+        };
+        let nearest_first =
+            |plan: &[u32]| plan.windows(2).all(|w| nearness(w[0]) <= nearness(w[1]));
+        // The pages the plan must hold, in the order the seed tree finds
+        // them, which is not nearest-first here.
+        let (mut seed, mut found, mut want) = (TraversalScratch::default(), vec![], vec![]);
+        for region in &regions {
+            graph.pages_intersecting(region, &mut seed, &mut found);
+            for &p in &found {
+                if !read.contains(&p) && !want.contains(&p) {
+                    want.push(p);
+                }
+            }
+        }
+        assert!(want.len() > 4 && want.len() <= CURSOR_PREFETCH_CAP, "{} pages", want.len());
+        assert!(!nearest_first(&want), "seed-tree order would pass");
+        let same_pages = |plan: &[u32]| {
+            let (mut a, mut b) = (plan.to_vec(), want.clone());
+            a.sort_unstable();
+            b.sort_unstable();
+            a == b
+        };
+
+        // Made inline, on a view.
+        let view = OocFlatIndex::view(Arc::clone(&mem), &SessionConfig::default());
+        let mut cur = view.cursor(Box::new(Regions(regions.clone())));
+        cur.step(&q).expect("step");
+        let Plans::Here(planner) = &cur.plans.planner else { panic!("the planner is here") };
+        assert!(same_pages(&planner.pages) && nearest_first(&planner.pages), "{:?}", planner.pages);
+        drop(cur);
+
+        // Made and issued by a worker, held at the first page it reads.
+        let spare: Vec<u32> = (0..pages).filter(|p| !read.contains(p)).collect();
+        let ooc = open_gated(&t.0, OocConfig::default().with_prefetch_workers(1), &spare);
+        let mut cur = ooc.cursor(Box::new(Regions(regions.clone())));
+        cur.step(&q).expect("step");
+        assert_eq!(plan_made(&mut cur), want.len() as u64);
+        let mut issued = ooc.gate.reads(1, &spare);
+        issued.extend(queued_plan(&ooc));
+        assert!(same_pages(&issued) && nearest_first(&issued), "{issued:?}");
+    }
+
+    #[test]
+    fn a_reset_drops_the_rest_of_the_last_plan() {
+        let mem = build(circuit(10), 8);
+        let t = TempFile(temp_path("reset"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let (q, read) = probe(&mem, 0);
+        let spare: Vec<u32> =
+            (0..mem.page_count() as u32).filter(|p| !read.contains(p)).take(4).collect();
+        let ooc = open_gated(&t.0, OocConfig::default().with_prefetch_workers(1), &spare);
+        let mut cur = ooc.cursor(Box::new(Scripted(VecDeque::from([spare.clone()]))));
+        cur.step(&q).expect("step");
+        assert_eq!(plan_made(&mut cur), 4);
+        // The worker is stuck reading the plan's first page.
+        assert_eq!(ooc.gate.reads(1, &spare), spare[..1]);
+        assert_eq!(queued_plan(&ooc), spare[1..]);
+
+        cur.reset();
+        assert!(queued_plan(&ooc).is_empty(), "the walkthrough the plan was for has ended");
+        drop(cur);
+        let gate = Arc::clone(&ooc.gate);
+        drop(ooc); // opens the gate and joins the worker
+        let reads = gate.state().1.clone();
+        let of_plan: Vec<u64> =
+            reads.into_iter().filter(|&p| spare.contains(&(p as u32))).collect();
+        assert_eq!(of_plan, [u64::from(spare[0])], "nothing more of the plan was read");
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub struct QueryTrace {
     pub pages_demanded: u64,
     /// Demand accesses satisfied by the pool.
     pub demand_hits: u64,
+    /// The hits that waited for the rest of an in-flight load (a
+    /// prefetch, usually).
+    pub demand_waits: u64,
     /// Demand accesses that had to stall on the disk.
     pub demand_misses: u64,
     /// Stall time of this step (ms).

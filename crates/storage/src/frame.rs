@@ -45,11 +45,18 @@
 //! same page (the demand request waits only for the remainder of the
 //! read, which is the stall-hiding effect the SCOUT benchmarks
 //! measure).
+//!
+//! The guard says how its demand was served ([`Served`]): resident, a
+//! wait on an in-flight load, or a read. That is the pool's own
+//! classification, the one [`FrameStats`] counts, so a caller can keep
+//! per-query counts that add up to the pool's however many threads share
+//! it.
 
 use crate::fault::PageIo;
 use crate::file::StorageError;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Replacement policy of a [`FramePool`].
@@ -89,6 +96,9 @@ pub struct FrameStats {
     /// Demand requests served without a disk read (resident or
     /// already in flight).
     pub hits: u64,
+    /// The hits that found their page in flight and waited for the
+    /// rest of its load: a stall, though no read of the caller's.
+    pub waits: u64,
     /// Demand requests that had to read from disk.
     pub misses: u64,
     /// Resident pages dropped to make room.
@@ -129,6 +139,8 @@ struct Inner {
     hand: usize,
     /// LRU tick source.
     tick: u64,
+    /// Every counter but `evictions`, which the pool keeps outside the
+    /// lock.
     stats: FrameStats,
     /// Pages that failed permanently: demands are refused with
     /// [`StorageError::Quarantined`] instead of re-reading known-bad
@@ -138,6 +150,22 @@ struct Inner {
     quarantined: HashSet<u64>,
 }
 
+/// How [`FramePool::get`] served a demand, as [`FrameStats`] counts it:
+/// by what the call found when it first looked for the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// The page was resident: a hit.
+    Resident,
+    /// Another load of the page (a prefetch, usually) was in flight, and
+    /// the call waited for it: a hit and a wait. (Should that load fail,
+    /// or its page be evicted before the call wakes, the call reads the
+    /// page itself; it stays counted as a wait.)
+    Waited,
+    /// The page was neither resident nor in flight: a miss, which the
+    /// call read itself.
+    Read,
+}
+
 /// A pinning buffer pool with a fixed frame budget.
 ///
 /// See the [module docs](self) for the invariants. All methods take
@@ -145,6 +173,8 @@ struct Inner {
 #[derive(Debug)]
 pub struct FramePool {
     inner: Mutex<Inner>,
+    /// [`FrameStats::evictions`]: bumped under the lock, read without it.
+    evictions: AtomicU64,
     loaded: Condvar,
     policy: EvictionPolicy,
     capacity: usize,
@@ -155,6 +185,7 @@ impl FramePool {
     pub fn new(frames: usize, policy: EvictionPolicy) -> Self {
         FramePool {
             inner: Mutex::new(Inner::default()),
+            evictions: AtomicU64::new(0),
             loaded: Condvar::new(),
             policy,
             capacity: frames.max(1),
@@ -173,7 +204,13 @@ impl FramePool {
 
     /// Snapshot of the cumulative counters.
     pub fn stats(&self) -> FrameStats {
-        self.lock().stats
+        let inner = self.lock();
+        FrameStats { evictions: self.evictions(), ..inner.stats }
+    }
+
+    /// [`FrameStats::evictions`] so far, without taking the pool's lock.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Number of resident (loaded) pages.
@@ -238,15 +275,28 @@ impl FramePool {
         if inner.quarantined.contains(&page) {
             return Err(StorageError::Quarantined { pages: vec![page] });
         }
-        // Classify hit/miss exactly once, on first observation.
-        let mut counted = false;
+        // Classify exactly once, on first observation, and report that
+        // on the guard: a page awaited may be evicted before the call
+        // wakes, and is then read by it, but was counted as a wait.
+        let served = match inner.map.get(&page) {
+            Some(&slot) if inner.frames[slot].loading => Served::Waited,
+            Some(_) => Served::Resident,
+            None => Served::Read,
+        };
+        let obs = crate::metrics::frame_obs();
+        if served == Served::Read {
+            inner.stats.misses += 1;
+            obs.misses.inc();
+        } else {
+            inner.stats.hits += 1;
+            obs.hits.inc();
+        }
+        if served == Served::Waited {
+            inner.stats.waits += 1;
+            obs.waits.inc();
+        }
         loop {
             if let Some(&slot) = inner.map.get(&page) {
-                if !counted {
-                    inner.stats.hits += 1;
-                    crate::metrics::frame_obs().hits.inc();
-                    counted = true;
-                }
                 if inner.frames[slot].loading {
                     // Someone else (a prefetch worker, usually) is mid-read:
                     // wait for the remainder instead of duplicating the I/O.
@@ -254,17 +304,12 @@ impl FramePool {
                     continue;
                 }
                 let fr = &mut inner.frames[slot];
-                if fr.from_prefetch {
-                    fr.from_prefetch = false;
+                let prefetch_hit = std::mem::take(&mut fr.from_prefetch);
+                if prefetch_hit {
                     inner.stats.prefetch_hits += 1;
-                    crate::metrics::frame_obs().prefetch_hits.inc();
+                    obs.prefetch_hits.inc();
                 }
-                return Ok(self.pin(&mut inner, slot));
-            }
-            if !counted {
-                inner.stats.misses += 1;
-                crate::metrics::frame_obs().misses.inc();
-                counted = true;
+                return Ok(self.pin(&mut inner, slot, served, prefetch_hit));
             }
             match self.acquire_slot(&mut inner) {
                 Slot::Free(slot) => {
@@ -277,10 +322,9 @@ impl FramePool {
 
                     let mut buf = Vec::new();
                     let res = {
-                        let fobs = crate::metrics::frame_obs();
                         let _io = neurospatial_obs::span_timed(
                             neurospatial_obs::Stage::PageIo,
-                            &fobs.read_latency,
+                            &obs.read_latency,
                         );
                         load(&mut buf)
                     };
@@ -291,7 +335,7 @@ impl FramePool {
                             fr.data = Some(Arc::new(buf));
                             fr.loading = false;
                             fr.from_prefetch = false;
-                            let guard = self.pin(&mut inner, slot);
+                            let guard = self.pin(&mut inner, slot, served, false);
                             drop(inner);
                             self.loaded.notify_all();
                             return Ok(guard);
@@ -383,7 +427,13 @@ impl FramePool {
         }
     }
 
-    fn pin<'p>(&'p self, inner: &mut Inner, slot: usize) -> FrameGuard<'p> {
+    fn pin<'p>(
+        &'p self,
+        inner: &mut Inner,
+        slot: usize,
+        served: Served,
+        prefetch_hit: bool,
+    ) -> FrameGuard<'p> {
         crate::metrics::frame_obs().resident.set(inner.map.len() as i64);
         inner.tick += 1;
         let tick = inner.tick;
@@ -392,7 +442,7 @@ impl FramePool {
         fr.referenced = true;
         fr.used = tick;
         let data = Arc::clone(fr.data.as_ref().expect("pinning a loaded frame"));
-        FrameGuard { pool: self, slot, data }
+        FrameGuard { pool: self, slot, data, served, prefetch_hit }
     }
 
     /// Find a frame to (re)use: a never-used slot, a freed slot, or an
@@ -422,7 +472,7 @@ impl FramePool {
                 let page = inner.frames[slot].page;
                 inner.map.remove(&page);
                 inner.frames[slot].data = None;
-                inner.stats.evictions += 1;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
                 crate::metrics::frame_obs().evictions.inc();
                 Slot::Free(slot)
             }
@@ -486,6 +536,21 @@ pub struct FrameGuard<'p> {
     pool: &'p FramePool,
     slot: usize,
     data: Arc<Vec<u8>>,
+    served: Served,
+    prefetch_hit: bool,
+}
+
+impl FrameGuard<'_> {
+    /// How the pool served the demand that pinned this frame.
+    pub fn served(&self) -> Served {
+        self.served
+    }
+
+    /// Whether this demand was the first to use a frame a prefetch
+    /// loaded: one of [`FrameStats::prefetch_hits`].
+    pub fn prefetch_hit(&self) -> bool {
+        self.prefetch_hit
+    }
 }
 
 impl Deref for FrameGuard<'_> {
@@ -738,6 +803,34 @@ mod tests {
         // Once pins release, prefetch works again.
         assert!(pool.prefetch_with(2, load_ok(b"pre")).expect("prefetch"));
         assert_eq!(pool.stats().prefetched, 1);
+    }
+
+    #[test]
+    fn each_guard_says_how_its_demand_was_served() {
+        let pool = FramePool::new(4, EvictionPolicy::Clock);
+        std::thread::scope(|scope| {
+            // A prefetch whose read lasts until a demand waits for it.
+            scope.spawn(|| {
+                pool.prefetch_with(5, |buf| {
+                    while pool.stats().waits == 0 {
+                        std::thread::yield_now();
+                    }
+                    buf.extend_from_slice(b"late");
+                    Ok(())
+                })
+            });
+            while pool.resident() == 0 {
+                std::thread::yield_now();
+            }
+            let g = pool.get_with(5, |_| panic!("in flight: not read again")).expect("wait");
+            assert_eq!((&*g, g.served(), g.prefetch_hit()), (&b"late"[..], Served::Waited, true));
+        });
+        let g = pool.get_with(5, load_ok(b"never runs")).expect("hit");
+        assert_eq!((g.served(), g.prefetch_hit()), (Served::Resident, false));
+        let g = pool.get_with(6, load_ok(b"six")).expect("miss");
+        assert_eq!((g.served(), g.prefetch_hit()), (Served::Read, false));
+        let s = pool.stats();
+        assert_eq!((s.hits, s.waits, s.misses, s.prefetch_hits), (2, 1, 1, 1));
     }
 
     #[test]

@@ -60,5 +60,5 @@ pub use fault::{
 };
 pub use file::{checksum64, Checksum64, PageFile, PageFileWriter, StorageError};
 pub use file::{FILE_HEADER_BYTES, PAGE_FILE_MAGIC, PAGE_FILE_VERSION, PAGE_HEADER_BYTES};
-pub use frame::{EvictionPolicy, FrameGuard, FramePool, FrameStats};
+pub use frame::{EvictionPolicy, FrameGuard, FramePool, FrameStats, Served};
 pub use wal::{FileLog, LogIo, Wal, WalRecovery};

@@ -15,6 +15,8 @@ use std::sync::{Arc, OnceLock};
 pub struct FrameObs {
     /// Demand requests served without a disk read.
     pub hits: Arc<Counter>,
+    /// Demand hits that waited for an in-flight load.
+    pub waits: Arc<Counter>,
     /// Demand requests that paid a disk read.
     pub misses: Arc<Counter>,
     /// Frames dropped to make room.
@@ -66,6 +68,7 @@ pub fn frame_obs() -> &'static FrameObs {
         let r = global();
         FrameObs {
             hits: r.counter("storage_frame_hits_total"),
+            waits: r.counter("storage_frame_waits_total"),
             misses: r.counter("storage_frame_misses_total"),
             evictions: r.counter("storage_frame_evictions_total"),
             prefetched: r.counter("storage_frame_prefetched_total"),

@@ -77,9 +77,11 @@ fn budgets(pages: usize) -> Vec<usize> {
 /// Check one (segments, queries, capacity, prefetch workers) case under
 /// every budget: the paged index must match the in-memory one
 /// result-for-result and logical-counter-for-logical-counter, reusing one
-/// scratch across the whole query list both times. With workers, every
-/// page a link admits is handed to the frontier prefetch while the crawl
-/// goes on, so its reads race the crawl's own.
+/// scratch across the whole query list both times. With workers, a
+/// cold crawl hands every page a link admits to the frontier prefetch
+/// while it goes on, so their reads race the crawl's own. Each budget
+/// opens a fresh pool, so the first query that reads a page is cold:
+/// that it handed its pages off is checked too.
 fn assert_paged_matches_memory(
     segments: &[NeuronSegment],
     queries: &[Aabb],
@@ -97,6 +99,7 @@ fn assert_paged_matches_memory(
         let mut ooc_scratch = OocScratch::new();
         let mut want: Vec<NeuronSegment> = Vec::new();
         let mut got: Vec<NeuronSegment> = Vec::new();
+        let mut fresh = true;
         for q in queries {
             want.clear();
             let want_stats = mem.range_query_stream(
@@ -113,6 +116,15 @@ fn assert_paged_matches_memory(
                 .expect("validated file cannot fail");
             let case = format!("budget {budget}, {workers} workers at {q}");
             prop_assert_eq!(&got_stats.flat, &want_stats, "{}: logical stats diverge", case);
+            if fresh && got_stats.flat.pages_read > 0 {
+                fresh = false;
+                // Cold at its seed: without a re-seed, every page but the
+                // seed is admitted by a link and handed to the workers.
+                if workers > 0 && got_stats.flat.reseeds == 0 {
+                    let handed = got_stats.flat.pages_read - 1;
+                    prop_assert_eq!(got_stats.io.prefetch_enqueued, handed, "{}: cold crawl", case);
+                }
+            }
             prop_assert_eq!(got.len(), want.len(), "{}", case);
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.id, w.id, "{}: order diverges", case);
