@@ -86,11 +86,13 @@ pub fn e1_rows(neurons: u32) -> Vec<E1Row> {
     let segments = circuit.segments().to_vec();
     let flat =
         FlatIndex::build(segments.clone(), FlatBuildParams::default().with_page_capacity(64));
-    let packed = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(64));
+    let mut packed = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(64));
     let mut dynamic = RTree::new(RTreeParams::with_max_entries(64));
     for s in &segments {
         dynamic.insert(*s);
     }
+    packed.freeze(); // the query lanes, so that no timed loop builds them
+    dynamic.freeze();
 
     let mut rows = Vec::new();
     for half_extent in [10.0f64, 30.0] {

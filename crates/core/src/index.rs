@@ -408,8 +408,7 @@ pub(crate) fn infallible<T>(result: Result<T, NeuroError>) -> T {
 /// Implemented by FLAT (in memory and paged), the dynamic R-Tree, the
 /// R+-Tree, the STR-packed R-Tree and the sharded executor over any of
 /// them; every implementation must return exactly the segments a
-/// brute-force scan would (property-tested in
-/// `tests/backend_equivalence.rs` and `tests/hotpath_equivalence.rs`).
+/// brute-force scan would (property-tested in `tests/model.rs`).
 ///
 /// A backend implements **one** range traversal,
 /// [`try_for_each_in_range`](Self::try_for_each_in_range). Collecting,

@@ -30,9 +30,9 @@
 //! exactly one shard), concatenating per-shard results needs no
 //! deduplication, and summing per-shard [`QueryStats`] yields costs
 //! directly comparable to a monolithic run. The equivalence suite in
-//! `tests/backend_equivalence.rs` property-tests that a sharded executor
-//! over every backend returns byte-identical sorted result sets to the
-//! monolithic index.
+//! `tests/model.rs` property-tests that a sharded executor over every
+//! backend returns the model's result sets, and the order and logical
+//! statistics it returns at one thread at two.
 //!
 //! ```
 //! use neurospatial::prelude::*;

@@ -15,8 +15,7 @@
 //!   visitor receives every visited node id so a cost model can charge
 //!   page reads;
 //! * **first-hit descent** — FLAT's seed phase (find *one* object in the
-//!   query range without paying for full overlap-expansion);
-//! * **best-first k-nearest-neighbour** search.
+//!   query range without paying for full overlap-expansion).
 //!
 //! The tree is an arena of nodes indexed by [`NodeId`]; objects live in
 //! the leaves by value.
@@ -50,7 +49,7 @@ pub mod validation;
 
 pub use node::{NodeId, RTreeObject};
 pub use params::{RTreeParams, SplitStrategy};
-pub use query::{KnnResult, QueryStats};
+pub use query::QueryStats;
 pub use rplus::RPlusTree;
 pub use soa::{EpochMarks, FrozenView, TraversalCounters, TraversalScratch};
 

@@ -7,15 +7,13 @@
 //! charge modelled page reads.
 //!
 //! Every range and first-hit query runs one descent, `RTree::walk`,
-//! over the frozen structure-of-arrays lanes; only `knn`'s best-first
-//! heap search walks the pointer arena.
+//! over the frozen structure-of-arrays lanes.
 
-use crate::node::{NodeKind, RTreeObject};
+use crate::node::RTreeObject;
 use crate::soa::{SoaArena, TraversalCounters, TraversalScratch};
 use crate::{NodeId, RTree};
-use neurospatial_geom::{Aabb, Flow, Vec3};
+use neurospatial_geom::{Aabb, Flow};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Per-query traversal statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -52,45 +50,6 @@ enum Order {
     Stored,
     /// Closest MBR centre to the query centre first.
     NearestFirst,
-}
-
-/// One k-nearest-neighbour result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KnnResult<'a, T> {
-    pub object: &'a T,
-    /// Distance from the query point to the object's AABB.
-    pub distance: f64,
-}
-
-/// Max-heap entry ordered by *minimum* distance (reversed for BinaryHeap).
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, o: &Self) -> bool {
-        // Consistent with the `Ord` below (total order, NaN-safe).
-        self.dist.total_cmp(&o.dist) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Reverse: smallest distance first. `total_cmp` (not
-        // `partial_cmp(..).unwrap_or(Equal)`): a NaN distance — e.g. from
-        // a degenerate `Aabb::EMPTY` MBR, whose infinities cancel in the
-        // distance arithmetic — must not compare `Equal` to everything,
-        // which would silently corrupt the heap's ordering invariant. In
-        // the IEEE total order NaN sorts above +∞, so NaN entries sink to
-        // the back of the frontier instead of scrambling it.
-        o.dist.total_cmp(&self.dist)
-    }
 }
 
 impl<T: RTreeObject> RTree<T> {
@@ -265,89 +224,13 @@ impl<T: RTreeObject> RTree<T> {
         }
         c
     }
-
-    /// Best-first k-nearest-neighbour search from a point (distances are
-    /// AABB distances — exact refinement is the caller's concern, as
-    /// everywhere else in the filter/refine pipeline).
-    // `!(d > kth)` is deliberate NaN handling, not a spelled-out `<=`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn knn(&self, p: Vec3, k: usize) -> (Vec<KnnResult<'_, T>>, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut out: Vec<KnnResult<'_, T>> = Vec::with_capacity(k);
-        if self.is_empty() || k == 0 {
-            return (out, stats);
-        }
-        // Two heaps: node frontier (min-dist) and current best results.
-        let mut frontier = BinaryHeap::new();
-        frontier.push(HeapEntry {
-            dist: self.nodes[self.root].mbr.min_distance_to_point(p),
-            node: self.root,
-        });
-
-        // Track the current k-th best distance for pruning.
-        let kth = |out: &Vec<KnnResult<'_, T>>| {
-            if out.len() < k {
-                f64::INFINITY
-            } else {
-                out.last().expect("non-empty").distance
-            }
-        };
-
-        while let Some(HeapEntry { dist, node }) = frontier.pop() {
-            if dist > kth(&out) {
-                break; // no closer node can exist
-            }
-            stats.bump(self.level_of(node), self.height);
-            match &self.nodes[node].kind {
-                NodeKind::Leaf(items) => {
-                    for o in items {
-                        stats.leaf_entries_tested += 1;
-                        let d = o.aabb().min_distance_to_point(p);
-                        if d < kth(&out) || out.len() < k {
-                            let pos = out
-                                .binary_search_by(|r| {
-                                    r.distance.partial_cmp(&d).unwrap_or(Ordering::Equal)
-                                })
-                                .unwrap_or_else(|e| e);
-                            out.insert(pos, KnnResult { object: o, distance: d });
-                            out.truncate(k);
-                        }
-                    }
-                }
-                NodeKind::Inner(children) => {
-                    for &c in children {
-                        let d = self.nodes[c].mbr.min_distance_to_point(p);
-                        // `!(d > kth)` rather than `d <= kth`: identical
-                        // for finite distances, but a NaN distance (a
-                        // query point derived from a degenerate AABB)
-                        // counts as "unknown — explore", not "prune",
-                        // so the search still terminates with k results.
-                        if !(d > kth(&out)) {
-                            frontier.push(HeapEntry { dist: d, node: c });
-                        }
-                    }
-                }
-            }
-        }
-        stats.results = out.len() as u64;
-        (out, stats)
-    }
-
-    /// Level of a node, root = 0 (O(height) walk up).
-    fn level_of(&self, mut id: NodeId) -> usize {
-        let mut l = 0;
-        while let Some(p) = self.nodes[id].parent {
-            id = p;
-            l += 1;
-        }
-        l
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::RTreeParams;
+    use neurospatial_geom::Vec3;
 
     fn grid_tree(n: usize, cap: usize) -> (RTree<Aabb>, Vec<Aabb>) {
         let objs: Vec<Aabb> = (0..n)
@@ -434,74 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let (t, objs) = grid_tree(1500, 16);
-        for (p, k) in [
-            (Vec3::new(7.3, 11.9, 2.2), 1usize),
-            (Vec3::new(0.0, 0.0, 0.0), 5),
-            (Vec3::new(40.0, 40.0, 10.0), 12),
-            (Vec3::new(-5.0, 18.0, 1.0), 3),
-        ] {
-            let (got, _) = t.knn(p, k);
-            let mut want: Vec<f64> = objs.iter().map(|o| o.min_distance_to_point(p)).collect();
-            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(got.len(), k);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.distance - w).abs() < 1e-9, "knn distance mismatch at {p} k={k}");
-            }
-            // Results sorted ascending.
-            for w in got.windows(2) {
-                assert!(w[0].distance <= w[1].distance);
-            }
-        }
-    }
-
-    #[test]
-    fn knn_edge_cases() {
-        let (t, objs) = grid_tree(100, 8);
-        let (all, _) = t.knn(Vec3::ZERO, 1000); // k > n
-        assert_eq!(all.len(), objs.len());
-        let (none, _) = t.knn(Vec3::ZERO, 0);
-        assert!(none.is_empty());
+    fn empty_tree_answers_nothing() {
         let empty: RTree<Aabb> = RTree::new(RTreeParams::default());
-        assert!(empty.knn(Vec3::ZERO, 3).0.is_empty());
         assert!(empty.range_query(&Aabb::cube(Vec3::ZERO, 1.0)).0.is_empty());
         let mut scratch = TraversalScratch::default();
         assert!(empty.first_hit_scratch(&Aabb::cube(Vec3::ZERO, 1.0), &mut scratch).0.is_none());
-    }
-
-    #[test]
-    fn knn_survives_nan_distances() {
-        // Regression for the `HeapEntry` ordering: with
-        // `partial_cmp(..).unwrap_or(Equal)` a NaN frontier distance
-        // compared Equal to everything and silently corrupted the heap's
-        // best-first order. A NaN query point makes *every* distance NaN
-        // (the degenerate/NaN-prone extreme); a partially-NaN point mixes
-        // NaN and finite distances in one frontier. Both must terminate
-        // and return exactly k results without panicking, and with
-        // `total_cmp` the finite distances must still come out ascending.
-        let (t, objs) = grid_tree(400, 8);
-        for p in [
-            Vec3::new(f64::NAN, f64::NAN, f64::NAN),
-            Vec3::new(f64::NAN, 5.0, 1.0),
-            Vec3::new(7.0, f64::NAN, 0.0),
-        ] {
-            let (got, stats) = t.knn(p, 6);
-            assert_eq!(got.len(), 6, "query point {p}");
-            assert_eq!(stats.results, 6);
-            let finite: Vec<f64> =
-                got.iter().map(|r| r.distance).filter(|d| d.is_finite()).collect();
-            for w in finite.windows(2) {
-                assert!(w[0] <= w[1], "finite distances must stay sorted at {p}");
-            }
-        }
-        // The realistic source of such a point: the centre of a
-        // degenerate (EMPTY) AABB is ∞ + -∞ = NaN on every axis.
-        let p = Aabb::EMPTY.center();
-        assert!(p.x.is_nan());
-        let (got, _) = t.knn(p, 3);
-        assert_eq!(got.len(), 3, "NaN-prone degenerate-AABB query point");
-        let _ = objs;
     }
 
     #[test]

@@ -219,24 +219,6 @@ proptest! {
     }
 
     #[test]
-    fn knn_matches_sorted_distances(
-        objs in prop::collection::vec(small_box(), 1..300),
-        px in -60.0..60.0f64, py in -60.0..60.0f64, pz in -60.0..60.0f64,
-        k in 1usize..20,
-    ) {
-        let p = Vec3::new(px, py, pz);
-        let tree = RTree::bulk_load(objs.clone(), RTreeParams::with_max_entries(8));
-        let (got, _) = tree.knn(p, k);
-        let mut want: Vec<f64> = objs.iter().map(|o| o.min_distance_to_point(p)).collect();
-        want.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-        want.truncate(k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert!((g.distance - w).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn mixed_workload_stays_consistent(
         initial in prop::collection::vec(small_box(), 0..150),
         ops in prop::collection::vec((any::<bool>(), small_box()), 0..150),

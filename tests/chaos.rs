@@ -63,7 +63,9 @@ struct PlanDump(PathBuf);
 
 impl PlanDump {
     fn new(test: &str) -> Self {
-        let dir = PathBuf::from("target/chaos");
+        // The workspace's target directory, where CI collects them (a
+        // test runs in its package's directory).
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos");
         std::fs::create_dir_all(&dir).ok();
         PlanDump(dir.join(format!("{test}.txt")))
     }

@@ -1,14 +1,14 @@
 //! Join-engine equivalence properties: the rebuilt cache-conscious TOUCH
 //! pipeline (scratch path, parallel path at random worker counts, forced
-//! bucket-sweep path), PBSM, the plane sweep and the nested loop must all
+//! bucket-sweep path), PBSM, S3, the plane sweep and the nested loop must all
 //! produce the identical sorted pair relation — on random segment clouds,
 //! at ε = 0, and on heavily overlapping inputs. On skewed inputs, where
 //! most of B lands in the root bucket, the engine must also produce the
 //! identical pair *sequence* and comparison counts at every worker count.
 
 use neurospatial::touch::{
-    JoinScratch, JoinStats, NestedLoopJoin, PbsmJoin, PlaneSweepJoin, SpatialJoin, TouchEngine,
-    TouchJoin, JOIN_TASK_SLOTS,
+    JoinScratch, JoinStats, NestedLoopJoin, PbsmJoin, PlaneSweepJoin, S3Join, SpatialJoin,
+    TouchEngine, TouchJoin, JOIN_TASK_SLOTS,
 };
 use neurospatial_geom::{Executor, Segment, Vec3};
 use proptest::prelude::*;
@@ -97,6 +97,7 @@ fn check_all(a: &[Segment], b: &[Segment], eps: f64, threads: usize) -> Result<(
         &PbsmJoin { objects_per_cell: 8, max_cells_per_axis: 24 }.join(a, b, eps).sorted_pairs(),
         &want
     );
+    prop_assert_eq!(&S3Join::default().join(a, b, eps).sorted_pairs(), &want);
     Ok(())
 }
 
