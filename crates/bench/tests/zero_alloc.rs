@@ -17,8 +17,14 @@
 //!   decode together: once with small boxes, and once with a wide box
 //!   every 16th request, whose answer spans several chunks.
 //!
+//! The allocator also counts live bytes, which pins what a database
+//! holds: a FLAT database with no populations holds its index and
+//! nothing more, two declared populations add one copy of the segments
+//! and no membership map, and the first `in_population` range builds
+//! that map, after which such a range allocates nothing.
+//!
 //! `cargo test -p neurospatial-bench --test zero_alloc` prints one line a
-//! check and exits non-zero naming every path that allocated.
+//! check and exits non-zero naming every check that failed.
 
 use neurospatial::prelude::*;
 use neurospatial::rtree::TraversalScratch;
@@ -26,14 +32,19 @@ use neurospatial_bench::sized_segments;
 use neurospatial_server::protocol::QueryDescView;
 use neurospatial_server::{serve_with, Client, FilterRegistry, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::size_of;
+use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Counts `alloc`, `alloc_zeroed` and `realloc` (a growing `Vec` is the
-/// churn the scratch paths exist to remove); `dealloc` is free.
+/// churn the scratch paths exist to remove), and the bytes live: every
+/// allocation adds its size, `dealloc` takes it back and `realloc` moves
+/// it by the difference.
 struct CountingAllocator;
 
-/// A statistic that publishes no other data, hence `Relaxed`.
+/// Statistics that publish no other data, hence `Relaxed`.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 // SAFETY: every method passes its arguments unchanged to `System`, so
 // what a caller guarantees this allocator is exactly what `System`
@@ -41,20 +52,24 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 }
@@ -62,17 +77,46 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Run `pass` once to warm it up, then return the allocations of a
-/// second run.
-fn steady_allocations(mut pass: impl FnMut()) -> u64 {
-    pass();
+/// The allocations `pass` makes.
+fn allocations(pass: impl FnOnce()) -> u64 {
     let a0 = ALLOCATIONS.load(Ordering::Relaxed);
     pass();
     ALLOCATIONS.load(Ordering::Relaxed) - a0
 }
 
+/// Run `pass` once to warm it up, then return the allocations of a
+/// second run.
+fn steady_allocations(mut pass: impl FnMut()) -> u64 {
+    pass();
+    allocations(pass)
+}
+
+/// `f`'s value, and the bytes live after it returns less those live
+/// before it was called.
+fn retained<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let b0 = LIVE_BYTES.load(Ordering::Relaxed);
+    let r = f();
+    (r, LIVE_BYTES.load(Ordering::Relaxed) - b0)
+}
+
+/// A check's report line and whether it passed.
+type Check = (String, bool);
+
+fn allocation_check(path: impl std::fmt::Display, allocs: u64) -> Check {
+    (format!("{path}: {allocs} allocations"), allocs == 0)
+}
+
+fn bytes_check(what: &str, bytes: i64, allowed: RangeInclusive<i64>) -> Check {
+    let ok = allowed.contains(&bytes);
+    (format!("{what}: {bytes} bytes live (allowed {}..={})", allowed.start(), allowed.end()), ok)
+}
+
 const SEGMENTS: usize = 2_000;
 const REQUESTS: usize = 2_000;
+/// Bytes a database may hold beyond what a check accounts for: its
+/// population names and their name map. A membership map over
+/// `SEGMENTS` ids is several times larger.
+const SLACK: i64 = 4_096;
 
 fn main() {
     let segments = sized_segments(SEGMENTS, 42);
@@ -86,7 +130,7 @@ fn main() {
         Some(&segments),
     )
     .queries;
-    let mut checks: Vec<(String, u64)> = Vec::new();
+    let mut checks: Vec<Check> = Vec::new();
 
     for backend in IndexBackend::ALL {
         for shards in [1, 2] {
@@ -105,7 +149,7 @@ fn main() {
                     index.range_query_into_scratch(q, &mut scratch, &mut buf);
                 }
             });
-            checks.push((format!("range_query_into_scratch {name}"), allocs));
+            checks.push(allocation_check(format!("range_query_into_scratch {name}"), allocs));
 
             let db = NeuroDb::builder()
                 .segments(segments.clone())
@@ -127,7 +171,10 @@ fn main() {
                 }
             });
             assert!(kept > 0, "{name}: the predicate keeps some results");
-            checks.push((format!("query().range().filter().stream() {name}"), allocs));
+            checks.push(allocation_check(
+                format!("query().range().filter().stream() {name}"),
+                allocs,
+            ));
         }
     }
 
@@ -141,7 +188,10 @@ fn main() {
         }
     });
     assert!(hits > 0, "the queries find segments");
-    checks.push(("RTree range_query_stream + first_hit_scratch, never frozen".into(), allocs));
+    checks.push(allocation_check(
+        "RTree range_query_stream + first_hit_scratch, never frozen",
+        allocs,
+    ));
 
     let (a, b): (Vec<NeuronSegment>, Vec<NeuronSegment>) =
         sized_segments(2 * SEGMENTS, 42).into_iter().partition(|s| s.neuron % 2 == 0);
@@ -156,8 +206,56 @@ fn main() {
             engine.join_into(&b, 1.0, 1, sweep_min, &mut scratch, &mut pairs);
         });
         assert!(!pairs.is_empty(), "the join finds pairs");
-        checks.push((path.to_string(), allocs));
+        checks.push(allocation_check(path, allocs));
     }
+
+    // What a database holds. A throwaway build registers the global
+    // metrics first, so the bytes a measured build leaves live are its
+    // own; each measurement includes the input clone the build consumes.
+    let build = |declare: bool| {
+        let b = NeuroDb::builder().segments(segments.clone());
+        let b = if declare { b.split_populations("even", "odd", |s| s.neuron % 2 == 0) } else { b };
+        b.build().expect("flat db")
+    };
+    drop(build(true));
+    let (plain, plain_bytes) = retained(|| build(false));
+    let index_bytes = plain.index().memory_bytes() as i64;
+    checks.push(bytes_check(
+        "NeuroDb, no populations: the index alone",
+        plain_bytes,
+        0..=index_bytes + SLACK,
+    ));
+    drop(plain);
+    let (split, split_bytes) = retained(|| build(true));
+    let copy = (SEGMENTS * size_of::<NeuronSegment>()) as i64;
+    let held: usize = split.populations().iter().map(|p| p.segments.capacity()).sum();
+    checks.push(bytes_check(
+        "NeuroDb, two populations: one more copy, no membership map",
+        split_bytes - plain_bytes,
+        copy..=(held * size_of::<NeuronSegment>()) as i64 + SLACK,
+    ));
+    let mut odd = 0u64;
+    let mut odd_pass = || {
+        for q in &queries {
+            odd += split.query().range(*q).in_population("odd").count().expect("declared");
+        }
+    };
+    // A plain pass grows the thread's query scratch first, so the bytes
+    // the first restricted pass leaves live are the map's.
+    for q in &queries {
+        split.query().range(*q).count().expect("no population");
+    }
+    let ((), map_bytes) = retained(&mut odd_pass);
+    let entry = (size_of::<u64>() + size_of::<u32>()) as i64;
+    checks.push(bytes_check(
+        "first in_population range: builds the membership map",
+        map_bytes,
+        entry * SEGMENTS as i64..=i64::MAX,
+    ));
+    let allocs = allocations(&mut odd_pass);
+    assert!(odd > 0, "the odd population answers");
+    checks.push(allocation_check("second in_population range", allocs));
+    drop(split);
 
     // Every 16th box of the second server check is the whole extent or
     // one half of it: answers of 2-4 chunks of 512 segments, larger than
@@ -179,7 +277,10 @@ fn main() {
                 client.range(&desc, &queries[i % queries.len()], &mut out).expect("request");
             }
         });
-        checks.push((format!("serve_with Client::range x{REQUESTS}, 1 worker"), allocs));
+        checks.push(allocation_check(
+            format!("serve_with Client::range x{REQUESTS}, 1 worker"),
+            allocs,
+        ));
 
         let mut largest = 0;
         let allocs = steady_allocations(|| {
@@ -190,20 +291,22 @@ fn main() {
             }
         });
         assert!(largest > 3 * 512, "the wide boxes answer in several chunks");
-        checks.push((format!("serve_with Client::range x{REQUESTS}, multi-chunk answers"), allocs));
+        checks.push(allocation_check(
+            format!("serve_with Client::range x{REQUESTS}, multi-chunk answers"),
+            allocs,
+        ));
     })
     .expect("serve");
 
-    for (path, allocs) in &checks {
-        println!("zero_alloc: {path}: {allocs} allocations");
+    for (line, _) in &checks {
+        println!("zero_alloc: {line}");
     }
-    let failed: Vec<&String> =
-        checks.iter().filter(|(_, allocs)| *allocs != 0).map(|(path, _)| path).collect();
+    let failed: Vec<&String> = checks.iter().filter(|(_, ok)| !ok).map(|(line, _)| line).collect();
     if !failed.is_empty() {
-        for path in &failed {
-            eprintln!("zero_alloc: FAILED: {path} allocates in steady state");
+        for line in &failed {
+            eprintln!("zero_alloc: FAILED: {line}");
         }
         std::process::exit(1);
     }
-    println!("zero_alloc: {} checks, 0 allocations each", checks.len());
+    println!("zero_alloc: {} checks passed", checks.len());
 }

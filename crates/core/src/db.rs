@@ -2,9 +2,7 @@
 //!
 //! Construction goes through [`NeuroDbBuilder`]: pick a data source, an
 //! index backend ([`IndexBackend`], by value or by name) and how segments
-//! split into named populations for the synapse join. The old
-//! `from_segments(cfg)` constructor (hardcoded FLAT, hardcoded even/odd
-//! split, tuple returns, panics) survives only as a deprecated shim.
+//! split into named populations for the synapse join.
 
 use crate::delta::{self, DeltaBuffer, WriteOp};
 use crate::error::NeuroError;
@@ -25,7 +23,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, TryLockError};
 
 /// Tuning knobs of a [`NeuroDb`].
 #[derive(Debug, Clone, Copy)]
@@ -158,9 +156,6 @@ pub struct Population {
 
 /// How the builder partitions segments into populations.
 enum PopulationSpec {
-    /// Two populations, "even" / "odd", split on neuron-id parity — the
-    /// historical default, kept for the demo's synapse workload.
-    Parity,
     /// Two named populations split by a predicate (`true` → first).
     Split { first: String, second: String, pred: Box<dyn Fn(&NeuronSegment) -> bool> },
     /// Arbitrarily many populations keyed by a label function; populations
@@ -171,20 +166,6 @@ enum PopulationSpec {
 impl PopulationSpec {
     fn partition(&self, segments: &[NeuronSegment]) -> Vec<Population> {
         match self {
-            PopulationSpec::Parity => {
-                let (mut even, mut odd) = (Vec::new(), Vec::new());
-                for s in segments {
-                    if s.neuron % 2 == 0 {
-                        even.push(*s);
-                    } else {
-                        odd.push(*s);
-                    }
-                }
-                vec![
-                    Population { name: "even".into(), segments: even },
-                    Population { name: "odd".into(), segments: odd },
-                ]
-            }
             PopulationSpec::Split { first, second, pred } => {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 for s in segments {
@@ -234,7 +215,7 @@ pub struct NeuroDbBuilder {
     backend: IndexBackend,
     backend_name: Option<String>,
     config: NeuroDbConfig,
-    populations: PopulationSpec,
+    populations: Option<PopulationSpec>,
     paged: bool,
     page_file: Option<PathBuf>,
     ooc: OocConfig,
@@ -250,7 +231,7 @@ impl Default for NeuroDbBuilder {
             backend: IndexBackend::Flat,
             backend_name: None,
             config: NeuroDbConfig::default(),
-            populations: PopulationSpec::Parity,
+            populations: None,
             paged: false,
             page_file: None,
             ooc: OocConfig::default(),
@@ -418,19 +399,21 @@ impl NeuroDbBuilder {
         self
     }
 
-    /// Two named populations split by `pred` (`true` → `first`), replacing
-    /// the default even/odd neuron split.
+    /// Two named populations split by `pred` (`true` → `first`). A
+    /// database has no populations unless they are declared here or by
+    /// [`populations_by`](Self::populations_by), and each declared
+    /// population holds its own copy of its segments.
     pub fn split_populations<S1, S2, F>(mut self, first: S1, second: S2, pred: F) -> Self
     where
         S1: Into<String>,
         S2: Into<String>,
         F: Fn(&NeuronSegment) -> bool + 'static,
     {
-        self.populations = PopulationSpec::Split {
+        self.populations = Some(PopulationSpec::Split {
             first: first.into(),
             second: second.into(),
             pred: Box::new(pred),
-        };
+        });
         self
     }
 
@@ -440,12 +423,12 @@ impl NeuroDbBuilder {
     where
         F: Fn(&NeuronSegment) -> String + 'static,
     {
-        self.populations = PopulationSpec::Labels(Box::new(label_of));
+        self.populations = Some(PopulationSpec::Labels(Box::new(label_of)));
         self
     }
 
     /// Finalise: build the index (sharded when `shards > 1`) and
-    /// partition the populations.
+    /// partition the declared populations.
     pub fn build(self) -> Result<NeuroDb, NeuroError> {
         // Register every hot-path metric now so the first measured query
         // pays no first-use allocation.
@@ -546,13 +529,11 @@ impl NeuroDbBuilder {
         } else {
             segments
         };
-        let populations = self.populations.partition(&segments);
-        // Built once here so lookups stay O(1) forever after: population
-        // names resolve through a map instead of a linear scan, and each
-        // segment id knows its population (what `in_population` pushdown
-        // tests inside index traversals). Duplicate names are rejected —
-        // they would make every name-keyed lookup (and the name-resolved
-        // synapse join) silently ambiguous.
+        let populations = self.populations.map_or_else(Vec::new, |p| p.partition(&segments));
+        // Population names resolve through a map instead of a linear
+        // scan. Duplicate names are rejected — they would make every
+        // name-keyed lookup (and the name-resolved synapse join) silently
+        // ambiguous.
         let mut population_index: HashMap<String, usize> = HashMap::new();
         for (i, p) in populations.iter().enumerate() {
             if population_index.insert(p.name.clone(), i).is_some() {
@@ -562,11 +543,6 @@ impl NeuroDbBuilder {
                 )));
             }
         }
-        let population_of_id: HashMap<u64, u32> = populations
-            .iter()
-            .enumerate()
-            .flat_map(|(i, p)| p.segments.iter().map(move |s| (s.id, i as u32)))
-            .collect();
 
         let params = IndexParams {
             page_capacity: config.page_capacity,
@@ -580,42 +556,26 @@ impl NeuroDbBuilder {
                 config.shards
             )));
         }
-        if self.paged {
+        let index = if self.paged {
             let flat_params =
                 FlatBuildParams::default().with_page_capacity(config.page_capacity.max(1));
-            let paged = match &self.page_file {
+            DbIndex::Paged(Box::new(match &self.page_file {
                 Some(path) => PagedFlatIndex::create(segments, flat_params, path, self.ooc)?,
                 None => PagedFlatIndex::create_temp(segments, flat_params, self.ooc)?,
-            };
-            return Ok(NeuroDb {
-                index: DbIndex::Paged(Box::new(paged)),
-                backend,
-                config,
-                populations,
-                population_index,
-                population_of_id,
-                join_scratch: Mutex::default(),
-            });
-        }
-        if let Some((wal, recovery)) = live_wal {
-            let core =
-                LiveCore::new(wal, recovery, segments, backend, &params, self.refreeze_threshold);
-            return Ok(NeuroDb {
-                index: DbIndex::Live(Box::new(core)),
-                backend,
-                config,
-                populations,
-                population_index,
-                population_of_id,
-                join_scratch: Mutex::default(),
-            });
-        }
-        let index = match (backend, config.shards > 1) {
-            (IndexBackend::Flat, false) => {
-                DbIndex::Flat(Arc::new(SpatialIndex::build(segments, &params)))
+            }))
+        } else if let Some((wal, recovery)) = live_wal {
+            let threshold = self.refreeze_threshold;
+            DbIndex::Live(Box::new(LiveCore::new(
+                wal, recovery, segments, backend, &params, threshold,
+            )))
+        } else {
+            match (backend, config.shards > 1) {
+                (IndexBackend::Flat, false) => {
+                    DbIndex::Flat(Arc::new(SpatialIndex::build(segments, &params)))
+                }
+                (other, false) => DbIndex::Boxed(other.build(segments, &params)),
+                (other, true) => DbIndex::Boxed(other.build_sharded(segments, &params)),
             }
-            (other, false) => DbIndex::Boxed(other.build(segments, &params)),
-            (other, true) => DbIndex::Boxed(other.build_sharded(segments, &params)),
         };
         Ok(NeuroDb {
             index,
@@ -623,7 +583,7 @@ impl NeuroDbBuilder {
             config,
             populations,
             population_index,
-            population_of_id,
+            population_of_id: OnceLock::new(),
             join_scratch: Mutex::default(),
         })
     }
@@ -865,9 +825,13 @@ pub struct WalHealth {
 
 /// A spatial database over one set of neuron segments.
 ///
-/// Owns one [`SpatialIndex`] backend (all range queries run through it),
-/// named segment populations, and exposes the TOUCH join for synapse
-/// placement plus SCOUT walkthroughs (FLAT backend only).
+/// Owns one [`SpatialIndex`] backend (all range queries run through it)
+/// and exposes the TOUCH join for synapse placement plus SCOUT
+/// walkthroughs (FLAT backend only). Beside the index it holds only what
+/// was asked for: the populations the builder declared, each a copy of
+/// its segments, and a segment id → population map that the first
+/// population-restricted range or kNN query builds. A database that
+/// declares no populations holds its segments once.
 ///
 /// The database keeps one join scratch, which every `touching` query
 /// reuses and which is freed with the database. After the reference join
@@ -885,8 +849,9 @@ pub struct NeuroDb {
     /// `build()`; `population()` is O(1), not a linear scan).
     population_index: HashMap<String, usize>,
     /// Segment id → population position (the membership test
-    /// `Query::in_population` pushes below index traversals).
-    population_of_id: HashMap<u64, u32>,
+    /// `in_population` pushes below range and kNN traversals), built by
+    /// the first query that needs it.
+    population_of_id: OnceLock<HashMap<u64, u32>>,
     /// The TOUCH join's transient state, kept between joins so that a
     /// join reuses the buffers the one before it grew.
     join_scratch: Mutex<JoinScratch>,
@@ -909,20 +874,14 @@ impl NeuroDb {
     }
 
     /// Open a database over a generated circuit with default settings
-    /// (FLAT backend, even/odd populations).
+    /// (FLAT backend) and two declared populations, "even" and "odd" by
+    /// neuron-id parity, which hold a second copy of the segments.
     pub fn from_circuit(circuit: &Circuit) -> Self {
-        NeuroDb::builder().circuit(circuit).build().expect("default configuration is valid")
-    }
-
-    /// Open a database over raw segments with explicit configuration.
-    #[deprecated(note = "use NeuroDb::builder() — it supports backend \
-                         selection and named populations")]
-    pub fn from_segments(segments: Vec<NeuronSegment>, config: NeuroDbConfig) -> Self {
         NeuroDb::builder()
-            .segments(segments)
-            .config(config)
+            .circuit(circuit)
+            .split_populations("even", "odd", |s| s.neuron % 2 == 0)
             .build()
-            .expect("legacy construction is infallible")
+            .expect("default configuration is valid")
     }
 
     /// Number of indexed segments. Live databases count the frozen base
@@ -1299,7 +1258,10 @@ impl NeuroDb {
         stats
     }
 
-    /// The named populations, in declaration order.
+    /// The named populations, in declaration order (empty unless the
+    /// builder declared some). Membership is fixed when the database
+    /// opens; segments inserted since belong to no population until a
+    /// reopen.
     pub fn populations(&self) -> &[Population] {
         &self.populations
     }
@@ -1310,7 +1272,9 @@ impl NeuroDb {
     }
 
     /// Segments of one population (O(1) — resolved through the name map
-    /// built at [`build`](NeuroDbBuilder::build) time).
+    /// built at [`build`](NeuroDbBuilder::build) time). Membership is
+    /// fixed when the database opens; segments inserted since belong to
+    /// no population until a reopen.
     pub fn population(&self, name: &str) -> Result<&[NeuronSegment], NeuroError> {
         self.population_position(name).map(|i| self.populations[i].segments.as_slice())
     }
@@ -1323,10 +1287,16 @@ impl NeuroDb {
         })
     }
 
-    /// Which population a segment id belongs to (`None` for ids the
-    /// database has never seen).
-    pub(crate) fn population_of_segment(&self, id: u64) -> Option<u32> {
-        self.population_of_id.get(&id).copied()
+    /// Segment id → position in [`populations`](Self::populations),
+    /// built from the population slices by the first call.
+    pub(crate) fn population_of_id(&self) -> &HashMap<u64, u32> {
+        self.population_of_id.get_or_init(|| {
+            self.populations
+                .iter()
+                .enumerate()
+                .flat_map(|(i, p)| p.segments.iter().map(move |s| (s.id, i as u32)))
+                .collect()
+        })
     }
 
     /// The join engine this database runs TOUCH workloads with.
@@ -1886,7 +1856,11 @@ mod tests {
 
     #[test]
     fn empty_database() {
-        let db = NeuroDb::builder().segments(vec![]).build().expect("empty is valid");
+        let db = NeuroDb::builder()
+            .segments(vec![])
+            .split_populations("even", "odd", |s| s.neuron % 2 == 0)
+            .build()
+            .expect("empty is valid");
         assert!(db.is_empty());
         let out = range(&db, &Aabb::cube(Vec3::ZERO, 5.0));
         assert!(out.is_empty());
@@ -1894,12 +1868,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_works() {
+    fn a_database_declares_no_populations_unless_asked() {
         let c = CircuitBuilder::new(2).neurons(3).build();
-        let db = NeuroDb::from_segments(c.segments().to_vec(), NeuroDbConfig::default());
-        assert_eq!(db.len(), c.segments().len());
-        assert_eq!(db.backend(), IndexBackend::Flat);
+        let db = NeuroDb::builder().circuit(&c).build().expect("valid");
+        assert!(db.populations().is_empty());
+        let q = c.bounds().inflate(1.0);
+        assert_eq!(range(&db, &q).len(), c.segments().len());
+        assert!(matches!(
+            db.query().range(q).in_population("even").count(),
+            Err(NeuroError::UnknownPopulation { .. })
+        ));
+        assert!(matches!(
+            db.query().touching("odd", 1.0).collect(),
+            Err(NeuroError::TooFewPopulations { found: 0, needed: 2 })
+        ));
     }
 
     /// Temp WAL path removed on drop — live-mode tests must not leak

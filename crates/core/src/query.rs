@@ -77,6 +77,7 @@ use neurospatial_model::{NavigationPath, NeuronSegment};
 use neurospatial_scout::SessionStats;
 use neurospatial_touch::{JoinResult, JoinStats};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A pushed-down segment predicate, borrowed for the builder's lifetime
@@ -103,25 +104,27 @@ fn with_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
     })
 }
 
+/// A bound population restriction: the population's position and the
+/// database's segment id → population map, fetched once per query (the
+/// first such query builds the map).
+type Membership<'q> = Option<(u32, &'q HashMap<u64, u32>)>;
+
 /// The membership and predicate test a bound composition pushes below
 /// the traversal.
 #[inline(always)]
 fn passes(
-    db: &NeuroDb,
-    population: Option<u32>,
+    members: Membership<'_>,
     filter: Option<&SegmentPredicate<'_>>,
     s: &NeuronSegment,
 ) -> bool {
-    population.is_none_or(|pi| db.population_of_segment(s.id) == Some(pi))
-        && filter.is_none_or(|f| f(s))
+    members.is_none_or(|(pi, of_id)| of_id.get(&s.id) == Some(&pi)) && filter.is_none_or(|f| f(s))
 }
 
 /// The pushdown sink: what a bound composition does with each segment
 /// the traversal offers. Both tiers of a live database (the base index,
 /// then the delta's inserts) offer to the same one.
 struct Pushdown<'q, E> {
-    db: &'q NeuroDb,
-    population: Option<u32>,
+    members: Membership<'q>,
     filter: Option<&'q SegmentPredicate<'q>>,
     remaining: Option<usize>,
     emit: E,
@@ -135,7 +138,7 @@ impl<E: FnMut(&NeuronSegment) -> bool> Pushdown<'_, E> {
     // closures of both tiers.
     #[inline(always)]
     fn offer(&mut self, s: &NeuronSegment) -> Flow {
-        if !passes(self.db, self.population, self.filter, s) {
+        if !passes(self.members, self.filter, s) {
             return Flow::Skip;
         }
         let last = !(self.emit)(s)
@@ -185,7 +188,8 @@ fn run_range(
     if limit == Some(0) {
         return Ok(QueryStats::default());
     }
-    let mut sink = Pushdown { db, population, filter, remaining: limit, emit, stopped: false };
+    let members = population.map(|pi| (pi, db.population_of_id()));
+    let mut sink = Pushdown { members, filter, remaining: limit, emit, stopped: false };
     let qobs = crate::metrics::query_obs();
     qobs.ranges.inc();
     let _traversal = crate::metrics::sample_range_latency().then(|| {
@@ -238,14 +242,15 @@ fn run_knn(
     let _traversal = crate::metrics::sample_knn_latency().then(|| {
         neurospatial_obs::span_timed(neurospatial_obs::Stage::Traversal, &qobs.knn_latency)
     });
+    let members = population.map(|pi| (pi, db.population_of_id()));
     let res = db.with_view(|index, delta| {
         let mut stats = knn_candidates(index, p, k, scratch, allow_partial, |s| {
-            !delta.is_some_and(|d| d.is_removed(s.id)) && passes(db, population, filter, s)
+            !delta.is_some_and(|d| d.is_removed(s.id)) && passes(members, filter, s)
         })?;
         if let Some(d) = delta.filter(|_| k > 0) {
             d.for_each(|s| {
                 stats.objects_tested += 1;
-                if passes(db, population, filter, s) {
+                if passes(members, filter, s) {
                     let distance = s.aabb().min_distance_to_point(p);
                     scratch.knn_candidates.push(Neighbor { segment: *s, distance });
                 }
@@ -397,6 +402,8 @@ pub struct RangeQuery<'a> {
 impl<'a> RangeQuery<'a> {
     /// Restrict results to one named population (membership is tested
     /// below the index traversal; unknown names error at the terminal).
+    /// Membership is fixed when the database opens; segments inserted
+    /// since belong to no population until a reopen.
     pub fn in_population(mut self, name: &'a str) -> Self {
         self.population = Some(name);
         self
@@ -547,7 +554,9 @@ pub struct KnnQuery<'a> {
 }
 
 impl<'a> KnnQuery<'a> {
-    /// Restrict candidates to one named population.
+    /// Restrict candidates to one named population. Membership is fixed
+    /// when the database opens; segments inserted since belong to no
+    /// population until a reopen.
     pub fn in_population(mut self, name: &'a str) -> Self {
         self.population = Some(name);
         self
@@ -667,6 +676,8 @@ pub struct TouchingQuery<'a> {
 
 impl<'a> TouchingQuery<'a> {
     /// Choose the left population by name (default: the first declared).
+    /// Membership is fixed when the database opens; segments inserted
+    /// since belong to no population until a reopen.
     pub fn in_population(mut self, name: &'a str) -> Self {
         self.population = Some(name);
         self

@@ -23,7 +23,8 @@ fn main() {
     );
 
     // --- 2. Open a spatial database through the builder ------------------
-    // FLAT backend, named populations (replacing the even/odd default).
+    // FLAT backend and two declared populations. The database copies
+    // each population's segments; without a declaration it holds none.
     let db = NeuroDb::builder()
         .circuit(&circuit)
         .backend(IndexBackend::Flat)
