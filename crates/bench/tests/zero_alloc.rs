@@ -12,6 +12,8 @@
 //!   tree nobody froze, whose first query builds the lanes;
 //! * a one-thread `TouchEngine::join_into` with a warm scratch and output,
 //!   with the default lane-mask leaves and with the opt-in leaf sweep;
+//! * `OocFlatIndex::range_query_stream` over a frame pool holding every
+//!   page of its file;
 //! * sequential `Client::range` requests against a one-worker
 //!   `serve_with`, counting server decode, traversal, encode and client
 //!   decode together: once with small boxes, and once with a wide box
@@ -21,13 +23,16 @@
 //! holds: a FLAT database with no populations holds its index and
 //! nothing more, two declared populations add one copy of the segments
 //! and no membership map, and the first `in_population` range builds
-//! that map, after which such a range allocates nothing.
+//! that map, after which such a range allocates nothing. It also pins
+//! what a paged index's frames cost: a pool holding every page holds each
+//! page decoded, its segments and their six `f32` lanes, and no more.
 //!
 //! `cargo test -p neurospatial-bench --test zero_alloc` prints one line a
 //! check and exits non-zero naming every check that failed.
 
 use neurospatial::prelude::*;
 use neurospatial::rtree::TraversalScratch;
+use neurospatial::scout::{write_flat_index, OocScratch};
 use neurospatial_bench::sized_segments;
 use neurospatial_server::protocol::QueryDescView;
 use neurospatial_server::{serve_with, Client, FilterRegistry, ServerConfig};
@@ -228,11 +233,10 @@ fn main() {
     drop(plain);
     let (split, split_bytes) = retained(|| build(true));
     let copy = (SEGMENTS * size_of::<NeuronSegment>()) as i64;
-    let held: usize = split.populations().iter().map(|p| p.segments.capacity()).sum();
     checks.push(bytes_check(
         "NeuroDb, two populations: one more copy, no membership map",
         split_bytes - plain_bytes,
-        copy..=(held * size_of::<NeuronSegment>()) as i64 + SLACK,
+        copy..=copy + SLACK,
     ));
     let mut odd = 0u64;
     let mut odd_pass = || {
@@ -256,6 +260,44 @@ fn main() {
     assert!(odd > 0, "the odd population answers");
     checks.push(allocation_check("second in_population range", allocs));
     drop(split);
+
+    // A paged index whose pool holds every page. A throwaway open and
+    // full read registers the pool's and the pager's global metrics
+    // first; the measured read leaves live only what its frames hold.
+    const PAGE_CAPACITY: usize = 64;
+    let page_file = std::env::temp_dir().join(format!("zero-alloc-{}.pages", std::process::id()));
+    let flat = FlatIndex::build(
+        segments.clone(),
+        FlatBuildParams::default().with_page_capacity(PAGE_CAPACITY),
+    );
+    write_flat_index(&flat, &page_file).expect("the temporary directory is writable");
+    let read_all = |paged: &OocFlatIndex| {
+        let mut scratch = OocScratch::new();
+        paged.range_query_stream(&bounds, &mut scratch, |_| {}, |_| Flow::Emit).expect("read")
+    };
+    let open = || OocFlatIndex::open(&page_file, OocConfig::default()).expect("a written file");
+    read_all(&open());
+    let paged = open();
+    let (stats, pool_bytes) = retained(|| read_all(&paged));
+    let pages = paged.page_count();
+    assert_eq!((stats.flat.pages_read, paged.pool().resident()), (pages as u64, pages));
+    let decoded = (size_of::<NeuronSegment>() + 6 * size_of::<f32>()) as i64;
+    checks.push(bytes_check(
+        "OocFlatIndex, every page resident: segments and lanes a slot",
+        pool_bytes,
+        SEGMENTS as i64 * decoded..=(pages * PAGE_CAPACITY) as i64 * decoded + SLACK,
+    ));
+    let (mut scratch, mut found) = (OocScratch::new(), 0u64);
+    let allocs = steady_allocations(|| {
+        for q in &queries {
+            let stats = paged.range_query_stream(q, &mut scratch, |_| {}, |_| Flow::Emit);
+            found += stats.expect("resident pages").flat.results;
+        }
+    });
+    assert!(found > 0, "the paged queries find segments");
+    checks.push(allocation_check("OocFlatIndex::range_query_stream, every page resident", allocs));
+    drop(paged);
+    let _ = std::fs::remove_file(&page_file);
 
     // Every 16th box of the second server check is the whole extent or
     // one half of it: answers of 2-4 chunks of 512 segments, larger than

@@ -167,7 +167,11 @@ impl PopulationSpec {
     fn partition(&self, segments: &[NeuronSegment]) -> Vec<Population> {
         match self {
             PopulationSpec::Split { first, second, pred } => {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
+                // Counted first, so that each population holds its
+                // segments and no spare slots.
+                let n = segments.iter().filter(|s| pred(s)).count();
+                let (mut a, mut b) =
+                    (Vec::with_capacity(n), Vec::with_capacity(segments.len() - n));
                 for s in segments {
                     if pred(s) {
                         a.push(*s);
@@ -189,6 +193,7 @@ impl PopulationSpec {
                         None => pops.push(Population { name, segments: vec![*s] }),
                     }
                 }
+                pops.iter_mut().for_each(|p| p.segments.shrink_to_fit());
                 pops
             }
         }

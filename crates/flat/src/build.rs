@@ -1,6 +1,6 @@
 //! FLAT indexing phase: Hilbert packing + neighborhood computation.
 
-use crate::lanes::write_box;
+use crate::lanes::write_page_lanes;
 use crate::stats::FlatBuildStats;
 use crate::{FlatIndex, FlatPage, PageGraph};
 use neurospatial_geom::{morton_encode3, Aabb, GridIndexer, HilbertSorter};
@@ -136,14 +136,8 @@ impl<T: RTreeObject> FlatIndex<T> {
         let mut start = 0usize;
         while start < objects.len() {
             let end = (start + params.page_capacity).min(objects.len());
-            let block = &mut lanes[6 * start..6 * end];
-            let (mut mbr, mut all_valid) = (Aabb::EMPTY, true);
-            for (i, o) in objects[start..end].iter().enumerate() {
-                let b = o.aabb();
-                mbr = mbr.union(&b);
-                all_valid &= b.is_valid();
-                write_box(block, end - start, i, &b);
-            }
+            let (mbr, all_valid) =
+                write_page_lanes(&objects[start..end], &mut lanes[6 * start..6 * end]);
             pages.push(FlatPage { start: start as u32, end: end as u32, all_valid });
             mbrs.push(mbr);
             start = end;

@@ -32,6 +32,7 @@
 //! +19 % on `FlatIndex::build` of 891 072 segments, against +3 %.)
 
 use neurospatial_geom::Aabb;
+use neurospatial_rtree::RTreeObject;
 
 /// Largest `f32` not above `x` (`-∞`/`+∞`/NaN map to themselves; a finite
 /// `x` beyond `f32::MAX` rounds down to `f32::MAX`).
@@ -56,31 +57,49 @@ fn round_up(x: f64) -> f32 {
 
 /// Write `b`, each face rounded to nearest, as object `i` of a page
 /// block holding `n` objects.
-pub(crate) fn write_box(block: &mut [f32], n: usize, i: usize, b: &Aabb) {
+fn write_box(block: &mut [f32], n: usize, i: usize, b: &Aabb) {
     let faces = [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z];
     for (k, f) in faces.into_iter().enumerate() {
         block[k * n + i] = f as f32;
     }
 }
 
-/// The six lanes of the page occupying objects `[start, end)`.
-pub(crate) fn page_lanes(lanes: &[f32], start: usize, end: usize) -> [&[f32]; 6] {
-    let n = end - start;
-    let block = &lanes[6 * start..6 * end];
+/// Write the lanes of one page's `objects` into `block`, six per object,
+/// and return the page's MBR (the union of their boxes) and its flag
+/// (every box finite and non-empty): the build's pass over a page, and
+/// the paged engine's when it loads one.
+pub fn write_page_lanes<T: RTreeObject>(objects: &[T], block: &mut [f32]) -> (Aabb, bool) {
+    assert_eq!(block.len(), 6 * objects.len(), "six lanes per object");
+    let (mut mbr, mut all_valid) = (Aabb::EMPTY, true);
+    for (i, o) in objects.iter().enumerate() {
+        let b = o.aabb();
+        mbr = mbr.union(&b);
+        all_valid &= b.is_valid();
+        write_box(block, objects.len(), i, &b);
+    }
+    (mbr, all_valid)
+}
+
+/// The six lanes of a page of `n` objects, from its block.
+pub(crate) fn page_lanes(block: &[f32], n: usize) -> [&[f32]; 6] {
     std::array::from_fn(|k| &block[k * n..(k + 1) * n])
 }
 
-/// A query box in lane precision: rounded outward for the `maybe` mask,
-/// shrunk inward by one step per face for the `sure` mask (why these two
-/// bracket the exact test is in the module docs). Faces are in
-/// lane order (`lo_x lo_y lo_z hi_x hi_y hi_z`).
-pub(crate) struct QueryLanes {
+/// A query box made ready for the page kernel: the box, and its faces in
+/// lane precision, rounded outward for the `maybe` mask and shrunk inward
+/// by one step per face for the `sure` mask (why these two bracket the
+/// exact test is in the module docs). Faces are in lane order
+/// (`lo_x lo_y lo_z hi_x hi_y hi_z`).
+#[derive(Debug)]
+pub struct PageQuery {
+    pub(crate) q: Aabb,
     outer: [f32; 6],
     inner: [f32; 6],
 }
 
-impl QueryLanes {
-    pub(crate) fn new(q: &Aabb) -> Self {
+impl PageQuery {
+    /// `q`, with its lanes rounded: once per query.
+    pub fn new(q: &Aabb) -> Self {
         // One step inward. A face already at the end of the range has no
         // step to take and can vouch for nothing: NaN fails every
         // comparison.
@@ -93,7 +112,8 @@ impl QueryLanes {
             f => f.next_down(),
         };
         let (lo, hi) = (q.lo, q.hi);
-        QueryLanes {
+        PageQuery {
+            q: *q,
             outer: [
                 round_down(lo.x),
                 round_down(lo.y),
@@ -237,10 +257,10 @@ mod tests {
         for (i, b) in boxes.iter().enumerate() {
             write_box(&mut lanes, boxes.len(), i, b);
         }
-        let all = page_lanes(&lanes, 0, boxes.len());
+        let all = page_lanes(&lanes, boxes.len());
         let mut slivers = 0;
         for q in &boxes {
-            let ql = QueryLanes::new(q);
+            let ql = PageQuery::new(q);
             for base in (0..boxes.len()).step_by(64) {
                 let len = (boxes.len() - base).min(64);
                 let (maybe, sure) = ql.masks(all.map(|l| &l[base..base + len]));

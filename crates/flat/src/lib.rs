@@ -29,8 +29,11 @@
 //!
 //! One loop, [`PageGraph::crawl`] (in [`query`]), runs every crawl: this
 //! index's and that of the paged engine in `neurospatial-scout`, which
-//! supplies only how a page is read from its file. The page MBRs, the
-//! links and the seed tree form the [`PageGraph`] both engines hold.
+//! supplies only how a page is read from its file, and one page kernel,
+//! [`scan_page`], reads every page of both: the paged engine decodes a
+//! page into the same layout ([`write_page_lanes`]) when it loads it.
+//! The page MBRs, the links and the seed tree form the [`PageGraph`]
+//! both engines hold.
 //! [`FlatIndex::range_query_stream`] and [`FlatIndex::range_query_with`]
 //! take one hook, fired with each page read. The crawl decides each
 //! thing once:
@@ -105,7 +108,8 @@ pub mod query;
 pub mod stats;
 
 pub use build::{FlatBuildParams, PackingStrategy};
-pub use query::FlatScratch;
+pub use lanes::{write_page_lanes, PageQuery};
+pub use query::{scan_page, FlatScratch, PageRef};
 pub use stats::{FlatBuildStats, FlatQueryStats};
 
 use neurospatial_geom::{Aabb, Flow};

@@ -11,7 +11,10 @@
 //! on a fresh scratch, collecting the results and recording the crawl
 //! order through the same page hook.
 //!
-//! A page read in memory is the page kernel: if the query contains the
+//! A page read is the page kernel, [`scan_page`], in both engines: the
+//! in-memory index hands it a page of its own arrays, and the paged
+//! engine a page it decoded into its frame when the page was loaded
+//! (segments and lanes laid out the same way). If the query contains the
 //! page's MBR (and the page's flag says every box on it is finite and
 //! non-empty) all its objects are emitted untested; otherwise the page's
 //! `f32` lanes are cut, 64 objects at a time, into a `maybe` and a `sure`
@@ -38,7 +41,7 @@
 //! decided when `u` was read and has been visited since. The skip changes
 //! no result, order or counter but `seed_nodes_read`.
 
-use crate::lanes::{page_lanes, QueryLanes};
+use crate::lanes::{page_lanes, PageQuery};
 use crate::stats::FlatQueryStats;
 use crate::{FlatIndex, PageGraph};
 use neurospatial_geom::{Aabb, Flow};
@@ -158,6 +161,64 @@ impl PageGraph {
     }
 }
 
+/// One page as the page kernel reads it: its objects in slot order, their
+/// six lanes ([`write_page_lanes`](crate::write_page_lanes)), its MBR and
+/// its flag (every box on it finite and non-empty). Whole-page acceptance
+/// needs every box inside `mbr`.
+#[derive(Debug, Clone, Copy)]
+pub struct PageRef<'a, T> {
+    pub objects: &'a [T],
+    pub lanes: &'a [f32],
+    pub mbr: &'a Aabb,
+    pub all_valid: bool,
+}
+
+/// The page kernel: emit the objects of `page` that intersect `q`, in
+/// slot order, counting them in `stats`; `true` when the sink ended the
+/// query. A page wholly inside `q` is emitted untested; any other is cut
+/// by the lane masks into misses, hits and the few the exact test
+/// decides (see `lanes.rs`). Inlined into each engine's page read (a
+/// call per page costs `range_inproc` some 3 %); the mask scan itself
+/// stays one shared copy, `PageQuery::masks`.
+#[inline]
+pub fn scan_page<'a, T: RTreeObject, S: FnMut(&'a T) -> Flow>(
+    page: PageRef<'a, T>,
+    q: &PageQuery,
+    stats: &mut FlatQueryStats,
+    sink: &mut S,
+) -> bool {
+    let PageRef { objects, lanes, mbr, all_valid } = page;
+    stats.objects_tested += objects.len() as u64;
+    let whole = all_valid && q.q.contains(mbr);
+    let lanes = page_lanes(lanes, objects.len());
+    for (chunk, base) in objects.chunks(64).zip((0..).step_by(64)) {
+        let (maybe, sure) = if whole {
+            let all = u64::MAX >> (64 - chunk.len());
+            (all, all)
+        } else {
+            q.masks(lanes.map(|lane| &lane[base..base + chunk.len()]))
+        };
+        let mut rest = maybe;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let o = &chunk[i];
+            if sure >> i & 1 == 0 && !o.aabb().intersects(&q.q) {
+                continue;
+            }
+            match sink(o) {
+                Flow::Emit => stats.results += 1,
+                Flow::Skip => {}
+                Flow::Last => {
+                    stats.results += 1;
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
 impl<T: RTreeObject> FlatIndex<T> {
     /// All objects whose AABB intersects `q`.
     pub fn range_query(&self, q: &Aabb) -> (Vec<&T>, FlatQueryStats) {
@@ -206,59 +267,25 @@ impl<T: RTreeObject> FlatIndex<T> {
         mut on_page: F,
         mut sink: S,
     ) -> FlatQueryStats {
-        let q_lanes = QueryLanes::new(q);
+        let pq = PageQuery::new(q);
         let read = |page, stats: &mut FlatQueryStats| {
             on_page(page);
-            Ok::<_, Infallible>(self.scan_page(page, q, &q_lanes, stats, &mut sink))
+            Ok::<_, Infallible>(scan_page(self.page(page), &pq, stats, &mut sink))
         };
         let Ok(stats) = self.graph.crawl(q, scratch, read, |_| {});
         stats
     }
 
-    /// Emit the objects of `page` that intersect `q`, in slot order;
-    /// `true` when the sink ended the query. A page wholly inside `q` is
-    /// emitted untested; any other is cut by the lane masks into misses,
-    /// hits and the few the exact test decides (see `lanes.rs`).
-    fn scan_page<'a, S: FnMut(&'a T) -> Flow>(
-        &'a self,
-        page: u32,
-        q: &Aabb,
-        q_lanes: &QueryLanes,
-        stats: &mut FlatQueryStats,
-        sink: &mut S,
-    ) -> bool {
+    /// Page `page` as the page kernel reads it.
+    fn page(&self, page: u32) -> PageRef<'_, T> {
         let p = &self.pages[page as usize];
         let (start, end) = (p.start as usize, p.end as usize);
-        let objects = &self.objects[start..end];
-        stats.objects_tested += objects.len() as u64;
-        let whole = p.all_valid && q.contains(&self.graph.mbrs[page as usize]);
-        let lanes = page_lanes(&self.lanes, start, end);
-        for (chunk, base) in objects.chunks(64).zip((0..).step_by(64)) {
-            let (maybe, sure) = if whole {
-                let all = u64::MAX >> (64 - chunk.len());
-                (all, all)
-            } else {
-                q_lanes.masks(lanes.map(|lane| &lane[base..base + chunk.len()]))
-            };
-            let mut rest = maybe;
-            while rest != 0 {
-                let i = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let o = &chunk[i];
-                if sure >> i & 1 == 0 && !o.aabb().intersects(q) {
-                    continue;
-                }
-                match sink(o) {
-                    Flow::Emit => stats.results += 1,
-                    Flow::Skip => {}
-                    Flow::Last => {
-                        stats.results += 1;
-                        return true;
-                    }
-                }
-            }
+        PageRef {
+            objects: &self.objects[start..end],
+            lanes: &self.lanes[6 * start..6 * end],
+            mbr: &self.graph.mbrs[page as usize],
+            all_valid: p.all_valid,
         }
-        false
     }
 }
 

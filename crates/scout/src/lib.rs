@@ -43,7 +43,8 @@ pub mod skeleton;
 pub use candidate::CandidateTracker;
 pub use markov::MarkovPrefetcher;
 pub use ooc::{
-    write_flat_index, OocConfig, OocCursor, OocFlatIndex, OocIoTrace, OocQueryStats, OocScratch,
+    write_flat_index, DecodedPage, OocConfig, OocCursor, OocFlatIndex, OocIoTrace, OocQueryStats,
+    OocScratch,
 };
 pub use predict::{extrapolate_exits, PredictParams};
 pub use prefetch::{

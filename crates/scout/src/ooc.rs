@@ -14,17 +14,27 @@
 //! same [`PageGraph`]: the page MBRs and the neighborhood CSR come from
 //! the file, and the seed tree is packed from them with the persisted
 //! fan-out, so it is node for node the in-memory index's. The engine
-//! supplies only the page read (pin, decode, test, with retry and
+//! supplies only the page read (pin, scan, unpin, with retry and
 //! quarantine) and what happens to the pages a read page's links admit
 //! (the crawl-frontier prefetch below); the seed, the link rule, the
 //! re-seed skip and the re-seed, and the proof that they are exact, are
-//! FLAT's (`neurospatial_flat::query`). A decoded page is tested object
-//! by object (the `f32` lanes of the in-memory index are not persisted),
-//! and a page wholly inside the query is emitted untested, as in memory.
-//! The whole-page rule needs every record inside its page's MBR, and the
-//! re-seed skip needs the MBR no larger than its records: a page's MBR
-//! must be the union of its records' boxes, and [`OocFlatIndex::open`]
-//! checks that of every page it validates.
+//! FLAT's (`neurospatial_flat::query`).
+//!
+//! A page is decoded once, when it comes off the device, into its frame:
+//! a [`DecodedPage`] holds its segments and FLAT's six `f32` lanes (24 B
+//! an object, which the file does not persist), laid out as the
+//! in-memory index lays out a page, and the raw bytes are dropped. The
+//! read of a page is then FLAT's page kernel ([`scan_page`]) on the
+//! frame, as in memory: a page wholly inside the query is emitted
+//! untested, and any other is cut by the lane masks. The whole-page rule
+//! needs every record inside its page's MBR, and the re-seed skip needs
+//! the MBR no larger than its records: a page's MBR must be the union of
+//! its records' boxes. Every load checks it — the demand read's, a
+//! prefetch worker's, and the open-time sweep's, which run one loader —
+//! and a page that fails is not cached, and the query that demanded it
+//! quarantines it. A page whose MBR was moved away from its records is
+//! the exception: the crawl near its records never reaches it, and only
+//! the sweep ([`OocFlatIndex::validate_pages`]) finds it.
 //!
 //! Results, emission order and the logical query statistics are
 //! byte-identical to the in-memory index the file was written from — the
@@ -107,22 +117,23 @@
 use crate::prefetch::{PrefetchContext, Prefetcher};
 use crate::session::{QueryTrace, SessionConfig};
 use neurospatial_flat::{
-    FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch, PackingStrategy, PageGraph,
+    scan_page, write_page_lanes, FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch,
+    PackingStrategy, PageGraph, PageQuery, PageRef,
 };
 use neurospatial_geom::{Aabb, Executor, Flow, Vec3};
 use neurospatial_model::io::{decode_record, encode_record, RECORD_BYTES};
 use neurospatial_model::NeuronSegment;
-use neurospatial_rtree::{EpochMarks, RTreeObject, TraversalScratch};
+use neurospatial_rtree::{EpochMarks, TraversalScratch};
 use neurospatial_storage::{
-    with_retry_sleeping, EvictionPolicy, FramePool, ModelledDevice, PageFile, PageFileWriter,
-    PageIo, RetryPolicy, Served, StorageError, PAGE_HEADER_BYTES,
+    with_retry, with_retry_sleeping, EvictionPolicy, FramePool, ModelledDevice, PageFile,
+    PageFileWriter, PageIo, RetryPolicy, Served, StorageError, PAGE_HEADER_BYTES,
 };
 use std::cell::Cell;
 use std::collections::{vec_deque, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::Duration;
 
 /// Magic of the FLAT metadata blob inside a page file.
 pub const FLAT_META_MAGIC: [u8; 4] = *b"FLTM";
@@ -180,25 +191,65 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_page_segments(
-    payload: &[u8],
+/// A page as its frame holds it: decoded once, when it comes off the
+/// device, into its segments and FLAT's six `f32` lanes, laid out as the
+/// in-memory index lays out a page, so that a read of a resident page is
+/// FLAT's page kernel and nothing more.
+#[derive(Debug, Default)]
+pub struct DecodedPage {
+    segs: Vec<NeuronSegment>,
+    lanes: Vec<f32>,
+    all_valid: bool,
+}
+
+impl DecodedPage {
+    /// Decode page `page`'s payload in place of what this holds. Every
+    /// record must be whole and finite, and their bound must be `mbr`,
+    /// exactly as the build bounded them (the union of their boxes):
+    /// whole-page acceptance needs no record outside the MBR, and the
+    /// crawl's re-seed skip an MBR no larger than its records.
+    fn decode(&mut self, payload: &[u8], page: u64, mbr: &Aabb) -> Result<(), StorageError> {
+        let (records, rest) = payload.as_chunks::<SEGMENT_RECORD_BYTES>();
+        if !rest.is_empty() {
+            return Err(StorageError::Corrupt(format!(
+                "page {page}: payload of {} bytes is not a whole number of records",
+                payload.len()
+            )));
+        }
+        self.segs.clear();
+        self.segs.reserve_exact(records.len());
+        for (i, r) in records.iter().enumerate() {
+            self.segs.push(decode_record(r).ok_or_else(|| {
+                StorageError::Corrupt(format!("page {page}: record {i} has non-finite geometry"))
+            })?);
+        }
+        self.lanes.clear();
+        self.lanes.resize(6 * self.segs.len(), 0.0);
+        let (bound, all_valid) = write_page_lanes(&self.segs, &mut self.lanes);
+        if bound != *mbr {
+            return Err(StorageError::Corrupt(format!(
+                "page {page}: records bounded by {bound}, metadata MBR {mbr}"
+            )));
+        }
+        self.all_valid = all_valid;
+        Ok(())
+    }
+}
+
+/// Read page `page` off `file` into `bytes` and decode it into `into`,
+/// checked against its MBR in `mbrs`: the one way a page enters a frame,
+/// whoever loads it, and what the validation sweep runs.
+fn load_page(
+    file: &dyn PageIo,
+    mbrs: &[Aabb],
     page: u64,
-    out: &mut Vec<NeuronSegment>,
+    bytes: &mut Vec<u8>,
+    into: &mut DecodedPage,
 ) -> Result<(), StorageError> {
-    out.clear();
-    let (records, rest) = payload.as_chunks::<SEGMENT_RECORD_BYTES>();
-    if !rest.is_empty() {
-        return Err(StorageError::Corrupt(format!(
-            "page {page}: payload of {} bytes is not a whole number of records",
-            payload.len()
-        )));
-    }
-    for (i, r) in records.iter().enumerate() {
-        out.push(decode_record(r).ok_or_else(|| {
-            StorageError::Corrupt(format!("page {page}: record {i} has non-finite geometry"))
-        })?);
-    }
-    Ok(())
+    file.read_page_into(page, bytes)?;
+    let count = mbrs.len() as u64;
+    let mbr = mbrs.get(page as usize).ok_or(StorageError::PageOutOfRange { page, count })?;
+    into.decode(bytes, page, mbr)
 }
 
 /// Serialize a built FLAT index to a page file at `path`.
@@ -249,26 +300,23 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
     w.finish(&meta)
 }
 
-/// Read and decode every page of `file`, retrying transient faults
-/// under `retry`, and check that page `p`'s records are bounded by
-/// `mbrs[p]`, exactly as the build bounded them (the union of their
-/// boxes): the number of records the pages hold. The sweep never
-/// stops at a bad page: all of them are collected, so the error
-/// ([`StorageError::BadPages`]) reports the full blast radius. Only a
-/// transient error that outlasts its retries aborts it.
+/// Load every page of `file` as a frame would ([`load_page`]), retrying
+/// transient faults under `retry`: the number of records the pages hold.
+/// The sweep never stops at a bad page: all of them are collected, so
+/// the error ([`StorageError::BadPages`]) reports the full blast radius.
+/// Only a transient error that outlasts its retries aborts it.
 fn sweep_pages(file: &dyn PageIo, mbrs: &[Aabb], retry: &RetryPolicy) -> Result<u64, StorageError> {
-    let mut buf = Vec::new();
-    let mut segs = Vec::new();
+    let (mut bytes, mut decoded) = (Vec::new(), DecodedPage::default());
     let mut total = 0u64;
     let mut bad_pages = Vec::new();
-    let bound = |segs: &[NeuronSegment]| segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.aabb()));
-    for (page, mbr) in (0..file.page_count()).zip(mbrs) {
-        let (res, _retries) =
-            with_retry_sleeping(retry, page, || file.read_page_into(page, &mut buf));
-        match res.and_then(|()| decode_page_segments(&buf, page, &mut segs)) {
-            Ok(()) if bound(&segs) == *mbr => total += segs.len() as u64,
+    for page in 0..file.page_count() {
+        let (res, _retries) = with_retry_sleeping(retry, page, || {
+            load_page(file, mbrs, page, &mut bytes, &mut decoded)
+        });
+        match res {
+            Ok(()) => total += decoded.segs.len() as u64,
             Err(e) if e.is_transient() => return Err(e),
-            _ => bad_pages.push(page),
+            Err(_) => bad_pages.push(page),
         }
     }
     if bad_pages.is_empty() {
@@ -352,8 +400,9 @@ impl OocConfig {
 /// that legitimately differs from the in-memory engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OocIoTrace {
-    /// Wall-clock nanoseconds the query spent blocked on page reads
-    /// (demand misses plus waits for in-flight prefetches).
+    /// Wall-clock nanoseconds the query spent blocked on page reads:
+    /// demand misses, waits for in-flight prefetches and the backoff
+    /// between retries (a resident page costs no clock read).
     pub stall_ns: u64,
     /// This query's page requests served from the frame pool, as the
     /// pool's guard reported each: queries that share the pool are not
@@ -390,12 +439,10 @@ pub struct OocQueryStats {
     pub io: OocIoTrace,
 }
 
-/// Reusable per-query state of the paged engine: FLAT's crawl scratch
-/// and the page-decode buffer.
+/// Reusable per-query state of the paged engine: FLAT's crawl scratch.
 #[derive(Debug, Default)]
 pub struct OocScratch {
     flat: FlatScratch,
-    segs: Vec<NeuronSegment>,
 }
 
 impl OocScratch {
@@ -539,7 +586,7 @@ impl PrefetchHandle {
     fn spawn(
         workers: usize,
         file: Arc<dyn PageIo>,
-        pool: Arc<FramePool>,
+        pool: Arc<FramePool<DecodedPage>>,
         graph: Arc<PageGraph>,
     ) -> Self {
         let shared = Arc::new(PrefetchShared {
@@ -554,11 +601,12 @@ impl PrefetchHandle {
             Executor::io_bound(workers).map_chunks(workers, |_| {
                 while let Some(work) = shared2.next_work() {
                     match work {
-                        // A real background page read. Best-effort: a
-                        // corrupt page is simply not cached — the demand
-                        // path will surface the typed error.
+                        // A real background page read. Best-effort: a page
+                        // that fails to load is simply not cached — the
+                        // demand path will surface the typed error.
                         Work::Page(page) => {
-                            let _ = pool.prefetch(u64::from(page), file.as_ref());
+                            let _ = pool
+                                .prefetch_with(page.into(), loader(file.as_ref(), &graph, page));
                         }
                         Work::Plan(planner) => shared2.make_plan(planner, &graph),
                     }
@@ -578,6 +626,15 @@ impl PrefetchHandle {
         drop(q);
         self.shared.hand_off(accepted, offered - accepted)
     }
+}
+
+/// The pool's loader of page `page`: [`load_page`] into the frame.
+fn loader<'a>(
+    file: &'a dyn PageIo,
+    graph: &'a PageGraph,
+    page: u32,
+) -> impl FnOnce(&mut DecodedPage) -> Result<(), StorageError> + 'a {
+    move |into| load_page(file, graph.mbrs(), page.into(), &mut Vec::new(), into)
 }
 
 impl Drop for PrefetchHandle {
@@ -600,7 +657,7 @@ impl Drop for PrefetchHandle {
 /// the individual query with [`StorageError::PageChecksum`].
 pub struct OocFlatIndex {
     file: Arc<dyn PageIo>,
-    pool: Arc<FramePool>,
+    pool: Arc<FramePool<DecodedPage>>,
     params: FlatBuildParams,
     object_count: u64,
     /// Shared with the prefetch workers, which map plans to pages
@@ -908,7 +965,7 @@ impl OocFlatIndex {
     }
 
     /// The frame pool (budget, policy, counters).
-    pub fn pool(&self) -> &FramePool {
+    pub fn pool(&self) -> &FramePool<DecodedPage> {
         &self.pool
     }
 
@@ -917,10 +974,13 @@ impl OocFlatIndex {
         self.prefetch.is_some()
     }
 
-    /// Resident memory of the paged engine: frames + page graph (the
+    /// Resident memory of the paged engine: frames, each a full page of
+    /// decoded segments and their lanes, and the page graph (the
     /// segments themselves live on disk).
     pub fn memory_bytes(&self) -> usize {
-        self.pool.capacity() * self.file.page_size() + self.graph.memory_bytes()
+        let object = std::mem::size_of::<NeuronSegment>() + 6 * std::mem::size_of::<f32>();
+        let frame = self.params.page_capacity * object;
+        self.pool.capacity() * frame + self.graph.memory_bytes()
     }
 
     /// Streaming seed-and-crawl over the page file — the paged
@@ -963,71 +1023,62 @@ impl OocFlatIndex {
     {
         let evictions_before = self.pool.evictions();
         let mut io = OocIoTrace::default();
-        let OocScratch { flat, segs } = scratch;
+        let pq = PageQuery::new(q);
         // Set at the first page the pool does not hold resident: from
         // there on the query goes to the device.
         let cold = Cell::new(false);
         // The real page read: pin (retrying transient faults under the
-        // configured policy), count how the pool served it, decode, scan.
-        // The pin is held only while the page is decoded, so even a
-        // one-frame budget can execute any query.
+        // configured policy; a miss loads and decodes the page into its
+        // frame), count how the pool served it, scan the decoded frame
+        // with FLAT's page kernel, unpin. The pin is held only while the
+        // page is scanned, so even a one-frame budget can execute any
+        // query.
         let read = |page: u32, stats: &mut FlatQueryStats| {
             on_page(page);
-            let t = Instant::now();
-            let (res, tries) = with_retry_sleeping(&self.retry, u64::from(page), || {
-                self.pool.get(u64::from(page), self.file.as_ref())
+            let mut backoff_us = 0;
+            let sleep = |us| {
+                std::thread::sleep(Duration::from_micros(us));
+                backoff_us += us;
+            };
+            let (res, tries) = with_retry(&self.retry, u64::from(page), sleep, || {
+                self.pool.get_with(page.into(), loader(self.file.as_ref(), &self.graph, page))
             });
-            io.stall_ns += t.elapsed().as_nanos() as u64;
+            io.stall_ns += backoff_us * 1000;
             io.retries += u64::from(tries);
-            let decoded = res.and_then(|guard| {
-                match guard.served() {
-                    Served::Resident => io.cache_hits += 1,
-                    Served::Waited => {
-                        io.cache_hits += 1;
-                        io.waits += 1;
-                        cold.set(true);
+            let guard = match res {
+                Ok(guard) => guard,
+                // Retries exhausted or frame-budget pressure: not the
+                // page's fault, never quarantine.
+                Err(e) if e.is_transient() => return Err(e),
+                Err(e) => {
+                    // Permanent: quarantine so later demands fail fast
+                    // instead of re-reading known-bad bytes.
+                    self.pool.quarantine_page(u64::from(page));
+                    if !allow_partial {
+                        return Err(e);
                     }
-                    Served::Read => {
-                        io.cache_misses += 1;
-                        cold.set(true);
-                    }
+                    io.pages_quarantined += 1;
+                    return Ok(false);
                 }
-                io.prefetch_hits += u64::from(guard.prefetch_hit());
-                decode_page_segments(&guard, u64::from(page), segs)
-            });
-            if let Err(e) = decoded {
-                if e.is_transient() {
-                    // Retries exhausted or frame-budget pressure: not the
-                    // page's fault, never quarantine.
-                    return Err(e);
+            };
+            match guard.served() {
+                Served::Resident => io.cache_hits += 1,
+                Served::Waited => {
+                    io.cache_hits += 1;
+                    io.waits += 1;
+                    cold.set(true);
                 }
-                // Permanent: quarantine so later demands fail fast
-                // instead of re-reading known-bad bytes.
-                self.pool.quarantine_page(u64::from(page));
-                if !allow_partial {
-                    return Err(e);
-                }
-                io.pages_quarantined += 1;
-                segs.clear();
-            }
-            // A decoded page is scanned object by object (there are no
-            // lanes on disk), but a page wholly inside `q` is emitted
-            // untested as in memory: every decoded box is finite,
-            // non-empty and inside the page's MBR (checked at open), so
-            // `q` contains it.
-            let whole = q.contains(&self.graph.mbr(page));
-            stats.objects_tested += segs.len() as u64;
-            for o in segs.iter().filter(|o| whole || o.aabb().intersects(q)) {
-                match sink(o) {
-                    Flow::Emit => stats.results += 1,
-                    Flow::Skip => {}
-                    Flow::Last => {
-                        stats.results += 1;
-                        return Ok(true);
-                    }
+                Served::Read => {
+                    io.cache_misses += 1;
+                    cold.set(true);
                 }
             }
-            Ok(false)
+            io.prefetch_hits += u64::from(guard.prefetch_hit());
+            io.stall_ns += guard.blocked().as_nanos() as u64;
+            let DecodedPage { segs, lanes, all_valid } = &*guard;
+            let mbr = &self.graph.mbrs()[page as usize];
+            let page = PageRef { objects: segs, lanes, mbr, all_valid: *all_valid };
+            Ok(scan_page(page, &pq, stats, &mut sink))
         };
         // Crawl-frontier prefetch: once the query is cold, the pages a
         // read page's links admit to the crawl front are read in the
@@ -1039,7 +1090,7 @@ impl OocFlatIndex {
                 enqueued += h.enqueue_frontier(pages);
             }
         };
-        let flat = self.graph.crawl(q, flat, read, admitted)?;
+        let flat = self.graph.crawl(q, &mut scratch.flat, read, admitted)?;
         io.evictions = self.pool.evictions() - evictions_before;
         io.prefetch_enqueued = enqueued;
         Ok(OocQueryStats { flat, io })
@@ -1441,7 +1492,8 @@ impl<'a> OocCursor<'a> {
                     }
                     // As a worker would: a page that does not load is
                     // not cached, and the demand path says why.
-                    let loaded = index.pool.prefetch(u64::from(p), index.file.as_ref());
+                    let load = loader(index.file.as_ref(), &index.graph, p);
+                    let loaded = index.pool.prefetch_with(p.into(), load);
                     read += u64::from(matches!(loaded, Ok(true)));
                 }
             }
@@ -2246,16 +2298,22 @@ mod tests {
     }
 
     /// A page whose metadata MBR does not bound its records would lose
-    /// records (moved away) or break the crawl's rules (grown): open
-    /// refuses the file, with the page named as for a bad checksum.
+    /// records (moved away, or shrunk) or break the crawl's rules
+    /// (grown): open refuses the file, with the page named as for a bad
+    /// checksum. A lazy open checks the page when it is loaded: a query
+    /// that reads it fails with the typed error and quarantines it. A
+    /// moved MBR takes its page away from where its records are, so a
+    /// query there never reads it: only the sweep catches that.
     #[test]
     fn a_page_mbr_that_is_not_its_records_bound_fails_open() {
         let mem = build(circuit(12), 32);
         // Page 0's MBR follows the 48 bytes of parameters and counts.
         let at = 48..96;
+        let real = mem.graph().mbr(0);
         let moved = Aabb::cube(Vec3::splat(1e6), 0.0);
-        let grown = mem.graph().mbr(0).inflate(1.0);
-        for mbr in [moved, grown] {
+        let grown = real.inflate(1.0);
+        let shrunk = Aabb { lo: real.lo, hi: real.lo + (real.hi - real.lo) * 0.5 };
+        for mbr in [moved, grown, shrunk] {
             let t = TempFile(temp_path("mbr"));
             write_flat_index(&mem, &t.0).expect("write");
             rewrite_meta(&t.0, |meta| {
@@ -2267,8 +2325,62 @@ mod tests {
             assert_eq!(err, StorageError::BadPages { pages: vec![0] }, "MBR {mbr}");
             let lazy = OocConfig { validate_pages: false, ..OocConfig::default() };
             let ooc = OocFlatIndex::open(&t.0, lazy).expect("lazy open");
+            let (mut scratch, mut out) = (OocScratch::default(), Vec::new());
+            if mbr == moved {
+                ooc.range_query_into(&real, &mut scratch, &mut out).expect("page 0 is not read");
+                assert!(ooc.quarantined_pages().is_empty());
+            } else {
+                let err = ooc.range_query_into(&real, &mut scratch, &mut out).expect_err("read");
+                assert!(matches!(err, StorageError::Corrupt(_)), "MBR {mbr}: {err:?}");
+                assert_eq!(ooc.quarantined_pages(), vec![0], "MBR {mbr}");
+            }
             assert_eq!(ooc.validate_pages(), Err(StorageError::BadPages { pages: vec![0] }));
         }
+    }
+
+    /// A page whose checksum holds but whose record does not decode is
+    /// never cached, whoever loads it: a prefetch worker's load fails and
+    /// leaves the pool as it was, and the demand read that follows reads
+    /// the page again, fails with the typed error and quarantines it.
+    #[test]
+    fn a_worker_never_caches_a_page_that_does_not_decode() {
+        let mem = build(circuit(10), 16);
+        let t = TempFile(temp_path("workerload"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let file = PageFile::open(&t.0).expect("open");
+        let meta = file.meta().to_vec();
+        let mut pages = vec![Vec::new(); file.page_count() as usize];
+        for (p, buf) in (0..).zip(&mut pages) {
+            file.read_page_into(p, buf).expect("read");
+        }
+        // Record 3 of page 0 gets a NaN radius: the last f64 of its 80
+        // bytes. The writer checksums the page as it is.
+        let radius = 3 * SEGMENT_RECORD_BYTES + 72;
+        pages[0][radius..radius + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let mut w = PageFileWriter::create(&t.0, file.page_size()).expect("create");
+        pages.iter().for_each(|payload| w.append_page(payload).expect("page"));
+        w.finish(&meta).expect("finish");
+
+        let lazy = OocConfig { validate_pages: false, ..OocConfig::default() };
+        let ooc = open_gated(&t.0, lazy.with_prefetch_workers(1), &[]);
+        ooc.prefetch.as_ref().expect("workers").enqueue_frontier([0].iter());
+        assert_eq!(ooc.gate.reads(1, &[0]), [0], "the worker read page 0");
+        // The frame is reserved from before the read until the load ends.
+        let started = std::time::Instant::now();
+        while ooc.pool().resident() != 0 {
+            assert!(started.elapsed() < TIMEOUT, "the worker's load never ended");
+            std::thread::yield_now();
+        }
+        let stats = ooc.pool().stats();
+        assert_eq!((stats.prefetched, stats.misses), (0, 0), "nothing was cached");
+
+        let (q, read) = probe(&mem, 0);
+        assert!(read.contains(&0));
+        let (mut scratch, mut out) = (OocScratch::default(), Vec::new());
+        let err = ooc.range_query_into(&q, &mut scratch, &mut out).expect_err("page 0 is bad");
+        assert!(matches!(&err, StorageError::Corrupt(m) if m.contains("record 3")), "{err:?}");
+        assert_eq!(ooc.quarantined_pages(), vec![0]);
+        assert_eq!(ooc.pool().stats().prefetched, 0);
     }
 
     /// A cold crawl hands every page a link admits to the frontier

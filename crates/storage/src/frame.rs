@@ -6,8 +6,17 @@
 //! [`ModelledDevice`](crate::ModelledDevice). A [`FramePool`] owns a
 //! fixed budget of frames; [`get`](FramePool::get) returns a [`FrameGuard`]
 //! that **pins** the frame for as long as the guard lives, and
-//! [`prefetch`](FramePool::prefetch) loads pages in the background
-//! without pinning them.
+//! [`prefetch_with`](FramePool::prefetch_with) loads pages in the
+//! background without pinning them.
+//!
+//! ## Frame bodies
+//!
+//! A frame holds a `B: Default`, by default the page's payload bytes,
+//! which [`get`](FramePool::get) reads from a [`PageIo`]. The loader of
+//! [`get_with`](FramePool::get_with) and
+//! [`prefetch_with`](FramePool::prefetch_with) fills a fresh body with
+//! whatever the caller makes of the page (the paged FLAT engine decodes
+//! it once, there, and keeps no bytes). A failed load caches nothing.
 //!
 //! ## Pin-guard invariants
 //!
@@ -50,14 +59,17 @@
 //! wait on an in-flight load, or a read. That is the pool's own
 //! classification, the one [`FrameStats`] counts, so a caller can keep
 //! per-query counts that add up to the pool's however many threads share
-//! it.
+//! it. The guard also says how long its demand was blocked
+//! ([`FrameGuard::blocked`]); a resident page is served without reading
+//! the clock.
 
 use crate::fault::PageIo;
 use crate::file::StorageError;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Replacement policy of a [`FramePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,7 +115,7 @@ pub struct FrameStats {
     pub misses: u64,
     /// Resident pages dropped to make room.
     pub evictions: u64,
-    /// Pages loaded by [`FramePool::prefetch`] (not counted as hits or
+    /// Pages loaded by [`FramePool::prefetch_with`] (not counted as hits or
     /// misses).
     pub prefetched: u64,
     /// Demand hits whose frame was originally loaded by a prefetch —
@@ -113,10 +125,10 @@ pub struct FrameStats {
 }
 
 #[derive(Debug)]
-struct Frame {
+struct Frame<B> {
     page: u64,
-    /// Payload bytes; `None` while loading.
-    data: Option<Arc<Vec<u8>>>,
+    /// The frame's body; `None` while loading.
+    data: Option<Arc<B>>,
     pins: u32,
     /// CLOCK reference bit.
     referenced: bool,
@@ -129,10 +141,10 @@ struct Frame {
 }
 
 #[derive(Debug, Default)]
-struct Inner {
+struct Inner<B> {
     /// page id → frame slot.
     map: HashMap<u64, usize>,
-    frames: Vec<Frame>,
+    frames: Vec<Frame<B>>,
     /// Slots never used or fully released.
     free: Vec<usize>,
     /// CLOCK hand.
@@ -148,6 +160,9 @@ struct Inner {
     /// engine above (the pool never self-quarantines — a failed load
     /// may be transient, and retrying it is the caller's decision).
     quarantined: HashSet<u64>,
+    /// Callers blocked on the pool's condvar: an unpin wakes them only
+    /// if there are some.
+    waiters: usize,
 }
 
 /// How [`FramePool::get`] served a demand, as [`FrameStats`] counts it:
@@ -166,13 +181,15 @@ pub enum Served {
     Read,
 }
 
-/// A pinning buffer pool with a fixed frame budget.
+/// A pinning buffer pool with a fixed frame budget, whose frames hold a
+/// `B` each: the page's bytes by default, or whatever its loader makes
+/// of them (see the [module docs](self)).
 ///
 /// See the [module docs](self) for the invariants. All methods take
 /// `&self`; the pool is safe to share across threads (`Arc<FramePool>`).
 #[derive(Debug)]
-pub struct FramePool {
-    inner: Mutex<Inner>,
+pub struct FramePool<B = Vec<u8>> {
+    inner: Mutex<Inner<B>>,
     /// [`FrameStats::evictions`]: bumped under the lock, read without it.
     evictions: AtomicU64,
     loaded: Condvar,
@@ -180,7 +197,7 @@ pub struct FramePool {
     capacity: usize,
 }
 
-impl FramePool {
+impl<B: Default> FramePool<B> {
     /// A pool of `frames` frames (clamped to at least 1) using `policy`.
     pub fn new(frames: usize, policy: EvictionPolicy) -> Self {
         FramePool {
@@ -218,20 +235,17 @@ impl FramePool {
         self.lock().map.len()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner<B>> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Pin `page`, reading it from `file` on a miss. The returned guard
-    /// dereferences to the page payload and unpins on drop.
-    ///
-    /// `file` is any [`PageIo`] — the production [`crate::PageFile`] or a
-    /// fault-injecting wrapper.
-    pub fn get<'p, F>(&'p self, page: u64, file: &F) -> Result<FrameGuard<'p>, StorageError>
-    where
-        F: PageIo + ?Sized,
-    {
-        self.get_with(page, |buf| file.read_page_into(page, buf))
+    /// Block until a load ends or a frame is unpinned, counted in
+    /// `waiters`.
+    fn wait<'a>(&self, mut inner: MutexGuard<'a, Inner<B>>) -> MutexGuard<'a, Inner<B>> {
+        inner.waiters += 1;
+        let mut inner = self.loaded.wait(inner).unwrap_or_else(|p| p.into_inner());
+        inner.waiters -= 1;
+        inner
     }
 
     /// Move `page` into the quarantine set: subsequent demands fail fast
@@ -265,11 +279,13 @@ impl FramePool {
         pages
     }
 
-    /// Like [`get`](Self::get) with a caller-supplied loader — the hook
-    /// unit tests use to observe and fail loads deterministically.
-    pub fn get_with<'p, F>(&'p self, page: u64, load: F) -> Result<FrameGuard<'p>, StorageError>
+    /// Pin `page`, filling a fresh frame body with `load` on a miss (the
+    /// lock is not held while it runs). A body `load` fails on is
+    /// dropped, and the error returned: such a page is never cached. The
+    /// returned guard dereferences to the body and unpins on drop.
+    pub fn get_with<'p, F>(&'p self, page: u64, load: F) -> Result<FrameGuard<'p, B>, StorageError>
     where
-        F: FnOnce(&mut Vec<u8>) -> Result<(), StorageError>,
+        F: FnOnce(&mut B) -> Result<(), StorageError>,
     {
         let mut inner = self.lock();
         if inner.quarantined.contains(&page) {
@@ -278,8 +294,9 @@ impl FramePool {
         // Classify exactly once, on first observation, and report that
         // on the guard: a page awaited may be evicted before the call
         // wakes, and is then read by it, but was counted as a wait.
-        let served = match inner.map.get(&page) {
-            Some(&slot) if inner.frames[slot].loading => Served::Waited,
+        let found = inner.map.get(&page).copied();
+        let served = match found {
+            Some(slot) if inner.frames[slot].loading => Served::Waited,
             Some(_) => Served::Resident,
             None => Served::Read,
         };
@@ -291,25 +308,24 @@ impl FramePool {
             inner.stats.hits += 1;
             obs.hits.inc();
         }
+        if let (Served::Resident, Some(slot)) = (served, found) {
+            return Ok(self.pin(&mut inner, slot, served, None));
+        }
         if served == Served::Waited {
             inner.stats.waits += 1;
             obs.waits.inc();
         }
+        // Only a demand that blocks reads the clock.
+        let started = Instant::now();
         loop {
             if let Some(&slot) = inner.map.get(&page) {
                 if inner.frames[slot].loading {
                     // Someone else (a prefetch worker, usually) is mid-read:
                     // wait for the remainder instead of duplicating the I/O.
-                    inner = self.loaded.wait(inner).unwrap_or_else(|p| p.into_inner());
+                    inner = self.wait(inner);
                     continue;
                 }
-                let fr = &mut inner.frames[slot];
-                let prefetch_hit = std::mem::take(&mut fr.from_prefetch);
-                if prefetch_hit {
-                    inner.stats.prefetch_hits += 1;
-                    obs.prefetch_hits.inc();
-                }
-                return Ok(self.pin(&mut inner, slot, served, prefetch_hit));
+                return Ok(self.pin(&mut inner, slot, served, Some(started)));
             }
             match self.acquire_slot(&mut inner) {
                 Slot::Free(slot) => {
@@ -320,7 +336,7 @@ impl FramePool {
                     inner.map.insert(page, slot);
                     drop(inner);
 
-                    let mut buf = Vec::new();
+                    let mut buf = B::default();
                     let res = {
                         let _io = neurospatial_obs::span_timed(
                             neurospatial_obs::Stage::PageIo,
@@ -335,7 +351,7 @@ impl FramePool {
                             fr.data = Some(Arc::new(buf));
                             fr.loading = false;
                             fr.from_prefetch = false;
-                            let guard = self.pin(&mut inner, slot, served, false);
+                            let guard = self.pin(&mut inner, slot, served, Some(started));
                             drop(inner);
                             self.loaded.notify_all();
                             return Ok(guard);
@@ -353,7 +369,7 @@ impl FramePool {
                     }
                 }
                 Slot::Wait => {
-                    inner = self.loaded.wait(inner).unwrap_or_else(|p| p.into_inner());
+                    inner = self.wait(inner);
                 }
                 Slot::Exhausted => {
                     return Err(StorageError::FrameBudgetExhausted { frames: self.capacity });
@@ -362,22 +378,16 @@ impl FramePool {
         }
     }
 
-    /// Load `page` into the pool without pinning it — best-effort, for
-    /// background prefetch workers. Returns `Ok(true)` if a read was
-    /// issued, `Ok(false)` if the page was already resident/in flight or
-    /// no frame could be reclaimed without waiting (prefetching never
-    /// waits and never evicts under pressure it cannot see).
-    pub fn prefetch<F>(&self, page: u64, file: &F) -> Result<bool, StorageError>
-    where
-        F: PageIo + ?Sized,
-    {
-        self.prefetch_with(page, |buf| file.read_page_into(page, buf))
-    }
-
-    /// Like [`prefetch`](Self::prefetch) with a caller-supplied loader.
+    /// Load `page` into the pool with `load`, as [`get_with`](Self::get_with)
+    /// does, without pinning it — best-effort, for background prefetch
+    /// workers. Returns `Ok(true)` if a load ran and succeeded,
+    /// `Ok(false)` if the page was already resident/in flight or no frame
+    /// could be reclaimed without waiting (prefetching never waits and
+    /// never evicts under pressure it cannot see). A failed load caches
+    /// nothing.
     pub fn prefetch_with<F>(&self, page: u64, load: F) -> Result<bool, StorageError>
     where
-        F: FnOnce(&mut Vec<u8>) -> Result<(), StorageError>,
+        F: FnOnce(&mut B) -> Result<(), StorageError>,
     {
         let mut inner = self.lock();
         if inner.quarantined.contains(&page) || inner.map.contains_key(&page) {
@@ -393,7 +403,7 @@ impl FramePool {
         inner.map.insert(page, slot);
         drop(inner);
 
-        let mut buf = Vec::new();
+        let mut buf = B::default();
         let res = load(&mut buf);
         let mut inner = self.lock();
         match res {
@@ -427,27 +437,36 @@ impl FramePool {
         }
     }
 
+    /// Pin the loaded frame in `slot` for a demand served as `served`,
+    /// blocked since `blocked` unless the page was resident.
     fn pin<'p>(
         &'p self,
-        inner: &mut Inner,
+        inner: &mut Inner<B>,
         slot: usize,
         served: Served,
-        prefetch_hit: bool,
-    ) -> FrameGuard<'p> {
-        crate::metrics::frame_obs().resident.set(inner.map.len() as i64);
+        blocked: Option<Instant>,
+    ) -> FrameGuard<'p, B> {
+        let obs = crate::metrics::frame_obs();
+        obs.resident.set(inner.map.len() as i64);
         inner.tick += 1;
         let tick = inner.tick;
         let fr = &mut inner.frames[slot];
         fr.pins += 1;
         fr.referenced = true;
         fr.used = tick;
+        let prefetch_hit = std::mem::take(&mut fr.from_prefetch);
         let data = Arc::clone(fr.data.as_ref().expect("pinning a loaded frame"));
-        FrameGuard { pool: self, slot, data, served, prefetch_hit }
+        if prefetch_hit {
+            inner.stats.prefetch_hits += 1;
+            obs.prefetch_hits.inc();
+        }
+        let blocked = blocked.map_or(Duration::ZERO, |t| t.elapsed());
+        FrameGuard { pool: self, slot, data, served, prefetch_hit, blocked }
     }
 
     /// Find a frame to (re)use: a never-used slot, a freed slot, or an
     /// evicted victim.
-    fn acquire_slot(&self, inner: &mut Inner) -> Slot {
+    fn acquire_slot(&self, inner: &mut Inner<B>) -> Slot {
         if inner.frames.len() < self.capacity {
             inner.frames.push(Frame {
                 page: 0,
@@ -488,7 +507,7 @@ impl FramePool {
         }
     }
 
-    fn clock_victim(inner: &mut Inner) -> Option<usize> {
+    fn clock_victim(inner: &mut Inner<B>) -> Option<usize> {
         let n = inner.frames.len();
         // Two full sweeps: the first clears reference bits, the second
         // must then find any evictable frame.
@@ -508,7 +527,7 @@ impl FramePool {
         None
     }
 
-    fn lru_victim(inner: &mut Inner) -> Option<usize> {
+    fn lru_victim(inner: &mut Inner<B>) -> Option<usize> {
         inner
             .frames
             .iter()
@@ -519,28 +538,44 @@ impl FramePool {
     }
 }
 
+impl FramePool {
+    /// Pin `page`, reading its payload from `file` on a miss. The
+    /// returned guard dereferences to the payload bytes and unpins on
+    /// drop.
+    ///
+    /// `file` is any [`PageIo`] — the production [`crate::PageFile`] or a
+    /// fault-injecting wrapper.
+    pub fn get<'p, F>(&'p self, page: u64, file: &F) -> Result<FrameGuard<'p>, StorageError>
+    where
+        F: PageIo + ?Sized,
+    {
+        self.get_with(page, |buf| file.read_page_into(page, buf))
+    }
+}
+
 enum Slot {
     Free(usize),
     Wait,
     Exhausted,
 }
 
-/// A pinned page: dereferences to the page payload, unpins on drop.
+/// A pinned page: dereferences to the frame's body, unpins on drop.
 ///
-/// The guard owns its own `Arc` to the bytes, so the data it exposes
+/// The guard owns its own `Arc` to the body, so the data it exposes
 /// stays valid for the guard's whole lifetime regardless of what the
 /// pool does (the pin additionally guarantees the pool keeps the page
 /// *resident*, so re-`get`ting it is free).
 #[derive(Debug)]
-pub struct FrameGuard<'p> {
-    pool: &'p FramePool,
+pub struct FrameGuard<'p, B = Vec<u8>> {
+    pool: &'p FramePool<B>,
     slot: usize,
-    data: Arc<Vec<u8>>,
+    data: Arc<B>,
     served: Served,
     prefetch_hit: bool,
+    blocked: Duration,
 }
 
-impl FrameGuard<'_> {
+impl<B> FrameGuard<'_, B> {
     /// How the pool served the demand that pinned this frame.
     pub fn served(&self) -> Served {
         self.served
@@ -551,24 +586,35 @@ impl FrameGuard<'_> {
     pub fn prefetch_hit(&self) -> bool {
         self.prefetch_hit
     }
+
+    /// How long the demand was blocked: its own load, or its wait for
+    /// another's. Zero when the page was resident, which is served
+    /// without reading the clock.
+    pub fn blocked(&self) -> Duration {
+        self.blocked
+    }
 }
 
-impl Deref for FrameGuard<'_> {
-    type Target = [u8];
+impl<B> Deref for FrameGuard<'_, B> {
+    type Target = B;
 
-    fn deref(&self) -> &[u8] {
+    fn deref(&self) -> &B {
         &self.data
     }
 }
 
-impl Drop for FrameGuard<'_> {
+impl<B> Drop for FrameGuard<'_, B> {
     fn drop(&mut self) {
-        let mut inner = self.pool.lock();
+        let mut inner = self.pool.inner.lock().unwrap_or_else(|p| p.into_inner());
         let fr = &mut inner.frames[self.slot];
         fr.pins = fr.pins.saturating_sub(1);
+        let waiting = inner.waiters > 0;
         drop(inner);
         // A waiter blocked on Slot::Wait may now find an evictable frame.
-        self.pool.loaded.notify_all();
+        // (Waking no one still costs a system call.)
+        if waiting {
+            self.pool.loaded.notify_all();
+        }
     }
 }
 
@@ -712,7 +758,7 @@ mod tests {
     #[test]
     fn concurrent_same_page_demands_read_once() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = Arc::new(FramePool::new(4, EvictionPolicy::Clock));
+        let pool: Arc<FramePool> = Arc::new(FramePool::new(4, EvictionPolicy::Clock));
         let reads = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -798,7 +844,7 @@ mod tests {
         assert_eq!(s.prefetched, 0, "nothing was loaded");
         assert_eq!(s.evictions, 0, "nothing was evicted");
         // The foreground guards were untouched throughout.
-        assert_eq!((&*g0, &*g1), (&b"zero"[..], &b"one"[..]));
+        assert_eq!((&g0[..], &g1[..]), (&b"zero"[..], &b"one"[..]));
         drop((g0, g1));
         // Once pins release, prefetch works again.
         assert!(pool.prefetch_with(2, load_ok(b"pre")).expect("prefetch"));
@@ -807,7 +853,7 @@ mod tests {
 
     #[test]
     fn each_guard_says_how_its_demand_was_served() {
-        let pool = FramePool::new(4, EvictionPolicy::Clock);
+        let pool: FramePool = FramePool::new(4, EvictionPolicy::Clock);
         std::thread::scope(|scope| {
             // A prefetch whose read lasts until a demand waits for it.
             scope.spawn(|| {
@@ -823,7 +869,10 @@ mod tests {
                 std::thread::yield_now();
             }
             let g = pool.get_with(5, |_| panic!("in flight: not read again")).expect("wait");
-            assert_eq!((&*g, g.served(), g.prefetch_hit()), (&b"late"[..], Served::Waited, true));
+            assert_eq!(
+                (&g[..], g.served(), g.prefetch_hit()),
+                (&b"late"[..], Served::Waited, true)
+            );
         });
         let g = pool.get_with(5, load_ok(b"never runs")).expect("hit");
         assert_eq!((g.served(), g.prefetch_hit()), (Served::Resident, false));
