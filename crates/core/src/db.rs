@@ -4,26 +4,27 @@
 //! index backend ([`IndexBackend`], by value or by name) and how segments
 //! split into named populations for the synapse join.
 
-use crate::delta::{self, DeltaBuffer, WriteOp};
+use crate::delta::{DeltaBuffer, WriteOp};
 use crate::error::NeuroError;
-use crate::index::{IndexBackend, IndexParams, SpatialIndex};
-use crate::paged::PagedFlatIndex;
+use crate::index::{spill_flat, IndexBackend, IndexParams, SpatialIndex};
+use crate::live::{LiveCore, LiveGen};
+pub use crate::live::{WalHealth, WriteAck};
 use crate::query::Query;
-use neurospatial_flat::{FlatBuildParams, FlatIndex};
-use neurospatial_geom::{Aabb, Swap};
+use neurospatial_flat::FlatIndex;
+use neurospatial_geom::Aabb;
 use neurospatial_model::{Circuit, NavigationPath, NeuronSegment};
 use neurospatial_scout::{
     ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch, OocConfig, OocCursor,
     OocFlatIndex, Prefetcher, QueryTrace, ScoutPrefetcher, SessionConfig, SessionStats,
 };
-use neurospatial_storage::{EvictionPolicy, FaultLog, FaultPlan, FileLog, LogIo, Wal};
+use neurospatial_storage::{EvictionPolicy, FaultLog, FaultPlan, FileLog, LogIo};
 use neurospatial_touch::{JoinScratch, TouchJoin};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, TryLockError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
 /// Tuning knobs of a [`NeuroDb`].
 #[derive(Debug, Clone, Copy)]
@@ -438,7 +439,7 @@ impl NeuroDbBuilder {
         // Register every hot-path metric now so the first measured query
         // pays no first-use allocation.
         crate::metrics::warm_metrics();
-        let segments = self.segments.ok_or(NeuroError::MissingSegments)?;
+        let mut segments = self.segments.ok_or(NeuroError::MissingSegments)?;
         // The same rule as the write path: a non-finite box matches no
         // query, so it must not get into an index.
         if let Some(bad) = segments.iter().find(|s| !s.geom.is_valid()) {
@@ -486,55 +487,37 @@ impl NeuroDbBuilder {
                 "durable (live) mode and paged (out-of-core) mode are mutually exclusive".into(),
             ));
         }
+        if self.paged && (backend != IndexBackend::Flat || config.shards > 1) {
+            return Err(NeuroError::InvalidConfig(format!(
+                "paged (out-of-core) mode needs the monolithic 'flat' backend, \
+                 got backend='{backend}' shards={}",
+                config.shards
+            )));
+        }
+        let params = IndexParams {
+            page_capacity: config.page_capacity,
+            shards: config.shards,
+            threads: config.threads,
+        };
         // Durable mode: recover from the WAL before anything else. When
         // the log holds history the recovered state *replaces* the
-        // builder's data source — the WAL is the source of truth on
-        // reopen, so recovery reconstructs exactly the acknowledged
-        // prefix regardless of what the caller passed in.
-        let mut live_wal: Option<(Wal, LiveRecovery)> = None;
-        let segments = if let Some(wal_path) = &self.durable {
-            let log: Box<dyn LogIo> = {
+        // builder's data source, and the populations partition it.
+        let live = match &self.durable {
+            Some(wal_path) => {
                 let file = FileLog::open(wal_path)?;
-                match &self.wal_faults {
+                let log: Box<dyn LogIo> = match &self.wal_faults {
                     Some(plan) => Box::new(FaultLog::new(file, plan.clone())),
                     None => Box::new(file),
-                }
-            };
-            let (mut wal, recovery) = Wal::open_log(log)?;
-            let recovered = recovery.snapshot.is_some() || !recovery.ops.is_empty();
-            let mut effective = match &recovery.snapshot {
-                Some(bytes) => delta::decode_snapshot(bytes)?,
-                None if recovered => Vec::new(),
-                None => segments,
-            };
-            let replayed = recovery.ops.len() as u64;
-            let ops: Vec<WriteOp> = recovery
-                .ops
-                .iter()
-                .map(|bytes| delta::decode_op(bytes))
-                .collect::<Result<_, _>>()?;
-            delta::apply_ops(&mut effective, &ops);
-            if !recovered {
-                // Fresh log: pin the initial dataset as the base
-                // checkpoint so replay is bounded from the first write.
-                wal.checkpoint(&delta::encode_snapshot(&effective))?;
-            } else if replayed > 0 {
-                // Fold the replayed tail into a new checkpoint — the next
-                // open replays nothing.
-                wal.checkpoint(&delta::encode_snapshot(&effective))?;
+                };
+                let seed = std::mem::take(&mut segments);
+                Some(LiveCore::recover(log, seed, backend, &params, self.refreeze_threshold)?)
             }
-            live_wal = Some((
-                wal,
-                LiveRecovery {
-                    replayed_ops: replayed,
-                    recovered_torn_tail: recovery.truncated_tail,
-                },
-            ));
-            effective
-        } else {
-            segments
+            None => None,
         };
-        let populations = self.populations.map_or_else(Vec::new, |p| p.partition(&segments));
+        let populations = self.populations.map_or_else(Vec::new, |p| match &live {
+            Some(core) => p.partition(core.pin().segments()),
+            None => p.partition(&segments),
+        });
         // Population names resolve through a map instead of a linear
         // scan. Duplicate names are rejected — they would make every
         // name-keyed lookup (and the name-resolved synapse join) silently
@@ -548,39 +531,21 @@ impl NeuroDbBuilder {
                 )));
             }
         }
-
-        let params = IndexParams {
-            page_capacity: config.page_capacity,
-            shards: config.shards,
-            threads: config.threads,
-        };
-        if self.paged && (backend != IndexBackend::Flat || config.shards > 1) {
-            return Err(NeuroError::InvalidConfig(format!(
-                "paged (out-of-core) mode needs the monolithic 'flat' backend, \
-                 got backend='{backend}' shards={}",
-                config.shards
-            )));
-        }
-        let index = if self.paged {
-            let flat_params =
-                FlatBuildParams::default().with_page_capacity(config.page_capacity.max(1));
-            DbIndex::Paged(Box::new(match &self.page_file {
-                Some(path) => PagedFlatIndex::create(segments, flat_params, path, self.ooc)?,
-                None => PagedFlatIndex::create_temp(segments, flat_params, self.ooc)?,
-            }))
-        } else if let Some((wal, recovery)) = live_wal {
-            let threshold = self.refreeze_threshold;
-            DbIndex::Live(Box::new(LiveCore::new(
-                wal, recovery, segments, backend, &params, threshold,
-            )))
-        } else {
-            match (backend, config.shards > 1) {
+        let index = match live {
+            Some(core) => DbIndex::Live(Box::new(core)),
+            None if self.paged => DbIndex::Paged(Box::new(spill_flat(
+                segments,
+                config.page_capacity,
+                self.page_file.as_deref(),
+                self.ooc,
+            )?)),
+            None => match (backend, config.shards > 1) {
                 (IndexBackend::Flat, false) => {
                     DbIndex::Flat(Arc::new(SpatialIndex::build(segments, &params)))
                 }
                 (other, false) => DbIndex::Boxed(other.build(segments, &params)),
                 (other, true) => DbIndex::Boxed(other.build_sharded(segments, &params)),
-            }
+            },
         };
         Ok(NeuroDb {
             index,
@@ -600,7 +565,7 @@ impl NeuroDbBuilder {
 /// sharded FLAT included, is a plain boxed [`SpatialIndex`].
 enum DbIndex {
     Flat(Arc<FlatIndex<NeuronSegment>>),
-    Paged(Box<PagedFlatIndex>),
+    Paged(Box<OocFlatIndex>),
     Boxed(Box<dyn SpatialIndex>),
     Live(Box<LiveCore>),
 }
@@ -655,177 +620,9 @@ impl std::ops::Deref for IndexRef<'_> {
     fn deref(&self) -> &Self::Target {
         match &self.0 {
             Pinned::Frozen(index) => *index,
-            Pinned::Live(gen) => gen.index.as_ref(),
+            Pinned::Live(gen) => gen.index(),
         }
     }
-}
-
-/// One frozen generation of a live database: the immutable index plus
-/// the exact segment list it was built from (the refreeze clones this
-/// list, replays the delta over it and builds the next generation).
-///
-/// A generation lives in an `Arc` and nowhere else: [`LiveCore::gen`]
-/// holds the current one, a reader holds the one it loaded, and the last
-/// of them to let go frees it. `alive` counts the generations not yet
-/// freed ([`WalHealth::generations_alive`]).
-struct LiveGen {
-    index: Box<dyn SpatialIndex>,
-    segments: Vec<NeuronSegment>,
-    alive: Arc<AtomicU64>,
-}
-
-impl LiveGen {
-    fn build(
-        segments: Vec<NeuronSegment>,
-        backend: IndexBackend,
-        params: &IndexParams,
-        alive: &Arc<AtomicU64>,
-    ) -> Arc<Self> {
-        let index = if params.shards > 1 {
-            backend.build_sharded(segments.clone(), params)
-        } else {
-            backend.build(segments.clone(), params)
-        };
-        alive.fetch_add(1, Ordering::Relaxed);
-        crate::metrics::generations_alive().add(1);
-        Arc::new(LiveGen { index, segments, alive: Arc::clone(alive) })
-    }
-}
-
-impl Drop for LiveGen {
-    fn drop(&mut self) {
-        self.alive.fetch_sub(1, Ordering::Relaxed);
-        crate::metrics::generations_alive().add(-1);
-    }
-}
-
-/// Writer-side state of a live database, all behind one mutex so writes
-/// are serialized: the WAL (appends + commits + checkpoints) and the id
-/// set validation runs against.
-struct LiveWriter {
-    wal: Wal,
-    /// Ids currently live (base ∪ delta inserts ∖ removals) — what
-    /// duplicate-insert / unknown-remove validation consults.
-    ids: HashSet<u64>,
-}
-
-/// What recovery found when the WAL was opened.
-struct LiveRecovery {
-    replayed_ops: u64,
-    recovered_torn_tail: bool,
-}
-
-/// The live-ingest engine: a frozen base generation behind an atomic
-/// [`Swap`], a mutable [`DeltaBuffer`] overlay, and the WAL writer.
-///
-/// Lock ordering (deadlock freedom): `writer` → `delta.write()`; the
-/// generation swap's internal mutex is leaf-level. Queries take only
-/// `delta.read()` → `gen.load()`, which is coherent because a refreeze
-/// installs the new generation *and* clears the delta while holding
-/// `delta.write()` — a reader sees either (old gen, old delta) or
-/// (new gen, empty delta), never a mix.
-///
-/// `gen` is the only owner of a generation besides the readers that
-/// loaded it, so a live database at rest holds exactly one.
-struct LiveCore {
-    gen: Swap<LiveGen>,
-    /// Generations built and not yet freed; every [`LiveGen`] of this
-    /// database shares it.
-    generations_alive: Arc<AtomicU64>,
-    delta: RwLock<DeltaBuffer>,
-    writer: Mutex<LiveWriter>,
-    backend: IndexBackend,
-    params: IndexParams,
-    threshold: usize,
-    last_lsn: AtomicU64,
-    wal_bytes: AtomicU64,
-    pending_ops: AtomicU64,
-    checkpoints: AtomicU64,
-    replayed_ops: u64,
-    recovered_torn_tail: bool,
-}
-
-impl LiveCore {
-    fn new(
-        wal: Wal,
-        recovery: LiveRecovery,
-        segments: Vec<NeuronSegment>,
-        backend: IndexBackend,
-        params: &IndexParams,
-        threshold: usize,
-    ) -> Self {
-        let ids: HashSet<u64> = segments.iter().map(|s| s.id).collect();
-        let generations_alive = Arc::new(AtomicU64::new(0));
-        let first = LiveGen::build(segments, backend, params, &generations_alive);
-        let core = LiveCore {
-            gen: Swap::new(first),
-            generations_alive,
-            delta: RwLock::new(DeltaBuffer::new()),
-            writer: Mutex::new(LiveWriter { wal, ids }),
-            backend,
-            params: *params,
-            threshold,
-            last_lsn: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(0),
-            pending_ops: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            replayed_ops: recovery.replayed_ops,
-            recovered_torn_tail: recovery.recovered_torn_tail,
-        };
-        {
-            let writer = core.writer.lock().unwrap_or_else(|p| p.into_inner());
-            core.last_lsn.store(writer.wal.last_lsn(), Ordering::Relaxed);
-            core.wal_bytes.store(writer.wal.bytes(), Ordering::Relaxed);
-            core.checkpoints.store(writer.wal.checkpoints(), Ordering::Relaxed);
-        }
-        core
-    }
-
-    fn lock_writer(&self) -> std::sync::MutexGuard<'_, LiveWriter> {
-        self.writer.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn read_delta(&self) -> std::sync::RwLockReadGuard<'_, DeltaBuffer> {
-        self.delta.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn write_delta(&self) -> std::sync::RwLockWriteGuard<'_, DeltaBuffer> {
-        self.delta.write().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// Receipt for a durably committed write batch: the ops hit the WAL and
-/// were fsynced before this was returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteAck {
-    /// LSN of the commit record covering the batch.
-    pub lsn: u64,
-    /// Ops buffered in the delta after this batch (refreeze pressure).
-    pub pending: u64,
-}
-
-/// WAL and ingest health of a live database — what the server's HEALTH
-/// opcode reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalHealth {
-    /// Highest durably committed LSN.
-    pub last_lsn: u64,
-    /// Current WAL file length in bytes.
-    pub wal_bytes: u64,
-    /// Write ops buffered in the delta (folded in at the next refreeze).
-    pub pending_ops: u64,
-    /// Generation counter — bumps once per background re-freeze + swap.
-    pub epoch: u64,
-    /// Committed ops replayed from the WAL tail when the database opened.
-    pub replayed_ops: u64,
-    /// Whether open found (and truncated) a torn uncommitted tail.
-    pub recovered_torn_tail: bool,
-    /// Checkpoints written over the WAL's lifetime.
-    pub checkpoints: u64,
-    /// Frozen generations built and not yet freed: the current one, the
-    /// one a refreeze is building, and any a reader still holds. 1 at
-    /// rest, however many swaps the database has been through.
-    pub generations_alive: u64,
 }
 
 /// A spatial database over one set of neuron segments.
@@ -893,11 +690,7 @@ impl NeuroDb {
     /// plus the net effect of buffered writes.
     pub fn len(&self) -> usize {
         match self.index.view() {
-            IndexView::Live(core) => {
-                let d = core.read_delta();
-                let base = core.gen.load().index.len() as isize;
-                (base + d.net_len_delta()).max(0) as usize
-            }
+            IndexView::Live(core) => core.len(),
             IndexView::Frozen(index) => index.len(),
         }
     }
@@ -921,7 +714,7 @@ impl NeuroDb {
     pub fn index(&self) -> IndexRef<'_> {
         IndexRef(match self.index.view() {
             IndexView::Frozen(index) => Pinned::Frozen(index),
-            IndexView::Live(core) => Pinned::Live(core.gen.load()),
+            IndexView::Live(core) => Pinned::Live(core.pin()),
         })
     }
 
@@ -929,8 +722,27 @@ impl NeuroDb {
     /// [`NeuroDbBuilder::paged`] — frame-pool counters, page-file path,
     /// prefetcher state. `None` for in-memory and live databases. Sugar
     /// for [`index_as`](Self::index_as).
-    pub fn paged_index(&self) -> Option<&PagedFlatIndex> {
-        self.index_as::<PagedFlatIndex>()
+    ///
+    /// ```
+    /// use neurospatial::prelude::*;
+    ///
+    /// let circuit = CircuitBuilder::new(7).neurons(8).build();
+    /// // Spill to a temp page file, keep at most 4 pages in RAM.
+    /// let db = NeuroDb::builder()
+    ///     .circuit(&circuit)
+    ///     .page_capacity(32)
+    ///     .paged(true)
+    ///     .frame_budget(4)
+    ///     .build()
+    ///     .expect("temp dir is writable");
+    /// let paged = db.paged_index().expect("built paged");
+    /// let out = paged.range_query(&Aabb::cube(circuit.bounds().center(), 20.0));
+    /// assert_eq!(out.stats.results as usize, out.segments.len());
+    /// // Physical I/O shows up in the unified statistics.
+    /// assert!(out.stats.cache_hits + out.stats.cache_misses >= out.stats.nodes_read / 2);
+    /// ```
+    pub fn paged_index(&self) -> Option<&OocFlatIndex> {
+        self.index_as::<OocFlatIndex>()
     }
 
     /// The concrete backend behind this database, by type — the generic
@@ -978,12 +790,7 @@ impl NeuroDb {
     /// cover buffered delta inserts as well.
     pub fn bounds(&self) -> Aabb {
         match self.index.view() {
-            IndexView::Live(core) => {
-                let d = core.read_delta();
-                let mut b = core.gen.load().index.bounds();
-                d.for_each(|s| b = b.union(&s.aabb()));
-                b
-            }
+            IndexView::Live(core) => core.bounds(),
             IndexView::Frozen(index) => index.bounds(),
         }
     }
@@ -1012,7 +819,7 @@ impl NeuroDb {
 
     /// Whether this database was opened in durable live-ingest mode.
     pub fn is_live(&self) -> bool {
-        matches!(&self.index, DbIndex::Live(_))
+        self.live().is_some()
     }
 
     /// Durably insert one segment. The returned [`WriteAck`] means the
@@ -1040,68 +847,7 @@ impl NeuroDb {
     /// visible to queries. A commit failure leaves the delta untouched —
     /// exactly matching replay, which drops uncommitted records.
     pub fn write_batch(&self, ops: &[WriteOp]) -> Result<WriteAck, NeuroError> {
-        let core = match &self.index {
-            DbIndex::Live(core) => core,
-            _ => return Err(NeuroError::WriteUnsupported),
-        };
-        if ops.is_empty() {
-            return Err(NeuroError::WriteRejected { reason: "empty batch".into() });
-        }
-        let mut writer = core.lock_writer();
-        // Validate against the live id set overlaid with the batch's own
-        // earlier ops, so intra-batch sequences (insert then remove) are
-        // judged in order.
-        let mut overlay: HashMap<u64, bool> = HashMap::new();
-        for op in ops {
-            let id = op.id();
-            let exists = overlay.get(&id).copied().unwrap_or_else(|| writer.ids.contains(&id));
-            match op {
-                WriteOp::Insert(s) => {
-                    if exists {
-                        return Err(NeuroError::WriteRejected {
-                            reason: format!("insert of duplicate id {id}"),
-                        });
-                    }
-                    if !s.geom.is_valid() {
-                        return Err(NeuroError::WriteRejected {
-                            reason: format!("segment {id} has non-finite or negative geometry"),
-                        });
-                    }
-                    overlay.insert(id, true);
-                }
-                WriteOp::Remove(_) => {
-                    if !exists {
-                        return Err(NeuroError::WriteRejected {
-                            reason: format!("remove of unknown id {id}"),
-                        });
-                    }
-                    overlay.insert(id, false);
-                }
-            }
-        }
-        for op in ops {
-            writer.wal.append(&delta::encode_op(op));
-        }
-        let lsn = writer.wal.commit()?;
-        // Durable from here on: make the batch visible and ack it.
-        let pending = {
-            let mut d = core.write_delta();
-            for op in ops {
-                d.apply(op);
-            }
-            d.len() as u64
-        };
-        for (id, exists) in overlay {
-            if exists {
-                writer.ids.insert(id);
-            } else {
-                writer.ids.remove(&id);
-            }
-        }
-        core.last_lsn.store(lsn, Ordering::Relaxed);
-        core.wal_bytes.store(writer.wal.bytes(), Ordering::Relaxed);
-        core.pending_ops.store(pending, Ordering::Relaxed);
-        Ok(WriteAck { lsn, pending })
+        self.live().ok_or(NeuroError::WriteUnsupported)?.write(ops)
     }
 
     /// Fold the delta into a fresh frozen index, atomically swap it in,
@@ -1120,40 +866,7 @@ impl NeuroDb {
     /// (the checkpoint replaces the file atomically), so recovery
     /// replays the old ops over the old snapshot — same state.
     pub fn refreeze(&self) -> Result<u64, NeuroError> {
-        let core = match &self.index {
-            DbIndex::Live(core) => core,
-            _ => return Err(NeuroError::WriteUnsupported),
-        };
-        // Holding the writer lock for the whole refreeze serializes it
-        // against writes *and* other refreezes; neither the delta nor
-        // the current generation can change underneath the rebuild.
-        let mut writer = core.lock_writer();
-        let ops = {
-            let d = core.read_delta();
-            if d.is_empty() {
-                return Ok(core.gen.epoch());
-            }
-            d.ops().to_vec()
-        };
-        let mut segments = core.gen.load().segments.clone();
-        delta::apply_ops(&mut segments, &ops);
-        let next = LiveGen::build(segments, core.backend, &core.params, &core.generations_alive);
-        let replaced = {
-            // Install + clear under the delta write lock so readers see
-            // either (old gen, old delta) or (new gen, empty delta).
-            let mut d = core.write_delta();
-            let replaced = core.gen.store(Arc::clone(&next));
-            d.clear();
-            core.pending_ops.store(0, Ordering::Relaxed);
-            replaced
-        };
-        // Freed here (unless a reader still holds it), not inside the
-        // scope above: no reader should wait on the delta lock for it.
-        drop(replaced);
-        writer.wal.checkpoint(&delta::encode_snapshot(&next.segments))?;
-        core.wal_bytes.store(writer.wal.bytes(), Ordering::Relaxed);
-        core.checkpoints.store(writer.wal.checkpoints(), Ordering::Relaxed);
-        Ok(core.gen.epoch())
+        self.live().ok_or(NeuroError::WriteUnsupported)?.refreeze()
     }
 
     /// Refreeze if the delta has crossed the builder's
@@ -1162,13 +875,7 @@ impl NeuroDb {
     /// maintenance — see
     /// [`with_ingest_maintenance`](Self::with_ingest_maintenance).
     pub fn maybe_refreeze(&self) -> Result<bool, NeuroError> {
-        if let DbIndex::Live(core) = &self.index {
-            if core.pending_ops.load(Ordering::Relaxed) as usize >= core.threshold {
-                self.refreeze()?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.live().map_or(Ok(false), LiveCore::maybe_refreeze)
     }
 
     /// Run `f` with a background maintenance thread polling
@@ -1198,39 +905,27 @@ impl NeuroDb {
 
     /// WAL and ingest health (`None` for non-durable databases).
     pub fn wal_health(&self) -> Option<WalHealth> {
+        self.live().map(LiveCore::health)
+    }
+
+    /// The live core of a durable database.
+    pub(crate) fn live(&self) -> Option<&LiveCore> {
         match &self.index {
-            DbIndex::Live(core) => Some(WalHealth {
-                last_lsn: core.last_lsn.load(Ordering::Relaxed),
-                wal_bytes: core.wal_bytes.load(Ordering::Relaxed),
-                pending_ops: core.pending_ops.load(Ordering::Relaxed),
-                epoch: core.gen.epoch(),
-                replayed_ops: core.replayed_ops,
-                recovered_torn_tail: core.recovered_torn_tail,
-                checkpoints: core.checkpoints.load(Ordering::Relaxed),
-                generations_alive: core.generations_alive.load(Ordering::Relaxed),
-            }),
+            DbIndex::Live(core) => Some(core),
             _ => None,
         }
     }
 
     /// Run `f` over a coherent (base index, delta overlay) pair — the
     /// query engine's entry point. Non-live databases pass `None` for
-    /// the delta; live databases pin the delta read lock *then* load the
-    /// generation, which the refreeze's install-under-write-lock makes
-    /// a consistent snapshot. No swap can install while the read lock is
-    /// held, so the generation is still the current one when this
-    /// reader lets go of it: a query never pays for freeing one, the
-    /// refreeze that replaces it does.
+    /// the delta; a live one passes its current generation and delta
+    /// ([`LiveCore::view`]).
     pub(crate) fn with_view<R>(
         &self,
         f: impl FnOnce(&dyn SpatialIndex, Option<&DeltaBuffer>) -> R,
     ) -> R {
         match self.index.view() {
-            IndexView::Live(core) => {
-                let d = core.read_delta();
-                let gen = core.gen.load();
-                f(gen.index.as_ref(), Some(&d))
-            }
+            IndexView::Live(core) => core.view(|index, delta| f(index, Some(delta))),
             IndexView::Frozen(index) => f(index, None),
         }
     }
@@ -1357,7 +1052,7 @@ impl NeuroDb {
             DbIndex::Flat(flat) => {
                 OocFlatIndex::view(Arc::clone(flat), &self.config.session).into_cursor(prefetcher)
             }
-            DbIndex::Paged(paged) => paged.ooc().cursor(prefetcher),
+            DbIndex::Paged(paged) => paged.cursor(prefetcher),
             DbIndex::Boxed(_) | DbIndex::Live(_) => {
                 let layout = if self.config.shards > 1 { "sharded:" } else { "" };
                 return Err(NeuroError::WalkthroughUnsupported {
@@ -1402,8 +1097,9 @@ impl DbCursor<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::delta;
     use crate::index::{Neighbor, QueryOutput};
     use neurospatial_geom::Vec3;
     use neurospatial_model::{CircuitBuilder, DensityStats};
@@ -1414,7 +1110,7 @@ mod tests {
         (NeuroDb::from_circuit(&c), c)
     }
 
-    fn range(db: &NeuroDb, q: &Aabb) -> QueryOutput {
+    pub(crate) fn range(db: &NeuroDb, q: &Aabb) -> QueryOutput {
         db.query().range(*q).collect().expect("no population to resolve")
     }
 
@@ -1649,9 +1345,22 @@ mod tests {
         };
         // The database dropped; the explicit file must still be there.
         assert!(path.exists());
-        let reopened = PagedFlatIndex::open(&path, OocConfig::default()).expect("reopen");
+        let reopened = OocFlatIndex::open(&path, OocConfig::default()).expect("reopen");
         assert_eq!(reopened.range_query(&q).sorted_ids(), want);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_temp_page_file_goes_with_its_database() {
+        // An explicit page file stays: `explicit_page_file_survives_and_reopens`.
+        let c = CircuitBuilder::new(5).neurons(4).build();
+        let temp = {
+            let db = NeuroDb::builder().circuit(&c).paged(true).build().expect("temp page file");
+            let path = db.paged_index().expect("paged").path().to_path_buf();
+            assert!(path.exists());
+            path
+        };
+        assert!(!temp.exists(), "{} outlived its database", temp.display());
     }
 
     #[test]
@@ -1891,10 +1600,10 @@ mod tests {
 
     /// Temp WAL path removed on drop — live-mode tests must not leak
     /// log files between runs.
-    struct WalPath(PathBuf);
+    pub(crate) struct WalPath(pub(crate) PathBuf);
 
     impl WalPath {
-        fn new(tag: &str) -> Self {
+        pub(crate) fn new(tag: &str) -> Self {
             WalPath(
                 std::env::temp_dir()
                     .join(format!("neurospatial-db-wal-{tag}-{}.wal", std::process::id())),
@@ -1908,7 +1617,7 @@ mod tests {
         }
     }
 
-    fn fresh_segment(id: u64, x: f64) -> NeuronSegment {
+    pub(crate) fn fresh_segment(id: u64, x: f64) -> NeuronSegment {
         NeuronSegment {
             id,
             neuron: 1000 + id as u32,
@@ -2148,142 +1857,6 @@ mod tests {
         for i in 0..32u64 {
             assert!(out.sorted_ids().contains(&(800_000 + i)), "segment {i} lost in swap");
         }
-    }
-
-    fn live_core(db: &NeuroDb) -> &LiveCore {
-        match &db.index {
-            DbIndex::Live(core) => core,
-            _ => panic!("not a live database"),
-        }
-    }
-
-    fn generations_alive(db: &NeuroDb) -> u64 {
-        db.wal_health().expect("live").generations_alive
-    }
-
-    #[test]
-    fn a_replaced_generation_is_freed_with_its_last_holder() {
-        let c = CircuitBuilder::new(5).neurons(4).build();
-        let wal = WalPath::new("freed");
-        let db = NeuroDb::builder().circuit(&c).durable(&wal.0).build().expect("live");
-        let everything = Aabb::cube(Vec3::ZERO, 1e6);
-        assert_eq!(generations_alive(&db), 1);
-
-        // No reader: the swap itself frees the generation it replaces.
-        let first = Arc::downgrade(&live_core(&db).gen.load());
-        db.insert_segment(fresh_segment(600_000, 40.0)).expect("acked");
-        assert!(first.upgrade().is_some(), "a write alone replaces nothing");
-        db.refreeze().expect("refrozen");
-        assert!(first.upgrade().is_none(), "freed by the swap that replaced it");
-        assert_eq!(generations_alive(&db), 1);
-
-        // A held guard pins its generation, and keeps answering from it.
-        let guard = db.index();
-        let pinned = Arc::downgrade(&live_core(&db).gen.load());
-        let old = guard.range_query(&everything);
-        let (old_len, old_bounds) = (guard.len(), guard.bounds());
-        for swap in 0..5u64 {
-            db.insert_segment(fresh_segment(600_001 + swap, 50.0 + swap as f64)).expect("acked");
-            db.remove_segment(c.segments()[swap as usize].id).expect("acked");
-            db.refreeze().expect("refrozen");
-            let again = guard.range_query(&everything);
-            assert_eq!(again.segments, old.segments, "swap {swap}: the old snapshot, in order");
-            assert_eq!(again.stats, old.stats, "swap {swap}");
-            assert_eq!((guard.len(), guard.bounds()), (old_len, old_bounds), "swap {swap}");
-            // The generations in between were freed as they were replaced.
-            assert_eq!(generations_alive(&db), 2, "swap {swap}: the pinned one and the current");
-        }
-        let now = range(&db, &everything).sorted_ids();
-        assert!(now.contains(&600_005) && !now.contains(&c.segments()[0].id));
-        assert!(!old.sorted_ids().contains(&600_001));
-        assert!(pinned.upgrade().is_some(), "held across five swaps");
-        drop(guard);
-        assert!(pinned.upgrade().is_none(), "freed the moment the guard dropped");
-        assert_eq!(generations_alive(&db), 1);
-    }
-
-    #[test]
-    fn generations_stay_bounded_across_200_swaps_under_readers() {
-        const SWAPS: usize = 200;
-        const READERS: usize = 2;
-        let base: Vec<NeuronSegment> =
-            (0..24u64).map(|i| fresh_segment(i, i as f64 * 2.0)).collect();
-        // Two writes a swap: an insert, and a removal of a base segment
-        // while there are any, of the previous swap's insert after that.
-        let mut ops = Vec::new();
-        for k in 0..SWAPS as u64 {
-            ops.push(WriteOp::Insert(fresh_segment(1_000 + k, (k % 40) as f64 * 1.5)));
-            ops.push(WriteOp::Remove(if k < 24 { k } else { 1_000 + k - 1 }));
-        }
-        // What a read of `q` returns after the first `k` ops, by id.
-        let q = Aabb::new(Vec3::new(-1.0, -1.0, -1.0), Vec3::new(30.0, 1.0, 1.0));
-        let states: Vec<Vec<NeuronSegment>> = (0..=ops.len())
-            .map(|k| {
-                let mut model = base.clone();
-                delta::apply_ops(&mut model, &ops[..k]);
-                model.retain(|s| s.aabb().intersects(&q));
-                model.sort_by_key(|s| s.id);
-                model
-            })
-            .collect();
-
-        let wal = WalPath::new("bounded");
-        let db = NeuroDb::builder().segments(base).durable(&wal.0).build().expect("live");
-        let (issued, acked) = (AtomicU64::new(0), AtomicU64::new(0));
-        let done = AtomicBool::new(false);
-        let start = std::sync::Barrier::new(READERS + 1);
-        let most_alive = std::thread::scope(|scope| {
-            let readers: Vec<_> = (0..READERS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut session = db.query().session();
-                        let (mut most_alive, mut reads) = (0, 0u64);
-                        start.wait();
-                        while !done.load(Ordering::SeqCst) {
-                            let before = acked.load(Ordering::SeqCst) as usize;
-                            let mut got = session.range(&q).0.to_vec();
-                            let after = issued.load(Ordering::SeqCst) as usize;
-                            got.sort_by_key(|s| s.id);
-                            assert!(
-                                states[before..=after].contains(&got),
-                                "a read between ops {before} and {after} matches no prefix"
-                            );
-                            most_alive = most_alive.max(generations_alive(&db));
-                            reads += 1;
-                        }
-                        assert!(reads > 0);
-                        most_alive
-                    })
-                })
-                .collect();
-            start.wait();
-            // Set on the way out, also by a panic: the readers must end.
-            struct Finish<'a>(&'a AtomicBool);
-            impl Drop for Finish<'_> {
-                fn drop(&mut self) {
-                    self.0.store(true, Ordering::SeqCst);
-                }
-            }
-            let finish = Finish(&done);
-            for pair in ops.chunks(2) {
-                for op in pair {
-                    issued.fetch_add(1, Ordering::SeqCst);
-                    db.write_batch(std::slice::from_ref(op)).expect("acked");
-                    acked.fetch_add(1, Ordering::SeqCst);
-                }
-                db.refreeze().expect("refrozen");
-            }
-            drop(finish);
-            readers.into_iter().map(|r| r.join().expect("reader")).max().expect("readers")
-        });
-        // The current generation, the one a refreeze is building, and at
-        // most one per reader in flight.
-        assert!(most_alive <= READERS as u64 + 2, "{most_alive} generations alive at once");
-        let health = db.wal_health().expect("live");
-        assert_eq!(health.epoch, SWAPS as u64);
-        assert_eq!(health.generations_alive, 1, "at rest a live database holds one generation");
-        let end: Vec<u64> = states[ops.len()].iter().map(|s| s.id).collect();
-        assert_eq!(range(&db, &q).sorted_ids(), end);
     }
 
     #[test]

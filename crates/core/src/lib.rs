@@ -92,8 +92,8 @@ pub mod db;
 pub mod delta;
 pub mod error;
 pub mod index;
+mod live;
 pub mod metrics;
-pub mod paged;
 pub mod prelude;
 pub mod query;
 pub mod shard;
@@ -109,7 +109,6 @@ pub use index::{
     QueryOutput, QueryScratch, QueryStats, SpatialIndex,
 };
 pub use neurospatial_geom::Flow;
-pub use paged::PagedFlatIndex;
 pub use query::{
     KnnQuery, PathQuery, Plan, Query, QuerySession, RangeQuery, SegmentPredicate, TouchingQuery,
 };

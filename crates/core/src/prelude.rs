@@ -20,7 +20,6 @@ pub use crate::index::{
     BackendRegistry, DynamicRTree, IndexBackend, IndexParams, IndexPlan, Neighbor, QueryOutput,
     QueryScratch, QueryStats, SpatialIndex,
 };
-pub use crate::paged::PagedFlatIndex;
 pub use crate::query::{
     KnnQuery, PathQuery, Plan, Query, QuerySession, RangeQuery, SegmentPredicate, TouchingQuery,
 };

@@ -37,8 +37,8 @@ fn main() {
          engine footprint {:.1} KiB",
         paged.page_count(),
         paged.path().display(),
-        paged.ooc().pool().policy(),
-        paged.ooc().memory_bytes() as f64 / 1024.0,
+        paged.pool().policy(),
+        paged.memory_bytes() as f64 / 1024.0,
     );
 
     // --- 3. Queries read through the buffer pool -------------------------
@@ -94,7 +94,7 @@ fn main() {
     }
 
     // --- 5. The cumulative pool counters ---------------------------------
-    let fs = paged.frame_stats();
+    let fs = paged.pool().stats();
     println!(
         "\nframe pool lifetime: {} hits / {} misses / {} evictions / {} prefetched",
         fs.hits, fs.misses, fs.evictions, fs.prefetched

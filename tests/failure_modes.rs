@@ -114,10 +114,11 @@ fn truncated_page_files_are_rejected_with_typed_errors() {
     // typed storage error — never a panic, never a silent success.
     for len in [0, 1, 8, 63, 64, 80, good.len() / 2, good.len() - 1] {
         std::fs::write(&file.0, &good[..len]).expect("write truncated");
-        let err = PagedFlatIndex::open(&file.0, OocConfig::default())
-            .err()
-            .unwrap_or_else(|| panic!("truncation to {len} bytes must not open"));
-        assert!(matches!(err, NeuroError::Storage(_)), "len={len}: {err:?}");
+        // `open` returns a `StorageError`: typed by its signature.
+        assert!(
+            OocFlatIndex::open(&file.0, OocConfig::default()).is_err(),
+            "truncation to {len} bytes must not open"
+        );
     }
 }
 
@@ -139,12 +140,9 @@ fn bit_flipped_page_files_never_panic_and_never_lie() {
         // may succeed — but then queries must still be exact, which the
         // open-time page validation already proved). Panics fail the
         // test by themselves.
-        match PagedFlatIndex::open(&file.0, OocConfig::default()) {
-            Err(e) => assert!(matches!(e, NeuroError::Storage(_)), "offset {off}: {e:?}"),
-            Ok(index) => {
-                let out = index.range_query(&index.bounds());
-                assert_eq!(out.len(), index.len(), "offset {off} corrupted results");
-            }
+        if let Ok(index) = OocFlatIndex::open(&file.0, OocConfig::default()) {
+            let out = index.range_query(&index.bounds());
+            assert_eq!(out.len(), index.len(), "offset {off} corrupted results");
         }
     }
 }
@@ -154,27 +152,24 @@ fn foreign_and_wrong_version_page_files_are_rejected() {
     let file = ScratchFile::new("foreign");
     // Not a page file at all.
     std::fs::write(&file.0, b"GIF89a definitely not a page file").expect("write");
-    assert!(matches!(
-        PagedFlatIndex::open(&file.0, OocConfig::default()),
-        Err(NeuroError::Storage(_))
-    ));
+    assert!(OocFlatIndex::open(&file.0, OocConfig::default()).is_err());
     // A structurally valid page file whose metadata is not FLAT's.
     let mut w = neurospatial::storage::PageFileWriter::create(&file.0, 256).expect("create");
     w.append_page(&[0u8; 200]).expect("append");
     w.finish(b"someone else's metadata").expect("finish");
-    let Err(err) = PagedFlatIndex::open(&file.0, OocConfig::default()) else {
+    let Err(err) = OocFlatIndex::open(&file.0, OocConfig::default()) else {
         panic!("foreign metadata must not open");
     };
-    assert!(matches!(err, NeuroError::Storage(StorageError::Corrupt(_))), "{err:?}");
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
 }
 
 #[test]
 fn missing_page_file_paths_surface_as_io_errors() {
     let path = std::env::temp_dir().join("neurospatial-failure-definitely-missing.flatpages");
-    let Err(err) = PagedFlatIndex::open(&path, OocConfig::default()) else {
+    let Err(err) = OocFlatIndex::open(&path, OocConfig::default()) else {
         panic!("missing file must not open");
     };
-    assert!(matches!(err, NeuroError::Storage(StorageError::Io { .. })), "{err:?}");
+    assert!(matches!(err, StorageError::Io { .. }), "{err:?}");
     // And the same through the database builder's explicit-file lane:
     // the builder *creates* files, so point it at an unwritable path.
     let c = CircuitBuilder::new(3).neurons(1).build();

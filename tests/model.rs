@@ -549,7 +549,7 @@ fn open(row: &Row, setup: &Setup, model: &Model, wal: &WalFile, crash_at: Option
     let cap = if matches!(row.backend, Dynamic | StrPacked) { setup.cap.max(4) } else { setup.cap };
     if row.store == PagedShards {
         let params = IndexParams::with_page_capacity(cap).sharded(row.shards).threaded(row.threads);
-        let index = ShardedIndex::<PagedFlatIndex>::build_with(model.segments.clone(), &params);
+        let index = ShardedIndex::<OocFlatIndex>::build_with(model.segments.clone(), &params);
         return Opened { db: None, index: Some(Box::new(index)) };
     }
     let recover = row.store == Durable && wal.0.exists();
