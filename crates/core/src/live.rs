@@ -33,8 +33,8 @@ pub struct WriteAck {
     pub pending: u64,
 }
 
-/// WAL and ingest health of a live database — what the server's HEALTH
-/// opcode reports.
+/// WAL and ingest health of a live database — what the server's METRICS
+/// scrape reports as its `db_*` gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalHealth {
     /// Highest durably committed LSN.

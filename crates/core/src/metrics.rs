@@ -6,9 +6,10 @@
 //! [`crate::query`] bumps the exact traversal counter, folds its
 //! [`QueryStats`] into per-thread cells (flushed to the shared work
 //! counters every `SAMPLE_EVERY` traversals and at thread exit), and
-//! opens a [`neurospatial_obs::Stage::Traversal`] span timed into the
-//! latency histogram on a sampled subset of calls — a single-digit
-//! nanosecond steady-state tax on sub-microsecond selective queries.
+//! times the traversal into the latency histogram (a
+//! [`neurospatial_obs::Histogram::timer`] guard) on a sampled subset of
+//! calls — a single-digit nanosecond steady-state tax on sub-microsecond
+//! selective queries.
 
 use crate::index::QueryStats;
 use neurospatial_obs::{global, Counter, Gauge, Histogram};
@@ -19,7 +20,7 @@ use std::thread::LocalKey;
 /// Sampling/batching period for the query funnels: a monotonic clock
 /// read costs tens of nanoseconds and a shared-line RMW a handful more,
 /// a measurable tax on sub-microsecond selective queries, so the
-/// traversal span (two clock reads + a histogram record) is opened on
+/// traversal timer (two clock reads + a histogram record) is opened on
 /// one call in `SAMPLE_EVERY` per thread, and the work-stat folds are
 /// batched through thread-local cells flushed on the same period. The
 /// first call on every thread always samples *and* flushes, so even a
@@ -43,13 +44,13 @@ fn tick(key: &'static LocalKey<Cell<u32>>) -> bool {
     })
 }
 
-/// Whether this range traversal should open a timed span.
+/// Whether this range traversal should be timed.
 #[inline]
 pub(crate) fn sample_range_latency() -> bool {
     tick(&RANGE_TICK)
 }
 
-/// Whether this KNN search should open a timed span.
+/// Whether this KNN search should be timed.
 #[inline]
 pub(crate) fn sample_knn_latency() -> bool {
     tick(&KNN_TICK)

@@ -192,9 +192,7 @@ fn run_range(
     let mut sink = Pushdown { members, filter, remaining: limit, emit, stopped: false };
     let qobs = crate::metrics::query_obs();
     qobs.ranges.inc();
-    let _traversal = crate::metrics::sample_range_latency().then(|| {
-        neurospatial_obs::span_timed(neurospatial_obs::Stage::Traversal, &qobs.range_latency)
-    });
+    let _traversal = crate::metrics::sample_range_latency().then(|| qobs.range_latency.timer());
     let res = db.with_view(|index, delta| {
         let mut stats = index.try_for_each_in_range(region, scratch, allow_partial, &mut |s| {
             if delta.is_some_and(|d| d.is_removed(s.id)) {
@@ -239,9 +237,7 @@ fn run_knn(
 ) -> Result<QueryStats, NeuroError> {
     let qobs = crate::metrics::query_obs();
     qobs.knns.inc();
-    let _traversal = crate::metrics::sample_knn_latency().then(|| {
-        neurospatial_obs::span_timed(neurospatial_obs::Stage::Traversal, &qobs.knn_latency)
-    });
+    let _traversal = crate::metrics::sample_knn_latency().then(|| qobs.knn_latency.timer());
     let members = population.map(|pi| (pi, db.population_of_id()));
     let res = db.with_view(|index, delta| {
         let mut stats = knn_candidates(index, p, k, scratch, allow_partial, |s| {

@@ -15,7 +15,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sub-bucket resolution bits: each octave splits into `2^SUB_BITS`
 /// linear buckets.
@@ -138,6 +138,13 @@ impl Histogram {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
+    /// Starts timing: the clock is read once now, and the elapsed
+    /// nanoseconds are recorded when the guard drops. Never allocates.
+    #[inline]
+    pub fn timer(&self) -> Timer<'_> {
+        Timer { hist: self, started: Instant::now() }
+    }
+
     /// Merges all stripes into an owned snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets: Vec<(u16, u64)> = Vec::new();
@@ -164,6 +171,21 @@ impl Histogram {
             min = 0;
         }
         HistogramSnapshot { count, sum, min, max, buckets }
+    }
+}
+
+/// A running measurement from [`Histogram::timer`]; records its
+/// elapsed time into the histogram when dropped.
+#[must_use = "the timer records when it drops; an unbound timer measures nothing"]
+pub struct Timer<'a> {
+    hist: &'a Histogram,
+    started: Instant,
+}
+
+impl Drop for Timer<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.hist.record_duration(self.started.elapsed());
     }
 }
 
@@ -354,5 +376,17 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, c.snapshot());
+    }
+
+    #[test]
+    fn timer_feeds_histogram() {
+        let h = Histogram::new();
+        {
+            let _t = h.timer();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 1);
+        assert!(snap.max >= 1_000_000, "slept 1ms, recorded {}ns", snap.max);
     }
 }

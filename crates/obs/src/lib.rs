@@ -1,5 +1,5 @@
-//! `neurospatial-obs`: zero-allocation metrics and tracing for the
-//! neurospatial stack.
+//! `neurospatial-obs`: zero-allocation metrics and latency timing for
+//! the neurospatial stack.
 //!
 //! Three primitives, hand-rolled on `std` (the build is offline):
 //!
@@ -9,10 +9,9 @@
 //!   ≤ 6.25% relative error) with per-thread stripes, yielding
 //!   p50/p90/p99/p99.9 and exact min/max, mergeable across workers via
 //!   [`HistogramSnapshot::merge`].
-//! * **Spans** — [`span!`] RAII guards writing into a fixed per-thread
-//!   ring buffer, attributing request time to pipeline
-//!   [`Stage`]s (decode → admission → traversal → page I/O →
-//!   WAL commit → encode).
+//! * **[`Timer`]** — an RAII guard from [`Histogram::timer`] that reads
+//!   the clock once when it opens and records the elapsed nanoseconds
+//!   into its histogram when it drops.
 //!
 //! The allocation discipline is strict: registration (startup) allocates;
 //! recording is one-to-five relaxed atomic ops and never allocates, so
@@ -25,15 +24,11 @@
 
 mod hist;
 mod registry;
-mod span;
 
 pub use hist::{
-    bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS, MAX_EXP, SUB, SUB_BITS,
+    bucket_bounds, bucket_index, Histogram, HistogramSnapshot, Timer, BUCKETS, MAX_EXP, SUB,
+    SUB_BITS,
 };
 pub use registry::{
     global, Counter, Gauge, MetricsRegistry, MetricsSnapshot, SnapshotDecodeError, SNAPSHOT_VERSION,
-};
-pub use span::{
-    clear_spans, now_ns, recent_spans, span, span_timed, with_recent_spans, Span, SpanEvent, Stage,
-    RING_CAPACITY,
 };

@@ -37,13 +37,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Compatibility shim for call sites migrated from raw `AtomicU64`
-    /// fields; the ordering argument is ignored (counters are relaxed).
-    #[inline]
-    pub fn load(&self, _order: Ordering) -> u64 {
-        self.get()
-    }
 }
 
 /// Instantaneous signed level (resident frames, queue depth, …).

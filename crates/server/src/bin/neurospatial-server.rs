@@ -15,7 +15,6 @@
 use neurospatial::model::{CircuitBuilder, NeuronSegment};
 use neurospatial::NeuroDb;
 use neurospatial_server::{serve_with, FilterRegistry, ServerConfig};
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 fn parse_value<T: std::str::FromStr>(arg: &str, prefix: &str) -> T {
@@ -87,10 +86,10 @@ fn main() {
             let m = handle.metrics();
             println!(
                 "accepted={} rejected={} requests={} protocol_errors={}",
-                m.accepted.load(Ordering::Relaxed),
-                m.rejected.load(Ordering::Relaxed),
-                m.requests.load(Ordering::Relaxed),
-                m.protocol_errors.load(Ordering::Relaxed)
+                m.accepted.get(),
+                m.rejected.get(),
+                m.requests.get(),
+                m.protocol_errors.get()
             );
         }
     });

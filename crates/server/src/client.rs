@@ -8,9 +8,7 @@
 //! an answer the server wrote at once (a range's chunks and its `DONE`)
 //! is taken in with one `recv` when it fits the buffer.
 
-use crate::protocol::{
-    self as p, HealthReport, PlanWire, ProtocolError, Request, TenantTotals, WalkSummary,
-};
+use crate::protocol::{self as p, HealthReport, PlanWire, ProtocolError, Request, WalkSummary};
 use neurospatial::geom::{Aabb, Vec3};
 use neurospatial::model::{NavigationPath, NeuronSegment};
 use neurospatial::obs::MetricsSnapshot;
@@ -202,8 +200,8 @@ pub fn retry_request<T>(
 /// **not** be resent — the commit may have landed and the ack been lost,
 /// and resending would apply the write twice. Such failures return
 /// immediately; the caller reconciles by querying
-/// ([`Client::health`] / a read of the written id) before deciding to
-/// resend.
+/// (the `db_wal_last_lsn` gauge of [`Client::metrics`], or a read of the
+/// written id) before deciding to resend.
 ///
 /// `sleep` receives each backoff so tests can record instead of
 /// sleeping, exactly as in [`retry_request`].
@@ -426,22 +424,6 @@ impl Client {
         }
     }
 
-    /// The server's accumulated totals for `tenant`.
-    pub fn stats(&mut self, tenant: u32) -> Result<TenantTotals, ClientError> {
-        let req = Request::Stats { tenant };
-        self.write_buf.clear();
-        p::encode_request(&req, &mut self.write_buf);
-        self.send()?;
-        let (op, payload) = self.reader.read_frame(&mut self.stream)?;
-        match op {
-            p::OP_STATS_RESULT => match p::decode_response(op, payload)? {
-                p::Response::Stats(t) => Ok(t),
-                _ => Err(ClientError::Unexpected(op)),
-            },
-            other => Err(terminal_error(other, payload)),
-        }
-    }
-
     /// Durably insert one segment (live servers only). Returns only
     /// after the server's WAL commit is fsync'd — the returned ack's
     /// `lsn` is proof the write survives any crash from here on. Any
@@ -494,7 +476,8 @@ impl Client {
 
     /// The server's metrics snapshot: every counter, gauge, and latency
     /// histogram registered across the process (query pipeline, storage,
-    /// prefetch) merged with the per-server serving counters.
+    /// prefetch) merged with the per-server serving counters and, for a
+    /// live database, its WAL state as `db_*` gauges.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
         self.write_buf.clear();
         p::encode_request(&Request::Metrics, &mut self.write_buf);

@@ -4,8 +4,8 @@
 //! whose wire protocol mirrors the [`neurospatial::Query`] builder —
 //! range / knn / touching / along-path requests with population,
 //! filter-id and limit pushdown, count-only aggregation, `EXPLAIN`
-//! plans and per-tenant `STATS` — over compact length-prefixed binary
-//! frames (see [`protocol`] for the layout).
+//! plans, a `HEALTH` probe and a `METRICS` scrape — over compact
+//! length-prefixed binary frames (see [`protocol`] for the layout).
 //!
 //! The serving model ([`server`]) is an acceptor plus a fixed pool of
 //! worker threads, each holding one connection and one persistent
@@ -45,8 +45,7 @@ pub mod server;
 
 pub use client::{retry_request, retry_write, Client, ClientError, RetryPolicy};
 pub use protocol::{
-    HealthReport, PlanWire, ProtocolError, QueryDesc, Request, Response, TenantTotals, WalWire,
-    WalkSummary, WriteAckWire,
+    HealthReport, PlanWire, ProtocolError, QueryDesc, Request, Response, WalkSummary, WriteAckWire,
 };
 pub use server::{
     serve_with, FilterRegistry, ServerConfig, ServerHandle, ServerMetrics, ServerPredicate,

@@ -6,9 +6,11 @@
 //! `len == 1`). Requests carry a [`QueryDesc`] envelope — tenant id plus
 //! the builder's pushdown composition (population / filter-id / limit as
 //! presence-flagged optionals) — followed by the operation's operands.
-//! Responses stream: a range query answers with zero or more
-//! segment-chunk frames followed by one `DONE` frame carrying the
-//! traversal's [`QueryStats`]; aggregates and errors are single frames.
+//! Every `tenant` field (in the envelope, and in `WALKTHROUGH`, `INSERT`
+//! and `REMOVE`) is carried and not interpreted. Responses stream: a
+//! range query answers with zero or more segment-chunk frames followed
+//! by one `DONE` frame carrying the traversal's [`QueryStats`];
+//! aggregates and errors are single frames.
 //!
 //! Two decoding surfaces share one layout:
 //!
@@ -44,7 +46,7 @@ pub const OP_KNN: u8 = 0x03;
 pub const OP_TOUCHING: u8 = 0x04;
 pub const OP_WALKTHROUGH: u8 = 0x05;
 pub const OP_EXPLAIN: u8 = 0x06;
-pub const OP_STATS: u8 = 0x07;
+// 0x07 (the retired per-tenant STATS) is not reused.
 pub const OP_HEALTH: u8 = 0x08;
 /// Durable insert (live servers only): `u32 tenant` + one 76-byte
 /// segment; answered with one `WRITE_ACK` frame after the WAL commit.
@@ -65,7 +67,7 @@ pub const OP_PAIR_CHUNK: u8 = 0x83;
 pub const OP_DONE: u8 = 0x84;
 pub const OP_COUNT_RESULT: u8 = 0x85;
 pub const OP_PLAN_RESULT: u8 = 0x86;
-pub const OP_STATS_RESULT: u8 = 0x87;
+// 0x87 (the retired STATS_RESULT) is not reused.
 pub const OP_ERROR: u8 = 0x88;
 pub const OP_BUSY: u8 = 0x89;
 pub const OP_WALK_RESULT: u8 = 0x8A;
@@ -94,13 +96,6 @@ pub const FLAG_PARTIAL: u8 = 8;
 // HealthReport flag bits.
 pub const HEALTH_PAGED: u8 = 1;
 pub const HEALTH_DEGRADED: u8 = 2;
-/// The served database is live (WAL-backed): a [`WalWire`] block
-/// follows the quarantine list in the `HEALTH_RESULT` payload.
-pub const HEALTH_WAL: u8 = 4;
-/// The last recovery truncated a torn WAL tail (uncommitted bytes from
-/// a crash mid-append). Informational: the acknowledged prefix is
-/// intact. Only valid alongside [`HEALTH_WAL`].
-pub const HEALTH_WAL_TORN: u8 = 8;
 
 // Application error codes carried by `OP_ERROR` frames.
 pub const ERR_UNKNOWN_POPULATION: u16 = 1;
@@ -149,12 +144,12 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// The request envelope: who is asking (tenant, for the per-tenant
-/// accounting behind `STATS`) and the pushdown composition every
+/// The request envelope: a tenant id and the pushdown composition every
 /// operation shares. Owned form.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryDesc {
-    /// Accounting key; `STATS` reports per-tenant totals.
+    /// Carried on the wire and not interpreted: the server bills nothing
+    /// per tenant, and its counters are global (`METRICS`).
     pub tenant: u32,
     /// Restrict to one named population (`FLAG_POPULATION`).
     pub population: Option<String>,
@@ -173,6 +168,7 @@ pub struct QueryDesc {
 /// — the server's per-request decode allocates nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryDescView<'a> {
+    /// Carried and not interpreted, as [`QueryDesc::tenant`].
     pub tenant: u32,
     pub population: Option<&'a str>,
     pub filter_id: Option<u32>,
@@ -229,10 +225,8 @@ pub enum Request {
     /// one `WALK_RESULT` frame.
     Walkthrough { tenant: u32, method: WalkthroughMethod, path: NavigationPath },
     /// Plan the wrapped request without executing it: one `PLAN_RESULT`
-    /// frame. Not nestable; cannot wrap `Stats`.
+    /// frame. Wraps only the query operations; not nestable.
     Explain(Box<Request>),
-    /// Per-tenant accounting snapshot: one `STATS_RESULT` frame.
-    Stats { tenant: u32 },
     /// Serving-health probe (quarantine / degraded state): one
     /// `HEALTH_RESULT` frame. No payload.
     Health,
@@ -258,7 +252,6 @@ pub enum RequestView<'a> {
     Touching { desc: QueryDescView<'a>, other: &'a str, epsilon: f64 },
     Walkthrough { tenant: u32, method: WalkthroughMethod, path: NavigationPath },
     Explain(Box<RequestView<'a>>),
-    Stats { tenant: u32 },
     Health,
     Insert { tenant: u32, segment: NeuronSegment },
     Remove { tenant: u32, id: u64 },
@@ -283,27 +276,10 @@ impl RequestView<'_> {
                 Request::Walkthrough { tenant, method, path }
             }
             RequestView::Explain(inner) => Request::Explain(Box::new((*inner).into_owned())),
-            RequestView::Stats { tenant } => Request::Stats { tenant },
             RequestView::Health => Request::Health,
             RequestView::Insert { tenant, segment } => Request::Insert { tenant, segment },
             RequestView::Remove { tenant, id } => Request::Remove { tenant, id },
             RequestView::Metrics => Request::Metrics,
-        }
-    }
-
-    /// The tenant this request bills to (`HEALTH` carries none: 0).
-    pub fn tenant(&self) -> u32 {
-        match self {
-            RequestView::Range { desc, .. }
-            | RequestView::Count { desc, .. }
-            | RequestView::Knn { desc, .. }
-            | RequestView::Touching { desc, .. } => desc.tenant,
-            RequestView::Walkthrough { tenant, .. }
-            | RequestView::Stats { tenant }
-            | RequestView::Insert { tenant, .. }
-            | RequestView::Remove { tenant, .. } => *tenant,
-            RequestView::Explain(inner) => inner.tenant(),
-            RequestView::Health | RequestView::Metrics => 0,
         }
     }
 }
@@ -323,20 +299,9 @@ pub struct PlanWire {
     pub population: Option<String>,
 }
 
-/// One tenant's accumulated serving totals, as reported by `STATS`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantTotals {
-    pub tenant: u32,
-    /// Requests served (accepted and executed, successfully or not).
-    pub queries: u64,
-    /// Field-wise sums of every served query's [`QueryStats`].
-    pub results: u64,
-    pub nodes_read: u64,
-    pub objects_tested: u64,
-    pub reseeds: u64,
-}
+/// The server's serving-health snapshot, as reported by `HEALTH`. A
+/// live database's WAL state is in the `METRICS` scrape (`db_*` gauges).
 
-/// The server's serving-health snapshot, as reported by `HEALTH`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// Whether the served database is paged (quarantine state only
@@ -348,29 +313,6 @@ pub struct HealthReport {
     pub degraded: bool,
     /// The quarantined page indices, ascending.
     pub quarantined: Vec<u64>,
-    /// Write-ahead-log state; `Some` only for live (WAL-backed) servers
-    /// (`HEALTH_WAL` flag on the wire).
-    pub wal: Option<WalWire>,
-}
-
-/// A live server's WAL / recovery state in wire form — the
-/// `neurospatial` crate's `WalHealth` without the epoch-internal fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalWire {
-    /// LSN of the most recent commit or checkpoint record.
-    pub last_lsn: u64,
-    /// Current log size in bytes (drops at each checkpoint).
-    pub wal_bytes: u64,
-    /// Delta ops applied since the last re-freeze.
-    pub pending_ops: u64,
-    /// Snapshot-swap generation (0 = the recovery/boot build).
-    pub epoch: u64,
-    /// Ops replayed from the log tail when the database was opened.
-    pub replayed_ops: u64,
-    /// Checkpoints written over the database's lifetime.
-    pub checkpoints: u64,
-    /// Whether recovery truncated a torn (uncommitted) tail.
-    pub recovered_torn_tail: bool,
 }
 
 /// The payload of a `WRITE_ACK` frame: proof of durability for one
@@ -414,7 +356,6 @@ pub enum Response {
         stats: QueryStats,
     },
     Plan(PlanWire),
-    Stats(TenantTotals),
     /// Application-level failure (unknown population/filter, unsupported
     /// operation, protocol violation). The connection stays usable.
     Error {
@@ -831,7 +772,6 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
                 }
                 put_f64(out, path.view_radius);
             }
-            Request::Stats { tenant } => put_u32(out, *tenant),
             Request::Health | Request::Metrics => {}
             Request::Insert { tenant, segment } => {
                 put_u32(out, *tenant);
@@ -861,7 +801,6 @@ pub fn request_opcode(req: &Request) -> u8 {
         Request::Touching { .. } => OP_TOUCHING,
         Request::Walkthrough { .. } => OP_WALKTHROUGH,
         Request::Explain(_) => OP_EXPLAIN,
-        Request::Stats { .. } => OP_STATS,
         Request::Health => OP_HEALTH,
         Request::Insert { .. } => OP_INSERT,
         Request::Remove { .. } => OP_REMOVE,
@@ -871,7 +810,7 @@ pub fn request_opcode(req: &Request) -> u8 {
 
 /// Decode a request payload into the borrowing view. `explainable`
 /// gates recursion: an `EXPLAIN` body may hold any plannable request but
-/// not another `EXPLAIN` (or `STATS`).
+/// not another `EXPLAIN`.
 fn decode_request_inner<'a>(
     opcode: u8,
     rd: &mut Rd<'a>,
@@ -913,16 +852,12 @@ fn decode_request_inner<'a>(
                 path: NavigationPath { neuron, sections, waypoints, queries, view_radius },
             })
         }
-        OP_STATS => Ok(RequestView::Stats { tenant: rd.u32()? }),
         OP_HEALTH => Ok(RequestView::Health),
         OP_METRICS => Ok(RequestView::Metrics),
         OP_INSERT => Ok(RequestView::Insert { tenant: rd.u32()?, segment: read_segment(rd)? }),
         OP_REMOVE => Ok(RequestView::Remove { tenant: rd.u32()?, id: rd.u64()? }),
         OP_EXPLAIN if explainable => {
             let inner_op = rd.u8()?;
-            if inner_op == OP_STATS {
-                return Err(ProtocolError::Malformed("EXPLAIN cannot wrap STATS"));
-            }
             if inner_op == OP_HEALTH {
                 return Err(ProtocolError::Malformed("EXPLAIN cannot wrap HEALTH"));
             }
@@ -1079,18 +1014,6 @@ pub fn encode_plan(plan: &PlanWire, out: &mut Vec<u8>) {
     end_frame(out, at);
 }
 
-/// Append a per-tenant totals answer.
-pub fn encode_stats_result(t: &TenantTotals, out: &mut Vec<u8>) {
-    let at = begin_frame(out, OP_STATS_RESULT);
-    put_u32(out, t.tenant);
-    put_u64(out, t.queries);
-    put_u64(out, t.results);
-    put_u64(out, t.nodes_read);
-    put_u64(out, t.objects_tested);
-    put_u64(out, t.reseeds);
-    end_frame(out, at);
-}
-
 /// Append an application error frame.
 pub fn encode_error(code: u16, message: &str, out: &mut Vec<u8>) {
     let at = begin_frame(out, OP_ERROR);
@@ -1122,24 +1045,10 @@ pub fn encode_health(h: &HealthReport, out: &mut Vec<u8>) {
     if h.degraded {
         flags |= HEALTH_DEGRADED;
     }
-    if h.wal.is_some() {
-        flags |= HEALTH_WAL;
-    }
-    if h.wal.is_some_and(|w| w.recovered_torn_tail) {
-        flags |= HEALTH_WAL_TORN;
-    }
     out.push(flags);
     put_u32(out, h.quarantined.len() as u32);
     for page in &h.quarantined {
         put_u64(out, *page);
-    }
-    if let Some(w) = &h.wal {
-        put_u64(out, w.last_lsn);
-        put_u64(out, w.wal_bytes);
-        put_u64(out, w.pending_ops);
-        put_u64(out, w.epoch);
-        put_u64(out, w.replayed_ops);
-        put_u64(out, w.checkpoints);
     }
     end_frame(out, at);
 }
@@ -1189,7 +1098,6 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
         Response::Done(stats) => encode_done(stats, out),
         Response::Count { count, stats } => encode_count(*count, stats, out),
         Response::Plan(plan) => encode_plan(plan, out),
-        Response::Stats(t) => encode_stats_result(t, out),
         Response::Error { code, message } => encode_error(*code, message, out),
         Response::Busy => encode_busy(out),
         Response::Walkthrough(w) => encode_walk(w, out),
@@ -1323,14 +1231,6 @@ pub fn decode_response(opcode: u8, payload: &[u8]) -> Result<Response, ProtocolE
                 population,
             })
         }
-        OP_STATS_RESULT => Response::Stats(TenantTotals {
-            tenant: rd.u32()?,
-            queries: rd.u64()?,
-            results: rd.u64()?,
-            nodes_read: rd.u64()?,
-            objects_tested: rd.u64()?,
-            reseeds: rd.u64()?,
-        }),
         OP_ERROR => Response::Error { code: rd.u16()?, message: rd.str()?.to_string() },
         OP_BUSY => Response::Busy,
         OP_WALK_RESULT => Response::Walkthrough(WalkSummary {
@@ -1343,35 +1243,18 @@ pub fn decode_response(opcode: u8, payload: &[u8]) -> Result<Response, ProtocolE
         }),
         OP_HEALTH_RESULT => {
             let flags = rd.u8()?;
-            if flags & !(HEALTH_PAGED | HEALTH_DEGRADED | HEALTH_WAL | HEALTH_WAL_TORN) != 0 {
+            if flags & !(HEALTH_PAGED | HEALTH_DEGRADED) != 0 {
                 return Err(ProtocolError::Malformed("unknown health flag bits"));
-            }
-            if flags & HEALTH_WAL_TORN != 0 && flags & HEALTH_WAL == 0 {
-                return Err(ProtocolError::Malformed("torn-tail flag without WAL block"));
             }
             let n = rd.count(8)?;
             let mut quarantined = Vec::with_capacity(n);
             for _ in 0..n {
                 quarantined.push(rd.u64()?);
             }
-            let wal = if flags & HEALTH_WAL != 0 {
-                Some(WalWire {
-                    last_lsn: rd.u64()?,
-                    wal_bytes: rd.u64()?,
-                    pending_ops: rd.u64()?,
-                    epoch: rd.u64()?,
-                    replayed_ops: rd.u64()?,
-                    checkpoints: rd.u64()?,
-                    recovered_torn_tail: flags & HEALTH_WAL_TORN != 0,
-                })
-            } else {
-                None
-            };
             Response::Health(HealthReport {
                 paged: flags & HEALTH_PAGED != 0,
                 degraded: flags & HEALTH_DEGRADED != 0,
                 quarantined,
-                wal,
             })
         }
         OP_TIMEOUT => Response::Timeout(read_stats(&mut rd)?),

@@ -23,8 +23,10 @@
 //!   allocations** end to end (decode borrows from the read buffer, the
 //!   session rebinds per request, results stream from the session's
 //!   reused buffer straight into the write buffer);
-//! * per-tenant [`QueryStats`] totals accumulate under a mutex keyed by
-//!   the request's tenant id and are served back by the `STATS` opcode.
+//! * what the server has done is read with one `METRICS` scrape: the
+//!   process-wide registry, this server's own registry and, for a live
+//!   database, its WAL state as `db_*` gauges. A served request takes no
+//!   lock for any of it.
 //!
 //! Predicates cannot cross the wire, so filters are *named*: the host
 //! registers `(id, predicate)` pairs in a [`FilterRegistry`] and clients
@@ -38,9 +40,9 @@ use crate::protocol::{self as p, ProtocolError, RequestView};
 use neurospatial::model::{NavigationPath, NeuronSegment};
 use neurospatial::obs::{self, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use neurospatial::{
-    NeuroDb, NeuroError, Plan, QuerySession, QueryStats, SegmentPredicate, WalkthroughMethod,
+    NeuroDb, NeuroError, Plan, QuerySession, QueryStats, SegmentPredicate, WalHealth,
+    WalkthroughMethod,
 };
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -137,14 +139,13 @@ impl Default for ServerConfig {
 
 /// Request-opcode families, indexed by [`op_index`]; each gets its own
 /// per-server latency histogram.
-const OP_LATENCY_NAMES: [&str; 11] = [
+const OP_LATENCY_NAMES: [&str; 10] = [
     "server_range_latency_ns",
     "server_count_latency_ns",
     "server_knn_latency_ns",
     "server_touching_latency_ns",
     "server_walkthrough_latency_ns",
     "server_explain_latency_ns",
-    "server_stats_latency_ns",
     "server_health_latency_ns",
     "server_insert_latency_ns",
     "server_remove_latency_ns",
@@ -160,22 +161,18 @@ fn op_index(req: &RequestView<'_>) -> usize {
         RequestView::Touching { .. } => 3,
         RequestView::Walkthrough { .. } => 4,
         RequestView::Explain(_) => 5,
-        RequestView::Stats { .. } => 6,
-        RequestView::Health => 7,
-        RequestView::Insert { .. } => 8,
-        RequestView::Remove { .. } => 9,
-        RequestView::Metrics => 10,
+        RequestView::Health => 6,
+        RequestView::Insert { .. } => 7,
+        RequestView::Remove { .. } => 8,
+        RequestView::Metrics => 9,
     }
 }
 
 /// Monotonic serving counters, readable while the server runs.
 ///
-/// Since the observability subsystem landed, these are handles into a
-/// per-server [`MetricsRegistry`] (so every server instance starts from
-/// zero) rather than ad-hoc atomics; the field names and the
-/// [`Counter::load`] shim keep existing call sites source-compatible.
-/// A `METRICS` scrape merges this registry with the process-wide
-/// [`obs::global`] one.
+/// These are handles into a per-server [`MetricsRegistry`], so every
+/// server instance starts from zero. A `METRICS` scrape merges this
+/// registry with the process-wide [`obs::global`] one.
 pub struct ServerMetrics {
     registry: MetricsRegistry,
     /// Connections handed to a worker.
@@ -263,20 +260,11 @@ impl ServerHandle<'_> {
     }
 }
 
-/// Per-tenant accounting: `queries` counts executed requests, the rest
-/// are field-wise [`QueryStats`] sums.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantAccount {
-    queries: u64,
-    stats: QueryStats,
-}
-
 struct Shared<'s> {
     db: &'s NeuroDb,
     filters: &'s FilterRegistry<'s>,
     cfg: &'s ServerConfig,
     metrics: &'s ServerMetrics,
-    tenants: Mutex<HashMap<u32, TenantAccount>>,
     stop: AtomicBool,
     /// Connections admitted and not yet finished by a worker, queued
     /// ones included; admission holds it at or below `workers + queue`.
@@ -301,7 +289,6 @@ pub fn serve_with<R>(
         filters,
         cfg,
         metrics: &metrics,
-        tenants: Mutex::new(HashMap::new()),
         stop: AtomicBool::new(false),
         admitted: AtomicUsize::new(0),
     };
@@ -360,7 +347,6 @@ fn acceptor_loop(shared: &Shared<'_>, listener: &TcpListener, tx: &SyncSender<Tc
             Ok(s) => s,
             Err(_) => continue,
         };
-        let _admission = obs::span!(obs::Stage::Admission);
         // Only this thread raises the count, so a connection seen below
         // the ceiling is admitted, and the channel (sized to the ceiling)
         // has room for it.
@@ -488,18 +474,13 @@ fn serve_connection<'db>(
         // starts now.
         started = (reader.buffered() > size).then(Instant::now);
         let (opcode, payload) = reader.take(size);
-        let decoded = {
-            let _decode = obs::span!(obs::Stage::Decode);
-            p::decode_request_view(opcode, payload)
-        };
-        match decoded {
+        match p::decode_request_view(opcode, payload) {
             Ok(req) => {
                 shared.metrics.requests.inc();
                 write_buf.clear();
                 let served = Instant::now();
                 serve_request(shared, session, &req, write_buf);
                 shared.metrics.op_latency[op_index(&req)].record_duration(served.elapsed());
-                let _encode = obs::span!(obs::Stage::Encode);
                 stream.write_all(write_buf)?;
             }
             Err(err) => {
@@ -568,13 +549,6 @@ fn bind_session<'db>(
     true
 }
 
-fn account(shared: &Shared<'_>, tenant: u32, stats: &QueryStats) {
-    let mut tenants = shared.tenants.lock().expect("tenant lock");
-    let acct = tenants.entry(tenant).or_default();
-    acct.queries += 1;
-    acct.stats.merge(stats);
-}
-
 /// A range stream reads the clock for its request budget on its first
 /// result and then on every this-many-th, not on each: a clock read costs
 /// tens of nanoseconds, as much as encoding a result.
@@ -609,7 +583,6 @@ fn serve_request<'db>(
                         shared.metrics.request_timeouts.inc();
                         p::encode_timeout(&stats, out);
                     }
-                    account(shared, desc.tenant, &stats);
                 }
                 Err(err) => encode_neuro_error(&err, out),
             }
@@ -619,10 +592,7 @@ fn serve_request<'db>(
                 return;
             }
             match session.try_count(region, desc.allow_partial) {
-                Ok(stats) => {
-                    p::encode_count(stats.results, &stats, out);
-                    account(shared, desc.tenant, &stats);
-                }
+                Ok(stats) => p::encode_count(stats.results, &stats, out),
                 Err(err) => encode_neuro_error(&err, out),
             }
         }
@@ -636,7 +606,6 @@ fn serve_request<'db>(
                         p::encode_neighbor_chunk(chunk, out);
                     }
                     p::encode_done(&stats, out);
-                    account(shared, desc.tenant, &stats);
                 }
                 Err(err) => encode_neuro_error(&err, out),
             }
@@ -644,65 +613,54 @@ fn serve_request<'db>(
         RequestView::Touching { desc, other, epsilon } => {
             serve_touching(shared, desc, other, *epsilon, out);
         }
-        RequestView::Walkthrough { tenant, method, path } => {
-            serve_walkthrough(shared, *tenant, *method, path, out);
+        RequestView::Walkthrough { method, path, .. } => {
+            serve_walkthrough(shared, *method, path, out);
         }
         RequestView::Explain(inner) => serve_explain(shared, inner, out),
-        RequestView::Insert { tenant, segment } => {
-            serve_write(shared, *tenant, shared.db.insert_segment(*segment), out);
+        RequestView::Insert { segment, .. } => {
+            serve_write(shared, shared.db.insert_segment(*segment), out);
         }
-        RequestView::Remove { tenant, id } => {
-            serve_write(shared, *tenant, shared.db.remove_segment(*id), out);
-        }
+        RequestView::Remove { id, .. } => serve_write(shared, shared.db.remove_segment(*id), out),
         RequestView::Health => {
-            let mut report = match shared.db.paged_index() {
+            let report = match shared.db.paged_index() {
                 Some(paged) => {
                     let quarantined = paged.quarantined_pages();
-                    p::HealthReport {
-                        paged: true,
-                        degraded: !quarantined.is_empty(),
-                        quarantined,
-                        wal: None,
-                    }
+                    p::HealthReport { paged: true, degraded: !quarantined.is_empty(), quarantined }
                 }
                 None => p::HealthReport::default(),
             };
-            report.wal = shared.db.wal_health().map(|w| p::WalWire {
-                last_lsn: w.last_lsn,
-                wal_bytes: w.wal_bytes,
-                pending_ops: w.pending_ops,
-                epoch: w.epoch,
-                replayed_ops: w.replayed_ops,
-                checkpoints: w.checkpoints,
-                recovered_torn_tail: w.recovered_torn_tail,
-            });
             p::encode_health(&report, out);
-        }
-        RequestView::Stats { tenant } => {
-            let tenants = shared.tenants.lock().expect("tenant lock");
-            let acct = tenants.get(tenant).copied().unwrap_or_default();
-            p::encode_stats_result(
-                &p::TenantTotals {
-                    tenant: *tenant,
-                    queries: acct.queries,
-                    results: acct.stats.results,
-                    nodes_read: acct.stats.nodes_read,
-                    objects_tested: acct.stats.objects_tested,
-                    reseeds: acct.stats.reseeds,
-                },
-                out,
-            );
         }
         RequestView::Metrics => {
             // Process-wide series (query/storage/scout) merged with the
             // per-server registry (connection/request counters, per-op
-            // latency). Name sets are disjoint, so merge never sums
-            // across the two sources.
+            // latency) and, for a live database, its WAL state. Name sets
+            // are disjoint, so merge never sums across the sources.
             let mut snap = obs::global().snapshot();
             snap.merge(&shared.metrics.snapshot());
+            if let Some(wal) = shared.db.wal_health() {
+                snap.merge(&wal_gauges(&wal));
+            }
             p::encode_metrics_result(&snap, out);
         }
     }
+}
+
+/// A live database's WAL state as the `db_*` gauges of a `METRICS`
+/// scrape, read at scrape time; nothing on the write path updates them.
+fn wal_gauges(w: &WalHealth) -> MetricsSnapshot {
+    let gauges = [
+        ("db_delta_pending_ops", w.pending_ops),
+        ("db_epoch", w.epoch),
+        ("db_wal_bytes", w.wal_bytes),
+        ("db_wal_checkpoints", w.checkpoints),
+        ("db_wal_last_lsn", w.last_lsn),
+        ("db_wal_recovered_torn_tail", u64::from(w.recovered_torn_tail)),
+        ("db_wal_replayed_ops", w.replayed_ops),
+    ];
+    let gauges =
+        gauges.map(|(name, v)| (name.to_string(), i64::try_from(v).unwrap_or(i64::MAX))).into();
+    MetricsSnapshot { gauges, ..MetricsSnapshot::default() }
 }
 
 /// The write path: the ack frame is encoded only after
@@ -714,14 +672,12 @@ fn serve_request<'db>(
 /// never blocked by one.
 fn serve_write(
     shared: &Shared<'_>,
-    tenant: u32,
     result: Result<neurospatial::WriteAck, NeuroError>,
     out: &mut Vec<u8>,
 ) {
     match result {
         Ok(ack) => {
             p::encode_write_ack(&p::WriteAckWire { lsn: ack.lsn, pending: ack.pending }, out);
-            account(shared, tenant, &QueryStats::default());
             let _ = shared.db.maybe_refreeze();
         }
         Err(err) => encode_neuro_error(&err, out),
@@ -771,7 +727,6 @@ fn serve_touching(
                 ..QueryStats::default()
             };
             p::encode_done(&stats, out);
-            account(shared, desc.tenant, &stats);
         }
         Err(err) => encode_neuro_error(&err, out),
     }
@@ -779,7 +734,6 @@ fn serve_touching(
 
 fn serve_walkthrough(
     shared: &Shared<'_>,
-    tenant: u32,
     method: WalkthroughMethod,
     path: &NavigationPath,
     out: &mut Vec<u8>,
@@ -797,7 +751,6 @@ fn serve_walkthrough(
                 },
                 out,
             );
-            account(shared, tenant, &QueryStats::default());
         }
         Err(err) => encode_neuro_error(&err, out),
     }
@@ -850,7 +803,6 @@ fn serve_explain(shared: &Shared<'_>, inner: &RequestView<'_>, out: &mut Vec<u8>
             db.query().along_path(path).method(*method).explain()
         }
         RequestView::Explain(_)
-        | RequestView::Stats { .. }
         | RequestView::Health
         | RequestView::Metrics
         | RequestView::Insert { .. }

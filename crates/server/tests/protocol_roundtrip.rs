@@ -94,7 +94,6 @@ fn plain_request() -> Union<Request> {
         }),
         (any::<u32>(), method(), nav_path())
             .prop_map(|(tenant, method, path)| Request::Walkthrough { tenant, method, path }),
-        any::<u32>().prop_map(|tenant| Request::Stats { tenant }),
         Just(Request::Health),
         (any::<u32>(), segment()).prop_map(|(tenant, segment)| Request::Insert { tenant, segment }),
         (any::<u32>(), any::<u64>()).prop_map(|(tenant, id)| Request::Remove { tenant, id }),
@@ -103,15 +102,9 @@ fn plain_request() -> Union<Request> {
 
 fn request() -> impl Strategy<Value = Request> {
     (plain_request(), any::<u8>()).prop_map(|(req, wrap)| {
-        // Explain may wrap anything but Stats, Health, writes (and itself).
+        // Explain may wrap anything but Health, writes (and itself).
         if wrap % 3 == 0
-            && !matches!(
-                req,
-                Request::Stats { .. }
-                    | Request::Health
-                    | Request::Insert { .. }
-                    | Request::Remove { .. }
-            )
+            && !matches!(req, Request::Health | Request::Insert { .. } | Request::Remove { .. })
         {
             Request::Explain(Box::new(req))
         } else {
@@ -147,27 +140,6 @@ fn stats() -> impl Strategy<Value = QueryStats> {
         )
 }
 
-fn wal_wire() -> impl Strategy<Value = p::WalWire> {
-    (
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
-    )
-        .prop_map(
-            |(
-                (last_lsn, wal_bytes, pending_ops),
-                (epoch, replayed_ops, checkpoints, recovered_torn_tail),
-            )| p::WalWire {
-                last_lsn,
-                wal_bytes,
-                pending_ops,
-                epoch,
-                replayed_ops,
-                checkpoints,
-                recovered_torn_tail,
-            },
-        )
-}
-
 fn response() -> Union<Response> {
     prop_oneof![
         prop::collection::vec(segment(), 0..9).prop_map(Response::Segments),
@@ -198,22 +170,11 @@ fn response() -> Union<Response> {
                     })
                 }
             ),
-        ((any::<u32>(), any::<u64>(), any::<u64>()), (any::<u64>(), any::<u64>(), any::<u64>()))
-            .prop_map(|((tenant, queries, results), (nodes_read, objects_tested, reseeds))| {
-                Response::Stats(p::TenantTotals {
-                    tenant,
-                    queries,
-                    results,
-                    nodes_read,
-                    objects_tested,
-                    reseeds,
-                })
-            }),
         (any::<u16>(), name()).prop_map(|(code, message)| Response::Error { code, message }),
         Just(Response::Busy),
-        (any::<bool>(), prop::collection::vec(any::<u64>(), 0..6), opt(wal_wire())).prop_map(
-            |(degraded, quarantined, wal)| {
-                Response::Health(p::HealthReport { paged: true, degraded, quarantined, wal })
+        (any::<bool>(), prop::collection::vec(any::<u64>(), 0..6)).prop_map(
+            |(degraded, quarantined)| {
+                Response::Health(p::HealthReport { paged: true, degraded, quarantined })
             }
         ),
         stats().prop_map(Response::Timeout),
@@ -328,7 +289,8 @@ proptest! {
 
 #[test]
 fn unknown_opcodes_are_reported_as_such() {
-    for opcode in [0x00u8, 0x0C, 0x42, 0x80, 0x8F, 0xFF] {
+    // 0x07 / 0x87 were the retired per-tenant STATS and its answer.
+    for opcode in [0x00u8, 0x07, 0x0C, 0x42, 0x80, 0x87, 0x8F, 0xFF] {
         assert_eq!(
             p::decode_request(opcode, &[]).unwrap_err(),
             ProtocolError::UnknownOpcode(opcode)
@@ -338,6 +300,28 @@ fn unknown_opcodes_are_reported_as_such() {
             ProtocolError::UnknownOpcode(opcode)
         );
     }
+}
+
+/// Request frames did not move: a plain RANGE request with tenant 0, the
+/// envelope `benchmark/`'s `serve_range` sends, encodes to these bytes by
+/// both encoders.
+#[test]
+fn plain_range_request_bytes_are_pinned() {
+    let desc = p::QueryDescView { tenant: 0, ..Default::default() };
+    let region = Aabb { lo: Vec3::new(1.0, 2.0, 3.0), hi: Vec3::new(4.0, 5.0, 6.0) };
+    // `u32` length 54, the opcode, `u32` tenant 0, no flags, then six
+    // little-endian `f64`s: 1.0 is 00 00 00 00 00 00 F0 3F.
+    let mut expected = vec![54, 0, 0, 0, 0x01, 0, 0, 0, 0, 0];
+    for v in [1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0] {
+        expected.extend_from_slice(&v.to_le_bytes());
+    }
+    assert_eq!(expected[10..18], [0, 0, 0, 0, 0, 0, 0xF0, 0x3F]);
+    let mut frame = Vec::new();
+    p::encode_range_request(&desc, &region, &mut frame);
+    assert_eq!(frame, expected);
+    let mut owned = Vec::new();
+    p::encode_request(&Request::Range { desc: desc.into_owned(), region }, &mut owned);
+    assert_eq!(owned, expected);
 }
 
 #[test]
@@ -364,6 +348,21 @@ fn bad_flag_bits_are_malformed() {
     let mut payload = vec![0, 0, 0, 0, 0x80];
     payload.extend_from_slice(&[0u8; 48]);
     assert!(matches!(p::decode_request(p::OP_RANGE, &payload), Err(ProtocolError::Malformed(_))));
+
+    // HEALTH_RESULT's bits 4 and 8 flagged a WAL block, which now rides
+    // METRICS: flags, an empty quarantine list, then with and without
+    // the six u64s that block held.
+    for bit in [4u8, 8, 4 | 8] {
+        for wal_block in [0usize, 48] {
+            let mut payload = vec![bit, 0, 0, 0, 0];
+            payload.resize(5 + wal_block, 0);
+            assert_eq!(
+                p::decode_response(p::OP_HEALTH_RESULT, &payload).unwrap_err(),
+                ProtocolError::Malformed("unknown health flag bits"),
+                "flag bit {bit}, {wal_block} trailing bytes"
+            );
+        }
+    }
 }
 
 #[test]
@@ -389,12 +388,10 @@ fn non_utf8_population_is_malformed() {
 
 #[test]
 fn explain_cannot_nest_and_cannot_wrap_stats() {
-    let mut nested = Vec::new();
-    p::encode_request(&Request::Explain(Box::new(Request::Stats { tenant: 1 })), &mut nested);
-    let opcode = nested[4];
+    // Hand-splice: EXPLAIN around the retired STATS opcode and a tenant.
     assert_eq!(
-        p::decode_request(opcode, &nested[5..]).unwrap_err(),
-        ProtocolError::Malformed("EXPLAIN cannot wrap STATS")
+        p::decode_request(p::OP_EXPLAIN, &[0x07, 1, 0, 0, 0]).unwrap_err(),
+        ProtocolError::UnknownOpcode(0x07)
     );
 
     let mut nested = Vec::new();

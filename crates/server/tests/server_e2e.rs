@@ -186,49 +186,6 @@ fn server_responses_match_local_execution_on_all_backends() {
     }
 }
 
-/// Per-tenant accounting: STATS reports exactly the queries a tenant
-/// ran, with field-wise stat sums, and tenants do not bleed together.
-#[test]
-fn stats_accumulate_per_tenant() {
-    let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
-    let filters = FilterRegistry::new();
-
-    serve_with(&db, &filters, &ServerConfig::default(), |handle| {
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let mut segments = Vec::new();
-        let region = Aabb::cube(Vec3::new(0.0, 0.0, 0.0), 25.0);
-
-        let a = QueryDescView { tenant: 70, ..Default::default() };
-        let b = QueryDescView { tenant: 71, ..Default::default() };
-        let mut expect_a = neurospatial::QueryStats::default();
-        for _ in 0..3 {
-            let stats = client.range(&a, &region, &mut segments).expect("range");
-            expect_a.results += stats.results;
-            expect_a.nodes_read += stats.nodes_read;
-            expect_a.objects_tested += stats.objects_tested;
-            expect_a.reseeds += stats.reseeds;
-        }
-        client.count(&b, &region).expect("count");
-
-        let totals = client.stats(70).expect("stats");
-        assert_eq!(totals.tenant, 70);
-        assert_eq!(totals.queries, 3);
-        assert_eq!(totals.results, expect_a.results);
-        assert_eq!(totals.nodes_read, expect_a.nodes_read);
-        assert_eq!(totals.objects_tested, expect_a.objects_tested);
-        assert_eq!(totals.reseeds, expect_a.reseeds);
-
-        let totals = client.stats(71).expect("stats");
-        assert_eq!(totals.queries, 1);
-
-        // A tenant nobody has billed to reports zeroes, not an error.
-        let totals = client.stats(9999).expect("stats");
-        assert_eq!(totals.queries, 0);
-    })
-    .expect("serve");
-}
-
 /// With one worker and a zero-length queue, a second concurrent
 /// connection must be shed with `BUSY` before any request is read — and
 /// capacity must come back once the first connection closes.
@@ -259,7 +216,7 @@ fn admission_control_sheds_and_recovers() {
         assert_eq!(op, p::OP_BUSY);
         assert!(payload.is_empty());
         drop(shed);
-        assert!(handle.metrics().rejected.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+        assert!(handle.metrics().rejected.get() >= 1);
 
         // Release the worker; a fresh connection must be admitted within
         // a few poll intervals.
@@ -379,10 +336,7 @@ fn protocol_garbage_is_rejected_and_counted() {
         let (op, _) = reader.read_frame(&mut raw).expect("error frame");
         assert_eq!(op, p::OP_ERROR);
 
-        assert!(
-            handle.metrics().protocol_errors.load(std::sync::atomic::Ordering::Relaxed) >= 2,
-            "protocol errors must be counted"
-        );
+        assert!(handle.metrics().protocol_errors.get() >= 2, "protocol errors must be counted");
 
         // The worker pool is unharmed: a normal client still gets served.
         let mut client = Client::connect(handle.addr()).expect("connect");
@@ -647,8 +601,8 @@ fn health_and_partial_results_survive_a_quarantined_page() {
 }
 
 /// Live ingest over the wire: INSERT/REMOVE ack after the WAL commit,
-/// queries see the writes immediately, HEALTH reports the WAL state,
-/// and the log survives a server restart.
+/// queries see the writes immediately, METRICS reports the WAL state as
+/// `db_*` gauges, and the log survives a server restart.
 #[test]
 fn live_ingest_acks_serves_and_recovers_over_the_wire() {
     let circuit = circuit();
@@ -700,15 +654,16 @@ fn live_ingest_acks_serves_and_recovers_over_the_wire() {
                 other => panic!("duplicate insert should be rejected, got {other:?}"),
             }
 
-            // HEALTH carries the WAL block.
             // A live database lends out no `paged_index()` borrow, and
             // HEALTH reads that as "not paged", which it is.
             let health = client.health().expect("health");
             assert!(!health.paged && !health.degraded && health.quarantined.is_empty());
-            let w = health.wal.expect("live server reports WAL state");
-            assert!(w.last_lsn >= ack2.lsn);
-            assert_eq!(w.pending_ops, 2);
-            assert!(!w.recovered_torn_tail);
+            // The WAL state rides the METRICS scrape.
+            let snap = client.metrics().expect("metrics");
+            let lsn = snap.gauge("db_wal_last_lsn").expect("live server reports its WAL");
+            assert!(lsn >= ack2.lsn as i64);
+            assert_eq!(snap.gauge("db_delta_pending_ops"), Some(2));
+            assert_eq!(snap.gauge("db_wal_recovered_torn_tail"), Some(0));
         })
         .expect("serve");
     }
@@ -722,8 +677,8 @@ fn live_ingest_acks_serves_and_recovers_over_the_wire() {
         let stats = client.range(&plain, &far, &mut segments).expect("range");
         assert_eq!(stats.results, 1, "acked insert must survive restart");
         assert_eq!(segments[0].id, new_seg.id);
-        let health = client.health().expect("health");
-        assert_eq!(health.wal.expect("live").replayed_ops, 2);
+        let snap = client.metrics().expect("metrics");
+        assert_eq!(snap.gauge("db_wal_replayed_ops"), Some(2));
     })
     .expect("serve");
     let _ = std::fs::remove_file(&wal);
@@ -808,6 +763,9 @@ fn metrics_opcode_reports_scripted_counts_and_live_histograms() {
         let text = snap.render_text();
         assert!(text.contains("neurospatial_server_requests_total 6"));
         assert!(text.contains("neurospatial_query_range_latency_ns{quantile=\"0.99\"}"));
+
+        // A frozen database has no WAL, so its scrape has no `db_*` gauge.
+        assert!(snap.gauges.iter().all(|(name, _)| !name.starts_with("db_")), "{:?}", snap.gauges);
     })
     .expect("serve");
 
@@ -839,6 +797,12 @@ fn metrics_opcode_reports_scripted_counts_and_live_histograms() {
         // binary open live databases too); this one holds at least one.
         assert!(snap.gauge("core_generations_alive").is_some_and(|alive| alive >= 1));
         assert!(snap.render_text().contains("neurospatial_core_generations_alive "));
+        // The live database's WAL state rides along as gauges.
+        assert_eq!(snap.gauge("db_delta_pending_ops"), Some(1));
+        assert_eq!(snap.gauge("db_epoch"), Some(0));
+        assert!(snap.gauge("db_wal_bytes").is_some_and(|bytes| bytes > 0));
+        assert!(snap.gauge("db_wal_checkpoints").is_some_and(|n| n >= 1));
+        assert!(snap.render_text().contains("neurospatial_db_wal_last_lsn "));
     })
     .expect("serve");
 

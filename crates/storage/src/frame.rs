@@ -338,10 +338,7 @@ impl<B: Default> FramePool<B> {
 
                     let mut buf = B::default();
                     let res = {
-                        let _io = neurospatial_obs::span_timed(
-                            neurospatial_obs::Stage::PageIo,
-                            &obs.read_latency,
-                        );
+                        let _io = obs.read_latency.timer();
                         load(&mut buf)
                     };
                     let mut inner = self.lock();

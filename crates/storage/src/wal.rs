@@ -385,8 +385,7 @@ impl Wal {
     /// replay is guaranteed to drop whatever fraction reached the disk.
     pub fn commit(&mut self) -> Result<u64, StorageError> {
         let wobs = crate::metrics::wal_obs();
-        let _commit_span =
-            neurospatial_obs::span_timed(neurospatial_obs::Stage::WalCommit, &wobs.commit_latency);
+        let _commit = wobs.commit_latency.timer();
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         encode_record(&mut self.pending, WAL_KIND_COMMIT, lsn, &[]);

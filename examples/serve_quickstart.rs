@@ -12,7 +12,6 @@ use neurospatial::prelude::*;
 use neurospatial::WalkthroughMethod;
 use neurospatial_server::protocol::QueryDescView;
 use neurospatial_server::{serve_with, Client, FilterRegistry, QueryDesc, Request, ServerConfig};
-use std::sync::atomic::Ordering;
 
 fn main() {
     // A database: synthetic microcircuit, FLAT backend, two populations.
@@ -95,16 +94,20 @@ fn main() {
             .expect("explain");
         println!("plan: {} via {}, ~{} reads", plan.operation, plan.backend, plan.estimated_reads);
 
-        // 8. Per-tenant accounting, straight off the server.
-        let totals = client.stats(42).expect("stats");
+        // 8. One METRICS scrape: what the server and the query pipeline
+        //    have done, as counters, gauges and latency histograms.
+        let snap = client.metrics().expect("metrics");
+        let ranges = snap.histogram("server_range_latency_ns").expect("range latency");
         println!(
-            "tenant 42: {} queries, {} results, {} nodes read",
-            totals.queries, totals.results, totals.nodes_read
+            "server: {} requests, {} range traversals, range p50 {} ns",
+            snap.counter("server_requests_total").unwrap_or(0),
+            snap.counter("query_ranges_total").unwrap_or(0),
+            ranges.quantile(0.5)
         );
         println!(
             "server: {} connections accepted, {} rejected",
-            handle.metrics().accepted.load(Ordering::Relaxed),
-            handle.metrics().rejected.load(Ordering::Relaxed)
+            handle.metrics().accepted.get(),
+            handle.metrics().rejected.get()
         );
     })
     .expect("bind server");
