@@ -26,6 +26,8 @@
 //! that map, after which such a range allocates nothing. It also pins
 //! what a paged index's frames cost: a pool holding every page holds each
 //! page decoded, its segments and their six `f32` lanes, and no more.
+//! And it pins that a warm one-thread `JoinScratch` does not grow with
+//! the pairs its joins find.
 //!
 //! `cargo test -p neurospatial-bench --test zero_alloc` prints one line a
 //! check and exits non-zero naming every check that failed.
@@ -213,6 +215,33 @@ fn main() {
         assert!(!pairs.is_empty(), "the join finds pairs");
         checks.push(allocation_check(path, allocs));
     }
+    drop(scratch);
+
+    // What a warm scratch keeps after one-thread joins, at an ε and at
+    // one that finds over 4x the pairs. A one-thread join hands each pair
+    // on as it is found, so the scratch grows only with the survivors
+    // and the descent's working set, by less than half of what the extra
+    // pairs would take if they were held.
+    let warm_scratch = |eps: f64| {
+        let mut found = 0u64;
+        let (scratch, bytes) = retained(|| {
+            let mut scratch = JoinScratch::new();
+            for _ in 0..2 {
+                join.join_each(&a, &b, eps, &mut scratch, |_, _| found += 1);
+            }
+            scratch
+        });
+        drop(scratch);
+        (found as i64 / 2, bytes)
+    };
+    let (few, few_bytes) = warm_scratch(16.0);
+    let (many, many_bytes) = warm_scratch(32.0);
+    assert!(few > 0 && many >= 4 * few, "{few} and {many} pairs");
+    checks.push(bytes_check(
+        &format!("JoinScratch, {few} -> {many} pairs: grows by less than half their bytes"),
+        many_bytes - few_bytes,
+        i64::MIN..=(many - few) * size_of::<(u32, u32)>() as i64 / 2,
+    ));
 
     // What a database holds. A throwaway build registers the global
     // metrics first, so the bytes a measured build leaves live are its

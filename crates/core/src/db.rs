@@ -638,8 +638,10 @@ impl std::ops::Deref for IndexRef<'_> {
 /// The database keeps one join scratch, which every `touching` query
 /// reuses and which is freed with the database. After the reference join
 /// (445 584 × 445 488 segments of dense tissue, ε = 1 µm, two workers)
-/// it holds about 52 MB by [`JoinStats::aux_memory_bytes`] less the
-/// A-tree's share, plus the workers' pair buffers.
+/// it holds about 22 MB by [`JoinStats::aux_memory_bytes`] less the
+/// A-tree's share, the workers' buffers and the pooled pair buffers of
+/// at most 8 tasks included; none of it grows with the pairs a join
+/// finds.
 ///
 /// [`JoinStats::aux_memory_bytes`]: neurospatial_touch::JoinStats::aux_memory_bytes
 pub struct NeuroDb {

@@ -5,7 +5,8 @@
 //! query pays zero registration allocations). Every range/KNN funnel in
 //! [`crate::query`] bumps the exact traversal counter, folds its
 //! [`QueryStats`] into per-thread cells (flushed to the shared work
-//! counters every `SAMPLE_EVERY` traversals and at thread exit), and
+//! counters every `SAMPLE_EVERY` traversals, at thread exit and on
+//! [`flush_thread_stats`]), and
 //! times the traversal into the latency histogram (a
 //! [`neurospatial_obs::Histogram::timer`] guard) on a sampled subset of
 //! calls — a single-digit nanosecond steady-state tax on sub-microsecond
@@ -152,6 +153,15 @@ impl QueryObs {
             }
         }
     }
+}
+
+/// Folds this thread's staged work counts into the shared counters now,
+/// so that a scrape reads every traversal the thread has finished rather
+/// than trailing it by up to `SAMPLE_EVERY - 1`. A server worker calls
+/// it when its connection goes idle and before it snapshots a METRICS
+/// scrape. Costs one atomic add per non-zero count.
+pub fn flush_thread_stats() {
+    let _ = PENDING.try_with(PendingStats::flush);
 }
 
 static QUERY_OBS: OnceLock<QueryObs> = OnceLock::new();

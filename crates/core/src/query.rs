@@ -1034,7 +1034,7 @@ impl<'a> QuerySession<'a> {
 mod tests {
     use super::*;
     use neurospatial_model::CircuitBuilder;
-    use neurospatial_touch::SpatialJoin;
+    use neurospatial_touch::{SpatialJoin, TouchJoin};
 
     fn db() -> (NeuroDb, neurospatial_model::Circuit) {
         let c = CircuitBuilder::new(6).neurons(10).build();
@@ -1295,7 +1295,26 @@ mod tests {
 
     #[test]
     fn a_join_that_panics_leaves_the_next_one_correct() {
-        let (db, _) = db();
+        a_panicking_sink_leaves_the_next_join_correct(&db().0);
+    }
+
+    #[test]
+    fn a_parallel_join_that_panics_leaves_the_next_one_correct() {
+        // Two workers hand their pairs over to the sink's thread, and the
+        // sink's panic must stop them too, not leave them waiting.
+        let c = CircuitBuilder::new(6).neurons(10).build();
+        let db = NeuroDb::builder()
+            .circuit(&c)
+            .join(TouchJoin::parallel(2))
+            .split_populations("axons", "dendrites", |s| s.neuron % 2 == 0)
+            .build()
+            .expect("valid");
+        let join = db.query().touching("dendrites", 12.0).in_population("axons").collect();
+        assert!(join.expect("ok").stats.join_tasks > 1, "the tasks are spread over the workers");
+        a_panicking_sink_leaves_the_next_join_correct(&db);
+    }
+
+    fn a_panicking_sink_leaves_the_next_join_correct(db: &NeuroDb) {
         let touching = || db.query().touching("dendrites", 12.0).in_population("axons");
         let want = touching().collect().expect("ok");
         let mut seen = 0usize;

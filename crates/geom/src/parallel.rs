@@ -12,11 +12,17 @@
 //!   assignment descent over B, one backend index per shard.
 //! * **Pulled tasks** ([`for_each_task`](Executor::for_each_task)):
 //!   workers take task indices from one shared counter until none are
-//!   left. Right when costs are skewed — the TOUCH join phase, where one
-//!   bucket can hold three quarters of the data — because a worker that
-//!   draws cheap tasks simply draws more of them. Which worker ran which
-//!   task is not deterministic, so callers that need a deterministic
-//!   result record it per task and merge in task order.
+//!   left. Right when costs are skewed — the STR packer's slabs —
+//!   because a worker that draws cheap tasks simply draws more of them.
+//!   Which worker ran which task is not deterministic.
+//! * **Pulled tasks, delivered in order**
+//!   ([`for_each_task_in_order`](Executor::for_each_task_in_order)):
+//!   the same pulling, but every task writes its output into a buffer
+//!   the calling thread hands on in task order while the workers run. A
+//!   worker starts a task only within a window of the oldest one not yet
+//!   delivered, so what is held at once is bounded by the window, not by
+//!   the output: the TOUCH join phase, where one bucket can hold three
+//!   quarters of the data and the pairs must come out in task order.
 //!
 //! `std::thread::scope` keeps the API dependency-free and lets workers
 //! borrow from the caller's stack; a worker's panic is re-raised on the
@@ -34,6 +40,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A fixed-width scoped-thread worker pool over index chunks or pulled
 /// tasks.
@@ -215,6 +222,187 @@ impl Executor {
             }
         });
     }
+
+    /// Run `run(task, state, buf)` once for every task index in
+    /// `0..tasks`, pulled as in [`for_each_task`](Self::for_each_task),
+    /// each into an empty buffer taken from `pool`, and hand every filled
+    /// buffer to `deliver` on the calling thread in task order, while the
+    /// workers run. A worker starts task `t` only once fewer than
+    /// `window` tasks before it are undelivered (`t < delivered +
+    /// window`), so at most `window` buffers are out at once; each goes
+    /// back to `pool`, cleared, after its delivery. With one worker the
+    /// tasks run inline, each delivered as it ends, through one pooled
+    /// buffer.
+    ///
+    /// If `run` or `deliver` panics, the other side is told to stop, and
+    /// the panic is re-raised on the calling thread once every worker
+    /// has stopped; the buffers still out are then dropped.
+    ///
+    /// # Panics
+    /// If `states` is shorter than the number of workers, if `window` is
+    /// 0, or if `run` or `deliver` panicked.
+    pub fn for_each_task_in_order<S, T, F, D>(
+        &self,
+        tasks: usize,
+        window: usize,
+        states: &mut [S],
+        pool: &mut Vec<Vec<T>>,
+        run: F,
+        mut deliver: D,
+    ) where
+        S: Send,
+        T: Send,
+        F: Fn(usize, &mut S, &mut Vec<T>) + Sync,
+        D: FnMut(&[T]),
+    {
+        let (workers, _) = self.chunking(tasks);
+        if workers == 0 {
+            return;
+        }
+        assert!(states.len() >= workers, "need one state per worker: {} < {workers}", states.len());
+        assert!(window > 0, "a window of 0 tasks starts none");
+        if workers == 1 {
+            let mut buf = pool.pop().unwrap_or_default();
+            for task in 0..tasks {
+                run(task, &mut states[0], &mut buf);
+                deliver(&buf);
+                buf.clear();
+            }
+            pool.push(buf);
+            return;
+        }
+        let hand_off = HandOff {
+            state: Mutex::new(Window {
+                next: 0,
+                delivered: 0,
+                done: (0..window).map(|_| None).collect(),
+                pool: std::mem::take(pool),
+                abort: false,
+            }),
+            to_caller: Condvar::new(),
+            to_workers: Condvar::new(),
+        };
+        let (run, hand_off) = (&run, &hand_off);
+        std::thread::scope(|scope| {
+            for state in states[..workers].iter_mut() {
+                scope.spawn(move || {
+                    let _abort = AbortOnUnwind(hand_off);
+                    while let Some((task, mut buf)) = hand_off.start(tasks) {
+                        run(task, state, &mut buf);
+                        hand_off.finish(task, buf);
+                    }
+                });
+            }
+            let _abort = AbortOnUnwind(hand_off);
+            for task in 0..tasks {
+                // `None`: a worker panicked, and the scope re-raises it.
+                let Some(mut buf) = hand_off.wait_for(task) else { break };
+                deliver(&buf);
+                buf.clear();
+                hand_off.recycle(buf);
+            }
+        });
+        *pool = std::mem::take(&mut hand_off.lock().pool);
+    }
+}
+
+/// What [`Executor::for_each_task_in_order`]'s caller and workers share.
+struct HandOff<T> {
+    state: Mutex<Window<T>>,
+    /// The caller waits here for the next task in order to end.
+    to_caller: Condvar,
+    /// Workers wait here for the window to move, or for an abort.
+    to_workers: Condvar,
+}
+
+struct Window<T> {
+    /// The next task a worker will start.
+    next: usize,
+    /// Tasks delivered so far: `0..delivered`.
+    delivered: usize,
+    /// Task `t`'s filled buffer, at `t % window` until it is delivered;
+    /// only tasks `delivered..delivered + window` are ever out, so no two
+    /// share a slot.
+    done: Vec<Option<Vec<T>>>,
+    /// Empty buffers for the next tasks.
+    pool: Vec<Vec<T>>,
+    /// One side panicked: the workers start nothing more and the caller
+    /// waits for nothing more.
+    abort: bool,
+}
+
+impl<T> HandOff<T> {
+    /// No user code runs under the lock, so it is never poisoned by
+    /// one; a poisoned lock is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, Window<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A worker's next task and an empty buffer for it, once the window
+    /// lets it start; `None` when every task is taken or on abort.
+    fn start(&self, tasks: usize) -> Option<(usize, Vec<T>)> {
+        let mut w = self.lock();
+        loop {
+            if w.abort || w.next >= tasks {
+                return None;
+            }
+            if w.next < w.delivered + w.done.len() {
+                let task = w.next;
+                w.next += 1;
+                return Some((task, w.pool.pop().unwrap_or_default()));
+            }
+            w = self.to_workers.wait(w).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// A worker's filled buffer for `task`; wakes the caller if it is the
+    /// one the caller waits for.
+    fn finish(&self, task: usize, buf: Vec<T>) {
+        let mut w = self.lock();
+        let slot = task % w.done.len();
+        w.done[slot] = Some(buf);
+        if task == w.delivered {
+            self.to_caller.notify_one();
+        }
+    }
+
+    /// The caller's wait for `task`'s buffer; `None` on abort.
+    fn wait_for(&self, task: usize) -> Option<Vec<T>> {
+        let mut w = self.lock();
+        loop {
+            let slot = task % w.done.len();
+            if let Some(buf) = w.done[slot].take() {
+                return Some(buf);
+            }
+            if w.abort {
+                return None;
+            }
+            w = self.to_caller.wait(w).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// A delivered buffer back to the pool: the window moves one task.
+    fn recycle(&self, buf: Vec<T>) {
+        let mut w = self.lock();
+        w.pool.push(buf);
+        w.delivered += 1;
+        self.to_workers.notify_all();
+    }
+}
+
+/// Set on either side of the hand-off: if its thread unwinds, the other
+/// side stops waiting, so a panic on one end cannot leave the other
+/// blocked for ever.
+struct AbortOnUnwind<'h, T>(&'h HandOff<T>);
+
+impl<T> Drop for AbortOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().abort = true;
+            self.0.to_caller.notify_all();
+            self.0.to_workers.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,6 +544,88 @@ mod tests {
             });
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn in_order_delivery_follows_the_task_order_within_the_window() {
+        // Task t outputs t, t+1000 and ends late when t % 5 == 0, so later
+        // tasks end first and wait for it in the window.
+        for threads in [1usize, 2, 3, 8] {
+            for window in [1usize, 2, 3, 16] {
+                let mut states = vec![0usize; threads];
+                let mut pool = Vec::new();
+                let mut got = Vec::new();
+                let outstanding = AtomicUsize::new(0);
+                let most = AtomicUsize::new(0);
+                Executor { threads }.for_each_task_in_order(
+                    40,
+                    window,
+                    &mut states,
+                    &mut pool,
+                    |task, ran, buf| {
+                        assert!(buf.is_empty(), "a task starts on an empty buffer");
+                        let now = outstanding.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        if task % 5 == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        }
+                        buf.extend([task, task + 1000]);
+                        *ran += 1;
+                    },
+                    |out| {
+                        got.extend_from_slice(out);
+                        outstanding.fetch_sub(1, Ordering::SeqCst);
+                    },
+                );
+                let want: Vec<usize> = (0..40).flat_map(|t| [t, t + 1000]).collect();
+                assert_eq!(got, want, "threads={threads} window={window}");
+                assert_eq!(states.iter().sum::<usize>(), 40);
+                let most = most.load(Ordering::SeqCst);
+                assert!(most <= window, "{most} tasks out with a window of {window}");
+                assert!(pool.len() <= window && pool.iter().all(|b| b.is_empty()));
+            }
+        }
+    }
+
+    #[test]
+    fn in_order_delivery_without_tasks_is_a_noop() {
+        let mut states: Vec<u32> = Vec::new();
+        let mut pool: Vec<Vec<u32>> = Vec::new();
+        Executor { threads: 4 }.for_each_task_in_order(
+            0,
+            4,
+            &mut states,
+            &mut pool,
+            |_, _, _| panic!("no tasks expected"),
+            |_| panic!("nothing to deliver"),
+        );
+        assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn a_panic_on_either_side_of_the_hand_off_propagates() {
+        // Neither side may be left waiting for the other: a hang here is
+        // a failure too.
+        for threads in [2usize, 8] {
+            for failing_task in [true, false] {
+                let caught = std::panic::catch_unwind(|| {
+                    let mut states = vec![(); threads];
+                    let mut pool = Vec::new();
+                    Executor { threads }.for_each_task_in_order(
+                        200,
+                        4,
+                        &mut states,
+                        &mut pool,
+                        |task, (), buf| {
+                            assert!(!(failing_task && task == 57), "task 57 fails");
+                            buf.push(task);
+                        },
+                        |out| assert!(failing_task || out != [57], "delivering 57 fails"),
+                    );
+                });
+                assert!(caught.is_err(), "threads={threads} failing_task={failing_task}");
+            }
+        }
     }
 
     #[test]

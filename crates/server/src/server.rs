@@ -441,7 +441,11 @@ fn serve_connection<'db>(
             Ok(Some(size)) => size,
             Ok(None) => {
                 let idle = reader.buffered() == 0;
-                if !idle && started.get_or_insert_with(Instant::now).elapsed() > deadline {
+                if idle {
+                    // Nothing more to serve for now: what this thread's
+                    // queries staged reaches the scraped counters.
+                    neurospatial::metrics::flush_thread_stats();
+                } else if started.get_or_insert_with(Instant::now).elapsed() > deadline {
                     return Err(io::ErrorKind::TimedOut.into());
                 }
                 match reader.fill(stream) {
@@ -635,7 +639,10 @@ fn serve_request<'db>(
             // Process-wide series (query/storage/scout) merged with the
             // per-server registry (connection/request counters, per-op
             // latency) and, for a live database, its WAL state. Name sets
-            // are disjoint, so merge never sums across the sources.
+            // are disjoint, so merge never sums across the sources. This
+            // thread's staged query counts go in first, so the scrape
+            // trails none of the traversals it served.
+            neurospatial::metrics::flush_thread_stats();
             let mut snap = obs::global().snapshot();
             snap.merge(&shared.metrics.snapshot());
             if let Some(wal) = shared.db.wal_health() {

@@ -684,6 +684,64 @@ fn live_ingest_acks_serves_and_recovers_over_the_wire() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// The query work counters in a METRICS scrape are exact once the
+/// connections that ran the queries are idle: a server worker folds its
+/// thread's staged counts in when its connection goes idle, and the
+/// METRICS arm folds in its own before the snapshot. The counters are
+/// process-wide and the other tests in this binary feed them too, so the
+/// test runs itself again, alone, in a child process.
+#[test]
+fn metrics_query_counters_are_exact_once_connections_idle() {
+    const NAME: &str = "metrics_query_counters_are_exact_once_connections_idle";
+    if std::env::var_os("NSRV_TEST_ALONE").is_none() {
+        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--test-threads=1", "--quiet"])
+            .env("NSRV_TEST_ALONE", "1")
+            .status()
+            .expect("the test binary runs");
+        assert!(status.success(), "{NAME} failed when run alone");
+        return;
+    }
+    let circuit = circuit();
+    let db = build_db(&circuit, IndexBackend::Flat);
+    serve_with(&db, &FilterRegistry::new(), &ServerConfig::default(), |handle| {
+        let plain = QueryDescView { tenant: 1, ..Default::default() };
+        let mut segments = Vec::new();
+        let mut clients = [(); 2].map(|()| Client::connect(handle.addr()).expect("connect"));
+        let total = |snap: &neurospatial::obs::MetricsSnapshot| {
+            let count = |name| snap.counter(name).unwrap_or(0);
+            (count("query_results_total"), count("query_nodes_read_total"))
+        };
+        let before = total(&clients[0].metrics().expect("metrics"));
+        // Five ranges a connection, around segments so that each finds
+        // some: fewer than the 32 a thread stages before it flushes on
+        // its own.
+        let (mut results, mut nodes) = (0, 0);
+        for i in 0..5 {
+            let region = Aabb::cube(circuit.segments()[i * 97].geom.center(), 15.0);
+            for client in clients.iter_mut() {
+                let stats = client.range(&plain, &region, &mut segments).expect("range");
+                results += stats.results;
+                nodes += stats.nodes_read;
+            }
+        }
+        assert!(results > 0 && nodes > 0);
+        // The second connection's worker flushes once it has written its
+        // last answer, which the client may read a moment before that.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let after = total(&clients[0].metrics().expect("metrics"));
+            let served = (after.0 - before.0, after.1 - before.1);
+            if served == (results, nodes) || std::time::Instant::now() > deadline {
+                assert_eq!(served, (results, nodes), "(results, nodes read) in the scrape");
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    })
+    .expect("serve");
+}
+
 /// METRICS over the wire, one run: a scripted request sequence shows up
 /// exactly in the per-server counters, and the merged snapshot carries
 /// live latency histograms for queries, page I/O, and WAL commits.

@@ -36,10 +36,18 @@
 //!   how the comparisons fall (as one short-circuit test per pair, six
 //!   loads behind six branches, the filter is 79 % of the reference
 //!   join);
-//! * all transient state lives in a reusable [`JoinScratch`] (descent
-//!   stacks, epoch marks, CSR arrays, pair buffers) — steady-state joins
-//!   through a prebuilt [`TouchEngine`] perform **zero** heap
-//!   allocations at one thread;
+//! * all transient state lives in a reusable [`JoinScratch`] — steady-state
+//!   joins through a prebuilt [`TouchEngine`] perform **zero** heap
+//!   allocations at one thread — and none of it grows with the number of
+//!   pairs found. Besides the frozen tree on A, a join holds B's curve
+//!   order (8 B an object of B, plus the workers' key chunks it is
+//!   gathered from), per surviving object its `(node, index)` assignment
+//!   (8 B) and one CSR slot (4 B), the per-node counts and the task
+//!   list, each worker's descent working set and the raw boxes of the
+//!   task it is joining (six `f64` lanes; an inner node inflates a box
+//!   by ε as it loads it, the operation a per-object descent applies, so
+//!   no inflated copy is kept), and at most `JOIN_WINDOW` pair buffers
+//!   of one task each;
 //! * B is visited in **space order**: every object is keyed by the
 //!   centre of its box on a Hilbert curve over A's root box, 10 bits an
 //!   axis, and the assign phase walks B sorted by `(key, index)`. The
@@ -58,7 +66,13 @@
 //!   bucket, which the workers pull from a shared counter. The task list
 //!   depends on the data only, never on the worker count, and the pairs
 //!   are delivered in task order, so the pair sequence and the comparison
-//!   counts are the same at every worker count;
+//!   counts are the same at every worker count. One worker runs the
+//!   tasks inline and hands each pair to the sink as it is found. More
+//!   fill one pooled pair buffer a task, which the calling thread hands
+//!   to the sink in task order while they run
+//!   ([`Executor::for_each_task_in_order`]); a worker starts a task only
+//!   within `JOIN_WINDOW` tasks of the oldest undelivered one, so the
+//!   pairs held at once are a few tasks' worth, not the result;
 //! * a leaf is scanned with one lane mask per slot. A bucket-local
 //!   sort+sweep along x is still reachable for sub-buckets of at least
 //!   [`TouchJoin::sweep_min`] slots, but it is off by default: on
@@ -86,6 +100,13 @@ pub const JOIN_TASK_SLOTS: usize = 2048;
 /// are finer than any leaf, and a key fits in a `u64` above the object's
 /// 32-bit index.
 const ORDER_BITS: u32 = 10;
+
+/// Most join tasks started and not yet delivered at once, a constant for
+/// the same reason as [`JOIN_TASK_SLOTS`]. A worker starts task `t` only
+/// while `t < delivered + JOIN_WINDOW`, so at most this many pair buffers
+/// are held, whatever the join finds; 8 tasks of milliseconds each keep
+/// two workers busy past a slow task.
+const JOIN_WINDOW: usize = 8;
 
 /// The TOUCH join (cache-conscious engine).
 #[derive(Debug, Clone, Copy)]
@@ -174,7 +195,8 @@ impl TouchJoin {
         }
         let exec = Executor::new(self.threads);
         let engine = TouchEngine::build_on(a, self.fanout, &exec);
-        let mut stats = engine.join_runs_on(&exec, b, eps, self.sweep_min, scratch, sink);
+        let mut stats =
+            engine.join_windowed(&exec, b, eps, self.sweep_min, JOIN_WINDOW, scratch, sink);
         stats.build_ms = engine.build_ms();
         timer.finish(&mut stats);
         stats
@@ -288,17 +310,35 @@ impl<T: JoinObject> TouchEngine<T> {
     }
 
     /// [`join_into`](Self::join_into) on a given executor, with the pairs
-    /// handed to `sink` one task's run at a time, in task order, straight
-    /// from the workers' buffers (`join_ms` includes the time `sink`
-    /// takes). An [`Executor::io_bound`] executor runs more workers than
-    /// the machine has cores, which is how the equivalence suites put 3
-    /// and 8 workers on a 2-core CI machine.
+    /// handed to `sink` in task order while the join runs (`join_ms`
+    /// includes the time `sink` takes): with one worker each pair as it
+    /// is found, with more one task's run at a time, from a buffer the
+    /// workers filled. An [`Executor::io_bound`] executor runs more
+    /// workers than the machine has cores, which is how the equivalence
+    /// suites put 3 and 8 workers on a 2-core CI machine.
     pub fn join_runs_on(
         &self,
         exec: &Executor,
         b: &[T],
         eps: f64,
         sweep_min: usize,
+        scratch: &mut JoinScratch,
+        sink: impl FnMut(&[(u32, u32)]),
+    ) -> JoinStats {
+        self.join_windowed(exec, b, eps, sweep_min, JOIN_WINDOW, scratch, sink)
+    }
+
+    /// [`join_runs_on`](Self::join_runs_on) with at most `window` join
+    /// tasks started and not yet delivered at once ([`JOIN_WINDOW`] but
+    /// in tests).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn join_windowed(
+        &self,
+        exec: &Executor,
+        b: &[T],
+        eps: f64,
+        sweep_min: usize,
+        window: usize,
         scratch: &mut JoinScratch,
         mut sink: impl FnMut(&[(u32, u32)]),
     ) -> JoinStats {
@@ -326,12 +366,10 @@ impl<T: JoinObject> TouchEngine<T> {
             starts,
             cursor,
             items,
-            lanes,
-            lanes_fb,
             active,
             marks,
             tasks,
-            runs,
+            pair_pool,
             report,
         } = scratch;
         for ws in workers[..assign_workers].iter_mut() {
@@ -394,17 +432,13 @@ impl<T: JoinObject> TouchEngine<T> {
             starts[n + 1] = acc;
         }
         items.resize(survivors, 0);
-        lanes.resize(survivors);
-        lanes_fb.resize(survivors);
         cursor.clear();
         cursor.extend_from_slice(&starts[..n_nodes]);
         for ws in workers[..assign_workers].iter() {
-            for (&(node, j), bb) in ws.assigned.iter().zip(&ws.boxes) {
+            for &(node, j) in &ws.assigned {
                 let pos = cursor[node as usize] as usize;
                 cursor[node as usize] += 1;
                 items[pos] = j;
-                lanes.set(pos, bb);
-                lanes_fb.set(pos, &bb.inflate(eps));
             }
         }
         // --- Tasks: every active bucket, cut into runs of slots ----------
@@ -419,41 +453,52 @@ impl<T: JoinObject> TouchEngine<T> {
         }
         stats.assign_ms = timer.lap();
 
-        // --- Join: workers pull tasks, hybrid strategy per leaf ----------
-        // The join reuses the assign phase's worker scratches: a task
-        // holds at least one B-object, so there are never more join
-        // workers than assign workers (and `for_each_task` asserts that
-        // loudly if the policy ever changes).
-        let buckets = BucketView { items, lanes, lanes_fb };
+        // --- Join: tasks in order, hybrid strategy per leaf --------------
+        // One worker runs the tasks inline and hands each pair on as it
+        // is found. More pull tasks into pooled pair buffers, which this
+        // thread delivers in task order while they run, with at most
+        // `window` tasks started and not yet delivered. The join reuses the
+        // assign phase's worker scratches: a task holds at least one
+        // B-object, so there are never more join workers than assign
+        // workers (and the executor asserts that loudly if the policy
+        // ever changes).
+        let items: &[u32] = items;
         let tasks_r: &[JoinTask] = tasks;
-        exec.for_each_task(tasks_r.len(), &mut workers[..assign_workers], |t, ws| {
-            let started = Instant::now();
-            let first = ws.pairs.len();
-            join_task(view, tree, b, &buckets, tasks_r[t], eps, sweep_min, ws);
-            ws.runs.push((t as u32, first..ws.pairs.len()));
-            ws.join_busy += started.elapsed();
-        });
-
-        // --- Deliver, in task order --------------------------------------
-        runs.clear();
-        runs.resize(tasks.len(), (0, 0..0));
         let (join_workers, _) = exec.chunking(tasks.len());
+        let mut deliver = |run: &[(u32, u32)]| {
+            stats.results += run.len() as u64;
+            sink(run);
+        };
+        if join_workers == 1 {
+            let ws = &mut workers[0];
+            for &task in tasks_r {
+                let mut emit = |pair| deliver(std::slice::from_ref(&pair));
+                join_task(view, tree, b, items, task, eps, sweep_min, ws, &mut emit);
+            }
+        } else {
+            exec.for_each_task_in_order(
+                tasks_r.len(),
+                window,
+                &mut workers[..assign_workers],
+                pair_pool,
+                |t, ws, buf| {
+                    let started = Instant::now();
+                    let mut emit = |pair| buf.push(pair);
+                    join_task(view, tree, b, items, tasks_r[t], eps, sweep_min, ws, &mut emit);
+                    ws.join_busy += started.elapsed();
+                },
+                &mut deliver,
+            );
+        }
         let mut busiest = Duration::ZERO;
         let mut busy = Duration::ZERO;
-        for (w, ws) in workers[..assign_workers].iter_mut().enumerate() {
+        for ws in workers[..assign_workers].iter() {
             stats.filter_comparisons += ws.filter;
             stats.refine_comparisons += ws.refine;
             stats.filtered_out += ws.filtered_out;
-            stats.results += ws.pairs.len() as u64;
             report.merge_worker(ws);
-            for (t, run) in ws.runs.drain(..) {
-                runs[t as usize] = (w as u32, run);
-            }
             busiest = busiest.max(ws.join_busy);
             busy += ws.join_busy;
-        }
-        for (w, run) in runs.iter() {
-            sink(&workers[*w as usize].pairs[run.clone()]);
         }
         stats.join_ms = timer.lap();
         stats.probe_ms = stats.assign_ms + stats.join_ms;
@@ -463,30 +508,33 @@ impl<T: JoinObject> TouchEngine<T> {
         } else {
             1.0
         };
-        // Memory: the frozen tree on A, B's curve order and the workers'
-        // key chunks it is gathered from, the CSR bucket arrays — one
-        // slot and two six-lane boxes (raw and ε-inflated) per surviving
-        // B object, no replication — the task list, and the workers'
-        // lane-mask buffers.
-        let key_words: usize = workers.iter().map(|ws| ws.keys.capacity()).sum();
-        let mask_words: usize = workers.iter().map(|ws| ws.masks.capacity()).sum();
+        // Memory: the frozen tree on A, B's curve order, the CSR bucket
+        // arrays — one slot per surviving B object, no replication — the
+        // task list, every worker's buffers (key chunk, assignments, one
+        // task's box lanes, descent working set) and the pooled pair
+        // buffers (at most `window`, each one task's).
+        let worker_bytes: usize = workers.iter().map(WorkerScratch::bytes).sum();
+        let pair_bytes: usize = pair_pool.iter().map(heap_bytes).sum();
         stats.aux_memory_bytes = self.tree.memory_bytes() as u64
-            + ((order.len() + key_words) * 8) as u64
-            + (items.len() * 4 + lanes.bytes() + lanes_fb.bytes()) as u64
+            + (order.len() * 8 + items.len() * 4) as u64
             + ((counts.len() + starts.len() + cursor.len() + active.len()) * 4) as u64
             + std::mem::size_of_val(tasks.as_slice()) as u64
-            + (mask_words * 8) as u64;
+            + (worker_bytes + pair_bytes) as u64;
         timer.finish(&mut stats);
         stats
     }
 }
 
 /// Reusable transient state for [`TouchEngine::join_into`]: per-worker
-/// scratches (descent stacks, sort buffers, pair buffers, counters), B's
-/// visiting order, the CSR bucket arrays with their six filter-box lanes, epoch marks for
-/// first-touch bucket detection, and the assignment report. Create one
-/// (per thread pool) and reuse it across joins; after the first join has
-/// grown every buffer, subsequent single-threaded joins allocate nothing.
+/// scratches (descent stacks, one task's box lanes, sort buffers,
+/// counters), B's visiting order, the CSR bucket arrays, epoch marks for
+/// first-touch bucket detection, the pool of pair buffers the join
+/// workers fill, and the assignment report. Create one (per thread pool)
+/// and reuse it across joins; after the first join has grown every
+/// buffer, subsequent single-threaded joins allocate nothing. What it
+/// holds depends on A and B, not on how many pairs a join finds: a
+/// one-thread join hands each pair on as it is found, and a parallel one
+/// holds at most a few tasks' pairs at once.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     workers: Vec<WorkerScratch>,
@@ -501,13 +549,6 @@ pub struct JoinScratch {
     cursor: Vec<u32>,
     /// Bucketed B indices, CSR order.
     items: Vec<u32>,
-    /// The bucketed B objects' raw AABBs in six contiguous f64 lanes,
-    /// parallel to `items` (the leaf-test side).
-    lanes: BoxLanes,
-    /// The same boxes ε-inflated (the node-pruning side): storing both
-    /// keeps every filter comparison bit-identical to a per-object
-    /// descent without re-inflating inside the hot scans.
-    lanes_fb: BoxLanes,
     /// SoA ids with non-empty buckets, sorted ascending (BFS order).
     active: Vec<u32>,
     /// First-touch marks over SoA nodes (O(1) reset between joins).
@@ -515,9 +556,9 @@ pub struct JoinScratch {
     /// The join phase's work list: every active bucket in `active` order,
     /// cut into runs of at most [`JOIN_TASK_SLOTS`] slots.
     tasks: Vec<JoinTask>,
-    /// Per task, the worker that ran it and its range of that worker's
-    /// `pairs`.
-    runs: Vec<(u32, Range<usize>)>,
+    /// Empty pair buffers for the join workers: a task fills one, and it
+    /// comes back here once its pairs are delivered.
+    pair_pool: Vec<Vec<(u32, u32)>>,
     report: AssignmentReport,
 }
 
@@ -573,9 +614,9 @@ impl BoxLanes {
         self.hi_z.resize(n, 0.0);
     }
 
-    /// Bytes the six lanes hold.
+    /// Bytes the six lanes have allocated.
     fn bytes(&self) -> usize {
-        6 * std::mem::size_of_val(self.lo_x.as_slice())
+        6 * heap_bytes(&self.lo_x)
     }
 
     #[inline]
@@ -612,7 +653,7 @@ impl BoxLanes {
 }
 
 /// One worker's reusable state: assignment output, join descent stack,
-/// bucket sort-order buffers, emitted pairs and statistics counters.
+/// bucket sort-order buffers and statistics counters.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     /// `key << 32 | index` for this worker's chunk of B, gathered into
@@ -620,8 +661,11 @@ struct WorkerScratch {
     keys: Vec<u64>,
     /// `(soa node, b index)` assignments produced by this worker's chunk.
     assigned: Vec<(u32, u32)>,
-    /// Raw (un-inflated) B AABBs, parallel to `assigned`.
-    boxes: Vec<Aabb>,
+    /// Raw boxes of the B objects of the task being joined, in slot
+    /// order. A leaf tests them raw against ε-inflated entries; an inner
+    /// node inflates them by ε as it loads them, the operation a
+    /// per-object descent applies, so no inflated copy is kept.
+    lanes: BoxLanes,
     /// Radix-descent working set: CSR slot lists, one contiguous run per
     /// (node, sub-bucket) reached.
     slots: Vec<u32>,
@@ -639,11 +683,7 @@ struct WorkerScratch {
     fa_cache: Vec<Aabb>,
     /// CSR slots sorted by lo_x (bucket sweep).
     sort_b: Vec<u32>,
-    /// Emitted pairs, one contiguous run per task this worker ran.
-    pairs: Vec<(u32, u32)>,
-    /// `(task, range of pairs)` for every task this worker ran.
-    runs: Vec<(u32, Range<usize>)>,
-    /// Time spent inside join tasks.
+    /// Time spent inside join tasks (parallel joins only).
     join_busy: Duration,
     filter: u64,
     refine: u64,
@@ -652,13 +692,30 @@ struct WorkerScratch {
     hist: Vec<u64>,
 }
 
+/// Bytes `v` has allocated.
+fn heap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 impl WorkerScratch {
+    /// Bytes this worker's buffers have allocated.
+    fn bytes(&self) -> usize {
+        heap_bytes(&self.keys)
+            + heap_bytes(&self.assigned)
+            + self.lanes.bytes()
+            + heap_bytes(&self.slots)
+            + heap_bytes(&self.frontier)
+            + heap_bytes(&self.masks)
+            + heap_bytes(&self.child_at)
+            + heap_bytes(&self.sort_a)
+            + heap_bytes(&self.fa_cache)
+            + heap_bytes(&self.sort_b)
+            + heap_bytes(&self.hist)
+    }
+
     fn reset(&mut self) {
         self.keys.clear();
         self.assigned.clear();
-        self.boxes.clear();
-        self.pairs.clear();
-        self.runs.clear();
         self.join_busy = Duration::ZERO;
         self.filter = 0;
         self.refine = 0;
@@ -689,8 +746,7 @@ fn assign_range<T: JoinObject>(
 ) {
     for &entry in order {
         let j = entry as u32;
-        let raw = b[j as usize].aabb();
-        let fb = raw.inflate(eps);
+        let fb = b[j as usize].aabb().inflate(eps);
         ws.filter += 1;
         if !root_mbr.intersects(&fb) {
             ws.filtered_out += 1;
@@ -730,49 +786,59 @@ fn assign_range<T: JoinObject>(
             Some(n) => {
                 ws.record_depth(depth);
                 ws.assigned.push((n, j));
-                ws.boxes.push(raw);
             }
         }
     }
 }
 
-/// The CSR bucket arrays, bundled for the join workers: slot `t` holds
-/// B-object `items[t]`; `lanes` holds the raw B boxes, `lanes_fb` their
-/// ε-inflated filter boxes.
+/// One task's slots, bundled for the join: slot `t` holds B-object
+/// `items[t]` and its raw box in `lanes`.
 struct BucketView<'s> {
     items: &'s [u32],
     lanes: &'s BoxLanes,
-    lanes_fb: &'s BoxLanes,
 }
 
-/// Join one task: a run of one bucket's slots descends the assignment
-/// node's subtree as a whole ("radix" descent), so each tree node is
+/// Join one task: a run of one bucket's slots (of the CSR `items`)
+/// descends the assignment node's subtree as a whole ("radix" descent).
+/// The task first loads its objects' raw boxes into the worker's lanes,
+/// in slot order, so the scans below read them from one small buffer and
+/// the scratch keeps no box of B between tasks. Each tree node is
 /// visited once per task instead of once per object. At an inner node
 /// every slot's ε-inflated box is loaded once and tested against all the
 /// node's child MBRs in one lane mask (the exact (b, child) decisions a
 /// per-object descent makes); the masks are kept, the children's shares
 /// counted, and the slots then placed child by child, in slot order
 /// within a child. Sub-buckets reaching a leaf join against the leaf's
-/// entry lanes in [`join_leaf`].
+/// entry lanes in [`join_leaf`], which hands every qualifying pair to
+/// `emit`.
 #[allow(clippy::too_many_arguments)]
 fn join_task<T: JoinObject>(
     view: FrozenView<'_>,
     tree: &RTree<Indexed<T>>,
     b: &[T],
-    buckets: &BucketView<'_>,
+    items: &[u32],
     task: JoinTask,
     eps: f64,
     sweep_min: usize,
     ws: &mut WorkerScratch,
+    emit: &mut impl FnMut((u32, u32)),
 ) {
+    let items = &items[task.lo as usize..task.hi as usize];
+    // Taken out for the task, so that the scans can read it beside `ws`.
+    let mut lanes = std::mem::take(&mut ws.lanes);
+    lanes.resize(items.len());
+    for (t, &j) in items.iter().enumerate() {
+        lanes.set(t, &b[j as usize].aabb());
+    }
+    let buckets = &BucketView { items, lanes: &lanes };
     ws.slots.clear();
-    ws.slots.extend(task.lo..task.hi);
+    ws.slots.extend(0..items.len() as u32);
     ws.frontier.clear();
-    ws.frontier.push((task.node, 0, task.hi - task.lo));
+    ws.frontier.push((task.node, 0, items.len() as u32));
     while let Some((n, lo, hi)) = ws.frontier.pop() {
         let sub = lo as usize..hi as usize;
         if view.is_leaf(n) {
-            join_leaf(view, tree, b, buckets, n, sub, eps, sweep_min, ws);
+            join_leaf(view, tree, b, buckets, n, sub, eps, sweep_min, ws, emit);
             continue;
         }
         let (s, e) = view.entries(n);
@@ -781,7 +847,7 @@ fn join_task<T: JoinObject>(
         ws.child_at.clear();
         ws.child_at.resize(e - s, 0);
         for k in sub.clone() {
-            let fb = buckets.lanes_fb.aabb(ws.slots[k] as usize);
+            let fb = buckets.lanes.aabb(ws.slots[k] as usize).inflate(eps);
             for (c, mask) in view.entry_masks(s, e, &fb, 0.0).enumerate() {
                 ws.masks.push(mask);
                 for i in set_bits(mask) {
@@ -812,6 +878,7 @@ fn join_task<T: JoinObject>(
             }
         }
     }
+    ws.lanes = lanes;
 }
 
 /// The positions of `mask`'s set bits, lowest first.
@@ -842,11 +909,12 @@ fn join_leaf<T: JoinObject>(
     eps: f64,
     sweep_min: usize,
     ws: &mut WorkerScratch,
+    emit: &mut impl FnMut((u32, u32)),
 ) {
     let (es, ee) = view.entries(n);
     let leaf = tree.leaf_objects(view.orig(n));
     if range.len() >= sweep_min && ee - es >= 2 {
-        sweep_leaf(view, leaf, b, buckets, range, es..ee, eps, ws);
+        sweep_leaf(view, leaf, b, buckets, range, es..ee, eps, ws, emit);
         return;
     }
     ws.filter += (range.len() * (ee - es)) as u64;
@@ -858,7 +926,7 @@ fn join_leaf<T: JoinObject>(
             for i in set_bits(mask) {
                 let x = &leaf[view.entry_ref(es + 64 * c + i) as usize];
                 if x.obj.refine(&b[j as usize], eps) {
-                    ws.pairs.push((x.idx, j));
+                    emit((x.idx, j));
                 }
             }
         }
@@ -882,6 +950,7 @@ fn sweep_leaf<T: JoinObject>(
     entries: Range<usize>,
     eps: f64,
     ws: &mut WorkerScratch,
+    emit: &mut impl FnMut((u32, u32)),
 ) {
     let lanes = buckets.lanes;
     ws.sort_a.clear();
@@ -921,7 +990,7 @@ fn sweep_leaf<T: JoinObject>(
                     ws.refine += 1;
                     let j = buckets.items[t];
                     if x.obj.refine(&b[j as usize], eps) {
-                        ws.pairs.push((x.idx, j));
+                        emit((x.idx, j));
                     }
                 }
             }
@@ -943,7 +1012,7 @@ fn sweep_leaf<T: JoinObject>(
                     ws.refine += 1;
                     let x = &leaf[view.entry_ref(ws.sort_a[k] as usize) as usize];
                     if x.obj.refine(&b[j as usize], eps) {
-                        ws.pairs.push((x.idx, j));
+                        emit((x.idx, j));
                     }
                 }
             }
@@ -1089,6 +1158,34 @@ mod tests {
         }
     }
 
+    /// What [`JoinStats::aux_memory_bytes`] must read after a join of a
+    /// B side of `b_len` objects, from the buffers' real sizes.
+    fn held_bytes(engine: &TouchEngine<Aabb>, s: &JoinScratch, b_len: usize) -> u64 {
+        let workers: usize = s
+            .workers
+            .iter()
+            .map(|w| {
+                let l = &w.lanes;
+                let lanes = [&l.lo_x, &l.lo_y, &l.lo_z, &l.hi_x, &l.hi_y, &l.hi_z];
+                8 * (w.keys.capacity() + w.assigned.capacity())
+                    + 8 * lanes.iter().map(|lane| lane.capacity()).sum::<usize>()
+                    + 4 * (w.slots.capacity() + w.child_at.capacity())
+                    + 12 * w.frontier.capacity()
+                    + 8 * (w.masks.capacity() + w.hist.capacity())
+                    + 4 * (w.sort_a.capacity() + w.sort_b.capacity())
+                    + 48 * w.fa_cache.capacity()
+            })
+            .sum();
+        let csr = s.items.len() + s.counts.len() + s.starts.len() + s.cursor.len();
+        let pairs: usize = s.pair_pool.iter().map(|p| 8 * p.capacity()).sum();
+        (engine.tree.memory_bytes()
+            + b_len * 8
+            + (csr + s.active.len()) * 4
+            + std::mem::size_of_val(s.tasks.as_slice())
+            + workers
+            + pairs) as u64
+    }
+
     #[test]
     fn engine_scratch_reuse_is_stable() {
         // One engine, one scratch, many joins (varying B and ε): every
@@ -1110,29 +1207,29 @@ mod tests {
             let assigned: u64 = scratch.report().histogram.iter().sum();
             assert_eq!(assigned + scratch.report().filtered_out, b.len() as u64);
             // The memory figure is the buffers' real sizes: per B object
-            // 8 bytes of visiting order, per survivor one slot and twelve
-            // f64 lanes (its raw and its inflated box).
+            // 8 bytes of visiting order, per survivor one slot, and the
+            // raw boxes of one task at a time in six f64 lanes (48 B a
+            // slot; an inner node inflates a box as it loads it), not one
+            // box per survivor. One thread hands each pair on as it is
+            // found, so no pair buffer comes out of the pool.
             let s = &scratch;
             assert_eq!(s.order.len(), b.len());
-            let lanes: usize = [&s.lanes, &s.lanes_fb]
-                .into_iter()
-                .flat_map(|l| [&l.lo_x, &l.lo_y, &l.lo_z, &l.hi_x, &l.hi_y, &l.hi_z])
-                .map(|lane| std::mem::size_of_val(lane.as_slice()))
-                .sum();
-            assert_eq!(lanes, assigned as usize * 96);
-            let csr = s.items.len() + s.counts.len() + s.starts.len() + s.cursor.len();
-            let masks: usize = s.workers.iter().map(|w| w.masks.capacity() * 8).sum();
-            assert!(masks > 0, "an inner node was split");
-            let keys: usize = s.workers.iter().map(|w| w.keys.capacity() * 8).sum();
-            let held = engine.tree.memory_bytes()
-                + b.len() * 8
-                + keys
-                + lanes
-                + (csr + s.active.len()) * 4
-                + std::mem::size_of_val(s.tasks.as_slice())
-                + masks;
-            assert_eq!(stats.aux_memory_bytes, held as u64, "round {round}");
+            assert_eq!(s.items.len(), assigned as usize);
+            let largest = 48 * scratch.largest_task();
+            let lanes = s.workers[0].lanes.bytes();
+            assert!(largest <= lanes && lanes <= 2 * largest, "{lanes} B of lanes");
+            assert!(s.workers.iter().any(|w| w.masks.capacity() > 0), "an inner node was split");
+            assert!(s.pair_pool.is_empty());
+            assert_eq!(stats.aux_memory_bytes, held_bytes(&engine, s, b.len()), "round {round}");
         }
+        // A parallel join counts the pair buffers it pooled as well.
+        let b = grid_boxes(4000, 0.6);
+        let (_, stats) = join_on_workers(&engine, &b, 0.9, 2, &mut scratch);
+        assert!(stats.join_tasks > 1);
+        let pooled = scratch.pair_pool.len();
+        assert!(pooled > 0 && pooled <= JOIN_WINDOW, "{pooled} pair buffers");
+        assert!(scratch.pair_pool.iter().all(|p| p.is_empty()));
+        assert_eq!(stats.aux_memory_bytes, held_bytes(&engine, &scratch, b.len()));
     }
 
     #[test]
@@ -1199,13 +1296,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn buckets_hold_b_in_curve_order() {
-        // Rods across the whole grid along x are ambiguous at the root, so
-        // the root bucket is cut into several tasks; the small boxes among
-        // them land deeper. Every bucket must list its objects in
-        // `(key, index)` order, the same at every worker count.
-        let a = grid_boxes(1000, 0.0);
+    /// Rods across the whole of `grid_boxes(1000, _)` along x, ambiguous
+    /// at the root so that the root bucket is cut into several tasks, and
+    /// small boxes among them that land deeper.
+    fn rods_and_boxes() -> Vec<Aabb> {
         let coord = |i: usize, p: usize| (i * p % 1500) as f64 / 100.0;
         let mut b = Vec::new();
         for i in 0..3 * JOIN_TASK_SLOTS {
@@ -1215,6 +1309,101 @@ mod tests {
                 b.push(Aabb::cube(Vec3::new(coord(i, 6007), y, z), 0.3));
             }
         }
+        b
+    }
+
+    #[test]
+    fn a_window_smaller_than_the_task_list_keeps_the_pair_sequence() {
+        // A sink that stalls on every third run (a task's pairs, with
+        // more than one worker) holds the window shut while later tasks
+        // end first; pairs and counters must be the one-thread join's at
+        // every worker count and window.
+        let (a, b) = (grid_boxes(1000, 0.0), rods_and_boxes());
+        let engine = TouchEngine::build(&a, 16);
+        let (want, seq) = join_on_workers(&engine, &b, 0.3, 1, &mut JoinScratch::new());
+        assert!(seq.join_tasks > 3, "{} tasks", seq.join_tasks);
+        let counters = |s: &JoinStats| {
+            let c = (s.filter_comparisons, s.refine_comparisons, s.results);
+            (c, s.filtered_out, s.join_tasks)
+        };
+        for workers in [1, 2, 3, 8] {
+            for window in [1, 2, 3] {
+                let (mut pairs, mut runs) = (Vec::new(), 0usize);
+                let mut scratch = JoinScratch::new();
+                let exec = Executor::io_bound(workers);
+                let sweep_min = TouchJoin::default().sweep_min;
+                let stats =
+                    engine.join_windowed(&exec, &b, 0.3, sweep_min, window, &mut scratch, |run| {
+                        runs += 1;
+                        if workers > 1 && runs % 3 == 1 {
+                            std::thread::sleep(Duration::from_millis(3));
+                        }
+                        pairs.extend_from_slice(run);
+                    });
+                let what = format!("workers={workers} window={window}");
+                assert_eq!(pairs, want, "{what}");
+                assert_eq!(counters(&stats), counters(&seq), "{what}");
+                assert!(scratch.pair_pool.len() <= window, "{what}");
+            }
+        }
+    }
+
+    /// A box whose `refine` panics when it meets a B object marked `fails`.
+    #[derive(Debug, Clone)]
+    struct Fuse {
+        bb: Aabb,
+        fails: bool,
+    }
+
+    impl JoinObject for Fuse {
+        fn aabb(&self) -> Aabb {
+            self.bb
+        }
+
+        fn refine(&self, other: &Self, eps: f64) -> bool {
+            assert!(!other.fails, "refine fails");
+            self.bb.refine(&other.bb, eps)
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_task_or_in_the_sink_returns_at_every_worker_count() {
+        // Neither the caller nor a worker may be left waiting for the
+        // other side: a hang here is the failure.
+        let fuse = |bb: &Aabb| Fuse { bb: *bb, fails: false };
+        let a: Vec<Fuse> = grid_boxes(1000, 0.0).iter().map(fuse).collect();
+        let b: Vec<Fuse> = rods_and_boxes().iter().map(fuse).collect();
+        let mut bad = b.clone();
+        for x in bad.iter_mut().skip(b.len() / 2).step_by(997) {
+            x.fails = true;
+        }
+        let engine = TouchEngine::build(&a, 16);
+        let sweep_min = TouchJoin::default().sweep_min;
+        for workers in [2, 8] {
+            let exec = Executor::io_bound(workers);
+            let mut runs = 0usize;
+            let sink_fails = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.join_runs_on(&exec, &b, 0.3, sweep_min, &mut JoinScratch::new(), |_| {
+                    runs += 1;
+                    assert!(runs < 3, "the sink gives up on its third run");
+                })
+            }));
+            assert!(sink_fails.is_err(), "workers={workers}");
+            let task_fails = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.join_runs_on(&exec, &bad, 0.3, sweep_min, &mut JoinScratch::new(), |_| {})
+            }));
+            assert!(task_fails.is_err(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn buckets_hold_b_in_curve_order() {
+        // Rods across the whole grid along x are ambiguous at the root, so
+        // the root bucket is cut into several tasks; the small boxes among
+        // them land deeper. Every bucket must list its objects in
+        // `(key, index)` order, the same at every worker count.
+        let a = grid_boxes(1000, 0.0);
+        let b = rods_and_boxes();
         let engine = TouchEngine::build(&a, 16);
         let mut scratch = JoinScratch::new();
         let (mut pairs, stats) = join_on_workers(&engine, &b, 0.3, 1, &mut scratch);
