@@ -1,13 +1,28 @@
 //! E1 wall-clock companion (demo Figures 2+3): range-query latency of
-//! FLAT vs the STR-packed, dynamic and R+ trees across densities —
-//! raced through the pluggable [`SpatialIndex`] trait, with a direct
-//! (non-virtual) FLAT lane to expose any abstraction overhead.
+//! FLAT vs the STR-packed, dynamic and R+ trees across densities. FLAT
+//! runs both directly and through the database's [`SpatialIndex`] trait,
+//! to expose any abstraction overhead; the trees run their own streaming
+//! traversal.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neurospatial::flat::FlatScratch;
 use neurospatial::prelude::*;
+use neurospatial::rtree::{TraversalCounters, TraversalScratch};
 use neurospatial_bench::{dense_circuit, standard_workload};
 use std::hint::black_box;
+
+/// Time one tree's streaming traversal over the workload.
+fn bench_tree(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    w: &RangeQueryWorkload,
+    query: impl Fn(&Aabb, &mut TraversalScratch) -> TraversalCounters,
+) {
+    group.bench_with_input(id, w, |b, w| {
+        let mut scratch = TraversalScratch::default();
+        b.iter(|| w.queries.iter().map(|q| query(black_box(q), &mut scratch).results).sum::<u64>())
+    });
+}
 
 fn bench_range_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_range_query");
@@ -35,24 +50,38 @@ fn bench_range_queries(c: &mut Criterion) {
             })
         });
 
-        // Every backend through the one trait, using the buffer-reuse
-        // form (`range_query_into_scratch`) — the hot-loop API.
-        for backend in IndexBackend::ALL {
-            let index = backend.build(segments.clone(), &params);
-            group.bench_with_input(BenchmarkId::new(backend.name(), n), &w, |b, w| {
-                let mut scratch = QueryScratch::new();
-                let mut buf = Vec::new();
-                b.iter(|| {
-                    let mut total = 0usize;
-                    for q in &w.queries {
-                        buf.clear();
-                        index.range_query_into_scratch(black_box(q), &mut scratch, &mut buf);
-                        total += buf.len();
-                    }
-                    total
-                })
-            });
-        }
+        // FLAT through the trait, using the buffer-reuse form
+        // (`range_query_into_scratch`) — the hot-loop API.
+        let index: FlatIndex<NeuronSegment> = SpatialIndex::build(segments.clone(), &params);
+        group.bench_with_input(BenchmarkId::new("flat", n), &w, |b, w| {
+            let mut scratch = QueryScratch::new();
+            let mut buf = Vec::new();
+            b.iter(|| {
+                let mut total = 0usize;
+                for q in &w.queries {
+                    buf.clear();
+                    index.range_query_into_scratch(black_box(q), &mut scratch, &mut buf);
+                    total += buf.len();
+                }
+                total
+            })
+        });
+
+        let mut dynamic = RTree::new(RTreeParams::with_max_entries(64));
+        segments.iter().for_each(|s| dynamic.insert(*s));
+        dynamic.freeze();
+        bench_tree(&mut group, BenchmarkId::new("rtree", n), &w, |q, scratch| {
+            dynamic.range_query_stream(q, scratch, |_| Flow::Emit)
+        });
+        let rplus = RPlusTree::build(segments.clone(), 64);
+        bench_tree(&mut group, BenchmarkId::new("rplus", n), &w, |q, scratch| {
+            rplus.range_query_stream(q, scratch, |_| Flow::Emit)
+        });
+        let mut packed = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(64));
+        packed.freeze();
+        bench_tree(&mut group, BenchmarkId::new("str-packed", n), &w, |q, scratch| {
+            packed.range_query_stream(q, scratch, |_| Flow::Emit)
+        });
     }
 
     // The FLAT page kernel outside the reference benchmark, on tissue
@@ -65,7 +94,9 @@ fn bench_range_queries(c: &mut Criterion) {
         circuit.segments().to_vec(),
         FlatBuildParams::default().with_page_capacity(64),
     );
-    let packed = IndexBackend::StrPacked.build(circuit.segments().to_vec(), &params);
+    let mut packed =
+        RTree::bulk_load(circuit.segments().to_vec(), RTreeParams::with_max_entries(64));
+    packed.freeze();
     for half in [5.0, 30.0] {
         let w = standard_workload(&circuit, 64, half);
         group.bench_with_input(BenchmarkId::new(format!("flat_stream_{half}um"), n), &w, |b, w| {
@@ -80,20 +111,8 @@ fn bench_range_queries(c: &mut Criterion) {
                 total
             })
         });
-        group.bench_with_input(BenchmarkId::new(format!("str-packed_{half}um"), n), &w, |b, w| {
-            let mut scratch = QueryScratch::new();
-            b.iter(|| {
-                let mut total = 0u64;
-                for q in &w.queries {
-                    total += packed
-                        .try_for_each_in_range(black_box(q), &mut scratch, false, &mut |_| {
-                            Flow::Emit
-                        })
-                        .expect("in-memory traversals do not fail")
-                        .results;
-                }
-                total
-            })
+        bench_tree(&mut group, BenchmarkId::new(format!("str-packed_{half}um"), n), &w, |q, s| {
+            packed.range_query_stream(q, s, |_| Flow::Emit)
         });
     }
     group.finish();
@@ -104,13 +123,18 @@ fn bench_build(c: &mut Criterion) {
     group.sample_size(10);
     let circuit = dense_circuit(25, 1);
     let segments = circuit.segments().to_vec();
-    let params = IndexParams::with_page_capacity(64);
-
-    for backend in [IndexBackend::Flat, IndexBackend::StrPacked] {
-        group.bench_function(format!("{}_build", backend.name()), |b| {
-            b.iter(|| backend.build(black_box(segments.clone()), &params).len())
-        });
-    }
+    let flat = FlatBuildParams::default().with_page_capacity(64);
+    group.bench_function("flat_build", |b| {
+        b.iter(|| FlatIndex::build(black_box(segments.clone()), flat).len())
+    });
+    group.bench_function("str-packed_build", |b| {
+        b.iter(|| {
+            let mut tree =
+                RTree::bulk_load(black_box(segments.clone()), RTreeParams::with_max_entries(64));
+            tree.freeze();
+            tree.len()
+        })
+    });
     group.finish();
 }
 

@@ -5,30 +5,30 @@
 //! cargo run --release -p neurospatial-bench --bin experiments        # all
 //! cargo run --release -p neurospatial-bench --bin experiments e4    # one
 //!
-//! # restrict the backend race / walkthrough methods from the CLI
-//! # (names parsed via FromStr — any alias IndexBackend/WalkthroughMethod
-//! # accepts works here):
-//! cargo run ... --bin experiments e1 --backends=flat,str-packed
+//! # restrict the walkthrough methods from the CLI (names parsed via
+//! # FromStr — any alias WalkthroughMethod accepts works here):
 //! cargo run ... --bin experiments e4 --methods=none,scout
 //!
-//! # sharded-vs-monolithic throughput race (every backend):
+//! # sharded-vs-monolithic FLAT throughput race:
 //! cargo run ... --bin experiments --scenario=throughput --threads=4 --shards=8
 //! ```
 //!
 //! Mapping (README, "Build, test, benchmark", says where every other
 //! number comes from):
 //!   e1 — Fig. 2+3: FLAT vs R-Tree range-query statistics, plus the
-//!                  backend race through the SpatialIndex trait
+//!                  race of FLAT, R-Tree, R+-Tree and STR-packed R-Tree
 //!   e2 — Fig. 4:   crawl behaviour and R-Tree node accesses per level
 //!   e3 — Fig. 5:   SCOUT candidate-set pruning
 //!   e4 — Fig. 6:   walkthrough prefetching comparison (up-to-15× claim)
 //!   e5 — Fig. 7:   TOUCH vs join baselines (10×/100× claims)
 //!   e6 — §1:       scaling with model size
-//!   e7 (throughput): sharded vs monolithic batched range queries
+//!   e7 (throughput): sharded vs monolithic FLAT, batched range queries
 //!   a1–a5:         ablations (FLAT packing, TOUCH fan-out, think time,
 //!                  buffer-pool size, Markov warm-up)
 
+use neurospatial::flat::FlatScratch;
 use neurospatial::prelude::*;
+use neurospatial::rtree::{TraversalCounters, TraversalScratch};
 use neurospatial::scout::{PrefetchContext, ScoutPrefetcher};
 use neurospatial_bench::*;
 use std::time::Instant;
@@ -73,7 +73,7 @@ where
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    const FLAGS: [&str; 5] = ["backends", "methods", "threads", "shards", "scenario"];
+    const FLAGS: [&str; 4] = ["methods", "threads", "shards", "scenario"];
     for a in args.iter().filter(|a| a.starts_with("--")) {
         let flag = a[2..].split('=').next().unwrap_or_default();
         if !FLAGS.contains(&flag) {
@@ -81,8 +81,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let backends: Vec<IndexBackend> =
-        parse_list(&args, "backends").unwrap_or_else(|| IndexBackend::ALL.to_vec());
     let methods: Vec<WalkthroughMethod> =
         parse_list(&args, "methods").unwrap_or_else(|| WalkthroughMethod::ALL.to_vec());
     let threads: usize = parse_value(&args, "threads").unwrap_or(4);
@@ -108,7 +106,7 @@ fn main() {
 
     if run("e1") {
         e1_flat_vs_rtree();
-        e1_backend_race(&backends);
+        e1_backend_race();
     }
     if run("e2") {
         e2_crawl_and_levels();
@@ -126,7 +124,7 @@ fn main() {
         e6_scaling();
     }
     if run("e7") || run("throughput") {
-        e7_throughput(&backends, shards, threads);
+        e7_throughput(shards, threads);
     }
     if run("a1") {
         a1_flat_packing();
@@ -188,12 +186,12 @@ fn e1_flat_vs_rtree() {
     println!("(especially the dynamic one) pays extra node reads as density grows.");
 }
 
-/// E1b: the same race run through the pluggable `SpatialIndex` trait —
-/// one code path, backends selected by value or CLI name. Unified
-/// `QueryStats` makes the cost columns directly comparable.
-fn e1_backend_race(backends: &[IndexBackend]) {
-    println!("\n== E1b — backend race through the SpatialIndex trait ==\n");
-    let params = IndexParams::with_page_capacity(64);
+/// E1b: the four structures of the paper's race, each built over the
+/// same segments and queried through its own allocation-free streaming
+/// path. Every row reports the same counters (pages or nodes read,
+/// objects tested, results), so the cost columns compare directly.
+fn e1_backend_race() {
+    println!("\n== E1b — backend race over one workload ==\n");
     let mut t = Table::new([
         "backend",
         "build ms",
@@ -205,37 +203,95 @@ fn e1_backend_race(backends: &[IndexBackend]) {
     ]);
     let circuit = dense_circuit(25, 1);
     let w = standard_workload(&circuit, 40, 20.0);
-    let n = w.queries.len() as f64;
-    for backend in backends {
+    let mut race = Race { table: &mut t, segments: circuit.segments(), queries: &w.queries };
+    let mut flat_scratch = FlatScratch::default();
+    race.row(
+        "flat",
+        |s| FlatIndex::build(s, FlatBuildParams::default().with_page_capacity(64)),
+        FlatIndex::memory_bytes,
+        |idx, q| {
+            let s = idx.range_query_stream(q, &mut flat_scratch, |_| {}, |_| Flow::Emit);
+            (s.pages_read + s.seed_nodes_read, s.objects_tested, s.results)
+        },
+    );
+    let mut scratch = TraversalScratch::default();
+    let tree_counts = |c: TraversalCounters| (c.nodes_visited, c.leaf_entries_tested, c.results);
+    race.row(
+        "rtree",
+        |s| {
+            // Grown one insert at a time: the overlap the paper blames.
+            let mut tree = RTree::new(RTreeParams::with_max_entries(64));
+            s.into_iter().for_each(|s| tree.insert(s));
+            tree.freeze();
+            tree
+        },
+        RTree::memory_bytes,
+        |tree, q| tree_counts(tree.range_query_stream(q, &mut scratch, |_| Flow::Emit)),
+    );
+    race.row(
+        "rplus",
+        |s| RPlusTree::build(s, 64),
+        // The arena nodes are private: the objects plus one u32 per
+        // stored (possibly replicated) leaf entry.
+        |tree| {
+            tree.len() * std::mem::size_of::<NeuronSegment>() + tree.stored_entries() as usize * 4
+        },
+        |tree, q| tree_counts(tree.range_query_stream(q, &mut scratch, |_| Flow::Emit)),
+    );
+    race.row(
+        "str-packed",
+        |s| {
+            let mut tree = RTree::bulk_load(s, RTreeParams::with_max_entries(64));
+            tree.freeze();
+            tree
+        },
+        RTree::memory_bytes,
+        |tree, q| tree_counts(tree.range_query_stream(q, &mut scratch, |_| Flow::Emit)),
+    );
+    t.print();
+    println!("\nshape check: identical result counts on every backend (the equivalence");
+    println!("contract); FLAT's reads track the result size, the R-Tree family's grow");
+    println!("with overlap, the R+-Tree trades memory for overlap-free reads.");
+}
+
+/// The E1b table and what every row of it runs.
+struct Race<'a> {
+    table: &'a mut Table,
+    segments: &'a [NeuronSegment],
+    queries: &'a [Aabb],
+}
+
+impl Race<'_> {
+    /// Time `build` over the segments, then the workload through `query`,
+    /// which returns one query's (reads, tested, results).
+    fn row<I>(
+        &mut self,
+        name: &str,
+        build: impl FnOnce(Vec<NeuronSegment>) -> I,
+        memory: impl FnOnce(&I) -> usize,
+        mut query: impl FnMut(&I, &Aabb) -> (u64, u64, u64),
+    ) {
         let t0 = Instant::now();
-        let index = backend.build(circuit.segments().to_vec(), &params);
+        let index = build(self.segments.to_vec());
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (mut reads, mut tested, mut results) = (0u64, 0u64, 0u64);
-        let mut scratch = QueryScratch::new();
-        let mut buf = Vec::new();
         let t1 = Instant::now();
-        for q in &w.queries {
-            buf.clear();
-            let s = index.range_query_into_scratch(q, &mut scratch, &mut buf);
-            reads += s.nodes_read;
-            tested += s.objects_tested;
-            results += s.results;
+        for q in self.queries {
+            let (r, t, n) = query(&index, q);
+            (reads, tested, results) = (reads + r, tested + t, results + n);
         }
+        let n = self.queries.len() as f64;
         let us = t1.elapsed().as_secs_f64() * 1e6 / n;
-        t.row([
-            backend.to_string(),
+        self.table.row([
+            name.to_string(),
             f1(build_ms),
-            f2(index.memory_bytes() as f64 / (1024.0 * 1024.0)),
+            f2(memory(&index) as f64 / (1024.0 * 1024.0)),
             f1(reads as f64 / n),
             f1(tested as f64 / n),
             f1(results as f64 / n),
             f1(us),
         ]);
     }
-    t.print();
-    println!("\nshape check: identical result counts on every backend (the equivalence");
-    println!("contract); FLAT's reads track the result size, the R-Tree family's grow");
-    println!("with overlap, the R+-Tree trades memory for overlap-free reads.");
 }
 
 /// E2 (demo Figure 4): how the two executors traverse — FLAT's crawl
@@ -350,8 +406,8 @@ fn e3_candidate_pruning() {
     let mut t = Table::new(["path", "steps", "candidates per step (q0, q1, …)", "final"]);
     let mut identified = 0;
     // Candidate pruning inspects FLAT's crawl order, so go through the
-    // paged index rather than the backend-agnostic facade.
-    let flat = db.flat_index().expect("default backend is FLAT");
+    // in-memory index rather than the query facade.
+    let flat = db.flat_index().expect("monolithic FLAT in memory");
     for (i, path) in paths.iter().enumerate() {
         let mut scout = ScoutPrefetcher::default();
         let mut history = Vec::new();
@@ -570,12 +626,12 @@ fn e6_scaling() {
     println!("density), not the dataset size; build and join scale near-linearly.");
 }
 
-/// E7 — sharded-vs-monolithic throughput race. For every backend, the
-/// same batched query workload runs through the monolithic index and
-/// through a [`ShardedIndex`] with `--shards` Hilbert partitions and
+/// E7 — sharded-vs-monolithic throughput race. The same batched query
+/// workload runs through monolithic FLAT and through a [`ShardedIndex`]
+/// over FLAT, with `--shards` Hilbert partitions and
 /// `--threads` workers; equal result counts are asserted (the
 /// equivalence contract), wall time and queries/second are reported.
-fn e7_throughput(backends: &[IndexBackend], shards: usize, threads: usize) {
+fn e7_throughput(shards: usize, threads: usize) {
     println!("\n== E7 — sharded executor throughput ({shards} shards, {threads} threads) ==\n");
     let circuit = dense_circuit(40, 7);
     let w = standard_workload(&circuit, 512, 15.0);
@@ -608,40 +664,44 @@ fn e7_throughput(backends: &[IndexBackend], shards: usize, threads: usize) {
         "mono q/s",
         "shard q/s",
     ]);
-    for backend in backends {
-        let t0 = Instant::now();
-        let mono = backend.build(circuit.segments().to_vec(), &mono_params);
-        let mono_build = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let sharded = backend.build_sharded(circuit.segments().to_vec(), &shard_params);
-        let shard_build = t1.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    let mono = <FlatIndex<NeuronSegment> as SpatialIndex>::build(
+        circuit.segments().to_vec(),
+        &mono_params,
+    );
+    let mono_build = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = Instant::now();
+    let sharded = ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(
+        circuit.segments().to_vec(),
+        &shard_params,
+    );
+    let shard_build = t1.elapsed().as_secs_f64() * 1e3;
 
-        // Warm-up pass (also checks the equivalence contract end to end),
-        // then the timed passes.
-        let warm_m = mono.range_query_many(&w.queries);
-        let warm_s = sharded.range_query_many(&w.queries);
-        for (m, s) in warm_m.iter().zip(&warm_s) {
-            assert_eq!(m.sorted_ids(), s.sorted_ids(), "{backend} sharded answers diverge");
-        }
-        let mono_ms = best_of_3(|| {
-            let _ = mono.range_query_many(&w.queries);
-        });
-        let shard_ms = best_of_3(|| {
-            let _ = sharded.range_query_many(&w.queries);
-        });
-
-        let n = w.queries.len() as f64;
-        t.row([
-            backend.to_string(),
-            f1(mono_build),
-            f1(shard_build),
-            f1(mono_ms),
-            f1(shard_ms),
-            format!("{:.2}x", mono_ms / shard_ms.max(1e-9)),
-            f1(n / (mono_ms / 1e3).max(1e-9)),
-            f1(n / (shard_ms / 1e3).max(1e-9)),
-        ]);
+    // Warm-up pass (also checks the equivalence contract end to end),
+    // then the timed passes.
+    let warm_m = mono.range_query_many(&w.queries);
+    let warm_s = sharded.range_query_many(&w.queries);
+    for (m, s) in warm_m.iter().zip(&warm_s) {
+        assert_eq!(m.sorted_ids(), s.sorted_ids(), "sharded answers diverge");
     }
+    let mono_ms = best_of_3(|| {
+        let _ = mono.range_query_many(&w.queries);
+    });
+    let shard_ms = best_of_3(|| {
+        let _ = sharded.range_query_many(&w.queries);
+    });
+
+    let n = w.queries.len() as f64;
+    t.row([
+        "flat".to_string(),
+        f1(mono_build),
+        f1(shard_build),
+        f1(mono_ms),
+        f1(shard_ms),
+        format!("{:.2}x", mono_ms / shard_ms.max(1e-9)),
+        f1(n / (mono_ms / 1e3).max(1e-9)),
+        f1(n / (shard_ms / 1e3).max(1e-9)),
+    ]);
     t.print();
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("\n(executor capped at {cores} hardware thread(s) on this machine)");

@@ -6,10 +6,11 @@
 //! counts the allocations of one more pass and requires exactly 0:
 //!
 //! * `range_query_into_scratch` with a reused scratch and result buffer,
-//!   on every backend, monolithic and `sharded(2).threaded(1)`;
+//!   on FLAT, monolithic and `sharded(2).threaded(1)`;
 //! * `query().range().filter(&pred).stream()` on the same configurations;
 //! * `RTree::range_query_stream` and `first_hit_scratch` on a bulk-loaded
-//!   tree nobody froze, whose first query builds the lanes;
+//!   tree nobody froze, whose first query builds the lanes, and
+//!   `RPlusTree::range_query_stream`;
 //! * a one-thread `TouchEngine::join_into` with a warm scratch and output,
 //!   with the default lane-mask leaves and with the opt-in leaf sweep;
 //! * `OocFlatIndex::range_query_stream` over a frame pool holding every
@@ -27,7 +28,8 @@
 //! what a paged index's frames cost: a pool holding every page holds each
 //! page decoded, its segments and their six `f32` lanes, and no more.
 //! And it pins that a warm one-thread `JoinScratch` does not grow with
-//! the pairs its joins find.
+//! the pairs its joins find, nor keep the descent slots of subtrees it
+//! has finished.
 //!
 //! `cargo test -p neurospatial-bench --test zero_alloc` prints one line a
 //! check and exits non-zero naming every check that failed.
@@ -139,50 +141,34 @@ fn main() {
     .queries;
     let mut checks: Vec<Check> = Vec::new();
 
-    for backend in IndexBackend::ALL {
-        for shards in [1, 2] {
-            let name =
-                if shards == 1 { backend.name().to_string() } else { backend.sharded_name() };
-            let params = IndexParams::with_page_capacity(64).sharded(shards).threaded(1);
-            let index = if shards == 1 {
-                backend.build(segments.clone(), &params)
-            } else {
-                backend.build_sharded(segments.clone(), &params)
-            };
-            let (mut scratch, mut buf) = (QueryScratch::new(), Vec::new());
-            let allocs = steady_allocations(|| {
-                for q in &queries {
-                    buf.clear();
-                    index.range_query_into_scratch(q, &mut scratch, &mut buf);
-                }
-            });
-            checks.push(allocation_check(format!("range_query_into_scratch {name}"), allocs));
+    for (name, shards) in [("flat", 1), ("sharded:flat", 2)] {
+        let db = NeuroDb::builder()
+            .segments(segments.clone())
+            .backend_named(name)
+            .page_capacity(64)
+            .shards(shards)
+            .threads(1)
+            .build()
+            .expect("valid configuration");
+        let index = db.index();
+        let (mut scratch, mut buf) = (QueryScratch::new(), Vec::new());
+        let allocs = steady_allocations(|| {
+            for q in &queries {
+                buf.clear();
+                index.range_query_into_scratch(q, &mut scratch, &mut buf);
+            }
+        });
+        checks.push(allocation_check(format!("range_query_into_scratch {name}"), allocs));
 
-            let db = NeuroDb::builder()
-                .segments(segments.clone())
-                .backend(backend)
-                .page_capacity(64)
-                .shards(shards)
-                .threads(1)
-                .build()
-                .expect("valid configuration");
-            let pred = |s: &NeuronSegment| s.neuron.is_multiple_of(8);
-            let mut kept = 0u64;
-            let allocs = steady_allocations(|| {
-                for q in &queries {
-                    db.query()
-                        .range(*q)
-                        .filter(&pred)
-                        .stream(|_| kept += 1)
-                        .expect("no population");
-                }
-            });
-            assert!(kept > 0, "{name}: the predicate keeps some results");
-            checks.push(allocation_check(
-                format!("query().range().filter().stream() {name}"),
-                allocs,
-            ));
-        }
+        let pred = |s: &NeuronSegment| s.neuron.is_multiple_of(8);
+        let mut kept = 0u64;
+        let allocs = steady_allocations(|| {
+            for q in &queries {
+                db.query().range(*q).filter(&pred).stream(|_| kept += 1).expect("no population");
+            }
+        });
+        assert!(kept > 0, "{name}: the predicate keeps some results");
+        checks.push(allocation_check(format!("query().range().filter().stream() {name}"), allocs));
     }
 
     let tree = RTree::bulk_load(segments.clone(), RTreeParams::with_max_entries(16));
@@ -199,6 +185,13 @@ fn main() {
         "RTree range_query_stream + first_hit_scratch, never frozen",
         allocs,
     ));
+    let rplus = RPlusTree::build(segments.clone(), 16);
+    let allocs = steady_allocations(|| {
+        for q in &queries {
+            hits += rplus.range_query_stream(q, &mut scratch, |_| Flow::Emit).results;
+        }
+    });
+    checks.push(allocation_check("RPlusTree range_query_stream", allocs));
 
     let (a, b): (Vec<NeuronSegment>, Vec<NeuronSegment>) =
         sized_segments(2 * SEGMENTS, 42).into_iter().partition(|s| s.neuron % 2 == 0);
@@ -241,6 +234,15 @@ fn main() {
         &format!("JoinScratch, {few} -> {many} pairs: grows by less than half their bytes"),
         many_bytes - few_bytes,
         i64::MIN..=(many - few) * size_of::<(u32, u32)>() as i64 / 2,
+    ));
+    // A wide ε sends each slot down many subtrees. The descent reuses
+    // the slots of the subtrees it has finished, so the scratch keeps the
+    // working set of one root-to-leaf path, not of the whole task.
+    let (_, wide_bytes) = warm_scratch(256.0);
+    checks.push(bytes_check(
+        "JoinScratch at eps 256: at most 3x its bytes at eps 16",
+        wide_bytes,
+        0..=3 * few_bytes,
     ));
 
     // What a database holds. A throwaway build registers the global

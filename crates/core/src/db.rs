@@ -1,7 +1,7 @@
 //! The high-level database facade tying the three systems together.
 //!
-//! Construction goes through [`NeuroDbBuilder`]: pick a data source, an
-//! index backend ([`IndexBackend`], by value or by name) and how segments
+//! Construction goes through [`NeuroDbBuilder`]: pick a data source, the
+//! form FLAT takes (in memory, sharded, paged or live) and how segments
 //! split into named populations for the synapse join.
 
 use crate::delta::{DeltaBuffer, WriteOp};
@@ -10,6 +10,7 @@ use crate::index::{spill_flat, IndexBackend, IndexParams, SpatialIndex};
 use crate::live::{LiveCore, LiveGen};
 pub use crate::live::{WalHealth, WriteAck};
 use crate::query::Query;
+use crate::shard::ShardedIndex;
 use neurospatial_flat::FlatIndex;
 use neurospatial_geom::Aabb;
 use neurospatial_model::{Circuit, NavigationPath, NeuronSegment};
@@ -29,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 /// Tuning knobs of a [`NeuroDb`].
 #[derive(Debug, Clone, Copy)]
 pub struct NeuroDbConfig {
-    /// Index granularity (FLAT page capacity / R-Tree fan-out).
+    /// FLAT's objects per page (per shard, when sharded).
     pub page_capacity: usize,
     /// Space partitions for the sharded executor (1 = monolithic index).
     pub shards: usize,
@@ -201,7 +202,8 @@ impl PopulationSpec {
     }
 }
 
-/// Builder for [`NeuroDb`]: data source, backend, populations, tuning.
+/// Builder for [`NeuroDb`]: data source, the form of its FLAT index,
+/// populations, tuning.
 ///
 /// ```
 /// use neurospatial::prelude::*;
@@ -209,16 +211,16 @@ impl PopulationSpec {
 /// let circuit = CircuitBuilder::new(7).neurons(6).build();
 /// let db = NeuroDb::builder()
 ///     .circuit(&circuit)
-///     .backend(IndexBackend::StrPacked)
+///     .backend_named("sharded:flat")
 ///     .split_populations("axons", "dendrites", |s| s.neuron % 2 == 0)
 ///     .build()
 ///     .expect("valid configuration");
-/// assert_eq!(db.backend(), IndexBackend::StrPacked);
+/// assert_eq!(db.backend(), IndexBackend::Flat);
+/// assert_eq!(db.shard_count(), 2);
 /// assert_eq!(db.population_names(), vec!["axons", "dendrites"]);
 /// ```
 pub struct NeuroDbBuilder {
     segments: Option<Vec<NeuronSegment>>,
-    backend: IndexBackend,
     backend_name: Option<String>,
     config: NeuroDbConfig,
     populations: Option<PopulationSpec>,
@@ -234,7 +236,6 @@ impl Default for NeuroDbBuilder {
     fn default() -> Self {
         NeuroDbBuilder {
             segments: None,
-            backend: IndexBackend::Flat,
             backend_name: None,
             config: NeuroDbConfig::default(),
             populations: None,
@@ -262,33 +263,32 @@ impl NeuroDbBuilder {
         self
     }
 
-    /// Select the index backend by value.
-    pub fn backend(mut self, backend: IndexBackend) -> Self {
-        self.backend = backend;
+    /// Select the index backend by value. FLAT is the only one, so this
+    /// only undoes an earlier [`backend_named`](Self::backend_named).
+    pub fn backend(mut self, _backend: IndexBackend) -> Self {
         self.backend_name = None;
         self
     }
 
-    /// Select the index backend by name (e.g. from a CLI flag); parsing
-    /// errors surface at [`build`](Self::build). A `sharded:` prefix
-    /// (e.g. `"sharded:rtree"`) selects the sharded executor over the
-    /// named backend, raising the shard count to at least 2 if
-    /// [`shards`](Self::shards) was not set.
+    /// Select the index by name: `"flat"`, or `"sharded:flat"`, which
+    /// raises the shard count to at least 2 if [`shards`](Self::shards)
+    /// was not set. Any other name is
+    /// [`NeuroError::UnknownBackend`] at [`build`](Self::build).
     pub fn backend_named<S: Into<String>>(mut self, name: S) -> Self {
         self.backend_name = Some(name.into());
         self
     }
 
-    /// Index granularity (FLAT page capacity / R-Tree fan-out).
+    /// FLAT's objects per page (per shard, when sharded); 0 is rejected
+    /// at [`build`](Self::build).
     pub fn page_capacity(mut self, capacity: usize) -> Self {
         self.config.page_capacity = capacity;
         self
     }
 
     /// Space-partition the dataset into `shards` Hilbert-ordered shards,
-    /// one backend index per shard
-    /// ([`ShardedIndex`](crate::ShardedIndex)). 1 (the default) keeps a
-    /// monolithic index; 0 is rejected at [`build`](Self::build).
+    /// one FLAT index per shard ([`ShardedIndex`]). 1 (the default)
+    /// keeps a monolithic index; 0 is rejected at [`build`](Self::build).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self
@@ -307,11 +307,11 @@ impl NeuroDbBuilder {
     /// [`frame_budget`](Self::frame_budget) pages resident, and
     /// [`prefetch_workers`](Self::prefetch_workers) background threads
     /// read pages ahead of the exploration cursor. Results and logical
-    /// statistics stay byte-identical to the in-memory FLAT backend;
+    /// statistics stay byte-identical to the in-memory FLAT index;
     /// the I/O shows up in [`QueryStats`](crate::QueryStats)'s `cache_*` fields.
     ///
-    /// Only valid with the (monolithic) FLAT backend — any other
-    /// combination is rejected at [`build`](Self::build). The page file
+    /// Only valid with a monolithic index — sharding is rejected at
+    /// [`build`](Self::build). The page file
     /// is process-unique in the temp directory and deleted on drop
     /// unless [`page_file`](Self::page_file) names one explicitly.
     pub fn paged(mut self, paged: bool) -> Self {
@@ -449,24 +449,18 @@ impl NeuroDbBuilder {
             )));
         }
         let mut config = self.config;
-        let (backend, name_requests_sharding) = match &self.backend_name {
-            Some(name) => match name.strip_prefix("sharded:") {
-                Some(inner) => (inner.parse::<IndexBackend>()?, true),
-                None => (name.parse::<IndexBackend>()?, false),
-            },
-            None => (self.backend, false),
+        let name_requests_sharding = match self.backend_name.as_deref() {
+            None | Some("flat") => false,
+            Some("sharded:flat") => true,
+            Some(given) => {
+                return Err(NeuroError::UnknownBackend {
+                    given: given.to_string(),
+                    known: vec!["flat".into(), "sharded:flat".into()],
+                })
+            }
         };
-        // FLAT and the R+-Tree accept any page size >= 1; the R-Tree
-        // fan-out is structurally >= 4.
-        let min_capacity = match backend {
-            IndexBackend::Flat | IndexBackend::RPlus => 1,
-            IndexBackend::RTree | IndexBackend::StrPacked => 4,
-        };
-        if config.page_capacity < min_capacity {
-            return Err(NeuroError::InvalidConfig(format!(
-                "page_capacity must be >= {min_capacity} for the '{backend}' backend, got {}",
-                config.page_capacity
-            )));
+        if config.page_capacity == 0 {
+            return Err(NeuroError::InvalidConfig("page_capacity must be >= 1, got 0".into()));
         }
         // Validate the configured counts *before* the name-driven bump so
         // an explicit `.shards(0)` is reported, never masked.
@@ -487,10 +481,9 @@ impl NeuroDbBuilder {
                 "durable (live) mode and paged (out-of-core) mode are mutually exclusive".into(),
             ));
         }
-        if self.paged && (backend != IndexBackend::Flat || config.shards > 1) {
+        if self.paged && config.shards > 1 {
             return Err(NeuroError::InvalidConfig(format!(
-                "paged (out-of-core) mode needs the monolithic 'flat' backend, \
-                 got backend='{backend}' shards={}",
+                "paged (out-of-core) mode needs a monolithic index, got shards={}",
                 config.shards
             )));
         }
@@ -510,7 +503,7 @@ impl NeuroDbBuilder {
                     None => Box::new(file),
                 };
                 let seed = std::mem::take(&mut segments);
-                Some(LiveCore::recover(log, seed, backend, &params, self.refreeze_threshold)?)
+                Some(LiveCore::recover(log, seed, &params, self.refreeze_threshold)?)
             }
             None => None,
         };
@@ -539,17 +532,13 @@ impl NeuroDbBuilder {
                 self.page_file.as_deref(),
                 self.ooc,
             )?)),
-            None => match (backend, config.shards > 1) {
-                (IndexBackend::Flat, false) => {
-                    DbIndex::Flat(Arc::new(SpatialIndex::build(segments, &params)))
-                }
-                (other, false) => DbIndex::Boxed(other.build(segments, &params)),
-                (other, true) => DbIndex::Boxed(other.build_sharded(segments, &params)),
-            },
+            None if config.shards > 1 => {
+                DbIndex::Sharded(Box::new(ShardedIndex::build_with(segments, &params)))
+            }
+            None => DbIndex::Flat(Arc::new(SpatialIndex::build(segments, &params))),
         };
         Ok(NeuroDb {
             index,
-            backend,
             config,
             populations,
             population_index,
@@ -559,14 +548,13 @@ impl NeuroDbBuilder {
     }
 }
 
-/// The index storage: monolithic FLAT is kept by its own type, shared
-/// with the view each walkthrough over it pages through; the out-of-core
-/// variant owns the page file and frame pool; every other backend,
-/// sharded FLAT included, is a plain boxed [`SpatialIndex`].
+/// The index storage, FLAT in one of four forms: in memory, shared with
+/// the view each walkthrough over it pages through; paged, owning the
+/// page file and frame pool; sharded; or live behind a write-ahead log.
 enum DbIndex {
     Flat(Arc<FlatIndex<NeuronSegment>>),
     Paged(Box<OocFlatIndex>),
-    Boxed(Box<dyn SpatialIndex>),
+    Sharded(Box<ShardedIndex<FlatIndex<NeuronSegment>>>),
     Live(Box<LiveCore>),
 }
 
@@ -580,18 +568,16 @@ enum IndexView<'a> {
 
 impl DbIndex {
     // Never inlined: the `&I` → `&dyn SpatialIndex` coercions below are
-    // what instantiates each backend's vtable and every method behind
-    // it. Inlined into a generic caller that a downstream crate
-    // instantiates (`index_as::<T>`), they are all instantiated again
-    // there: +245 KB in the server crate's rlib, +117 KB of text in the
-    // benchmark binary, and different inlining in code this does not
-    // touch.
+    // what instantiates each form's vtable and every method behind it.
+    // Inlined into a generic caller that a downstream crate instantiates
+    // (a query terminal's closure), they would all be instantiated again
+    // there, with different inlining in code this does not touch.
     #[inline(never)]
     fn view(&self) -> IndexView<'_> {
         match self {
             DbIndex::Flat(flat) => IndexView::Frozen(flat.as_ref()),
             DbIndex::Paged(paged) => IndexView::Frozen(paged.as_ref()),
-            DbIndex::Boxed(b) => IndexView::Frozen(b.as_ref()),
+            DbIndex::Sharded(sharded) => IndexView::Frozen(sharded.as_ref()),
             DbIndex::Live(core) => IndexView::Live(core),
         }
     }
@@ -627,9 +613,9 @@ impl std::ops::Deref for IndexRef<'_> {
 
 /// A spatial database over one set of neuron segments.
 ///
-/// Owns one [`SpatialIndex`] backend (all range queries run through it)
+/// Owns one FLAT [`SpatialIndex`] (all range queries run through it)
 /// and exposes the TOUCH join for synapse placement plus SCOUT
-/// walkthroughs (FLAT backend only). Beside the index it holds only what
+/// walkthroughs (monolithic FLAT only). Beside the index it holds only what
 /// was asked for: the populations the builder declared, each a copy of
 /// its segments, and a segment id → population map that the first
 /// population-restricted range or kNN query builds. A database that
@@ -646,7 +632,6 @@ impl std::ops::Deref for IndexRef<'_> {
 /// [`JoinStats::aux_memory_bytes`]: neurospatial_touch::JoinStats::aux_memory_bytes
 pub struct NeuroDb {
     index: DbIndex,
-    backend: IndexBackend,
     config: NeuroDbConfig,
     populations: Vec<Population>,
     /// Population name → position in `populations` (built once in
@@ -664,7 +649,7 @@ pub struct NeuroDb {
 impl fmt::Debug for NeuroDb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NeuroDb")
-            .field("backend", &self.backend)
+            .field("backend", &self.backend())
             .field("len", &self.len())
             .field("populations", &self.population_names())
             .finish_non_exhaustive()
@@ -678,7 +663,7 @@ impl NeuroDb {
     }
 
     /// Open a database over a generated circuit with default settings
-    /// (FLAT backend) and two declared populations, "even" and "odd" by
+    /// (monolithic FLAT in memory) and two declared populations, "even" and "odd" by
     /// neuron-id parity, which hold a second copy of the segments.
     pub fn from_circuit(circuit: &Circuit) -> Self {
         NeuroDb::builder()
@@ -701,12 +686,13 @@ impl NeuroDb {
         self.len() == 0
     }
 
-    /// Which backend this database was built with.
+    /// Which backend this database was built with: FLAT, in whichever
+    /// form.
     pub fn backend(&self) -> IndexBackend {
-        self.backend
+        IndexBackend::Flat
     }
 
-    /// The underlying index, backend-agnostic. For live databases this
+    /// The underlying index, whatever its form. For live databases this
     /// is the *frozen base generation* current at the time of the call —
     /// it excludes writes still buffered in the delta (queries through
     /// [`query`](Self::query) merge both tiers), and the returned
@@ -722,8 +708,8 @@ impl NeuroDb {
 
     /// The out-of-core FLAT engine, if this database was built with
     /// [`NeuroDbBuilder::paged`] — frame-pool counters, page-file path,
-    /// prefetcher state. `None` for in-memory and live databases. Sugar
-    /// for [`index_as`](Self::index_as).
+    /// prefetcher state. `None` for in-memory, sharded and live
+    /// databases.
     ///
     /// ```
     /// use neurospatial::prelude::*;
@@ -744,47 +730,31 @@ impl NeuroDb {
     /// assert!(out.stats.cache_hits + out.stats.cache_misses >= out.stats.nodes_read / 2);
     /// ```
     pub fn paged_index(&self) -> Option<&OocFlatIndex> {
-        self.index_as::<OocFlatIndex>()
-    }
-
-    /// The concrete backend behind this database, by type — the generic
-    /// [`SpatialIndex::as_any`] downcast, so *every* backend is reachable
-    /// without the facade knowing concrete types:
-    ///
-    /// ```
-    /// use neurospatial::prelude::*;
-    ///
-    /// let c = CircuitBuilder::new(1).neurons(3).build();
-    /// let db = NeuroDb::builder().circuit(&c).backend(IndexBackend::RPlus).build().unwrap();
-    /// let rplus = db.index_as::<RPlusTree<NeuronSegment>>().expect("R+ backend");
-    /// assert!(rplus.replication_factor() >= 1.0);
-    /// assert!(db.index_as::<FlatIndex<NeuronSegment>>().is_none());
-    /// ```
-    ///
-    /// `None` on a live database, whatever its backend: a plain borrow
-    /// cannot outlive the next re-freeze. Use [`index`](Self::index),
-    /// whose guard pins the generation it was taken from.
-    pub fn index_as<T: SpatialIndex>(&self) -> Option<&T> {
-        match self.index.view() {
-            IndexView::Frozen(index) => index.as_any().downcast_ref::<T>(),
-            IndexView::Live(_) => None,
+        match &self.index {
+            DbIndex::Paged(paged) => Some(paged),
+            _ => None,
         }
     }
 
-    /// The FLAT index, if this database uses the **monolithic** FLAT
-    /// backend (page-level statistics, neighborhood graph inspection).
-    /// `None` for every other backend, including sharded FLAT — its
-    /// pages are spread over shard-local indexes — and for live
-    /// databases. Sugar for [`index_as`](Self::index_as).
+    /// The FLAT index, if this database holds it **monolithic and in
+    /// memory** (page-level statistics, neighborhood graph inspection).
+    /// `None` for sharded FLAT — its pages are spread over shard-local
+    /// indexes — for paged databases ([`paged_index`](Self::paged_index))
+    /// and for live ones: a plain borrow cannot outlive the next
+    /// re-freeze, so use [`index`](Self::index), whose guard pins the
+    /// generation it was taken from.
     pub fn flat_index(&self) -> Option<&FlatIndex<NeuronSegment>> {
-        self.index_as::<FlatIndex<NeuronSegment>>()
+        match &self.index {
+            DbIndex::Flat(flat) => Some(flat),
+            _ => None,
+        }
     }
 
-    /// Shard count of the underlying index (1 for monolithic backends).
+    /// Shard count of the underlying index (1 for a monolithic one).
     pub fn shard_count(&self) -> usize {
         match &self.index {
             DbIndex::Flat(_) | DbIndex::Paged(_) => 1,
-            DbIndex::Boxed(_) | DbIndex::Live(_) => self.config.shards,
+            DbIndex::Sharded(_) | DbIndex::Live(_) => self.config.shards,
         }
     }
 
@@ -1043,8 +1013,8 @@ impl NeuroDb {
     /// ([`OocFlatIndex::view`]): a cold pool of
     /// `session.buffer_pages` frames over a device that charges
     /// `session.cost` to its own clock, so concurrent walkthroughs
-    /// neither share a pool nor depend on one another. Errors on every
-    /// other backend, sharded FLAT included.
+    /// neither share a pool nor depend on one another. Errors on sharded
+    /// and live databases.
     pub(crate) fn scout_cursor(
         &self,
         method: WalkthroughMethod,
@@ -1055,10 +1025,10 @@ impl NeuroDb {
                 OocFlatIndex::view(Arc::clone(flat), &self.config.session).into_cursor(prefetcher)
             }
             DbIndex::Paged(paged) => paged.cursor(prefetcher),
-            DbIndex::Boxed(_) | DbIndex::Live(_) => {
+            DbIndex::Sharded(_) | DbIndex::Live(_) => {
                 let layout = if self.config.shards > 1 { "sharded:" } else { "" };
                 return Err(NeuroError::WalkthroughUnsupported {
-                    backend: format!("{layout}{}", self.backend.name()),
+                    backend: format!("{layout}{}", self.backend()),
                 });
             }
         };
@@ -1154,37 +1124,36 @@ pub(crate) mod tests {
         let c = CircuitBuilder::new(8).neurons(6).build();
         let q = Aabb::cube(c.bounds().center(), 35.0);
         let want = range(&NeuroDb::from_circuit(&c), &q).sorted_ids();
-        for backend in IndexBackend::ALL {
-            let db = NeuroDb::builder().circuit(&c).backend(backend).build().expect("valid");
-            assert_eq!(db.backend(), backend);
-            assert_eq!(range(&db, &q).sorted_ids(), want, "{backend}");
+        for name in ["flat", "sharded:flat"] {
+            let db = NeuroDb::builder().circuit(&c).backend_named(name).build().expect("valid");
+            assert_eq!(db.backend(), IndexBackend::Flat);
+            assert_eq!(range(&db, &q).sorted_ids(), want, "{name}");
         }
     }
 
     #[test]
     fn builder_by_name_and_bad_names() {
         let c = CircuitBuilder::new(5).neurons(2).build();
-        let db =
-            NeuroDb::builder().circuit(&c).backend_named("str-packed").build().expect("known name");
-        assert_eq!(db.backend(), IndexBackend::StrPacked);
-        assert!(matches!(
-            NeuroDb::builder().circuit(&c).backend_named("btree").build(),
-            Err(NeuroError::UnknownBackend { .. })
-        ));
+        let db = NeuroDb::builder().circuit(&c).backend_named("flat").build().expect("known name");
+        assert_eq!((db.backend(), db.shard_count()), (IndexBackend::Flat, 1));
+        // The R-Tree family is no backend of a database: its names, and
+        // the sharded forms of them, are unknown, and the error lists
+        // the two names there are.
+        for name in ["rtree", "str-packed", "sharded:rtree", "btree", "FLAT"] {
+            match NeuroDb::builder().circuit(&c).backend_named(name).build() {
+                Err(NeuroError::UnknownBackend { given, known }) => {
+                    assert_eq!(given, name);
+                    assert_eq!(known, ["flat", "sharded:flat"]);
+                }
+                other => panic!("{name}: {other:?}"),
+            }
+        }
         assert!(matches!(NeuroDb::builder().build(), Err(NeuroError::MissingSegments)));
         // FLAT accepts tiny pages (legacy behaviour)…
         assert!(NeuroDb::builder().circuit(&c).page_capacity(1).build().is_ok());
-        // …but a zero capacity, or sub-fan-out R-Tree pages, are rejected.
+        // …but not a zero capacity.
         assert!(matches!(
             NeuroDb::builder().circuit(&c).page_capacity(0).build(),
-            Err(NeuroError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            NeuroDb::builder()
-                .circuit(&c)
-                .backend(IndexBackend::StrPacked)
-                .page_capacity(2)
-                .build(),
             Err(NeuroError::InvalidConfig(_))
         ));
     }
@@ -1205,12 +1174,12 @@ pub(crate) mod tests {
             // The first offender is the one named.
             spoil(&mut segments[victim + 20]);
             let id = segments[victim].id;
-            for backend in IndexBackend::ALL {
-                let err = NeuroDb::builder().segments(segments.clone()).backend(backend).build();
+            for shards in [1, 3] {
+                let err = NeuroDb::builder().segments(segments.clone()).shards(shards).build();
                 assert!(
                     matches!(&err, Err(NeuroError::InvalidConfig(msg))
                         if msg.contains(&format!("segment {id} "))),
-                    "case {k} on {backend}: {err:?}"
+                    "case {k} on {shards} shard(s): {err:?}"
                 );
             }
         }
@@ -1322,7 +1291,7 @@ pub(crate) mod tests {
     fn paged_mode_rejects_non_flat_and_sharded_layouts() {
         let c = CircuitBuilder::new(5).neurons(2).build();
         assert!(matches!(
-            NeuroDb::builder().circuit(&c).backend(IndexBackend::RTree).paged(true).build(),
+            NeuroDb::builder().circuit(&c).backend_named("sharded:flat").paged(true).build(),
             Err(NeuroError::InvalidConfig(_))
         ));
         assert!(matches!(
@@ -1449,22 +1418,14 @@ pub(crate) mod tests {
         let c = CircuitBuilder::new(6).neurons(8).build();
         let q = Aabb::cube(c.bounds().center(), 30.0);
         let p = c.segments()[5].geom.center();
-        for backend in IndexBackend::ALL {
-            let mono = NeuroDb::builder().circuit(&c).backend(backend).build().expect("valid");
-            let sharded = NeuroDb::builder()
-                .circuit(&c)
-                .backend(backend)
-                .shards(4)
-                .threads(2)
-                .build()
-                .expect("valid");
-            assert_eq!(sharded.shard_count(), 4, "{backend}");
-            assert_eq!(mono.shard_count(), 1, "{backend}");
-            assert_eq!(sharded.len(), mono.len());
-            assert_eq!(range(&sharded, &q).sorted_ids(), range(&mono, &q).sorted_ids());
-            let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
-            assert_eq!(ids(&knn(&sharded, p, 7)), ids(&knn(&mono, p, 7)), "{backend} knn");
-        }
+        let mono = NeuroDb::builder().circuit(&c).build().expect("valid");
+        let sharded = NeuroDb::builder().circuit(&c).shards(4).threads(2).build().expect("valid");
+        assert_eq!(sharded.shard_count(), 4);
+        assert_eq!(mono.shard_count(), 1);
+        assert_eq!(sharded.len(), mono.len());
+        assert_eq!(range(&sharded, &q).sorted_ids(), range(&mono, &q).sorted_ids());
+        let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
+        assert_eq!(ids(&knn(&sharded, p, 7)), ids(&knn(&mono, p, 7)), "knn");
     }
 
     #[test]
@@ -1485,15 +1446,26 @@ pub(crate) mod tests {
         let c = CircuitBuilder::new(5).neurons(4).build();
         let db = NeuroDb::builder()
             .circuit(&c)
-            .backend_named("sharded:str-packed")
+            .backend_named("sharded:flat")
             .build()
             .expect("sharded name is known");
-        assert_eq!(db.backend(), IndexBackend::StrPacked);
-        assert!(db.shard_count() >= 2, "sharded: name implies > 1 shard");
+        assert_eq!(db.backend(), IndexBackend::Flat);
+        assert_eq!(db.shard_count(), 2, "sharded: name implies > 1 shard");
+        // The two ways the reference benchmark opens a database.
+        let db = NeuroDb::builder().circuit(&c).backend(IndexBackend::Flat).build().expect("valid");
+        assert_eq!(db.shard_count(), 1);
+        let db = NeuroDb::builder()
+            .circuit(&c)
+            .backend_named("sharded:flat")
+            .shards(2)
+            .threads(2)
+            .build()
+            .expect("valid");
+        assert_eq!(db.shard_count(), 2);
         // Explicit shard counts survive the name prefix.
         let db = NeuroDb::builder()
             .circuit(&c)
-            .backend_named("sharded:rplus")
+            .backend_named("sharded:flat")
             .shards(5)
             .build()
             .expect("valid");
@@ -1520,14 +1492,14 @@ pub(crate) mod tests {
 
     #[test]
     fn walkthrough_requires_flat() {
+        // A live database's pages change with every re-freeze: no one
+        // page space to walk either.
         let c = CircuitBuilder::new(5).neurons(4).build();
-        let db =
-            NeuroDb::builder().circuit(&c).backend(IndexBackend::StrPacked).build().expect("valid");
+        let wal = WalPath::new("walk");
+        let db = NeuroDb::builder().circuit(&c).durable(&wal.0).build().expect("live");
         let path = branch_path(&c, 1, 15.0, 6.0);
-        assert!(matches!(
-            replay(&db, &path, WalkthroughMethod::Scout),
-            Err(NeuroError::WalkthroughUnsupported { .. })
-        ));
+        let err = replay(&db, &path, WalkthroughMethod::Scout).expect_err("no page space to walk");
+        assert_eq!(err, NeuroError::WalkthroughUnsupported { backend: "flat".into() });
     }
 
     #[test]
@@ -1704,70 +1676,62 @@ pub(crate) mod tests {
     #[test]
     fn live_queries_match_a_rebuilt_frozen_database() {
         let c = CircuitBuilder::new(7).neurons(6).build();
-        for backend in IndexBackend::ALL {
-            for shards in [1usize, 3] {
-                let wal = WalPath::new(&format!("equiv-{backend}-{shards}"));
-                let db = NeuroDb::builder()
-                    .circuit(&c)
-                    .backend(backend)
-                    .shards(shards)
-                    .threads(2)
-                    .durable(&wal.0)
-                    .build()
-                    .expect("live");
-                // Apply a mixed batch of writes.
-                let mut want = c.segments().to_vec();
-                let ops = vec![
-                    WriteOp::Insert(fresh_segment(900_000, 10.0)),
-                    WriteOp::Remove(c.segments()[3].id),
-                    WriteOp::Insert(fresh_segment(900_001, -20.0)),
-                    WriteOp::Remove(c.segments()[10].id),
-                ];
-                db.write_batch(&ops).expect("acked");
-                delta::apply_ops(&mut want, &ops);
-                let reference = NeuroDb::builder()
-                    .segments(want)
-                    .backend(backend)
-                    .shards(shards)
-                    .threads(2)
-                    .build()
-                    .expect("frozen reference");
-                let q = Aabb::cube(c.bounds().center(), 45.0);
+        for shards in [1usize, 3] {
+            let wal = WalPath::new(&format!("equiv-{shards}"));
+            let db = NeuroDb::builder()
+                .circuit(&c)
+                .shards(shards)
+                .threads(2)
+                .durable(&wal.0)
+                .build()
+                .expect("live");
+            // Apply a mixed batch of writes.
+            let mut want = c.segments().to_vec();
+            let ops = vec![
+                WriteOp::Insert(fresh_segment(900_000, 10.0)),
+                WriteOp::Remove(c.segments()[3].id),
+                WriteOp::Insert(fresh_segment(900_001, -20.0)),
+                WriteOp::Remove(c.segments()[10].id),
+            ];
+            db.write_batch(&ops).expect("acked");
+            delta::apply_ops(&mut want, &ops);
+            let reference = NeuroDb::builder()
+                .segments(want)
+                .shards(shards)
+                .threads(2)
+                .build()
+                .expect("frozen reference");
+            let q = Aabb::cube(c.bounds().center(), 45.0);
+            assert_eq!(
+                range(&db, &q).sorted_ids(),
+                range(&reference, &q).sorted_ids(),
+                "shards={shards}"
+            );
+            // The scratch-reusing loop merges the pending inserts
+            // and removals too, every time round.
+            let mut session = db.query().session();
+            for half in [45.0, 20.0, 45.0] {
+                let q = Aabb::cube(c.bounds().center(), half);
+                let mut got: Vec<u64> = session.range(&q).0.iter().map(|s| s.id).collect();
+                got.sort_unstable();
                 assert_eq!(
-                    range(&db, &q).sorted_ids(),
+                    got,
                     range(&reference, &q).sorted_ids(),
-                    "{backend} shards={shards}"
+                    "shards={shards} session half={half}"
                 );
-                // The scratch-reusing loop merges the pending inserts
-                // and removals too, every time round.
-                let mut session = db.query().session();
-                for half in [45.0, 20.0, 45.0] {
-                    let q = Aabb::cube(c.bounds().center(), half);
-                    let mut got: Vec<u64> = session.range(&q).0.iter().map(|s| s.id).collect();
-                    got.sort_unstable();
-                    assert_eq!(
-                        got,
-                        range(&reference, &q).sorted_ids(),
-                        "{backend} shards={shards} session half={half}"
-                    );
-                }
-                let p = c.segments()[5].geom.center();
-                let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
-                assert_eq!(
-                    ids(&knn(&db, p, 9)),
-                    ids(&knn(&reference, p, 9)),
-                    "{backend} shards={shards} knn"
-                );
-                // After a refreeze the answers are unchanged.
-                let epoch = db.refreeze().expect("refrozen");
-                assert_eq!(epoch, 1);
-                assert_eq!(
-                    range(&db, &q).sorted_ids(),
-                    range(&reference, &q).sorted_ids(),
-                    "{backend} shards={shards} post-swap"
-                );
-                assert_eq!(db.wal_health().expect("live").pending_ops, 0);
             }
+            let p = c.segments()[5].geom.center();
+            let ids = |ns: &[Neighbor]| ns.iter().map(|n| n.segment.id).collect::<Vec<_>>();
+            assert_eq!(ids(&knn(&db, p, 9)), ids(&knn(&reference, p, 9)), "shards={shards} knn");
+            // After a refreeze the answers are unchanged.
+            let epoch = db.refreeze().expect("refrozen");
+            assert_eq!(epoch, 1);
+            assert_eq!(
+                range(&db, &q).sorted_ids(),
+                range(&reference, &q).sorted_ids(),
+                "shards={shards} post-swap"
+            );
+            assert_eq!(db.wal_health().expect("live").pending_ops, 0);
         }
     }
 
@@ -1869,7 +1833,6 @@ pub(crate) mod tests {
         assert_eq!(live.backend(), IndexBackend::Flat);
         assert!(live.flat_index().is_none());
         assert!(live.paged_index().is_none());
-        assert!(live.index_as::<FlatIndex<NeuronSegment>>().is_none());
         // The guard reaches the same index, pinned.
         assert!(live.index().as_any().downcast_ref::<FlatIndex<NeuronSegment>>().is_some());
 
@@ -1879,7 +1842,7 @@ pub(crate) mod tests {
         assert!(frozen.paged_index().is_none());
         let paged = NeuroDb::builder().circuit(&c).paged(true).build().expect("paged");
         assert!(paged.paged_index().is_some() && paged.flat_index().is_none());
-        let rplus = NeuroDb::builder().circuit(&c).backend(IndexBackend::RPlus).build().unwrap();
-        assert!(rplus.index_as::<neurospatial_rtree::RPlusTree<NeuronSegment>>().is_some());
+        let sharded = NeuroDb::builder().circuit(&c).shards(2).build().expect("sharded");
+        assert!(sharded.flat_index().is_none() && sharded.paged_index().is_none());
     }
 }

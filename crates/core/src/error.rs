@@ -11,7 +11,7 @@ use std::fmt;
 /// Everything that can go wrong constructing or querying a [`crate::NeuroDb`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NeuroError {
-    /// A backend name did not parse / was not registered.
+    /// A backend name was neither `flat` nor `sharded:flat`.
     UnknownBackend { given: String, known: Vec<String> },
     /// A population name does not exist in this database.
     UnknownPopulation { given: String, known: Vec<String> },
@@ -29,7 +29,7 @@ pub enum NeuroError {
     InvalidConfig(String),
     /// The on-disk page store failed: I/O, corruption, truncation or a
     /// foreign/incompatible file. Raised by the paged (out-of-core) FLAT
-    /// backend when opening or reading a page file.
+    /// index when opening or reading a page file.
     Storage(StorageError),
     /// The query touched pages quarantined after permanent media
     /// failures, and partial results were not requested. The database
@@ -110,13 +110,13 @@ mod tests {
     fn messages_name_the_offender() {
         let e = NeuroError::UnknownBackend {
             given: "btree".into(),
-            known: vec!["flat".into(), "rtree".into()],
+            known: vec!["flat".into(), "sharded:flat".into()],
         };
         let msg = e.to_string();
         assert!(msg.contains("btree") && msg.contains("flat"));
 
-        let e = NeuroError::WalkthroughUnsupported { backend: "rplus".into() };
-        assert!(e.to_string().contains("rplus"));
+        let e = NeuroError::WalkthroughUnsupported { backend: "sharded:flat".into() };
+        assert!(e.to_string().contains("sharded:flat"));
     }
 
     #[test]

@@ -1,56 +1,55 @@
-//! The pluggable spatial-index backend API.
+//! The spatial-index API behind [`crate::NeuroDb`].
 //!
-//! The demo paper's first act is a *race* between storage designs: FLAT
-//! against R-Tree variants on the same range queries (§2). This module
-//! turns that race into an API: every backend implements [`SpatialIndex`]
-//! with one result type ([`QueryOutput`]) and one statistics type
-//! ([`QueryStats`]), and callers select backends by value
-//! ([`IndexBackend`]) or by name (via [`FromStr`] or a
-//! [`BackendRegistry`], which also accepts custom factories).
+//! A database indexes its segments with FLAT, in one of four forms: in
+//! memory, on pages ([`OocFlatIndex`]), live behind a write-ahead log,
+//! or split into Hilbert shards ([`ShardedIndex`]). Each form
+//! implements [`SpatialIndex`], with one result type ([`QueryOutput`])
+//! and one statistics type ([`QueryStats`]). The R-Tree family the paper
+//! races FLAT against lives in [`neurospatial_rtree`] and is called
+//! there directly.
 //!
 //! ```
 //! use neurospatial::prelude::*;
 //!
 //! let circuit = CircuitBuilder::new(1).neurons(4).build();
-//! let params = IndexParams::default();
-//! for backend in IndexBackend::ALL {
-//!     let index = backend.build(circuit.segments().to_vec(), &params);
-//!     let out = index.range_query(&Aabb::cube(circuit.bounds().center(), 20.0));
-//!     assert_eq!(out.stats.results as usize, out.segments.len());
-//! }
+//! let params = IndexParams::default().sharded(2);
+//! let q = Aabb::cube(circuit.bounds().center(), 20.0);
+//! let segments = circuit.segments().to_vec();
+//! let mono: FlatIndex<NeuronSegment> = SpatialIndex::build(segments.clone(), &params);
+//! let sharded = ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(segments, &params);
+//! let out = SpatialIndex::range_query(&mono, &q);
+//! assert_eq!(out.stats.results as usize, out.segments.len());
+//! assert_eq!(out.sorted_ids(), sharded.range_query(&q).sorted_ids());
 //! ```
 
 use crate::error::NeuroError;
+#[cfg(doc)]
 use crate::shard::ShardedIndex;
 use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch, PageGraph};
 use neurospatial_geom::{Aabb, Flow, Vec3};
 use neurospatial_model::NeuronSegment;
-use neurospatial_rtree::{RPlusTree, RTree, RTreeParams, TraversalCounters, TraversalScratch};
+use neurospatial_rtree::TraversalScratch;
 use neurospatial_scout::{write_flat_index, OocConfig, OocFlatIndex};
 use std::any::Any;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable per-query state for
 /// [`SpatialIndex::try_for_each_in_range`] and everything built on it:
 /// create one per worker thread, reuse it across an entire batch. After
 /// the first few queries have grown the buffers, steady-state queries
-/// perform **zero** heap allocations (held per backend by the
-/// `zero_alloc` test in `neurospatial-bench`).
+/// perform **zero** heap allocations (held by the `zero_alloc` test in
+/// `neurospatial-bench`).
 ///
 /// Fields are public so custom [`SpatialIndex`] implementations can use
 /// the same buffers in their own traversal.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// R-Tree-family traversal state (visit stack, best-first candidate
-    /// buffer, epoch-stamped de-duplication marks).
-    pub tree: TraversalScratch,
     /// FLAT seed-and-crawl state (crawl front, visited-page marks, seed
     /// tree scratch).
     pub flat: FlatScratch,
     /// Out-of-core FLAT state (crawl front, visited marks, page-decode
-    /// buffer) for the paged backend.
+    /// buffer) for the paged index.
     pub paged: neurospatial_scout::OocScratch,
     /// KNN: the candidates of the current expanding-cube iteration,
     /// awaiting the canonical sort.
@@ -63,42 +62,27 @@ impl QueryScratch {
     }
 }
 
-impl From<TraversalCounters> for QueryStats {
-    /// Lift the R-Tree family's flat scratch counters into the unified
-    /// schema.
-    fn from(c: TraversalCounters) -> Self {
-        QueryStats {
-            results: c.results,
-            nodes_read: c.nodes_visited,
-            objects_tested: c.leaf_entries_tested,
-            ..QueryStats::default()
-        }
-    }
-}
-
-/// Backend-independent build parameters.
+/// Build parameters of a FLAT index.
 ///
-/// Each backend maps `page_capacity` onto its own granularity knob: FLAT
-/// page size, R-Tree node fan-out, R+-Tree leaf capacity — the quantity
-/// the paper's experiments vary to equalise "objects per disk page".
-/// Values below a backend's structural minimum (1 for FLAT and the
-/// R+-Tree, 4 for the R-Tree fan-out) are clamped, so every build entry
-/// point is total; [`crate::NeuroDbBuilder`] additionally validates and
-/// reports out-of-range values as [`NeuroError::InvalidConfig`].
+/// `page_capacity` is FLAT's objects per page, the quantity the paper's
+/// experiments vary to equalise "objects per disk page". A value of 0 is
+/// clamped to 1, so every build entry point is total;
+/// [`crate::NeuroDbBuilder`] reports it as [`NeuroError::InvalidConfig`]
+/// instead.
 ///
 /// `shards` and `threads` only affect the sharded executor
-/// ([`ShardedIndex`], or the registry's `sharded:<backend>` names): the
-/// monolithic backends ignore them, so the same parameter block can
-/// configure both sides of a sharded-vs-monolithic race.
+/// ([`ShardedIndex`]): a monolithic index ignores them, so the same
+/// parameter block can configure both sides of a sharded-vs-monolithic
+/// race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexParams {
-    /// Objects per page / node (per shard, when sharded).
+    /// Objects per page (per shard, when sharded).
     pub page_capacity: usize,
-    /// Space partitions for [`ShardedIndex`] (clamped to >= 1; monolithic
-    /// backends ignore it).
+    /// Space partitions for [`ShardedIndex`] (clamped to >= 1; a
+    /// monolithic index ignores it).
     pub shards: usize,
-    /// Worker threads for sharded query execution (clamped to >= 1;
-    /// monolithic backends ignore it).
+    /// Worker threads for sharded query execution (clamped to >= 1; a
+    /// monolithic index ignores it).
     pub threads: usize,
 }
 
@@ -127,35 +111,32 @@ impl IndexParams {
     }
 }
 
-/// Unified per-query statistics, comparable across backends — the demo's
-/// "disk pages retrieved" panel, one schema for every index design.
+/// Unified per-query statistics, one schema for every form of the index —
+/// the demo's "disk pages retrieved" panel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Objects returned.
     pub results: u64,
-    /// Index pages/nodes read: data pages + seed-tree nodes for FLAT,
-    /// tree nodes for the R-Tree family. The cross-backend cost proxy.
+    /// Index pages read: data pages + seed-tree nodes. The cost proxy
+    /// the paper's tables compare.
     pub nodes_read: u64,
     /// Objects tested against the query region (filter work).
     pub objects_tested: u64,
-    /// FLAT only: crawl-front re-seeds (0 for other backends, and almost
-    /// always 0 for FLAT on dense data).
+    /// Crawl-front re-seeds (almost always 0 on dense data).
     pub reseeds: u64,
-    /// Paged (out-of-core) backends only: demand page reads served from
-    /// the buffer pool without touching the disk. 0 for in-memory
-    /// backends.
+    /// Paged (out-of-core) index only: demand page reads served from
+    /// the buffer pool without touching the disk. 0 in memory.
     pub cache_hits: u64,
-    /// Paged backends only: demand page reads that stalled on the disk.
-    /// 0 for in-memory backends.
+    /// Paged index only: demand page reads that stalled on the disk. 0
+    /// in memory.
     pub cache_misses: u64,
-    /// Paged backends only: frames evicted from the buffer pool while
-    /// this query ran. 0 for in-memory backends.
+    /// Paged index only: frames evicted from the buffer pool while this
+    /// query ran. 0 in memory.
     pub cache_evictions: u64,
-    /// Paged backends only: transient page-read failures recovered by
-    /// the bounded-retry path. 0 for in-memory backends and on healthy
-    /// media.
+    /// Paged index only: transient page-read failures recovered by the
+    /// bounded-retry path. 0 in memory and on healthy media.
     pub retries: u64,
-    /// Paged backends only: quarantined pages this query skipped. Always
+    /// Paged index only: quarantined pages this query skipped. Always
     /// 0 unless the query ran in partial-results mode
     /// ([`crate::query::RangeQuery::allow_partial`]); a nonzero value
     /// marks the result set as degraded.
@@ -228,7 +209,7 @@ impl From<&FlatQueryStats> for QueryStats {
 /// overlaps, and the default is a cheap volume-fraction heuristic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexPlan {
-    /// Shards the executor manages (1 for monolithic backends).
+    /// Shards the executor manages (1 for a monolithic index).
     pub shards_total: usize,
     /// Shards whose bounds intersect the region (the rest are pruned
     /// without being touched).
@@ -255,7 +236,7 @@ impl QueryOutput {
     }
 
     /// Result ids in ascending order — the canonical form for comparing
-    /// backends against each other or against a scan.
+    /// indexes against each other or against a scan.
     pub fn sorted_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.segments.iter().map(|s| s.id).collect();
         ids.sort_unstable();
@@ -275,7 +256,7 @@ pub struct Neighbor {
 
 /// Canonical neighbour order: ascending distance, ties broken by segment
 /// id. A total deterministic order makes KNN answers identical across
-/// backends and across shard counts, which is what the equivalence suite
+/// the forms of the index and across shard counts, which is what the equivalence suite
 /// asserts.
 fn neighbor_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
     a.distance
@@ -393,7 +374,7 @@ pub(crate) fn range_query_batch<I: SpatialIndex + ?Sized>(
 }
 
 /// Unwrap the range primitive for the infallible provided methods — the
-/// one place they can panic. In-memory backends never fail; a paged
+/// one place they can panic. An in-memory index never fails; a paged
 /// index validates its whole file at open, so an error here means the
 /// file rotted or was truncated *while the database was serving*.
 /// Callers that must survive that use
@@ -407,12 +388,11 @@ pub(crate) fn infallible<T>(result: Result<T, NeuroError>) -> T {
 
 /// A queryable spatial index over neuron segments.
 ///
-/// Implemented by FLAT (in memory and paged), the dynamic R-Tree, the
-/// R+-Tree, the STR-packed R-Tree and the sharded executor over any of
-/// them; every implementation must return exactly the segments a
+/// Implemented by FLAT in memory and paged, and by the sharded executor
+/// over either; every implementation must return exactly the segments a
 /// brute-force scan would (property-tested in `tests/model.rs`).
 ///
-/// A backend implements **one** range traversal,
+/// An index implements **one** range traversal,
 /// [`try_for_each_in_range`](Self::try_for_each_in_range). Collecting,
 /// batching, KNN and planning are provided methods written once on top of
 /// it, so a fix or a counter added to the primitive reaches every query
@@ -427,16 +407,16 @@ pub trait SpatialIndex: Send + Sync + 'static {
     where
         Self: Sized;
 
-    /// Downcast escape hatch: the concrete backend behind a
-    /// `&dyn SpatialIndex`, reachable generically instead of through
-    /// per-backend accessors on the facade. `self` in every
-    /// implementation.
+    /// Downcast escape hatch: the concrete index behind a
+    /// `&dyn SpatialIndex`. `self` in every implementation.
     ///
     /// ```
     /// use neurospatial::prelude::*;
     ///
-    /// let idx = IndexBackend::RPlus.build(Vec::new(), &IndexParams::default());
-    /// assert!(idx.as_any().downcast_ref::<RPlusTree<NeuronSegment>>().is_some());
+    /// let c = CircuitBuilder::new(1).neurons(3).build();
+    /// let db = NeuroDb::builder().circuit(&c).shards(2).build().unwrap();
+    /// let idx = db.index();
+    /// assert!(idx.as_any().downcast_ref::<ShardedIndex<FlatIndex<NeuronSegment>>>().is_some());
     /// assert!(idx.as_any().downcast_ref::<FlatIndex<NeuronSegment>>().is_none());
     /// ```
     fn as_any(&self) -> &dyn std::any::Any;
@@ -451,9 +431,9 @@ pub trait SpatialIndex: Send + Sync + 'static {
     /// Bounding box of the indexed data (`Aabb::EMPTY` when empty).
     fn bounds(&self) -> Aabb;
 
-    /// The range traversal — the only query method a backend implements.
+    /// The range traversal — the only query method an index implements.
     /// Every segment intersecting `region` is offered to `sink` exactly
-    /// once, in the backend's canonical emission order; the sink's
+    /// once, in the index's canonical emission order; the sink's
     /// [`Flow`] verdict decides whether it counts as a result
     /// ([`Flow::Emit`]), is filtered out below the traversal
     /// ([`Flow::Skip`] — not counted in `stats.results`), or ends the
@@ -462,8 +442,8 @@ pub trait SpatialIndex: Send + Sync + 'static {
     /// materialized, and all per-query working state (visit stacks, crawl
     /// queues, visited marks) lives in `scratch`.
     ///
-    /// In-memory backends cannot fail and ignore `allow_partial`. The
-    /// paged backend surfaces storage failures as typed errors, or, with
+    /// An in-memory index cannot fail and ignores `allow_partial`. The
+    /// paged index surfaces storage failures as typed errors, or, with
     /// `allow_partial`, skips quarantined pages and labels the loss in
     /// `stats.pages_quarantined`.
     fn try_for_each_in_range(
@@ -509,8 +489,8 @@ pub trait SpatialIndex: Send + Sync + 'static {
     /// The `k` segments nearest to `p` (AABB minimum distance), in
     /// canonical order: ascending distance, ties broken by segment id.
     /// One exact expanding-cube search over the range primitive serves
-    /// every backend, which keeps answers byte-identical across backends
-    /// and shard counts.
+    /// every form of the index, which keeps answers byte-identical across
+    /// forms and shard counts.
     fn knn(&self, p: Vec3, k: usize) -> (Vec<Neighbor>, QueryStats) {
         let mut out = Vec::new();
         let stats = self.knn_into_scratch(p, k, &mut QueryScratch::new(), &mut out);
@@ -533,28 +513,10 @@ pub trait SpatialIndex: Send + Sync + 'static {
     }
 
     /// Planner metadata for a region — what [`crate::query::RangeQuery::explain`]
-    /// reports without executing anything. The default is a cheap
-    /// volume-fraction heuristic over the data bounds; FLAT counts the
-    /// pages the region actually overlaps, and the sharded executor
-    /// reports real shard-pruning numbers.
-    fn plan_range(&self, region: &Aabb) -> IndexPlan {
-        let bounds = self.bounds();
-        if self.is_empty() || !bounds.intersects(region) {
-            return IndexPlan { shards_total: 1, shards_probed: 0, estimated_reads: 0 };
-        }
-        let vol = bounds.volume();
-        let frac = if vol > 0.0 {
-            (region.intersection(&bounds).volume() / vol).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let pages = (self.len() as f64 / 64.0).ceil();
-        IndexPlan {
-            shards_total: 1,
-            shards_probed: 1,
-            estimated_reads: (frac * pages).ceil().max(1.0) as u64,
-        }
-    }
+    /// reports without executing anything. FLAT counts the pages the
+    /// region actually overlaps, and the sharded executor reports real
+    /// shard-pruning numbers.
+    fn plan_range(&self, region: &Aabb) -> IndexPlan;
 
     /// Approximate resident size in bytes (for the demo's memory panels).
     fn memory_bytes(&self) -> usize;
@@ -691,201 +653,21 @@ pub(crate) fn spill_flat(
     Ok(paged)
 }
 
-/// STR-packed (bulk-loaded) R-Tree backend.
-impl SpatialIndex for RTree<NeuronSegment> {
-    fn build(segments: Vec<NeuronSegment>, params: &IndexParams) -> Self {
-        let mut tree =
-            RTree::bulk_load(segments, RTreeParams::with_max_entries(params.page_capacity.max(4)));
-        // This tree serves scratch queries: freeze the SoA lanes.
-        tree.freeze();
-        tree
-    }
-
-    fn len(&self) -> usize {
-        RTree::len(self)
-    }
-
-    fn bounds(&self) -> Aabb {
-        self.root_mbr()
-    }
-
-    fn try_for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        _allow_partial: bool,
-        sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> Result<QueryStats, NeuroError> {
-        Ok(RTree::range_query_stream(self, region, &mut scratch.tree, sink).into())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn memory_bytes(&self) -> usize {
-        RTree::memory_bytes(self)
-    }
-}
-
-/// The dynamically grown R-Tree: same structure as the STR-packed tree
-/// but built by one-at-a-time insertion, which is what degrades its leaf
-/// overlap on dense data (§2.2 of the paper).
-pub struct DynamicRTree(pub RTree<NeuronSegment>);
-
-impl SpatialIndex for DynamicRTree {
-    fn build(segments: Vec<NeuronSegment>, params: &IndexParams) -> Self {
-        let mut tree = RTree::new(RTreeParams::with_max_entries(params.page_capacity.max(4)));
-        for s in segments {
-            tree.insert(s);
-        }
-        // Build complete: freeze the SoA traversal layout so scratch
-        // queries scan contiguous MBR lanes. The *structure* stays the
-        // insertion-grown one — freezing changes the memory layout, not
-        // the tree, so the paper's overlap-degradation story is intact.
-        tree.freeze();
-        DynamicRTree(tree)
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn bounds(&self) -> Aabb {
-        self.0.root_mbr()
-    }
-
-    fn try_for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        _allow_partial: bool,
-        sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> Result<QueryStats, NeuroError> {
-        Ok(self.0.range_query_stream(region, &mut scratch.tree, sink).into())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.0.memory_bytes()
-    }
-}
-
-impl SpatialIndex for RPlusTree<NeuronSegment> {
-    fn build(segments: Vec<NeuronSegment>, params: &IndexParams) -> Self {
-        RPlusTree::build(segments, params.page_capacity.max(1))
-    }
-
-    fn len(&self) -> usize {
-        RPlusTree::len(self)
-    }
-
-    fn bounds(&self) -> Aabb {
-        RPlusTree::bounds(self)
-    }
-
-    fn try_for_each_in_range(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        _allow_partial: bool,
-        sink: &mut dyn FnMut(&NeuronSegment) -> Flow,
-    ) -> Result<QueryStats, NeuroError> {
-        Ok(RPlusTree::range_query_stream(self, region, &mut scratch.tree, sink).into())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // Arena nodes are private; approximate with the object store plus
-        // one u32 per stored (possibly replicated) leaf entry.
-        self.len() * std::mem::size_of::<NeuronSegment>() + self.stored_entries() as usize * 4
-    }
-}
-
-/// The built-in index backends, selectable by value or by name.
+/// The index a [`crate::NeuroDb`] is built on. FLAT is the only one:
+/// the R-Tree family stays in [`neurospatial_rtree`], as FLAT's
+/// baselines in the paper's tables and as TOUCH's A-side tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexBackend {
     /// FLAT seed-and-crawl (density-independent; the paper's design).
     Flat,
-    /// Dynamically grown R-Tree (insertion splits; degrades with density).
-    RTree,
-    /// R+-Tree (overlap-free, replicates entries).
-    RPlus,
-    /// STR bulk-loaded R-Tree (tight static packing).
-    StrPacked,
 }
 
 impl IndexBackend {
-    /// All built-in backends, in the order the experiment tables report.
-    pub const ALL: [IndexBackend; 4] =
-        [IndexBackend::Flat, IndexBackend::RTree, IndexBackend::RPlus, IndexBackend::StrPacked];
-
-    /// Canonical name (the one [`fmt::Display`] prints and
-    /// [`FromStr`] round-trips).
+    /// Canonical name (the one [`fmt::Display`] prints).
     pub fn name(&self) -> &'static str {
         match self {
             IndexBackend::Flat => "flat",
-            IndexBackend::RTree => "rtree",
-            IndexBackend::RPlus => "rplus",
-            IndexBackend::StrPacked => "str-packed",
         }
-    }
-
-    /// Build a boxed index of this backend over `segments`.
-    pub fn build(
-        &self,
-        segments: Vec<NeuronSegment>,
-        params: &IndexParams,
-    ) -> Box<dyn SpatialIndex> {
-        match self {
-            IndexBackend::Flat => {
-                Box::new(<FlatIndex<NeuronSegment> as SpatialIndex>::build(segments, params))
-            }
-            IndexBackend::RTree => Box::new(DynamicRTree::build(segments, params)),
-            IndexBackend::RPlus => {
-                Box::new(<RPlusTree<NeuronSegment> as SpatialIndex>::build(segments, params))
-            }
-            IndexBackend::StrPacked => {
-                Box::new(<RTree<NeuronSegment> as SpatialIndex>::build(segments, params))
-            }
-        }
-    }
-
-    /// Build a boxed **sharded** executor over this backend:
-    /// `params.shards` Hilbert-ordered space partitions, each holding one
-    /// monolithic index of this backend, queried with `params.threads`
-    /// workers. Registered in [`BackendRegistry::with_builtins`] under
-    /// `sharded:<name>`.
-    pub fn build_sharded(
-        &self,
-        segments: Vec<NeuronSegment>,
-        params: &IndexParams,
-    ) -> Box<dyn SpatialIndex> {
-        match self {
-            IndexBackend::Flat => Box::new(
-                <ShardedIndex<FlatIndex<NeuronSegment>> as SpatialIndex>::build(segments, params),
-            ),
-            IndexBackend::RTree => {
-                Box::new(<ShardedIndex<DynamicRTree> as SpatialIndex>::build(segments, params))
-            }
-            IndexBackend::RPlus => Box::new(
-                <ShardedIndex<RPlusTree<NeuronSegment>> as SpatialIndex>::build(segments, params),
-            ),
-            IndexBackend::StrPacked => Box::new(
-                <ShardedIndex<RTree<NeuronSegment>> as SpatialIndex>::build(segments, params),
-            ),
-        }
-    }
-
-    /// The registry name of the sharded executor over this backend.
-    pub fn sharded_name(&self) -> String {
-        format!("sharded:{}", self.name())
     }
 }
 
@@ -895,138 +677,34 @@ impl fmt::Display for IndexBackend {
     }
 }
 
-impl FromStr for IndexBackend {
-    type Err = NeuroError;
-
-    /// Case-insensitive; accepts the canonical names plus common aliases
-    /// (`r-tree`, `dynamic`, `r+`, `rplustree`, `str`, `packed`).
-    fn from_str(s: &str) -> Result<Self, NeuroError> {
-        match s.to_ascii_lowercase().replace(['_', ' '], "-").as_str() {
-            "flat" => Ok(IndexBackend::Flat),
-            "rtree" | "r-tree" | "dynamic" | "dynamic-rtree" => Ok(IndexBackend::RTree),
-            "rplus" | "r+" | "r-plus" | "rplustree" | "r+-tree" => Ok(IndexBackend::RPlus),
-            "str-packed" | "str" | "packed" | "strpacked" => Ok(IndexBackend::StrPacked),
-            _ => Err(NeuroError::UnknownBackend {
-                given: s.to_string(),
-                known: IndexBackend::ALL.iter().map(|b| b.name().to_string()).collect(),
-            }),
-        }
-    }
-}
-
-/// Factory signature for registry entries.
-pub type BackendFactory = fn(Vec<NeuronSegment>, &IndexParams) -> Box<dyn SpatialIndex>;
-
-/// A name → factory table: the built-in backends plus anything callers
-/// register (an experimental index, an instrumented wrapper, …).
-///
-/// ```
-/// use neurospatial::prelude::*;
-///
-/// let mut registry = BackendRegistry::with_builtins();
-/// registry.register("my-flat", |segs, p| IndexBackend::Flat.build(segs, p));
-/// let idx = registry.build("my-flat", Vec::new(), &IndexParams::default()).unwrap();
-/// assert!(idx.is_empty());
-/// ```
-pub struct BackendRegistry {
-    entries: Vec<(String, BackendFactory)>,
-}
-
-impl BackendRegistry {
-    /// A registry containing the four built-in backends under their
-    /// canonical names, plus a sharded executor for each of them under
-    /// `sharded:<name>` (shard and thread counts come from the
-    /// [`IndexParams`] passed at build time).
-    pub fn with_builtins() -> Self {
-        let mut r = BackendRegistry { entries: Vec::new() };
-        for b in IndexBackend::ALL {
-            // `IndexBackend::build` needs the variant; capture it by
-            // monomorphising through a small fn per variant.
-            let factory: BackendFactory = match b {
-                IndexBackend::Flat => |s, p| IndexBackend::Flat.build(s, p),
-                IndexBackend::RTree => |s, p| IndexBackend::RTree.build(s, p),
-                IndexBackend::RPlus => |s, p| IndexBackend::RPlus.build(s, p),
-                IndexBackend::StrPacked => |s, p| IndexBackend::StrPacked.build(s, p),
-            };
-            r.entries.push((b.name().to_string(), factory));
-        }
-        for b in IndexBackend::ALL {
-            // Selecting a `sharded:` name is an explicit request for
-            // sharding, so (exactly like `NeuroDbBuilder::backend_named`)
-            // a default/unset shard count is raised to the smallest
-            // genuinely sharded layout instead of silently building a
-            // 1-shard wrapper.
-            let factory: BackendFactory = match b {
-                IndexBackend::Flat => {
-                    |s, p| IndexBackend::Flat.build_sharded(s, &p.sharded(p.shards.max(2)))
-                }
-                IndexBackend::RTree => {
-                    |s, p| IndexBackend::RTree.build_sharded(s, &p.sharded(p.shards.max(2)))
-                }
-                IndexBackend::RPlus => {
-                    |s, p| IndexBackend::RPlus.build_sharded(s, &p.sharded(p.shards.max(2)))
-                }
-                IndexBackend::StrPacked => {
-                    |s, p| IndexBackend::StrPacked.build_sharded(s, &p.sharded(p.shards.max(2)))
-                }
-            };
-            r.entries.push((b.sharded_name(), factory));
-        }
-        r
-    }
-
-    /// Register (or replace) a backend under `name`.
-    pub fn register<S: Into<String>>(&mut self, name: S, factory: BackendFactory) {
-        let name = name.into();
-        if let Some(e) = self.entries.iter_mut().find(|(n, _)| *n == name) {
-            e.1 = factory;
-        } else {
-            self.entries.push((name, factory));
-        }
-    }
-
-    /// Registered names, registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Build the backend registered under `name`.
-    pub fn build(
-        &self,
-        name: &str,
-        segments: Vec<NeuronSegment>,
-        params: &IndexParams,
-    ) -> Result<Box<dyn SpatialIndex>, NeuroError> {
-        match self.entries.iter().find(|(n, _)| n == name) {
-            Some((_, factory)) => Ok(factory(segments, params)),
-            None => Err(NeuroError::UnknownBackend {
-                given: name.to_string(),
-                known: self.names().iter().map(|s| s.to_string()).collect(),
-            }),
-        }
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedIndex;
     use neurospatial_model::CircuitBuilder;
+
+    fn flat(segments: Vec<NeuronSegment>) -> FlatIndex<NeuronSegment> {
+        SpatialIndex::build(segments, &IndexParams::default())
+    }
+
+    /// FLAT in each form a frozen database can hold it: in memory,
+    /// sharded, and paged over a pool smaller than the file.
+    fn forms(segments: &[NeuronSegment]) -> [(&'static str, Box<dyn SpatialIndex>); 3] {
+        let params = IndexParams::with_page_capacity(32).sharded(3).threaded(2);
+        [
+            ("flat", Box::new(flat(segments.to_vec()))),
+            (
+                "sharded:flat",
+                Box::new(ShardedIndex::<FlatIndex<_>>::build_with(segments.to_vec(), &params)),
+            ),
+            ("paged", Box::new(spill(segments.to_vec(), 3))),
+        ]
+    }
 
     #[test]
     fn backend_names_round_trip() {
-        for b in IndexBackend::ALL {
-            assert_eq!(b.name().parse::<IndexBackend>().expect("round trip"), b);
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert_eq!("R-Tree".parse::<IndexBackend>().unwrap(), IndexBackend::RTree);
-        assert_eq!("STR".parse::<IndexBackend>().unwrap(), IndexBackend::StrPacked);
-        assert!(matches!("btree".parse::<IndexBackend>(), Err(NeuroError::UnknownBackend { .. })));
+        assert_eq!(IndexBackend::Flat.name(), "flat");
+        assert_eq!(IndexBackend::Flat.to_string(), IndexBackend::Flat.name());
     }
 
     #[test]
@@ -1039,8 +717,7 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        for b in IndexBackend::ALL {
-            let idx = b.build(c.segments().to_vec(), &IndexParams::default());
+        for (b, idx) in forms(c.segments()) {
             assert_eq!(idx.len(), c.segments().len(), "{b}");
             let out = idx.range_query(&q);
             assert_eq!(out.sorted_ids(), want, "{b} disagrees with scan");
@@ -1052,41 +729,14 @@ mod tests {
     #[test]
     fn batched_queries_match_single_queries() {
         let c = CircuitBuilder::new(9).neurons(4).build();
-        let idx = IndexBackend::Flat.build(c.segments().to_vec(), &IndexParams::default());
+        let idx = flat(c.segments().to_vec());
         let regions: Vec<Aabb> = (0..5)
             .map(|i| Aabb::cube(c.segments()[i * 7].geom.center(), 10.0 + i as f64))
             .collect();
         let batch = idx.range_query_many(&regions);
         assert_eq!(batch.len(), regions.len());
         for (out, r) in batch.iter().zip(&regions) {
-            assert_eq!(out.sorted_ids(), idx.range_query(r).sorted_ids());
-        }
-    }
-
-    #[test]
-    fn registry_builds_by_name_and_rejects_unknowns() {
-        let registry = BackendRegistry::with_builtins();
-        // Four monolithic backends plus their four sharded executors.
-        assert_eq!(registry.names().len(), 8);
-        let idx =
-            registry.build("flat", Vec::new(), &IndexParams::default()).expect("flat registered");
-        assert!(idx.is_empty());
-        assert!(registry.build("nope", Vec::new(), &IndexParams::default()).is_err());
-    }
-
-    #[test]
-    fn registry_sharded_names_agree_with_monolithic() {
-        let registry = BackendRegistry::with_builtins();
-        let c = CircuitBuilder::new(11).neurons(5).build();
-        let q = Aabb::cube(c.bounds().center(), 25.0);
-        let params = IndexParams::with_page_capacity(32).sharded(3).threaded(2);
-        for b in IndexBackend::ALL {
-            let mono = registry.build(b.name(), c.segments().to_vec(), &params).expect("builtin");
-            let sharded = registry
-                .build(&b.sharded_name(), c.segments().to_vec(), &params)
-                .expect("sharded builtin");
-            assert_eq!(sharded.len(), mono.len(), "{b}");
-            assert_eq!(sharded.range_query(&q).sorted_ids(), mono.range_query(&q).sorted_ids());
+            assert_eq!(out.sorted_ids(), SpatialIndex::range_query(&idx, r).sorted_ids());
         }
     }
 
@@ -1094,8 +744,7 @@ mod tests {
     fn knn_default_matches_brute_force_on_every_backend() {
         let c = CircuitBuilder::new(4).neurons(6).build();
         let segments = c.segments().to_vec();
-        for b in IndexBackend::ALL {
-            let idx = b.build(segments.clone(), &IndexParams::default());
+        for (b, idx) in forms(&segments) {
             for (p, k) in [
                 (c.bounds().center(), 5usize),
                 (c.bounds().lo, 1),
@@ -1169,11 +818,11 @@ mod tests {
     #[test]
     fn knn_edge_cases() {
         let c = CircuitBuilder::new(4).neurons(2).build();
-        let idx = IndexBackend::Flat.build(c.segments().to_vec(), &IndexParams::default());
+        let idx = flat(c.segments().to_vec());
         assert!(idx.knn(Vec3::ZERO, 0).0.is_empty());
         let (all, _) = idx.knn(Vec3::ZERO, c.segments().len() + 10);
         assert_eq!(all.len(), c.segments().len(), "k > n returns everything");
-        let empty = IndexBackend::Flat.build(Vec::new(), &IndexParams::default());
+        let empty = flat(Vec::new());
         assert!(empty.knn(Vec3::ZERO, 3).0.is_empty());
     }
 }

@@ -26,8 +26,8 @@
 //! ## Quickstart
 //!
 //! Databases are opened through [`NeuroDbBuilder`]: pick a data source,
-//! an index backend (by value or by name) and how segments split into
-//! named populations.
+//! the form of its FLAT index (in memory, sharded, paged or live) and how
+//! segments split into named populations.
 //!
 //! ```
 //! use neurospatial::prelude::*;
@@ -35,15 +35,15 @@
 //! // 1. Generate a microcircuit (substitute for BBP data).
 //! let circuit = CircuitBuilder::new(7).neurons(20).build();
 //!
-//! // 2. Open a database: FLAT backend, named populations.
+//! // 2. Open a database: FLAT in memory, named populations.
 //! let db = NeuroDb::builder()
 //!     .circuit(&circuit)
-//!     .backend(IndexBackend::Flat) // or .backend_named("rtree"), …
+//!     .backend(IndexBackend::Flat) // or .backend_named("sharded:flat")
 //!     .split_populations("axons", "dendrites", |s| s.neuron % 2 == 0)
 //!     .build()
 //!     .expect("valid configuration");
 //!
-//! // 3. Spatial range query through the pluggable SpatialIndex API.
+//! // 3. Spatial range query through the SpatialIndex API.
 //! let region = Aabb::cube(circuit.bounds().center(), 30.0);
 //! let out = db.query().range(region).collect().expect("no population to resolve");
 //! assert_eq!(out.segments.len(), out.stats.results as usize);
@@ -54,27 +54,28 @@
 //! assert!(synapses.stats.results == synapses.pairs.len() as u64);
 //!
 //! // 5. Replay a branch-following walkthrough with SCOUT prefetching
-//! //    (FLAT backend only — walkthroughs are page-granular).
+//! //    (monolithic FLAT only — walkthroughs are page-granular).
 //! if let Some(path) = NavigationPath::along_random_branch(&circuit, 1, 20.0, 8.0) {
 //!     let report = db.query().along_path(&path).run().expect("flat");
 //!     assert!(report.steps.len() == path.queries.len());
 //! }
 //! ```
 //!
-//! Backends are comparable through one API — build the same data under
-//! every [`IndexBackend`] and race them:
+//! FLAT is the database's index. The R-Tree family the paper races it
+//! against is called directly from [`rtree`], on the same data:
 //!
 //! ```
 //! use neurospatial::prelude::*;
 //!
 //! let circuit = CircuitBuilder::new(1).neurons(6).build();
 //! let q = Aabb::cube(circuit.bounds().center(), 25.0);
-//! let outputs: Vec<QueryOutput> = IndexBackend::ALL
-//!     .iter()
-//!     .map(|b| b.build(circuit.segments().to_vec(), &IndexParams::default()).range_query(&q))
-//!     .collect();
-//! // All four backends return the identical result set.
-//! assert!(outputs.windows(2).all(|w| w[0].sorted_ids() == w[1].sorted_ids()));
+//! let db = NeuroDb::builder().circuit(&circuit).build().expect("valid");
+//! let flat = db.query().range(q).collect().expect("no population to resolve");
+//! let tree = RTree::bulk_load(circuit.segments().to_vec(), RTreeParams::default());
+//! let mut ids: Vec<u64> = tree.range_query(&q).0.iter().map(|s| s.id).collect();
+//! ids.sort_unstable();
+//! // FLAT and the STR-packed R-Tree return the identical result set.
+//! assert_eq!(flat.sorted_ids(), ids);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -105,8 +106,8 @@ pub use db::{
 pub use delta::WriteOp;
 pub use error::NeuroError;
 pub use index::{
-    BackendFactory, BackendRegistry, DynamicRTree, IndexBackend, IndexParams, IndexPlan, Neighbor,
-    QueryOutput, QueryScratch, QueryStats, SpatialIndex,
+    IndexBackend, IndexParams, IndexPlan, Neighbor, QueryOutput, QueryScratch, QueryStats,
+    SpatialIndex,
 };
 pub use neurospatial_geom::Flow;
 pub use query::{

@@ -15,7 +15,9 @@
 
 use crate::delta::{self, DeltaBuffer, WriteOp};
 use crate::error::NeuroError;
-use crate::index::{IndexBackend, IndexParams, SpatialIndex};
+use crate::index::{IndexParams, SpatialIndex};
+use crate::shard::ShardedIndex;
+use neurospatial_flat::FlatIndex;
 use neurospatial_geom::{Aabb, Swap};
 use neurospatial_model::NeuronSegment;
 use neurospatial_storage::{LogIo, Wal};
@@ -72,16 +74,16 @@ pub(crate) struct LiveGen {
 }
 
 impl LiveGen {
+    /// FLAT over `segments`, sharded when `params.shards > 1`.
     fn build(
         segments: Vec<NeuronSegment>,
-        backend: IndexBackend,
         params: &IndexParams,
         alive: &Arc<AtomicU64>,
     ) -> Arc<Self> {
-        let index = if params.shards > 1 {
-            backend.build_sharded(segments.clone(), params)
+        let index: Box<dyn SpatialIndex> = if params.shards > 1 {
+            Box::new(ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(segments.clone(), params))
         } else {
-            backend.build(segments.clone(), params)
+            Box::new(<FlatIndex<NeuronSegment> as SpatialIndex>::build(segments.clone(), params))
         };
         alive.fetch_add(1, Ordering::Relaxed);
         crate::metrics::generations_alive().add(1);
@@ -135,7 +137,6 @@ pub(crate) struct LiveCore {
     generations_alive: Arc<AtomicU64>,
     delta: RwLock<DeltaBuffer>,
     writer: Mutex<LiveWriter>,
-    backend: IndexBackend,
     params: IndexParams,
     threshold: usize,
     last_lsn: AtomicU64,
@@ -159,7 +160,6 @@ impl LiveCore {
     pub(crate) fn recover(
         log: Box<dyn LogIo>,
         seed: Vec<NeuronSegment>,
-        backend: IndexBackend,
         params: &IndexParams,
         threshold: usize,
     ) -> Result<Self, NeuroError> {
@@ -178,7 +178,7 @@ impl LiveCore {
         }
         let ids: HashSet<u64> = segments.iter().map(|s| s.id).collect();
         let generations_alive = Arc::new(AtomicU64::new(0));
-        let first = LiveGen::build(segments, backend, params, &generations_alive);
+        let first = LiveGen::build(segments, params, &generations_alive);
         Ok(LiveCore {
             gen: Swap::new(first),
             generations_alive,
@@ -188,7 +188,6 @@ impl LiveCore {
             pending_ops: AtomicU64::new(0),
             checkpoints: AtomicU64::new(wal.checkpoints()),
             writer: Mutex::new(LiveWriter { wal, ids }),
-            backend,
             params: *params,
             threshold,
             replayed_ops: ops.len() as u64,
@@ -320,7 +319,7 @@ impl LiveCore {
         };
         let mut segments = self.gen.load().segments.clone();
         delta::apply_ops(&mut segments, &ops);
-        let next = LiveGen::build(segments, self.backend, &self.params, &self.generations_alive);
+        let next = LiveGen::build(segments, &self.params, &self.generations_alive);
         let replaced = {
             // Install + clear under the delta write lock so readers see
             // either (old gen, old delta) or (new gen, empty delta).

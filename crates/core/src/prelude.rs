@@ -17,8 +17,8 @@ pub use crate::db::{
 pub use crate::delta::WriteOp;
 pub use crate::error::NeuroError;
 pub use crate::index::{
-    BackendRegistry, DynamicRTree, IndexBackend, IndexParams, IndexPlan, Neighbor, QueryOutput,
-    QueryScratch, QueryStats, SpatialIndex,
+    IndexBackend, IndexParams, IndexPlan, Neighbor, QueryOutput, QueryScratch, QueryStats,
+    SpatialIndex,
 };
 pub use crate::query::{
     KnnQuery, PathQuery, Plan, Query, QuerySession, RangeQuery, SegmentPredicate, TouchingQuery,

@@ -90,7 +90,7 @@ thread_local! {
     /// `stream()` terminals: after the first few queries have grown its
     /// buffers, streaming queries perform zero heap allocations without
     /// the caller managing scratch state (the `zero_alloc` test in
-    /// `neurospatial-bench` holds every backend to it).
+    /// `neurospatial-bench` holds every form of FLAT to it).
     static SHARED_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
@@ -159,7 +159,7 @@ impl<E: FnMut(&NeuronSegment) -> bool> Pushdown<'_, E> {
 /// one streaming traversal with population membership, predicate and
 /// limit all applied *below* the index (in the sink handed to
 /// [`SpatialIndex::try_for_each_in_range`]), results delivered to `emit`
-/// in the backend's canonical emission order. `emit` returns whether to
+/// in the index's canonical emission order. `emit` returns whether to
 /// keep going: `false` ends the traversal cleanly after the segment in
 /// hand (how a serving loop's time budget cuts a stream short), and an
 /// always-`true` emitter costs nothing once monomorphised.
@@ -171,7 +171,7 @@ impl<E: FnMut(&NeuronSegment) -> bool> Pushdown<'_, E> {
 /// membership is assigned at build time, so a freshly ingested segment
 /// belongs to no population until the next reopen.)
 ///
-/// In-memory backends cannot fail; the paged backend surfaces storage
+/// An in-memory index cannot fail; the paged index surfaces storage
 /// faults as typed errors, or — with `allow_partial` — skips quarantined
 /// pages and labels the loss in `stats.pages_quarantined`.
 #[allow(clippy::too_many_arguments)]
@@ -264,8 +264,7 @@ fn run_knn(
 /// What a query *would* do — returned by every builder's `explain()`
 /// without executing anything. The sharded numbers come from real
 /// shard-bounds pruning; the read estimate is FLAT's actual
-/// page-overlap count on FLAT databases and a volume-fraction heuristic
-/// on the tree backends.
+/// page-overlap count, summed over the shards a sharded database probes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// Which builder produced this plan: `"range"`, `"knn"`,
@@ -806,7 +805,7 @@ impl PathQuery<'_> {
 
     /// Replay the walkthrough and report the session statistics (stall
     /// time, hit ratio, prefetch precision). Errors unless the database
-    /// uses the monolithic FLAT backend (in memory or paged) —
+    /// holds FLAT monolithic and frozen (in memory or paged) —
     /// walkthroughs are page-granular.
     pub fn run(&self) -> Result<SessionStats, NeuroError> {
         self.db.replay_walkthrough(self.path, self.method)
@@ -1334,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn along_path_runs_and_errors_on_tree_backends() {
+    fn along_path_runs_and_errors_on_sharded_flat() {
         let (db, c) = db();
         let path = NavigationPath::along_random_branch(&c, 3, 20.0, 8.0).expect("path");
         let stats =
@@ -1344,10 +1343,9 @@ mod tests {
         assert_eq!(plan.operation, "walkthrough");
         assert!(plan.estimated_reads > 0);
 
-        let tree =
-            NeuroDb::builder().circuit(&c).backend(IndexBackend::StrPacked).build().expect("valid");
+        let sharded = NeuroDb::builder().circuit(&c).shards(2).build().expect("valid");
         assert!(matches!(
-            tree.query().along_path(&path).run(),
+            sharded.query().along_path(&path).run(),
             Err(NeuroError::WalkthroughUnsupported { .. })
         ));
     }
@@ -1383,11 +1381,11 @@ mod tests {
         let stats = session.prefetch_stats().expect("bound");
         assert_eq!(stats.steps.len(), 4);
         assert!(stats.total_demand_hits + stats.total_demand_misses > 0);
-        // Non-paged backends refuse the binding.
-        let tree =
-            NeuroDb::builder().circuit(&c).backend(IndexBackend::RPlus).build().expect("valid");
+        // A sharded database has no one page space to bind.
+        let sharded = NeuroDb::builder().circuit(&c).shards(2).build().expect("valid");
         assert!(matches!(
-            tree.query()
+            sharded
+                .query()
                 .range(Aabb::EMPTY)
                 .session()
                 .expect("ok")
@@ -1399,12 +1397,7 @@ mod tests {
     #[test]
     fn explain_reports_backend_pruning_and_pushdown() {
         let c = CircuitBuilder::new(4).neurons(8).build();
-        let sharded = NeuroDb::builder()
-            .circuit(&c)
-            .backend(IndexBackend::StrPacked)
-            .shards(5)
-            .build()
-            .expect("valid");
+        let sharded = NeuroDb::builder().circuit(&c).shards(5).build().expect("valid");
         // A query far outside the data prunes every shard.
         let far = sharded.query().range(Aabb::cube(Vec3::splat(1e7), 1.0)).explain();
         assert_eq!(far.shards_total, 5);
@@ -1421,9 +1414,9 @@ mod tests {
         let plan = sharded.query().range(c.bounds()).filter(&pred).limit(10).explain();
         assert!(plan.pushdown_filter);
         assert_eq!(plan.pushdown_limit, Some(10));
-        assert_eq!(plan.backend, IndexBackend::StrPacked);
+        assert_eq!(plan.backend, IndexBackend::Flat);
         let text = plan.to_string();
-        assert!(text.contains("range via str-packed"), "{text}");
+        assert!(text.contains("range via flat"), "{text}");
         assert!(text.contains("filter pushed down"), "{text}");
 
         // FLAT plans count real pages.

@@ -5,7 +5,8 @@
 //! hardware. A [`ShardedIndex`] space-partitions one dataset into K
 //! shards by Hilbert order (consecutive Hilbert codes are spatially
 //! adjacent, so each contiguous run of segments is a compact region of
-//! tissue), builds one monolithic backend index per shard, and fans
+//! tissue), builds one monolithic index per shard (FLAT, in memory or
+//! paged), and fans
 //! query work out over a scoped-thread worker pool
 //! ([`neurospatial_geom::Executor`] — the same primitive the TOUCH join
 //! uses for its parallel probe phase).
@@ -30,8 +31,8 @@
 //! exactly one shard), concatenating per-shard results needs no
 //! deduplication, and summing per-shard [`QueryStats`] yields costs
 //! directly comparable to a monolithic run. The equivalence suite in
-//! `tests/model.rs` property-tests that a sharded executor over every
-//! backend returns the model's result sets, and the order and logical
+//! `tests/model.rs` property-tests that a sharded executor over FLAT, in
+//! memory and paged, returns the model's result sets, and the order and logical
 //! statistics it returns at one thread at two.
 //!
 //! ```
@@ -44,8 +45,9 @@
 //!     &params,
 //! );
 //! let q = Aabb::cube(circuit.bounds().center(), 30.0);
-//! let mono = IndexBackend::Flat.build(circuit.segments().to_vec(), &params);
-//! assert_eq!(sharded.range_query(&q).sorted_ids(), mono.range_query(&q).sorted_ids());
+//! let mono: FlatIndex<NeuronSegment> = SpatialIndex::build(circuit.segments().to_vec(), &params);
+//! let want = SpatialIndex::range_query(&mono, &q).sorted_ids();
+//! assert_eq!(sharded.range_query(&q).sorted_ids(), want);
 //! ```
 
 use crate::error::NeuroError;
@@ -55,13 +57,13 @@ use crate::index::{
 use neurospatial_geom::{Aabb, Executor, Flow, HilbertSorter};
 use neurospatial_model::NeuronSegment;
 
-/// K backend indexes over a Hilbert space partition of one dataset, built
+/// K indexes over a Hilbert space partition of one dataset, built
 /// and batch-queried by a scoped-thread worker pool.
 ///
 /// Built via [`build_with`](Self::build_with) (or the [`SpatialIndex`]
 /// trait constructor, [`NeuroDbBuilder`](crate::NeuroDbBuilder)'s
-/// `.shards(k).threads(t)`, or the registry's `sharded:<backend>`
-/// names). Shard and thread counts come from
+/// `.shards(k).threads(t)` or `.backend_named("sharded:flat")`). Shard
+/// and thread counts come from
 /// [`IndexParams::shards`] / [`IndexParams::threads`].
 pub struct ShardedIndex<I> {
     shards: Vec<I>,
@@ -126,7 +128,7 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         self.executor.threads()
     }
 
-    /// The per-shard backend indexes, in Hilbert partition order.
+    /// The per-shard indexes, in Hilbert partition order.
     pub fn shards(&self) -> &[I] {
         &self.shards
     }
@@ -226,11 +228,12 @@ impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{DynamicRTree, IndexBackend};
     use neurospatial_flat::FlatIndex;
     use neurospatial_geom::Vec3;
     use neurospatial_model::CircuitBuilder;
-    use neurospatial_rtree::{RPlusTree, RTree};
+    use neurospatial_scout::OocFlatIndex;
+
+    type Flat = FlatIndex<NeuronSegment>;
 
     fn circuit_segments() -> Vec<NeuronSegment> {
         CircuitBuilder::new(17).neurons(8).build().segments().to_vec()
@@ -270,16 +273,17 @@ mod tests {
             Aabb::cube(Vec3::splat(1e6), 5.0), // nothing
         ];
         let p = params(5, 3);
-        for backend in IndexBackend::ALL {
-            let mono = backend.build(segments.clone(), &p);
-            let sharded = backend.build_sharded(segments.clone(), &p);
-            assert_eq!(sharded.len(), mono.len(), "{backend}");
-            assert_eq!(sharded.bounds(), mono.bounds(), "{backend} bounds");
+        let mono = <Flat as SpatialIndex>::build(segments.clone(), &p);
+        let in_memory = ShardedIndex::<Flat>::build_with(segments.clone(), &p);
+        let paged = ShardedIndex::<OocFlatIndex>::build_with(segments.clone(), &p);
+        for (form, sharded) in [("memory", &in_memory as &dyn SpatialIndex), ("paged", &paged)] {
+            assert_eq!(sharded.len(), mono.len(), "{form}");
+            assert_eq!(sharded.bounds(), SpatialIndex::bounds(&mono), "{form} bounds");
             for q in &queries {
                 assert_eq!(
                     sharded.range_query(q).sorted_ids(),
-                    mono.range_query(q).sorted_ids(),
-                    "{backend} at {q}"
+                    SpatialIndex::range_query(&mono, q).sorted_ids(),
+                    "{form} at {q}"
                 );
             }
         }
@@ -288,7 +292,7 @@ mod tests {
     #[test]
     fn batched_queries_match_singles_and_keep_order() {
         let segments = circuit_segments();
-        let idx = ShardedIndex::<RTree<NeuronSegment>>::build_with(segments.clone(), &params(4, 4));
+        let idx = ShardedIndex::<Flat>::build_with(segments.clone(), &params(4, 4));
         let regions: Vec<Aabb> =
             (0..9).map(|i| Aabb::cube(segments[i * 13].geom.center(), 8.0 + i as f64)).collect();
         let batch = idx.range_query_many(&regions);
@@ -302,14 +306,11 @@ mod tests {
     #[test]
     fn knn_matches_monolithic_across_thread_counts() {
         let segments = circuit_segments();
-        let mono =
-            ShardedIndex::<RPlusTree<NeuronSegment>>::build_with(segments.clone(), &params(1, 1));
+        let mono = ShardedIndex::<Flat>::build_with(segments.clone(), &params(1, 1));
         let p = segments[7].geom.center() + Vec3::splat(3.0);
         for (k_shards, threads) in [(2usize, 1usize), (5, 4), (9, 2)] {
-            let sharded = ShardedIndex::<RPlusTree<NeuronSegment>>::build_with(
-                segments.clone(),
-                &params(k_shards, threads),
-            );
+            let sharded =
+                ShardedIndex::<Flat>::build_with(segments.clone(), &params(k_shards, threads));
             for k in [1usize, 4, 25] {
                 let (got, stats) = sharded.knn(p, k);
                 let (want, _) = mono.knn(p, k);
@@ -345,7 +346,7 @@ mod tests {
         let bounds = segments.iter().fold(Aabb::EMPTY, |a, s| a.union(&s.aabb()));
         let q = Aabb::cube(bounds.center(), 40.0);
         for k in [1usize, 2, 7] {
-            let idx = ShardedIndex::<DynamicRTree>::build_with(segments.clone(), &params(k, 2));
+            let idx = ShardedIndex::<Flat>::build_with(segments.clone(), &params(k, 2));
             let breakdown = per_shard(&idx, &q);
             assert_eq!(breakdown.len(), k);
             let out = idx.range_query(&q);
@@ -380,7 +381,7 @@ mod tests {
     #[test]
     fn a_limit_stops_before_later_shards() {
         let segments = circuit_segments();
-        let idx = ShardedIndex::<RTree<NeuronSegment>>::build_with(segments.clone(), &params(4, 2));
+        let idx = ShardedIndex::<Flat>::build_with(segments.clone(), &params(4, 2));
         let everything = Aabb::cube(Vec3::ZERO, 1e6);
         let run = |limit: usize| {
             let mut ids = Vec::new();
@@ -407,10 +408,10 @@ mod tests {
     #[test]
     fn empty_dataset_and_zero_shards_are_total() {
         // shards = 0 clamps to 1; an empty dataset builds K empty shards.
-        let empty = ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(Vec::new(), &params(0, 0));
+        let empty = ShardedIndex::<Flat>::build_with(Vec::new(), &params(0, 0));
         assert_eq!(empty.shard_count(), 1);
         assert!(empty.is_empty());
-        let idx = ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(Vec::new(), &params(4, 2));
+        let idx = ShardedIndex::<Flat>::build_with(Vec::new(), &params(4, 2));
         assert_eq!(idx.shard_count(), 4);
         assert!(idx.range_query(&Aabb::cube(Vec3::ZERO, 10.0)).is_empty());
         assert!(idx.knn(Vec3::ZERO, 5).0.is_empty());

@@ -9,7 +9,7 @@
 //!   [`for_each_chunk`](Executor::for_each_chunk)): `0..n` is split into
 //!   one contiguous chunk per worker and results come back in chunk
 //!   order. Right when every index costs about the same — the TOUCH
-//!   assignment descent over B, one backend index per shard.
+//!   assignment descent over B, one index per shard.
 //! * **Pulled tasks** ([`for_each_task`](Executor::for_each_task)):
 //!   workers take task indices from one shared counter until none are
 //!   left. Right when costs are skewed — the STR packer's slabs —

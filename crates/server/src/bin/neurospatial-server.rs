@@ -1,10 +1,9 @@
 //! The `neurospatial-server` binary: generate a synthetic circuit (the
-//! stand-in for the paper's Blue Brain datasets), index it, and serve
-//! the wire protocol until killed.
+//! stand-in for the paper's Blue Brain datasets), index it with FLAT, and
+//! serve the wire protocol until killed.
 //!
 //! ```text
-//! neurospatial-server [--addr=127.0.0.1:7878] [--backend=flat]
-//!                     [--neurons=40] [--seed=7]
+//! neurospatial-server [--addr=127.0.0.1:7878] [--neurons=40] [--seed=7]
 //!                     [--workers=4] [--queue=16]
 //! ```
 //!
@@ -26,15 +25,12 @@ fn parse_value<T: std::str::FromStr>(arg: &str, prefix: &str) -> T {
 
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut backend = "flat".to_string();
     let mut neurons = 40u32;
     let mut seed = 7u64;
     let mut cfg = ServerConfig::default();
     for arg in std::env::args().skip(1) {
         if arg.starts_with("--addr=") {
             addr = parse_value(&arg, "--addr=");
-        } else if arg.starts_with("--backend=") {
-            backend = parse_value(&arg, "--backend=");
         } else if arg.starts_with("--neurons=") {
             neurons = parse_value(&arg, "--neurons=");
         } else if arg.starts_with("--seed=") {
@@ -46,7 +42,7 @@ fn main() {
         } else {
             eprintln!(
                 "unknown argument '{arg}'\nusage: neurospatial-server [--addr=HOST:PORT] \
-                 [--backend=NAME] [--neurons=N] [--seed=N] [--workers=N] [--queue=N]"
+                 [--neurons=N] [--seed=N] [--workers=N] [--queue=N]"
             );
             std::process::exit(2);
         }
@@ -56,7 +52,6 @@ fn main() {
     let circuit = CircuitBuilder::new(seed).neurons(neurons).build();
     let db = match NeuroDb::builder()
         .circuit(&circuit)
-        .backend_named(&backend)
         .split_populations("axons", "dendrites", |s| s.neuron.is_multiple_of(2))
         .build()
     {
@@ -74,7 +69,7 @@ fn main() {
 
     let served = serve_with(&db, &filters, &cfg, |handle| {
         println!(
-            "neurospatial-server listening on {} ({} segments, backend {backend}, {} workers, \
+            "neurospatial-server listening on {} ({} segments, {} workers, \
              queue {})",
             handle.addr(),
             circuit.segments().len(),

@@ -1,6 +1,6 @@
 //! End-to-end: a real server on a loopback socket must answer every
-//! operation with exactly what the embedded query API produces — on all
-//! four index backends — and its admission control must shed load the
+//! operation with exactly what the embedded query API produces — on FLAT
+//! in memory and sharded — and its admission control must shed load the
 //! way the config promises.
 
 use neurospatial::geom::{Aabb, Vec3};
@@ -14,10 +14,10 @@ fn circuit() -> Circuit {
     CircuitBuilder::new(17).neurons(30).build()
 }
 
-fn build_db(circuit: &Circuit, backend: IndexBackend) -> NeuroDb {
+fn build_db(circuit: &Circuit, backend: &str) -> NeuroDb {
     NeuroDb::builder()
         .circuit(circuit)
-        .backend(backend)
+        .backend_named(backend)
         .split_populations("axons", "dendrites", |s| s.neuron.is_multiple_of(2))
         .build()
         .expect("database builds")
@@ -36,12 +36,12 @@ fn regions() -> Vec<Aabb> {
     ]
 }
 
-/// Every operation, every backend: the bytes that come back over TCP
+/// Every operation, both backend names: the bytes that come back over TCP
 /// decode to exactly what `collect()` produces in-process.
 #[test]
 fn server_responses_match_local_execution_on_all_backends() {
     let circuit = circuit();
-    for backend in IndexBackend::ALL {
+    for backend in ["flat", "sharded:flat"] {
         let db = build_db(&circuit, backend);
         let even_pred = |s: &NeuronSegment| even(s);
         let mut filters = FilterRegistry::new();
@@ -65,8 +65,8 @@ fn server_responses_match_local_execution_on_all_backends() {
                 // Plain range: segments and traversal stats byte-match.
                 let stats = client.range(&plain, &region, &mut segments).expect("range");
                 let local = db.query().range(region).collect().expect("local range");
-                assert_eq!(segments, local.segments, "{backend:?} range {region:?}");
-                assert_eq!(stats, local.stats, "{backend:?} range stats {region:?}");
+                assert_eq!(segments, local.segments, "{backend} range {region:?}");
+                assert_eq!(stats, local.stats, "{backend} range stats {region:?}");
 
                 // Full pushdown composition: population + filter + limit.
                 let stats = client.range(&composed, &region, &mut segments).expect("pushdown");
@@ -78,22 +78,22 @@ fn server_responses_match_local_execution_on_all_backends() {
                     .limit(7)
                     .collect()
                     .expect("local pushdown");
-                assert_eq!(segments, local.segments, "{backend:?} pushdown {region:?}");
-                assert_eq!(stats, local.stats, "{backend:?} pushdown stats {region:?}");
+                assert_eq!(segments, local.segments, "{backend} pushdown {region:?}");
+                assert_eq!(stats, local.stats, "{backend} pushdown stats {region:?}");
 
                 // Count terminal agrees with materializing locally.
                 let (count, cstats) = client.count(&plain, &region).expect("count");
                 let local = db.query().range(region).collect().expect("local count");
-                assert_eq!(count, local.segments.len() as u64, "{backend:?} count {region:?}");
-                assert_eq!(cstats, local.stats, "{backend:?} count stats {region:?}");
+                assert_eq!(count, local.segments.len() as u64, "{backend} count {region:?}");
+                assert_eq!(cstats, local.stats, "{backend} count stats {region:?}");
             }
 
             // KNN, plain and composed.
             let probe = Vec3::new(5.0, 5.0, 5.0);
             let stats = client.knn(&plain, probe, 5, &mut neighbors).expect("knn");
             let (local, local_stats) = db.query().knn(probe, 5).collect().expect("local knn");
-            assert_eq!(neighbors, local, "{backend:?} knn");
-            assert_eq!(stats, local_stats, "{backend:?} knn stats");
+            assert_eq!(neighbors, local, "{backend} knn");
+            assert_eq!(stats, local_stats, "{backend} knn stats");
 
             let stats = client.knn(&composed, probe, 5, &mut neighbors).expect("knn pushdown");
             let (local, local_stats) = db
@@ -104,8 +104,8 @@ fn server_responses_match_local_execution_on_all_backends() {
                 .limit(7)
                 .collect()
                 .expect("local knn pushdown");
-            assert_eq!(neighbors, local, "{backend:?} knn pushdown");
-            assert_eq!(stats, local_stats, "{backend:?} knn pushdown stats");
+            assert_eq!(neighbors, local, "{backend} knn pushdown");
+            assert_eq!(stats, local_stats, "{backend} knn pushdown stats");
 
             // Touching join: pairs in emission order, stats mapped from
             // the join's comparison counters.
@@ -118,12 +118,12 @@ fn server_responses_match_local_execution_on_all_backends() {
                 .in_population("axons")
                 .collect()
                 .expect("local touching");
-            assert_eq!(pairs, local.pairs, "{backend:?} touching");
+            assert_eq!(pairs, local.pairs, "{backend} touching");
             assert_eq!(stats.results, local.pairs.len() as u64);
             assert_eq!(
                 stats.objects_tested,
                 local.stats.filter_comparisons + local.stats.refine_comparisons,
-                "{backend:?} touching comparison counters"
+                "{backend} touching comparison counters"
             );
 
             // EXPLAIN returns the same plan the local builder prints.
@@ -142,11 +142,11 @@ fn server_responses_match_local_execution_on_all_backends() {
             assert_eq!(wire.pushdown_limit, local.pushdown_limit.map(|l| l as u32));
             assert_eq!(wire.population, local.population);
 
-            // Walkthrough: FLAT replays it; tree backends refuse with a
-            // typed application error.
+            // Walkthrough: monolithic FLAT replays it; sharded FLAT
+            // refuses with a typed application error.
             let path = NavigationPath::along_random_branch(&circuit, 3, 20.0, 8.0).expect("path");
             let walk = client.walkthrough(1, WalkthroughMethod::Scout, &path);
-            if backend == IndexBackend::Flat {
+            if backend == "flat" {
                 let summary = walk.expect("flat walkthrough");
                 let local = db
                     .query()
@@ -162,7 +162,7 @@ fn server_responses_match_local_execution_on_all_backends() {
             } else {
                 match walk {
                     Err(ClientError::Server { code, .. }) => assert_eq!(code, p::ERR_UNSUPPORTED),
-                    other => panic!("{backend:?} walkthrough should be refused, got {other:?}"),
+                    other => panic!("{backend} walkthrough should be refused, got {other:?}"),
                 }
             }
 
@@ -192,7 +192,7 @@ fn server_responses_match_local_execution_on_all_backends() {
 #[test]
 fn admission_control_sheds_and_recovers() {
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
     let cfg =
         ServerConfig { workers: 1, queue: 0, poll: Duration::from_millis(5), ..Default::default() };
@@ -255,7 +255,7 @@ fn idle_workers_admit_workers_plus_queue_at_once() {
     use std::io::{Read, Write};
 
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
     let mut request = Vec::new();
     let plain = QueryDescView { tenant: 1, ..Default::default() };
@@ -310,7 +310,7 @@ fn protocol_garbage_is_rejected_and_counted() {
     use std::io::Write;
 
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
 
     serve_with(&db, &filters, &ServerConfig::default(), |handle| {
@@ -353,7 +353,7 @@ fn protocol_garbage_is_rejected_and_counted() {
 #[test]
 fn zero_budget_cuts_streams_with_a_typed_timeout() {
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
     let cfg = ServerConfig { request_budget: Duration::ZERO, ..Default::default() };
 
@@ -395,7 +395,7 @@ fn slow_loris_connections_are_evicted() {
     use std::io::{Read, Write};
 
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
     let cfg = ServerConfig {
         workers: 1,
@@ -442,7 +442,7 @@ fn coalesced_slow_loris_is_answered_then_evicted() {
     use std::io::{Read, Write};
 
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
     let cfg = ServerConfig {
         workers: 1,
@@ -497,7 +497,7 @@ fn coalesced_slow_loris_is_answered_then_evicted() {
 #[test]
 fn shutdown_joins_with_a_live_idle_connection() {
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     let filters = FilterRegistry::new();
 
     let survivor = serve_with(&db, &filters, &ServerConfig::default(), |handle| {
@@ -703,7 +703,7 @@ fn metrics_query_counters_are_exact_once_connections_idle() {
         return;
     }
     let circuit = circuit();
-    let db = build_db(&circuit, IndexBackend::Flat);
+    let db = build_db(&circuit, "flat");
     serve_with(&db, &FilterRegistry::new(), &ServerConfig::default(), |handle| {
         let plain = QueryDescView { tenant: 1, ..Default::default() };
         let mut segments = Vec::new();

@@ -836,6 +836,9 @@ fn join_task<T: JoinObject>(
     ws.frontier.clear();
     ws.frontier.push((task.node, 0, items.len() as u32));
     while let Some((n, lo, hi)) = ws.frontier.pop() {
+        // The frontier is LIFO: the slots past `hi` belong to subtrees
+        // already joined, so the next placement reuses them.
+        ws.slots.truncate(hi as usize);
         let sub = lo as usize..hi as usize;
         if view.is_leaf(n) {
             join_leaf(view, tree, b, buckets, n, sub, eps, sweep_min, ws, emit);

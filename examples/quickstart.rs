@@ -23,7 +23,7 @@ fn main() {
     );
 
     // --- 2. Open a spatial database through the builder ------------------
-    // FLAT backend and two declared populations. The database copies
+    // FLAT in memory and two declared populations. The database copies
     // each population's segments; without a declaration it holds none.
     let db = NeuroDb::builder()
         .circuit(&circuit)
@@ -31,7 +31,7 @@ fn main() {
         .split_populations("axons", "dendrites", |s| s.neuron % 2 == 0)
         .build()
         .expect("valid configuration");
-    let flat = db.flat_index().expect("FLAT backend selected above");
+    let flat = db.flat_index().expect("monolithic FLAT in memory");
     println!(
         "FLAT index: {} pages, {:.1} neighbors/page, seed-tree height {}",
         flat.page_count(),
@@ -80,18 +80,33 @@ fn main() {
         nearest.iter().map(|n| n.segment.id).collect::<Vec<_>>()
     );
 
-    // --- 3d. Race every backend on the same query -------------------------
-    println!("\nbackend race on the same query (identical results, different cost):");
-    for backend in IndexBackend::ALL {
-        let index = backend.build(circuit.segments().to_vec(), &IndexParams::default());
-        let o = index.range_query(&region);
-        assert_eq!(o.sorted_ids(), out.sorted_ids(), "backends must agree");
+    // --- 3d. Race FLAT against the R-Tree family on the same query -------
+    // The trees are the paper's baselines, called directly from `rtree`.
+    println!("\nFLAT vs the R-Tree family on the same query (identical results, different cost):");
+    println!(
+        "  {:>10}: {:>5} results | {:>5} index reads",
+        "flat",
+        out.len(),
+        out.stats.nodes_read
+    );
+    let segments = circuit.segments().to_vec();
+    let params = RTreeParams::with_max_entries(64);
+    let mut dynamic = RTree::new(params);
+    segments.iter().for_each(|s| dynamic.insert(*s));
+    let packed = RTree::bulk_load(segments.clone(), params);
+    let rplus = RPlusTree::build(segments, 64);
+    for (name, (hits, stats)) in [
+        ("rtree", dynamic.range_query(&region)),
+        ("rplus", rplus.range_query(&region)),
+        ("str-packed", packed.range_query(&region)),
+    ] {
+        let mut ids: Vec<u64> = hits.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, out.sorted_ids(), "{name} must agree with FLAT");
         println!(
-            "  {:>10}: {:>5} results | {:>5} index reads | {:>9.1} KiB",
-            backend.name(),
-            o.len(),
-            o.stats.nodes_read,
-            index.memory_bytes() as f64 / 1024.0
+            "  {name:>10}: {:>5} results | {:>5} index reads",
+            hits.len(),
+            stats.nodes_visited()
         );
     }
 

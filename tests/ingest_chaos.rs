@@ -2,8 +2,8 @@
 //! generated op sequence does not aim at: silent corruption inside
 //! committed history is refused, never truncated, and a batch torn in
 //! its first bytes is truncated and replays nothing. That recovery
-//! equals a rebuild of the acknowledged prefix at any crash offset, on
-//! every backend, is `tests/model.rs`'s crash leg.
+//! equals a rebuild of the acknowledged prefix at any crash offset,
+//! monolithic and sharded, is `tests/model.rs`'s crash leg.
 //!
 //! Same conventions as `tests/chaos.rs`: fault schedules are pure data
 //! (seed → injections), `CHAOS_SEED` overrides the base seed, and every

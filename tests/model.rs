@@ -33,7 +33,6 @@ use proptest::{run_sequences, ProptestConfig, Shrink, Strategy, TestCaseError, T
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use IndexBackend::{Flat, RPlus, RTree as Dynamic, StrPacked};
 use Store::{Durable, Memory, Paged, PagedShards};
 
 /// Where a row keeps its data. `Paged` has a 2-frame pool, so queries
@@ -48,30 +47,24 @@ enum Store {
     Durable,
 }
 
+/// One FLAT database configuration.
 #[derive(Debug)]
 struct Row {
-    backend: IndexBackend,
     shards: usize,
     threads: usize,
     store: Store,
 }
 
-const fn row(backend: IndexBackend, shards: usize, threads: usize, store: Store) -> Row {
-    Row { backend, shards, threads, store }
+const fn row(shards: usize, threads: usize, store: Store) -> Row {
+    Row { shards, threads, store }
 }
 
 /// Every configuration the machine holds to the model.
 #[rustfmt::skip]
-const ROWS: [Row; 23] = [
-    row(Flat, 1, 1, Memory), row(Flat, 3, 1, Memory), row(Flat, 3, 2, Memory),
-    row(Dynamic, 1, 1, Memory), row(Dynamic, 3, 1, Memory), row(Dynamic, 3, 2, Memory),
-    row(RPlus, 1, 1, Memory), row(RPlus, 3, 1, Memory), row(RPlus, 3, 2, Memory),
-    row(StrPacked, 1, 1, Memory), row(StrPacked, 3, 1, Memory), row(StrPacked, 3, 2, Memory),
-    row(Flat, 1, 1, Paged), row(Flat, 3, 1, PagedShards), row(Flat, 3, 2, PagedShards),
-    row(Flat, 1, 2, Durable), row(Flat, 3, 2, Durable),
-    row(Dynamic, 1, 2, Durable), row(Dynamic, 3, 2, Durable),
-    row(RPlus, 1, 2, Durable), row(RPlus, 3, 2, Durable),
-    row(StrPacked, 1, 2, Durable), row(StrPacked, 3, 2, Durable),
+const ROWS: [Row; 8] = [
+    row(1, 1, Memory), row(3, 1, Memory), row(3, 2, Memory),
+    row(1, 1, Paged), row(3, 1, PagedShards), row(3, 2, PagedShards),
+    row(1, 2, Durable), row(3, 2, Durable),
 ];
 
 /// The populations every database declares, and a name none does.
@@ -546,9 +539,9 @@ struct Opened {
 /// replay into a checkpoint: the faulted open then writes nothing, and
 /// the offset counts only bytes of the writes that follow.
 fn open(row: &Row, setup: &Setup, model: &Model, wal: &WalFile, crash_at: Option<u64>) -> Opened {
-    let cap = if matches!(row.backend, Dynamic | StrPacked) { setup.cap.max(4) } else { setup.cap };
     if row.store == PagedShards {
-        let params = IndexParams::with_page_capacity(cap).sharded(row.shards).threaded(row.threads);
+        let params =
+            IndexParams::with_page_capacity(setup.cap).sharded(row.shards).threaded(row.threads);
         let index = ShardedIndex::<OocFlatIndex>::build_with(model.segments.clone(), &params);
         return Opened { db: None, index: Some(Box::new(index)) };
     }
@@ -556,8 +549,7 @@ fn open(row: &Row, setup: &Setup, model: &Model, wal: &WalFile, crash_at: Option
     let builder = || {
         let b = NeuroDb::builder()
             .segments(if recover { Vec::new() } else { model.segments.clone() })
-            .backend(row.backend)
-            .page_capacity(cap)
+            .page_capacity(setup.cap)
             .shards(row.shards)
             .threads(row.threads)
             .split_populations(POPULATIONS[0], POPULATIONS[1], is_even);
@@ -916,7 +908,7 @@ fn check_join(db: &NeuroDb, model: &Model, eps: f64, c: &Compose) -> Verdict {
 /// Every method walks a row that walks, each step returning its range
 /// result with SCOUT's accounting intact; every other row refuses.
 fn check_walk(row: &Row, db: &NeuroDb, model: &Model, path: &NavigationPath) -> Verdict {
-    let walks = row.backend == Flat && row.shards == 1 && matches!(row.store, Memory | Paged);
+    let walks = row.shards == 1 && matches!(row.store, Memory | Paged);
     for method in WalkthroughMethod::ALL {
         let s = match db.query().along_path(path).method(method).run() {
             Err(NeuroError::WalkthroughUnsupported { .. }) if !walks => continue,
@@ -945,7 +937,7 @@ fn check(setup: &Setup, ops: &[Op], crashes: &Cell<u64>) -> Verdict {
     }
     crashes.set(crashes.get() + shared.crashes);
     for ((one, a), (two, b)) in ROWS.iter().zip(&seen).zip(ROWS.iter().zip(&seen).skip(1)) {
-        let twins = (one.backend, one.shards, one.store) == (two.backend, two.shards, two.store);
+        let twins = (one.shards, one.store) == (two.shards, two.store);
         if let (true, Some((a, b))) = (twins, a.iter().zip(b).find(|(a, b)| a != b)) {
             return Err(TestCaseError::fail(format!("{two:?} is not {one:?}: {a:?} {b:?}")));
         }
