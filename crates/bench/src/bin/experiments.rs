@@ -182,8 +182,9 @@ fn e1_flat_vs_rtree() {
         }
     }
     t.print();
-    println!("\nshape check: FLAT I/O cost grows with the result size only; the R-Tree");
-    println!("(especially the dynamic one) pays extra node reads as density grows.");
+    println!("\nshape check: FLAT reads data pages only, from one seed: fewer reads than");
+    println!("the STR-packed tree's nodes, and less modelled I/O, on every row; its reads");
+    println!("follow the result size, while the dynamic R-Tree's grow faster with density.");
 }
 
 /// E1b: the four structures of the paper's race, each built over the
@@ -211,7 +212,7 @@ fn e1_backend_race() {
         FlatIndex::memory_bytes,
         |idx, q| {
             let s = idx.range_query_stream(q, &mut flat_scratch, |_| {}, |_| Flow::Emit);
-            (s.pages_read + s.seed_nodes_read, s.objects_tested, s.results)
+            (s.pages_read, s.objects_tested, s.results)
         },
     );
     let mut scratch = TraversalScratch::default();
@@ -311,15 +312,13 @@ fn e2_crawl_and_levels() {
 
     let w = standard_workload(&circuit, 30, 25.0);
     let n = w.queries.len() as f64;
-    let mut flat_agg = (0u64, 0u64, 0u64, 0u64); // pages, rejected pages, reseeds, seed nodes
+    let mut flat_agg = (0u64, 0u64); // pages, rejected pages
     let mut packed_levels: Vec<f64> = Vec::new();
     let mut dynamic_levels: Vec<f64> = Vec::new();
     for q in &w.queries {
         let (_, fs) = flat.range_query(q);
         flat_agg.0 += fs.pages_read;
         flat_agg.1 += fs.links_rejected;
-        flat_agg.2 += fs.reseeds;
-        flat_agg.3 += fs.seed_nodes_read;
         let (_, ps) = packed.range_query(q);
         for (l, c) in ps.nodes_per_level.iter().enumerate() {
             if packed_levels.len() <= l {
@@ -337,14 +336,9 @@ fn e2_crawl_and_levels() {
     }
 
     println!(
-        "FLAT  (avg/query): {} data pages, {} distinct pages examined via a link and rejected,",
+        "FLAT  (avg/query): {} data pages, {} distinct pages examined via a link and rejected\n",
         f1(flat_agg.0 as f64 / n),
         f1(flat_agg.1 as f64 / n)
-    );
-    println!(
-        "                   {} seed-node reads, {} re-seeds\n",
-        f1(flat_agg.3 as f64 / n),
-        f2(flat_agg.2 as f64 / n)
     );
 
     let mut t = Table::new(["tree", "level 0 (root)", "level 1", "level 2", "leaf overlap vol"]);
@@ -391,7 +385,7 @@ fn e2_crawl_and_levels() {
         segments.len()
     );
     println!("\nshape check: the dynamic tree reads more nodes on the upper levels than");
-    println!("the packed tree (overlap); FLAT re-seeds ≈ 0 on this dense model; the");
+    println!("the packed tree (overlap); FLAT reads data pages only, from one seed; the");
     println!("R+-Tree avoids overlap but pays the paper's 'considerably' larger index.");
 }
 

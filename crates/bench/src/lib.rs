@@ -65,7 +65,7 @@ pub struct E1Row {
     pub segments: usize,
     pub half_extent: f64,
     pub avg_result: f64,
-    /// FLAT data pages plus seed-tree nodes.
+    /// FLAT data pages.
     pub flat_reads: f64,
     pub rtree_reads: f64,
     pub dyn_reads: f64,
@@ -118,7 +118,7 @@ pub fn e1_rows(neurons: u32) -> Vec<E1Row> {
             r_us += t1.elapsed().as_secs_f64() * 1e6;
             let (_, ds) = dynamic.range_query(q);
             results += hits.len() as u64;
-            f_reads += fs.pages_read + fs.seed_nodes_read;
+            f_reads += fs.pages_read;
             r_reads += rs.nodes_visited();
             d_reads += ds.nodes_visited();
         }
@@ -256,10 +256,10 @@ mod tests {
         assert_eq!(paths.iter().map(|p| p.queries.len()).sum::<usize>(), 97);
         // method, stall ms, demand misses, demand hits, prefetched, useful
         let rows = [
-            (M::None, 514.3, 87, 475, 0, 0),
-            (M::Hilbert, 337.6, 58, 504, 143, 29),
-            (M::Extrapolation, 217.2, 39, 523, 66, 48),
-            (M::Markov, 514.3, 87, 475, 0, 0),
+            (M::None, 498.5, 87, 475, 0, 0),
+            (M::Hilbert, 329.7, 58, 504, 143, 29),
+            (M::Extrapolation, 209.3, 39, 523, 66, 48),
+            (M::Markov, 498.5, 87, 475, 0, 0),
             (M::Scout, 128.8, 24, 538, 93, 63),
         ];
         for (method, stall_ms, misses, hits, prefetched, useful) in rows {
@@ -286,8 +286,8 @@ mod tests {
         let rows = e1_rows(10);
         // half extent, avg result, flat / rtree / dyn reads, flat / rtree io ms
         let want = [
-            [10.0, 14.9, 4.825, 3.65, 3.725, 11.985, 29.2],
-            [30.0, 108.5, 9.7, 8.75, 8.7, 33.3525, 70.0],
+            [10.0, 14.9, 3.325, 3.65, 3.725, 15.7375, 29.2],
+            [30.0, 108.5, 7.65, 8.75, 8.7, 28.415, 70.0],
         ];
         assert_eq!(rows.len(), want.len());
         for (r, w) in rows.iter().zip(want) {

@@ -28,7 +28,6 @@ use crate::shard::ShardedIndex;
 use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch, PageGraph};
 use neurospatial_geom::{Aabb, Flow, Vec3};
 use neurospatial_model::NeuronSegment;
-use neurospatial_rtree::TraversalScratch;
 use neurospatial_scout::{write_flat_index, OocConfig, OocFlatIndex};
 use std::any::Any;
 use std::fmt;
@@ -117,12 +116,14 @@ impl IndexParams {
 pub struct QueryStats {
     /// Objects returned.
     pub results: u64,
-    /// Index pages read: data pages + seed-tree nodes. The cost proxy
-    /// the paper's tables compare.
+    /// Index pages read: FLAT's data pages. The cost proxy the paper's
+    /// tables compare.
     pub nodes_read: u64,
     /// Objects tested against the query region (filter work).
     pub objects_tested: u64,
-    /// Crawl-front re-seeds (almost always 0 on dense data).
+    /// Reserved: always 0. FLAT's crawl reaches every page it must read
+    /// from one seed, so it never re-seeds; the field stays because each
+    /// `DONE` frame of the wire protocol carries it.
     pub reseeds: u64,
     /// Paged (out-of-core) index only: demand page reads served from
     /// the buffer pool without touching the disk. 0 in memory.
@@ -194,9 +195,8 @@ impl From<&FlatQueryStats> for QueryStats {
     fn from(s: &FlatQueryStats) -> Self {
         QueryStats {
             results: s.results,
-            nodes_read: s.pages_read + s.seed_nodes_read,
+            nodes_read: s.pages_read,
             objects_tested: s.objects_tested,
-            reseeds: s.reseeds,
             ..QueryStats::default()
         }
     }
@@ -562,17 +562,16 @@ impl SpatialIndex for FlatIndex<NeuronSegment> {
     }
 }
 
-/// FLAT's plan, in memory or paged: the page MBRs are metadata, so the
-/// plan counts the exact data pages the region meets, plus a seed
-/// descent, and reads no page.
+/// FLAT's plan, in memory or paged: the page MBRs and links are
+/// metadata, so the plan walks them to count the exact data pages the
+/// region meets, and reads no page.
 pub(crate) fn flat_plan(graph: &PageGraph, region: &Aabb) -> IndexPlan {
     let mut pages = Vec::new();
-    graph.pages_intersecting(region, &mut TraversalScratch::default(), &mut pages);
-    let reads = if pages.is_empty() { 0 } else { pages.len() + graph.seed_tree_height() };
+    graph.pages_intersecting(region, &mut FlatScratch::default(), &mut pages);
     IndexPlan {
         shards_total: 1,
         shards_probed: usize::from(!pages.is_empty()),
-        estimated_reads: reads as u64,
+        estimated_reads: pages.len() as u64,
     }
 }
 

@@ -7,22 +7,26 @@
 //! ## How it works
 //!
 //! **Indexing phase.** Objects are sorted along the 3-D Hilbert curve and
-//! packed into fixed-capacity *pages*. For every page FLAT records its
-//! *neighborhood*: the pages whose (ε-inflated) MBR intersects its own.
-//! A small STR-packed R-Tree is built over the page MBRs only — orders of
-//! magnitude fewer entries than an object-level R-Tree. Beside the
+//! packed into fixed-capacity *pages*. The pages also tile the curve's
+//! grid: each owns the cells from its first object's key up to the next
+//! page's first key, and gets a *box*, its MBR and the bounding box of
+//! its cells rounded outward. For every page FLAT records its
+//! *neighborhood*: the pages whose box meets its own. Beside the
 //! objects, in the same page order, the build keeps every object's box as
 //! six `f32` *lanes* (24 B per object), and one flag per page saying
 //! that every box on it is finite and non-empty.
 //!
 //! **Query phase.** A range query `q` is answered in two steps:
 //!
-//! 1. *Seed*: descend the page R-Tree to find **one** page intersecting
-//!    `q` (cost ≈ tree height, independent of data density);
+//! 1. *Seed*: the page owning the first cell, in curve order, of the
+//!    cells `q` covers — a descent of the curve's state table and a
+//!    binary search of the pages' first keys (cost ≈ the curve's order,
+//!    independent of data density);
 //! 2. *Crawl*: starting from the seed, breadth-first-visit neighborhood
-//!    links, reading every reached page whose MBR intersects `q` and
-//!    collecting its objects inside `q`. Neighbors outside `q` are not
-//!    followed — the crawl cost depends only on the *result size*.
+//!    links to every page whose box meets `q`, reading those whose MBR
+//!    meets `q` and collecting their objects inside `q`. Neighbors whose
+//!    box misses `q` are not followed — the crawl cost depends only on
+//!    the *result size* and the pages around it.
 //!
 //! Both steps are independent of how dense the dataset is, which is the
 //! paper's headline property.
@@ -32,8 +36,8 @@
 //! supplies only how a page is read from its file, and one page kernel,
 //! [`scan_page`], reads every page of both: the paged engine decodes a
 //! page into the same layout ([`write_page_lanes`]) when it loads it.
-//! The page MBRs, the links and the seed tree form the [`PageGraph`]
-//! both engines hold.
+//! The page MBRs and boxes, the links and the tiling form the
+//! [`PageGraph`] both engines hold.
 //! [`FlatIndex::range_query_stream`] and [`FlatIndex::range_query_with`]
 //! take one hook, fired with each page read. The crawl decides each
 //! thing once:
@@ -48,11 +52,11 @@
 //!   boxes with a face within two `f32` steps of a face of `q`, about
 //!   one object in 10⁴ on neuron tissue — is decided by the exact
 //!   `aabb().intersects(q)`.
-//! - **A neighbor page** has its MBR tested the first time any link
+//! - **A neighbor page** has its box tested the first time any link
 //!   reaches it, and the verdict is remembered for the rest of the query
 //!   whichever way it went: an accepted page joins the crawl front, a
 //!   rejected one is marked and never examined again, however many
-//!   visited pages link to it.
+//!   walked pages link to it.
 //!
 //! ## Exactness
 //!
@@ -71,18 +75,14 @@
 //! `q`; the page flag keeps empty and non-finite boxes, which an MBR
 //! does not bound, on the tested path.
 //!
-//! The pages intersecting `q` are not guaranteed to form a connected
-//! subgraph of the neighborhood graph (sparse datasets can leave gaps),
-//! so after the crawl front empties the executor *re-seeds* on any
-//! not-yet-visited page intersecting `q`. Re-seeding generalises the seed
-//! step and makes FLAT exact on arbitrary data; on the dense datasets
-//! FLAT targets it almost never triggers (the statistic is reported per
-//! query as [`FlatQueryStats::reseeds`]). Marking rejected pages does not
-//! disturb it: the re-seed check only ever asks about pages the seed
-//! tree returns for `q`, and a rejected page's MBR misses `q`. The check
-//! is skipped once the crawl has read a page whose MBR contains `q`:
-//! every page meeting `q` is linked to that one, so the crawl has
-//! already reached it (proof in [`query`]).
+//! The crawl reads every page whose MBR meets `q`, each once, from one
+//! seed, on any data: sparse and clustered data, duplicate centres,
+//! and empty, NaN and unbounded boxes. The pages' cells tile the grid, so
+//! the cells `q` covers form a face-connected block whose owners' boxes
+//! meet `q` and each other; every page whose MBR meets `q` shares a point
+//! of `q` with the owner of that point's cell, so it is linked to the
+//! block and admitted. No page is missed, so there is no re-seed and no
+//! check after the crawl front drains (proof in [`query`]).
 //!
 //! ```
 //! use neurospatial_flat::{FlatBuildParams, FlatIndex};
@@ -112,55 +112,59 @@ pub use lanes::{write_page_lanes, PageQuery};
 pub use query::{scan_page, FlatScratch, PageRef};
 pub use stats::{FlatBuildStats, FlatQueryStats};
 
-use neurospatial_geom::{Aabb, Flow};
-use neurospatial_rtree::{RTree, RTreeObject, RTreeParams, TraversalScratch};
+use neurospatial_geom::{hilbert_min_key_in, Aabb, HilbertSorter, Vec3};
+use neurospatial_rtree::RTreeObject;
 
-/// Entry of the seed tree: one page's MBR.
-#[derive(Debug, Clone, Copy)]
-struct PageEntry {
-    mbr: Aabb,
-    page: u32,
-}
-
-impl RTreeObject for PageEntry {
-    fn aabb(&self) -> Aabb {
-        self.mbr
-    }
-}
-
-/// FLAT's page graph: every page's MBR, the neighborhood links in CSR
-/// form and the seed tree over the MBRs. It is all a crawl knows of the
-/// index ([`PageGraph::crawl`]); how a page's objects are read is the
-/// caller's, in memory or from a page file.
+/// FLAT's page graph: every page's MBR and box, the links between boxes
+/// in CSR form, and the tiling of the Hilbert grid the boxes come from.
+/// It is all a crawl knows of the index ([`PageGraph::crawl`]); how a
+/// page's objects are read is the caller's, in memory or from a page
+/// file.
+///
+/// The tiling: the pages, ordered by their *first key* (ties by page
+/// id), each own the grid cells from their first key up to the next
+/// page's, the first page from key 0 and the last to the end of the
+/// curve. A page's box holds its MBR and its cells
+/// ([`HilbertSorter::cells_box`]). The crawl's proof of completeness
+/// rests on these two facts (see [`query`]).
 #[derive(Debug, Clone)]
 pub struct PageGraph {
     mbrs: Vec<Aabb>,
+    boxes: Vec<Aabb>,
     neighbor_offsets: Vec<u32>,
     neighbor_ids: Vec<u32>,
-    seed_tree: RTree<PageEntry>,
+    /// The grid the first keys are keys of.
+    grid: HilbertSorter,
+    /// First keys, ascending, and the page each belongs to.
+    keys: Vec<u64>,
+    owners: Vec<u32>,
+    /// Union of the page MBRs.
+    bounds: Aabb,
 }
 
 impl PageGraph {
-    /// The graph of pages with MBRs `mbrs`, page `p` linked to
-    /// `neighbor_ids[neighbor_offsets[p]..neighbor_offsets[p + 1]]`, and
-    /// its seed tree STR-packed at fan-out `seed_fanout` and frozen. The
-    /// links must be the build's (`u` links `v` iff `u != v` and
-    /// `inflate(mbr(u), ε)` meets `mbr(v)`, for one `ε ≥ 0`): the crawl's
-    /// re-seed skip rests on it (see [`query`]).
+    /// The graph of pages with MBRs `mbrs` and boxes `boxes`, page `p`
+    /// linked to `neighbor_ids[neighbor_offsets[p]..neighbor_offsets[p +
+    /// 1]]`, and page `p`'s cells starting at `first_keys[p]` on `grid`.
+    /// The boxes and links must be the build's: a box holds its page's
+    /// MBR (corners in order) and cells, and `u` links `v` iff `u != v`
+    /// and their boxes meet. The crawl is exact only then (see [`query`]).
     pub fn new(
         mbrs: Vec<Aabb>,
+        boxes: Vec<Aabb>,
         neighbor_offsets: Vec<u32>,
         neighbor_ids: Vec<u32>,
-        seed_fanout: usize,
+        grid: HilbertSorter,
+        first_keys: &[u64],
     ) -> Self {
-        assert_eq!(neighbor_offsets.len(), mbrs.len() + 1, "one offset per page, and the end");
+        let n = mbrs.len();
+        assert_eq!((boxes.len(), first_keys.len()), (n, n), "one box and one key per page");
+        assert_eq!(neighbor_offsets.len(), n + 1, "one offset per page, and the end");
         assert_eq!(neighbor_offsets.last().map(|&e| e as usize), Some(neighbor_ids.len()));
-        let entries = mbrs.iter().enumerate().map(|(i, &mbr)| PageEntry { mbr, page: i as u32 });
-        let mut seed_tree =
-            RTree::bulk_load(entries.collect(), RTreeParams::with_max_entries(seed_fanout));
-        // Every seed descent and re-seed check runs on the lanes.
-        seed_tree.freeze();
-        PageGraph { mbrs, neighbor_offsets, neighbor_ids, seed_tree }
+        let owners = tiling_order(first_keys);
+        let keys = owners.iter().map(|&p| first_keys[p as usize]).collect();
+        let bounds = mbrs.iter().fold(Aabb::EMPTY, |b, m| b.union(m));
+        PageGraph { mbrs, boxes, neighbor_offsets, neighbor_ids, grid, keys, owners, bounds }
     }
 
     /// Number of pages.
@@ -176,6 +180,45 @@ impl PageGraph {
     /// MBR of a page.
     pub fn mbr(&self, page: u32) -> Aabb {
         self.mbrs[page as usize]
+    }
+
+    /// Every page's box (its MBR and its grid cells), by page id: what
+    /// links pages and admits them to a crawl.
+    pub fn boxes(&self) -> &[Aabb] {
+        &self.boxes
+    }
+
+    /// The grid the tiling cuts.
+    pub fn grid(&self) -> &HilbertSorter {
+        &self.grid
+    }
+
+    /// Each page's first key, by page id: where its cells start.
+    pub fn first_keys(&self) -> Vec<u64> {
+        let mut out = vec![0; self.keys.len()];
+        for (&k, &p) in self.keys.iter().zip(&self.owners) {
+            out[p as usize] = k;
+        }
+        out
+    }
+
+    /// The page owning the grid cell of `p`.
+    pub fn owner_of(&self, p: Vec3) -> u32 {
+        self.owner_of_key(self.grid.key(p))
+    }
+
+    /// The page owning the cell of key `key`: the last page, in first-key
+    /// order, whose first key is not above it.
+    fn owner_of_key(&self, key: u64) -> u32 {
+        self.owners[self.keys.partition_point(|&k| k <= key).saturating_sub(1)]
+    }
+
+    /// The crawl's seed for `r` (corners in order): the owner of the
+    /// first cell, in curve order, of the block of cells `r`'s points
+    /// quantise to. Its cells' boxes meet `r` (see [`query`]).
+    pub(crate) fn seed(&self, r: &Aabb) -> u32 {
+        let (lo, hi) = (self.grid.cell(r.lo), self.grid.cell(r.hi));
+        self.owner_of_key(hilbert_min_key_in(self.grid.bits(), lo, hi))
     }
 
     /// Neighbor pages of `page`, ascending.
@@ -199,34 +242,37 @@ impl PageGraph {
         self.neighbor_ids.len() as f64 / self.mbrs.len() as f64
     }
 
-    /// Union of the page MBRs (`Aabb::EMPTY` without pages): the seed
-    /// tree's root MBR, so O(1).
+    /// Union of the page MBRs (`Aabb::EMPTY` without pages).
     pub fn bounds(&self) -> Aabb {
-        self.seed_tree.root_mbr()
+        self.bounds
     }
 
-    /// The seed tree's height: the seed phase's cost bound.
-    pub fn seed_tree_height(&self) -> usize {
-        self.seed_tree.height()
-    }
-
-    /// The pages whose MBR meets `q`, into `out` (cleared first), from
-    /// the seed tree alone: no data page is read, and with warm buffers
-    /// nothing is allocated.
-    pub fn pages_intersecting(&self, q: &Aabb, scratch: &mut TraversalScratch, out: &mut Vec<u32>) {
+    /// The pages whose MBR meets `q`, into `out` (cleared first), in
+    /// crawl order: the crawl with reads that record the page and read
+    /// nothing. With warm buffers nothing is allocated.
+    pub fn pages_intersecting(&self, q: &Aabb, scratch: &mut FlatScratch, out: &mut Vec<u32>) {
         out.clear();
-        self.seed_tree.range_query_stream(q, scratch, |entry| {
-            out.push(entry.page);
-            Flow::Emit
-        });
+        let read = |page, _: &mut FlatQueryStats| {
+            out.push(page);
+            Ok::<_, std::convert::Infallible>(false)
+        };
+        let Ok(_) = self.crawl(q, scratch, read, |_| {});
     }
 
-    /// Bytes held: MBRs, links and seed tree.
+    /// Bytes held: MBRs, boxes, links and the tiling's keys.
     pub fn memory_bytes(&self) -> usize {
-        self.mbrs.capacity() * std::mem::size_of::<Aabb>()
+        (self.mbrs.capacity() + self.boxes.capacity()) * std::mem::size_of::<Aabb>()
             + (self.neighbor_offsets.capacity() + self.neighbor_ids.capacity()) * 4
-            + self.seed_tree.memory_bytes()
+            + self.keys.capacity() * 8
+            + self.owners.capacity() * 4
     }
+}
+
+/// The pages in the tiling's order: by first key, ties by page id.
+pub(crate) fn tiling_order(first_keys: &[u64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..first_keys.len() as u32).collect();
+    order.sort_by_key(|&p| first_keys[p as usize]);
+    order
 }
 
 /// One FLAT data page: a contiguous run of objects in Hilbert order.
@@ -273,7 +319,7 @@ impl<T: RTreeObject> FlatIndex<T> {
         self.graph.bounds()
     }
 
-    /// The page graph: page MBRs, neighborhoods and seed tree.
+    /// The page graph: page MBRs and boxes, links and tiling.
     pub fn graph(&self) -> &PageGraph {
         &self.graph
     }

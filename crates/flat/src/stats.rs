@@ -6,8 +6,9 @@
 pub struct FlatBuildStats {
     pub sort_ms: f64,
     pub pack_ms: f64,
+    /// Each page's first key and box (its cells of the Hilbert grid).
+    pub tile_ms: f64,
     pub neighbor_ms: f64,
-    pub seed_tree_ms: f64,
     pub total_ms: f64,
     pub pages: u64,
     /// Total directed neighborhood links (2× the undirected edge count).
@@ -17,8 +18,6 @@ pub struct FlatBuildStats {
 /// Per-query execution statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatQueryStats {
-    /// Seed-tree nodes visited across the initial seed and any re-seeds.
-    pub seed_nodes_read: u64,
     /// Data pages read (each page at most once per query).
     pub pages_read: u64,
     /// Objects on the pages read: every one is decided against the query
@@ -27,24 +26,15 @@ pub struct FlatQueryStats {
     pub objects_tested: u64,
     /// Objects returned.
     pub results: u64,
-    /// Times the crawl front emptied and the executor had to re-seed
-    /// (0 on well-connected dense data).
-    pub reseeds: u64,
     /// Distinct pages the crawl examined through a link and rejected
-    /// because their MBR missed the query (the crawl's only overhead). A
-    /// page is examined once per query however many visited pages link
-    /// to it.
+    /// because their box missed the query. A page is examined once per
+    /// query however many walked pages link to it.
     pub links_rejected: u64,
     /// Data pages in visit order — the demo's Figure 4 crawl animation.
     pub crawl_order: Vec<u32>,
 }
 
 impl FlatQueryStats {
-    /// Total page reads (seed + data).
-    pub fn total_reads(&self) -> u64 {
-        self.seed_nodes_read + self.pages_read
-    }
-
     /// Selectivity of the object tests: results / tested.
     pub fn test_precision(&self) -> f64 {
         if self.objects_tested == 0 {
@@ -62,13 +52,11 @@ mod tests {
     #[test]
     fn totals_and_precision() {
         let s = FlatQueryStats {
-            seed_nodes_read: 3,
             pages_read: 7,
             objects_tested: 100,
             results: 25,
             ..Default::default()
         };
-        assert_eq!(s.total_reads(), 10);
         assert!((s.test_precision() - 0.25).abs() < 1e-12);
         assert_eq!(FlatQueryStats::default().test_precision(), 0.0);
     }

@@ -2,8 +2,10 @@
 //! including adversarially disconnected data — and always agrees with both
 //! brute force and the R-Tree.
 
-use neurospatial_flat::{FlatBuildParams, FlatIndex, FlatScratch};
-use neurospatial_geom::{Aabb, Flow, Vec3};
+use neurospatial_flat::{
+    FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch, PackingStrategy, PageGraph,
+};
+use neurospatial_geom::{hilbert_min_key_in, hilbert_range_bbox, hilbert_xyz2d, Aabb, Flow, Vec3};
 use neurospatial_rtree::{RTree, RTreeObject, RTreeParams};
 use proptest::prelude::*;
 
@@ -80,9 +82,46 @@ fn sorted_pages(pages: &[u32]) -> Vec<u32> {
 }
 
 /// The pages whose MBR meets `q`, by brute force over every page (not
-/// through the seed tree, which the crawl itself uses).
+/// through the links, which the crawl itself uses).
 fn pages_meeting<T: RTreeObject>(idx: &FlatIndex<T>, q: &Aabb) -> Vec<u32> {
     (0..idx.page_count() as u32).filter(|&p| idx.graph().mbr(p).intersects(q)).collect()
+}
+
+/// The pages a crawl walks, by brute force: the component, among the
+/// pages whose box meets `q` (corners in order), of the owner of any cell
+/// of `q`'s block (they are all in one).
+fn walked(graph: &PageGraph, q: &Aabb) -> Vec<u32> {
+    let r = Aabb::new(q.lo, q.hi);
+    if !graph.bounds().intersects(q) {
+        return Vec::new();
+    }
+    let mut seen = vec![graph.owner_of(r.intersection(graph.grid().bounds()).center())];
+    let mut i = 0;
+    while i < seen.len() {
+        for &n in graph.neighbors_of(seen[i]) {
+            if graph.boxes()[n as usize].intersects(&r) && !seen.contains(&n) {
+                seen.push(n);
+            }
+        }
+        i += 1;
+    }
+    seen
+}
+
+/// Pages read against brute force: the pages whose MBR meets `q`, each
+/// read once, and the objects meeting `q` on them.
+fn assert_crawl_exact<T: RTreeObject>(
+    idx: &FlatIndex<T>,
+    objs: &[Aabb],
+    q: &Aabb,
+) -> Result<(), TestCaseError> {
+    let (hits, stats) = idx.range_query(q);
+    let want = objs.iter().filter(|o| o.intersects(q)).count();
+    prop_assert_eq!(hits.len(), want, "results at {}", q);
+    let order = sorted_pages(&stats.crawl_order);
+    prop_assert_eq!(order.len(), stats.crawl_order.len(), "a page read twice at {}", q);
+    prop_assert_eq!(order, pages_meeting(idx, q), "pages at {}", q);
+    Ok(())
 }
 
 /// The queries the rounding can get wrong, derived from the data and the
@@ -174,13 +213,15 @@ proptest! {
             let on_pages: usize = pages.iter().map(|&p| idx.page_objects(p).len()).sum();
             prop_assert_eq!(stats.objects_tested as usize, on_pages);
 
-            // Every page MBR is decided once: the rejected count is the
-            // number of distinct rejected neighbours, not of links.
-            let mut rejected: Vec<u32> = pages
+            // Every page box is decided once: the rejected count is the
+            // number of distinct rejected neighbours of the walked pages,
+            // not of links.
+            let r = Aabb::new(q.lo, q.hi);
+            let mut rejected: Vec<u32> = walked(idx.graph(), &q)
                 .iter()
                 .flat_map(|&p| idx.graph().neighbors_of(p))
                 .copied()
-                .filter(|&n| !idx.graph().mbr(n).intersects(&q))
+                .filter(|&n| !idx.graph().boxes()[n as usize].intersects(&r))
                 .collect();
             rejected.sort_unstable();
             rejected.dedup();
@@ -190,11 +231,7 @@ proptest! {
             let (hits, full) = idx.range_query(&q);
             prop_assert_eq!(hits.iter().map(|o| o.id).collect::<Vec<_>>(), want.clone());
             prop_assert_eq!(&full.crawl_order, &pages);
-            prop_assert_eq!(
-                (full.pages_read, full.seed_nodes_read, full.objects_tested, full.results),
-                (stats.pages_read, stats.seed_nodes_read, stats.objects_tested, stats.results)
-            );
-            prop_assert_eq!((full.links_rejected, full.reseeds), (stats.links_rejected, stats.reseeds));
+            prop_assert_eq!(&full, &FlatQueryStats { crawl_order: pages.clone(), ..stats });
 
             // Skip filters without disturbing the stream.
             let mut seen = Vec::new();
@@ -224,8 +261,7 @@ proptest! {
 
     /// Exact results, and a crawl that reads each page meeting the query
     /// once and no other. Besides random boxes, the queries include a
-    /// point and a tiny cube inside a page's MBR: the queries a page can
-    /// contain, for which the crawl skips the final re-seed check.
+    /// point and a tiny cube inside a page's MBR.
     #[test]
     fn flat_matches_brute_force(
         objs in prop::collection::vec(small_box(), 0..500),
@@ -243,13 +279,76 @@ proptest! {
             }
         }
         for q in &queries {
-            let (hits, stats) = idx.range_query(q);
-            let want = objs.iter().filter(|o| o.intersects(q)).count();
-            prop_assert_eq!(hits.len(), want, "query {}", q);
-            prop_assert_eq!(stats.results as usize, want);
-            let order = sorted_pages(&stats.crawl_order);
-            prop_assert_eq!(order.len(), stats.crawl_order.len(), "a page read twice at {}", q);
-            prop_assert_eq!(order, pages_meeting(&idx, q), "pages at {}", q);
+            assert_crawl_exact(&idx, &objs, q)?;
+        }
+    }
+
+    /// Every packing, on clustered, sparse and duplicate-centre data: the
+    /// pages read are the pages whose MBR meets the query, each once. The
+    /// tiling follows the pages' first keys whatever order packed them.
+    #[test]
+    fn every_packing_reads_exactly_the_pages_meeting_the_query(
+        clustered in clustered_boxes(),
+        sparse in prop::collection::vec(small_box(), 1..60),
+        centre in (-80.0..80.0f64, -80.0..80.0f64, -80.0..80.0f64),
+        radii in prop::collection::vec(0.0..4.0f64, 1..200),
+        queries in prop::collection::vec(
+            ((-700.0..700.0f64, -700.0..700.0f64, -700.0..700.0f64), 0.0..400.0f64),
+            1..6,
+        ),
+        cap in 1usize..40,
+    ) {
+        let sparse: Vec<Aabb> = sparse.iter().map(|b| Aabb::cube(b.center() * 8.0, 0.3)).collect();
+        let c = Vec3::new(centre.0, centre.1, centre.2);
+        let duplicate: Vec<Aabb> = radii.iter().map(|&r| Aabb::cube(c, r)).collect();
+        for objs in [clustered, sparse, duplicate] {
+            let mut qs: Vec<Aabb> = queries
+                .iter()
+                .map(|&((x, y, z), r)| Aabb::cube(Vec3::new(x, y, z), r))
+                .collect();
+            qs.extend(objs.iter().step_by(7).map(|o| Aabb::cube(o.center(), 2.0)));
+            for packing in
+                [PackingStrategy::Hilbert, PackingStrategy::Morton, PackingStrategy::CoordinateSort]
+            {
+                let params = FlatBuildParams::default().with_page_capacity(cap).with_packing(packing);
+                let idx = FlatIndex::build(objs.clone(), params);
+                for q in &qs {
+                    assert_crawl_exact(&idx, &objs, q)?;
+                }
+            }
+        }
+    }
+
+    /// Queries whose faces lie on the edges of grid cells (exactly, and one
+    /// ulp either side) and on the grid's bounds stay exact: the faces the
+    /// key's rounding could put in the wrong cell.
+    #[test]
+    fn queries_on_cell_edges_and_bounds_stay_exact(
+        objs in prop::collection::vec(small_box(), 1..300),
+        cells in prop::collection::vec((0u32..65_536, 0u32..65_536, 0u32..65_536), 1..6),
+        bits in 1u32..17,
+        cap in 1usize..40,
+    ) {
+        let params = FlatBuildParams { hilbert_bits: bits, ..FlatBuildParams::default() };
+        let idx = FlatIndex::build(objs.clone(), params.with_page_capacity(cap));
+        let g = *idx.graph().grid().bounds();
+        let side = ((1u64 << bits) - 1) as f64;
+        let edge = |c: u32, a: usize| {
+            let (lo, ext) = (g.lo.axis(a), g.extent().axis(a));
+            lo + f64::from(c % (1 << bits)) * (ext / side)
+        };
+        let mut qs = vec![g, Aabb::point(g.lo), Aabb::point(g.hi)];
+        for w in cells.windows(2).chain([&cells[..1]]) {
+            let (a, b) = (w[0], w[w.len() - 1]);
+            let at = |(x, y, z): (u32, u32, u32)| Vec3::new(edge(x, 0), edge(y, 1), edge(z, 2));
+            let (p, q) = (at(a), at(b));
+            let up = Vec3::new(p.x.next_up(), p.y.next_up(), p.z.next_up());
+            let down = Vec3::new(q.x.next_down(), q.y.next_down(), q.z.next_down());
+            qs.extend([Aabb::new(p, q), Aabb::new(up, down), Aabb::point(p), Aabb::new(g.lo, p)]);
+            qs.push(Aabb::new(p, g.hi));
+        }
+        for q in &qs {
+            assert_crawl_exact(&idx, &objs, q)?;
         }
     }
 
@@ -282,19 +381,110 @@ proptest! {
     #[test]
     fn page_graph_links_have_geometric_support(
         objs in prop::collection::vec(small_box(), 2..300),
-        eps in 0.0..10.0f64,
         cap in 4usize..32,
     ) {
-        let idx = FlatIndex::build(
-            objs,
-            FlatBuildParams::default().with_page_capacity(cap).with_neighbor_epsilon(eps),
-        );
+        let idx = FlatIndex::build(objs, FlatBuildParams::default().with_page_capacity(cap));
+        let boxes = idx.graph().boxes();
         for u in 0..idx.page_count() as u32 {
+            prop_assert!(boxes[u as usize].contains(&idx.graph().mbr(u)));
             for &v in idx.graph().neighbors_of(u) {
                 prop_assert!(u != v);
                 prop_assert!(idx.graph().neighbors_of(v).contains(&u));
-                prop_assert!(idx.graph().mbr(u).inflate(eps).intersects(&idx.graph().mbr(v)));
+                prop_assert!(boxes[u as usize].intersects(&boxes[v as usize]));
             }
+        }
+    }
+}
+
+/// The walk of the state table against a decode of every cell: every
+/// range `[a, b)` of the curve at orders 1 to 3 (and `b` past the end).
+#[test]
+fn hilbert_range_bbox_matches_brute_force() {
+    for bits in 1..=3u32 {
+        let n = 1u64 << (3 * bits);
+        let side = 1u32 << bits;
+        let mut cell_of = vec![[0u32; 3]; n as usize];
+        for (x, y, z) in
+            (0..side).flat_map(|x| (0..side).flat_map(move |y| (0..side).map(move |z| (x, y, z))))
+        {
+            cell_of[hilbert_xyz2d(bits, x, y, z) as usize] = [x, y, z];
+        }
+        for a in 0..=n {
+            assert_eq!(hilbert_range_bbox(bits, a, a), None);
+            let mut want = ([u32::MAX; 3], [0u32; 3]);
+            for b in a + 1..=n {
+                let c = cell_of[(b - 1) as usize];
+                want = (
+                    [0, 1, 2].map(|i| want.0[i].min(c[i])),
+                    [0, 1, 2].map(|i| want.1[i].max(c[i])),
+                );
+                assert_eq!(hilbert_range_bbox(bits, a, b), Some(want), "bits {bits} [{a}, {b})");
+            }
+            if a < n {
+                assert_eq!(
+                    hilbert_range_bbox(bits, a, u64::MAX),
+                    Some(want),
+                    "bits {bits} [{a}, end)"
+                );
+            }
+        }
+    }
+}
+
+/// The descent to a block's first cell against a decode of every cell of
+/// every block at orders 1 and 2.
+#[test]
+fn hilbert_min_key_in_matches_brute_force() {
+    for bits in 1..=2u32 {
+        let side = 1u32 << bits;
+        let axis = || (0..side).flat_map(move |lo| (lo..side).map(move |hi| (lo, hi)));
+        for (x, y, z) in
+            axis().flat_map(|x| axis().flat_map(move |y| axis().map(move |z| (x, y, z))))
+        {
+            let (lo, hi) = ([x.0, y.0, z.0], [x.1, y.1, z.1]);
+            let want = (lo[0]..=hi[0])
+                .flat_map(|a| {
+                    (lo[1]..=hi[1]).flat_map(move |b| (lo[2]..=hi[2]).map(move |c| (a, b, c)))
+                })
+                .map(|(a, b, c)| hilbert_xyz2d(bits, a, b, c))
+                .min();
+            assert_eq!(Some(hilbert_min_key_in(bits, lo, hi)), want, "bits {bits} {lo:?}..={hi:?}");
+        }
+    }
+}
+
+/// The NaN and empty objects of the crawl's unit test, and objects with
+/// infinite faces, beside finite ones: the grid spans only the finite,
+/// non-empty boxes, and every query reads exactly the pages whose MBR
+/// meets it.
+#[test]
+fn unbounded_objects_stay_exact_and_out_of_the_grid() {
+    let finite: Vec<Aabb> = (0..300)
+        .map(|i| Aabb::cube(Vec3::new((i % 20) as f64, (i / 20) as f64, 0.0), 0.8))
+        .collect();
+    let want_grid = finite.iter().fold(Aabb::EMPTY, |a, b| a.union(b));
+    let inf = f64::INFINITY;
+    let mut objs = finite;
+    objs.extend([
+        Aabb::EMPTY,
+        Aabb { lo: Vec3::new(f64::NAN, 1.0, 1.0), hi: Vec3::splat(2.0) },
+        Aabb { lo: Vec3::new(3.0, 3.0, 0.0), hi: Vec3::new(inf, 4.0, 1.0) },
+        Aabb { lo: Vec3::splat(-inf), hi: Vec3::new(-50.0, 2.0, 2.0) },
+    ]);
+    for cap in [1, 7, 16, 64, 128] {
+        let idx =
+            FlatIndex::build(objs.clone(), FlatBuildParams::default().with_page_capacity(cap));
+        assert_eq!(*idx.graph().grid().bounds(), want_grid, "cap {cap}");
+        let mut qs = vec![
+            Aabb { lo: Vec3::splat(-inf), hi: Vec3::splat(inf) },
+            Aabb::new(Vec3::splat(-1e6), Vec3::splat(1e6)),
+            Aabb::new(Vec3::new(100.0, 3.5, 0.5), Vec3::new(1e9, 3.6, 0.6)),
+            Aabb::cube(Vec3::new(-1e7, 1.0, 1.0), 5.0),
+            Aabb::cube(Vec3::new(1.5, 1.5, 1.5), 0.1),
+        ];
+        qs.extend((0..40).map(|i| Aabb::cube(Vec3::new(i as f64 * 0.7, i as f64 * 0.4, 0.0), 1.5)));
+        for q in &qs {
+            assert_crawl_exact(&idx, &objs, q).unwrap_or_else(|e| panic!("cap {cap}: {e}"));
         }
     }
 }

@@ -70,13 +70,147 @@ pub fn hilbert_d2xyz(bits: u32, d: u64) -> (u32, u32, u32) {
     debug_assert!((1..=HILBERT_BITS).contains(&bits));
     let (mut state, mut octants) = (0u8, 0u64);
     for level in (0..bits).rev() {
-        let digit = (d >> (3 * level)) as u8 & 7;
-        let row = &STATES[state as usize];
-        let o = row.iter().position(|&e| e & 7 == digit).expect("a row holds all 8 digits");
-        octants = octants << 3 | o as u64;
-        state = row[o] >> 3;
+        let o = DIGIT_OCTANT[state as usize][(d >> (3 * level)) as usize & 7];
+        octants = octants << 3 | u64::from(o);
+        state = STATES[state as usize][o as usize] >> 3;
     }
     morton_decode3(octants)
+}
+
+/// `DIGIT_OCTANT[s][d]` is the octant whose key digit is `d` in state
+/// `s`: the inverse of `STATES`' rows.
+const DIGIT_OCTANT: [[u8; 8]; 24] = {
+    let mut inv = [[0u8; 8]; 24];
+    let mut s = 0;
+    while s < 24 {
+        let mut o = 0;
+        while o < 8 {
+            inv[s][(STATES[s][o] & 7) as usize] = o as u8;
+            o += 1;
+        }
+        s += 1;
+    }
+    inv
+};
+
+/// An inclusive box of cell coordinates, `(lo, hi)`.
+type CellBox = ([u32; 3], [u32; 3]);
+
+/// A sub-cube of the curve: its state and its lowest corner.
+#[derive(Clone, Copy)]
+struct SubCube {
+    state: u8,
+    corner: [u32; 3],
+}
+
+impl SubCube {
+    /// The child in octant `o`, of side `half`.
+    fn child(self, o: usize, half: u32) -> SubCube {
+        let e = STATES[self.state as usize][o];
+        let corner = [0, 1, 2].map(|i| self.corner[i] + (o as u32 >> i & 1) * half);
+        SubCube { state: e >> 3, corner }
+    }
+
+    /// The cube of side `side` at this corner is inside `bbox`.
+    fn inside(self, side: u32, bbox: &CellBox) -> bool {
+        (0..3).all(|i| bbox.0[i] <= self.corner[i] && self.corner[i] + (side - 1) <= bbox.1[i])
+    }
+
+    /// Grow `bbox` by the cube of side `side` at this corner.
+    fn add_to(self, side: u32, bbox: &mut CellBox) {
+        for i in 0..3 {
+            bbox.0[i] = bbox.0[i].min(self.corner[i]);
+            bbox.1[i] = bbox.1[i].max(self.corner[i] + (side - 1));
+        }
+    }
+}
+
+/// The key digit of `k` that picks a child of a sub-cube of side
+/// `2^level`.
+fn digit(k: u64, level: u32) -> usize {
+    (k >> (3 * (level - 1))) as usize & 7
+}
+
+/// The cells whose key at order `bits` lies in `[a, b)`, as an inclusive
+/// bounding box of cell coordinates `(lo, hi)` (`None` for an empty
+/// range; `b` is cut to the end of the curve). A top-down walk of the
+/// state table, not a decode of every cell: down the sub-cubes that hold
+/// both `a` and `b − 1`, then down two paths, one to `a` and one to
+/// `b − 1`, adding at each level the whole children on the range's side
+/// of the path. A path stops at a sub-cube the range covers whole or the
+/// box already holds.
+pub fn hilbert_range_bbox(bits: u32, a: u64, b: u64) -> Option<([u32; 3], [u32; 3])> {
+    debug_assert!((1..=HILBERT_BITS).contains(&bits));
+    let b = b.min(1 << (3 * bits));
+    if a >= b {
+        return None;
+    }
+    let last = b - 1;
+    let mut bbox = ([u32::MAX; 3], [0; 3]);
+    let (mut node, mut level) = (SubCube { state: 0, corner: [0; 3] }, bits);
+    while level > 0 && digit(a, level) == digit(last, level) {
+        let o = DIGIT_OCTANT[node.state as usize][digit(a, level)];
+        (node, level) = (node.child(o as usize, 1 << (level - 1)), level - 1);
+    }
+    if level == 0 {
+        node.add_to(1, &mut bbox);
+        return Some(bbox);
+    }
+    let (half, row) = (1 << (level - 1), STATES[node.state as usize]);
+    let (da, dl) = (digit(a, level), digit(last, level));
+    for (o, &e) in row.iter().enumerate() {
+        if (da + 1..dl).contains(&((e & 7) as usize)) {
+            node.child(o, half).add_to(half, &mut bbox);
+        }
+    }
+    let side = |d: usize| node.child(DIGIT_OCTANT[node.state as usize][d] as usize, half);
+    range_bbox_side(side(da), level - 1, a, true, &mut bbox);
+    range_bbox_side(side(dl), level - 1, last, false, &mut bbox);
+    Some(bbox)
+}
+
+/// Grow `bbox` by the cells of the sub-cube `node` of side `2^level`
+/// whose keys are at least `k`'s (`from`) or at most `k`'s.
+fn range_bbox_side(mut node: SubCube, mut level: u32, k: u64, from: bool, bbox: &mut CellBox) {
+    loop {
+        let below = (1u64 << (3 * level)) - 1;
+        let whole = if from { k & below == 0 } else { k & below == below };
+        if whole || node.inside(1 << level, bbox) {
+            node.add_to(1 << level, bbox);
+            return;
+        }
+        let (half, dk) = (1 << (level - 1), digit(k, level));
+        for (o, &e) in STATES[node.state as usize].iter().enumerate() {
+            let d = (e & 7) as usize;
+            if (from && d > dk) || (!from && d < dk) {
+                node.child(o, half).add_to(half, bbox);
+            }
+        }
+        node = node.child(DIGIT_OCTANT[node.state as usize][dk] as usize, half);
+        level -= 1;
+    }
+}
+
+/// The smallest key at order `bits` of a cell in the block `lo..=hi`
+/// (cell coordinates, inclusive, `lo <= hi`): a descent of the state
+/// table into the child of smallest digit that meets the block, since
+/// every key below a child precedes every key below a later one.
+pub fn hilbert_min_key_in(bits: u32, lo: [u32; 3], hi: [u32; 3]) -> u64 {
+    debug_assert!((1..=HILBERT_BITS).contains(&bits));
+    let (mut state, mut key, mut corner) = (0u8, 0u64, [0u32; 3]);
+    for level in (0..bits).rev() {
+        let half = 1 << level;
+        let mut best = (u8::MAX, 0, corner);
+        for (o, &e) in STATES[state as usize].iter().enumerate() {
+            let at = [0, 1, 2].map(|i| corner[i] + (o as u32 >> i & 1) * half);
+            let meets = (0..3).all(|i| at[i] <= hi[i] && lo[i] < at[i] + half);
+            if meets && e & 7 < best.0 {
+                best = (e & 7, e >> 3, at);
+            }
+        }
+        (key, state, corner) = (key << 3 | u64::from(best.0), best.1, best.2);
+    }
+    key
 }
 
 /// Quantises points of a bounded region onto the Hilbert curve so that
@@ -111,17 +245,60 @@ impl HilbertSorter {
 
     /// Hilbert key of a point (points outside the bounds are clamped).
     pub fn key(&self, p: Vec3) -> u64 {
+        let [x, y, z] = self.cell(p);
+        hilbert_xyz2d(self.bits, x, y, z)
+    }
+
+    /// The grid cell of a point, the coordinates [`key`](Self::key)
+    /// encodes (points outside the bounds are clamped).
+    pub fn cell(&self, p: Vec3) -> [u32; 3] {
         let q = p.max(self.bounds.lo).min(self.bounds.hi) - self.bounds.lo;
         let max = (1u64 << self.bits) - 1;
-        let xi = ((q.x * self.scale.x) as u64).min(max) as u32;
-        let yi = ((q.y * self.scale.y) as u64).min(max) as u32;
-        let zi = ((q.z * self.scale.z) as u64).min(max) as u32;
-        hilbert_xyz2d(self.bits, xi, yi, zi)
+        [q.x * self.scale.x, q.y * self.scale.y, q.z * self.scale.z]
+            .map(|v| (v as u64).min(max) as u32)
     }
 
     /// The bounds this sorter quantises into.
     pub fn bounds(&self) -> &Aabb {
         &self.bounds
+    }
+
+    /// Resolution in bits per axis.
+    pub fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// A box holding every point whose [`key`](Self::key) lies in one of
+    /// the cells `lo..=hi` (cell coordinates, inclusive), with the faces
+    /// of neighbouring cells' boxes overlapping.
+    ///
+    /// Per axis, cell `i` holds the points that quantise to `i`: those
+    /// with `(x − lo) · scale` in `[i, i + 1)` before the key's roundings.
+    /// Those roundings move the edge `lo + i / scale` by a few ulps of
+    /// `|lo| + |hi|`; the box takes `2⁻⁴⁰` of that (thousands of ulps)
+    /// outward. A key clamps points into the bounds, so cell 0 runs to
+    /// `−∞`, and the cells from `2^bits − 2` up run to `+∞` (the top edge
+    /// can quantise one cell low); an axis of zero extent keys every point
+    /// to cell 0, so it runs from `−∞` to `+∞`.
+    pub fn cells_box(&self, lo: [u32; 3], hi: [u32; 3]) -> Aabb {
+        let top = (1u32 << self.bits) - 2;
+        let mut out = Aabb { lo: Vec3::splat(f64::NEG_INFINITY), hi: Vec3::splat(f64::INFINITY) };
+        for a in 0..3 {
+            let (l, h, scale) =
+                (self.bounds.lo.axis(a), self.bounds.hi.axis(a), self.scale.axis(a));
+            if !(scale > 0.0 && scale.is_finite()) {
+                continue;
+            }
+            let slack = (l.abs() + h.abs()) * f64::powi(2.0, -40);
+            let edge = |i: u32| l + f64::from(i) / scale;
+            if lo[a] > 0 {
+                out.lo.set_axis(a, edge(lo[a]) - slack);
+            }
+            if hi[a] < top {
+                out.hi.set_axis(a, edge(hi[a] + 1) + slack);
+            }
+        }
+        out
     }
 }
 

@@ -35,7 +35,9 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use grid::GridIndexer;
-pub use hilbert::{hilbert_d2xyz, hilbert_xyz2d, HilbertSorter};
+pub use hilbert::{
+    hilbert_d2xyz, hilbert_min_key_in, hilbert_range_bbox, hilbert_xyz2d, HilbertSorter,
+};
 pub use morton::{morton_decode3, morton_encode3};
 pub use parallel::Executor;
 pub use segment::Segment;

@@ -2,22 +2,22 @@
 //! one engine every walkthrough runs on.
 //!
 //! A built [`FlatIndex`] is serialized to a page file
-//! ([`write_flat_index`]) — per-page MBRs, the neighborhood CSR and the
-//! build parameters in the metadata blob, each page's segments as its
-//! page payload — and [`OocFlatIndex`] queries it back through a pinning
+//! ([`write_flat_index`]) — per-page MBRs, boxes and first keys, the
+//! grid's bounds, the neighborhood CSR and the build parameters in the
+//! metadata blob, each page's segments as its page payload — and
+//! [`OocFlatIndex`] queries it back through a pinning
 //! [`FramePool`] with a configurable frame budget, so the dataset no
 //! longer has to fit in RAM.
 //!
 //! ## Equivalence contract
 //!
 //! The paged engine runs FLAT's crawl, [`PageGraph::crawl`], over the
-//! same [`PageGraph`]: the page MBRs and the neighborhood CSR come from
-//! the file, and the seed tree is packed from them with the persisted
-//! fan-out, so it is node for node the in-memory index's. The engine
-//! supplies only the page read (pin, scan, unpin, with retry and
-//! quarantine) and what happens to the pages a read page's links admit
-//! (the crawl-frontier prefetch below); the seed, the link rule, the
-//! re-seed skip and the re-seed, and the proof that they are exact, are
+//! same [`PageGraph`]: the page MBRs and boxes, the first keys, the
+//! grid and the neighborhood CSR come from the file as the build made
+//! them, so opening builds no tiling. The engine supplies only the page
+//! read (pin, scan, unpin, with retry and quarantine) and what happens
+//! to the pages the crawl admits (the crawl-frontier prefetch below); the
+//! seed, the link and read rules, and the proof that they are exact, are
 //! FLAT's (`neurospatial_flat::query`).
 //!
 //! A page is decoded once, when it comes off the device, into its frame:
@@ -27,9 +27,10 @@
 //! read of a page is then FLAT's page kernel ([`scan_page`]) on the
 //! frame, as in memory: a page wholly inside the query is emitted
 //! untested, and any other is cut by the lane masks. The whole-page rule
-//! needs every record inside its page's MBR, and the re-seed skip needs
-//! the MBR no larger than its records: a page's MBR must be the union of
-//! its records' boxes. Every load checks it — the demand read's, a
+//! needs every record inside its page's MBR, and the crawl reads the
+//! pages whose MBR meets the query, so an MBR larger than its records
+//! would read pages the in-memory index does not: a page's MBR must be
+//! the union of its records' boxes. Every load checks it — the demand read's, a
 //! prefetch worker's, and the open-time sweep's, which run one loader —
 //! and a page that fails is not cached, and the query that demanded it
 //! quarantines it. A page whose MBR was moved away from its records is
@@ -51,8 +52,9 @@
 //!
 //! - the **crawl frontier** of a cold query: once a query meets a page
 //!   the pool does not hold resident (the frame guard says how the pool
-//!   served each page), the pages its links admit to the BFS queue are
-//!   enqueued the moment they are discovered. The caller reads the
+//!   served each page), the pages to be read that its links admit to
+//!   the BFS queue are enqueued the moment they are discovered (those a
+//!   walk admitted before the query's first read, at that read). The caller reads the
 //!   queue from its oldest page on, and the workers take the frontier
 //!   newest first, so they read the pages the crawl reaches last while
 //!   the caller reads the first ones, and the reads overlap. A query is
@@ -82,7 +84,7 @@
 //! the step itself just read are dropped. A policy's explicit pages keep
 //! its order and go first; the regions' pages follow **nearest first**,
 //! by the squared distance from the page's MBR to the nearest region
-//! centre (ties in seed-tree order), and only then is the plan cut to
+//! centre (ties by page id), and only then is the plan cut to
 //! its cap, so every queued id is a read worth issuing and the likeliest
 //! are read first. A worker manages about five reads per millisecond of
 //! think time on the `explore_ooc` device, so the head of the plan is
@@ -120,16 +122,17 @@ use neurospatial_flat::{
     scan_page, write_page_lanes, FlatBuildParams, FlatIndex, FlatQueryStats, FlatScratch,
     PackingStrategy, PageGraph, PageQuery, PageRef,
 };
-use neurospatial_geom::{Aabb, Executor, Flow, Vec3};
+use neurospatial_geom::hilbert::HILBERT_BITS;
+use neurospatial_geom::{Aabb, Executor, Flow, HilbertSorter, Vec3};
 use neurospatial_model::io::{decode_record, encode_record, RECORD_BYTES};
 use neurospatial_model::NeuronSegment;
-use neurospatial_rtree::{EpochMarks, TraversalScratch};
+use neurospatial_rtree::EpochMarks;
 use neurospatial_storage::{
     with_retry, with_retry_sleeping, EvictionPolicy, FramePool, ModelledDevice, PageFile,
     PageFileWriter, PageIo, RetryPolicy, Served, StorageError, PAGE_HEADER_BYTES,
 };
 use std::cell::Cell;
-use std::collections::{vec_deque, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -137,8 +140,11 @@ use std::time::Duration;
 
 /// Magic of the FLAT metadata blob inside a page file.
 pub const FLAT_META_MAGIC: [u8; 4] = *b"FLTM";
-/// Version of the FLAT metadata layout.
-pub const FLAT_META_VERSION: u32 = 1;
+/// Version of the FLAT metadata layout. Version 2 holds the tiling (the
+/// grid's bounds, each page's box and first key) and no seed-tree
+/// fan-out or link ε; a version-1 file is refused with
+/// [`StorageError::BadVersion`].
+pub const FLAT_META_VERSION: u32 = 2;
 /// Bytes per serialized segment record: `model::io`'s record.
 pub const SEGMENT_RECORD_BYTES: usize = RECORD_BYTES;
 
@@ -189,6 +195,14 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64, StorageError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
+
+    /// A box as the writer dumped it, `lo` then `hi`: the struct literal
+    /// (no re-ordering) reproduces the original bits.
+    fn aabb(&mut self) -> Result<Aabb, StorageError> {
+        let lo = Vec3::new(self.f64()?, self.f64()?, self.f64()?);
+        let hi = Vec3::new(self.f64()?, self.f64()?, self.f64()?);
+        Ok(Aabb { lo, hi })
+    }
 }
 
 /// A page as its frame holds it: decoded once, when it comes off the
@@ -207,7 +221,7 @@ impl DecodedPage {
     /// record must be whole and finite, and their bound must be `mbr`,
     /// exactly as the build bounded them (the union of their boxes):
     /// whole-page acceptance needs no record outside the MBR, and the
-    /// crawl's re-seed skip an MBR no larger than its records.
+    /// crawl's read rule an MBR no larger than its records.
     fn decode(&mut self, payload: &[u8], page: u64, mbr: &Aabb) -> Result<(), StorageError> {
         let (records, rest) = payload.as_chunks::<SEGMENT_RECORD_BYTES>();
         if !rest.is_empty() {
@@ -256,9 +270,10 @@ fn load_page(
 ///
 /// Page `p` of the file holds page `p`'s segments as fixed-size records
 /// ([`SEGMENT_RECORD_BYTES`] each);
-/// the metadata blob holds the build parameters, every page MBR and the
-/// neighborhood CSR — everything [`OocFlatIndex::open`] needs to replay
-/// queries without the in-memory index.
+/// the metadata blob holds the build parameters, the grid's bounds, every
+/// page's MBR, box and first key, and the neighborhood CSR — everything
+/// [`OocFlatIndex::open`] needs to replay queries without the in-memory
+/// index.
 pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result<(), StorageError> {
     let params = index.params();
     let page_size = page_size_of(params);
@@ -270,12 +285,12 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
         w.append_page(&payload)?;
     }
 
-    let (offsets, ids) = index.graph().neighbor_csr();
+    let graph = index.graph();
+    let (offsets, ids) = graph.neighbor_csr();
     let mut meta = Vec::new();
     meta.extend_from_slice(&FLAT_META_MAGIC);
     meta.extend_from_slice(&FLAT_META_VERSION.to_le_bytes());
     meta.extend_from_slice(&(params.page_capacity as u32).to_le_bytes());
-    meta.extend_from_slice(&(params.seed_fanout as u32).to_le_bytes());
     meta.extend_from_slice(&params.hilbert_bits.to_le_bytes());
     let packing: u32 = match params.packing {
         PackingStrategy::Hilbert => 0,
@@ -283,13 +298,15 @@ pub fn write_flat_index(index: &FlatIndex<NeuronSegment>, path: &Path) -> Result
         PackingStrategy::CoordinateSort => 2,
     };
     meta.extend_from_slice(&packing.to_le_bytes());
-    meta.extend_from_slice(&params.neighbor_epsilon.to_le_bytes());
     meta.extend_from_slice(&(index.len() as u64).to_le_bytes());
     meta.extend_from_slice(&(index.page_count() as u64).to_le_bytes());
-    for mbr in index.graph().mbrs() {
-        for v in [mbr.lo.x, mbr.lo.y, mbr.lo.z, mbr.hi.x, mbr.hi.y, mbr.hi.z] {
+    for b in std::iter::once(graph.grid().bounds()).chain(graph.mbrs()).chain(graph.boxes()) {
+        for v in [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z] {
             meta.extend_from_slice(&v.to_le_bytes());
         }
+    }
+    for k in graph.first_keys() {
+        meta.extend_from_slice(&k.to_le_bytes());
     }
     for &o in offsets {
         meta.extend_from_slice(&o.to_le_bytes());
@@ -418,8 +435,8 @@ pub struct OocIoTrace {
     /// background prefetching is included).
     pub evictions: u64,
     /// Pages handed to the background prefetcher by the crawl frontier:
-    /// those its links admitted once the query had found a page that was
-    /// not resident.
+    /// the pages to be read that the crawl handed over once the query had
+    /// found a page that was not resident.
     pub prefetch_enqueued: u64,
     /// Transient page-read failures recovered by the bounded-retry
     /// path during this query.
@@ -618,12 +635,18 @@ impl PrefetchHandle {
 
     /// Queue crawl-frontier pages for background loading; returns how
     /// many were accepted (the backlog cap may drop the rest).
-    fn enqueue_frontier<'p>(&self, pages: impl ExactSizeIterator<Item = &'p u32>) -> u64 {
-        let offered = pages.len();
+    fn enqueue_frontier(&self, pages: impl Iterator<Item = u32>) -> u64 {
         let mut q = self.shared.lock();
-        let accepted = offered.min(PREFETCH_QUEUE_CAP.saturating_sub(q.frontier.len()));
-        q.frontier.extend(pages.take(accepted));
+        let room = PREFETCH_QUEUE_CAP.saturating_sub(q.frontier.len());
+        let mut offered = 0;
+        for page in pages {
+            if offered < room {
+                q.frontier.push_back(page);
+            }
+            offered += 1;
+        }
         drop(q);
+        let accepted = offered.min(room);
         self.shared.hand_off(accepted, offered - accepted)
     }
 }
@@ -749,7 +772,6 @@ impl OocFlatIndex {
             return Err(StorageError::BadVersion(version));
         }
         let page_capacity = r.u32()? as usize;
-        let seed_fanout = r.u32()? as usize;
         let hilbert_bits = r.u32()?;
         let packing = match r.u32()? {
             0 => PackingStrategy::Hilbert,
@@ -759,7 +781,6 @@ impl OocFlatIndex {
                 return Err(StorageError::Corrupt(format!("unknown packing strategy {other}")))
             }
         };
-        let neighbor_epsilon = r.f64()?;
         let object_count = r.u64()?;
         let page_count = r.u64()?;
         if page_count != file.page_count() {
@@ -771,24 +792,18 @@ impl OocFlatIndex {
         if page_count > (1 << 32) - 1 {
             return Err(StorageError::Corrupt(format!("{page_count} pages exceed u32 ids")));
         }
+        let grid_bounds = r.aabb()?;
         if page_capacity == 0
-            || !(1..=64).contains(&hilbert_bits)
-            || seed_fanout < 2
-            || !neighbor_epsilon.is_finite()
-            || neighbor_epsilon < 0.0
+            || !(1..=HILBERT_BITS).contains(&hilbert_bits)
+            || !(grid_bounds.lo.is_finite() && grid_bounds.hi.is_finite())
+            || grid_bounds.is_empty()
         {
             return Err(StorageError::Corrupt("implausible build parameters".to_string()));
         }
         let n = page_count as usize;
-        let mut page_mbrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let lo = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
-            let hi = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
-            // Exact roundtrip: the writer dumped lo/hi verbatim, so the
-            // struct literal (no re-ordering) reproduces the original
-            // bits.
-            page_mbrs.push(Aabb { lo, hi });
-        }
+        let page_mbrs = (0..n).map(|_| r.aabb()).collect::<Result<Vec<_>, _>>()?;
+        let boxes = (0..n).map(|_| r.aabb()).collect::<Result<Vec<_>, _>>()?;
+        let first_keys = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
         let mut neighbor_offsets = Vec::with_capacity(n + 1);
         for _ in 0..n + 1 {
             neighbor_offsets.push(r.u32()?);
@@ -814,9 +829,10 @@ impl OocFlatIndex {
             )));
         }
 
-        let params =
-            FlatBuildParams { page_capacity, packing, neighbor_epsilon, hilbert_bits, seed_fanout };
-        let graph = PageGraph::new(page_mbrs, neighbor_offsets, neighbor_ids, seed_fanout);
+        let params = FlatBuildParams { page_capacity, packing, hilbert_bits };
+        let grid = HilbertSorter::with_bits(grid_bounds, hilbert_bits);
+        let graph =
+            PageGraph::new(page_mbrs, boxes, neighbor_offsets, neighbor_ids, grid, &first_keys);
         let file: Arc<dyn PageIo> = wrap(file);
 
         if config.validate_pages {
@@ -943,13 +959,13 @@ impl OocFlatIndex {
         self.graph.page_count()
     }
 
-    /// Bounding box of all objects (seed-tree root MBR).
+    /// Bounding box of all objects (the union of the page MBRs).
     pub fn bounds(&self) -> Aabb {
         self.graph.bounds()
     }
 
-    /// The page graph: page MBRs, neighborhoods and seed tree, all in
-    /// memory.
+    /// The page graph: page MBRs and boxes, neighborhoods and tiling,
+    /// all in memory.
     pub fn graph(&self) -> &PageGraph {
         &self.graph
     }
@@ -1080,12 +1096,12 @@ impl OocFlatIndex {
             let page = PageRef { objects: segs, lanes, mbr, all_valid: *all_valid };
             Ok(scan_page(page, &pq, stats, &mut sink))
         };
-        // Crawl-frontier prefetch: once the query is cold, the pages a
-        // read page's links admit to the crawl front are read in the
-        // background while the front ahead of them is scanned. A warm
-        // query takes no queue lock.
+        // Crawl-frontier prefetch: once the query is cold, the pages to
+        // be read that the crawl admits are read in the background while
+        // the front ahead of them is scanned. A warm query takes no queue
+        // lock.
         let mut enqueued = 0;
-        let admitted = |pages: vec_deque::Iter<'_, u32>| {
+        let admitted = |pages: &mut dyn Iterator<Item = u32>| {
             if let (Some(h), true) = (&self.prefetch, cold.get()) {
                 enqueued += h.enqueue_frontier(pages);
             }
@@ -1187,7 +1203,7 @@ struct Planner {
     history: usize,
     pages_read: Vec<u32>,
     marks: EpochMarks,
-    seed: TraversalScratch,
+    walk: FlatScratch,
     found: Vec<u32>,
     /// The regions' pages, each with its distance to the nearest region.
     near: Vec<(f64, u32)>,
@@ -1235,7 +1251,7 @@ impl Planner {
             history: &self.recent[2 - self.history..],
             pages_read: &self.pages_read,
         });
-        let Planner { marks, seed, found, near, pages, pages_read, .. } = self;
+        let Planner { marks, walk, found, near, pages, pages_read, .. } = self;
         pages.clear();
         let Some(graph) = graph else {
             return pages;
@@ -1258,11 +1274,11 @@ impl Planner {
         // The next step is most likely near a predicted centre, and a
         // worker reads the plan in order: sort the regions' pages by the
         // squared distance from their MBR to the nearest region centre,
-        // ties in the order the seed tree finds them.
+        // ties by page id.
         near.clear();
         if pages.len() < CURSOR_PREFETCH_CAP {
             for region in &plan.regions {
-                graph.pages_intersecting(region, seed, found);
+                graph.pages_intersecting(region, walk, found);
                 for &p in found.iter() {
                     if marks.mark(p as usize) {
                         let mbr = graph.mbr(p);
@@ -1274,7 +1290,7 @@ impl Planner {
                 }
             }
         }
-        near.sort_by(|a, b| a.0.total_cmp(&b.0));
+        near.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         pages.extend(near.iter().map(|&(_, p)| p));
         pages.truncate(CURSOR_PREFETCH_CAP);
         pages
@@ -1401,7 +1417,7 @@ impl<'a> OocCursor<'a> {
                 history: 0,
                 pages_read: Vec::new(),
                 marks: EpochMarks::default(),
-                seed: TraversalScratch::default(),
+                walk: FlatScratch::default(),
                 found: Vec::new(),
                 near: Vec::new(),
                 pages: Vec::new(),
@@ -2107,7 +2123,10 @@ mod tests {
                 OocConfig::default().with_frame_budget(budget).with_prefetch_workers(workers);
             let ooc = open_gated(&t.0, config, if held { &idle } else { &[] });
             if held {
-                ooc.prefetch.as_ref().expect("workers").enqueue_frontier(idle[..workers].iter());
+                ooc.prefetch
+                    .as_ref()
+                    .expect("workers")
+                    .enqueue_frontier(idle[..workers].iter().copied());
                 ooc.gate.reads(workers, &idle);
             }
             let mut cur = ooc.cursor(policy);
@@ -2297,6 +2316,21 @@ mod tests {
         w.finish(&meta).expect("finish");
     }
 
+    /// A version-1 file (seed-tree fan-out and link ε, no tiling) is
+    /// refused with the typed error before any of its layout is read.
+    #[test]
+    fn a_version_1_page_file_is_refused_with_a_typed_error() {
+        let mem = build(circuit(6), 32);
+        let t = TempFile(temp_path("v1"));
+        write_flat_index(&mem, &t.0).expect("write");
+        rewrite_meta(&t.0, |meta| meta[4..8].copy_from_slice(&1u32.to_le_bytes()));
+        for validate_pages in [true, false] {
+            let config = OocConfig { validate_pages, ..OocConfig::default() };
+            let err = OocFlatIndex::open(&t.0, config).expect_err("version 1");
+            assert_eq!(err, StorageError::BadVersion(1));
+        }
+    }
+
     /// A page whose metadata MBR does not bound its records would lose
     /// records (moved away, or shrunk) or break the crawl's rules
     /// (grown): open refuses the file, with the page named as for a bad
@@ -2307,8 +2341,9 @@ mod tests {
     #[test]
     fn a_page_mbr_that_is_not_its_records_bound_fails_open() {
         let mem = build(circuit(12), 32);
-        // Page 0's MBR follows the 48 bytes of parameters and counts.
-        let at = 48..96;
+        // Page 0's MBR follows the 36 bytes of parameters and counts and
+        // the 48 of the grid's bounds.
+        let at = 84..132;
         let real = mem.graph().mbr(0);
         let moved = Aabb::cube(Vec3::splat(1e6), 0.0);
         let grown = real.inflate(1.0);
@@ -2363,7 +2398,7 @@ mod tests {
 
         let lazy = OocConfig { validate_pages: false, ..OocConfig::default() };
         let ooc = open_gated(&t.0, lazy.with_prefetch_workers(1), &[]);
-        ooc.prefetch.as_ref().expect("workers").enqueue_frontier([0].iter());
+        ooc.prefetch.as_ref().expect("workers").enqueue_frontier([0].into_iter());
         assert_eq!(ooc.gate.reads(1, &[0]), [0], "the worker read page 0");
         // The frame is reserved from before the read until the load ends.
         let started = std::time::Instant::now();
@@ -2383,10 +2418,11 @@ mod tests {
         assert_eq!(ooc.pool().stats().prefetched, 0);
     }
 
-    /// A cold crawl hands every page a link admits to the frontier
-    /// prefetch: on a fresh pool, where the seed is not resident, and
-    /// without a re-seed, that is every page read but the seed. The same
-    /// query again finds every page resident and hands off none.
+    /// A cold crawl hands every page to be read that a link admits to the
+    /// frontier prefetch: on a fresh pool, where the first page read is
+    /// not resident, that is every page read but the first (the seed, on
+    /// these boxes about a segment). The same query again finds every
+    /// page resident and hands off none.
     #[test]
     fn the_frontier_queues_every_page_read_but_the_seed() {
         let mem = build(circuit(10), 16);
@@ -2401,7 +2437,6 @@ mod tests {
             let ooc = OocFlatIndex::open(&t.0, config).expect("open");
             let q = Aabb::cube(centre, r);
             let cold = ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
-            assert_eq!(cold.flat.reseeds, 0, "at {q}");
             assert!(cold.flat.pages_read > 1, "at {q}");
             assert_eq!(cold.io.prefetch_enqueued, cold.flat.pages_read - 1, "at {q}");
             let warm = ooc.range_query_into(&q, &mut scratch, &mut out).expect("query");
@@ -2490,11 +2525,11 @@ mod tests {
         };
         let nearest_first =
             |plan: &[u32]| plan.windows(2).all(|w| nearness(w[0]) <= nearness(w[1]));
-        // The pages the plan must hold, in the order the seed tree finds
+        // The pages the plan must hold, in the order the crawl finds
         // them, which is not nearest-first here.
-        let (mut seed, mut found, mut want) = (TraversalScratch::default(), vec![], vec![]);
+        let (mut walk, mut found, mut want) = (FlatScratch::default(), vec![], vec![]);
         for region in &regions {
-            graph.pages_intersecting(region, &mut seed, &mut found);
+            graph.pages_intersecting(region, &mut walk, &mut found);
             for &p in &found {
                 if !read.contains(&p) && !want.contains(&p) {
                     want.push(p);
@@ -2502,7 +2537,7 @@ mod tests {
             }
         }
         assert!(want.len() > 4 && want.len() <= CURSOR_PREFETCH_CAP, "{} pages", want.len());
-        assert!(!nearest_first(&want), "seed-tree order would pass");
+        assert!(!nearest_first(&want), "crawl order would pass");
         let same_pages = |plan: &[u32]| {
             let (mut a, mut b) = (plan.to_vec(), want.clone());
             a.sort_unstable();

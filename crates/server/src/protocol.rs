@@ -917,6 +917,7 @@ fn put_stats(out: &mut Vec<u8>, stats: &QueryStats) {
     put_u64(out, stats.results);
     put_u64(out, stats.nodes_read);
     put_u64(out, stats.objects_tested);
+    // Reserved: always 0, kept so the DONE frame keeps its layout.
     put_u64(out, stats.reseeds);
     put_u64(out, stats.cache_hits);
     put_u64(out, stats.cache_misses);

@@ -11,8 +11,8 @@ use neurospatial::prelude::*;
 fn main() {
     println!("range queries on circuits of growing density (fixed tissue volume)\n");
     println!(
-        "{:>8} | {:>9} | {:>7} | {:>12} | {:>12} | {:>12} | {:>8}",
-        "neurons", "segments", "result", "flat pages", "rtree nodes", "dyn-rtree", "reseeds"
+        "{:>8} | {:>9} | {:>7} | {:>12} | {:>12} | {:>12}",
+        "neurons", "segments", "result", "flat pages", "rtree nodes", "dyn-rtree"
     );
 
     let volume = Aabb::new(Vec3::ZERO, Vec3::splat(300.0));
@@ -40,27 +40,25 @@ fn main() {
             QueryPlacement::DataCentered,
             Some(&segments),
         );
-        let (mut fp, mut rn, mut dn, mut res, mut rs) = (0u64, 0u64, 0u64, 0u64, 0u64);
+        let (mut fp, mut rn, mut dn, mut res) = (0u64, 0u64, 0u64, 0u64);
         for q in &w.queries {
             let (hits, fs) = flat.range_query(q);
             let (_, ps) = packed.range_query(q);
             let (_, ds) = dynamic.range_query(q);
-            fp += fs.pages_read + fs.seed_nodes_read;
+            fp += fs.pages_read;
             rn += ps.nodes_visited();
             dn += ds.nodes_visited();
             res += hits.len() as u64;
-            rs += fs.reseeds;
         }
         let n = w.queries.len() as u64;
         println!(
-            "{:>8} | {:>9} | {:>7} | {:>12.1} | {:>12.1} | {:>12.1} | {:>8.2}",
+            "{:>8} | {:>9} | {:>7} | {:>12.1} | {:>12.1} | {:>12.1}",
             neurons,
             segments.len(),
             res / n,
             fp as f64 / n as f64,
             rn as f64 / n as f64,
             dn as f64 / n as f64,
-            rs as f64 / n as f64,
         );
     }
     println!("\nFLAT page reads track the result size; R-Tree node accesses grow faster");

@@ -33,10 +33,9 @@ fn main() {
         .expect("valid configuration");
     let flat = db.flat_index().expect("monolithic FLAT in memory");
     println!(
-        "FLAT index: {} pages, {:.1} neighbors/page, seed-tree height {}",
+        "FLAT index: {} pages, {:.1} neighbors/page",
         flat.page_count(),
-        flat.graph().mean_neighbors(),
-        flat.graph().seed_tree_height()
+        flat.graph().mean_neighbors()
     );
 
     // --- 3. One composable query surface ----------------------------------
@@ -46,11 +45,10 @@ fn main() {
     let region = Aabb::cube(circuit.bounds().center(), 50.0);
     let out = db.query().range(region).collect().expect("no population constraint");
     println!(
-        "\nrange query {}: {} segments, {} index reads, {} re-seeds",
+        "\nrange query {}: {} segments, {} index reads",
         region,
         out.len(),
-        out.stats.nodes_read,
-        out.stats.reseeds
+        out.stats.nodes_read
     );
     println!("  plan: {}", db.query().range(region).explain());
 

@@ -187,7 +187,7 @@ fn queries_far_outside_the_model_are_cheap_and_empty() {
     let far = Aabb::cube(Vec3::splat(1e9), 100.0);
     let out = db.query().range(far).collect().expect("range");
     assert!(out.is_empty());
-    // Root/seed check proves emptiness with only seed-tree reads, no
+    // The bounds check proves emptiness before the seed, with no
     // data-page I/O.
     let flat = db.flat_index().expect("default backend is FLAT");
     let (_, fstats) = flat.range_query(&far);

@@ -118,9 +118,11 @@ fn assert_paged_matches_memory(
             prop_assert_eq!(&got_stats.flat, &want_stats, "{}: logical stats diverge", case);
             if fresh && got_stats.flat.pages_read > 0 {
                 fresh = false;
-                // Cold at its seed: without a re-seed, every page but the
-                // seed is admitted by a link and handed to the workers.
-                if workers > 0 && got_stats.flat.reseeds == 0 {
+                // Cold at its first read: every page read but that one
+                // (the seed, when the seed is read) is admitted by a link
+                // and handed to the workers, those a walk admitted before
+                // the first read at that read.
+                if workers > 0 {
                     let handed = got_stats.flat.pages_read - 1;
                     prop_assert_eq!(got_stats.io.prefetch_enqueued, handed, "{}: cold crawl", case);
                 }
