@@ -340,16 +340,24 @@ mod tests {
     }
 
     /// Two clusters far apart, no page straddling the gap (cluster sizes
-    /// are multiples of the page capacity): the cells between them link
-    /// the two, so one walk from one seed reads both, through both entry
-    /// points.
+    /// are multiples of the page capacity). The name is from the re-seed
+    /// that once bridged the gap; the cells between the clusters now link
+    /// them, so one walk from one seed reads all 32 pages exactly.
     #[test]
-    fn disconnected_data_is_crawled_in_one_walk() {
+    fn reseeding_keeps_disconnected_data_exact() {
         let idx =
             FlatIndex::build(two_clusters(), FlatBuildParams::default().with_page_capacity(32));
         let q = Aabb::new(Vec3::new(-5.0, -5.0, -5.0), Vec3::new(1015.0, 15.0, 5.0));
         let (hits, stats) = idx.range_query(&q);
         assert_eq!((hits.len(), stats.pages_read), (1024, 32));
+    }
+
+    /// The scratch path over the same two clusters: one walk, exact.
+    #[test]
+    fn scratch_reseeding_still_exact_on_disconnected_data() {
+        let idx =
+            FlatIndex::build(two_clusters(), FlatBuildParams::default().with_page_capacity(32));
+        let q = Aabb::new(Vec3::new(-5.0, -5.0, -5.0), Vec3::new(1015.0, 15.0, 5.0));
         let mut streamed = 0usize;
         let c = idx.range_query_stream(
             &q,
